@@ -94,6 +94,10 @@ class BftClient(Node):
         self.tracer = tracer or Tracer(keep_events=False)
         self.costs = costs
         registry.enroll(client_id)
+        # Fixed for the life of the group, read on every reply.
+        self._replicas = frozenset(config.replica_ids)
+        self._quorum = config.quorum
+        self._weak_quorum = config.weak_quorum
         self.view_estimate = 0
         self._next_request_id = 0
         self._pending: Optional[_PendingCall] = None
@@ -166,13 +170,13 @@ class BftClient(Node):
         call = self._pending
         request = call.request
         # MAC-over-digest: hash the request once, MAC the digest per replica.
+        replicas = self.config.replica_ids
         request.auth = Authenticator.create(
-            self.registry, self.node_id, self.config.replica_ids,
-            request.digest())
-        self.charge(self.costs.auth_create(len(self.config.replica_ids),
-                                           len(request.body())))
+            self.registry, self.node_id, replicas,
+            request.sealed_digest or request.digest())
+        self.charge(self.costs.auth_create(len(replicas), request.body_size))
         if call.read_only or not first:
-            self.multicast(self.config.replica_ids, request)
+            self.multicast(replicas, request)
         else:
             self.send(self.config.primary_of(self.view_estimate), request)
 
@@ -255,17 +259,21 @@ class BftClient(Node):
         call = self._pending
         if call is None or reply.request_id != call.request.request_id:
             return
-        if src != reply.replica_id or src not in self.config.replica_ids:
+        if src != reply.replica_id or src not in self._replicas:
             return
         # An unauthenticated reply proves nothing about its sender: any
         # network party could have forged it, so it must not contribute a
         # quorum vote (f+1 counts only hold if every vote is from a
         # distinct authenticated replica).
-        if reply.auth is None or reply.auth.sender != src:
+        auth = reply.auth
+        if auth is None or auth.sender != src:
             return
-        self.charge(self.costs.auth_verify(len(reply.body())))
-        if not reply.auth.verify(self.registry, self.node_id,
-                                 reply.digest()):
+        size = reply.body_size
+        if size is None:
+            size = len(reply.body())
+        self.charge(self.costs.auth_verify(size))
+        if not auth.verify(self.registry, self.node_id,
+                           reply.sealed_digest or reply.digest()):
             return
         if reply.result is not None:
             if digest(reply.result) != reply.result_digest:
@@ -294,7 +302,7 @@ class BftClient(Node):
             "stale read-only votes on an ordered request"
         # Ordered committed replies: f+1 matching.
         for rdigest, voters in call.votes.items():
-            if len(voters) < self.config.weak_quorum:
+            if len(voters) < self._weak_quorum:
                 continue
             if rdigest in call.results:
                 self._accept(call.results[rdigest], "committed", voters)
@@ -309,7 +317,7 @@ class BftClient(Node):
         # Commit certificate: 2f+1 matching tentative replies prove the
         # request's ordering survives any view change.
         for rdigest, voters in call.tentative_votes.items():
-            if len(voters) < self.config.quorum:
+            if len(voters) < self._quorum:
                 continue
             if rdigest in call.results:
                 self._accept(call.results[rdigest], "tentative", voters)
@@ -326,7 +334,7 @@ class BftClient(Node):
             return
         # Read-only optimization: 2f+1 matching read-only replies.
         for rdigest, voters in call.ro_votes.items():
-            if len(voters) >= self.config.quorum and rdigest in call.results:
+            if len(voters) >= self._quorum and rdigest in call.results:
                 self._accept(call.results[rdigest], "read_only", voters)
                 return
 

@@ -45,16 +45,21 @@ class SeqSlot:
 
     def matching_prepares(self) -> int:
         """Prepares matching the accepted pre-prepare's digest."""
-        if self.pre_prepare is None:
-            return 0
-        want = self.pre_prepare.batch_digest()
-        return sum(1 for p in self.prepares.values() if p.batch_digest == want)
+        return self._matching(self.prepares)
 
     def matching_commits(self) -> int:
-        if self.pre_prepare is None:
+        return self._matching(self.commits)
+
+    def _matching(self, votes) -> int:
+        pre_prepare = self.pre_prepare
+        if pre_prepare is None:
             return 0
-        want = self.pre_prepare.batch_digest()
-        return sum(1 for c in self.commits.values() if c.batch_digest == want)
+        want = pre_prepare.sealed_digest or pre_prepare.digest()
+        count = 0
+        for vote in votes.values():
+            if vote.batch_digest == want:
+                count += 1
+        return count
 
 
 class MessageLog:
@@ -64,9 +69,10 @@ class MessageLog:
         self._slots: Dict[int, SeqSlot] = {}
 
     def slot(self, seq: int) -> SeqSlot:
-        if seq not in self._slots:
-            self._slots[seq] = SeqSlot(seq)
-        return self._slots[seq]
+        slot = self._slots.get(seq)
+        if slot is None:
+            slot = self._slots[seq] = SeqSlot(seq)
+        return slot
 
     def get(self, seq: int) -> Optional[SeqSlot]:
         return self._slots.get(seq)

@@ -3,12 +3,23 @@
 Each message exposes:
 
 - ``kind`` — dispatch key used by :class:`repro.sim.Node`;
-- ``body()`` — canonical bytes covered by MACs/signatures (cached);
+- ``body()`` — canonical bytes covered by MACs/signatures;
 - ``digest()`` — SHA-256 of the body;
 - ``wire_size()`` — bytes charged to the network, body + authentication.
 
 Authentication tags (``auth`` for MAC authenticators, ``sig`` for
 signatures) ride outside the body and are attached by the sender.
+
+**Seal once.**  A message's fields never change once it is sent, and the
+simulator hands the *same object* to every receiver, so the body is
+encoded once and hashed once in the message's lifetime.  The first
+``body()`` stores the bytes and their length (``body_size``), the first
+``digest()`` the hash (``sealed_digest``); both attributes are ``None``
+until then.  Code on the per-message path — authenticating, verifying,
+sizing, counting votes — reads the stored value and falls back to the
+method only when it is still ``None`` (``msg.sealed_digest or
+msg.digest()``), so a delivery costs no re-encoding, no re-hashing and
+no call at all.
 """
 
 from __future__ import annotations
@@ -29,11 +40,12 @@ class Message:
 
     kind = "message"
 
-    __slots__ = ("_body", "_digest", "auth", "sig")
+    __slots__ = ("_body", "body_size", "sealed_digest", "auth", "sig")
 
     def __init__(self) -> None:
         self._body: Optional[bytes] = None
-        self._digest: Optional[bytes] = None
+        self.body_size: Optional[int] = None       # len(body()), once encoded
+        self.sealed_digest: Optional[bytes] = None  # digest(), once hashed
         self.auth = None   # Optional[Authenticator]
         self.sig = None    # Optional[bytes]
 
@@ -41,19 +53,25 @@ class Message:
         raise NotImplementedError
 
     def body(self) -> bytes:
-        if self._body is None:
-            self._body = canonical((self.kind,) + self._fields())
-        return self._body
+        body = self._body
+        if body is None:
+            body = self._body = canonical((self.kind,) + self._fields())
+            self.body_size = len(body)
+        return body
 
     def digest(self) -> bytes:
-        if self._digest is None:
-            self._digest = sha_digest(self.body())
-        return self._digest
+        digest = self.sealed_digest
+        if digest is None:
+            digest = self.sealed_digest = sha_digest(self.body())
+        return digest
 
     def wire_size(self) -> int:
-        size = len(self.body())
-        if self.auth is not None:
-            size += self.auth.wire_size()
+        size = self.body_size
+        if size is None:
+            size = len(self.body())
+        auth = self.auth
+        if auth is not None:
+            size += auth.wire_size()
         if self.sig is not None:
             size += SIGNATURE_SIZE
         return size
@@ -147,11 +165,12 @@ class PrePrepare(Message):
 
     def _fields(self) -> tuple:
         return (self.view, self.seq,
-                tuple(r.digest() for r in self.requests), self.nondet)
+                tuple([r.sealed_digest or r.digest() for r in self.requests]),
+                self.nondet)
 
     def batch_digest(self) -> bytes:
         """Digest that prepares/commits certify (covers seq/view/batch/nondet)."""
-        return self.digest()
+        return self.sealed_digest or self.digest()
 
     def wire_size(self) -> int:
         return super().wire_size() + sum(r.wire_size() for r in self.requests)

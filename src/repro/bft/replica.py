@@ -30,6 +30,7 @@ from repro.bft.costs import CostModel, ZERO_COSTS
 from repro.bft.faults import HONEST, Behavior
 from repro.bft.log import MessageLog
 from repro.bft.messages import (
+    NULL_CLIENT,
     CheckpointMsg,
     Commit,
     EdgeRead,
@@ -68,6 +69,16 @@ class Replica(Node):
         self.costs = costs
         self._behavior: Behavior = HONEST
         registry.enroll(replica_id)
+        # Fixed for the life of the group and read on every protocol
+        # message, so derived from the config once.
+        self.other_replicas: Tuple[str, ...] = tuple(
+            r for r in config.replica_ids if r != replica_id)
+        self._index = config.replica_index(replica_id)
+        self._quorum = config.quorum
+        # The pre-prepare stands in for the primary's prepare, so a
+        # batch prepares on 2f matching prepares from the backups.
+        self._prepare_votes = 2 * config.f
+        self._log_window = config.log_window
 
         self.view = 0
         self.last_executed = 0
@@ -152,16 +163,12 @@ class Replica(Node):
         return self.config.primary_of(self.view)
 
     @property
-    def other_replicas(self) -> List[str]:
-        return [r for r in self.config.replica_ids if r != self.node_id]
-
-    @property
     def low_mark(self) -> int:
         return self.last_stable
 
     @property
     def high_mark(self) -> int:
-        return self.last_stable + self.config.log_window
+        return self.last_stable + self._log_window
 
     @property
     def committed_frontier(self) -> int:
@@ -189,17 +196,28 @@ class Replica(Node):
                 and not self.transfer.active)
 
     def send(self, dst, msg, size=None):
-        """Send with the Byzantine rewrite hook applied."""
-        out = self.behavior.rewrite_outgoing(msg, dst)
-        if out is not None:
-            super().send(dst, out, size)
+        """Send with the Byzantine rewrite hook applied.  An honest
+        replica has nothing to rewrite and goes straight to the fabric
+        (:meth:`Node.send` without the extra frame)."""
+        if self._behavior is not HONEST:
+            msg = self._behavior.rewrite_outgoing(msg, dst)
+            if msg is None:
+                return
+        if self._crashed:
+            return
+        delay = self.busy_until - self.scheduler._now
+        self.network.send(self.node_id, dst, msg, size,
+                          delay if delay > 0 else 0.0)
 
     def multicast(self, dsts, msg, size=None):
-        if self.behavior is HONEST:
-            super().multicast(dsts, msg, size=size)  # true IP multicast
-        else:
+        if self._behavior is not HONEST:
             for dst in dsts:
                 self.send(dst, msg, size=size)
+        elif not self._crashed:
+            # True IP multicast, as :meth:`Node.multicast`.
+            delay = self.busy_until - self.scheduler._now
+            self.network.multicast(self.node_id, dsts, msg, size,
+                                   delay if delay > 0 else 0.0)
 
     # -- authentication helpers ------------------------------------------------------
 
@@ -210,24 +228,28 @@ class Replica(Node):
         cost is one body hash plus a constant-size MAC per receiver —
         independent of how large the piggybacked batch is.
         """
-        msg.auth = Authenticator.create(self.registry, self.node_id,
-                                        self.other_replicas, msg.digest())
-        self.charge(self.costs.auth_create(len(self.other_replicas),
-                                           len(msg.body())))
+        others = self.other_replicas
+        msg.auth = Authenticator.create(self.registry, self.node_id, others,
+                                        msg.digest())
+        self.charge(self.costs.auth_create(len(others), msg.body_size))
         return msg
 
     def authenticate_for(self, msg: Message, dst: str) -> Message:
-        msg.auth = Authenticator.create(self.registry, self.node_id, [dst],
+        msg.auth = Authenticator.create(self.registry, self.node_id, (dst,),
                                         msg.digest())
-        self.charge(self.costs.auth_create(1, len(msg.body())))
+        self.charge(self.costs.auth_create(1, msg.body_size))
         return msg
 
     def verify_auth(self, src, msg: Message) -> bool:
-        self.charge(self.costs.auth_verify(len(msg.body())))
+        size = msg.body_size
+        if size is None:
+            size = len(msg.body())
+        self.charge(self.costs.auth_verify(size))
         auth = msg.auth
         if auth is None or auth.sender != src:
             return False
-        return auth.verify(self.registry, self.node_id, msg.digest())
+        return auth.verify(self.registry, self.node_id,
+                           msg.sealed_digest or msg.digest())
 
     def sign_msg(self, msg: Message) -> Message:
         msg.sig = sign(self.registry, self.node_id, msg.body())
@@ -241,35 +263,37 @@ class Replica(Node):
         return verify_signature(self.registry, signer, msg.body(), msg.sig)
 
     def trace(self, kind: str, **detail) -> None:
-        self.tracer.emit(self.now, self.node_id, kind, **detail)
+        self.tracer.record(self.scheduler._now, self.node_id, kind, detail)
 
     # -- message gating --------------------------------------------------------------
 
     def on_message(self, src, msg):
-        if self._crashed:
-            return
-        if self.recovery.rebooting:
-            # Fully offline through shutdown + reboot.
+        if self._crashed or self.recovery.rebooting:
+            # Crashed, or fully offline through shutdown + reboot.
             return
         # During fetch-and-check the replica participates in agreement
         # again and serves state transfer to peers (everything served is
         # digest-verified by the fetcher, so a possibly-corrupt donor
         # cannot do harm); only *execution* waits for the state check —
         # see the guards in try_execute and the read-only path.
-        super().on_message(src, msg)
+        handler = self._handlers.get(getattr(msg, "kind", None))
+        if handler:
+            handler(src, msg)
+        else:
+            # First message of its kind (resolves and caches the
+            # handler) or one nobody handles.
+            super().on_message(src, msg)
 
     # -- client requests -----------------------------------------------------------
 
     def handle_request(self, src, req: Request) -> None:
         # Requests are authenticated by their *client*, not the transport
         # source — backups relay client requests to the primary verbatim.
-        if req.auth is not None:
-            self.charge(self.costs.auth_verify(len(req.body())))
-            if (req.auth.sender != req.client_id
-                    or not req.auth.verify(self.registry, self.node_id,
-                                           req.digest())):
-                self.trace("bad_request_auth", client=req.client_id)
-                return
+        # A request with no authenticator at all proves nothing about
+        # who sent it and is rejected like one with a bad tag.
+        if not self.verify_auth(req.client_id, req):
+            self.trace("bad_request_auth", client=req.client_id)
+            return
         last = self.client_table.get(req.client_id)
         if last is not None and req.request_id <= last[0]:
             if req.request_id == last[0]:
@@ -283,8 +307,8 @@ class Replica(Node):
             return
         if self.view_changes.active:
             return
+        key = (req.client_id, req.request_id)
         if self.is_primary:
-            key = (req.client_id, req.request_id)
             if key in self.in_flight:
                 # Duplicate of an in-flight request: some backup probably
                 # missed the pre-prepare; retransmit it.
@@ -294,7 +318,7 @@ class Replica(Node):
                     self.multicast(self.other_replicas, slot.pre_prepare)
             elif key not in self.pending:
                 self.pending[key] = req
-                self._request_arrival.setdefault(key, self.now)
+                self._request_arrival.setdefault(key, self.scheduler._now)
                 self._note_arrival()
                 self.try_send_pre_prepare()
         else:
@@ -302,7 +326,7 @@ class Replica(Node):
             # and start the view-change timer: if the primary is faulty and
             # never orders the request, we elect a new one.
             self.send(self.primary_id, req)
-            self.waiting[(req.client_id, req.request_id)] = req
+            self.waiting[key] = req
             self.vc_timer.start()
 
     def _send_cached_reply(self, client_id: str, request_id: int,
@@ -323,7 +347,8 @@ class Replica(Node):
         tentatively; the client requires 2f+1 matching tentative replies."""
         result = self._safe_execute(req.op, req.client_id, req.request_id,
                                     self.last_executed, b"", read_only=True)
-        result = self.behavior.corrupt_reply_result(result)
+        if self._behavior is not HONEST:
+            result = self._behavior.corrupt_reply_result(result)
         self._reply(req.client_id, req.request_id, result, tentative=True,
                     force_full=True, read_only=True)
         self.trace("read_only_executed", client=req.client_id,
@@ -420,7 +445,7 @@ class Replica(Node):
             outstanding = self.seq_assigned - self.last_executed
             if outstanding >= self.config.max_outstanding:
                 return
-            if self.seq_assigned + 1 > self.high_mark:
+            if self.seq_assigned + 1 > self.last_stable + self._log_window:
                 return
             if self._should_hold_batch():
                 return
@@ -483,13 +508,14 @@ class Replica(Node):
                 self.on_message(src, msg)
 
     def handle_pre_prepare(self, src, pp: PrePrepare) -> None:
-        if self._stash_future(src, pp):
+        if pp.view > self.view and self._stash_future(src, pp):
             return
         if src != self.primary_id or pp.view != self.view:
             return
         if not self.verify_auth(src, pp):
             return
-        if not (self.low_mark < pp.seq <= self.high_mark):
+        low = self.last_stable
+        if not (low < pp.seq <= low + self._log_window):
             return
         slot = self.log.slot(pp.seq)
         if slot.pre_prepare is not None:
@@ -512,7 +538,7 @@ class Replica(Node):
             self.vc_timer.start()
             return
         slot.pre_prepare = pp
-        slot.phase_marks = {"pre_prepare": self.now}
+        slot.phase_marks = {"pre_prepare": self.scheduler._now}
         for req in pp.requests:
             if not req.is_null:
                 self.waiting[(req.client_id, req.request_id)] = req
@@ -524,7 +550,7 @@ class Replica(Node):
         self._check_prepared(slot)
 
     def handle_prepare(self, src, prep: Prepare) -> None:
-        if self._stash_future(src, prep):
+        if prep.view > self.view and self._stash_future(src, prep):
             return
         if prep.view != self.view or src != prep.replica_id:
             return
@@ -532,28 +558,31 @@ class Replica(Node):
             return  # the primary's pre-prepare is its prepare
         if not self.verify_auth(src, prep):
             return
-        if not (self.low_mark < prep.seq <= self.high_mark):
+        low = self.last_stable
+        if not (low < prep.seq <= low + self._log_window):
             return
         slot = self.log.slot(prep.seq)
         slot.prepares[src] = prep
-        self._check_prepared(slot)
+        if not slot.prepared:
+            self._check_prepared(slot)
 
     def _check_prepared(self, slot) -> None:
         if slot.prepared or slot.pre_prepare is None:
             return
         # pre-prepare counts as the primary's prepare: need 2f matching
         # prepares from non-primary replicas (self included when backup).
-        if slot.matching_prepares() >= 2 * self.config.f:
+        if slot.matching_prepares() >= self._prepare_votes:
             slot.prepared = True
             if (slot.prepared_cert is None
                     or slot.prepared_cert[0] < self.view):
                 slot.prepared_cert = (self.view, slot.pre_prepare)
             self.trace("prepared", seq=slot.seq)
+            now = self.scheduler._now
             mark = slot.phase_marks.get("pre_prepare")
             if mark is not None:
                 self.tracer.observe_phase("pre_prepare_to_prepared",
-                                          self.now - mark)
-            slot.phase_marks["prepared"] = self.now
+                                          now - mark)
+            slot.phase_marks["prepared"] = now
             com = Commit(self.view, slot.seq,
                          slot.pre_prepare.batch_digest(), self.node_id)
             self.authenticate(com)
@@ -566,29 +595,32 @@ class Replica(Node):
                 self.try_execute()
 
     def handle_commit(self, src, com: Commit) -> None:
-        if self._stash_future(src, com):
+        if com.view > self.view and self._stash_future(src, com):
             return
         if com.view != self.view or src != com.replica_id:
             return
         if not self.verify_auth(src, com):
             return
-        if not (self.low_mark < com.seq <= self.high_mark):
+        low = self.last_stable
+        if not (low < com.seq <= low + self._log_window):
             return
         slot = self.log.slot(com.seq)
         slot.commits[src] = com
-        self._check_committed(slot)
+        if slot.prepared and not slot.committed:
+            self._check_committed(slot)
 
     def _check_committed(self, slot) -> None:
         if slot.committed or not slot.prepared:
             return
-        if slot.matching_commits() >= self.config.quorum:
+        if slot.matching_commits() >= self._quorum:
             slot.committed = True
             self.trace("committed", seq=slot.seq)
+            now = self.scheduler._now
             mark = slot.phase_marks.get("prepared")
             if mark is not None:
                 self.tracer.observe_phase("prepared_to_committed",
-                                          self.now - mark)
-            slot.phase_marks["committed"] = self.now
+                                          now - mark)
+            slot.phase_marks["committed"] = now
             if slot.executed:
                 # Already executed on the fast path; the commit
                 # certificate just made that execution durable.
@@ -599,7 +631,7 @@ class Replica(Node):
     def _advance_committed_frontier(self) -> None:
         """Walk the committed-execution frontier forward, downgrading
         tentative executions to committed as their certificates land."""
-        seq = self.committed_frontier
+        seq = max(self.last_committed_exec, self.last_stable)
         while seq < self.last_executed:
             slot = self.log.get(seq + 1)
             if slot is None or not slot.executed or not slot.committed:
@@ -607,7 +639,7 @@ class Replica(Node):
             slot.tentative = False
             seq += 1
         self.last_committed_exec = seq
-        if not self.waiting and self.committed_frontier >= self.last_executed:
+        if not self.waiting and seq >= self.last_executed:
             self.vc_timer.stop()
 
     # -- execution ------------------------------------------------------------------
@@ -635,12 +667,12 @@ class Replica(Node):
                 mark = slot.phase_marks.get("prepared")
                 if mark is not None:
                     self.tracer.observe_phase("prepared_to_executed",
-                                              self.now - mark)
+                                              self.scheduler._now - mark)
             else:
                 mark = slot.phase_marks.get("committed")
                 if mark is not None:
                     self.tracer.observe_phase("committed_to_executed",
-                                              self.now - mark)
+                                              self.scheduler._now - mark)
             for req in pp.requests:
                 self._execute_request(req, slot.seq, pp.nondet, tentative)
             if not tentative and self.committed_frontier == slot.seq - 1:
@@ -660,21 +692,23 @@ class Replica(Node):
 
     def _execute_request(self, req: Request, seq: int, nondet: bytes,
                          tentative: bool = False) -> None:
-        self.waiting.pop((req.client_id, req.request_id), None)
-        self.in_flight.pop((req.client_id, req.request_id), None)
-        self._request_arrival.pop((req.client_id, req.request_id), None)
-        if req.is_null:
+        client_id, request_id = req.client_id, req.request_id
+        key = (client_id, request_id)
+        self.waiting.pop(key, None)
+        self.in_flight.pop(key, None)
+        self._request_arrival.pop(key, None)
+        if client_id == NULL_CLIENT:
             return
-        last = self.client_table.get(req.client_id)
-        if last is not None and req.request_id <= last[0]:
+        last = self.client_table.get(client_id)
+        if last is not None and request_id <= last[0]:
             return  # duplicate within a re-proposed batch
-        result = self._safe_execute(req.op, req.client_id, req.request_id,
-                                    seq, nondet)
-        result = self.behavior.corrupt_reply_result(result)
-        self.trace("executed", seq=seq, client=req.client_id,
-                   request_id=req.request_id, tentative=tentative)
-        self._reply(req.client_id, req.request_id, result,
-                    tentative=tentative, seq=seq)
+        result = self._safe_execute(req.op, client_id, request_id, seq,
+                                    nondet)
+        if self._behavior is not HONEST:
+            result = self._behavior.corrupt_reply_result(result)
+        self.trace("executed", seq=seq, client=client_id,
+                   request_id=request_id, tentative=tentative)
+        self._reply(client_id, request_id, result, tentative, seq)
 
     def _safe_execute(self, op: bytes, client_id: str, request_id: int,
                       seq: int, nondet: bytes,
@@ -694,8 +728,9 @@ class Replica(Node):
                force_full: bool = False, read_only: bool = False) -> None:
         rdigest = digest(result)
         self.charge(self.costs.digest(len(result)))
+        # One designated replica sends the full result for each seq.
         full = (force_full or not self.config.tentative_reply_digests
-                or self._is_designated(seq))
+                or self._index == seq % self.config.n)
         reply = Reply(self.view, request_id, client_id, self.node_id,
                       result if full else None, rdigest, tentative,
                       read_only)
@@ -708,10 +743,6 @@ class Replica(Node):
             self._reply_seq[client_id] = seq
         self.authenticate_for(reply, client_id)
         self.send(client_id, reply)
-
-    def _is_designated(self, seq: int) -> bool:
-        """The one replica that sends the full result for this seq."""
-        return self.config.replica_index(self.node_id) == seq % self.config.n
 
     # -- checkpoints -------------------------------------------------------------------
 

@@ -15,6 +15,8 @@ import hashlib
 import hmac
 from typing import Dict, Tuple
 
+from repro.crypto.mac import keyed_state
+
 
 class KeyRegistry:
     """Holds private keys and pairwise session keys for a set of nodes."""
@@ -24,10 +26,12 @@ class KeyRegistry:
         self._private: Dict[object, bytes] = {}
         self._session: Dict[Tuple[object, object], bytes] = {}
         self._epoch: Dict[object, int] = {}
-        # Precomputed keyed HMAC states (inner/outer pads already mixed
-        # in), one per live session key: a MAC is then one state copy
-        # plus a short update instead of a fresh key schedule per message.
-        self._mac_states: Dict[Tuple[object, object], object] = {}
+        #: Keyed MAC states (:func:`repro.crypto.mac.keyed_state`), one
+        #: per live session key, as ``sender -> receiver -> state``.
+        #: The only keyed-state cache there is: authenticators read it
+        #: directly, :meth:`mac_state` fills it, and
+        #: :meth:`refresh_session_keys` evicts state with key.
+        self.mac_states: Dict[object, Dict[object, object]] = {}
 
     # -- node enrollment -----------------------------------------------------
 
@@ -64,22 +68,17 @@ class KeyRegistry:
         return self._session[pair]
 
     def mac_state(self, sender: object, receiver: object):
-        """Keyed HMAC state for the pair's session key (cached).
+        """Keyed MAC state for the pair's session key (cached).
 
-        Returns an object supporting ``copy()``/``update()``/``digest()``
-        — the raw OpenSSL HMAC when available (its ``copy()`` skips the
-        Python wrapper), else the stdlib :class:`hmac.HMAC`.  Callers
-        must ``.copy()`` before updating.  The cache lives and dies with
-        the session key: :meth:`refresh_session_keys` evicts both
-        together.
+        Callers must ``.copy()`` before updating.  The cache lives and
+        dies with the session key: :meth:`refresh_session_keys` evicts
+        both together.
         """
-        pair = (sender, receiver)
-        state = self._mac_states.get(pair)
+        states = self.mac_states.setdefault(sender, {})
+        state = states.get(receiver)
         if state is None:
-            wrapped = hmac.new(self.session_key(sender, receiver),
-                               digestmod=hashlib.sha256)
-            state = getattr(wrapped, "_hmac", None) or wrapped
-            self._mac_states[pair] = state
+            state = states[receiver] = keyed_state(
+                self.session_key(sender, receiver))
         return state
 
     def refresh_session_keys(self, receiver: object) -> None:
@@ -92,7 +91,8 @@ class KeyRegistry:
         self._epoch[receiver] += 1
         for pair in [p for p in self._session if p[1] == receiver]:
             del self._session[pair]
-            self._mac_states.pop(pair, None)
+        for states in self.mac_states.values():
+            states.pop(receiver, None)
 
     # -- internals ----------------------------------------------------------
 

@@ -13,51 +13,46 @@ here:
   fixed-size MAC per receiver, so authenticator cost is independent of
   body size — a piggybacked pre-prepare batch is hashed once, not once
   per receiver.
-- **Keyed-state precomputation.**  HMAC pays a key schedule (two hash
-  compressions over the padded key) every time ``hmac.new`` runs.  Since
-  session keys live for a whole key epoch, we build the keyed inner/outer
-  state once per key and every MAC afterwards is a ``.copy()`` plus one
-  short update.
+- **One keyed primitive, keyed once.**  A tag is BLAKE2b keyed with the
+  pairwise session key, its output sized to :data:`MAC_SIZE` (the role
+  UMAC32 played in the original library: a fast keyed hash over a short
+  input).  Keying costs a compression, and session keys live for a whole
+  key epoch, so the :class:`~repro.crypto.keys.KeyRegistry` keeps one
+  keyed state per live session key and every tag afterwards is
+  ``copy()``, one ``update`` over the 32-byte digest, ``digest()`` —
+  three C calls, no truncation.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import Dict, Iterable
+from typing import TYPE_CHECKING, Dict, Iterable
 
-from repro.crypto.keys import KeyRegistry
+if TYPE_CHECKING:
+    from repro.crypto.keys import KeyRegistry
 
-MAC_SIZE = 16  # truncated HMAC-SHA256, mirroring BFT's short UMAC tags
-
-#: Keyed HMAC states, one per key, reused via ``.copy()``.  Bounded so a
-#: pathological workload churning keys cannot grow it without limit.
-#: Holds the raw OpenSSL HMAC when available (its ``copy()`` skips the
-#: Python wrapper), else the stdlib :class:`hmac.HMAC`.
-_KEYED_STATES: Dict[bytes, object] = {}
-_KEYED_STATES_MAX = 4096
+MAC_SIZE = 16  # short tags, mirroring BFT's UMAC
 
 
-def _keyed_state(key: bytes):
-    state = _KEYED_STATES.get(key)
-    if state is None:
-        if len(_KEYED_STATES) >= _KEYED_STATES_MAX:
-            _KEYED_STATES.clear()
-        wrapped = hmac.new(key, digestmod=hashlib.sha256)
-        state = getattr(wrapped, "_hmac", None) or wrapped
-        _KEYED_STATES[key] = state
-    return state
+def keyed_state(key: bytes):
+    """The MAC primitive: BLAKE2b keyed with ``key``, before any data.
+
+    ``copy()`` the result, ``update`` it with the data and take
+    ``digest()`` for a :data:`MAC_SIZE`-byte tag; the original stays
+    reusable for the next message under the same key.
+    """
+    if len(key) > hashlib.blake2b.MAX_KEY_SIZE:
+        key = hashlib.blake2b(key).digest()
+    return hashlib.blake2b(key=key, digest_size=MAC_SIZE)
 
 
 def compute_mac(key: bytes, data: bytes) -> bytes:
-    """MAC of ``data`` under ``key`` (truncated HMAC-SHA256).
-
-    The key schedule is precomputed and cached: this is one state copy
-    plus one update over ``data`` (32 bytes on the authenticator path).
-    """
-    h = _keyed_state(key).copy()
+    """MAC of ``data`` under ``key``: the tag an :class:`Authenticator`
+    entry carries when ``key`` is the pair's session key."""
+    h = keyed_state(key)
     h.update(data)
-    return h.digest()[:MAC_SIZE]
+    return h.digest()
 
 
 def verify_mac(key: bytes, data: bytes, tag: bytes) -> bool:
@@ -81,12 +76,17 @@ class Authenticator:
     @classmethod
     def create(cls, registry: KeyRegistry, sender: object,
                receivers: Iterable[object], digest: bytes) -> "Authenticator":
+        # Read the registry's state table directly: one dict lookup per
+        # receiver, falling back to ``mac_state`` only to key a new pair.
+        states = registry.mac_states.setdefault(sender, {})
         tags = {}
-        mac_state = registry.mac_state
         for r in receivers:
-            h = mac_state(sender, r).copy()
+            state = states.get(r)
+            if state is None:
+                state = registry.mac_state(sender, r)
+            h = state.copy()
             h.update(digest)
-            tags[r] = h.digest()[:MAC_SIZE]
+            tags[r] = h.digest()
         return cls(sender, tags)
 
     @classmethod
@@ -99,9 +99,13 @@ class Authenticator:
         tag = self.tags.get(receiver)
         if tag is None:
             return False
-        h = registry.mac_state(self.sender, receiver).copy()
+        try:
+            state = registry.mac_states[self.sender][receiver]
+        except KeyError:
+            state = registry.mac_state(self.sender, receiver)
+        h = state.copy()
         h.update(digest)
-        return hmac.compare_digest(h.digest()[:MAC_SIZE], tag)
+        return hmac.compare_digest(h.digest(), tag)
 
     def wire_size(self) -> int:
         return len(self.tags) * MAC_SIZE

@@ -108,8 +108,9 @@ def _encode(value: Any, out: list) -> None:
             out.append(b"I" + len(body).to_bytes(4, "big") + body)
     elif t is tuple or t is list:
         out.append(b"L" + len(value).to_bytes(4, "big"))
-        # Inline the common leaf types to skip a recursive call per item
-        # (message bodies are shallow tuples of strs/ints/bytes).
+        # Inline the leaf types to skip a recursive call per item
+        # (message bodies are shallow tuples of strs/ints/bytes, and a
+        # REPLY carries an optional result and two flags).
         for item in value:
             it = type(item)
             if it is str:
@@ -128,6 +129,12 @@ def _encode(value: Any, out: list) -> None:
                     out.append(b"I" + len(body).to_bytes(4, "big") + body)
             elif it is bytes:
                 out.append(b"B" + len(item).to_bytes(4, "big") + item)
+            elif item is None:
+                out.append(b"N")
+            elif item is True:
+                out.append(b"T")
+            elif item is False:
+                out.append(b"F")
             else:
                 _encode(item, out)
     elif value is None:

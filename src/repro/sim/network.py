@@ -73,9 +73,6 @@ class Network:
         """Override the link configuration for the directed pair."""
         self._links[(src, dst)] = link
 
-    def link(self, src: Any, dst: Any) -> LinkConfig:
-        return self._links.get((src, dst), self.config.default_link)
-
     # -- partitions and filters --------------------------------------------
 
     def partition(self, a: Any, b: Any) -> None:
@@ -114,8 +111,10 @@ class Network:
         (a busy sender's CPU backlog) without a trampoline event.
         """
         self.messages_sent += 1
-        nbytes = self._size_of(msg, size)
-        self.bytes_sent += nbytes
+        if size is None:
+            wire = getattr(msg, "wire_size", None)
+            size = int(wire()) if callable(wire) else 64
+        self.bytes_sent += size
         # Hot path: skip the partition/filter machinery entirely when no
         # partitions or filters are installed (the common case).
         if self._partitioned and self.is_partitioned(src, dst):
@@ -126,11 +125,17 @@ class Network:
                 if not fn(src, dst, msg):
                     self.messages_dropped += 1
                     return
-        link = self.link(src, dst)
+        link = self.config.default_link
+        if self._links:     # per-link overrides are rare: skip the key
+            link = self._links.get((src, dst), link)
         if link.drop_rate and self.rng.random() < link.drop_rate:
             self.messages_dropped += 1
             return
-        delay = extra_delay + self._sample_delay(link, nbytes)
+        # ``_sample_delay``, spelled out: one RNG draw, same association.
+        delay = extra_delay + (
+            link.latency
+            + (self.rng.random() * link.jitter if link.jitter else 0.0)
+            + size / link.bandwidth)
         self.scheduler.schedule(delay, self._deliver, src, dst, msg)
         if link.duplicate_rate and self.rng.random() < link.duplicate_rate:
             # The duplicate takes its own trip through the network: an
@@ -138,7 +143,7 @@ class Network:
             # (it may even arrive before the original).
             self.messages_duplicated += 1
             self.scheduler.schedule(
-                extra_delay + self._sample_delay(link, nbytes),
+                extra_delay + self._sample_delay(link, size),
                 self._deliver, src, dst, msg)
 
     def multicast(self, src: Any, dsts: Iterable[Any], msg: Any,
@@ -149,19 +154,22 @@ class Network:
         charged the serialization delay of *its own* link — a slow edge
         must not speed up, nor a fast edge slow down, the others.
         Per-destination propagation jitter, drops, and partitions apply
-        as usual.
+        as usual, drawn in destination order.
 
         ``bytes_sent`` counts the single serialization only when at least
         one copy actually enters the fabric: if every destination copy is
         partitioned, filtered, or dropped, nothing went onto the wire.
         """
-        dsts = list(dsts)
-        if not dsts:
-            return
-        nbytes = self._size_of(msg, size)
+        if size is None:
+            wire = getattr(msg, "wire_size", None)
+            size = int(wire()) if callable(wire) else 64
         check_partitions = bool(self._partitioned)
         filters = self._filters
+        links = self._links
+        default_link = self.config.default_link
+        random = self.rng.random
         schedule = self.scheduler.schedule
+        deliver = self._deliver
         entered = False
         for dst in dsts:
             self.messages_sent += 1
@@ -171,15 +179,19 @@ class Network:
             if filters and any(not fn(src, dst, msg) for fn in filters):
                 self.messages_dropped += 1
                 continue
-            link = self.link(src, dst)
-            if link.drop_rate and self.rng.random() < link.drop_rate:
+            link = default_link
+            if links:
+                link = links.get((src, dst), link)
+            if link.drop_rate and random() < link.drop_rate:
                 self.messages_dropped += 1
                 continue
-            delay = extra_delay + self._sample_delay(link, nbytes)
-            schedule(delay, self._deliver, src, dst, msg)
+            schedule(extra_delay + (
+                link.latency
+                + (random() * link.jitter if link.jitter else 0.0)
+                + size / link.bandwidth), deliver, src, dst, msg)
             entered = True
         if entered:
-            self.bytes_sent += nbytes
+            self.bytes_sent += size
 
     def broadcast(self, src: Any, msg: Any, size: Optional[int] = None) -> None:
         """Send to every registered node except ``src``."""
@@ -192,15 +204,6 @@ class Network:
         return (link.latency
                 + (self.rng.random() * link.jitter if link.jitter else 0.0)
                 + nbytes / link.bandwidth)
-
-    @staticmethod
-    def _size_of(msg: Any, size: Optional[int]) -> int:
-        if size is not None:
-            return size
-        wire = getattr(msg, "wire_size", None)
-        if callable(wire):
-            return int(wire())
-        return 64
 
     def _deliver(self, src: Any, dst: Any, msg: Any) -> None:
         node = self._nodes.get(dst)

@@ -9,7 +9,7 @@ digests, messages), the bounded event ring, and the
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -61,7 +61,6 @@ class Tracer:
         self.counters: Counter = Counter()
         self.dropped_events = 0
         self.metrics = Metrics()
-        self._timings: Dict[str, List[float]] = defaultdict(list)
         self._clock = clock
 
     # -- clock ----------------------------------------------------------------
@@ -77,23 +76,33 @@ class Tracer:
     # -- events and counters --------------------------------------------------
 
     def emit(self, time: float, source: Any, kind: str, **detail: Any) -> None:
+        self.record(time, source, kind, detail)
+
+    def record(self, time: float, source: Any, kind: str,
+               detail: Dict[str, Any]) -> None:
+        """:meth:`emit` for a caller that already holds the detail dict
+        (a node's own ``trace(kind, **detail)`` helper), sparing the
+        second keyword unpack-and-repack on the per-message path."""
         self.counters[kind] += 1
         if not self.keep_events:
             self.dropped_events += 1
             return
-        if len(self.events) == self.max_events:
+        events = self.events
+        if len(events) == self.max_events:
             self.dropped_events += 1
-        self.events.append(TraceEvent(time, source, kind, detail))
+        events.append(TraceEvent(time, source, kind, detail))
 
     def count(self, kind: str, n: int = 1) -> None:
         self.counters[kind] += n
 
     def record_timing(self, label: str, seconds: float) -> None:
-        self._timings[label].append(seconds)
         self.metrics.observe(label, seconds)
 
     def timings(self, label: str) -> List[float]:
-        return self._timings.get(label, [])
+        """The samples the ``label`` histogram retains (bounded: see
+        :class:`~repro.sim.metrics.Histogram`)."""
+        hist = self.metrics.histograms.get(label)
+        return list(hist._samples) if hist is not None else []
 
     def find(self, kind: str, source: Optional[Any] = None) -> List[TraceEvent]:
         return [e for e in self.events
@@ -108,7 +117,6 @@ class Tracer:
     def clear(self) -> None:
         self.events.clear()
         self.counters.clear()
-        self._timings.clear()
         self.metrics.clear()
         self.dropped_events = 0
 
@@ -123,7 +131,7 @@ class Tracer:
 
     def observe_phase(self, phase: str, seconds: float) -> None:
         """Record one protocol-phase latency (histogram ``phase.<name>``)."""
-        self.metrics.observe(f"phase.{phase}", seconds)
+        self.metrics.histogram(f"phase.{phase}").observe(seconds)
 
     def span(self, name: str) -> Span:
         """Span-style timing context over the bound (simulated) clock.

@@ -6,7 +6,9 @@ from repro.bft.faults import (
     UnauthReplyBehavior,
     WrongReplyBehavior,
 )
+from repro.bft.messages import Request
 from repro.bft.statemachine import InMemoryStateManager
+from repro.crypto import Authenticator
 from tests.conftest import make_kv_cluster
 
 put = InMemoryStateManager.op_put
@@ -107,3 +109,48 @@ def test_read_only_with_one_lying_replica():
     client.call(put(2, b"secret"))
     cluster.replicas[1].behavior = WrongReplyBehavior()
     assert client.call(get(2), read_only=True) == b"secret"
+
+
+def test_request_without_authenticator_is_never_ordered():
+    """A request is authenticated by its *client*: one that arrives with
+    no authenticator at all proves nothing about who sent it, so any
+    network party could otherwise have operations ordered and executed
+    under a victim's id.  It is rejected at the primary and at a backup
+    alike (which would relay it); the same request carrying the
+    victim's real authenticator goes through."""
+    cluster = make_kv_cluster()
+    cluster.add_client("victim")
+    primary, backup = cluster.replicas[0], cluster.replicas[1]
+    wire = []
+    cluster.network.add_filter(
+        lambda src, dst, msg: wire.append((src, dst, msg.kind)) or True)
+
+    forged = Request("victim", 1, put(0, b"stolen"))
+    assert forged.auth is None
+    for target in (primary, backup):
+        cluster.network.send("mallory", target.node_id, forged)
+    cluster.run(1.0)
+
+    counters = cluster.tracer.counters
+    assert counters["bad_request_auth"] == 2
+    assert counters["pre_prepare_sent"] == 0 and counters["executed"] == 0
+    # Nothing but the two injected copies ever hit the wire: no relay to
+    # the primary, no pre-prepare, no reply to the victim.
+    assert wire == [("mallory", primary.node_id, "request"),
+                    ("mallory", backup.node_id, "request")]
+    for r in cluster.replicas:
+        assert r.state.values[0] == b"" and not r.client_table
+        assert not r.pending and not r.waiting and len(r.log) == 0
+
+    genuine = Request("victim", 1, put(0, b"mine"))
+    genuine.auth = Authenticator.create(
+        cluster.registry, "victim", cluster.config.replica_ids,
+        genuine.digest())
+    cluster.network.send("mallory", backup.node_id, genuine)  # relayed
+    cluster.run(1.0)
+    assert counters["bad_request_auth"] == 2
+    assert counters["pre_prepare_sent"] == 1 and counters["executed"] == 4
+    assert sum(kind == "reply" and dst == "victim"
+               for _, dst, kind in wire) == 4
+    for r in cluster.replicas:
+        assert r.state.values[0] == b"mine"

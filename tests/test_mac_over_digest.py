@@ -13,7 +13,8 @@ import hmac as hmac_stdlib
 from hypothesis import given, strategies as st
 
 from repro.bft.messages import PrePrepare, Request
-from repro.crypto import Authenticator, KeyRegistry, compute_mac
+from repro.crypto import Authenticator, KeyRegistry, compute_mac, verify_mac
+from repro.crypto.mac import MAC_SIZE
 
 RECEIVERS = ["r0", "r1", "r2"]
 
@@ -103,3 +104,42 @@ def test_batch_authenticator_hashes_body_exactly_once(monkeypatch):
     for i in range(10):
         assert auth.verify(reg, f"r{i}", digest)
     assert len(calls) == 1  # verification MACs the digest, no rehash
+
+
+def test_one_mac_primitive_and_its_contract():
+    """``compute_mac``, ``Authenticator`` and the registry's keyed-state
+    table are one primitive: same tag, ``MAC_SIZE`` bytes, and nothing
+    but the right (sender, receiver, digest, key epoch) verifies."""
+    reg = KeyRegistry()
+    dgst = Request("c1", 1, b"op").digest()
+    auth = Authenticator.create(reg, "c1", RECEIVERS, dgst)
+
+    for r in RECEIVERS:
+        tag = auth.tags[r]
+        assert len(tag) == MAC_SIZE
+        assert tag == compute_mac(reg.session_key("c1", r), dgst)
+        assert verify_mac(reg.session_key("c1", r), dgst, tag)
+        assert auth.verify(reg, r, dgst)
+    assert auth.wire_size() == MAC_SIZE * len(RECEIVERS)
+
+    # Wrong sender: c1's tags presented as c2's.
+    assert not Authenticator("c2", auth.tags).verify(reg, "r0", dgst)
+    # Wrong receiver: r0's tag handed to r1, and a non-receiver.
+    assert not Authenticator("c1", {"r1": auth.tags["r0"]}).verify(
+        reg, "r1", dgst)
+    assert not auth.verify(reg, "r9", dgst)
+    # One flipped digest bit.
+    flipped = bytes([dgst[0] ^ 1]) + dgst[1:]
+    assert not auth.verify(reg, "r0", flipped)
+    # Forged tags.
+    assert not Authenticator.forged("c1", RECEIVERS).verify(reg, "r0", dgst)
+
+    # A tag minted before the receiver refreshed its session keys: the
+    # keyed state is evicted with the key, for that receiver only.
+    reg.refresh_session_keys("r0")
+    assert not auth.verify(reg, "r0", dgst)
+    assert auth.verify(reg, "r1", dgst)
+    fresh = Authenticator.create(reg, "c1", ["r0"], dgst)
+    assert fresh.tags["r0"] != auth.tags["r0"]
+    assert fresh.verify(reg, "r0", dgst)
+    assert fresh.tags["r0"] == compute_mac(reg.session_key("c1", "r0"), dgst)
