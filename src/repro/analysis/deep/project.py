@@ -192,7 +192,10 @@ class Project:
             resolved = self.resolve_name(module, tail[0])
             if resolved is None:
                 return dotted
-            return self.normalize(".".join([resolved] + tail[1:]))
+            rebased = ".".join([resolved] + tail[1:])
+            # A name its own module defines (an inherited ``Cls.method``
+            # has no definition of its own) rebases onto itself.
+            return dotted if rebased == dotted else self.normalize(rebased)
         return dotted
 
     # -- class hierarchy -------------------------------------------------------

@@ -140,8 +140,7 @@ class KeyedArrayMapping(Generic[K]):
         if key in self._key_to_index:
             raise KeyError(f"{key!r} already mapped")
         gen = self.allocator.commit(index)
-        self._key_to_index[key] = index
-        self._index_to_key[index] = key
+        self._link(key, index)
         return gen
 
     def rollback(self, index: int) -> None:
@@ -150,9 +149,21 @@ class KeyedArrayMapping(Generic[K]):
 
     def release(self, key: K) -> int:
         """Unbind ``key``; returns the freed index."""
+        index = self._unlink(key)
+        self.allocator.release(index)
+        return index
+
+    # Every change to the two dicts goes through this pair, so a subclass
+    # can keep an index over the live keys (BASE-SQL's per-table key
+    # types) that bind, release, install and load all maintain.
+
+    def _link(self, key: K, index: int) -> None:
+        self._key_to_index[key] = index
+        self._index_to_key[index] = key
+
+    def _unlink(self, key: K) -> int:
         index = self._key_to_index.pop(key)
         del self._index_to_key[index]
-        self.allocator.release(index)
         return index
 
     def index_of(self, key: K) -> Optional[int]:
@@ -171,20 +182,18 @@ class KeyedArrayMapping(Generic[K]):
     def install(self, key: Optional[K], index: int, gen: int) -> None:
         """put_objs-side update: make ``index`` hold ``key`` at ``gen``
         (or free the slot when ``key`` is None)."""
-        old_key = self._index_to_key.pop(index, None)
+        old_key = self._index_to_key.get(index)
         if old_key is not None:
-            del self._key_to_index[old_key]
+            self._unlink(old_key)
         if key is None:
             self.allocator.set_generation(index, gen, used=False)
             return
-        existing = self._key_to_index.pop(key, None)
-        if existing is not None and existing != index:
-            self._index_to_key.pop(existing, None)
+        if key in self._key_to_index:   # bound to another slot: move it
+            existing = self._unlink(key)
             self.allocator.set_generation(
                 existing, self.allocator.generation(existing), used=False)
         self.allocator.set_generation(index, gen, used=True)
-        self._key_to_index[key] = index
-        self._index_to_key[index] = key
+        self._link(key, index)
 
     # -- persistence (shutdown/restart upcalls) ------------------------------
 

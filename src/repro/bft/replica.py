@@ -49,6 +49,7 @@ from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.mac import Authenticator
 from repro.crypto.signatures import sign, verify_signature
+from repro.encoding.canonical import canonical, decanonical
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.tracing import Tracer
@@ -747,14 +748,12 @@ class Replica(Node):
     # -- checkpoints -------------------------------------------------------------------
 
     def serialize_client_table(self) -> bytes:
-        from repro.encoding.canonical import canonical
         entries = tuple(sorted(
             (client, request_id, result)
             for client, (request_id, result) in self.client_table.items()))
         return canonical(entries)
 
     def install_client_table(self, blob: bytes) -> None:
-        from repro.encoding.canonical import decanonical
         self.client_table = {
             client: (request_id, result)
             for client, request_id, result in decanonical(blob)}

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import hashlib
+from hashlib import sha256
 from typing import Iterable
 
 DIGEST_SIZE = 32
@@ -12,12 +12,12 @@ NULL_DIGEST = b"\x00" * DIGEST_SIZE
 
 def digest(data: bytes) -> bytes:
     """SHA-256 of ``data``."""
-    return hashlib.sha256(data).digest()
+    return sha256(data).digest()
 
 
 def digest_many(parts: Iterable[bytes]) -> bytes:
     """SHA-256 over the concatenation of ``parts`` without copying."""
-    h = hashlib.sha256()
+    h = sha256()
     for part in parts:
         h.update(part)
     return h.digest()

@@ -78,7 +78,9 @@ class Authenticator:
                receivers: Iterable[object], digest: bytes) -> "Authenticator":
         # Read the registry's state table directly: one dict lookup per
         # receiver, falling back to ``mac_state`` only to key a new pair.
-        states = registry.mac_states.setdefault(sender, {})
+        states = registry.mac_states.get(sender)
+        if states is None:
+            states = registry.mac_states[sender] = {}
         tags = {}
         for r in receivers:
             state = states.get(r)

@@ -113,7 +113,7 @@ class Network:
         self.messages_sent += 1
         if size is None:
             wire = getattr(msg, "wire_size", None)
-            size = int(wire()) if callable(wire) else 64
+            size = wire() if wire is not None else 64
         self.bytes_sent += size
         # Hot path: skip the partition/filter machinery entirely when no
         # partitions or filters are installed (the common case).
@@ -162,7 +162,7 @@ class Network:
         """
         if size is None:
             wire = getattr(msg, "wire_size", None)
-            size = int(wire()) if callable(wire) else 64
+            size = wire() if wire is not None else 64
         check_partitions = bool(self._partitioned)
         filters = self._filters
         links = self._links

@@ -29,6 +29,8 @@ PHASES = (
     "state_transfer",           # transfer initiated -> checkpoint installed
 )
 
+_PHASE_NAMES = {phase: f"phase.{phase}" for phase in PHASES}
+
 
 @dataclass
 class TraceEvent:
@@ -83,7 +85,8 @@ class Tracer:
         """:meth:`emit` for a caller that already holds the detail dict
         (a node's own ``trace(kind, **detail)`` helper), sparing the
         second keyword unpack-and-repack on the per-message path."""
-        self.counters[kind] += 1
+        counters = self.counters
+        counters[kind] = counters.get(kind, 0) + 1
         if not self.keep_events:
             self.dropped_events += 1
             return
@@ -131,7 +134,11 @@ class Tracer:
 
     def observe_phase(self, phase: str, seconds: float) -> None:
         """Record one protocol-phase latency (histogram ``phase.<name>``)."""
-        self.metrics.histogram(f"phase.{phase}").observe(seconds)
+        name = _PHASE_NAMES.get(phase) or f"phase.{phase}"
+        hist = self.metrics.histograms.get(name)
+        if hist is None:
+            hist = self.metrics.histogram(name)
+        hist.observe(seconds)
 
     def span(self, name: str) -> Span:
         """Span-style timing context over the bound (simulated) clock.

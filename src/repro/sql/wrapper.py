@@ -28,6 +28,38 @@ from repro.service.kernel import AbstractService, op
 from repro.sql.engine import SqlEngine, SqlEngineError
 
 
+class RowMapping(KeyedArrayMapping):
+    """``(table, key)`` rows, plus per table the number of live rows of
+    each key type.  Inserts keep a table's keys to one type, so in any
+    state the replicas agree on a table has at most one entry — the
+    answer the insert path needs, without walking the rows."""
+
+    def __init__(self, size: int, reserved: int = 0):
+        super().__init__(size, reserved)
+        self.key_types: Dict[str, Dict[str, int]] = {}
+
+    def _link(self, key: Tuple[str, Any], index: int) -> None:
+        super()._link(key, index)
+        types = self.key_types.setdefault(key[0], {})
+        name = type(key[1]).__name__
+        types[name] = types.get(name, 0) + 1
+
+    def _unlink(self, key: Tuple[str, Any]) -> int:
+        # Count by the key that was linked, not the caller's: 1, 1.0 and
+        # True are one dict key, and a client's delete may spell it any way.
+        table, stored = self._index_to_key[self._key_to_index[key]]
+        index = super()._unlink(key)
+        types = self.key_types[table]
+        name = type(stored).__name__
+        if types[name] > 1:
+            types[name] -= 1
+        else:
+            del types[name]
+            if not types:
+                del self.key_types[table]
+        return index
+
+
 class SqlConformanceWrapper(AbstractService):
     """One replica's veneer over one relational engine."""
 
@@ -46,8 +78,7 @@ class SqlConformanceWrapper(AbstractService):
         #: *fresh* one from the abstract state fetched during recovery.
         self.clean_recovery_factory = clean_recovery_factory
         self._clean_restarted = False
-        self.rows: KeyedArrayMapping = KeyedArrayMapping(array_size,
-                                                         reserved=1)
+        self.rows = RowMapping(array_size, reserved=1)
 
     @property
     def num_objects(self) -> int:
@@ -171,12 +202,9 @@ class SqlConformanceWrapper(AbstractService):
         return (self.engine.row_count(table),)
 
     def _key_type_of(self, table: str) -> Optional[str]:
-        """Type of this table's keys: the key of the live row with the
-        lowest abstract index (deterministic), or None when empty."""
-        for row_key, _ in self.rows.items():
-            if row_key[0] == table:
-                return type(row_key[1]).__name__
-        return None
+        """Type of this table's keys, or None when it has no live row."""
+        types = self.rows.key_types.get(table)
+        return min(types) if types else None
 
     def _key_pos(self, table: str) -> int:
         for name, columns, key in self.engine.tables():
@@ -218,14 +246,24 @@ class SqlConformanceWrapper(AbstractService):
         # Catalog first: creating tables is a dependency of their rows.
         if self.CATALOG_INDEX in objects:
             self._put_catalog(objects[self.CATALOG_INDEX])
+        # Rows leave before rows arrive: a table emptied and refilled
+        # with keys of another type since the checkpoint must never hold
+        # both at once — the B-tree engine cannot order them.
+        arriving = {}
         for index in sorted(objects):
             if index == self.CATALOG_INDEX:
                 continue
             decoded = decanonical(objects[index])
             if decoded[0] == "free":
                 self._put_free(index, decoded[1])
-            else:
-                self._put_row(index, decoded)
+                continue
+            _, gen, table, key_blob, values = decoded
+            row_key = (table, decanonical(key_blob))
+            arriving[index] = (gen, row_key, values)
+            if self.rows.key_of(index) not in (None, row_key):
+                self._put_free(index, self.rows.generation(index))
+        for index, (gen, row_key, values) in arriving.items():
+            self._put_row(index, gen, row_key, values)
 
     def _put_catalog(self, blob: bytes) -> None:
         tag, catalog = decanonical(blob)
@@ -253,21 +291,14 @@ class SqlConformanceWrapper(AbstractService):
                 pass  # table dropped by the catalog update
         self.rows.install(None, index, gen)
 
-    def _put_row(self, index: int, decoded: tuple) -> None:
-        _, gen, table, key_blob, values = decoded
-        key = decanonical(key_blob)
-        old_key = self.rows.key_of(index)
-        if old_key is not None and old_key != (table, key):
-            old_table, old_k = old_key
-            try:
-                self.engine.delete(old_table, old_k)
-            except SqlEngineError:
-                pass
+    def _put_row(self, index: int, gen: int, row_key: Tuple[str, Any],
+                 values: tuple) -> None:
+        table, key = row_key
         if self.engine.select(table, key) is None:
             self.engine.insert(table, tuple(values))
         else:
             self.engine.update(table, key, tuple(values))
-        self.rows.install((table, key), index, gen)
+        self.rows.install(row_key, index, gen)
 
     # -- recovery ---------------------------------------------------------------------
 
@@ -275,7 +306,7 @@ class SqlConformanceWrapper(AbstractService):
         return self.rows.save()
 
     def load_rep(self, saved: bytes) -> None:
-        self.rows = KeyedArrayMapping.load(saved)
+        self.rows = RowMapping.load(saved)
         if self.clean_recovery_factory is not None:
             # Start over on an empty engine; every row's value comes
             # back through put_objs during fetch-and-check.

@@ -249,6 +249,34 @@ def test_aliased_imports(tmp_path):
     assert "time.time()" in findings[0].message
 
 
+def test_inherited_classmethod_on_local_subclass_resolves(tmp_path):
+    """``self.x = Sub.load(...)`` where ``Sub`` is defined in the same
+    module and inherits ``load``: the dotted name has no definition of
+    its own and must not send ``normalize`` round in a circle."""
+    write_tree(tmp_path, {
+        "base/mapping.py": """\
+            class Mapping:
+                @classmethod
+                def load(cls, blob):
+                    return cls()
+            """,
+        "sql/wrapper.py": """\
+            from repro.base.mapping import Mapping
+
+
+            class RowMapping(Mapping):
+                pass
+
+
+            class Wrapper:
+                def load_rep(self, saved):
+                    self.rows = RowMapping.load(saved)
+            """,
+    })
+    project = load_project([tmp_path], DEEP_EVERYWHERE)
+    assert "repro.sql.wrapper.RowMapping" in project.classes
+
+
 def test_mutual_recursion_reaches_fixpoint(tmp_path):
     write_tree(tmp_path, {
         "encoding/canonical.py": CANONICAL_SRC,

@@ -12,15 +12,28 @@ hot path was optimised; they change only when the *model* changes.
 The second half pins the seal-once budget: a message is one Python
 object at its sender and at every receiver, so it is encoded and hashed
 at most once however many replicas handle it.
+
+The third is the same fence for the BASE-SQL path (two engine kinds,
+checkpoints, a state transfer), plus the budget of an insert: constant
+work in the conformance rep however many rows the table holds.
 """
 
+import hashlib
+import random
+import sys
 from collections import Counter
 
+import repro.base.mappings as mappings
 import repro.bft.messages as messages
 from repro.bft.config import BftConfig
 from repro.bft.statemachine import InMemoryStateManager
+from repro.encoding.canonical import canonical, decanonical
 from repro.harness.cluster import build_cluster
-from repro.harness.costs import PROTOCOL_COSTS, lan_network
+from repro.harness.costs import PROTOCOL_COSTS, lan_network, replica_costs
+from repro.service.deploy import ReplicatedDeployment
+from repro.sql.engine import BTreeStoreEngine, HashStoreEngine
+from repro.sql.service import SQL_SERVICE
+from repro.sql.wrapper import SqlConformanceWrapper
 
 SEED = 7
 CLIENTS = 4
@@ -120,3 +133,119 @@ def test_each_message_is_encoded_and_hashed_at_most_once(monkeypatch):
     assert len(encoded) == 1436
     assert len(hashed) == 1436 - 12
     assert cluster.network.messages_sent == 2308
+
+
+# -- the BASE-SQL path -----------------------------------------------------------
+
+SQL_SEED = 11
+SQL_STEPS = 150
+
+
+def run_sql_loop():
+    """One table on B-tree/hash/B-tree/hash replicas: 150 inserts (some
+    with a mixed-type key), updates, selects and deletes across four
+    checkpoints, with replica 3 cut off for 70 of them so that it
+    catches up by state transfer (``put_objs``)."""
+    deployment = ReplicatedDeployment.build(
+        SQL_SERVICE, [BTreeStoreEngine, HashStoreEngine,
+                      BTreeStoreEngine, HashStoreEngine],
+        config=BftConfig(n=4, checkpoint_interval=32),
+        network_config=lan_network(SQL_SEED), replica_costs=replica_costs(),
+        seed=SQL_SEED, array_size=256)
+    cluster, channel = deployment.cluster, deployment.channel
+    lagger = cluster.replicas[3]
+    peers = [r.node_id for r in cluster.replicas if r is not lagger]
+    rng = random.Random(SQL_SEED)
+    replies, live, fresh = [], [], iter(range(10_000))
+
+    def call(*parts, read_only=False):
+        replies.append(decanonical(
+            channel.call(canonical(parts), read_only=read_only)))
+
+    call("create_table", "acct", ("id", "balance"), "id")
+    for step in range(SQL_STEPS):
+        if step == 40:
+            for peer in peers:
+                cluster.network.partition(lagger.node_id, peer)
+        elif step == 110:
+            cluster.network.heal_all()
+        roll = rng.random()
+        if roll < 0.45 or not live:
+            key = next(fresh)
+            live.append(key)
+            call("insert", "acct", (key, f"opening-{key}"))
+        elif roll < 0.50:
+            call("insert", "acct", (f"k{step}", "mixed key type"))
+        elif roll < 0.65:
+            key = rng.choice(live)
+            call("update", "acct", key, (key, f"step-{step}"))
+        elif roll < 0.85:
+            call("select", "acct", rng.choice(live), read_only=True)
+        else:
+            key = live.pop(rng.randrange(len(live)))
+            call("delete", "acct", key)
+    cluster.run(2.0)
+    return cluster, replies
+
+
+def test_sql_simulated_outcome_is_pinned():
+    cluster, replies = run_sql_loop()
+    lagger = cluster.replicas[3]
+    assert lagger.transfer.objects_fetched_total == 55
+    assert [r.last_stable for r in cluster.replicas] == [128] * 4
+    assert cluster.scheduler.events_run == 3438
+    assert cluster.network.messages_sent == 3792
+    assert cluster.network.bytes_sent == 259979
+    assert cluster.scheduler.now == 2.112712049790446
+    assert {r.state.tree.root_digest.hex() for r in cluster.replicas} == {
+        "622347d54fe2ea351a74d640aba11d2ed1794f5d3dcf2e5b796245cdffa35187"}
+    assert Counter(r[0] if r[0] == "OK" else r[1] for r in replies) == {
+        "OK": 142, "22018": 9}
+    assert hashlib.sha256(canonical(tuple(replies))).hexdigest() == (
+        "83b922d75fe90d2e3398a43af674c84a013ea74e61fbea5d1bf54b11c1c68a9e")
+    assert dict(cluster.tracer.counters) == {
+        "checkpoint_stable": 13, "checkpoint_taken": 13, "committed": 449,
+        "executed": 417, "pre_prepare_sent": 128, "prepared": 449,
+        "read_only_executed": 91, "result_accepted": 151,
+        "transfer_complete": 2, "transfer_started": 2}
+
+
+def test_insert_work_does_not_grow_with_the_table():
+    """Count calls, not seconds: an insert into a 2 000-row table sorts
+    nothing and does no more mapping work than one into a 20-row table."""
+    mapping_code = set()
+    pending = [fn.__code__ for cls in (mappings.KeyedArrayMapping,
+                                       mappings.SlotAllocator)
+               for fn in vars(cls).values() if hasattr(fn, "__code__")]
+    while pending:      # methods and the lambdas nested in them
+        code = pending.pop()
+        mapping_code.add(code)
+        pending += [c for c in code.co_consts if hasattr(c, "co_code")]
+
+    def insert_cost(rows):
+        wrapper = SqlConformanceWrapper(HashStoreEngine(), array_size=4096)
+        execute = lambda *parts: decanonical(            # noqa: E731
+            wrapper.execute(canonical(parts), "c", b""))
+        execute("create_table", "t", ("k", "v"), "k")
+        for key in range(rows):
+            execute("insert", "t", (key, "v"))
+        calls = Counter()
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code in mapping_code:
+                calls["mapping"] += 1
+            elif event == "c_call" and arg is sorted:
+                calls["sorted"] += 1
+
+        sys.setprofile(profiler)
+        try:
+            reply = execute("insert", "t", (rows, "v"))
+        finally:
+            sys.setprofile(None)
+        assert reply[0] == "OK"
+        return calls
+
+    small, large = insert_cost(20), insert_cost(2000)
+    assert large["mapping"] == small["mapping"] > 0
+    # ``engine.tables()`` sorts the catalog (one table): nothing else may.
+    assert large["sorted"] == small["sorted"] <= 1
