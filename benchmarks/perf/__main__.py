@@ -68,8 +68,7 @@ def main(argv=None) -> int:
     fast = report["scenarios"]["read_heavy"]["fast_path"]
     print(f"read_heavy paths: {fast['read_only_rate']:.0%} read-only, "
           f"{fast['tentative_rate']:.0%} tentative, "
-          f"{fast['accept_committed']} committed "
-          f"(scheduler: {report['scheduler_backend']})")
+          f"{fast['accept_committed']} committed")
     ol = report["scenarios"]["open_loop"]
     print(f"open_loop: max sustainable {ol['max_sustainable_req_s']:.1f} "
           f"req/s (simulated) at p95 SLO {ol['slo_p95_seconds'] * 1e3:.1f} ms "

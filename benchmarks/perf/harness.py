@@ -68,11 +68,9 @@ from repro.bft.statemachine import InMemoryStateManager
 from repro.harness import costs as C
 from repro.harness.cluster import Cluster, build_cluster
 from repro.sim.metrics import Metrics
-from repro.sim.scheduler import DEFAULT_BACKEND
 
 BENCH_ID = 7
-SCHEMA_VERSION = 5  # v5: edge_read scenario (cache-served staleness-bounded
-#                     reads vs the quorum read path)
+SCHEMA_VERSION = 6  # v6: no top-level event-queue tag (there is one queue)
 
 put = InMemoryStateManager.op_put
 get = InMemoryStateManager.op_get
@@ -87,10 +85,7 @@ def _build(seed: int, **cfg_kwargs) -> Cluster:
 
 
 def _events_run(cluster: Cluster) -> int:
-    # ``events_run`` is the scheduler's cumulative executed-event counter;
-    # fall back to the number of events ever scheduled on older trees.
-    sched = cluster.scheduler
-    return getattr(sched, "events_run", sched._seq)
+    return cluster.scheduler.events_run
 
 
 # -- scenarios ----------------------------------------------------------------
@@ -665,7 +660,6 @@ def run_all(quick: bool = False, repeats: Optional[int] = None,
         "mode": "quick" if quick else "full",
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "scheduler_backend": DEFAULT_BACKEND,
         "scenarios": scenarios,
     }
 
@@ -716,7 +710,6 @@ _TOP_FIELDS = {
     "mode": str,
     "python": str,
     "platform": str,
-    "scheduler_backend": str,
     "scenarios": dict,
 }
 

@@ -11,13 +11,15 @@ from repro.harness.report import format_table
 from repro.nfs.backends import LinuxExt2Backend
 from repro.nfs.client import NfsClient
 from repro.nfs.concurrency import concurrent_speedup, schedule_waves
-from repro.nfs.service import build_nfs_std
+from repro.nfs.service import NFS_SERVICE
+from repro.service.deploy import UnreplicatedDeployment
 from repro.workloads.andrew import AndrewBenchmark, AndrewConfig
 
 
 def capture_request_stream():
     """Record the ops an Andrew run issues, batched by arrival bursts."""
-    _, transport = build_nfs_std(LinuxExt2Backend)
+    transport = UnreplicatedDeployment.build(NFS_SERVICE,
+                                             LinuxExt2Backend).client
     stream = []
     original = transport.call
 

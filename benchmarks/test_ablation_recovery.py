@@ -7,32 +7,36 @@ clean recovery fetches the whole state (slower fetch phase), in-place
 recovery fetches only what changed or rotted.
 """
 
+from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
 from repro.harness import costs as C
 from repro.harness.report import format_table
 from repro.nfs.backends import LinuxExt2Backend
 from repro.nfs.client import NfsClient
-from repro.nfs.service import build_basefs
+from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig
+from repro.service.deploy import ReplicatedDeployment
 
 
 def run(clean: bool):
-    cluster, transport = build_basefs(
-        [LinuxExt2Backend] * 4,
+    basefs = ReplicatedDeployment.build(
+        NFS_SERVICE, [LinuxExt2Backend] * 4,
         spec=AbstractSpecConfig(array_size=512),
         config=BftConfig(n=4, checkpoint_interval=16, reboot_delay=0.3,
                          view_change_timeout=0.5, client_retry_timeout=0.3),
         profiles=[C.vendor_profile("linux-ext2")] * 4,
         replica_costs=C.replica_costs(),
         network_config=C.lan_network(),
-        per_object_check_cost=C.PER_OBJECT_CHECK_COST,
-        checkpoint_cost=C.CHECKPOINT_COST, branching=16)
+        base_config=BaseServiceConfig(
+            branching=16, per_object_check_cost=C.PER_OBJECT_CHECK_COST,
+            checkpoint_cost=C.CHECKPOINT_COST))
+    cluster = basefs.cluster
     if clean:
         for replica in cluster.replicas:
             wrapper = replica.state.upcalls
             wrapper.clean_recovery_factory = \
                 lambda w=wrapper: LinuxExt2Backend(clock=w.timestamps.clock)
-    fs = NfsClient(transport)
+    fs = NfsClient(basefs.client)
     fs.mkdir("/data")
     for i in range(40):
         fs.write_file(f"/data/file{i}", b"x" * 600)

@@ -12,7 +12,7 @@ ratio, not the absolute counts.
 """
 
 from benchmarks.conftest import run_once
-from repro.harness.complexity import complexity_report
+from repro.harness.complexity import complexity_report, line_budget_table
 from repro.harness.report import format_table
 
 
@@ -36,6 +36,8 @@ def test_sec43_code_complexity(benchmark):
           f"({100 * nfs_new / nfs_reused:.0f}%)  [paper: 1105 vs 17735, 6%]")
     print(f"Thor: new {thor_new} vs reused {thor_reused} "
           f"({100 * thor_new / thor_reused:.0f}%)  [paper: 658 vs 37055, 2%]")
+    print()
+    print(line_budget_table())
 
     # Shape: the new code is small next to the machinery it composes.
     # Caveat for the first ratio: our "reused" implementations are

@@ -12,13 +12,15 @@ clients and a recovery that restores a replica's lost in-memory state.
 Run:  python examples/object_database.py
 """
 
+from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
+from repro.service.deploy import ReplicatedDeployment
 from repro.thor.client import ThorClient, TransactionAborted
 from repro.thor.objects import ObjectRecord
 from repro.thor.orefs import make_oref
 from repro.thor.pages import Page
 from repro.thor.server import ThorServerConfig
-from repro.thor.service import build_base_thor
+from repro.thor.service import THOR_SERVICE
 
 NUM_PAGES = 8
 
@@ -31,12 +33,13 @@ def load_bank(server):
 
 
 def main():
-    cluster, transport = build_base_thor(
-        NUM_PAGES, load_bank,
+    base = ReplicatedDeployment.build(
+        THOR_SERVICE, num_pages=NUM_PAGES, db_loader=load_bank,
         server_config=ThorServerConfig(cache_pages=2, mob_bytes=400),
         config=BftConfig(n=4, checkpoint_interval=8, reboot_delay=0.5,
                          view_change_timeout=2.0, client_retry_timeout=1.0),
-        branching=16)
+        base_config=BaseServiceConfig(branching=16))
+    cluster, transport = base.cluster, base.client
 
     alice = ThorClient(transport, "alice")
     bob = ThorClient(transport, "bob")

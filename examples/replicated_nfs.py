@@ -15,21 +15,25 @@ Demonstrates:
 Run:  python examples/replicated_nfs.py
 """
 
+from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
 from repro.nfs.backends import ALL_BACKENDS
 from repro.nfs.client import NfsClient
-from repro.nfs.service import build_basefs
+from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig
+from repro.service.deploy import ReplicatedDeployment
 
 
 def main():
     config = BftConfig(n=4, checkpoint_interval=8,
                        view_change_timeout=2.0, client_retry_timeout=1.0,
                        reboot_delay=0.5)
-    cluster, transport = build_basefs(
-        list(ALL_BACKENDS), spec=AbstractSpecConfig(array_size=256),
-        config=config, branching=8)
-    fs = NfsClient(transport)
+    basefs = ReplicatedDeployment.build(
+        NFS_SERVICE, list(ALL_BACKENDS),
+        spec=AbstractSpecConfig(array_size=256),
+        config=config, base_config=BaseServiceConfig(branching=8))
+    cluster = basefs.cluster
+    fs = NfsClient(basefs.client)
 
     print("replicas run:", ", ".join(
         r.state.upcalls.backend.vendor for r in cluster.replicas))

@@ -15,19 +15,21 @@ Run:  python examples/replicated_sql.py
 """
 
 from repro.bft.config import BftConfig
+from repro.service.deploy import ReplicatedDeployment
 from repro.sql import (
+    SQL_SERVICE,
     BTreeStoreEngine,
     HashStoreEngine,
     SqlEngineError,
-    build_base_sql,
 )
 
 
 def main():
-    cluster, db = build_base_sql(
-        [HashStoreEngine, BTreeStoreEngine,
-         HashStoreEngine, BTreeStoreEngine],
+    group = ReplicatedDeployment.build(
+        SQL_SERVICE, [HashStoreEngine, BTreeStoreEngine,
+                      HashStoreEngine, BTreeStoreEngine],
         config=BftConfig(n=4, checkpoint_interval=8, reboot_delay=0.3))
+    cluster, db = group.cluster, group.client
     print("replicas run:", ", ".join(
         type(r.state.upcalls.engine).vendor for r in cluster.replicas))
 

@@ -15,20 +15,22 @@ Run:  python examples/replicated_web.py
 
 from repro.bft.config import BftConfig
 from repro.http import (
+    HTTP_SERVICE,
     ApacheLikeServer,
     HttpClient,
     HttpStatus,
     NginxLikeServer,
-    build_base_http,
 )
 from repro.http.engine import HttpError
+from repro.service.deploy import ReplicatedDeployment
 
 
 def main():
-    cluster, web = build_base_http(
-        [ApacheLikeServer, NginxLikeServer,
-         ApacheLikeServer, NginxLikeServer],
+    group = ReplicatedDeployment.build(
+        HTTP_SERVICE, [ApacheLikeServer, NginxLikeServer,
+                       ApacheLikeServer, NginxLikeServer],
         config=BftConfig(n=4, checkpoint_interval=8, reboot_delay=0.3))
+    cluster, web = group.cluster, group.client
     print("replicas run:", ", ".join(
         type(r.state.upcalls.server).vendor for r in cluster.replicas))
 

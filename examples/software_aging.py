@@ -11,13 +11,15 @@ leak and the service runs indefinitely.
 Run:  python examples/software_aging.py
 """
 
+from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
 from repro.nfs.backends import LeakyBackend, LinuxExt2Backend
 from repro.nfs.client import NfsClient
 from repro.nfs.protocol import NfsError
-from repro.nfs.service import BaseFsTransport, build_basefs
+from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig
 from repro.nfs.wrapper import NfsConformanceWrapper
+from repro.service.deploy import ReplicatedDeployment
 
 
 def build(recovery: bool):
@@ -26,16 +28,17 @@ def build(recovery: bool):
         view_change_timeout=1.0, client_retry_timeout=0.5,
         recovery_interval=2.0 if recovery else 0.0,
         recovery_stagger=0.8 if recovery else 0.0)
-    cluster, transport = build_basefs(
-        [LinuxExt2Backend] * 4, spec=AbstractSpecConfig(array_size=128),
-        config=config, branching=8)
+    basefs = ReplicatedDeployment.build(
+        NFS_SERVICE, [LinuxExt2Backend] * 4,
+        spec=AbstractSpecConfig(array_size=128),
+        config=config, base_config=BaseServiceConfig(branching=8))
     # Bolt the leak injector onto every replica's backend: ~every write
     # leaks; after `limit`, mutating operations fail with NFSERR_IO.
-    for replica in cluster.replicas:
+    for replica in basefs.replicas:
         wrapper = replica.state.upcalls
         wrapper.backend = LeakyBackend(wrapper.backend, leak_per_op=100,
                                        limit=150_000)
-    return cluster, NfsClient(transport)
+    return basefs.cluster, NfsClient(basefs.client)
 
 
 def drive(cluster, fs, rounds):

@@ -248,7 +248,7 @@ def _build(scenario: Scenario, seed: int):
             lambda i: InMemoryStateManager(size=scenario.state_size,
                                            branching=scenario.branching),
             config=config, network_config=network_config, seed=seed), None
-    from repro.service.deploy import build_replicated
+    from repro.service.deploy import ReplicatedDeployment
     from repro.service.registry import get_service
     definition = get_service(scenario.service)
     if definition is None:
@@ -277,10 +277,9 @@ def _build(scenario: Scenario, seed: int):
         deployment.network.add_filter(watch)
         return (deployment.shards[0].cluster,
                 ShardedTrial(deployment, crossings))
-    cluster, _facade = build_replicated(definition, config=config,
-                                        network_config=network_config,
-                                        seed=seed, **options)
-    return cluster, None
+    return ReplicatedDeployment.build(
+        definition, config=config, network_config=network_config,
+        seed=seed, **options).cluster, None
 
 
 def _primary_cut(plan: FaultPlan) -> bool:

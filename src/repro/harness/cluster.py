@@ -12,7 +12,7 @@ from repro.bft.replica import Replica
 from repro.bft.statemachine import StateManager
 from repro.crypto.keys import KeyRegistry
 from repro.sim.network import Network, NetworkConfig
-from repro.sim.scheduler import Scheduler, make_scheduler
+from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import Tracer
 
 
@@ -79,8 +79,7 @@ def build_cluster(make_state: Callable[[int], StateManager],
                   tracer: Optional[Tracer] = None,
                   seed: int = 0,
                   scheduler: Optional[Scheduler] = None,
-                  network: Optional[Network] = None,
-                  scheduler_backend: Optional[str] = None) -> Cluster:
+                  network: Optional[Network] = None) -> Cluster:
     """Construct a replication group.
 
     ``make_state(i)`` builds the state manager for replica ``i`` — passing
@@ -92,16 +91,11 @@ def build_cluster(make_state: Callable[[int], StateManager],
     keeps its own key registry and tracer, but clocks, links, and event
     ordering are common.  When ``network`` is given it must ride the
     given ``scheduler`` and ``network_config`` is ignored.
-
-    ``scheduler_backend`` names the event-queue implementation
-    (``heap``/``calendar``, see :func:`repro.sim.scheduler.make_scheduler`)
-    when no explicit ``scheduler`` is passed; both backends order events
-    identically, so the choice is a pure performance knob.
     """
     config = config or BftConfig()
     if network is not None and scheduler is None:
         scheduler = network.scheduler
-    scheduler = scheduler or make_scheduler(scheduler_backend)
+    scheduler = scheduler or Scheduler()
     if network is None:
         network = Network(scheduler, network_config or NetworkConfig(seed=seed))
     elif network.scheduler is not scheduler:

@@ -4,6 +4,10 @@ The paper counts semicolons — i.e. statements — to argue that the
 conformance wrapper and state-conversion functions are small relative to
 the systems they wrap.  The Python analogue counts AST statement nodes,
 which like semicolon-counting ignores blank lines and comments.
+
+:func:`package_lines` is the blunter companion: physical lines per
+package, held under a ceiling by ``tests/test_harness.py`` so that
+growing a package is an edit a reviewer sees.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ import ast
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Tuple
+
+from repro.harness.report import format_table
 
 
 def count_statements(source: str) -> int:
@@ -36,6 +42,27 @@ class ComplexityRow:
 
 def repo_root() -> Path:
     return Path(__file__).resolve().parents[2]  # .../src
+
+
+def package_lines() -> Dict[str, int]:
+    """Physical lines of ``*.py`` (what ``wc -l`` counts) in every
+    ``src/repro`` package and in the two benchmark harnesses."""
+    packages = {path.name: path
+                for path in sorted((repo_root() / "repro").iterdir())
+                if (path / "__init__.py").exists()}
+    for name in ("benchmarks/ledger", "benchmarks/perf"):
+        packages[name] = repo_root().parent / name
+    return {name: sum(source.read_text().count("\n")
+                      for source in path.rglob("*.py"))
+            for name, path in packages.items()}
+
+
+def line_budget_table() -> str:
+    lines = package_lines()
+    rows = sorted(lines.items(), key=lambda item: -item[1])
+    rows.append(("total", sum(lines.values())))
+    return format_table("Line budget: physical lines per package",
+                        ["package", "lines"], rows)
 
 
 def complexity_report() -> List[ComplexityRow]:
@@ -76,3 +103,7 @@ def complexity_report() -> List[ComplexityRow]:
     ]
     return [ComplexityRow(name, count_module_group(paths))
             for name, paths in groups]
+
+
+if __name__ == "__main__":
+    print(line_budget_table())

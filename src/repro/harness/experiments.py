@@ -12,16 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
+from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
 from repro.harness import costs as C
 from repro.nfs.backends import ALL_BACKENDS, LinuxExt2Backend
 from repro.nfs.backends.core import MemoryFilesystem
 from repro.nfs.client import NfsClient
-from repro.nfs.service import build_basefs, build_nfs_std
+from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig
+from repro.service.deploy import ReplicatedDeployment, UnreplicatedDeployment
 from repro.thor.client import ThorClient
 from repro.thor.server import ThorServerConfig
-from repro.thor.service import build_base_thor, build_thor_std
+from repro.thor.service import THOR_SERVICE
 from repro.workloads.andrew import AndrewBenchmark, AndrewConfig, AndrewResult
 from repro.workloads.oo7 import OO7Benchmark, OO7Config, OO7Database
 
@@ -33,6 +35,11 @@ ANDREW500 = AndrewConfig(copies=60)
 
 SPEC = AbstractSpecConfig(array_size=4096)
 
+#: The calibrated BASE-layer costs (branching 64, as both services
+#: measured here are registered with).
+BASE_CONFIG = BaseServiceConfig(
+    per_object_check_cost=C.PER_OBJECT_CHECK_COST,
+    checkpoint_cost=C.CHECKPOINT_COST)
 
 #: Time scale: the workloads are ~70x smaller than the paper's, so the
 #: simulated reboot is scaled the same way (the paper simulated 30 s
@@ -65,12 +72,13 @@ def run_andrew_std(config: AndrewConfig,
                    backend_class: Type[MemoryFilesystem] = LinuxExt2Backend,
                    seed: int = 0) -> AndrewRun:
     """The unreplicated NFS-std baseline for one vendor."""
-    backend, transport = build_nfs_std(
-        backend_class, profile=C.vendor_profile(backend_class.vendor),
+    std = UnreplicatedDeployment.build(
+        NFS_SERVICE, backend_class,
+        profile=C.vendor_profile(backend_class.vendor),
         network_config=C.lan_network(seed), seed=seed)
-    fs = NfsClient(transport, attr_ttl=ATTR_TTL)
+    fs = NfsClient(std.client, attr_ttl=ATTR_TTL)
     result = AndrewBenchmark(fs, config).run()
-    return AndrewRun(result, backend=backend)
+    return AndrewRun(result, backend=std.backend)
 
 
 def run_andrew_basefs(config: AndrewConfig,
@@ -80,17 +88,16 @@ def run_andrew_basefs(config: AndrewConfig,
                       seed: int = 0) -> AndrewRun:
     """BASEFS (homogeneous by default; pass ALL_BACKENDS for Table V)."""
     backend_classes = list(backend_classes or [LinuxExt2Backend] * 4)
-    cluster, transport = build_basefs(
-        backend_classes, spec=SPEC,
+    basefs = ReplicatedDeployment.build(
+        NFS_SERVICE, backend_classes, spec=SPEC,
         config=_bft_config(recovery_interval=recovery_interval,
                            recovery_stagger=recovery_stagger),
         profiles=[C.vendor_profile(cls.vendor) for cls in backend_classes],
         replica_costs=C.replica_costs(),
         network_config=C.lan_network(seed),
-        per_object_check_cost=C.PER_OBJECT_CHECK_COST,
-        checkpoint_cost=C.CHECKPOINT_COST,
-        seed=seed)
-    fs = NfsClient(transport, attr_ttl=ATTR_TTL)
+        base_config=BASE_CONFIG, seed=seed)
+    cluster = basefs.cluster
+    fs = NfsClient(basefs.client, attr_ttl=ATTR_TTL)
     result = AndrewBenchmark(fs, config).run()
     if recovery_interval > 0:
         # Let staggered recoveries that started near the end of the
@@ -144,33 +151,31 @@ def _run_traversals(bench: OO7Benchmark, names: Sequence[str],
 def run_oo7_std(names: Sequence[str], config: OO7Config = OO7_BENCH,
                 seed: int = 0) -> OO7Run:
     database = OO7Database(config)
-    server, transport = build_thor_std(
-        database.load_into, THOR_SERVER_CONFIG,
-        network_config=C.lan_network(seed), op_cost=C.THOR_OP_COST,
-        seed=seed)
-    client = ThorClient(transport, "oo7", cache_bytes=OO7_CLIENT_CACHE)
+    std = UnreplicatedDeployment.build(
+        THOR_SERVICE, db_loader=database.load_into,
+        server_config=THOR_SERVER_CONFIG, op_cost=C.THOR_OP_COST,
+        network_config=C.lan_network(seed), seed=seed)
+    client = ThorClient(std.client, "oo7", cache_bytes=OO7_CLIENT_CACHE)
     client.start_session()
     bench = OO7Benchmark(database, client)
-    return OO7Run(_run_traversals(bench, names, cold=[server]), database,
-                  server=server)
+    return OO7Run(_run_traversals(bench, names, cold=[std.backend]),
+                  database, server=std.backend)
 
 
 def run_oo7_base(names: Sequence[str], config: OO7Config = OO7_BENCH,
                  seed: int = 0) -> OO7Run:
     database = OO7Database(config)
-    cluster, transport = build_base_thor(
-        database.num_pages + 8, database.load_into,
+    base = ReplicatedDeployment.build(
+        THOR_SERVICE, num_pages=database.num_pages + 8,
+        db_loader=database.load_into,
         server_config=THOR_SERVER_CONFIG, config=_bft_config(),
         replica_costs=C.replica_costs(),
-        network_config=C.lan_network(seed),
-        per_object_check_cost=C.PER_OBJECT_CHECK_COST,
-        checkpoint_cost=C.CHECKPOINT_COST,
+        network_config=C.lan_network(seed), base_config=BASE_CONFIG,
         op_cost=C.BASE_THOR_OP_COST,
-        commit_byte_cost=C.THOR_COMMIT_BYTE_COST,
-        seed=seed)
-    client = ThorClient(transport, "oo7", cache_bytes=OO7_CLIENT_CACHE)
+        commit_byte_cost=C.THOR_COMMIT_BYTE_COST, seed=seed)
+    client = ThorClient(base.client, "oo7", cache_bytes=OO7_CLIENT_CACHE)
     client.start_session()
     bench = OO7Benchmark(database, client)
-    servers = [r.state.upcalls.server for r in cluster.replicas]
+    servers = [r.state.upcalls.server for r in base.replicas]
     return OO7Run(_run_traversals(bench, names, cold=servers), database,
-                  cluster=cluster)
+                  cluster=base.cluster)

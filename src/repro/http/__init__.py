@@ -13,14 +13,13 @@ agreed version counters and pins PROPFIND ordering.
 
 from repro.http.engine import ApacheLikeServer, NginxLikeServer, HttpStatus
 from repro.http.wrapper import HttpConformanceWrapper
-from repro.http.service import HttpClient, build_base_http, build_http_std
+from repro.http.service import HTTP_SERVICE, HttpClient
 
 __all__ = [
     "ApacheLikeServer",
+    "HTTP_SERVICE",
     "HttpClient",
     "HttpConformanceWrapper",
     "HttpStatus",
     "NginxLikeServer",
-    "build_base_http",
-    "build_http_std",
 ]

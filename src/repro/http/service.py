@@ -1,19 +1,14 @@
-"""Registration, client, and builders for the replicated web/DAV service.
+"""Registration and client for the replicated web/DAV service.
 
-Declared once as a :class:`ServiceDefinition`; both deployments come
-from the shared code paths in :mod:`repro.service.deploy`.
-``build_base_http``/``build_http_std`` are kept as thin typed shims.
+Declared once as :data:`HTTP_SERVICE`; :mod:`repro.service.deploy`
+builds both deployments from it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Type
+from typing import Tuple
 
-from repro.base.library import BaseServiceConfig
-from repro.bft.config import BftConfig
-from repro.bft.costs import CostModel
 from repro.encoding.canonical import canonical, decanonical
-from repro.harness.cluster import Cluster
 from repro.http.engine import HttpError, HttpStatus, NginxLikeServer, \
     _BaseServer
 from repro.http.wrapper import HttpConformanceWrapper
@@ -24,11 +19,8 @@ from repro.service.deploy import (
     ServiceDefinition,
     ShardKeySpec,
     WrapperContext,
-    build_replicated,
-    build_unreplicated,
 )
 from repro.service.registry import register
-from repro.sim.network import NetworkConfig
 
 #: Methods eligible for BFT's read-only path, off the declarative table.
 READ_ONLY_METHODS = frozenset(
@@ -89,11 +81,11 @@ def _make_server(server_class: type, index: int) -> _BaseServer:
 def _make_wrapper(ctx: WrapperContext) -> HttpConformanceWrapper:
     server_class = ctx.backend_class or NginxLikeServer
     factory = None
-    if ctx.options.get("clean_recovery"):
+    if ctx.options["clean_recovery"]:
         factory = lambda: _make_server(server_class, ctx.index)  # noqa: E731
     return HttpConformanceWrapper(
         _make_server(server_class, ctx.index),
-        array_size=ctx.options.get("array_size", 256),
+        array_size=ctx.options["array_size"],
         clean_recovery_factory=factory)
 
 
@@ -125,32 +117,8 @@ HTTP_SERVICE = register(ServiceDefinition(
     make_wrapper=_make_wrapper,
     make_client=HttpClient,
     make_direct=_make_direct,
+    wrapper_options={"array_size": 256, "clean_recovery": False},
     default_backends=(NginxLikeServer,) * 4,
     branching=16,
     shard_key=ShardKeySpec(extract=_shard_key, axis="top path segment"),
 ))
-
-
-# -- legacy builder shims ------------------------------------------------------------
-
-
-def build_base_http(server_classes: Sequence[Type[_BaseServer]],
-                    array_size: int = 256,
-                    config: Optional[BftConfig] = None,
-                    network_config: Optional[NetworkConfig] = None,
-                    replica_costs: Optional[List[CostModel]] = None,
-                    branching: int = 16,
-                    clean_recovery: bool = False,
-                    seed: int = 0) -> Tuple[Cluster, HttpClient]:
-    return build_replicated(
-        HTTP_SERVICE, list(server_classes), config=config,
-        base_config=BaseServiceConfig(branching=branching),
-        network_config=network_config, replica_costs=replica_costs,
-        seed=seed, array_size=array_size, clean_recovery=clean_recovery)
-
-
-def build_http_std(server_class: Optional[Type[_BaseServer]] = None,
-                   network_config: Optional[NetworkConfig] = None,
-                   seed: int = 0) -> Tuple[_BaseServer, HttpClient]:
-    return build_unreplicated(HTTP_SERVICE, server_class,
-                              network_config=network_config, seed=seed)

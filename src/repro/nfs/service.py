@@ -1,33 +1,27 @@
-"""Registration, transports, and builders for the file service.
+"""Registration and transports for the file service.
 
 Two deployments, matching the paper's evaluation:
 
 - **BASEFS** — four replicas, each wrapping a backend with the
-  conformance wrapper, behind the BASE library;
+  conformance wrapper, behind the BASE library (all the same backend
+  class for Tables I–III, one per OS for Table V);
 - **NFS-std** — one unreplicated backend behind a plain request/response
   server node (the baseline every table compares against).
 
 Both expose the same :class:`NfsTransport` so the simulated NFS client
 and the Andrew benchmark are oblivious to which they are driving.  The
-service is declared once as a :class:`ServiceDefinition`; both
-deployments come from the shared code paths in
-:mod:`repro.service.deploy`.  ``build_basefs``/``build_nfs_std`` are
-kept as thin typed shims.
+service is declared once as :data:`NFS_SERVICE`;
+:mod:`repro.service.deploy` builds both deployments from it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Type
+from typing import Optional, Tuple
 
-from repro.base.library import BaseServiceConfig
-from repro.bft.config import BftConfig
-from repro.bft.costs import CostModel
 from repro.encoding.canonical import canonical, decanonical
-from repro.harness.cluster import Cluster
 from repro.nfs.backends.core import CostProfile, MemoryFilesystem
 from repro.nfs.backends.vendors import LinuxExt2Backend
 from repro.nfs.protocol import NfsError, NfsProc, NfsStatus, READ_ONLY_PROCS
-from repro.nfs.spec import AbstractSpecConfig
 from repro.nfs.wrapper import NfsConformanceWrapper
 from repro.service.deploy import (
     Channel,
@@ -37,11 +31,8 @@ from repro.service.deploy import (
     ServiceDefinition,
     ShardKeySpec,
     WrapperContext,
-    build_replicated,
-    build_unreplicated,
 )
 from repro.service.registry import register
-from repro.sim.network import NetworkConfig
 
 
 class NfsTransport:
@@ -203,18 +194,18 @@ def _backend_kwargs(backend_class: type, index: int, clock,
 
 def _make_wrapper(ctx: WrapperContext) -> NfsConformanceWrapper:
     backend_class = ctx.backend_class or LinuxExt2Backend
-    profiles = ctx.options.get("profiles")
+    profiles = ctx.options["profiles"]
     backend = backend_class(**_backend_kwargs(
         backend_class, ctx.index, ctx.clock,
         profiles[ctx.index] if profiles else None))
-    return NfsConformanceWrapper(backend, spec=ctx.options.get("spec"),
+    return NfsConformanceWrapper(backend, spec=ctx.options["spec"],
                                  clock=ctx.clock)
 
 
 def _make_direct(ctx: WrapperContext) -> DirectService:
     backend_class = ctx.backend_class or LinuxExt2Backend
     backend = backend_class(clock=ctx.clock,
-                            profile=ctx.options.get("profile"))
+                            profile=ctx.options["profile"])
     return DirectService(backend=backend, handler=_direct_handler(backend))
 
 
@@ -270,50 +261,13 @@ NFS_SERVICE = register(ServiceDefinition(
     make_client=BaseFsTransport,
     make_direct=_make_direct,
     make_direct_client=DirectTransport,
+    #: ``spec`` sizes the abstract state; ``profiles`` is one cost
+    #: profile per replica (``profile``: the baseline's one).
+    wrapper_options={"spec": None, "profiles": None},
+    direct_options={"profile": None},
     default_backends=(LinuxExt2Backend,) * 4,
     branching=64,
     direct_client_id="nfs-client",
     shard_key=ShardKeySpec(extract=_nfs_shard_key, learn=_nfs_learn,
                            axis="top-level subtree"),
 ))
-
-
-# -- legacy builder shims ------------------------------------------------------------
-
-
-def build_basefs(backend_classes: Sequence[Type[MemoryFilesystem]],
-                 spec: Optional[AbstractSpecConfig] = None,
-                 config: Optional[BftConfig] = None,
-                 profiles: Optional[Sequence[CostProfile]] = None,
-                 replica_costs: Optional[List[CostModel]] = None,
-                 network_config: Optional[NetworkConfig] = None,
-                 client_id: str = "nfs-client",
-                 branching: int = 64,
-                 per_object_check_cost: float = 0.0,
-                 checkpoint_cost: float = 0.0,
-                 seed: int = 0) -> Tuple[Cluster, BaseFsTransport]:
-    """Build a BASEFS deployment.
-
-    ``backend_classes`` has one entry per replica — all the same class for
-    the homogeneous setup (Tables I–III), one per OS for the heterogeneous
-    setup (Table V).
-    """
-    return build_replicated(
-        NFS_SERVICE, list(backend_classes), config=config,
-        base_config=BaseServiceConfig(
-            branching=branching,
-            per_object_check_cost=per_object_check_cost,
-            checkpoint_cost=checkpoint_cost),
-        network_config=network_config, replica_costs=replica_costs,
-        client_id=client_id, seed=seed,
-        spec=spec, profiles=list(profiles) if profiles else None)
-
-
-def build_nfs_std(backend_class: Optional[Type[MemoryFilesystem]] = None,
-                  profile: Optional[CostProfile] = None,
-                  network_config: Optional[NetworkConfig] = None,
-                  seed: int = 0) -> Tuple[MemoryFilesystem, DirectTransport]:
-    """Build the unreplicated NFS-std baseline on its own network."""
-    return build_unreplicated(NFS_SERVICE, backend_class,
-                              network_config=network_config, seed=seed,
-                              profile=profile)

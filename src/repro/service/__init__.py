@@ -3,8 +3,7 @@
 Every replicated service in this repository is a *conformance wrapper*
 (paper §3) around an off-the-shelf implementation plus a deployment that
 puts four of those wrappers behind the BASE library.  This package
-factors the parts every service used to re-implement by hand into one
-kernel:
+holds the parts every service shares, once:
 
 - :mod:`repro.service.kernel` — :class:`AbstractService`, a base class
   over :class:`~repro.base.upcalls.Upcalls` with declarative ``@op``
@@ -15,8 +14,9 @@ kernel:
   transaction meta-ops behind cross-shard atomic commit;
 - :mod:`repro.service.deploy` — composable :class:`Deployment` objects
   (replicated, unreplicated) over a declarative
-  :class:`ServiceDefinition`, with the legacy tuple-returning builders
-  kept as thin shims;
+  :class:`ServiceDefinition`, which also names the build options the
+  service's factories read; ``Deployment.build`` is the one way to
+  stand up a registered service;
 - :mod:`repro.service.sharding` — :class:`ShardedDeployment`: N
   independent BASE groups on one simulation fabric behind the
   deterministic :class:`ShardRouter` (see ``docs/SHARDING.md``);
@@ -26,7 +26,7 @@ kernel:
   battery run by ``tests/test_service_conformance.py`` against every
   registered service.
 
-Adding a backend is now a wrapper subclass plus one registration; see
+Adding a backend is a wrapper subclass plus one registration; see
 ``docs/SERVICES.md``.
 """
 
@@ -40,14 +40,13 @@ from repro.service.deploy import (
     DirectService,
     DirectServiceServer,
     LearnedKey,
+    REQUIRED,
     ReplicatedChannel,
     ReplicatedDeployment,
     ServiceDefinition,
     ShardKeySpec,
     UnreplicatedDeployment,
     WrapperContext,
-    build_replicated,
-    build_unreplicated,
 )
 from repro.service.sharding import (
     CrossShardOp,
@@ -77,6 +76,7 @@ __all__ = [
     "DirectServiceServer",
     "LearnedKey",
     "OpSpec",
+    "REQUIRED",
     "ReplicatedChannel",
     "ReplicatedDeployment",
     "RoutingError",
@@ -88,8 +88,6 @@ __all__ = [
     "TxnAborted",
     "UnreplicatedDeployment",
     "WrapperContext",
-    "build_replicated",
-    "build_unreplicated",
     "get_service",
     "load_all",
     "op",

@@ -1,24 +1,23 @@
 """Composable deployments of a registered service.
 
-Each service used to carry a near-identical ``build_base_*`` /
-``build_*_std`` pair: the replicated builder wired wrapper factories
-into :func:`~repro.base.library.build_base_cluster` and wrapped a
-:class:`~repro.bft.client.SyncClient`; the baseline builder stood up a
-scheduler, a network, a request/response server node, and a client node
-with its own nonce/mailbox plumbing.  This module implements both paths
-once, as first-class :class:`Deployment` objects over a declarative
-:class:`ServiceDefinition`:
+A service is declared once, as a :class:`ServiceDefinition`: its wrapper
+and baseline factories, the build options those factories read (with
+their defaults), its client class, and how its state shards.  The
+deployments below build any registered service from that declaration:
 
 - :class:`ReplicatedDeployment` — one BASE group (four conformance
   wrappers behind the BFT library) plus its service client;
-- :class:`UnreplicatedDeployment` — the paper's unreplicated baseline;
+- :class:`UnreplicatedDeployment` — the paper's unreplicated baseline:
+  a scheduler, a network, one request/response server node, and a
+  client node;
 - :class:`~repro.service.sharding.ShardedDeployment` — N independent
   replicated groups on one simulation fabric behind a deterministic
   shard router (see :mod:`repro.service.sharding`).
 
-The legacy ``build_replicated``/``build_unreplicated`` functions remain
-as thin shims returning the historical tuples, so the per-service
-``build_*`` registrations and every existing caller keep working.
+``Deployment.build`` is the one way to stand up a registered service;
+beneath it, :func:`repro.base.library.build_base_cluster` takes bare
+:class:`~repro.base.upcalls.Upcalls` factories and
+:func:`repro.harness.cluster.build_cluster` bare state managers.
 
 Clients talk to any deployment through a :class:`Channel` — ``call``
 one canonical-encoded op, ``charge`` client CPU, read ``now`` — so each
@@ -29,8 +28,9 @@ driving four replicas, one plain server, or N sharded groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Type)
+from functools import partial
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.base.library import BaseServiceConfig, build_base_cluster
 from repro.base.upcalls import Upcalls
@@ -137,7 +137,8 @@ class WrapperContext:
     backend_class: Optional[type]
     #: Reads the deployment's simulated clock (zero while still building).
     clock: Callable[[], float]
-    #: Service-specific build options, passed through the builder.
+    #: The service's declared build options: every declared name is
+    #: present, holding the caller's value or the declared default.
     options: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -204,6 +205,10 @@ class ShardKeySpec:
     axis: str = ""
 
 
+#: Default of a build option the caller has to supply.
+REQUIRED: Any = object()
+
+
 @dataclass
 class ServiceDefinition:
     """Declarative registration of one service with the kernel."""
@@ -215,6 +220,12 @@ class ServiceDefinition:
     make_client: Callable[[Channel], Any]
     #: Build the unreplicated baseline.
     make_direct: Optional[Callable[[WrapperContext], DirectService]] = None
+    #: The build options ``make_wrapper`` reads from ``ctx.options``,
+    #: name -> default (:data:`REQUIRED` for none).  A default is
+    #: written here and nowhere else.
+    wrapper_options: Mapping[str, Any] = field(default_factory=dict)
+    #: The same for ``make_direct``.
+    direct_options: Mapping[str, Any] = field(default_factory=dict)
     #: Client class for the baseline, when it differs (e.g. NFS resolves
     #: the mount handle differently).
     make_direct_client: Optional[Callable[[Channel], Any]] = None
@@ -236,6 +247,20 @@ class ServiceDefinition:
         self.direct_server_id = self.direct_server_id or f"{self.name}-server"
         self.direct_client_id = (self.direct_client_id
                                  or f"{self.name}-client-node")
+
+    def resolve_options(self, declared: Mapping[str, Any],
+                        given: Mapping[str, Any]) -> Dict[str, Any]:
+        """Lay the caller's build options over the ``declared`` defaults;
+        an undeclared name or a required one left out is a ``TypeError``."""
+        options = {**declared, **given}
+        unknown = sorted(set(given) - set(declared))
+        missing = sorted(name for name, value in options.items()
+                         if value is REQUIRED)
+        if unknown or missing:
+            raise TypeError(
+                f"{self.name}: build options unknown {unknown}, missing "
+                f"{missing} (declared: {sorted(declared)})")
+        return options
 
 
 # -- deployments -------------------------------------------------------------------
@@ -299,47 +324,38 @@ class ReplicatedDeployment(Deployment):
 
         ``backend_classes`` has one entry per replica — all the same
         class for homogeneous replication, one per vendor for the
-        opportunistic N-version setups.  Extra keyword arguments flow to
-        the service's wrapper factory through :class:`WrapperContext`.
+        opportunistic N-version setups.  Extra keyword arguments are the
+        service's declared ``wrapper_options``; they reach the wrapper
+        factory through :class:`WrapperContext`.
 
         Pass ``scheduler``/``network`` to mount the group on an existing
         simulation fabric (how :class:`ShardedDeployment` composes N
         groups); pass ``config`` with distinct ``replica_ids`` so the
         co-tenant groups' node ids cannot collide.
         """
-        if backend_classes is None:
-            if config is not None and config.n != len(
-                    definition.default_backends):
-                backends: List[Optional[type]] = \
-                    list(definition.default_backends[:1]) * config.n
-            else:
-                backends = list(definition.default_backends)
-        else:
-            backends = list(backend_classes)
-        config = config or BftConfig(n=len(backends))
+        options = definition.resolve_options(definition.wrapper_options,
+                                             options)
+        backends = list(definition.default_backends
+                        if backend_classes is None else backend_classes)
+        if backend_classes is None and config is not None \
+                and config.n != len(backends):
+            backends = backends[:1] * config.n
         base_config = base_config or BaseServiceConfig(
             branching=definition.branching)
-        clock_box: Dict[str, Cluster] = {}
+        if scheduler is None:
+            scheduler = network.scheduler if network is not None \
+                else Scheduler()
 
-        def sim_clock() -> float:
-            # Wrapper factories run while the cluster is still being
-            # built; until then the simulation clock reads zero.
-            cluster = clock_box.get("cluster")
-            return cluster.scheduler.now if cluster is not None else 0.0
-
-        def factory_for(i: int) -> Callable[[], Upcalls]:
-            def factory() -> Upcalls:
-                return definition.make_wrapper(WrapperContext(
-                    index=i, backend_class=backends[i], clock=sim_clock,
-                    options=dict(options)))
-            return factory
-
+        # One factory per backend: a backend list that disagrees with
+        # ``config.n`` is refused by the library's own length check.
+        factories = [partial(definition.make_wrapper, WrapperContext(
+            index=i, backend_class=backend, clock=lambda: scheduler.now,
+            options=options)) for i, backend in enumerate(backends)]
         cluster = build_base_cluster(
-            [factory_for(i) for i in range(config.n)], config=config,
+            factories, config=config,
             base_config=base_config, network_config=network_config,
             replica_costs=replica_costs, seed=seed,
             scheduler=scheduler, network=network, tracer=tracer)
-        clock_box["cluster"] = cluster
         if definition.wire_replica is not None:
             for replica in cluster.replicas:
                 definition.wire_replica(replica, replica.state.upcalls)
@@ -372,12 +388,14 @@ class UnreplicatedDeployment(Deployment):
         """Build the unreplicated baseline deployment on its own network."""
         if definition.make_direct is None:
             raise ValueError(f"service {definition.name!r} has no baseline")
+        options = definition.resolve_options(definition.direct_options,
+                                             options)
         scheduler = Scheduler()
         network = Network(scheduler,
                           network_config or NetworkConfig(seed=seed))
         direct = definition.make_direct(WrapperContext(
             index=0, backend_class=backend_class,
-            clock=lambda: scheduler.now, options=dict(options)))
+            clock=lambda: scheduler.now, options=options))
         node = DirectServiceServer(definition.direct_server_id, network,
                                    direct.handler)
         if direct.wire is not None:
@@ -390,37 +408,3 @@ class UnreplicatedDeployment(Deployment):
                    network=network, channel=channel,
                    client=make_client(channel),
                    backend=direct.backend, server=node)
-
-
-# -- legacy tuple shims -------------------------------------------------------------
-
-
-def build_replicated(definition: ServiceDefinition,
-                     backend_classes: Optional[Sequence[Optional[type]]] = None,
-                     *,
-                     config: Optional[BftConfig] = None,
-                     base_config: Optional[BaseServiceConfig] = None,
-                     network_config: Optional[NetworkConfig] = None,
-                     replica_costs: Optional[List[CostModel]] = None,
-                     client_id: Optional[str] = None,
-                     seed: int = 0,
-                     **options: Any) -> Tuple[Cluster, Any]:
-    """Historical entry point: build and return ``(cluster, client)``."""
-    deployment = ReplicatedDeployment.build(
-        definition, backend_classes, config=config, base_config=base_config,
-        network_config=network_config, replica_costs=replica_costs,
-        client_id=client_id, seed=seed, **options)
-    return deployment.cluster, deployment.client
-
-
-def build_unreplicated(definition: ServiceDefinition,
-                       backend_class: Optional[type] = None,
-                       *,
-                       network_config: Optional[NetworkConfig] = None,
-                       seed: int = 0,
-                       **options: Any) -> Tuple[Any, Any]:
-    """Historical entry point: build and return ``(backend, client)``."""
-    deployment = UnreplicatedDeployment.build(
-        definition, backend_class, network_config=network_config, seed=seed,
-        **options)
-    return deployment.backend, deployment.client

@@ -1,23 +1,15 @@
 """Event loop: timed callbacks over simulated time.
 
-Two queue backends implement the same :class:`Scheduler` API and produce
-bit-identical event orderings (both pop the strict global minimum of
-``(time, seq)``):
-
-- :class:`Scheduler` — a binary heap (``heapq``), O(log n) per operation;
-- :class:`CalendarScheduler` — a calendar queue (Brown 1988): a ring of
-  time-bucketed mini-heaps whose width adapts to the observed event
-  spacing, giving amortized O(1) enqueue/dequeue when events cluster
-  near the cursor (the common case for a LAN protocol simulation).
-
-Use :func:`make_scheduler` to pick a backend by name; the perf harness
-tags its reports with the backend it measured.
+:class:`Scheduler` is the one event queue: a binary heap (``heapq``) of
+``(time, seq, event)`` entries that always pops the strict global
+minimum of ``(time, seq)``, so a run's event order is a function of its
+inputs alone.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, List, Optional, Tuple
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -204,245 +196,3 @@ class Scheduler:
         heapq.heapify(live)
         self._queue = live
         self._cancelled = 0
-
-
-class CalendarScheduler(Scheduler):
-    """Calendar-queue backend: a day ring of mini-heaps + overflow heap.
-
-    Simulated time is divided into *days* of ``width`` seconds; day ``d``
-    hashes to bucket ``d & mask`` on a power-of-two ring.  Each bucket is
-    a small heap of ``(time, seq, day, event)`` entries, so within a
-    bucket the head is the earliest entry and — because a later day in
-    the same bucket lies at least a whole ring-revolution ahead — the
-    head belongs to the current day whenever any current-day entry
-    exists.  The cursor walks days forward looking for work; a full
-    empty revolution jumps it straight to the global minimum.
-
-    Entries more than one revolution past the cursor (far-future timers:
-    client retries, view-change deadlines) go to an *overflow heap*
-    instead of the ring, and migrate into the ring as the cursor's
-    horizon reaches their day.  Keeping them out of the ring matters
-    twice over: bucket heads stay current-day, and the day width is
-    derived from the spacing of *near* events only, instead of being
-    stretched by a timer seconds out.
-
-    The ring is rebuilt (bucket count ~ live entries, width ~ 2x the
-    mean near-event spacing) whenever the population outgrows it, so
-    enqueue and dequeue stay amortized O(1) for the steady-state
-    workload where events land within a revolution of the cursor.
-
-    Ordering is bit-identical to the heap backend: both deliver events
-    in strict ``(time, seq)`` order, and ``seq`` assignment depends only
-    on the caller's ``schedule`` sequence.
-    """
-
-    _MIN_BUCKETS = 8
-    _MAX_BUCKETS = 65536
-    _MIN_WIDTH = 1e-9
-
-    def __init__(self, width: float = 1e-4) -> None:
-        super().__init__()
-        self._width = max(width, self._MIN_WIDTH)
-        self._buckets: List[list] = [[] for _ in range(self._MIN_BUCKETS)]
-        self._mask = self._MIN_BUCKETS - 1
-        self._day = 0          # day the cursor is currently scanning
-        self._overflow: list = []  # heap of entries >= 1 revolution out
-        self._n = 0            # entries in ring + overflow, cancelled incl.
-
-    # -- queue operations ---------------------------------------------------
-
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        time = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, seq, fn, args, self)
-        day = int(time / self._width)
-        if day < self._day or self._n == self._cancelled:
-            # The cursor ran ahead through empty days (or the queue is
-            # empty): pull it back so the new minimum is not skipped.
-            self._day = day
-        if day >= self._day + self._mask + 1:
-            _heappush(self._overflow, (time, seq, day, event))
-        else:
-            _heappush(self._buckets[day & self._mask], (time, seq, day, event))
-        self._n += 1
-        if self._n - self._cancelled > (len(self._buckets) << 1):
-            self._rebuild()
-        return event
-
-    def step(self) -> bool:
-        bucket = self._find_next()
-        if bucket is None:
-            return False
-        time, _seq, _day, event = _heappop(bucket)
-        self._n -= 1
-        event.scheduler = None
-        self._now = time
-        self.events_run += 1
-        event.fn(*event.args)
-        return True
-
-    def run_until(self, time: float, max_events: int = 50_000_000) -> int:
-        self._halted = False
-        count = 0
-        while not self._halted and count < max_events:
-            bucket = self._find_next()
-            if bucket is None or bucket[0][0] > time:
-                break
-            self.step()
-            count += 1
-        if self._now < time:
-            self._now = time
-        return count
-
-    def pending(self) -> int:
-        return self._n - self._cancelled
-
-    # -- internals ----------------------------------------------------------
-
-    def _migrate(self) -> None:
-        """Pull overflow entries whose day is now within one revolution
-        of the cursor into the ring (dropping cancelled ones)."""
-        overflow = self._overflow
-        horizon = self._day + self._mask + 1
-        while overflow and overflow[0][2] < horizon:
-            entry = _heappop(overflow)
-            if entry[3].cancelled:
-                entry[3].scheduler = None
-                self._n -= 1
-                self._cancelled -= 1
-            else:
-                _heappush(self._buckets[entry[2] & self._mask], entry)
-
-    def _find_next(self) -> Optional[list]:
-        """Position the cursor on the day of the earliest live entry and
-        return its bucket (whose head is that entry), or None if empty.
-        Cancelled entries encountered at bucket heads are discarded."""
-        if self._n == self._cancelled:
-            return None
-        buckets = self._buckets
-        mask = self._mask
-        scanned = 0
-        self._migrate()
-        while True:
-            bucket = buckets[self._day & mask]
-            while bucket:
-                entry = bucket[0]
-                if entry[3].cancelled:
-                    _heappop(bucket)
-                    entry[3].scheduler = None
-                    self._n -= 1
-                    self._cancelled -= 1
-                    continue
-                if entry[2] == self._day:
-                    return bucket
-                break  # head belongs to a later revolution
-            if self._n == self._cancelled:
-                return None
-            self._day += 1
-            scanned += 1
-            if scanned > mask:
-                self._jump_to_min()
-                scanned = 0
-            self._migrate()
-
-    def _jump_to_min(self) -> None:
-        """A whole revolution was empty: move the cursor directly to the
-        day of the globally earliest live entry (ring or overflow)."""
-        best = None
-        for bucket in self._buckets:
-            while bucket and bucket[0][3].cancelled:
-                entry = _heappop(bucket)
-                entry[3].scheduler = None
-                self._n -= 1
-                self._cancelled -= 1
-            if bucket and (best is None or bucket[0] < best):
-                best = bucket[0]
-        overflow = self._overflow
-        while overflow and overflow[0][3].cancelled:
-            entry = _heappop(overflow)
-            entry[3].scheduler = None
-            self._n -= 1
-            self._cancelled -= 1
-        if overflow and (best is None or overflow[0] < best):
-            best = overflow[0]
-        if best is not None:
-            self._day = best[2]
-
-    def _note_cancel(self) -> None:
-        self._cancelled += 1
-        if (self._cancelled > self._COMPACT_MIN
-                and self._cancelled * 2 > self._n):
-            self._rebuild()
-
-    def _rebuild(self) -> None:
-        """Resize the ring to the live population and re-derive the day
-        width from the observed event spacing; drops cancelled entries.
-
-        The width sample covers only the nearest window of events (one
-        prospective ring's worth) so far-future timers cannot stretch
-        the day length into uselessness.
-        """
-        live: List[tuple] = []
-        for bucket in self._buckets:
-            for entry in bucket:
-                if entry[3].cancelled:
-                    entry[3].scheduler = None
-                else:
-                    live.append(entry)
-        for entry in self._overflow:
-            if entry[3].cancelled:
-                entry[3].scheduler = None
-            else:
-                live.append(entry)
-        self._cancelled = 0
-        self._n = len(live)
-        nbuckets = self._MIN_BUCKETS
-        while nbuckets < self._n and nbuckets < self._MAX_BUCKETS:
-            nbuckets <<= 1
-        if live:
-            live.sort()
-            near = live[:nbuckets]
-            span = near[-1][0] - near[0][0]
-            if span > 0:
-                self._width = max(2.0 * span / len(near), self._MIN_WIDTH)
-        self._buckets = [[] for _ in range(nbuckets)]
-        self._mask = nbuckets - 1
-        self._overflow = []
-        width = self._width
-        anchor = live[0][0] if live else self._now
-        self._day = int(anchor / width)
-        horizon = self._day + nbuckets
-        for time, seq, _old_day, event in live:
-            day = int(time / width)
-            entry = (time, seq, day, event)
-            if day >= horizon:
-                _heappush(self._overflow, entry)
-            else:
-                _heappush(self._buckets[day & self._mask], entry)
-
-
-#: Queue backends by name; both satisfy the full Scheduler contract and
-#: order events identically.
-SCHEDULER_BACKENDS: Dict[str, Type[Scheduler]] = {
-    "heap": Scheduler,
-    "calendar": CalendarScheduler,
-}
-
-#: Backend used when none is named.  The heap measures faster under
-#: CPython for the protocol workloads (see docs/PERFORMANCE.md for the
-#: comparison the perf harness maintains); the calendar queue is kept at
-#: full parity behind the same API.
-DEFAULT_BACKEND = "heap"
-
-
-def make_scheduler(backend: Optional[str] = None) -> Scheduler:
-    """Build a scheduler by backend name (``heap`` / ``calendar``)."""
-    name = backend or DEFAULT_BACKEND
-    try:
-        return SCHEDULER_BACKENDS[name]()
-    except KeyError:
-        raise ValueError(f"unknown scheduler backend {name!r}; expected one "
-                         f"of {sorted(SCHEDULER_BACKENDS)}") from None

@@ -12,8 +12,9 @@ ODBC standard."  This package does exactly that, in miniature:
   are identified by (table, pk); errors are virtualized) and a
   conformance wrapper built on the reusable
   :mod:`repro.base.mappings` library;
-- service builders for the replicated deployment and the unreplicated
-  baseline.
+- the service registration (:data:`SQL_SERVICE`) that
+  :mod:`repro.service.deploy` builds the replicated deployment and the
+  unreplicated baseline from.
 """
 
 from repro.sql.engine import (
@@ -23,15 +24,14 @@ from repro.sql.engine import (
     SqlEngineError,
 )
 from repro.sql.wrapper import SqlConformanceWrapper
-from repro.sql.service import SqlClient, build_base_sql, build_sql_std
+from repro.sql.service import SQL_SERVICE, SqlClient
 
 __all__ = [
     "BTreeStoreEngine",
     "HashStoreEngine",
+    "SQL_SERVICE",
     "SqlClient",
     "SqlConformanceWrapper",
     "SqlEngine",
     "SqlEngineError",
-    "build_base_sql",
-    "build_sql_std",
 ]

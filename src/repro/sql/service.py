@@ -1,20 +1,14 @@
-"""Registration, client, and builders for the relational service.
+"""Registration and client for the relational service.
 
-The service is declared once as a :class:`ServiceDefinition`; both
-deployments come from the shared code paths in
-:mod:`repro.service.deploy`.  ``build_base_sql``/``build_sql_std`` are
-kept as thin typed shims over them.
+Declared once as :data:`SQL_SERVICE`; :mod:`repro.service.deploy` builds
+both deployments from it (mix engine classes for N-version operation).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Type
+from typing import Sequence, Tuple
 
-from repro.base.library import BaseServiceConfig
-from repro.bft.config import BftConfig
-from repro.bft.costs import CostModel
 from repro.encoding.canonical import canonical, decanonical
-from repro.harness.cluster import Cluster
 from repro.service.deploy import (
     Channel,
     DirectService,
@@ -22,12 +16,9 @@ from repro.service.deploy import (
     ServiceDefinition,
     ShardKeySpec,
     WrapperContext,
-    build_replicated,
-    build_unreplicated,
 )
 from repro.service.registry import register
-from repro.sim.network import NetworkConfig
-from repro.sql.engine import BTreeStoreEngine, SqlEngine, SqlEngineError
+from repro.sql.engine import BTreeStoreEngine, SqlEngineError
 from repro.sql.wrapper import SqlConformanceWrapper
 
 #: Ops eligible for BFT's read-only path — read straight off the
@@ -85,10 +76,10 @@ def _make_wrapper(ctx: WrapperContext) -> SqlConformanceWrapper:
     engine_class = ctx.backend_class or BTreeStoreEngine
     return SqlConformanceWrapper(
         engine_class(),
-        array_size=ctx.options.get("array_size", 512),
-        per_op_cost=ctx.options.get("per_op_cost", 0.0),
+        array_size=ctx.options["array_size"],
+        per_op_cost=ctx.options["per_op_cost"],
         clean_recovery_factory=engine_class
-        if ctx.options.get("clean_recovery") else None)
+        if ctx.options["clean_recovery"] else None)
 
 
 def _make_direct(ctx: WrapperContext) -> DirectService:
@@ -117,36 +108,9 @@ SQL_SERVICE = register(ServiceDefinition(
     make_wrapper=_make_wrapper,
     make_client=SqlClient,
     make_direct=_make_direct,
+    wrapper_options={"array_size": 512, "per_op_cost": 0.0,
+                     "clean_recovery": False},
     default_backends=(BTreeStoreEngine,) * 4,
     branching=16,
     shard_key=ShardKeySpec(extract=_shard_key, axis="table name"),
 ))
-
-
-# -- legacy builder shims ------------------------------------------------------------
-
-
-def build_base_sql(engine_classes: Sequence[Type[SqlEngine]],
-                   array_size: int = 512,
-                   config: Optional[BftConfig] = None,
-                   network_config: Optional[NetworkConfig] = None,
-                   replica_costs: Optional[List[CostModel]] = None,
-                   per_op_cost: float = 0.0,
-                   branching: int = 16,
-                   clean_recovery: bool = False,
-                   seed: int = 0) -> Tuple[Cluster, SqlClient]:
-    """Replicated deployment; mix engine classes for N-version operation."""
-    return build_replicated(
-        SQL_SERVICE, list(engine_classes), config=config,
-        base_config=BaseServiceConfig(branching=branching),
-        network_config=network_config, replica_costs=replica_costs,
-        seed=seed, array_size=array_size, per_op_cost=per_op_cost,
-        clean_recovery=clean_recovery)
-
-
-def build_sql_std(engine_class: Optional[Type[SqlEngine]] = None,
-                  network_config: Optional[NetworkConfig] = None,
-                  seed: int = 0) -> Tuple[SqlEngine, SqlClient]:
-    """Unreplicated baseline (one engine behind the same wire surface)."""
-    return build_unreplicated(SQL_SERVICE, engine_class,
-                              network_config=network_config, seed=seed)

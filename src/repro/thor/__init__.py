@@ -21,17 +21,16 @@ from repro.thor.objects import ObjectRecord
 from repro.thor.server import ThorServer, ThorServerConfig
 from repro.thor.client import ThorClient, TransactionAborted
 from repro.thor.wrapper import ThorConformanceWrapper
-from repro.thor.service import build_base_thor, build_thor_std
+from repro.thor.service import THOR_SERVICE
 
 __all__ = [
     "ObjectRecord",
+    "THOR_SERVICE",
     "ThorClient",
     "ThorConformanceWrapper",
     "ThorServer",
     "ThorServerConfig",
     "TransactionAborted",
-    "build_base_thor",
-    "build_thor_std",
     "make_oref",
     "oref_onum",
     "oref_pagenum",

@@ -1,32 +1,26 @@
-"""Registration, transports, and builders for BASE-Thor and the baseline.
+"""Registration and transport for BASE-Thor and the baseline.
 
-Declared once as a :class:`ServiceDefinition`; both deployments come
-from the shared code paths in :mod:`repro.service.deploy`.
-``build_base_thor``/``build_thor_std`` are kept as thin typed shims.
+Declared once as :data:`THOR_SERVICE`; :mod:`repro.service.deploy`
+builds both deployments from it (the replicated one is four replicas of
+the *same* nondeterministic Thor server).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Tuple
 
-from repro.base.library import BaseServiceConfig
-from repro.bft.config import BftConfig
-from repro.bft.costs import CostModel
 from repro.encoding.canonical import canonical, decanonical
-from repro.harness.cluster import Cluster
 from repro.service.deploy import (
     BROADCAST,
+    REQUIRED,
     Channel,
     DirectService,
     DirectServiceServer,
     ServiceDefinition,
     ShardKeySpec,
     WrapperContext,
-    build_replicated,
-    build_unreplicated,
 )
 from repro.service.registry import register
-from repro.sim.network import NetworkConfig
 from repro.thor.client import ThorTransport
 from repro.thor.server import ThorServer, ThorServerConfig
 from repro.thor.wrapper import ThorConformanceWrapper
@@ -77,14 +71,14 @@ def _replica_config(base: ThorServerConfig, index: int) -> ThorServerConfig:
 
 
 def _make_wrapper(ctx: WrapperContext) -> ThorConformanceWrapper:
-    base_config = ctx.options.get("server_config") or ThorServerConfig()
+    base_config = ctx.options["server_config"] or ThorServerConfig()
     server = ThorServer(_replica_config(base_config, ctx.index))
     ctx.options["db_loader"](server)
     return ThorConformanceWrapper(
         server, num_pages=ctx.options["num_pages"],
-        max_clients=ctx.options.get("max_clients", 16),
-        clock=ctx.clock, op_cost=ctx.options.get("op_cost", 0.0),
-        commit_byte_cost=ctx.options.get("commit_byte_cost", 0.0))
+        max_clients=ctx.options["max_clients"],
+        clock=ctx.clock, op_cost=ctx.options["op_cost"],
+        commit_byte_cost=ctx.options["commit_byte_cost"])
 
 
 def _wire_replica(replica, wrapper: ThorConformanceWrapper) -> None:
@@ -97,10 +91,9 @@ def _make_direct(ctx: WrapperContext) -> DirectService:
     """The paper's baseline, which does not even ensure stability of
     committed data — it keeps the MOB in memory; the paper calls its own
     comparison conservative for exactly that reason."""
-    server = ThorServer(ctx.options.get("server_config")
-                        or ThorServerConfig())
+    server = ThorServer(ctx.options["server_config"] or ThorServerConfig())
     ctx.options["db_loader"](server)
-    op_cost = ctx.options.get("op_cost", 0.0)
+    op_cost = ctx.options["op_cost"]
 
     def handler(node: DirectServiceServer, src: str,
                 op: bytes) -> Tuple[bytes, int]:
@@ -165,52 +158,12 @@ THOR_SERVICE = register(ServiceDefinition(
     make_wrapper=_make_wrapper,
     make_client=BaseThorTransport,
     make_direct=_make_direct,
+    wrapper_options={"num_pages": REQUIRED, "db_loader": REQUIRED,
+                     "server_config": None, "max_clients": 16,
+                     "op_cost": 0.0, "commit_byte_cost": 0.0},
+    direct_options={"db_loader": REQUIRED, "server_config": None,
+                    "op_cost": 0.0},
     branching=64,
     wire_replica=_wire_replica,
     shard_key=ShardKeySpec(extract=_thor_shard_key, axis="page number"),
 ))
-
-
-# -- legacy builder shims ------------------------------------------------------------
-
-
-def build_base_thor(num_pages: int,
-                    db_loader: Callable[[ThorServer], None],
-                    server_config: Optional[ThorServerConfig] = None,
-                    config: Optional[BftConfig] = None,
-                    max_clients: int = 16,
-                    replica_costs: Optional[List[CostModel]] = None,
-                    network_config: Optional[NetworkConfig] = None,
-                    branching: int = 64,
-                    per_object_check_cost: float = 0.0,
-                    checkpoint_cost: float = 0.0,
-                    cow_cost: float = 0.0,
-                    op_cost: float = 0.0,
-                    commit_byte_cost: float = 0.0,
-                    client_id: str = "thor-client",
-                    seed: int = 0) -> Tuple[Cluster, BaseThorTransport]:
-    """Four replicas of the *same* nondeterministic Thor server."""
-    return build_replicated(
-        THOR_SERVICE, config=config or BftConfig(n=4),
-        base_config=BaseServiceConfig(
-            branching=branching,
-            per_object_check_cost=per_object_check_cost,
-            checkpoint_cost=checkpoint_cost,
-            cow_cost=cow_cost),
-        network_config=network_config, replica_costs=replica_costs,
-        client_id=client_id, seed=seed,
-        num_pages=num_pages, db_loader=db_loader,
-        server_config=server_config, max_clients=max_clients,
-        op_cost=op_cost, commit_byte_cost=commit_byte_cost)
-
-
-def build_thor_std(db_loader: Callable[[ThorServer], None],
-                   server_config: Optional[ThorServerConfig] = None,
-                   network_config: Optional[NetworkConfig] = None,
-                   op_cost: float = 0.0,
-                   seed: int = 0) -> Tuple[ThorServer, DirectThorTransport]:
-    return build_unreplicated(THOR_SERVICE,
-                              network_config=network_config, seed=seed,
-                              db_loader=db_loader,
-                              server_config=server_config,
-                              op_cost=op_cost)

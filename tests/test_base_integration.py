@@ -8,6 +8,7 @@ from repro.base.nondet import ClockValue
 from repro.base.upcalls import Upcalls
 from repro.bft.config import BftConfig
 from repro.encoding.canonical import canonical, decanonical
+from repro.sim import Scheduler
 
 
 class RegisterWrapperA(Upcalls):
@@ -99,18 +100,15 @@ def op_read(i):
 
 def build_heterogeneous(checkpoint_interval=4, **cfg):
     config = BftConfig(n=4, checkpoint_interval=checkpoint_interval, **cfg)
-    cluster = None
+    scheduler = Scheduler()
     factories = []
     for i in range(4):
         wrapper_cls = RegisterWrapperA if i % 2 == 0 else RegisterWrapperB
 
         def make(cls=wrapper_cls):
-            return cls(clock=lambda: clock_box["cluster"].scheduler.now)
+            return cls(clock=lambda: scheduler.now)
         factories.append(make)
-    clock_box = {}
-    cluster = build_base_cluster(factories, config=config)
-    clock_box["cluster"] = cluster
-    return cluster
+    return build_base_cluster(factories, config=config, scheduler=scheduler)
 
 
 def test_heterogeneous_replicas_agree_on_abstract_state():

@@ -4,11 +4,13 @@ This is the property that makes the whole methodology testable — every
 Byzantine schedule in this suite is reproducible.
 """
 
+from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
 from repro.nfs.backends import ALL_BACKENDS
 from repro.nfs.client import NfsClient
-from repro.nfs.service import build_basefs
+from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig
+from repro.service.deploy import ReplicatedDeployment
 from repro.bft.statemachine import InMemoryStateManager
 from tests.conftest import make_kv_cluster
 
@@ -39,11 +41,13 @@ def test_different_seed_different_timing_same_state():
 
 
 def run_basefs(seed):
-    cluster, transport = build_basefs(
-        list(ALL_BACKENDS), spec=AbstractSpecConfig(array_size=64),
-        config=BftConfig(n=4, checkpoint_interval=8), branching=8,
-        seed=seed)
-    fs = NfsClient(transport)
+    basefs = ReplicatedDeployment.build(
+        NFS_SERVICE, list(ALL_BACKENDS),
+        spec=AbstractSpecConfig(array_size=64),
+        config=BftConfig(n=4, checkpoint_interval=8),
+        base_config=BaseServiceConfig(branching=8), seed=seed)
+    cluster = basefs.cluster
+    fs = NfsClient(basefs.client)
     fs.mkdir("/d")
     for i in range(5):
         fs.write_file(f"/d/f{i}", b"content %d" % i)

@@ -10,14 +10,16 @@ down, like readdir order).  Hypothesis generates the sequences.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
 from repro.nfs.backends import ALL_BACKENDS, LinuxExt2Backend
 from repro.nfs.client import NfsClient
 from repro.nfs.protocol import NfsError
-from repro.nfs.service import build_basefs, build_nfs_std
+from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig
+from repro.service.deploy import ReplicatedDeployment, UnreplicatedDeployment
 from repro.sql.engine import BTreeStoreEngine, HashStoreEngine
-from repro.sql.service import build_base_sql, build_sql_std
+from repro.sql.service import SQL_SERVICE
 from repro.sql.engine import SqlEngineError
 
 # -- NFS ---------------------------------------------------------------------
@@ -66,12 +68,16 @@ def apply_nfs(fs: NfsClient, op) -> tuple:
                                  HealthCheck.data_too_large])
 @given(nfs_ops)
 def test_heterogeneous_basefs_equals_nfs_std(ops):
-    cluster, transport = build_basefs(
-        list(ALL_BACKENDS), spec=AbstractSpecConfig(array_size=128),
-        config=BftConfig(n=4, checkpoint_interval=8), branching=8)
-    base_fs = NfsClient(transport, use_caches=False)
-    _, std_transport = build_nfs_std(LinuxExt2Backend)
-    std_fs = NfsClient(std_transport, use_caches=False)
+    basefs = ReplicatedDeployment.build(
+        NFS_SERVICE, list(ALL_BACKENDS),
+        spec=AbstractSpecConfig(array_size=128),
+        config=BftConfig(n=4, checkpoint_interval=8),
+        base_config=BaseServiceConfig(branching=8))
+    cluster = basefs.cluster
+    base_fs = NfsClient(basefs.client, use_caches=False)
+    std_fs = NfsClient(
+        UnreplicatedDeployment.build(NFS_SERVICE, LinuxExt2Backend).client,
+        use_caches=False)
     for fs in (base_fs, std_fs):
         fs.mkdir("/sub")
     for op in ops:
@@ -124,11 +130,13 @@ def apply_sql(db, op) -> tuple:
           suppress_health_check=[HealthCheck.too_slow])
 @given(sql_ops)
 def test_nversion_sql_equals_single_engine(ops):
-    cluster, replicated = build_base_sql(
-        [HashStoreEngine, BTreeStoreEngine, BTreeStoreEngine,
-         HashStoreEngine],
+    group = ReplicatedDeployment.build(
+        SQL_SERVICE, [HashStoreEngine, BTreeStoreEngine, BTreeStoreEngine,
+                      HashStoreEngine],
         config=BftConfig(n=4, checkpoint_interval=8), array_size=64)
-    _, direct = build_sql_std(BTreeStoreEngine)
+    cluster, replicated = group.cluster, group.client
+    direct = UnreplicatedDeployment.build(SQL_SERVICE,
+                                          BTreeStoreEngine).client
     for db in (replicated, direct):
         db.create_table("t", ("k", "v"), "k")
     for op in ops:

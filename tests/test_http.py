@@ -11,8 +11,9 @@ from repro.http.engine import (
     HttpStatus,
     NginxLikeServer,
 )
-from repro.http.service import build_base_http, build_http_std
+from repro.http.service import HTTP_SERVICE
 from repro.http.wrapper import HttpConformanceWrapper
+from repro.service.deploy import ReplicatedDeployment, UnreplicatedDeployment
 
 
 # -- engines --------------------------------------------------------------------
@@ -163,11 +164,15 @@ def test_wrapper_shutdown_restart():
 # -- replication -------------------------------------------------------------------
 
 
+def replicated_http(**bft):
+    group = ReplicatedDeployment.build(
+        HTTP_SERVICE, [ApacheLikeServer, NginxLikeServer] * 2,
+        config=BftConfig(n=4, checkpoint_interval=8, **bft))
+    return group.cluster, group.client
+
+
 def test_nversion_http_cluster():
-    cluster, web = build_base_http(
-        [ApacheLikeServer, NginxLikeServer, ApacheLikeServer,
-         NginxLikeServer],
-        config=BftConfig(n=4, checkpoint_interval=8))
+    cluster, web = replicated_http()
     web.mkcol("/blog")
     etag = web.put("/blog/post1", b"hello world")
     assert etag == '"v1"'
@@ -185,11 +190,9 @@ def test_nversion_http_cluster():
 
 
 def test_replicated_matches_unreplicated():
-    cluster, replicated = build_base_http(
-        [ApacheLikeServer, NginxLikeServer, ApacheLikeServer,
-         NginxLikeServer],
-        config=BftConfig(n=4, checkpoint_interval=8))
-    _, direct = build_http_std(NginxLikeServer)
+    cluster, replicated = replicated_http()
+    direct = UnreplicatedDeployment.build(HTTP_SERVICE,
+                                          NginxLikeServer).client
     for web in (replicated, direct):
         web.mkcol("/a")
         web.put("/a/x", b"1")
@@ -200,10 +203,7 @@ def test_replicated_matches_unreplicated():
 
 
 def test_http_recovery():
-    cluster, web = build_base_http(
-        [ApacheLikeServer, NginxLikeServer, ApacheLikeServer,
-         NginxLikeServer],
-        config=BftConfig(n=4, checkpoint_interval=8, reboot_delay=0.3))
+    cluster, web = replicated_http(reboot_delay=0.3)
     web.mkcol("/data")
     for i in range(10):
         web.put(f"/data/item{i}", b"payload %d" % i)

@@ -8,28 +8,31 @@ state on a fresh backend — and clears leaks by construction.
 
 import pytest
 
+from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
 from repro.nfs.backends import LinuxExt2Backend, SolarisUfsBackend
 from repro.nfs.client import NfsClient
-from repro.nfs.service import build_basefs
+from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig
 from repro.nfs.wrapper import NfsConformanceWrapper
+from repro.service.deploy import ReplicatedDeployment
 
 SPEC = AbstractSpecConfig(array_size=128)
 
 
 def build(clean: bool):
-    cluster, transport = build_basefs(
-        [LinuxExt2Backend] * 4, spec=SPEC,
+    basefs = ReplicatedDeployment.build(
+        NFS_SERVICE, [LinuxExt2Backend] * 4, spec=SPEC,
         config=BftConfig(n=4, checkpoint_interval=8, reboot_delay=0.3,
                          view_change_timeout=2.0, client_retry_timeout=1.0),
-        branching=8)
+        base_config=BaseServiceConfig(branching=8))
+    cluster = basefs.cluster
     if clean:
         for replica in cluster.replicas:
             wrapper = replica.state.upcalls
             wrapper.clean_recovery_factory = \
                 lambda w=wrapper: LinuxExt2Backend(clock=w.timestamps.clock)
-    return cluster, NfsClient(transport)
+    return cluster, NfsClient(basefs.client)
 
 
 def seed(cluster, fs, count=10):

@@ -5,13 +5,17 @@ import pytest
 from repro.nfs.backends import LinuxExt2Backend
 from repro.nfs.client import NfsClient, TRANSFER_SIZE
 from repro.nfs.protocol import NfsError, NfsStatus
-from repro.nfs.service import build_nfs_std
+from repro.nfs.service import NFS_SERVICE
+from repro.service.deploy import UnreplicatedDeployment
+
+
+def nfs_std_transport():
+    return UnreplicatedDeployment.build(NFS_SERVICE, LinuxExt2Backend).client
 
 
 @pytest.fixture
 def fs():
-    _, transport = build_nfs_std(LinuxExt2Backend)
-    return NfsClient(transport, attr_ttl=3.0)
+    return NfsClient(nfs_std_transport(), attr_ttl=3.0)
 
 
 def test_path_normalization(fs):
@@ -69,8 +73,7 @@ def test_lookup_cache_expires_with_ttl(fs):
 
 
 def test_caches_disabled_mode():
-    _, transport = build_nfs_std(LinuxExt2Backend)
-    fs = NfsClient(transport, use_caches=False)
+    fs = NfsClient(nfs_std_transport(), use_caches=False)
     fs.write_file("/f", b"x")
     a = fs.calls_issued
     fs.getattr("/f")

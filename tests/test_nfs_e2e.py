@@ -3,12 +3,14 @@ heterogeneous backends — plus the NFS-std baseline path."""
 
 import pytest
 
+from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
 from repro.nfs.backends import ALL_BACKENDS, LinuxExt2Backend
 from repro.nfs.client import NfsClient
 from repro.nfs.protocol import NfsError, NfsStatus
-from repro.nfs.service import build_basefs, build_nfs_std
+from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig
+from repro.service.deploy import ReplicatedDeployment, UnreplicatedDeployment
 
 SPEC = AbstractSpecConfig(array_size=128)
 
@@ -20,18 +22,21 @@ def small_config(**kw):
     return BftConfig(**defaults)
 
 
+def basefs_over(backends):
+    basefs = ReplicatedDeployment.build(
+        NFS_SERVICE, backends, spec=SPEC, config=small_config(),
+        base_config=BaseServiceConfig(branching=8))
+    return basefs.cluster, NfsClient(basefs.client)
+
+
 @pytest.fixture
 def homogeneous():
-    cluster, transport = build_basefs([LinuxExt2Backend] * 4, spec=SPEC,
-                                      config=small_config(), branching=8)
-    return cluster, NfsClient(transport)
+    return basefs_over([LinuxExt2Backend] * 4)
 
 
 @pytest.fixture
 def heterogeneous():
-    cluster, transport = build_basefs(list(ALL_BACKENDS), spec=SPEC,
-                                      config=small_config(), branching=8)
-    return cluster, NfsClient(transport)
+    return basefs_over(list(ALL_BACKENDS))
 
 
 def exercise(fs: NfsClient):
@@ -69,10 +74,10 @@ def test_heterogeneous_basefs_full_workload(heterogeneous):
 
 
 def test_nfs_std_baseline_same_workload():
-    backend, transport = build_nfs_std(LinuxExt2Backend)
-    fs = NfsClient(transport)
+    std = UnreplicatedDeployment.build(NFS_SERVICE, LinuxExt2Backend)
+    fs = NfsClient(std.client)
     exercise(fs)
-    assert backend.ops_served > 0
+    assert std.backend.ops_served > 0
 
 
 def test_heterogeneous_with_one_crashed_replica(heterogeneous):
@@ -141,11 +146,9 @@ def test_errors_propagate_to_client(homogeneous):
 def test_basefs_and_nfs_std_give_identical_results():
     """Differential test: the replicated service is functionally
     indistinguishable from the implementation it reuses (modulo times)."""
-    cluster, transport = build_basefs([LinuxExt2Backend] * 4, spec=SPEC,
-                                      config=small_config(), branching=8)
-    base_fs = NfsClient(transport)
-    _, std_transport = build_nfs_std(LinuxExt2Backend)
-    std_fs = NfsClient(std_transport)
+    _cluster, base_fs = basefs_over([LinuxExt2Backend] * 4)
+    std_fs = NfsClient(
+        UnreplicatedDeployment.build(NFS_SERVICE, LinuxExt2Backend).client)
     for fs in (base_fs, std_fs):
         exercise(fs)
     assert sorted(base_fs.listdir("/proj")) == sorted(std_fs.listdir("/proj"))

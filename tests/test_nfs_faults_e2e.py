@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
 from repro.bft.faults import WrongReplyBehavior
 from repro.nfs.backends import ALL_BACKENDS, CorruptingBackend, LinuxExt2Backend
 from repro.nfs.client import NfsClient
-from repro.nfs.service import build_basefs
+from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig
+from repro.service.deploy import ReplicatedDeployment
 
 SPEC = AbstractSpecConfig(array_size=128)
 
@@ -16,10 +18,11 @@ def cluster_with_client(backends=None, **cfg):
     defaults = dict(n=4, checkpoint_interval=8, view_change_timeout=2.0,
                     client_retry_timeout=1.0, reboot_delay=0.3)
     defaults.update(cfg)
-    cluster, transport = build_basefs(
-        backends or [LinuxExt2Backend] * 4, spec=SPEC,
-        config=BftConfig(**defaults), branching=8)
-    return cluster, NfsClient(transport)
+    basefs = ReplicatedDeployment.build(
+        NFS_SERVICE, backends or [LinuxExt2Backend] * 4, spec=SPEC,
+        config=BftConfig(**defaults),
+        base_config=BaseServiceConfig(branching=8))
+    return basefs.cluster, NfsClient(basefs.client)
 
 
 def test_byzantine_replica_cannot_corrupt_file_reads():

@@ -4,6 +4,8 @@ the registry — the same six checks run against NFS, SQL, HTTP, and
 Thor, each over a heterogeneous wrapper pair.
 """
 
+import re
+
 import pytest
 
 from repro.service.conformance import (
@@ -21,7 +23,10 @@ from repro.service.conformance import (
     get_probe,
     probe_names,
 )
-from repro.service.registry import load_all, service_names
+from repro.service.deploy import (REQUIRED, ReplicatedDeployment,
+                                  UnreplicatedDeployment)
+from repro.service.registry import get_service, load_all, service_names
+from repro.service.sharding import ShardedDeployment
 
 
 def test_every_registered_service_has_a_probe():
@@ -57,6 +62,36 @@ def test_restart_survival(name):
 @pytest.mark.parametrize("name", probe_names())
 def test_txn_framing(name):
     check_txn_framing(get_probe(name))
+
+
+def _build_sharded(definition, **options):
+    return ShardedDeployment.build(definition, 2, **options)
+
+
+@pytest.mark.parametrize("build, declared_by", [
+    (ReplicatedDeployment.build, "wrapper_options"),
+    (UnreplicatedDeployment.build, "direct_options"),
+    (_build_sharded, "wrapper_options"),
+], ids=["replicated", "unreplicated", "sharded"])
+@pytest.mark.parametrize("name", probe_names())
+def test_build_refuses_undeclared_and_missing_options(name, build,
+                                                      declared_by):
+    """A misspelt option must not silently build the default, a wrapper
+    option handed to the baseline must not be ignored, and a required
+    option must not be left out: each is a TypeError naming it."""
+    definition = get_service(name)
+    declared = getattr(definition, declared_by)
+    required = {opt: None for opt, default in declared.items()
+                if default is REQUIRED}
+    refused = [(dict(required, no_such_option=1),
+                "unknown ['no_such_option']")]
+    refused += [(dict(required, **{opt: None}), f"unknown ['{opt}']")
+                for opt in definition.wrapper_options if opt not in declared]
+    refused += [({k: None for k in required if k != opt},
+                 f"missing ['{opt}']") for opt in required]
+    for options, complaint in refused:
+        with pytest.raises(TypeError, match=re.escape(complaint)):
+            build(definition, **options)
 
 
 @pytest.mark.parametrize("mode", CONSISTENCY_MODES)
@@ -135,8 +170,9 @@ def test_nfs_unknown_wire_procedures_get_deterministic_reply():
 
 def test_nfs_std_baseline_rejects_unknown_wire_procedures():
     from repro.nfs.protocol import NfsError, NfsProc, NfsStatus
-    from repro.nfs.service import build_nfs_std
-    _, transport = build_nfs_std()
+    from repro.nfs.service import NFS_SERVICE
+    from repro.service.deploy import UnreplicatedDeployment
+    transport = UnreplicatedDeployment.build(NFS_SERVICE).client
     transport.root_fh()  # server is up and answering
     for proc in (NfsProc.NULL, NfsProc.ROOT, NfsProc.WRITECACHE):
         with pytest.raises(NfsError) as excinfo:

@@ -13,11 +13,12 @@ import pytest
 
 from repro.bft.config import BftConfig
 from repro.http.engine import ApacheLikeServer, NginxLikeServer
-from repro.http.service import build_base_http
+from repro.http.service import HTTP_SERVICE
 from repro.http.wrapper import HttpConformanceWrapper
 from repro.service.conformance import Driver, get_probe
+from repro.service.deploy import ReplicatedDeployment
 from repro.sql.engine import BTreeStoreEngine, HashStoreEngine
-from repro.sql.service import build_base_sql
+from repro.sql.service import SQL_SERVICE
 from repro.sql.wrapper import SqlConformanceWrapper
 
 
@@ -76,13 +77,19 @@ def test_http_clean_recovery_rebuilds_onto_fresh_server():
     driver.ok("PUT", "/docs/post.txt", b"post-recovery", "")
 
 
-def test_sql_proactive_recovery_e2e_with_engine_replacement():
-    cluster, client = build_base_sql(
-        [HashStoreEngine] * 4,
+def _clean_recovery_group(definition, backend_classes):
+    group = ReplicatedDeployment.build(
+        definition, backend_classes,
         config=BftConfig(n=4, checkpoint_interval=8, reboot_delay=0.3,
                          view_change_timeout=2.0,
                          client_retry_timeout=1.0),
         array_size=64, clean_recovery=True)
+    return group.cluster, group.client
+
+
+def test_sql_proactive_recovery_e2e_with_engine_replacement():
+    cluster, client = _clean_recovery_group(SQL_SERVICE,
+                                            [HashStoreEngine] * 4)
     client.create_table("accounts", ("id", "owner", "balance"), "id")
     for i in range(8):
         client.insert("accounts", (i, "owner%d" % i, 100 * i))
@@ -102,13 +109,8 @@ def test_sql_proactive_recovery_e2e_with_engine_replacement():
 
 
 def test_http_proactive_recovery_e2e_with_server_replacement():
-    cluster, client = build_base_http(
-        [ApacheLikeServer, NginxLikeServer, ApacheLikeServer,
-         NginxLikeServer],
-        config=BftConfig(n=4, checkpoint_interval=8, reboot_delay=0.3,
-                         view_change_timeout=2.0,
-                         client_retry_timeout=1.0),
-        array_size=64, clean_recovery=True)
+    cluster, client = _clean_recovery_group(
+        HTTP_SERVICE, [ApacheLikeServer, NginxLikeServer] * 2)
     client.mkcol("/site")
     client.put("/site/index.html", b"<h1>hello</h1>")
     client.put("/notes.txt", b"remember")

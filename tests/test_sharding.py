@@ -19,7 +19,7 @@ import pytest
 from repro.bft.config import BftConfig
 from repro.encoding.canonical import canonical, decanonical
 from repro.nfs.spec import ROOT_OID
-from repro.service.deploy import Channel, LearnedKey, build_replicated
+from repro.service.deploy import Channel, LearnedKey, ReplicatedDeployment
 from repro.service.sharding import (CrossShardOp, RoutingError, ShardRouter,
                                     ShardedDeployment, TxnAborted,
                                     stable_shard)
@@ -214,8 +214,8 @@ def test_cross_shard_txn_matches_single_group_execution():
     tables = _tables_by_shard(2)
     ta, tb = tables[0][0], tables[1][0]
     sharded = _sharded_sql(2)
-    cluster, single = build_replicated(SQL_SERVICE,
-                                       config=BftConfig(**_FAST), seed=11)
+    single = ReplicatedDeployment.build(
+        SQL_SERVICE, config=BftConfig(**_FAST), seed=11).client
     for client in (sharded.client, single):
         client.create_table(ta, ["id", "val"], "id")
         client.create_table(tb, ["id", "val"], "id")

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.bft.config import BftConfig
+from repro.service.deploy import ReplicatedDeployment, UnreplicatedDeployment
 from repro.sql.engine import (
     BTreeStoreEngine,
     HashStoreEngine,
     SqlEngineError,
 )
-from repro.sql.service import build_base_sql, build_sql_std
+from repro.sql.service import SQL_SERVICE
 from repro.sql.wrapper import SqlConformanceWrapper
 from repro.base.state import AbstractStateManager
 
@@ -151,13 +152,28 @@ def test_drop_table_frees_rows():
 
 # -- full replication ------------------------------------------------------------------
 
+TWO_VENDORS = [HashStoreEngine, BTreeStoreEngine] * 2
+
+
+def replicated_sql(engine_classes, **bft):
+    group = ReplicatedDeployment.build(
+        SQL_SERVICE, engine_classes, array_size=64,
+        config=BftConfig(n=4, checkpoint_interval=8, **bft))
+    return group.cluster, group.client
+
+
+@pytest.mark.parametrize("count", [3, 7])
+def test_backend_list_must_match_the_group_size(count):
+    """Neither a bare IndexError (too few) nor silently dropped backends
+    (too many): the library's own length check refuses both."""
+    with pytest.raises(ValueError, match=f"{count} wrapper factories for n=4"):
+        ReplicatedDeployment.build(SQL_SERVICE, [BTreeStoreEngine] * count,
+                                   config=BftConfig(n=4))
+
 
 def test_replicated_sql_n_version():
     """Two engine vendors, four replicas, one relational service."""
-    cluster, client = build_base_sql(
-        [HashStoreEngine, BTreeStoreEngine, HashStoreEngine,
-         BTreeStoreEngine],
-        config=BftConfig(n=4, checkpoint_interval=8), array_size=64)
+    cluster, client = replicated_sql(TWO_VENDORS)
     client.create_table("accounts", ("id", "owner", "balance"), "id")
     for i in (3, 1, 2):
         client.insert("accounts", (i, "owner%d" % i, 100 * i))
@@ -176,10 +192,8 @@ def test_replicated_sql_n_version():
 
 
 def test_replicated_matches_unreplicated():
-    cluster, replicated = build_base_sql(
-        [HashStoreEngine] * 4, config=BftConfig(n=4, checkpoint_interval=8),
-        array_size=64)
-    _, direct = build_sql_std(HashStoreEngine)
+    cluster, replicated = replicated_sql([HashStoreEngine] * 4)
+    direct = UnreplicatedDeployment.build(SQL_SERVICE, HashStoreEngine).client
     for client in (replicated, direct):
         client.create_table("t", ("k", "v"), "k")
         for k in (7, 3, 5):
@@ -190,11 +204,7 @@ def test_replicated_matches_unreplicated():
 
 
 def test_replicated_sql_survives_recovery():
-    cluster, client = build_base_sql(
-        [HashStoreEngine, BTreeStoreEngine, HashStoreEngine,
-         BTreeStoreEngine],
-        config=BftConfig(n=4, checkpoint_interval=8, reboot_delay=0.3),
-        array_size=64)
+    cluster, client = replicated_sql(TWO_VENDORS, reboot_delay=0.3)
     client.create_table("t", ("k", "v"), "k")
     for k in range(10):
         client.insert("t", (k, "v%d" % k))

@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.service.deploy import UnreplicatedDeployment
 from repro.thor.client import ThorClient, TransactionAborted
 from repro.thor.objects import ObjectRecord
 from repro.thor.orefs import make_oref
 from repro.thor.pages import Page
 from repro.thor.server import ThorServerConfig
-from repro.thor.service import build_thor_std
+from repro.thor.service import THOR_SERVICE
 
 
 def rec(v):
@@ -19,11 +20,12 @@ def make(cache_bytes=1 << 20, **server_kwargs):
         for pagenum in range(6):
             server.load_page(Page(pagenum, {o: rec(pagenum * 10 + o)
                                             for o in range(4)}))
-    server, transport = build_thor_std(
-        load, ThorServerConfig(**server_kwargs))
-    client = ThorClient(transport, "unit", cache_bytes=cache_bytes)
+    std = UnreplicatedDeployment.build(
+        THOR_SERVICE, db_loader=load,
+        server_config=ThorServerConfig(**server_kwargs))
+    client = ThorClient(std.client, "unit", cache_bytes=cache_bytes)
     client.start_session()
-    return server, client
+    return std.backend, client
 
 
 def test_read_fetches_page_once(server_client=None):

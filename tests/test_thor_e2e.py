@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
+from repro.service.deploy import ReplicatedDeployment, UnreplicatedDeployment
 from repro.thor.client import ThorClient, TransactionAborted
 from repro.thor.objects import ObjectRecord
 from repro.thor.orefs import make_oref
 from repro.thor.pages import Page
 from repro.thor.server import ThorServerConfig
-from repro.thor.service import build_base_thor, build_thor_std
+from repro.thor.service import THOR_SERVICE
 
 NUM_PAGES = 8
 
@@ -27,12 +29,13 @@ def small_config():
 
 @pytest.fixture
 def base_thor():
-    cluster, transport = build_base_thor(
-        NUM_PAGES, load_db, config=small_config(), branching=8,
+    base = ReplicatedDeployment.build(
+        THOR_SERVICE, num_pages=NUM_PAGES, db_loader=load_db,
+        config=small_config(), base_config=BaseServiceConfig(branching=8),
         server_config=ThorServerConfig(cache_pages=2, mob_bytes=400))
-    client = ThorClient(transport, "alice")
+    client = ThorClient(base.client, "alice")
     client.start_session()
-    return cluster, transport, client
+    return base.cluster, base.client, client
 
 
 def test_read_transaction(base_thor):
@@ -136,8 +139,8 @@ def test_recovery_restores_lost_mob_state(base_thor):
 
 
 def test_thor_std_baseline_same_semantics():
-    server, transport = build_thor_std(load_db)
-    client = ThorClient(transport, "alice")
+    std = UnreplicatedDeployment.build(THOR_SERVICE, db_loader=load_db)
+    client = ThorClient(std.client, "alice")
     client.start_session()
     oref = make_oref(1, 1)
     client.run_transaction(lambda c: c.write(
@@ -146,7 +149,7 @@ def test_thor_std_baseline_same_semantics():
     client.begin()
     assert client.read(oref).fields == ("std",)
     client.commit()
-    assert server.commits == 2
+    assert std.backend.commits == 2
 
 
 def test_client_cache_eviction_piggybacks_discards(base_thor):

@@ -142,16 +142,20 @@ def test_readdir_order_divergence_without_abstraction():
 def test_same_backends_with_abstraction_work():
     """Control: the identical lineup behind the real conformance wrapper
     serves correctly (this is the whole point of the methodology)."""
+    from repro.base.library import BaseServiceConfig
     from repro.bft.config import BftConfig
     from repro.nfs.client import NfsClient
-    from repro.nfs.service import build_basefs
+    from repro.nfs.service import NFS_SERVICE
     from repro.nfs.spec import AbstractSpecConfig
-    cluster, transport = build_basefs(
-        list(ALL_BACKENDS), spec=AbstractSpecConfig(array_size=64),
-        config=BftConfig(n=4, checkpoint_interval=8), branching=8)
-    fs = NfsClient(transport)
+    from repro.service.deploy import ReplicatedDeployment
+    basefs = ReplicatedDeployment.build(
+        NFS_SERVICE, list(ALL_BACKENDS),
+        spec=AbstractSpecConfig(array_size=64),
+        config=BftConfig(n=4, checkpoint_interval=8),
+        base_config=BaseServiceConfig(branching=8))
+    fs = NfsClient(basefs.client)
     fs.write_file("/file.txt", b"works")
     assert fs.read_file("/file.txt") == b"works"
-    cluster.run(2.0)
-    roots = {r.state.tree.root_digest for r in cluster.replicas}
+    basefs.run(2.0)
+    roots = {r.state.tree.root_digest for r in basefs.replicas}
     assert len(roots) == 1

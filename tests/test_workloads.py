@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
 from repro.nfs.backends import LinuxExt2Backend
 from repro.nfs.client import NfsClient
-from repro.nfs.service import build_basefs, build_nfs_std
+from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig
+from repro.service.deploy import ReplicatedDeployment, UnreplicatedDeployment
 from repro.thor.client import ThorClient
 from repro.thor.server import ThorServer, ThorServerConfig
-from repro.thor.service import build_base_thor, build_thor_std
+from repro.thor.service import THOR_SERVICE
 from repro.workloads.andrew import AndrewBenchmark, AndrewConfig
 from repro.workloads.oo7 import OO7Benchmark, OO7Config, OO7Database
 
@@ -17,9 +19,13 @@ SMALL_ANDREW = AndrewConfig(copies=1, subdirs=("a", "b"),
                             files_per_subdir=2, file_size=500)
 
 
+def nfs_std_client():
+    return NfsClient(
+        UnreplicatedDeployment.build(NFS_SERVICE, LinuxExt2Backend).client)
+
+
 def test_andrew_all_phases_run_on_nfs_std():
-    _, transport = build_nfs_std(LinuxExt2Backend)
-    fs = NfsClient(transport)
+    fs = nfs_std_client()
     result = AndrewBenchmark(fs, SMALL_ANDREW).run()
     assert set(result.phase_seconds) == {1, 2, 3, 4, 5}
     assert all(t >= 0 for t in result.phase_seconds.values())
@@ -31,13 +37,12 @@ def test_andrew_all_phases_run_on_nfs_std():
 
 def test_andrew_runs_on_basefs_and_produces_same_tree():
     config = BftConfig(n=4, checkpoint_interval=16)
-    cluster, transport = build_basefs(
-        [LinuxExt2Backend] * 4, spec=AbstractSpecConfig(array_size=256),
-        config=config, branching=8)
-    fs = NfsClient(transport)
+    fs = NfsClient(ReplicatedDeployment.build(
+        NFS_SERVICE, [LinuxExt2Backend] * 4,
+        spec=AbstractSpecConfig(array_size=256), config=config,
+        base_config=BaseServiceConfig(branching=8)).client)
     AndrewBenchmark(fs, SMALL_ANDREW).run()
-    _, std_transport = build_nfs_std(LinuxExt2Backend)
-    std_fs = NfsClient(std_transport)
+    std_fs = nfs_std_client()
     AndrewBenchmark(std_fs, SMALL_ANDREW).run()
     assert fs.read_file("/andrew0/a/a0.c") == \
         std_fs.read_file("/andrew0/a/a0.c")
@@ -45,8 +50,7 @@ def test_andrew_runs_on_basefs_and_produces_same_tree():
 
 
 def test_andrew_scaling_copies():
-    _, transport = build_nfs_std(LinuxExt2Backend)
-    fs = NfsClient(transport)
+    fs = nfs_std_client()
     AndrewBenchmark(fs, AndrewConfig(copies=3, subdirs=("s",),
                                      files_per_subdir=1)).run()
     for copy in range(3):
@@ -72,9 +76,10 @@ def test_oo7_shape_matches_config():
 def test_oo7_traversals_on_thor_std():
     config = OO7Config.tiny()
     db = OO7Database(config)
-    server, transport = build_thor_std(
-        db.load_into, ThorServerConfig(cache_pages=64, mob_bytes=1 << 20))
-    client = ThorClient(transport, "bench")
+    std = UnreplicatedDeployment.build(
+        THOR_SERVICE, db_loader=db.load_into,
+        server_config=ThorServerConfig(cache_pages=64, mob_bytes=1 << 20))
+    client = ThorClient(std.client, "bench")
     client.start_session()
     bench = OO7Benchmark(db, client)
 
@@ -91,14 +96,14 @@ def test_oo7_traversals_on_thor_std():
     client.drop_caches()
     t2b = bench.t2b()
     assert t2b.updates == t2b.atomic_visits
-    assert server.commits == 4
+    assert std.backend.commits == 4
 
 
 def test_oo7_t1_visits_full_graphs():
     config = OO7Config.tiny()
     db = OO7Database(config)
-    _, transport = build_thor_std(db.load_into)
-    client = ThorClient(transport, "bench")
+    client = ThorClient(UnreplicatedDeployment.build(
+        THOR_SERVICE, db_loader=db.load_into).client, "bench")
     client.start_session()
     t1 = OO7Benchmark(db, client).t1()
     distinct_roots = set()
@@ -113,11 +118,12 @@ def test_oo7_t1_visits_full_graphs():
 def test_oo7_on_base_thor():
     config = OO7Config.tiny()
     db = OO7Database(config)
-    cluster, transport = build_base_thor(
-        db.num_pages + 4, db.load_into,
+    base = ReplicatedDeployment.build(
+        THOR_SERVICE, num_pages=db.num_pages + 4, db_loader=db.load_into,
         server_config=ThorServerConfig(cache_pages=32, mob_bytes=1 << 20),
-        config=BftConfig(n=4, checkpoint_interval=32), branching=16)
-    client = ThorClient(transport, "bench")
+        config=BftConfig(n=4, checkpoint_interval=32),
+        base_config=BaseServiceConfig(branching=16))
+    client = ThorClient(base.client, "bench")
     client.start_session()
     bench = OO7Benchmark(db, client)
     t1 = bench.t1()
@@ -126,5 +132,5 @@ def test_oo7_on_base_thor():
     t2a = bench.t2a()
     assert t2a.updates > 0
     # All replicas executed the same commits.
-    commits = {r.state.upcalls.server.commits for r in cluster.replicas}
+    commits = {r.state.upcalls.server.commits for r in base.replicas}
     assert commits == {2}
