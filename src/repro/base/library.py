@@ -63,11 +63,12 @@ def build_base_cluster(wrapper_factories: Sequence[Callable[[], Upcalls]],
                             network_config=network_config, costs=costs,
                             replica_costs=replica_costs, tracer=tracer,
                             seed=seed, scheduler=scheduler, network=network)
-    # Wire CPU charging from wrappers through to their replica.  The
-    # recovery check pass accounts its CPU to the recovery manager (it
-    # overlaps fetch round-trips) rather than stalling the protocol.
+    # Wire CPU charging to the replica: the library's own charges and
+    # the wrapper's ``library.charge`` are the replica's ``charge``
+    # itself.  The recovery check pass accounts its CPU to the recovery
+    # manager (it overlaps fetch round-trips), not to the protocol.
     for replica, manager in zip(cluster.replicas, managers):
-        manager.charge_hook = replica.charge
+        manager.charge_hook = manager.upcalls.library.charge = replica.charge
 
         def background(seconds: float, replica=replica) -> None:
             if replica.recovery.recovering:

@@ -84,13 +84,12 @@ class AbstractStateManager(StateManager):
         self.charge_hook: Callable[[float], None] = lambda seconds: None
         self.background_hook: Callable[[float], None] = \
             lambda seconds: self.charge_hook(seconds)
-        upcalls.library = LibraryHandle(self.modify, self._charge)
+        # ``build_base_cluster`` points ``charge_hook`` and the wrapper's
+        # ``library.charge`` at the replica's ``charge`` together.
+        upcalls.library = LibraryHandle(self.modify, self.charge_hook)
         # Initial leaf digests reflect the initial abstract state.
         for i in range(self.size):
             self._tree.set_leaf(i, digest(upcalls.get_obj(i)), 0)
-
-    def _charge(self, seconds: float) -> None:
-        self.charge_hook(seconds)
 
     def _charge_check(self, index: int, value: bytes) -> None:
         """Cost of one get_obj + digest, proportional to object size."""

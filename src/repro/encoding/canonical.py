@@ -34,7 +34,7 @@ def decanonical(data: bytes) -> Any:
     Strict: it succeeds only on bytes that :func:`canonical` produces
     (one byte string per value), and everything else — truncation,
     trailing bytes, an unknown tag, bad UTF-8, an integer not spelled
-    exactly as ``str(int)`` — raises :class:`EncodingError`, so bytes
+    exactly as ``b"%d" % value`` — raises :class:`EncodingError`, so bytes
     from a faulty peer reach a handler through no other exception.
     """
     try:
@@ -78,7 +78,7 @@ def _decode_items(data: bytes, pos: int, count: int):
                 value = _SMALL_INTS.get(body)
                 if value is None:
                     value = int(body)
-                    if str(value).encode() != body:
+                    if b"%d" % value != body:
                         raise EncodingError(f"non-canonical int {body!r}")
                 append(value)
         elif tag == _TAG_L:
@@ -128,7 +128,7 @@ def _encode(value: Any, out: list) -> None:
         if 0 <= value < 4096:
             out.append(_INT_CACHE[value])
         else:
-            body = str(value).encode("ascii")
+            body = b"%d" % value
             out.append(b"I" + len(body).to_bytes(4, "big") + body)
     elif t is tuple or t is list:
         out.append(b"L" + len(value).to_bytes(4, "big"))
@@ -149,7 +149,7 @@ def _encode(value: Any, out: list) -> None:
                 if 0 <= item < 4096:
                     out.append(_INT_CACHE[item])
                 else:
-                    body = str(item).encode("ascii")
+                    body = b"%d" % item
                     out.append(b"I" + len(body).to_bytes(4, "big") + body)
             elif it is bytes:
                 out.append(b"B" + len(item).to_bytes(4, "big") + item)
@@ -178,7 +178,7 @@ def _encode_slow(value: Any, out: list) -> None:
     if isinstance(value, bool):
         out.append(b"T" if value else b"F")
     elif isinstance(value, int):
-        body = str(value).encode("ascii")
+        body = b"%d" % value
         out.append(b"I" + len(body).to_bytes(4, "big") + body)
     elif isinstance(value, float):
         out.append(b"D" + struct.pack(">d", value))
@@ -187,11 +187,11 @@ def _encode_slow(value: Any, out: list) -> None:
     elif isinstance(value, str):
         body = value.encode("utf-8")
         out.append(b"S" + len(body).to_bytes(4, "big") + body)
-    elif isinstance(value, (tuple, list)):
+    elif isinstance(value, (tuple, list)) and not hasattr(value, "_fields"):
         out.append(b"L" + len(value).to_bytes(4, "big"))
         for item in value:
             _encode(item, out)
-    else:
+    else:   # named tuples too: a value record travels as its ``encode()``
         raise EncodingError(f"cannot canonically encode {type(value).__name__}")
 
 

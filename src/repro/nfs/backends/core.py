@@ -184,6 +184,8 @@ class MemoryFilesystem:
 
     def setattr(self, fh: bytes, sattr: Sattr) -> Fattr:
         self.ops_served += 1
+        if min(sattr) < -1:
+            raise NfsError(NfsStatus.NFSERR_IO, "negative sattr field")
         inode = self._inode(fh)
         if sattr.mode != -1:
             inode.mode = sattr.mode
@@ -226,6 +228,8 @@ class MemoryFilesystem:
 
     def read(self, fh: bytes, offset: int, count: int) -> Tuple[bytes, Fattr]:
         self.ops_served += 1
+        if offset < 0 or count < 0:
+            raise NfsError(NfsStatus.NFSERR_IO, "negative offset or count")
         inode = self._inode(fh)
         if inode.ftype == FileType.NFDIR:
             raise NfsError(NfsStatus.NFSERR_ISDIR)
@@ -234,6 +238,8 @@ class MemoryFilesystem:
 
     def write(self, fh: bytes, offset: int, data: bytes) -> Fattr:
         self.ops_served += 1
+        if offset < 0:
+            raise NfsError(NfsStatus.NFSERR_IO, "negative offset")
         inode = self._inode(fh)
         if inode.ftype != FileType.NFREG:
             raise NfsError(NfsStatus.NFSERR_ISDIR)

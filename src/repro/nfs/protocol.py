@@ -13,8 +13,7 @@ answers LINK with NFSERR_PERM; no phase of the Andrew benchmark needs it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import NamedTuple
 
 from repro.errors import ServiceError
 
@@ -92,8 +91,7 @@ READ_ONLY_PROCS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class Fattr:
+class Fattr(NamedTuple):
     """NFSv2 fattr.  Times are in integer microseconds.
 
     In the *abstract* view: ``fsid`` is always 0, ``fileid`` is the
@@ -120,9 +118,7 @@ class Fattr:
         return (self.size + 511) // 512
 
     def encode(self) -> tuple:
-        return (int(self.ftype), self.mode, self.nlink, self.uid, self.gid,
-                self.size, self.fsid, self.fileid, self.atime, self.mtime,
-                self.ctime, self.rdev)
+        return (int(self.ftype),) + self[1:]
 
     @classmethod
     def decode(cls, fields: tuple) -> "Fattr":
@@ -131,16 +127,8 @@ class Fattr:
         return cls(FileType(ftype), mode, nlink, uid, gid, size, fsid,
                    fileid, atime, mtime, ctime, rdev)
 
-    def with_times(self, atime: int = None, mtime: int = None,
-                   ctime: int = None) -> "Fattr":
-        return replace(self,
-                       atime=self.atime if atime is None else atime,
-                       mtime=self.mtime if mtime is None else mtime,
-                       ctime=self.ctime if ctime is None else ctime)
 
-
-@dataclass(frozen=True)
-class Sattr:
+class Sattr(NamedTuple):
     """Settable attributes (NFSv2 sattr); -1 means "don't change"."""
 
     mode: int = -1
@@ -151,16 +139,14 @@ class Sattr:
     mtime: int = -1
 
     def encode(self) -> tuple:
-        return (self.mode, self.uid, self.gid, self.size, self.atime,
-                self.mtime)
+        return tuple(self)
 
     @classmethod
     def decode(cls, fields: tuple) -> "Sattr":
         return cls(*fields)
 
 
-@dataclass(frozen=True)
-class StatfsResult:
+class StatfsResult(NamedTuple):
     """NFSv2 statfs reply body."""
 
     tsize: int      # preferred transfer size
@@ -170,7 +156,7 @@ class StatfsResult:
     bavail: int     # blocks available to non-privileged users
 
     def encode(self) -> tuple:
-        return (self.tsize, self.bsize, self.blocks, self.bfree, self.bavail)
+        return tuple(self)
 
     @classmethod
     def decode(cls, fields: tuple) -> "StatfsResult":

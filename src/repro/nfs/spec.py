@@ -23,8 +23,8 @@ Determinism rules the spec adds on top of RFC 1094:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Tuple
 
 from repro.encoding.xdr import XdrDecoder, XdrEncoder
 from repro.errors import EncodingError
@@ -67,8 +67,7 @@ ROOT_OID = oid_bytes(0, 1)
 # -- abstract objects ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AbstractMeta:
+class AbstractMeta(NamedTuple):
     """Meta-data of a non-null abstract object.
 
     ``parent`` is the array index of the containing directory (the paper
@@ -85,8 +84,7 @@ class AbstractMeta:
     parent: int
 
 
-@dataclass(frozen=True)
-class AbstractObject:
+class AbstractObject(NamedTuple):
     """One decoded entry of the abstract state array."""
 
     ftype: FileType

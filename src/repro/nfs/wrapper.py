@@ -32,7 +32,6 @@ from repro.service.kernel import AbstractService, OpSpec, op
 from repro.nfs.backends.core import MemoryFilesystem
 from repro.nfs.conformance import ConformanceRep
 from repro.nfs.protocol import (
-    Fattr,
     FileType,
     NfsError,
     NfsProc,
@@ -50,6 +49,12 @@ from repro.nfs.spec import (
     oid_bytes,
     oid_parse,
 )
+
+
+#: Offsets, counts and sattr fields are unsigned XDR fields in the
+#: abstract specification (``-1`` is sattr's "don't change"); a negative
+#: one is a malformed request, before Python's slices give it a meaning.
+_NEGATIVE = "negative value in an unsigned field"
 
 
 class NfsConformanceWrapper(AbstractService):
@@ -149,14 +154,15 @@ class NfsConformanceWrapper(AbstractService):
                                f"cannot resolve handle for index {index}")
         return entry.fh
 
-    def _abstract_fattr(self, index: int) -> Fattr:
+    def _abstract_fattr(self, index: int) -> tuple:
+        """The abstract attributes of ``index`` as they travel: the
+        tuple ``Fattr.encode`` gives (fsid 0, fileid the index, rdev 0)."""
         entry = self.rep.entry(index)
         concrete = self.backend.getattr(self._backend_fh(index))
         self._charge_backend("getattr")
-        return Fattr(entry.ftype, concrete.mode, concrete.nlink,
-                     concrete.uid, concrete.gid, concrete.size,
-                     fsid=0, fileid=index, atime=entry.atime,
-                     mtime=entry.mtime, ctime=entry.ctime)
+        return (int(entry.ftype), concrete.mode, concrete.nlink,
+                concrete.uid, concrete.gid, concrete.size, 0, index,
+                entry.atime, entry.mtime, entry.ctime, 0)
 
     def _oid(self, index: int) -> bytes:
         return oid_bytes(index, self.rep.entry(index).gen)
@@ -166,12 +172,14 @@ class NfsConformanceWrapper(AbstractService):
     @op(read_only=True)
     def _op_getattr(self, now: int, fh: bytes) -> tuple:
         index, _ = self._entry_for(fh)
-        return (self._abstract_fattr(index).encode(),)
+        return (self._abstract_fattr(index),)
 
     @op()
     def _op_setattr(self, now: int, fh: bytes, sattr_fields: tuple) -> tuple:
         index, entry = self._entry_for(fh)
         sattr = Sattr.decode(sattr_fields)
+        if min(sattr) < -1:
+            raise ValueError(_NEGATIVE)
         if sattr.size != -1:
             if entry.ftype != FileType.NFREG:
                 raise NfsError(NfsStatus.NFSERR_ISDIR)
@@ -193,7 +201,7 @@ class NfsConformanceWrapper(AbstractService):
             entry.mtime = sattr.mtime
         if sattr.size != -1:
             entry.mtime = now
-        return (self._abstract_fattr(index).encode(),)
+        return (self._abstract_fattr(index),)
 
     @op(read_only=True)
     def _op_lookup(self, now: int, dir_fh: bytes, name: str) -> tuple:
@@ -207,7 +215,7 @@ class NfsConformanceWrapper(AbstractService):
             raise NfsError(NfsStatus.NFSERR_STALE,
                            f"unmapped fileid {fattr.fileid}")
         return (self._oid(child_index),
-                self._abstract_fattr(child_index).encode())
+                self._abstract_fattr(child_index))
 
     @op(read_only=True)
     def _op_readlink(self, now: int, fh: bytes) -> tuple:
@@ -220,15 +228,19 @@ class NfsConformanceWrapper(AbstractService):
 
     @op(read_only=True)
     def _op_read(self, now: int, fh: bytes, offset: int, count: int) -> tuple:
+        if offset < 0 or count < 0:
+            raise ValueError(_NEGATIVE)
         index, entry = self._entry_for(fh)
         data, _ = self.backend.read(self._backend_fh(index), offset, count)
         self._charge_backend("read", len(data))
         # Abstract spec: reads do not update atime (keeps reads read-only).
-        return (data, self._abstract_fattr(index).encode())
+        return (data, self._abstract_fattr(index))
 
     @op()
     def _op_write(self, now: int, fh: bytes, offset: int,
                   data: bytes) -> tuple:
+        if offset < 0:
+            raise ValueError(_NEGATIVE)
         index, entry = self._entry_for(fh)
         if entry.ftype != FileType.NFREG:
             raise NfsError(NfsStatus.NFSERR_ISDIR)
@@ -243,7 +255,7 @@ class NfsConformanceWrapper(AbstractService):
         self._charge_backend("write", len(data))
         self.rep.update_size(index, max(current_size, end) + 64)
         entry.mtime = entry.ctime = now
-        return (self._abstract_fattr(index).encode(),)
+        return (self._abstract_fattr(index),)
 
     @op()
     def _op_create(self, now: int, dir_fh: bytes, name: str,
@@ -272,6 +284,8 @@ class NfsConformanceWrapper(AbstractService):
         if len(name.encode("utf-8")) > self.spec.max_name_len:
             raise NfsError(NfsStatus.NFSERR_NAMETOOLONG, name)
         sattr = Sattr.decode(sattr_fields)
+        if min(sattr) < -1:
+            raise ValueError(_NEGATIVE)
         initial_size = max(0, sattr.size) if ftype == FileType.NFREG else 0
         if initial_size > self.spec.max_file_size:
             raise NfsError(NfsStatus.NFSERR_FBIG)
@@ -309,7 +323,7 @@ class NfsConformanceWrapper(AbstractService):
         dir_entry.mtime = dir_entry.ctime = now
         self.rep.update_size(dir_index, dir_entry.abstract_size +
                              len(name.encode("utf-8")) + 16)
-        return (self._oid(index), self._abstract_fattr(index).encode())
+        return (self._oid(index), self._abstract_fattr(index))
 
     @op()
     def _op_remove(self, now: int, dir_fh: bytes, name: str) -> tuple:

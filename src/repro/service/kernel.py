@@ -34,6 +34,13 @@ TXN_ABORT = "__abort__"
 TXN_TAG = "__txn__"
 _TXN_OPS = frozenset((TXN_PREPARE, TXN_COMMIT, TXN_ABORT))
 
+#: ``(op, kind, args)`` of the op ``execute`` decoded last, shared by
+#: every service instance: a request is one bytes object at all of a
+#: group's replicas, so the first to execute it decodes for the rest.
+#: Matched by identity, never by value — an object that is still
+#: referenced cannot have become other bytes.
+_last_decoded: Tuple[Optional[bytes], Any, tuple] = (None, None, ())
+
 
 class OpSpec:
     """One registered operation of a service's abstract specification."""
@@ -134,12 +141,16 @@ class AbstractService(Upcalls):
 
     def execute(self, op: bytes, client_id: str, nondet: bytes,
                 read_only: bool = False) -> bytes:
-        kind: Any = None
-        try:
-            decoded = decanonical(op)
-            kind, args = decoded[0], tuple(decoded[1:])
-        except Exception:
-            return canonical(self.malformed_reply(kind, None))
+        global _last_decoded
+        last_op, kind, args = _last_decoded
+        if op is not last_op:
+            kind = None
+            try:
+                decoded = decanonical(op)
+                kind, args = decoded[0], tuple(decoded[1:])
+            except Exception:
+                return canonical(self.malformed_reply(kind, None))
+            _last_decoded = (op, kind, args)
         if isinstance(kind, str) and kind in _TXN_OPS:
             return self._execute_txn(kind, args, client_id, nondet, read_only)
         key = self.op_key(kind) if isinstance(kind, str) else None

@@ -16,6 +16,11 @@ at most once however many replicas handle it.
 The third is the same fence for the BASE-SQL path (two engine kinds,
 checkpoints, a state transfer), plus the budget of an insert: constant
 work in the conformance rep however many rows the table holds.
+
+The fourth is the fence for the BASEFS path (Andrew over the four vendor
+backends, five checkpoints), plus the budget of a LOOKUP: per replica
+the backend calls the wrapper has always made and no value record but
+the backend's own, and one decode of the op for the whole group.
 """
 
 import hashlib
@@ -25,15 +30,25 @@ from collections import Counter
 
 import repro.base.mappings as mappings
 import repro.bft.messages as messages
+import repro.service.kernel as kernel
+from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
 from repro.bft.statemachine import InMemoryStateManager
 from repro.encoding.canonical import canonical, decanonical
 from repro.harness.cluster import build_cluster
-from repro.harness.costs import PROTOCOL_COSTS, lan_network, replica_costs
+from repro.harness.costs import (CHECKPOINT_COST, PER_OBJECT_CHECK_COST,
+                                 PROTOCOL_COSTS, lan_network, replica_costs,
+                                 vendor_profile)
+from repro.nfs.backends import ALL_BACKENDS
+from repro.nfs.client import NfsClient
+from repro.nfs.protocol import Fattr, NfsProc, Sattr, StatfsResult
+from repro.nfs.service import NFS_SERVICE
+from repro.nfs.spec import AbstractMeta, AbstractObject, AbstractSpecConfig
 from repro.service.deploy import ReplicatedDeployment
 from repro.sql.engine import BTreeStoreEngine, HashStoreEngine
 from repro.sql.service import SQL_SERVICE
 from repro.sql.wrapper import SqlConformanceWrapper
+from repro.workloads.andrew import AndrewBenchmark, AndrewConfig
 
 SEED = 7
 CLIENTS = 4
@@ -249,3 +264,88 @@ def test_insert_work_does_not_grow_with_the_table():
     assert large["mapping"] == small["mapping"] > 0
     # ``engine.tables()`` sorts the catalog (one table): nothing else may.
     assert large["sorted"] == small["sorted"] <= 1
+
+
+# -- the BASEFS path -------------------------------------------------------------
+
+NFS_SEED = 13
+
+
+def build_basefs():
+    """BASEFS over the four vendor backends, a checkpoint every 16
+    requests, every cost the Andrew tables charge switched on."""
+    return ReplicatedDeployment.build(
+        NFS_SERVICE, list(ALL_BACKENDS),
+        config=BftConfig(n=4, checkpoint_interval=16),
+        base_config=BaseServiceConfig(
+            per_object_check_cost=PER_OBJECT_CHECK_COST,
+            checkpoint_cost=CHECKPOINT_COST),
+        network_config=lan_network(NFS_SEED), replica_costs=replica_costs(),
+        client_id="nfs-client", seed=NFS_SEED,
+        spec=AbstractSpecConfig(array_size=256),
+        profiles=[vendor_profile(cls.vendor) for cls in ALL_BACKENDS])
+
+
+def test_basefs_simulated_outcome_is_pinned():
+    deployment = build_basefs()
+    cluster = deployment.cluster
+    result = AndrewBenchmark(NfsClient(deployment.client, attr_ttl=30.0),
+                             AndrewConfig(copies=1)).run()
+    cluster.run(0.5)
+    assert result.ops_issued == 244
+    assert result.total == 0.8926625813875071
+    assert cluster.scheduler.events_run == 3923
+    assert cluster.network.messages_sent == 3902
+    assert cluster.network.bytes_sent == 1073305
+    assert cluster.scheduler.now == 1.392662581387507
+    assert [r.state.last_checkpoint_seq for r in cluster.replicas] == [80] * 4
+    assert {r.state.checkpoint_history[-1][1].hex()
+            for r in cluster.replicas} == {
+        "4fc78e72e775d7beeba941fef746c06aa82da7b1c094589e7cb9d44d0b17c9c0"}
+    assert dict(cluster.tracer.counters) == {
+        "checkpoint_stable": 20, "checkpoint_taken": 20, "committed": 328,
+        "executed": 328, "pre_prepare_sent": 82, "prepared": 328,
+        "read_only_executed": 648, "result_accepted": 244}
+
+
+def test_lookup_work_is_the_backend_calls_and_one_decode(monkeypatch):
+    """Count calls, not seconds: a LOOKUP costs each replica its
+    backend's ``lookup`` and ``getattr`` and the two ``Fattr``s those
+    build; the wrapper builds no value record of its own, and the four
+    replicas share one decode of the op bytes."""
+    deployment = build_basefs()
+    transport, replicas = deployment.client, deployment.cluster.replicas
+    backends = [r.state.upcalls.backend for r in replicas]
+    root = transport.root_fh()
+    transport.call(NfsProc.MKDIR, root, "src", (0o755, 0, 0, -1, -1, -1))
+    deployment.cluster.run(0.1)
+
+    # Every way an instance comes to be: the class call and ``_make``.
+    records = (Fattr, Sattr, StatfsResult, AbstractMeta, AbstractObject)
+    builders = {fn.__code__: cls.__name__ for cls in records
+                for fn in (cls.__new__, cls._make.__func__)}
+    built, decoded = Counter(), []
+    real_decanonical = kernel.decanonical
+
+    def counting_decanonical(data):
+        decoded.append(data)
+        return real_decanonical(data)
+
+    monkeypatch.setattr(kernel, "decanonical", counting_decanonical)
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code in builders:
+            built[builders[frame.f_code]] += 1
+
+    served = [backend.ops_served for backend in backends]
+    sys.setprofile(profiler)
+    try:
+        oid, fattr = transport.call(NfsProc.LOOKUP, root, "src",
+                                    read_only=True)
+    finally:
+        sys.setprofile(None)
+    assert (oid, fattr[0], fattr[7]) == (b"\0\0\0\1\0\0\0\1", 2, 1)
+    assert [backend.ops_served - before
+            for backend, before in zip(backends, served)] == [2] * 4
+    assert built == {"Fattr": 8}
+    assert decoded == [canonical(("lookup", root, "src"))]

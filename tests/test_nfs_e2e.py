@@ -7,7 +7,7 @@ from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
 from repro.nfs.backends import ALL_BACKENDS, LinuxExt2Backend
 from repro.nfs.client import NfsClient
-from repro.nfs.protocol import NfsError, NfsStatus
+from repro.nfs.protocol import NfsError, NfsProc, NfsStatus
 from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig
 from repro.service.deploy import ReplicatedDeployment, UnreplicatedDeployment
@@ -157,3 +157,46 @@ def test_basefs_and_nfs_std_give_identical_results():
     a = base_fs.getattr("/proj/README.md")
     b = std_fs.getattr("/proj/README.md")
     assert (a.ftype, a.mode, a.size) == (b.ftype, b.mode, b.size)
+
+
+# -- regression: negative values in unsigned fields -----------------------------
+
+
+def _hostile_calls(fs: NfsClient):
+    """A ten-byte file, then every op that takes an unsigned field with
+    a negative one: each must fail, and the file must read back whole."""
+    fs.write_file("/f", b"0123456789")
+    fh, call = fs._resolve("/f"), fs.transport.call
+    outcomes = []
+    for proc, args in [
+            (NfsProc.WRITE, (fh, -3, b"ABCDE")),
+            (NfsProc.READ, (fh, -2, 4)),
+            (NfsProc.READ, (fh, 0, -2)),
+            (NfsProc.SETATTR, (fh, (-1, -1, -1, -5, -1, -1))),
+            (NfsProc.SETATTR, (fh, (-7, -1, -1, -1, -1, -1)))]:
+        with pytest.raises(NfsError) as err:
+            call(proc, *args)
+        outcomes.append(err.value.status)
+    fs.drop_caches()
+    assert fs.read_file("/f") == b"0123456789"
+    assert fs.getattr("/f").size == 10
+    return outcomes
+
+
+def test_basefs_refuses_negative_unsigned_fields(heterogeneous):
+    cluster, fs = heterogeneous
+    assert _hostile_calls(fs) == [NfsStatus.NFSERR_IO] * 5
+    cluster.run(1.0)
+    for replica in cluster.replicas:
+        wrapper = replica.state.upcalls
+        index = wrapper.rep.fileid_to_index[
+            wrapper.backend.find_ino("f")]
+        assert wrapper.rep.entry(index).abstract_size == 74
+        assert wrapper.rep.bytes_used == 64 + 16 + 1 + 74
+        assert b"0123456789" in wrapper.get_obj(index)
+
+
+@pytest.mark.parametrize("backend_cls", ALL_BACKENDS, ids=lambda c: c.vendor)
+def test_nfs_std_refuses_negative_unsigned_fields(backend_cls):
+    std = UnreplicatedDeployment.build(NFS_SERVICE, backend_cls)
+    assert _hostile_calls(NfsClient(std.client)) == [NfsStatus.NFSERR_IO] * 5

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.encoding.canonical import canonical
 from repro.errors import EncodingError
-from repro.nfs.protocol import FileType
+from repro.nfs.protocol import Fattr, FileType, Sattr, StatfsResult
 from repro.nfs.spec import (
     AbstractMeta,
     AbstractObject,
@@ -114,3 +115,72 @@ def test_directory_roundtrip_property(entries):
     entries = tuple(sorted(entries, key=lambda e: e[0]))
     obj = AbstractObject(FileType.NFDIR, 1, META, entries=entries)
     assert decode_object(encode_object(obj)).entries == entries
+
+
+# -- the five value records ---------------------------------------------------------
+#
+# (class, field names in order, defaults of the trailing fields, a sample,
+# encode, decode).  The abstract-state pair has no codec of its own: it
+# travels inside ``encode_object``.
+
+def _meta_via_object(meta):
+    return encode_object(AbstractObject(FileType.NFREG, 1, meta))
+
+
+RECORDS = [
+    (Fattr,
+     ("ftype", "mode", "nlink", "uid", "gid", "size", "fsid", "fileid",
+      "atime", "mtime", "ctime", "rdev"), {"rdev": 0},
+     Fattr(FileType.NFREG, 0o644, 1, 10, 20, 3000, 0, 7, 1_000_001,
+           2_000_002, 3_000_003),
+     Fattr.encode, Fattr.decode),
+    (Sattr, ("mode", "uid", "gid", "size", "atime", "mtime"),
+     dict.fromkeys(("mode", "uid", "gid", "size", "atime", "mtime"), -1),
+     Sattr(mode=0o600, size=12), Sattr.encode, Sattr.decode),
+    (StatfsResult, ("tsize", "bsize", "blocks", "bfree", "bavail"), {},
+     StatfsResult(8192, 4096, 65536, 65000, 65000),
+     StatfsResult.encode, StatfsResult.decode),
+    (AbstractMeta,
+     ("mode", "uid", "gid", "atime", "mtime", "ctime", "parent"), {},
+     META, _meta_via_object, lambda blob: decode_object(blob).meta),
+    (AbstractObject, ("ftype", "gen", "meta", "data", "entries", "target"),
+     {"meta": None, "data": b"", "entries": (), "target": ""},
+     AbstractObject(FileType.NFDIR, 2, META, entries=(("a", 1, 1),)),
+     encode_object, decode_object),
+]
+
+
+@pytest.mark.parametrize("cls, names, defaults, sample, encode, decode",
+                         RECORDS, ids=[row[0].__name__ for row in RECORDS])
+def test_value_record_contract(cls, names, defaults, sample, encode, decode):
+    # Field order and defaults.
+    required = len(names) - len(defaults)
+    positional = cls(*range(len(names)))
+    assert [getattr(positional, name) for name in names] == \
+        list(range(len(names)))
+    short = cls(*range(required))
+    assert {name: getattr(short, name) for name in names[required:]} == \
+        defaults
+    # The codec is the identity on values.
+    assert decode(encode(sample)) == sample
+    # Equality and hash by value; no assignment.
+    twin = cls(*(getattr(sample, name) for name in names))
+    assert twin is not sample and twin == sample
+    assert hash(twin) == hash(sample)
+    assert positional != sample
+    with pytest.raises(AttributeError):
+        setattr(sample, names[0], 0)
+    # Wrong arity is a TypeError (the kernel's malformed-request reply).
+    with pytest.raises(TypeError):
+        cls(*range(len(names) + 1))
+    if required:
+        with pytest.raises(TypeError):
+            cls(*range(required - 1))
+    if cls in (Sattr, StatfsResult):
+        with pytest.raises(TypeError):
+            cls.decode(tuple(range(len(names) + 1)))
+    # A record is not a wire value: only its ``encode()`` tuple is.
+    with pytest.raises(EncodingError):
+        canonical(sample)
+    with pytest.raises(EncodingError):
+        canonical((0, sample))

@@ -265,3 +265,49 @@ def test_put_objs_rename_in_place_preserves_unshipped_data():
     assert b.abstract_state() == after
     fh_b = b.ok("lookup", ROOT_OID, "new-name", read_only=True)[0]
     assert b.ok("read", fh_b, 0, 100, read_only=True)[0] == b"precious data"
+
+
+# -- regression: negative values in unsigned fields -----------------------------
+#
+# offset, count and the sattr fields are unsigned on the wire of the
+# abstract specification.  Unchecked, Python's negative slices gave them
+# a meaning: WRITE at offset -3 *inserted* bytes without moving the
+# virtual-capacity accounting, SETATTR size=-5 truncated from the end and
+# recorded an abstract size below the 64-byte floor, READ count=-2
+# returned all but the last two bytes.
+
+def test_negative_unsigned_fields_are_malformed_on_every_backend():
+    malformed = canonical((int(NfsStatus.NFSERR_IO), "malformed request"))
+    for backend_cls in ALL_BACKENDS:
+        h = WrapperHarness(backend_cls)
+        fh, _ = h.ok("create", ROOT_OID, "f", SATTR_FILE)
+        h.ok("write", fh, 0, b"0123456789")
+        entry = h.wrapper.rep.entry(1)
+        state = h.abstract_state()
+        before = (h.wrapper.rep.bytes_used, entry.abstract_size,
+                  h.wrapper.backend.ops_served)
+        assert entry.abstract_size == 74
+        modified = []
+        h.wrapper.library.modify = modified.append
+        hostile = [
+            ("write", fh, -3, b"ABCDE"),
+            ("read", fh, -2, 4),
+            ("read", fh, 0, -2),
+            ("setattr", fh, (-1, -1, -1, -5, -1, -1)),
+            ("setattr", fh, (-7, -1, -1, -1, -1, -1)),
+            ("setattr", fh, (-1, -1, -1, -1, -1, -2)),
+            ("create", ROOT_OID, "g", (0o644, 0, 0, -2, -1, -1)),
+            ("mkdir", ROOT_OID, "d", (0o755, -9, 0, -1, -1, -1)),
+            ("symlink", ROOT_OID, "l", "f", (0o777, 0, -3, -1, -1, -1)),
+        ]
+        # One envelope, byte for byte, whatever the vendor underneath.
+        for op in hostile:
+            h.clock += 1.0
+            assert h.wrapper.execute(canonical(op), "client",
+                                     ClockValue.encode(h.clock)) == malformed
+        # Refused before ``modify`` and before any backend call.
+        assert modified == []
+        assert (h.wrapper.rep.bytes_used, entry.abstract_size,
+                h.wrapper.backend.ops_served) == before
+        assert h.abstract_state() == state
+        assert h.ok("read", fh, 0, 64, read_only=True)[0] == b"0123456789"

@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from repro.encoding.canonical import canonical, decanonical
 from repro.service.conformance import (
     BATTERY,
     CONSISTENCY_MODES,
@@ -62,6 +63,40 @@ def test_restart_survival(name):
 @pytest.mark.parametrize("name", probe_names())
 def test_txn_framing(name):
     check_txn_framing(get_probe(name))
+
+
+@pytest.mark.parametrize("name", probe_names())
+def test_decoded_op_memo_cannot_leak_across_requests(name):
+    """``AbstractService.execute`` reuses its last decode when handed the
+    same bytes *object*.  One wrapper is fed the script below with every
+    op object reused (a warm entry wherever one can exist), its twin gets
+    a fresh copy of the bytes each time (never a warm entry): every reply
+    and the final abstract states must be byte-identical."""
+    probe = get_probe(name)
+    warm, cold = probe.driver(0), probe.driver(0)
+    for driver in (warm, cold):
+        probe.workload(driver)
+    mutate = canonical(probe.mutating_op)
+    read = canonical(probe.read_only_op or probe.mutating_op)
+    commit = canonical(("__commit__", "txn-memo", (mutate,)))
+    script = [
+        (mutate, True), (mutate, False),        # one object, both paths
+        (bytes(bytearray(mutate)), False),      # equal bytes, another object
+        (read, True), (read, False),
+        (b"\xff" * len(read), True), (read, True),   # undecodable, then good
+        (commit, False), (commit, False),       # sub-ops re-enter execute
+        (mutate, False), (read, True),
+    ]
+    # One run after the other: the entry is shared by the whole process.
+    warm_replies = [warm.raw(op, read_only) for op, read_only in script]
+    cold_replies = [cold.raw(bytes(bytearray(op)), read_only)
+                    for op, read_only in script]
+    assert warm_replies == cold_replies
+    assert warm.snapshot() == cold.snapshot()
+    # The undecodable op drew an error and stored nothing: the read after
+    # it answers as the read before it did.
+    assert probe.is_error(decanonical(warm_replies[5]))
+    assert warm_replies[6] == warm_replies[3]
 
 
 def _build_sharded(definition, **options):
