@@ -1,9 +1,8 @@
 """Schema-validated JSON reports for ProtoLint runs.
 
-Mirrors the FaultLab/perf-harness report discipline: a versioned
-document with an explicit field schema, validated at the producer, so
-the CI artifact is machine-readable and drift is caught where it is
-introduced.
+The same discipline as FaultLab's reports: a versioned document with
+an explicit field schema, validated at the producer, so the CI artifact
+is machine-readable and drift is caught where it is introduced.
 """
 
 from __future__ import annotations

@@ -92,9 +92,6 @@ class SlotAllocator:
     def is_used(self, index: int) -> bool:
         return index in self._used
 
-    def used_slots(self) -> Iterator[int]:
-        return iter(sorted(self._used))
-
 
 class KeyedArrayMapping(Generic[K]):
     """Service keys ↔ abstract array slots, built on :class:`SlotAllocator`.

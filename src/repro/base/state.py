@@ -172,14 +172,6 @@ class AbstractStateManager(StateManager):
         record = self._records.get(seq)
         return record.snapshot.root_digest if record else None
 
-    def version_vector(self, seq: int) -> Optional[Tuple[int, bytes]]:
-        """The ``(checkpoint_seq, abstract-state digest)`` pair a replica
-        embeds in edge staleness evidence, for a retained checkpoint."""
-        record = self._records.get(seq)
-        if record is None:
-            return None
-        return (seq, record.snapshot.root_digest)
-
     def restore_checkpoint(self, seq: int) -> bool:
         record = self._records.get(seq)
         if record is None:

@@ -164,14 +164,6 @@ class Replica(Node):
         return self.config.primary_of(self.view)
 
     @property
-    def low_mark(self) -> int:
-        return self.last_stable
-
-    @property
-    def high_mark(self) -> int:
-        return self.last_stable + self._log_window
-
-    @property
     def committed_frontier(self) -> int:
         """Highest seq whose execution is durable.  A stable checkpoint
         counts even if the executions under it were tentative: stability
@@ -190,11 +182,6 @@ class Replica(Node):
         if value is not HONEST:
             value.bind(self)
         self._behavior = value
-
-    @property
-    def normal_operation(self) -> bool:
-        return (not self.view_changes.active and not self.recovery.recovering
-                and not self.transfer.active)
 
     def send(self, dst, msg, size=None):
         """Send with the Byzantine rewrite hook applied.  An honest

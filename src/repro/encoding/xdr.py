@@ -62,10 +62,6 @@ class XdrEncoder:
     def pack_bool(self, value: bool) -> "XdrEncoder":
         return self.pack_uint(1 if value else 0)
 
-    def pack_double(self, value: float) -> "XdrEncoder":
-        self._parts.append(struct.pack(">d", value))
-        return self
-
     def pack_fixed_opaque(self, data: bytes, size: int) -> "XdrEncoder":
         if len(data) != size:
             raise EncodingError(f"fixed opaque: expected {size} bytes, got {len(data)}")
@@ -134,9 +130,6 @@ class XdrDecoder:
         if value not in (0, 1):
             raise EncodingError(f"bool must be 0 or 1, got {value}")
         return bool(value)
-
-    def unpack_double(self) -> float:
-        return struct.unpack(">d", self._take(8))[0]
 
     def unpack_fixed_opaque(self, size: int) -> bytes:
         data = self._take(size)

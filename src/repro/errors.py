@@ -5,14 +5,6 @@ class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
 
-class ProtocolError(ReproError):
-    """A replica or client received a malformed or invalid protocol message."""
-
-
-class AuthenticationError(ProtocolError):
-    """A MAC or signature failed verification."""
-
-
 class ConfigurationError(ReproError):
     """Invalid replication/service configuration (e.g. n < 3f + 1)."""
 

@@ -1,8 +1,8 @@
 """Schema-validated JSON reports for FaultLab runs.
 
-Mirrors the perf harness's report discipline: a versioned document with
-an explicit field schema, validated before anything writes it, so the CI
-artifact is machine-readable and drift is caught at the producer.
+A versioned document with an explicit field schema, validated before
+anything writes it, so the CI artifact is machine-readable and drift is
+caught at the producer.
 """
 
 from __future__ import annotations

@@ -46,12 +46,11 @@ def repo_root() -> Path:
 
 def package_lines() -> Dict[str, int]:
     """Physical lines of ``*.py`` (what ``wc -l`` counts) in every
-    ``src/repro`` package and in the two benchmark harnesses."""
+    ``src/repro`` package and in the perf ledger."""
     packages = {path.name: path
                 for path in sorted((repo_root() / "repro").iterdir())
                 if (path / "__init__.py").exists()}
-    for name in ("benchmarks/ledger", "benchmarks/perf"):
-        packages[name] = repo_root().parent / name
+    packages["benchmarks/ledger"] = repo_root().parent / "benchmarks/ledger"
     return {name: sum(source.read_text().count("\n")
                       for source in path.rglob("*.py"))
             for name, path in packages.items()}

@@ -65,11 +65,6 @@ def overhead_pct(measured: float, baseline: float) -> float:
     return 100.0 * (measured - baseline) / baseline
 
 
-def shape_note(label: str, measured_pct: float, paper_pct: float) -> str:
-    return (f"{label}: measured +{measured_pct:.0f}% vs paper "
-            f"+{paper_pct:.0f}% (shape check)")
-
-
 def assert_shape(description: str, measured_pct: float, low: float,
                  high: float) -> None:
     """Benchmarks assert overheads land in a generous band around the

@@ -184,8 +184,8 @@ class MemoryFilesystem:
 
     def setattr(self, fh: bytes, sattr: Sattr) -> Fattr:
         self.ops_served += 1
-        if min(sattr) < -1:
-            raise NfsError(NfsStatus.NFSERR_IO, "negative sattr field")
+        if not sattr.in_range():
+            raise NfsError(NfsStatus.NFSERR_IO, "sattr field out of range")
         inode = self._inode(fh)
         if sattr.mode != -1:
             inode.mode = sattr.mode
@@ -273,6 +273,8 @@ class MemoryFilesystem:
     def _make(self, dir_fh: bytes, name: str, sattr: Sattr,
               ftype: FileType) -> Tuple[bytes, Fattr]:
         self.ops_served += 1
+        if not sattr.in_range():
+            raise NfsError(NfsStatus.NFSERR_IO, "sattr field out of range")
         directory = self._dir(dir_fh)
         self._check_name(name)
         if name in directory.children:

@@ -124,10 +124,3 @@ class ConformanceRep:
         entry = self.entries[index]
         self.bytes_used += abstract_size - entry.abstract_size
         entry.abstract_size = abstract_size
-
-    def invalidate_all_handles(self) -> None:
-        """After a server reboot handles may have changed; drop them all
-        (they are re-resolved from <fsid,fileid> during recovery)."""
-        self.fh_to_index.clear()
-        for entry in self.entries:
-            entry.fh = None

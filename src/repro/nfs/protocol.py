@@ -145,6 +145,14 @@ class Sattr(NamedTuple):
     def decode(cls, fields: tuple) -> "Sattr":
         return cls(*fields)
 
+    def in_range(self) -> bool:
+        """Every field is -1 or fits the unsigned XDR field the abstract
+        object packs it into: uint ``mode``/``uid``/``gid``, uhyper
+        ``atime``/``mtime`` (``size`` is bounded by capacity instead)."""
+        return (min(self) >= -1
+                and max(self.mode, self.uid, self.gid) <= 0xFFFFFFFF
+                and max(self.atime, self.mtime) <= 0xFFFFFFFFFFFFFFFF)
+
 
 class StatfsResult(NamedTuple):
     """NFSv2 statfs reply body."""

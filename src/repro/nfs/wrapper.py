@@ -52,9 +52,11 @@ from repro.nfs.spec import (
 
 
 #: Offsets, counts and sattr fields are unsigned XDR fields in the
-#: abstract specification (``-1`` is sattr's "don't change"); a negative
-#: one is a malformed request, before Python's slices give it a meaning.
-_NEGATIVE = "negative value in an unsigned field"
+#: abstract specification (``-1`` is sattr's "don't change").  A value
+#: outside its field is a malformed request: refused before Python's
+#: slices give a negative one a meaning, and before one too wide is
+#: stored where the next ``get_obj`` cannot pack it.
+_OUT_OF_RANGE = "value outside its unsigned XDR field"
 
 
 class NfsConformanceWrapper(AbstractService):
@@ -178,8 +180,8 @@ class NfsConformanceWrapper(AbstractService):
     def _op_setattr(self, now: int, fh: bytes, sattr_fields: tuple) -> tuple:
         index, entry = self._entry_for(fh)
         sattr = Sattr.decode(sattr_fields)
-        if min(sattr) < -1:
-            raise ValueError(_NEGATIVE)
+        if not sattr.in_range():
+            raise ValueError(_OUT_OF_RANGE)
         if sattr.size != -1:
             if entry.ftype != FileType.NFREG:
                 raise NfsError(NfsStatus.NFSERR_ISDIR)
@@ -229,7 +231,7 @@ class NfsConformanceWrapper(AbstractService):
     @op(read_only=True)
     def _op_read(self, now: int, fh: bytes, offset: int, count: int) -> tuple:
         if offset < 0 or count < 0:
-            raise ValueError(_NEGATIVE)
+            raise ValueError(_OUT_OF_RANGE)
         index, entry = self._entry_for(fh)
         data, _ = self.backend.read(self._backend_fh(index), offset, count)
         self._charge_backend("read", len(data))
@@ -240,7 +242,7 @@ class NfsConformanceWrapper(AbstractService):
     def _op_write(self, now: int, fh: bytes, offset: int,
                   data: bytes) -> tuple:
         if offset < 0:
-            raise ValueError(_NEGATIVE)
+            raise ValueError(_OUT_OF_RANGE)
         index, entry = self._entry_for(fh)
         if entry.ftype != FileType.NFREG:
             raise NfsError(NfsStatus.NFSERR_ISDIR)
@@ -284,8 +286,8 @@ class NfsConformanceWrapper(AbstractService):
         if len(name.encode("utf-8")) > self.spec.max_name_len:
             raise NfsError(NfsStatus.NFSERR_NAMETOOLONG, name)
         sattr = Sattr.decode(sattr_fields)
-        if min(sattr) < -1:
-            raise ValueError(_NEGATIVE)
+        if not sattr.in_range():
+            raise ValueError(_OUT_OF_RANGE)
         initial_size = max(0, sattr.size) if ftype == FileType.NFREG else 0
         if initial_size > self.spec.max_file_size:
             raise NfsError(NfsStatus.NFSERR_FBIG)

@@ -366,11 +366,6 @@ BATTERY: Tuple[Callable[[ServiceProbe], None], ...] = (
 )
 
 
-def run_battery(probe: ServiceProbe) -> None:
-    for check in BATTERY:
-        check(probe)
-
-
 # -- probes ------------------------------------------------------------------------
 
 _SATTR_FILE = (0o644, 0, 0, -1, -1, -1)

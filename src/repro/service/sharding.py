@@ -261,9 +261,6 @@ class ShardedDeployment(Deployment):
             merged.merge(shard.metrics, prefix=f"shard{i}.")
         return merged
 
-    def shard_metrics(self, index: int) -> Metrics:
-        return self.shards[index].metrics
-
     @classmethod
     def build(cls, definition: ServiceDefinition, num_shards: int,
               backend_classes: Optional[Sequence[Optional[type]]] = None,

@@ -63,9 +63,6 @@ class Network:
         """Attach a node; it must expose ``on_message(src, msg)``."""
         self._nodes[node_id] = node
 
-    def unregister(self, node_id: Any) -> None:
-        self._nodes.pop(node_id, None)
-
     def node_ids(self) -> Iterable[Any]:
         return self._nodes.keys()
 

@@ -74,7 +74,7 @@ class Scheduler:
         self._queue: List[_Entry] = []
         self._halted = False
         self._cancelled = 0   # cancelled events still sitting in the queue
-        self.events_run = 0   # cumulative executed events (perf harness)
+        self.events_run = 0   # cumulative executed events
 
     @property
     def now(self) -> float:

@@ -13,7 +13,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.sim.metrics import Histogram, Metrics, Span
+from repro.sim.metrics import Metrics, Span
 
 #: The normal-case phase taxonomy, in protocol order.  Each entry is a
 #: histogram named ``phase.<name>`` in the tracer's metrics registry;
@@ -149,10 +149,3 @@ class Tracer:
         clock = self._clock
         return self.metrics.span(name, clock) if clock is not None \
             else self.metrics.span(name)
-
-    def phase_histograms(self) -> List[Tuple[str, Histogram]]:
-        """All ``phase.*`` histograms, in protocol order then by name."""
-        known = {f"phase.{p}": i for i, p in enumerate(PHASES)}
-        items = self.metrics.histograms_with_prefix("phase.")
-        return sorted(items, key=lambda kv: (known.get(kv[0], len(known)),
-                                             kv[0]))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 
 class InvalidSets:
@@ -20,9 +20,6 @@ class InvalidSets:
 
     def end_client(self, client_id: str) -> None:
         self._sets.pop(client_id, None)
-
-    def active_clients(self) -> List[str]:
-        return sorted(self._sets)
 
     def is_active(self, client_id: str) -> bool:
         return client_id in self._sets

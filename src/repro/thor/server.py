@@ -168,7 +168,3 @@ class ThorServer:
         self.mob.discard_page(page.pagenum)
         self.disk.write(page)
         self.cache.put(page.copy())
-
-    def max_pagenum(self) -> int:
-        pagenums = self.disk.pagenums()
-        return pagenums[-1] if pagenums else 0

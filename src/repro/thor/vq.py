@@ -71,9 +71,6 @@ class ValidationQueue:
         self.entries[victim] = VqEntry(timestamp, reads, writes)
         return victim
 
-    def entry_at(self, index: int) -> Optional[VqEntry]:
-        return self.entries[index]
-
     def find_by_timestamp(self, timestamp: int) -> Optional[VqEntry]:
         for entry in self.entries:
             if entry is not None and entry.timestamp == timestamp:

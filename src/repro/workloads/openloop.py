@@ -1,7 +1,7 @@
 """Open-loop traffic engine: the million-user front door.
 
-Every other workload in this repo (Andrew, OO7, microbench, the perf
-harness) is *closed-loop*: a handful of clients issue the next request
+Every other workload in this repo (Andrew, OO7, microbench) is
+*closed-loop*: a handful of clients issue the next request
 only after the previous one completes, so the offered load politely
 adapts to the system and queueing collapse is structurally invisible.
 Real front doors are open-loop — arrivals fire on their own schedule
@@ -569,6 +569,19 @@ class LoadCurve:
         rate at the knee (0.0 when nothing was sustainable)."""
         knee = self.knee
         return knee.achieved_rate if knee is not None else 0.0
+
+    def check(self) -> None:
+        """Raise ``ValueError`` unless the points are one monotone sweep
+        through the knee: a sweep that never crossed it measured nothing."""
+        rates = [p.offered_rate for p in self.points]
+        if any(b <= a for a, b in zip(rates, rates[1:])):
+            raise ValueError("offered rates must be a strictly increasing "
+                             "(monotone) sweep")
+        if not any(p.sustainable for p in self.points):
+            raise ValueError("no sustainable point: lower the starting rate")
+        if all(p.sustainable for p in self.points):
+            raise ValueError("never crossed the knee: raise max_points or "
+                             "the load factor")
 
     def as_dict(self) -> Dict[str, Any]:
         knee = self.knee

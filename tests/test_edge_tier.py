@@ -1,10 +1,13 @@
 """EdgeTier: the lease cache, the circuit breaker, and the full
 degradation ladder (LINEARIZABLE -> BOUNDED_STALE -> LAST_KNOWN_GOOD)
-over a live cluster, including re-promotion after the partition heals.
+over a live cluster, including re-promotion after the partition heals,
+and the tier's reason to exist as an exact count: a read served from the
+lease cache runs no event, sends no message and takes no simulated time.
 """
 
 import pytest
 
+from repro.bft.config import BftConfig
 from repro.bft.statemachine import InMemoryStateManager
 from repro.crypto.digest import digest
 from repro.edge import (
@@ -24,6 +27,8 @@ from repro.edge import (
     ReadLease,
     StalenessEvidence,
 )
+from repro.harness.costs import PROTOCOL_COSTS, lan_network
+from repro.workloads.microbench import build_kv_cluster
 from tests.conftest import make_kv_cluster
 
 put = InMemoryStateManager.op_put
@@ -214,6 +219,44 @@ def test_degradation_ladder_and_repromotion():
     modes = [record.mode for record in tier.records]
     assert modes[0] == LINEARIZABLE and modes[-1] == LINEARIZABLE
     assert BOUNDED_STALE in modes and LAST_KNOWN_GOOD in modes
+
+
+def test_cache_served_reads_cost_zero_events_and_are_pinned():
+    """16 slots warmed by 16 quorum reads on the calibrated cluster,
+    then the edge cut off from the core: the first degraded read pays
+    one 50 ms timeout and opens the breaker, and each of the next 799
+    moves the simulation by exactly nothing."""
+    cluster = build_kv_cluster(
+        BftConfig(checkpoint_interval=16, batch_max=8),
+        network_config=lan_network(3), costs=PROTOCOL_COSTS, seed=3)
+    sync = cluster.add_client("warmup", costs=PROTOCOL_COSTS)
+    for key in range(16):
+        sync.call(put(key, b"edge%d" % key))
+    tier = EdgeTier.for_cluster(cluster, delta=60.0, read_timeout=0.05,
+                                failure_threshold=1, cooldown=3600.0,
+                                costs=PROTOCOL_COSTS)
+    assert [tier.read(get(key)).mode for key in range(16)] == (
+        [LINEARIZABLE] * 16)
+    isolate_edge(cluster, tier)
+
+    def position():
+        return (cluster.scheduler.events_run, cluster.network.messages_sent,
+                cluster.scheduler.now)
+
+    assert position()[0] == 603
+    assert tier.read(get(0)).mode == BOUNDED_STALE
+    opened = position()
+    assert opened[0] == 605
+    for i in range(1, 800):
+        reply = tier.read(get(i % 16))
+        assert reply.mode == BOUNDED_STALE
+        assert reply.result == b"edge%d" % (i % 16)
+    assert position() == opened
+    chain = b""
+    for record in tier.records:
+        chain = digest(chain + record.result_digest + record.mode.encode())
+    assert chain.hex() == (
+        "1997fe8f5c7b84ddde6cf00234290377e8440570afbb3099c5d76004e70864d8")
 
 
 def test_vector_refresh_from_a_single_replica():

@@ -159,33 +159,41 @@ def test_basefs_and_nfs_std_give_identical_results():
     assert (a.ftype, a.mode, a.size) == (b.ftype, b.mode, b.size)
 
 
-# -- regression: negative values in unsigned fields -----------------------------
+# -- regression: values outside their unsigned fields ---------------------------
 
 
 def _hostile_calls(fs: NfsClient):
     """A ten-byte file, then every op that takes an unsigned field with
-    a negative one: each must fail, and the file must read back whole."""
+    a negative value or one wider than the field: each must fail with
+    NFSERR_IO, and the file must read back whole and unchanged."""
     fs.write_file("/f", b"0123456789")
     fh, call = fs._resolve("/f"), fs.transport.call
-    outcomes = []
+    root = fs.transport.root_fh()
+    mode = fs.getattr("/f").mode
     for proc, args in [
             (NfsProc.WRITE, (fh, -3, b"ABCDE")),
             (NfsProc.READ, (fh, -2, 4)),
             (NfsProc.READ, (fh, 0, -2)),
             (NfsProc.SETATTR, (fh, (-1, -1, -1, -5, -1, -1))),
-            (NfsProc.SETATTR, (fh, (-7, -1, -1, -1, -1, -1)))]:
+            (NfsProc.SETATTR, (fh, (-7, -1, -1, -1, -1, -1))),
+            (NfsProc.SETATTR, (fh, (2**40, -1, -1, -1, -1, -1))),
+            (NfsProc.SETATTR, (fh, (-1, 2**33, -1, -1, -1, -1))),
+            (NfsProc.SETATTR, (fh, (-1, -1, -1, -1, -1, 2**64))),
+            (NfsProc.CREATE, (root, "g", (2**32, 0, 0, -1, -1, -1))),
+            (NfsProc.MKDIR, (root, "d", (0o755, 0, 2**32, -1, -1, -1))),
+            (NfsProc.SYMLINK, (root, "l", "f", (0o777, 2**40, 0, -1, -1, -1)))]:
         with pytest.raises(NfsError) as err:
             call(proc, *args)
-        outcomes.append(err.value.status)
+        assert err.value.status == NfsStatus.NFSERR_IO
     fs.drop_caches()
+    assert fs.listdir("/") == ["f"]
     assert fs.read_file("/f") == b"0123456789"
-    assert fs.getattr("/f").size == 10
-    return outcomes
+    assert (fs.getattr("/f").size, fs.getattr("/f").mode) == (10, mode)
 
 
 def test_basefs_refuses_negative_unsigned_fields(heterogeneous):
     cluster, fs = heterogeneous
-    assert _hostile_calls(fs) == [NfsStatus.NFSERR_IO] * 5
+    _hostile_calls(fs)
     cluster.run(1.0)
     for replica in cluster.replicas:
         wrapper = replica.state.upcalls
@@ -199,4 +207,4 @@ def test_basefs_refuses_negative_unsigned_fields(heterogeneous):
 @pytest.mark.parametrize("backend_cls", ALL_BACKENDS, ids=lambda c: c.vendor)
 def test_nfs_std_refuses_negative_unsigned_fields(backend_cls):
     std = UnreplicatedDeployment.build(NFS_SERVICE, backend_cls)
-    assert _hostile_calls(NfsClient(std.client)) == [NfsStatus.NFSERR_IO] * 5
+    _hostile_calls(NfsClient(std.client))

@@ -267,14 +267,17 @@ def test_put_objs_rename_in_place_preserves_unshipped_data():
     assert b.ok("read", fh_b, 0, 100, read_only=True)[0] == b"precious data"
 
 
-# -- regression: negative values in unsigned fields -----------------------------
+# -- regression: values outside their unsigned fields ---------------------------
 #
 # offset, count and the sattr fields are unsigned on the wire of the
 # abstract specification.  Unchecked, Python's negative slices gave them
 # a meaning: WRITE at offset -3 *inserted* bytes without moving the
 # virtual-capacity accounting, SETATTR size=-5 truncated from the end and
 # recorded an abstract size below the 64-byte floor, READ count=-2
-# returned all but the last two bytes.
+# returned all but the last two bytes.  From above, SETATTR mode=2**40
+# replied status 0 and the next ``get_obj`` of the file raised
+# ``EncodingError`` out of ``pack_uint``: one request, and no correct
+# replica could take another checkpoint.
 
 def test_negative_unsigned_fields_are_malformed_on_every_backend():
     malformed = canonical((int(NfsStatus.NFSERR_IO), "malformed request"))
@@ -284,8 +287,7 @@ def test_negative_unsigned_fields_are_malformed_on_every_backend():
         h.ok("write", fh, 0, b"0123456789")
         entry = h.wrapper.rep.entry(1)
         state = h.abstract_state()
-        before = (h.wrapper.rep.bytes_used, entry.abstract_size,
-                  h.wrapper.backend.ops_served)
+        before = (h.wrapper.rep.bytes_used, entry.abstract_size)
         assert entry.abstract_size == 74
         modified = []
         h.wrapper.library.modify = modified.append
@@ -299,15 +301,30 @@ def test_negative_unsigned_fields_are_malformed_on_every_backend():
             ("create", ROOT_OID, "g", (0o644, 0, 0, -2, -1, -1)),
             ("mkdir", ROOT_OID, "d", (0o755, -9, 0, -1, -1, -1)),
             ("symlink", ROOT_OID, "l", "f", (0o777, 0, -3, -1, -1, -1)),
+            ("setattr", fh, (2**40, -1, -1, -1, -1, -1)),
+            ("setattr", fh, (-1, 2**33, -1, -1, -1, -1)),
+            ("setattr", fh, (-1, -1, 2**32, -1, -1, -1)),
+            ("setattr", fh, (-1, -1, -1, -1, 2**64, -1)),
+            ("setattr", fh, (-1, -1, -1, -1, -1, 2**64)),
+            ("create", ROOT_OID, "g", (2**32, 0, 0, -1, -1, -1)),
+            ("mkdir", ROOT_OID, "d", (0o755, 2**40, 0, -1, -1, -1)),
+            ("symlink", ROOT_OID, "l", "f", (0o777, 0, 2**32, -1, -1, -1)),
         ]
-        # One envelope, byte for byte, whatever the vendor underneath.
         for op in hostile:
             h.clock += 1.0
+            served = h.wrapper.backend.ops_served
+            # One envelope, byte for byte, whatever the vendor underneath.
             assert h.wrapper.execute(canonical(op), "client",
                                      ClockValue.encode(h.clock)) == malformed
-        # Refused before ``modify`` and before any backend call.
-        assert modified == []
-        assert (h.wrapper.rep.bytes_used, entry.abstract_size,
-                h.wrapper.backend.ops_served) == before
-        assert h.abstract_state() == state
+            # Refused before ``modify`` and before any backend call, and
+            # every object still encodes.
+            assert modified == []
+            assert h.wrapper.backend.ops_served == served
+            assert h.abstract_state() == state
+        assert (h.wrapper.rep.bytes_used, entry.abstract_size) == before
         assert h.ok("read", fh, 0, 64, read_only=True)[0] == b"0123456789"
+        # The widest value of every field is in range, and encodes.
+        h.ok("setattr", fh, (2**32 - 1, 2**32 - 1, 2**32 - 1, -1,
+                             2**64 - 1, 2**64 - 1))
+        assert decode_object(h.wrapper.get_obj(1)).meta[:5] == (
+            2**32 - 1, 2**32 - 1, 2**32 - 1, 2**64 - 1, 2**64 - 1)

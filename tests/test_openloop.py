@@ -3,8 +3,10 @@
 The engine's contract has three legs, each pinned here:
 
 - **Determinism**: the same seed produces the same arrival sequence and
-  the same load-latency curve, bit for bit (the perf harness asserts
-  this too, but the regression belongs in tier-1);
+  the same load-latency curve, bit for bit — the quick knee of the
+  calibrated cluster is pinned point by point, so one run is the
+  same-seed-twice check (``benchmarks/test_openloop_knee.py`` holds the
+  full-size curve against ``openloop_curve.json``);
 - **Honest SLOs**: timeouts, shed requests, and service errors all count
   *against* attainment — the engine must never survey only the requests
   that happened to finish;
@@ -16,12 +18,13 @@ import random
 
 import pytest
 
-from benchmarks.perf.harness import _validate_open_loop
 from repro.bft.config import BftConfig
 from repro.bft.statemachine import InMemoryStateManager
 from repro.harness import costs as C
 from repro.harness.cluster import build_cluster
 from repro.workloads.openloop import (
+    LoadCurve,
+    LoadPoint,
     OpenLoopDriver,
     PROCESSES,
     RequestClass,
@@ -200,40 +203,53 @@ def test_walk_to_knee_produces_a_monotone_curve_with_a_knee():
     assert knee.offered_rate == max(p.offered_rate for p in curve.points
                                     if p.sustainable)
     assert curve.max_sustainable_rate == knee.achieved_rate > 0
-    # The serialized curve round-trips through the BENCH schema check.
-    doc = curve.as_dict()
-    _validate_open_loop({
-        "seed": 0,
-        "arrival_process": "poisson",
-        "slo_p95_seconds": doc["slo_p95"],
-        "target_attainment": doc["target_attainment"],
-        "max_sustainable_req_s": doc["max_sustainable_req_s"],
-        "knee_offered_req_s": doc["knee_offered_req_s"],
-        "curve": doc["points"],
-    })
+    curve.check()
 
 
 def test_validate_open_loop_rejects_a_non_monotone_sweep():
-    def point(rate, sustainable):
-        return {"offered_rate": rate, "duration": 0.5, "offered": 10,
-                "completed": 10, "timed_out": 0, "shed": 0, "errors": 0,
-                "achieved_rate": rate, "p95": 0.001,
-                "attainment": 1.0 if sustainable else 0.5,
-                "sustainable": sustainable}
+    def curve(*points):
+        return LoadCurve(slo_p95=0.005, target_attainment=0.95, points=[
+            LoadPoint(rate, 0.5, 10, 10, 0, 0, 0, rate, 0.001,
+                      1.0 if sustainable else 0.5, sustainable)
+            for rate, sustainable in points])
 
-    def doc(curve):
-        return {"seed": 0, "arrival_process": "poisson",
-                "slo_p95": 0.005, "target_attainment": 0.95,
-                "slo_p95_seconds": 0.005,
-                "max_sustainable_req_s": max(
-                    (p["achieved_rate"] for p in curve if p["sustainable"]),
-                    default=0.0),
-                "knee_offered_req_s": 100.0, "curve": curve}
-
-    _validate_open_loop(doc([point(100.0, True), point(200.0, False)]))
+    curve((100.0, True), (200.0, False)).check()
     with pytest.raises(ValueError, match="monotone"):
-        _validate_open_loop(doc([point(200.0, False), point(100.0, True)]))
+        curve((200.0, False), (100.0, True)).check()
     with pytest.raises(ValueError, match="knee"):
-        _validate_open_loop(doc([point(100.0, True), point(200.0, True)]))
+        curve((100.0, True), (200.0, True)).check()
     with pytest.raises(ValueError, match="sustainable"):
-        _validate_open_loop(doc([point(100.0, False), point(200.0, False)]))
+        curve((100.0, False), (200.0, False)).check()
+
+
+# The quick ladder (1000 req/s x 2.5, at most 5 points, 1 refinement,
+# 0.2 simulated seconds a point) on the calibrated cluster, one row per
+# LoadPoint field.  Simulated and exact: the rows move only when the
+# cost model, the protocol or the arrival draw does.
+QUICK_KNEE_POINTS = [
+    (1000.0, 0.2, 190, 190, 0, 0, 0, 950.0,
+     0.0014229108178583638, 1.0, True),
+    (2500.0, 0.2, 511, 511, 0, 0, 0, 2555.0,
+     0.002499610816036349, 1.0, True),
+    (6250.0, 0.2, 1232, 1232, 0, 0, 0, 6160.0,
+     0.0026321468936091608, 1.0, True),
+    (15625.0, 0.2, 3041, 3040, 1, 0, 0, 15200.0,
+     0.003122943662376986, 0.9996711608023676, True),
+    (24705.294220065465, 0.2, 4973, 3885, 0, 1088, 0, 19425.0,
+     0.017222022802668602, 0.06535290569072995, False),
+    (39062.5, 0.2, 7800, 3882, 0, 3918, 0, 19410.0,
+     0.017463133639605305, 0.02076923076923077, False),
+]
+
+
+def test_quick_knee_is_pinned():
+    curve = walk_to_knee(
+        lambda seed: lan_cluster(seed, checkpoint_interval=16, batch_max=8),
+        start_rate=1000.0, duration=0.2, seed=0, factor=2.5, max_points=5,
+        refine=1, classes=default_kv_classes(slo_p95=0.005),
+        target_attainment=0.95, process="poisson")
+    curve.check()
+    assert [p.as_dict() for p in curve.points] == [
+        LoadPoint(*row).as_dict() for row in QUICK_KNEE_POINTS]
+    assert curve.knee.offered_rate == 15625.0
+    assert curve.max_sustainable_rate == 15200.0

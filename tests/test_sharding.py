@@ -8,16 +8,20 @@ Covers the sharding layer at three levels:
   scripted channels (no clusters);
 - **full deployments** — same seed + same op stream give bit-identical
   shard assignments and per-shard request-log digest chains; two
-  co-tenant groups on one fabric exchange zero messages;
+  co-tenant groups on one fabric exchange zero messages, and a 1 -> 2
+  -> 4 shard weak-scaling sweep reads pinned simulated rates;
 - **differential** — a cross-shard transaction leaves exactly the
   abstract state of equivalent single-group execution, and a refused
   transaction leaves no trace on any shard.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.bft.config import BftConfig
 from repro.encoding.canonical import canonical, decanonical
+from repro.harness.costs import PROTOCOL_COSTS, lan_network
 from repro.nfs.spec import ROOT_OID
 from repro.service.deploy import Channel, LearnedKey, ReplicatedDeployment
 from repro.service.sharding import (CrossShardOp, RoutingError, ShardRouter,
@@ -205,6 +209,75 @@ def test_co_tenant_groups_exchange_zero_messages():
     assert deployment.router.shard_of(table0) == 0
     with pytest.raises(SqlEngineError):
         deployment.shards[1].client.select(table0, 1)
+
+
+# -- weak scaling --------------------------------------------------------------------
+
+SCALING_SEED = 7
+CLIENTS_PER_SHARD = 2
+INSERTS_PER_CLIENT = 6
+
+
+def _weak_scaling_point(num_shards):
+    """Every shard carries the same closed loop (2 clients x 6 inserts
+    into a table that hashes to it) on the calibrated cost model, so
+    simulated elapsed time stays flat while completed work grows with
+    the shard count.  Returns completed inserts per simulated second and
+    the deployment."""
+    deployment = ShardedDeployment.build(
+        SQL_SERVICE, num_shards,
+        config=BftConfig(checkpoint_interval=16, batch_max=8),
+        network_config=lan_network(SCALING_SEED),
+        replica_costs=[PROTOCOL_COSTS] * 4, seed=SCALING_SEED)
+    tables = [names[0] for names in _tables_by_shard(num_shards).values()]
+    for table in tables:
+        deployment.client.create_table(table, ["id", "val"], "id")
+    done = Counter()
+
+    def start(client, table, base):
+        def issue(_result=None):
+            if _result is not None:
+                done[client.node_id] += 1
+            seq = done[client.node_id]
+            if seq < INSERTS_PER_CLIENT:
+                client.invoke(
+                    canonical(("insert", table, (base + seq, f"w{seq}"))),
+                    issue)
+
+        issue()
+
+    started = deployment.scheduler.now
+    for shard, table in enumerate(tables):
+        for c in range(CLIENTS_PER_SHARD):
+            client = deployment.shards[shard].cluster.add_client(
+                f"shard{shard}/loadgen{c}", costs=PROTOCOL_COSTS).client
+            start(client, table, (c + 1) * 1_000_000)
+    total = num_shards * CLIENTS_PER_SHARD * INSERTS_PER_CLIENT
+    assert deployment.scheduler.run_until_idle_or(
+        lambda: sum(done.values()) == total)
+    rate = total / (deployment.scheduler.now - started)
+    # Audited through the router: every shard holds exactly its clients'
+    # rows (which also extends the digest chains deterministically).
+    assert [deployment.client.row_count(table) for table in tables] == (
+        [CLIENTS_PER_SHARD * INSERTS_PER_CLIENT] * num_shards)
+    return rate, deployment
+
+
+def test_weak_scaling_sweep_is_pinned_and_deterministic():
+    """Independent replication groups exchange no messages, so they
+    scale in simulated time by construction; the rates are exact."""
+    sweeps = []
+    for _ in range(2):
+        points = [_weak_scaling_point(n) for n in (1, 2, 4)]
+        sweeps.append([(rate, list(d.router.ops_routed),
+                        list(d.router.shard_logs)) for rate, d in points])
+    assert sweeps[0] == sweeps[1]
+    rates = [rate for rate, _, _ in sweeps[0]]
+    assert rates == [3594.040864882282, 7156.340542232199,
+                     14285.076293783004]
+    assert rates[2] / rates[0] >= 3.0
+    assert [routed for _, routed, _ in sweeps[0]] == [
+        [2], [2, 2], [2, 2, 2, 2]]
 
 
 # -- the cross-shard transaction path ----------------------------------------------
