@@ -6,8 +6,7 @@ hash-ordered iteration feeding replicated state, only canonical types on
 the wire.  This package enforces them mechanically — an AST rule engine
 (:mod:`repro.analysis.engine`), a rule library
 (:mod:`repro.analysis.rules`), inline suppressions that require a
-reason, committed baselines for grandfathered findings
-(:mod:`repro.analysis.baseline`), and schema-validated JSON reports
+reason, and schema-validated JSON reports
 (:mod:`repro.analysis.report`).  ``python -m repro.analysis`` is the CLI
 and the CI gate.  See docs/ANALYSIS.md for the rule catalog.
 """

@@ -1,21 +1,20 @@
 """ProtoLint command line.
 
     python -m repro.analysis [PATH ...] [--format text|json] [--out FILE]
-                             [--rules DET-RNG,RPL-SETITER,...]
-                             [--baseline FILE] [--write-baseline]
-                             [--prune-baseline] [--deep]
+                             [--rules DET-RNG,RPL-SETITER,...] [--deep]
                              [--changed-since REF] [--list-rules]
 
 Checks every ``*.py`` under the given paths (default: ``src/repro``)
-against the registered rule set and exits nonzero if any non-baselined
-finding remains — that is the whole contract of the ``protolint`` CI
-job.  ``--format json`` emits the schema-validated report document on
-stdout; ``--out`` writes it to a file in either format mode.
+against the registered rule set and exits nonzero on any finding that
+is not suppressed, with a reason, where it occurs — that is the whole
+contract of the ``protolint`` CI job.  ``--format json`` emits the
+schema-validated report document on stdout; ``--out`` writes it to a
+file in either format mode.
 
 ``--deep`` additionally runs the interprocedural DeepLint passes
 (call-graph taint + protocol conformance) over the *whole* tree; their
-findings join the report and are baselined/suppressed through the same
-machinery.  ``--changed-since REF`` restricts the per-file rules to
+findings join the report and are suppressed through the same inline
+comments.  ``--changed-since REF`` restricts the per-file rules to
 files changed since the git ref — the deep passes stay whole-program,
 because a call-graph property can regress through an unchanged file.
 """
@@ -29,7 +28,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Set
 
-from repro.analysis import baseline as baselinelib
 from repro.analysis import report as reportlib
 from repro.analysis.deep.catalog import DEEP_RULES
 from repro.analysis.engine import Engine, relativize
@@ -114,14 +112,6 @@ def main(argv=None) -> int:
     parser.add_argument("--rules", metavar="IDS",
                         help="comma-separated rule ids to enable "
                              "(default: all)")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="baseline file of grandfathered findings")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write all current findings to --baseline "
-                             "and exit 0")
-    parser.add_argument("--prune-baseline", action="store_true",
-                        help="drop baseline entries that no longer fire, "
-                             "rewriting --baseline in place")
     parser.add_argument("--deep", action="store_true",
                         help="also run the interprocedural DeepLint "
                              "passes (whole-program taint + conformance)")
@@ -135,11 +125,6 @@ def main(argv=None) -> int:
 
     if args.list_rules:
         return _print_rules()
-
-    if args.write_baseline and not args.baseline:
-        parser.error("--write-baseline requires --baseline")
-    if args.prune_baseline and not args.baseline:
-        parser.error("--prune-baseline requires --baseline")
 
     try:
         rules = select_rules(args.rules.split(",")) if args.rules \
@@ -168,30 +153,7 @@ def main(argv=None) -> int:
         rule_ids.extend(DEEP_RULE_IDS)
     findings.sort()
 
-    if args.write_baseline:
-        baselinelib.dump([f.fingerprint for f in findings],
-                         Path(args.baseline))
-        print(f"baseline with {len(findings)} finding(s) written to "
-              f"{args.baseline}")
-        return 0
-
-    fingerprints = []
-    if args.baseline and Path(args.baseline).exists():
-        try:
-            fingerprints = baselinelib.load(Path(args.baseline))
-        except ValueError as err:
-            print(f"protolint: {err}", file=sys.stderr)
-            return 2
-
-    if args.prune_baseline:
-        removed = baselinelib.prune(Path(args.baseline), findings)
-        for fingerprint in removed:
-            print(f"pruned stale baseline entry: {fingerprint}")
-        fingerprints = [fp for fp in fingerprints if fp not in
-                        set(removed)]
-
-    diff = baselinelib.apply(findings, fingerprints)
-    doc = reportlib.build(diff, rule_ids, roots)
+    doc = reportlib.build(findings, rule_ids, roots)
 
     if args.out:
         reportlib.dump(doc, Path(args.out))
@@ -199,20 +161,15 @@ def main(argv=None) -> int:
     if args.fmt == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        for finding in diff.new:
+        for finding in findings:
             print(finding.render())
             for hop in finding.chain:
                 print(f"    {hop}")
-        for fingerprint in diff.stale:
-            print(f"warning: stale baseline entry (no longer fires): "
-                  f"{fingerprint}")
         counts = doc["counts"]
         checked = ", ".join(str(r) for r in roots)
         print(f"protolint: {len(rule_ids)} rules over {checked}: "
               f"{counts['errors']} error(s), {counts['warnings']} "
-              f"warning(s), {counts['baselined']} baselined, "
-              f"{counts['stale_baseline']} stale baseline entr"
-              f"{'y' if counts['stale_baseline'] == 1 else 'ies'}")
+              f"warning(s)")
     return 0 if doc["ok"] else 1
 
 

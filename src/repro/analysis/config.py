@@ -73,7 +73,7 @@ PERF_COUNTER_ALLOWED = frozenset({
 #: harness that reads source files by design.
 IO_ALLOWED = frozenset({
     "faultlab/report.py", "faultlab/__main__.py",
-    "analysis/engine.py", "analysis/__main__.py", "analysis/baseline.py",
+    "analysis/engine.py", "analysis/__main__.py",
     "harness/complexity.py", "harness/report.py",
 })
 
@@ -127,13 +127,6 @@ class AnalysisConfig:
     replay_packages: FrozenSet[str] = REPLAY_PACKAGES
     perf_counter_allowed: FrozenSet[str] = PERF_COUNTER_ALLOWED
     io_allowed: FrozenSet[str] = IO_ALLOWED
-    # deep-pass anchors (see module docstring comments above)
-    message_root: str = MESSAGE_ROOT
-    node_root: str = NODE_ROOT
-    canonical_sinks: FrozenSet[str] = CANONICAL_SINKS
-    digest_sinks: FrozenSet[str] = DIGEST_SINKS
-    state_sinks: FrozenSet[str] = STATE_SINKS
-    state_sink_names: FrozenSet[str] = STATE_SINK_NAMES
     cost_packages: FrozenSet[str] = COST_PACKAGES
     quorum_exempt: FrozenSet[str] = QUORUM_EXEMPT
     quorum_len_packages: FrozenSet[str] = QUORUM_LEN_PACKAGES

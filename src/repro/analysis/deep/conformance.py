@@ -23,6 +23,7 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Set
 
+from repro.analysis.config import MESSAGE_ROOT, NODE_ROOT
 from repro.analysis.deep.callgraph import CallGraph
 from repro.analysis.deep.project import Project
 from repro.analysis.engine import Finding
@@ -38,9 +39,8 @@ def _suppressed(project: Project, rule_id: str, rel: str,
 
 def run_handler_pass(project: Project, graph: CallGraph) -> List[Finding]:
     _ = graph
-    config = project.config
     findings: List[Finding] = []
-    messages = project.message_classes(config.message_root)
+    messages = project.message_classes(MESSAGE_ROOT)
     kinds = {cls.kind for cls in messages}
 
     # Every handler name defined anywhere (any class: clients, edge
@@ -66,7 +66,7 @@ def run_handler_pass(project: Project, graph: CallGraph) -> List[Finding]:
         info = project.functions[qualname]
         if info.cls is None or not info.name.startswith("handle_"):
             continue
-        if not project.is_subclass(info.cls.qualname, config.node_root):
+        if not project.is_subclass(info.cls.qualname, NODE_ROOT):
             continue
         kind = info.name[len("handle_"):]
         if kind in kinds or not kind:
@@ -92,7 +92,7 @@ def run_cost_pass(project: Project, graph: CallGraph) -> List[Finding]:
             continue
         if not config.in_cost_scope(info.rel):
             continue
-        if not project.is_subclass(info.cls.qualname, config.node_root):
+        if not project.is_subclass(info.cls.qualname, NODE_ROOT):
             continue
         charges = False
         for callee in graph.reachable(qualname):

@@ -23,7 +23,8 @@ from repro.analysis.engine import Finding
 
 def _short(qualname: str) -> str:
     """Last two dotted components: ``repro.bft.replica.Replica.on_x``
-    -> ``Replica.on_x`` (stable, line-free — safe for fingerprints)."""
+    -> ``Replica.on_x`` (stable and line-free, so a finding's message
+    does not churn with unrelated edits)."""
     return ".".join(qualname.split(".")[-2:])
 
 

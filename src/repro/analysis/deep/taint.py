@@ -37,6 +37,9 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
+from repro.analysis.config import (CANONICAL_SINKS, DIGEST_SINKS,
+                                   MESSAGE_ROOT, STATE_SINK_NAMES,
+                                   STATE_SINKS)
 from repro.analysis.deep.callgraph import CallGraph, FunctionAnalysis
 from repro.analysis.deep.project import FunctionInfo, Project
 from repro.analysis.rules.determinism import (DATETIME_READS,
@@ -169,11 +172,10 @@ class TaintPass:
     # -- setup -----------------------------------------------------------------
 
     def _prepare(self) -> None:
-        root = self.config.message_root
         self._message_classes = frozenset(
             cls.qualname for cls in self.project.classes.values()
-            if cls.qualname != root
-            and self.project.is_subclass(cls.qualname, root))
+            if cls.qualname != MESSAGE_ROOT
+            and self.project.is_subclass(cls.qualname, MESSAGE_ROOT))
         reach: Set[str] = set()
         for qualname in sorted(self.project.functions):
             info = self.project.functions[qualname]
@@ -761,29 +763,28 @@ class _BodyInterp:
                     kw_taints: Dict[Optional[str], TaintMap]) -> None:
         if site is None:
             return
-        config = self.p.config
         label: Optional[str] = None
         external = site.external
-        if external in config.canonical_sinks:
+        if external in CANONICAL_SINKS:
             label = "canonical()"
-        elif external in config.digest_sinks:
+        elif external in DIGEST_SINKS:
             label = "digest()"
         elif site.ctor is not None and self.p.is_message_ctor(site.ctor):
             label = f"wire message {site.ctor.rsplit('.', 1)[-1]}()"
         elif site.targets and not site.fallback:
             for target in site.targets:
-                if target in config.canonical_sinks:
+                if target in CANONICAL_SINKS:
                     label = "canonical()"
-                elif target in config.digest_sinks:
+                elif target in DIGEST_SINKS:
                     label = "digest()"
         if label is None:
             # Abstract-state mutation, gated on handler reachability.
             name = None
             if isinstance(node.func, ast.Attribute):
                 name = node.func.attr
-            dotted_hit = external in config.state_sinks or any(
-                t in config.state_sinks for t in site.targets)
-            name_hit = name in config.state_sink_names
+            dotted_hit = external in STATE_SINKS or any(
+                t in STATE_SINKS for t in site.targets)
+            name_hit = name in STATE_SINK_NAMES
             if (dotted_hit or name_hit) and \
                     self.p.handler_reachable(self.info.qualname):
                 label = f"abstract-state write {name or external}()"

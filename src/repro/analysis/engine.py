@@ -42,9 +42,7 @@ class Finding:
     position, then by rule — stable across runs and Python versions.
 
     ``chain`` is used by the interprocedural (deep) passes: the full
-    source→sink path, one ``"frame (file:line)"`` string per hop.  It is
-    deliberately excluded from the fingerprint — call-chain line numbers
-    churn, baselines must not.
+    source→sink path, one ``"frame (file:line)"`` string per hop.
     """
 
     path: str
@@ -54,11 +52,6 @@ class Finding:
     message: str
     severity: str = "error"
     chain: Tuple[str, ...] = ()
-
-    @property
-    def fingerprint(self) -> str:
-        """Baseline identity: stable across line-number churn."""
-        return f"{self.rule}:{self.path}:{self.message}"
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {

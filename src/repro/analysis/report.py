@@ -12,12 +12,12 @@ import platform
 from pathlib import Path
 from typing import Any, Dict, Sequence
 
-from repro.analysis.baseline import BaselineDiff
 from repro.analysis.engine import SEVERITIES, Finding
 
-#: v2 added the optional per-finding ``chain`` field (deep-pass
-#: source→sink paths, one "frame (file:line)" string per hop).
-SCHEMA_VERSION = 2
+#: A finding may carry the optional ``chain`` field (deep-pass
+#: source→sink paths, one "frame (file:line)" string per hop); every
+#: listed finding fails the run.
+SCHEMA_VERSION = 3
 
 REPORT_KIND = "protolint_report"
 
@@ -29,7 +29,6 @@ _REPORT_FIELDS = {
     "rules": list,
     "findings": list,
     "counts": dict,
-    "stale_baseline": list,
     "ok": bool,
 }
 
@@ -45,13 +44,13 @@ _FINDING_FIELDS = {
 #: Fields a finding may carry beyond the required set.
 _FINDING_OPTIONAL = ("chain",)
 
-_COUNT_FIELDS = ("errors", "warnings", "baselined", "stale_baseline")
+_COUNT_FIELDS = ("errors", "warnings")
 
 
-def build(diff: BaselineDiff, rule_ids: Sequence[str],
+def build(findings: Sequence[Finding], rule_ids: Sequence[str],
           roots: Sequence[str]) -> Dict[str, Any]:
-    """The report document for one run (post-baseline view)."""
-    findings = sorted(diff.new)
+    """The report document for one run."""
+    findings = sorted(findings)
     report = {
         "kind": REPORT_KIND,
         "schema_version": SCHEMA_VERSION,
@@ -63,10 +62,7 @@ def build(diff: BaselineDiff, rule_ids: Sequence[str],
             "errors": sum(1 for f in findings if f.severity == "error"),
             "warnings": sum(1 for f in findings
                             if f.severity == "warning"),
-            "baselined": len(diff.baselined),
-            "stale_baseline": len(diff.stale),
         },
-        "stale_baseline": list(diff.stale),
         "ok": not findings,
     }
     validate(report)
@@ -124,8 +120,6 @@ def validate(report: Dict[str, Any]) -> None:
     warnings = len(report["findings"]) - errors
     if counts["errors"] != errors or counts["warnings"] != warnings:
         raise ValueError("counts disagree with the finding list")
-    if counts["stale_baseline"] != len(report["stale_baseline"]):
-        raise ValueError("counts.stale_baseline disagrees with the list")
     if report["ok"] != (not report["findings"]):
         raise ValueError("ok flag disagrees with the finding list")
     if not all(isinstance(r, str) for r in report["rules"]):

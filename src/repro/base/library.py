@@ -29,7 +29,6 @@ class BaseServiceConfig:
     branching: int = 64
     per_object_check_cost: float = 0.0   # cold (recovery check), per KB
     checkpoint_cost: float = 0.0         # hot (checkpoint get_obj), per KB
-    cow_cost: float = 0.0                # modify() pre-image copy, per KB
 
 
 def build_base_cluster(wrapper_factories: Sequence[Callable[[], Upcalls]],
@@ -54,8 +53,7 @@ def build_base_cluster(wrapper_factories: Sequence[Callable[[], Upcalls]],
         manager = AbstractStateManager(
             wrapper_factories[i](), branching=base_config.branching,
             per_object_check_cost=base_config.per_object_check_cost,
-            checkpoint_cost=base_config.checkpoint_cost,
-            cow_cost=base_config.cow_cost)
+            checkpoint_cost=base_config.checkpoint_cost)
         managers.append(manager)
         return manager
 

@@ -49,8 +49,7 @@ class AbstractStateManager(StateManager):
 
     def __init__(self, upcalls: Upcalls, branching: int = 64,
                  per_object_check_cost: float = 0.0,
-                 checkpoint_cost: float = 0.0,
-                 cow_cost: float = 0.0):
+                 checkpoint_cost: float = 0.0):
         self.upcalls = upcalls
         self.size = upcalls.num_objects
         self._tree = PartitionTree(self.size, branching)
@@ -80,7 +79,6 @@ class AbstractStateManager(StateManager):
         self.checkpoint_history: List[Tuple[int, bytes]] = []
         self.per_object_check_cost = per_object_check_cost  # cold, per KB
         self.checkpoint_cost = checkpoint_cost              # hot, per KB
-        self.cow_cost = cow_cost                            # modify(), per KB
         self.charge_hook: Callable[[float], None] = lambda seconds: None
         self.background_hook: Callable[[float], None] = \
             lambda seconds: self.charge_hook(seconds)
@@ -112,9 +110,6 @@ class AbstractStateManager(StateManager):
         if not 0 <= index < self.size:
             raise IndexError(f"abstract object {index} out of range")
         value = self.upcalls.get_obj(index)
-        # Copy-on-write bookkeeping cost (saving the pre-image); the
-        # paper's T2b commits are dominated by exactly this per-page work.
-        self.charge_hook(self.cow_cost * max(len(value), 64) / 1024.0)
         self._cow[index] = (value, self._tree.leaf_lm(index))
         self._dirty.add(index)
         self._stale.add(index)

@@ -38,6 +38,14 @@ from repro.sim.node import Node
 from repro.sim.tracing import Tracer
 
 
+# Grace before the client retransmits on a complete result-digest
+# certificate with no full result: the designated replier's bytes are
+# usually still in flight, so waiting a moment beats re-MACing and
+# re-sending the request to every replica (a mute replier only costs
+# this much extra before the nudge goes out).
+NUDGE_GRACE = 0.002
+
+
 @dataclass(frozen=True)
 class ReadCertificate:
     """Proof backing one accepted read: the result, the replicas whose
@@ -103,9 +111,8 @@ class BftClient(Node):
         self._pending: Optional[_PendingCall] = None
         self._retry_timer = self.make_timer(config.client_retry_timeout,
                                             self._on_retry)
-        self._nudge_timer = self.make_timer(config.client_nudge_grace,
+        self._nudge_timer = self.make_timer(NUDGE_GRACE,
                                             self._on_nudge_grace)
-        self.requests_sent = 0
         self.retransmissions = 0       # timeout-driven (backoff escalates)
         self.fast_retransmissions = 0  # instant nudges (backoff untouched)
         self.cancelled = 0
@@ -135,7 +142,6 @@ class BftClient(Node):
                           self.config.read_only_optimization)
         self._pending = _PendingCall(request, callback, request.read_only,
                                      started_at=self.now)
-        self.requests_sent += 1
         self.tracer.metrics.inc("client.requests")
         self._transmit(first=True)
         self._retry_timer.restart(self.config.client_retry_timeout)
@@ -330,7 +336,7 @@ class BftClient(Node):
             # before retransmitting, so the common case costs nothing
             # and a mute replier only costs the grace.
             if not call.nudged and not self._nudge_timer.running:
-                self._nudge_timer.start(self.config.client_nudge_grace)
+                self._nudge_timer.start()
             return
         # Read-only optimization: 2f+1 matching read-only replies.
         for rdigest, voters in call.ro_votes.items():
@@ -360,17 +366,18 @@ class SyncClient:
     while the whole replicated system advances underneath each call.
     """
 
-    def __init__(self, client: BftClient, max_events_per_call: int = 5_000_000):
+    MAX_EVENTS_PER_CALL = 5_000_000  # past this the protocol is spinning
+
+    def __init__(self, client: BftClient):
         self.client = client
         self.scheduler = client.scheduler
-        self.max_events = max_events_per_call
 
     def call(self, op: bytes, read_only: bool = False) -> bytes:
         box: dict = {}
         self.client.invoke(op, lambda result: box.update(result=result),
                            read_only=read_only)
         done = self.scheduler.run_until_idle_or(lambda: "result" in box,
-                                                self.max_events)
+                                                self.MAX_EVENTS_PER_CALL)
         if not done:
             raise TimeoutError(
                 f"client {self.client.node_id}: no result for request "

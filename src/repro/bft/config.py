@@ -8,32 +8,25 @@ from typing import List
 from repro.errors import ConfigurationError
 
 
+LOG_WINDOW_CHECKPOINTS = 2   # L = this many intervals past the low mark
+
+
 @dataclass
 class BftConfig:
     """Static configuration shared by all replicas and clients of a group.
 
     ``n`` replicas tolerate ``f = (n - 1) // 3`` Byzantine faults; the
-    paper's experiments all use ``n = 4``, ``f = 1``.
+    paper's experiments all use ``n = 4``, ``f = 1``.  A value nobody
+    varies is a constant beside its reader, not a field here.
     """
 
     n: int = 4
     checkpoint_interval: int = 128     # k: take a checkpoint every k requests
-    log_window_checkpoints: int = 2    # L = this many intervals past low mark
     batch_max: int = 16                # max requests per pre-prepare batch
-    max_outstanding: int = 1           # pre-prepares in flight per primary
     view_change_timeout: float = 5.0   # backup timer before suspecting primary
     client_retry_timeout: float = 2.0  # client retransmission timer
-    # Grace before the client retransmits on a complete result-digest
-    # certificate with no full result: the designated replier's bytes are
-    # usually still in flight, so waiting a moment beats re-MACing and
-    # re-sending the request to every replica (a mute replier only costs
-    # this much extra before the nudge goes out).
-    client_nudge_grace: float = 0.002
     read_only_optimization: bool = True
-    tentative_reply_digests: bool = True  # only one replica sends full result
     tentative_execution: bool = True   # execute at prepared, reply tentative
-    adaptive_batching: bool = True     # grow/shrink batch bound from arrivals
-    batch_window_max: float = 0.002    # upper bound on the batch hold window
     reboot_delay: float = 30.0         # simulated reboot during recovery
     recovery_interval: float = 0.0     # watchdog period; 0 disables recovery
     recovery_stagger: float = 0.0      # offset between replicas' watchdogs
@@ -69,7 +62,7 @@ class BftConfig:
     @property
     def log_window(self) -> int:
         """High-water mark offset: seq numbers accepted in (h, h + window]."""
-        return self.checkpoint_interval * self.log_window_checkpoints
+        return self.checkpoint_interval * LOG_WINDOW_CHECKPOINTS
 
     def primary_of(self, view: int) -> str:
         """The primary replica for ``view`` (round-robin, as in BFT)."""

@@ -89,7 +89,6 @@ class ReplayBehavior(Behavior):
     """
 
     def __init__(self, history: int = 8, every: int = 2):
-        self.history = history
         self.every = every
         self._stale: deque = deque(maxlen=history)
         self._sent = 0

@@ -54,6 +54,9 @@ from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.tracing import Tracer
 
+MAX_OUTSTANDING = 1        # pre-prepares in flight per primary
+BATCH_WINDOW_MAX = 0.002   # upper bound on the batch hold window
+
 
 class Replica(Node):
     """One member of the replication group."""
@@ -383,25 +386,21 @@ class Replica(Node):
                 else 0.8 * ewma + 0.2 * gap
         self._last_request_at = now
 
-    def _batch_bound(self) -> int:
-        return (self._batch_target if self.config.adaptive_batching
-                else self.config.batch_max)
-
     def _should_hold_batch(self) -> bool:
         """Hold an undersized batch briefly when the arrival rate says
         more requests are imminent; never hold Poisson trickles (EWMA
         above the window cap) or once the hold window expired."""
-        if not self.config.adaptive_batching or self._hold_forced:
+        if self._hold_forced:
             return False
         if len(self.pending) >= self._batch_target:
             return False
         ewma = self._arrival_ewma
-        if ewma is None or ewma > self.config.batch_window_max:
+        if ewma is None or ewma > BATCH_WINDOW_MAX:
             return False
         if self._hold_event is not None and not self._hold_event.cancelled:
             return True
         deficit = self._batch_target - len(self.pending)
-        window = min(ewma * deficit, self.config.batch_window_max)
+        window = min(ewma * deficit, BATCH_WINDOW_MAX)
         self._hold_event = self.after(window, self._on_batch_hold)
         return True
 
@@ -431,7 +430,7 @@ class Replica(Node):
             # Batching: with the outstanding window full, arriving requests
             # queue in ``pending`` and ride the next pre-prepare together.
             outstanding = self.seq_assigned - self.last_executed
-            if outstanding >= self.config.max_outstanding:
+            if outstanding >= MAX_OUTSTANDING:
                 return
             if self.seq_assigned + 1 > self.last_stable + self._log_window:
                 return
@@ -441,7 +440,7 @@ class Replica(Node):
                 self._hold_event.cancel()
                 self._hold_event = None
             batch: List[Request] = []
-            bound = max(self._batch_bound(), 1)
+            bound = max(self._batch_target, 1)
             while self.pending and len(batch) < bound:
                 key, req = self.pending.popitem(last=False)
                 batch.append(req)
@@ -717,8 +716,7 @@ class Replica(Node):
         rdigest = digest(result)
         self.charge(self.costs.digest(len(result)))
         # One designated replica sends the full result for each seq.
-        full = (force_full or not self.config.tentative_reply_digests
-                or self._index == seq % self.config.n)
+        full = force_full or self._index == seq % self.config.n
         reply = Reply(self.view, request_id, client_id, self.node_id,
                       result if full else None, rdigest, tentative,
                       read_only)

@@ -132,7 +132,8 @@ class _Fetched:
     evidence: StalenessEvidence
 
 
-_UNSET = object()
+EDGE_ID = "edge0"        # network-id prefix of the tier's nodes
+REFRESH_ATTEMPTS = 2     # replicas tried per bounded-stale refresh
 
 
 class EdgeTier:
@@ -149,11 +150,9 @@ class EdgeTier:
     def __init__(self, *, scheduler: Scheduler, network: Network,
                  groups: Sequence[Tuple[BftConfig, KeyRegistry, Sequence]],
                  tracer: Optional[Tracer] = None,
-                 edge_id: str = "edge0",
                  delta: float = 0.5,
                  read_timeout: float = 0.05,
                  refresh_timeout: float = 0.05,
-                 refresh_attempts: int = 2,
                  failure_threshold: int = 2,
                  cooldown: float = 1.0,
                  probe_quota: int = 1,
@@ -163,21 +162,18 @@ class EdgeTier:
         self.scheduler = scheduler
         self.network = network
         self.tracer = tracer or Tracer(keep_events=False)
-        self.edge_id = edge_id
         self.delta = delta
         self.read_timeout = read_timeout
         self.refresh_timeout = refresh_timeout
-        self.refresh_attempts = refresh_attempts
         self.cache = EdgeCache(lambda: scheduler.now, delta)
         self.records: List[EdgeReadRecord] = []
-        self._spec = None    # ShardKeySpec (key extraction only)
         self._router = None  # ShardRouter (extraction + shard routing)
         self.ports: List[_ShardPort] = []
         for i, (config, registry, replicas) in enumerate(groups):
             suffix = f"/s{i}" if len(groups) > 1 else ""
-            client = BftClient(f"{edge_id}{suffix}/ro", network, config,
+            client = BftClient(f"{EDGE_ID}{suffix}/ro", network, config,
                                registry, tracer=self.tracer, costs=costs)
-            node = _EdgeNode(f"{edge_id}{suffix}", network, registry, costs)
+            node = _EdgeNode(f"{EDGE_ID}{suffix}", network, registry, costs)
             breaker = CircuitBreaker(
                 lambda: scheduler.now,
                 failure_threshold=failure_threshold,
@@ -198,23 +194,15 @@ class EdgeTier:
 
     @classmethod
     def for_deployment(cls, deployment, **kw) -> "EdgeTier":
-        """Front a Replicated or Sharded deployment; reads route along
-        the service's declared ``ShardKeySpec`` axis."""
-        shard_deps = getattr(deployment, "shards", None)
-        if shard_deps is not None:
-            tier = cls(scheduler=deployment.scheduler,
-                       network=deployment.network,
-                       groups=[(s.cluster.config, s.cluster.registry,
-                                s.cluster.replicas) for s in shard_deps],
-                       **kw)
-            tier._router = deployment.router
-            return tier
-        cluster = deployment.cluster
-        kw.setdefault("tracer", cluster.tracer)
-        tier = cls(scheduler=cluster.scheduler, network=cluster.network,
-                   groups=[(cluster.config, cluster.registry,
-                            cluster.replicas)], **kw)
-        tier._spec = deployment.definition.shard_key
+        """Front a :class:`~repro.service.sharding.ShardedDeployment`,
+        one port per shard; reads route along the service's declared
+        ``ShardKeySpec`` axis."""
+        tier = cls(scheduler=deployment.scheduler,
+                   network=deployment.network,
+                   groups=[(s.cluster.config, s.cluster.registry,
+                            s.cluster.replicas) for s in deployment.shards],
+                   **kw)
+        tier._router = deployment.router
         return tier
 
     @property
@@ -239,38 +227,26 @@ class EdgeTier:
 
     # -- routing -----------------------------------------------------------
 
-    def _route(self, op: bytes, key: Any) -> Tuple[int, Any]:
+    def _route(self, op: bytes) -> Tuple[int, Any]:
         """Resolve (shard, cache-axis key) for an op.
 
-        With a router (sharded), routing errors propagate: an op that
-        does not map to exactly one shard cannot be edge-read.  With a
-        bare key spec, extraction failures just disable per-key caching.
+        Without a router there is one shard and no key axis.  With one
+        (sharded), routing errors propagate: an op that does not map to
+        exactly one shard cannot be edge-read.
         """
-        if key is not _UNSET:
-            shard = self._router.shard_of(key) if self._router else 0
-            return shard, key
-        extractor = self._router.spec if self._router else self._spec
-        if extractor is None:
+        if self._router is None:
             return 0, None
-        if self._router is not None:
-            decoded = decanonical(op)
-            target = extractor.extract(decoded)
-            if target is None:
-                return 0, None
-            keys = target if isinstance(target, list) else [target]
-            shards = {self._router.shard_of(k) for k in keys}
-            if len(shards) != 1:
-                raise EdgeUnavailable(
-                    f"op {decoded[0]!r} spans shards {sorted(shards)}")
-            # protolint: disable=DEEP-TAINT singleton set (guarded by the len != 1 raise above), so pop() is deterministic
-            return shards.pop(), keys[0] if len(keys) == 1 else tuple(keys)
-        try:
-            target = extractor.extract(decanonical(op))
-        except Exception:
+        decoded = decanonical(op)
+        target = self._router.spec.extract(decoded)
+        if target is None:
             return 0, None
-        if target is None or isinstance(target, list):
-            return 0, None
-        return 0, target
+        keys = target if isinstance(target, list) else [target]
+        shards = {self._router.shard_of(k) for k in keys}
+        if len(shards) != 1:
+            raise EdgeUnavailable(
+                f"op {decoded[0]!r} spans shards {sorted(shards)}")
+        # protolint: disable=DEEP-TAINT singleton set (guarded by the len != 1 raise above), so pop() is deterministic
+        return shards.pop(), keys[0] if len(keys) == 1 else tuple(keys)
 
     # -- monitoring plane --------------------------------------------------
 
@@ -287,13 +263,13 @@ class EdgeTier:
 
     # -- the ladder --------------------------------------------------------
 
-    def read(self, op: bytes, key: Any = _UNSET) -> EdgeReply:
+    def read(self, op: bytes) -> EdgeReply:
         """Serve one read at the strongest mode currently available.
 
         Drives the scheduler (bounded by the configured timeouts); call
         only from outside event context.
         """
-        shard, axis_key = self._route(op, key)
+        shard, axis_key = self._route(op)
         port = self.ports[shard]
         self._poll_view_signal(port)
         cache_key = (shard, axis_key, digest(op))
@@ -381,7 +357,7 @@ class EdgeTier:
         """Single-replica read with version-vector evidence, rotating
         through the shard's replicas."""
         n = len(port.replicas)
-        for _ in range(min(self.refresh_attempts, n)):
+        for _ in range(min(REFRESH_ATTEMPTS, n)):
             replica = port.replicas[port.rotation % n]
             port.rotation += 1
             nonce = port.node.fetch(replica.node_id, op)

@@ -22,7 +22,7 @@ systematic, seed-reproducible exploration engine:
 CLI: ``python -m repro.faultlab {list,run,sweep,replay}``.
 """
 
-from repro.faultlab.explorer import TrialResult, replay_trial, run_trial, shrink
+from repro.faultlab.explorer import TrialResult, run_trial, shrink
 from repro.faultlab.injector import FaultInjector
 from repro.faultlab.invariants import Violation, check_all
 from repro.faultlab.plan import (
@@ -41,5 +41,5 @@ __all__ = [
     "BackendFault", "CrashFault", "DelaySpikeFault", "FaultInjector",
     "FaultPlan", "LossFault", "PartitionFault", "RecoveryFault",
     "ReplicaFault", "SCENARIOS", "TrialResult", "Violation", "check_all",
-    "get_scenario", "replay_trial", "run_trial", "scenario_names", "shrink",
+    "get_scenario", "run_trial", "scenario_names", "shrink",
 ]

@@ -20,7 +20,7 @@ import json
 import sys
 
 from repro.faultlab import report as reportlib
-from repro.faultlab.explorer import replay_trial, run_trial, sweep
+from repro.faultlab.explorer import run_trial, sweep
 from repro.faultlab.plan import FaultPlan
 from repro.faultlab.scenarios import SCENARIOS, scenario_names
 
@@ -69,7 +69,7 @@ def cmd_replay(args) -> int:
     if args.plan:
         with open(args.plan, "r", encoding="utf-8") as fh:
             plan = FaultPlan.from_json(fh.read())
-    result = replay_trial(args.scenario, args.seed, plan=plan)
+    result = run_trial(args.scenario, args.seed, plan=plan)
     _print_trial(result)
     _write_json(reportlib.trial_report(result), args.json)
     return 0 if result.ok else 1

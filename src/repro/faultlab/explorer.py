@@ -236,11 +236,10 @@ def _build(scenario: Scenario, seed: int):
     that one group and every other shard stays a clean control.
     """
     from repro.bft.config import BftConfig
-    from repro.sim.network import LinkConfig, NetworkConfig
+    from repro.sim.network import NetworkConfig
 
     config = BftConfig(**scenario.config)
-    network_config = NetworkConfig(seed=seed,
-                                   default_link=LinkConfig(**scenario.link))
+    network_config = NetworkConfig(seed=seed)
     if scenario.service == "kv":
         from repro.bft.statemachine import InMemoryStateManager
         from repro.harness.cluster import build_cluster
@@ -366,7 +365,6 @@ class _EdgeDriver:
         # The injector resolves edge_partition faults against this.
         cluster.edge_node_ids = self.tier.edge_node_ids
         self.reads = 0
-        self.unavailable = 0
 
     def read_once(self) -> None:
         from repro.bft.statemachine import InMemoryStateManager
@@ -376,7 +374,7 @@ class _EdgeDriver:
         try:
             self.tier.read(op)
         except EdgeUnavailable:
-            self.unavailable += 1
+            return  # allowed; the tier counts it (edge.unavailable)
 
     def mode_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -525,13 +523,6 @@ def run_trial(scenario: ScenarioRef, seed: int,
         edge_modes=edge.mode_counts() if edge is not None else {})
 
 
-def replay_trial(scenario: ScenarioRef, seed: int,
-                 plan: Optional[FaultPlan] = None) -> TrialResult:
-    """Re-run a trial exactly as the sweep ran it (same seed ⇒ same
-    plan ⇒ same violations); pass ``plan`` to replay a shrunk plan."""
-    return run_trial(scenario, seed, plan=plan)
-
-
 # -- shrinking ----------------------------------------------------------------------
 
 
@@ -635,7 +626,6 @@ class SweepResult:
 def sweep(scenarios: Optional[Sequence[str]] = None,
           seeds: Optional[Sequence[int]] = None,
           n_seeds: int = 4, base_seed: int = 0,
-          shrink_failures: bool = True,
           progress=None) -> SweepResult:
     """Run every in-sweep scenario across a seed range; shrink each
     failure and record its replay command.  ``progress`` (if given) is
@@ -660,12 +650,9 @@ def sweep(scenarios: Optional[Sequence[str]] = None,
                          f"({result.plan.describe()})")
             if not result.ok:
                 shrunk = shrink(name, seed, result.plan,
-                                violations=result.violations) \
-                    if shrink_failures else \
-                    ShrinkResult(name, seed, result.plan, result.plan,
-                                 result.violations, trials=0)
+                                violations=result.violations)
                 out.failures.append(SweepFailure(result, shrunk))
-                if progress is not None and shrink_failures:
+                if progress is not None:
                     progress(f"    shrunk {len(result.plan)} -> "
                              f"{len(shrunk.plan)} faults in "
                              f"{shrunk.trials} trials; replay: "

@@ -232,8 +232,7 @@ def check_staleness_contract(
         records: Sequence,
         histories: Dict[str, Sequence[Tuple[int, bytes]]],
         breaker_states: Sequence[Tuple[int, str]] = (),
-        expect_repromotion: bool = False,
-        slack: float = 1e-9) -> List[Violation]:
+        expect_repromotion: bool = False) -> List[Violation]:
     """The edge tier's advertised staleness contract, audited against the
     abstract-state history correct replicas actually passed through:
 
@@ -288,7 +287,8 @@ def check_staleness_contract(
                     f"{tag} bounded-stale reply advertises no bound"))
             else:
                 actual = rec.served_at - ev.issued_at
-                if actual > rec.staleness_bound + slack:
+                # 1e-9: float slack on a difference of sim seconds
+                if actual > rec.staleness_bound + 1e-9:
                     violations.append(Violation(
                         "staleness_contract",
                         f"{tag} actual staleness {actual:.6f}s exceeds "

@@ -63,7 +63,6 @@ class Scenario:
     description: str
     plan: Callable[[random.Random], FaultPlan]
     config: Dict[str, Any] = field(default_factory=dict)
-    link: Dict[str, float] = field(default_factory=dict)
     service: str = "kv"
     workload: Optional[Workload] = None
     probe: Optional[Probe] = None

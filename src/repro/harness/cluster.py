@@ -28,9 +28,6 @@ class Cluster:
     replicas: List[Replica]
     clients: Dict[str, BftClient] = field(default_factory=dict)
 
-    def replica(self, index: int) -> Replica:
-        return self.replicas[index]
-
     @property
     def metrics(self):
         """The shared metrics registry (counters/gauges/histograms)."""
@@ -41,9 +38,6 @@ class Cluster:
         """Render the per-phase latency histograms as a table."""
         from repro.harness.report import phase_breakdown_table
         return phase_breakdown_table(self.tracer.metrics, title=title)
-
-    def metrics_json(self, indent: int = 2) -> str:
-        return self.tracer.metrics.to_json(indent=indent)
 
     @property
     def primary(self) -> Replica:
@@ -65,10 +59,6 @@ class Cluster:
     def run_until(self, predicate: Callable[[], bool],
                   max_events: int = 5_000_000) -> bool:
         return self.scheduler.run_until_idle_or(predicate, max_events)
-
-    def settle(self, max_events: int = 5_000_000) -> None:
-        """Drain the event queue completely (timers permitting)."""
-        self.scheduler.run(max_events)
 
 
 def build_cluster(make_state: Callable[[int], StateManager],

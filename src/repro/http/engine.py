@@ -37,7 +37,6 @@ class HttpError(ServiceError):
     def __init__(self, status: HttpStatus, reason: str = ""):
         super().__init__(f"{int(status)} {reason}")
         self.status = status
-        self.reason = reason
 
 
 def _split(path: str) -> List[str]:
@@ -69,7 +68,6 @@ class _BaseServer:
 
     def __init__(self) -> None:
         self.root = _Resource(collection=True)
-        self.requests_served = 0
 
     # -- vendor hooks ---------------------------------------------------------
 
@@ -111,7 +109,6 @@ class _BaseServer:
 
     def get(self, path: str) -> Tuple[bytes, str]:
         """Returns (body, etag)."""
-        self.requests_served += 1
         resource = self._resolve(path)
         if resource.is_collection:
             raise HttpError(HttpStatus.METHOD_NOT_ALLOWED, "collection")
@@ -119,7 +116,6 @@ class _BaseServer:
 
     def put(self, path: str, body: bytes) -> Tuple[bool, str]:
         """Returns (created?, new etag)."""
-        self.requests_served += 1
         parent, name = self._resolve_parent(path)
         created = name not in parent.children
         if created:
@@ -132,7 +128,6 @@ class _BaseServer:
         return created, self._etag(resource, path)
 
     def delete(self, path: str) -> None:
-        self.requests_served += 1
         parent, name = self._resolve_parent(path)
         if name not in parent.children:
             raise HttpError(HttpStatus.NOT_FOUND, self._reason(
@@ -140,7 +135,6 @@ class _BaseServer:
         del parent.children[name]
 
     def mkcol(self, path: str) -> None:
-        self.requests_served += 1
         parent, name = self._resolve_parent(path)
         if name in parent.children:
             raise HttpError(HttpStatus.METHOD_NOT_ALLOWED, "exists")
@@ -148,7 +142,6 @@ class _BaseServer:
 
     def propfind(self, path: str) -> List[Tuple[str, bool]]:
         """(name, is_collection) for a collection's members."""
-        self.requests_served += 1
         resource = self._resolve(path)
         if not resource.is_collection:
             raise HttpError(HttpStatus.METHOD_NOT_ALLOWED, "not a collection")

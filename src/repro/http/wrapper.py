@@ -29,13 +29,11 @@ class HttpConformanceWrapper(AbstractService):
     CATALOG_INDEX = 0
 
     def __init__(self, server: _BaseServer, array_size: int = 512,
-                 per_op_cost: float = 0.0,
                  clean_recovery_factory: Optional[
                      Callable[[], _BaseServer]] = None):
         super().__init__()
         self.server = server
         self.array_size = array_size
-        self.per_op_cost = per_op_cost
         #: When set, restart() replaces the server with a fresh one and
         #: the lost resources are rebuilt from the abstract state fetched
         #: during recovery (clean recovery, §3.1.4).

@@ -17,7 +17,7 @@ the concrete file system to match:
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, Optional, Set
 
 from repro.errors import StateTransferError
 from repro.nfs.protocol import FileType, NfsError, Sattr
@@ -110,8 +110,13 @@ class InverseConversion:
                 removals.append(name)
         for name in removals:
             self._remove_recursive(dir_fh, name)
+        parked = []
         for old_name, new_name in renames:
-            self._rename_safe(dir_fh, old_name, new_name)
+            temp = self._rename_safe(dir_fh, old_name, new_name)
+            if temp is not None:
+                parked.append((temp, new_name))
+        for temp, new_name in parked:
+            self._rename_safe(dir_fh, temp, new_name)
 
         present = set()
         for name, fileid in self.backend.readdir(dir_fh):
@@ -135,20 +140,21 @@ class InverseConversion:
         self.rep.update_size(index, obj.abstract_size())
 
     def _rename_safe(self, dir_fh: bytes, old_name: str,
-                     new_name: str) -> None:
-        """Rename within a directory, detouring via a temporary name if
-        the target is (still) occupied by another pending rename source."""
+                     new_name: str) -> Optional[str]:
+        """Rename within a directory.  A target that is still occupied
+        is the source of another pending rename (removals ran first), and
+        renaming onto it would destroy that file: park this one under a
+        temporary name instead and return the name, for the caller to
+        finish the move once every pending source has stepped aside."""
         try:
             self.backend.lookup(dir_fh, new_name)
-            occupied = True
         except NfsError:
-            occupied = False
-        if occupied:
+            temp = None
+        else:
             temp = f".base-tmp-{old_name}"
-            self.backend.rename(dir_fh, old_name, dir_fh, temp)
-            old_name = temp
-        self.backend.rename(dir_fh, old_name, dir_fh, new_name)
+        self.backend.rename(dir_fh, old_name, dir_fh, temp or new_name)
         self.wrapper._charge_backend("rename")
+        return temp
 
     def _remove_recursive(self, dir_fh: bytes, name: str) -> None:
         fh, fattr = self.backend.lookup(dir_fh, name)

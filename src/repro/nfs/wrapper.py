@@ -58,6 +58,9 @@ from repro.nfs.spec import (
 #: stored where the next ``get_obj`` cannot pack it.
 _OUT_OF_RANGE = "value outside its unsigned XDR field"
 
+# Seconds a proposed timestamp may sit from this replica's clock.
+CLOCK_DELTA = 2.0
+
 
 class NfsConformanceWrapper(AbstractService):
     """One replica's veneer over one backend NFS server."""
@@ -65,7 +68,6 @@ class NfsConformanceWrapper(AbstractService):
     def __init__(self, backend: MemoryFilesystem,
                  spec: Optional[AbstractSpecConfig] = None,
                  clock: Callable[[], float] = lambda: 0.0,
-                 clock_delta: float = 2.0,
                  clean_recovery_factory: Optional[
                      Callable[[], MemoryFilesystem]] = None):
         super().__init__()
@@ -77,7 +79,7 @@ class NfsConformanceWrapper(AbstractService):
         #: construction).
         self.clean_recovery_factory = clean_recovery_factory
         self.spec = spec or AbstractSpecConfig()
-        self.timestamps = TimestampAgreement(clock, delta=clock_delta)
+        self.timestamps = TimestampAgreement(clock, delta=CLOCK_DELTA)
         self.rep = ConformanceRep(self.spec.array_size)
         root_fh = backend.mount()
         root_attr = backend.getattr(root_fh)

@@ -214,6 +214,12 @@ def check_restart_survival(probe: ServiceProbe) -> None:
     driver.ok(*probe.post_restart_op)
 
 
+def _container_sizes(wrapper: AbstractService) -> Dict[str, int]:
+    """Length of every sized attribute of ``wrapper``, by name."""
+    return {name: len(value) for name, value in vars(wrapper).items()
+            if hasattr(value, "__len__")}
+
+
 def check_txn_framing(probe: ServiceProbe) -> None:
     """The kernel's two-phase meta-ops frame a sub-op without changing
     its semantics: prepare + commit yields byte-identical replies and an
@@ -253,6 +259,16 @@ def check_txn_framing(probe: ServiceProbe) -> None:
         f"{probe.name}: read-only path accepted a commit: {gated!r}"
     assert framed.snapshot() == before, \
         f"{probe.name}: a non-committing meta-op changed abstract state"
+    # A coordinator that dies after prepare (or a client that only ever
+    # prepares) must not grow anything on the replica: a prepare is a
+    # stateless vote.
+    sizes_before = _container_sizes(framed.wrapper)
+    for i in range(100):
+        framed.op("__prepare__", f"abandoned-{i}", (sub,))
+    assert _container_sizes(framed.wrapper) == sizes_before, \
+        f"{probe.name}: abandoned prepares grew a container on the wrapper"
+    assert framed.snapshot() == before, \
+        f"{probe.name}: abandoned prepares changed abstract state"
 
 
 def _state_blob(snapshot: Dict[int, bytes]) -> bytes:
@@ -396,9 +412,13 @@ def _nfs_workload(d: Driver) -> None:
     d.ok("write", b, 0, b"doomed")
     d.ok("symlink", root, "link", "a.txt", _SATTR_FILE)
     d.ok("setattr", a, (0o600, 0, 0, -1, -1, -1))
+    d.ok("setattr", a, (-1, -1, -1, 5, -1, -1))       # truncate
+    d.ok("setattr", a, (-1, -1, -1, 4000, -1, -1))    # extend
+    d.ok("create", docs, "sized.bin", (0o644, 0, 0, 100, -1, -1))
     d.ok("remove", docs, "b.txt")
     d.ok("getattr", a, read_only=True)
     d.ok("readdir", root, read_only=True)
+    d.ok("statfs", root, read_only=True)
 
 
 def _sql_make_wrapper(variant: int) -> AbstractService:
@@ -439,6 +459,7 @@ def _http_workload(d: Driver) -> None:
     d.ok("PUT", "/docs/c.txt", b"gamma")
     d.ok("DELETE", "/docs/a.html")
     d.ok("GET", "/b.txt", "", read_only=True)
+    d.ok("HEAD", "/b.txt", read_only=True)
     d.ok("PROPFIND", "/docs", read_only=True)
 
 

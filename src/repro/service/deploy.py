@@ -234,7 +234,6 @@ class ServiceDefinition:
     #: Default partition-tree branching for this service's state size.
     branching: int = 16
     client_id: str = ""
-    direct_server_id: str = ""
     direct_client_id: str = ""
     #: Run once per replica after the cluster is built (e.g. charge hooks).
     wire_replica: Optional[Callable[[Any, Upcalls], None]] = None
@@ -244,7 +243,6 @@ class ServiceDefinition:
 
     def __post_init__(self) -> None:
         self.client_id = self.client_id or f"{self.name}-client"
-        self.direct_server_id = self.direct_server_id or f"{self.name}-server"
         self.direct_client_id = (self.direct_client_id
                                  or f"{self.name}-client-node")
 
@@ -285,10 +283,6 @@ class Deployment:
     def run(self, seconds: float) -> None:
         """Advance simulated time (processing everything due in between)."""
         self.scheduler.run_until(self.scheduler.now + seconds)
-
-    def settle(self, max_events: int = 5_000_000) -> None:
-        """Drain the event queue completely (timers permitting)."""
-        self.scheduler.run(max_events)
 
 
 @dataclass
@@ -396,13 +390,12 @@ class UnreplicatedDeployment(Deployment):
         direct = definition.make_direct(WrapperContext(
             index=0, backend_class=backend_class,
             clock=lambda: scheduler.now, options=options))
-        node = DirectServiceServer(definition.direct_server_id, network,
-                                   direct.handler)
+        server_id = f"{definition.name}-server"
+        node = DirectServiceServer(server_id, network, direct.handler)
         if direct.wire is not None:
             direct.wire(node)
         channel = DirectChannel(definition.name, scheduler, network,
-                                definition.direct_server_id,
-                                definition.direct_client_id)
+                                server_id, definition.direct_client_id)
         make_client = definition.make_direct_client or definition.make_client
         return cls(definition=definition, scheduler=scheduler,
                    network=network, channel=channel,

@@ -122,12 +122,6 @@ class AbstractService(Upcalls):
         #: not) before dispatch; per-op extras come from ``@op(cost=...)``.
         self.per_op_cost: float = 0.0
         self._saved_rep: Optional[bytes] = None
-        #: Advisory staging of prepared-but-uncommitted transaction
-        #: sub-ops.  NOT part of the abstract state: a replica restored
-        #: from a checkpoint (state transfer between prepare and commit)
-        #: loses it harmlessly, because ``__commit__`` carries the
-        #: sub-ops redundantly and never consults this map to execute.
-        self._txn_staged: Dict[Any, Tuple[bytes, ...]] = {}
 
     # -- introspection -----------------------------------------------------------
 
@@ -193,7 +187,6 @@ class AbstractService(Upcalls):
         if kind == TXN_ABORT:
             if len(args) != 1 or not isinstance(args[0], str):
                 return canonical((TXN_TAG, "malformed", kind))
-            self._txn_staged.pop(args[0], None)
             return canonical((TXN_TAG, "aborted", args[0]))
         if (len(args) != 2 or not isinstance(args[0], str)
                 or not isinstance(args[1], tuple) or not args[1]
@@ -201,13 +194,14 @@ class AbstractService(Upcalls):
             return canonical((TXN_TAG, "malformed", kind))
         txn_id, sub_ops = args[0], args[1]
         if kind == TXN_PREPARE:
+            # A stateless vote: the commit carries its sub-ops, so a
+            # prepare leaves nothing behind for an abandoned
+            # transaction to leak.
             if all(self._txn_vote(sub) for sub in sub_ops):
-                self._txn_staged[txn_id] = sub_ops
                 return canonical((TXN_TAG, "prepared", txn_id))
             return canonical((TXN_TAG, "refused", txn_id))
         # TXN_COMMIT: apply the carried sub-ops in order at this sequence
-        # point.  The staged copy (if any survives) is dropped unread.
-        self._txn_staged.pop(txn_id, None)
+        # point.
         replies = tuple(self.execute(sub, client_id, nondet)
                         for sub in sub_ops)
         return canonical((TXN_TAG, "committed", txn_id, replies))

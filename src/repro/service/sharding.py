@@ -191,7 +191,7 @@ class ShardRouter(Channel):
 
         Groups the ops by owning shard, prepares every shard (each vote
         is a deterministic function of the sub-op bytes), then commits —
-        each ``__commit__`` carries its shard's sub-ops redundantly, so
+        each ``__commit__`` carries its shard's sub-ops, so
         a replica that checkpointed past the prepare still executes the
         identical sub-ops at the commit's sequence point.  Any refusal
         aborts the prepared shards and raises :class:`TxnAborted` with

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 class Histogram:
@@ -69,18 +69,17 @@ class Histogram:
         rank = max(1, math.ceil(p / 100.0 * len(ordered)))
         return ordered[rank - 1]
 
-    def summary(self, percentiles: Iterable[float] = (50, 90, 99)) -> Dict[str, float]:
-        out: Dict[str, float] = {
+    def summary(self) -> Dict[str, float]:
+        return {
             "count": self.count,
             "sum": self.sum,
             "mean": self.mean,
             "min": self.min if self.count else float("nan"),
             "max": self.max if self.count else float("nan"),
+            "p50": self.percentile(50),
+            "p90": self.percentile(90),
+            "p99": self.percentile(99),
         }
-        for p in percentiles:
-            key = f"p{p:g}".replace(".", "_")
-            out[key] = self.percentile(p)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Histogram({self.name!r}, count={self.count}, "
@@ -162,17 +161,16 @@ class Metrics:
 
     # -- export ------------------------------------------------------------
 
-    def as_dict(self, percentiles: Iterable[float] = (50, 90, 99)) -> Dict[str, Any]:
+    def as_dict(self) -> Dict[str, Any]:
         return {
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
             "histograms": {
-                name: hist.summary(percentiles)
+                name: hist.summary()
                 for name, hist in sorted(self.histograms.items())},
         }
 
-    def to_json(self, indent: Optional[int] = 2,
-                percentiles: Iterable[float] = (50, 90, 99)) -> str:
+    def to_json(self) -> str:
         def _clean(obj):
             # JSON has no NaN/inf; export them as null.
             if isinstance(obj, float) and not math.isfinite(obj):
@@ -180,7 +178,7 @@ class Metrics:
             if isinstance(obj, dict):
                 return {k: _clean(v) for k, v in obj.items()}
             return obj
-        return json.dumps(_clean(self.as_dict(percentiles)), indent=indent)
+        return json.dumps(_clean(self.as_dict()), indent=2)
 
     def merge(self, other: "Metrics", prefix: str = "") -> None:
         """Fold another registry into this one (counters add, gauges take

@@ -52,7 +52,6 @@ class Network:
         self._partitioned: Set[frozenset] = set()
         self._filters: list = []  # callables (src, dst, msg) -> bool (deliver?)
         self.messages_sent = 0
-        self.messages_delivered = 0
         self.messages_dropped = 0
         self.messages_duplicated = 0
         self.bytes_sent = 0
@@ -207,5 +206,4 @@ class Network:
         if node is None:
             self.messages_dropped += 1
             return
-        self.messages_delivered += 1
         node.on_message(src, msg)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.sim.metrics import Metrics, Span
 
@@ -122,9 +122,6 @@ class Tracer:
         self.counters.clear()
         self.metrics.clear()
         self.dropped_events = 0
-
-    def summary(self) -> List[Tuple[str, int]]:
-        return sorted(self.counters.items())
 
     # -- metrics convenience --------------------------------------------------
 

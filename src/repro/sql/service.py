@@ -77,7 +77,6 @@ def _make_wrapper(ctx: WrapperContext) -> SqlConformanceWrapper:
     return SqlConformanceWrapper(
         engine_class(),
         array_size=ctx.options["array_size"],
-        per_op_cost=ctx.options["per_op_cost"],
         clean_recovery_factory=engine_class
         if ctx.options["clean_recovery"] else None)
 
@@ -108,8 +107,7 @@ SQL_SERVICE = register(ServiceDefinition(
     make_wrapper=_make_wrapper,
     make_client=SqlClient,
     make_direct=_make_direct,
-    wrapper_options={"array_size": 512, "per_op_cost": 0.0,
-                     "clean_recovery": False},
+    wrapper_options={"array_size": 512, "clean_recovery": False},
     default_backends=(BTreeStoreEngine,) * 4,
     branching=16,
     shard_key=ShardKeySpec(extract=_shard_key, axis="table name"),

@@ -66,13 +66,11 @@ class SqlConformanceWrapper(AbstractService):
     CATALOG_INDEX = 0
 
     def __init__(self, engine: SqlEngine, array_size: int = 1024,
-                 per_op_cost: float = 0.0,
                  clean_recovery_factory: Optional[
                      Callable[[], SqlEngine]] = None):
         super().__init__()
         self.engine = engine
         self.array_size = array_size
-        self.per_op_cost = per_op_cost
         #: §3.1.4's improvement, applied to the relational service: when
         #: set, restart() discards the old engine and rebuilds onto a
         #: *fresh* one from the abstract state fetched during recovery.

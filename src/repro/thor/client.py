@@ -42,26 +42,20 @@ class ThorClient:
         self._pages: "OrderedDict[int, Page]" = OrderedDict()
         self._cache_used = 0
         self._pending_discards: List[int] = []
-        self._pending_acks: List[int] = []
         self._invalid: Set[int] = set()
         self._reads: Set[int] = set()
         self._writes: Dict[int, bytes] = {}
         self._ts_counter = 0
         self.fetches = 0
-        self.commits_ok = 0
-        self.commits_aborted = 0
-        self.in_session = False
 
     # -- sessions -----------------------------------------------------------------
 
     def start_session(self) -> int:
         result = self.transport.call(("start_session", self.client_id))
-        self.in_session = True
         return result[0]
 
     def end_session(self) -> None:
         self.transport.call(("end_session", self.client_id))
-        self.in_session = False
 
     # -- cache ---------------------------------------------------------------------
 
@@ -149,11 +143,8 @@ class ThorClient:
                 page = self._pages.get(oref_pagenum(oref))
                 if page is not None:
                     page.objects[oref_onum(oref)] = value
-            self.commits_ok += 1
-            self._reads, self._writes = set(), {}
-        else:
-            self.commits_aborted += 1
-            self._reads, self._writes = set(), {}
+        self._reads, self._writes = set(), {}
+        if not committed:
             raise TransactionAborted(self.client_id)
 
     def run_transaction(self, body, retries: int = 5):

@@ -19,13 +19,13 @@ from repro.thor.orefs import oref_onum, oref_pagenum
 class ModifiedObjectBuffer:
     """oref -> pending object bytes, in commit order."""
 
-    def __init__(self, capacity_bytes: int, flush_seed: int = 0,
-                 flush_fraction: float = 0.5):
+    FLUSH_FRACTION = 0.5  # a flush drains to about this share of capacity
+
+    def __init__(self, capacity_bytes: int, flush_seed: int = 0):
         self.capacity_bytes = capacity_bytes
         self._entries: "OrderedDict[int, bytes]" = OrderedDict()
         self._bytes = 0
         self._rng = random.Random(flush_seed)
-        self.flush_fraction = flush_fraction
         self.flushes = 0
 
     @property
@@ -67,7 +67,7 @@ class ModifiedObjectBuffer:
         """
         self.flushes += 1
         target = self.capacity_bytes * (
-            self.flush_fraction * (0.8 + 0.4 * self._rng.random()))
+            self.FLUSH_FRACTION * (0.8 + 0.4 * self._rng.random()))
         by_page: Dict[int, Dict[int, bytes]] = {}
         while self._entries and self._bytes > target:
             oref, value = self._entries.popitem(last=False)

@@ -50,11 +50,6 @@ class BaseThorTransport(ThorTransport):
         return self.channel.now
 
 
-#: The unreplicated baseline drives the same transport over a direct
-#: channel; the name survives for callers that distinguish the two.
-DirectThorTransport = BaseThorTransport
-
-
 # -- service registration ----------------------------------------------------------
 
 

@@ -36,17 +36,18 @@ from repro.thor.pages import Page
 from repro.thor.server import ThorServer
 from repro.thor.vq import VqEntry
 
+# A commit timestamp further than this from the agreed time is refused.
+COMMIT_TS_SLACK_US = 10_000_000
+
 
 class ThorConformanceWrapper(AbstractService):
     def __init__(self, server: ThorServer, num_pages: int,
                  max_clients: int = 16,
                  clock: Callable[[], float] = lambda: 0.0,
-                 commit_ts_slack: float = 10.0,
                  op_cost: float = 0.0,
                  commit_byte_cost: float = 0.0):
         super().__init__()
         self.server = server
-        self.op_cost = op_cost
         self.per_op_cost = op_cost  # kernel charges this per request
         # Per-KB cost of processing committed object values (validation,
         # MOB insertion, checkpoint maintenance) — the paper's T2b commits
@@ -56,7 +57,6 @@ class ThorConformanceWrapper(AbstractService):
         self.vq_capacity = server.vq.capacity
         self.max_clients = max_clients
         self.timestamps = TimestampAgreement(clock)
-        self.commit_ts_slack_us = int(commit_ts_slack * 1_000_000)
         # Conformance representation (paper §3.2.3).
         self.vq_array: List[int] = [0] * self.vq_capacity
         self.client_array: List[Optional[str]] = [None] * max_clients
@@ -175,7 +175,7 @@ class ThorConformanceWrapper(AbstractService):
         # Faulty clients must not commit with wild timestamps (they would
         # cause spurious aborts); validate against the *agreed* receive
         # time, so all correct replicas reach the same decision.
-        if abs(timestamp - agreed_us) > self.commit_ts_slack_us:
+        if abs(timestamp - agreed_us) > COMMIT_TS_SLACK_US:
             return (False, tuple(sorted(
                 self.server.invalid_sets.get(client_id))))
         from repro.thor.orefs import oref_pagenum

@@ -25,8 +25,8 @@ This module provides:
   :class:`~repro.sim.metrics.Metrics` histograms, with timeouts,
   service errors, and shed requests all *counted against* the SLO
   (excluding failures from a latency SLO is how dashboards lie);
-- **A load-sweep controller** (:func:`walk_to_knee`, :func:`load_sweep`)
-  that walks offered load monotonically to find the knee of the
+- **A load-sweep controller** (:func:`walk_to_knee`) that walks
+  offered load monotonically to find the knee of the
   latency-vs-throughput curve and reports the maximum sustainable
   request rate at a stated p95 SLO.
 """
@@ -77,33 +77,31 @@ class PoissonArrivals(ArrivalProcess):
 class OnOffArrivals(ArrivalProcess):
     """Bursty traffic: Poisson bursts separated by silences.
 
-    ON and OFF period lengths are heavy-tailed (Pareto with
-    ``alpha < 2``), which is the classical construction whose
+    ON and OFF period lengths are heavy-tailed (Pareto with shape
+    ``ALPHA`` < 2), which is the classical construction whose
     aggregate is self-similar — flash-crowd-shaped load rather than
     smooth Poisson.  During ON periods arrivals fire at
     ``rate / on_fraction`` so the *long-run* mean stays ``rate``.
     """
 
+    ALPHA = 1.5
+    # Pareto(alpha) has mean alpha/(alpha-1); scale to the target.
+    _PARETO_MEAN = ALPHA / (ALPHA - 1.0)
+
     def __init__(self, rate: float, rng: random.Random,
-                 on_fraction: float = 0.25, mean_on: float = 0.5,
-                 alpha: float = 1.5):
+                 on_fraction: float = 0.25, mean_on: float = 0.5):
         if not 0 < on_fraction <= 1:
             raise ValueError(f"on_fraction must be in (0, 1], got {on_fraction!r}")
-        if alpha <= 1:
-            raise ValueError(f"alpha must be > 1, got {alpha!r}")
         self.mean_rate = rate
         self.burst_rate = rate / on_fraction
         self.rng = rng
-        self.alpha = alpha
         self.mean_on = mean_on
         self.mean_off = mean_on * (1.0 - on_fraction) / on_fraction
-        # Pareto(alpha) has mean alpha/(alpha-1); scale to the target.
-        self._pareto_mean = alpha / (alpha - 1.0)
         self._on_until = -1.0   # currently OFF; first call opens a burst
         self._t = 0.0
 
     def _draw_period(self, mean: float) -> float:
-        return mean * self.rng.paretovariate(self.alpha) / self._pareto_mean
+        return mean * self.rng.paretovariate(self.ALPHA) / self._PARETO_MEAN
 
     def next_after(self, t: float) -> float:
         t = max(t, self._t)
@@ -188,10 +186,10 @@ class RequestClass:
     timeout: float
 
 
-def default_kv_classes(slo_p95: float = 0.005, timeout_factor: float = 8.0,
-                       state_size: int = 64,
-                       read_fraction: float = 0.25) -> List[RequestClass]:
-    """Read/write mix over the in-memory KV service, keyed per user."""
+def default_kv_classes(slo_p95: float = 0.005,
+                       state_size: int = 64) -> List[RequestClass]:
+    """One read in four over the in-memory KV service, keyed per user;
+    a request times out at eight times its SLO."""
     from repro.bft.statemachine import InMemoryStateManager
 
     def make_read(rng: random.Random, user: int) -> Tuple[bytes, bool]:
@@ -201,11 +199,10 @@ def default_kv_classes(slo_p95: float = 0.005, timeout_factor: float = 8.0,
         return (InMemoryStateManager.op_put(user % state_size,
                                             b"u%d" % (user % 9973)), False)
 
-    timeout = slo_p95 * timeout_factor
+    timeout = slo_p95 * 8.0
     return [
-        RequestClass("read", read_fraction, make_read, slo_p95, timeout),
-        RequestClass("write", 1.0 - read_fraction, make_write,
-                     slo_p95, timeout),
+        RequestClass("read", 0.25, make_read, slo_p95, timeout),
+        RequestClass("write", 0.75, make_write, slo_p95, timeout),
     ]
 
 
@@ -215,13 +212,12 @@ def default_kv_classes(slo_p95: float = 0.005, timeout_factor: float = 8.0,
 class _OpenRequest:
     """One logical user's in-flight request (arrival through resolution)."""
 
-    __slots__ = ("cls", "user", "op", "read_only", "arrived_at",
+    __slots__ = ("cls", "op", "read_only", "arrived_at",
                  "deadline_event", "client", "done")
 
-    def __init__(self, cls: RequestClass, user: int, op: bytes,
+    def __init__(self, cls: RequestClass, op: bytes,
                  read_only: bool, arrived_at: float):
         self.cls = cls
-        self.user = user
         self.op = op
         self.read_only = read_only
         self.arrived_at = arrived_at
@@ -286,7 +282,6 @@ class OpenLoopDriver:
         self.process = process
         self.classes = list(classes)
         self.n_users = n_users
-        self.pool_size = pool_size
         self.queue_limit = queue_limit
         self.label = label
         self.rng = random.Random(f"openloop:{seed}:{label}")
@@ -361,7 +356,7 @@ class OpenLoopDriver:
                 break
         user = self.rng.randrange(self.n_users)
         op, read_only = cls.make_op(self.rng, user)
-        pending = _OpenRequest(cls, user, op, read_only, self.scheduler.now)
+        pending = _OpenRequest(cls, op, read_only, self.scheduler.now)
         self.offered += 1
         stats = self.stats[cls.name]
         stats.offered += 1
@@ -629,30 +624,6 @@ def run_load_point(cluster_factory: Callable[[int], Any], rate: float,
         sustainable=attainment >= target_attainment,
     )
     return point, cluster
-
-
-def load_sweep(cluster_factory: Callable[[int], Any],
-               rates: Sequence[float], duration: float, seed: int = 0,
-               progress: Optional[Callable[[str], None]] = None,
-               **point_kwargs: Any) -> LoadCurve:
-    """Run a fixed monotone ladder of offered rates."""
-    rates = sorted(rates)
-    classes = point_kwargs.get("classes") or default_kv_classes()
-    point_kwargs["classes"] = classes
-    curve = LoadCurve(slo_p95=max(c.slo_p95 for c in classes),
-                      target_attainment=point_kwargs.get("target_attainment",
-                                                         0.95))
-    for rate in rates:
-        point, _cluster = run_load_point(cluster_factory, rate, duration,
-                                         seed=seed, **point_kwargs)
-        curve.points.append(point)
-        if progress:
-            progress(f"offered {rate:g}/s -> achieved "
-                     f"{point.achieved_rate:.1f}/s p95 "
-                     f"{point.p95 * 1e3:.2f} ms attainment "
-                     f"{point.attainment:.3f}"
-                     f"{'' if point.sustainable else '  [SLO MISS]'}")
-    return curve
 
 
 def walk_to_knee(cluster_factory: Callable[[int], Any], start_rate: float,

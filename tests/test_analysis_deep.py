@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import baseline as baselinelib
 from repro.analysis import report as reportlib
 from repro.analysis.__main__ import main
 from repro.analysis.config import DEEP_EVERYWHERE
@@ -85,7 +84,7 @@ def test_taint_finding_carries_source_to_sink_chain():
     assert finding.chain[-1].startswith("sink: canonical()")
     assert any("now_ts" in hop for hop in finding.chain)
     # The message names the path by function only — line churn in the
-    # chain must not churn the baseline fingerprint.
+    # chain must not churn the message.
     assert "now_ts" in finding.message
     assert ":" not in finding.message.split(" via ")[1]
 
@@ -324,14 +323,13 @@ def test_suppression_silences_deep_finding(tmp_path):
     assert not of_rule(findings, "DEEP-TAINT")
 
 
-# -- report schema v2 ----------------------------------------------------------
+# -- report schema: the chain field --------------------------------------------
 
 def test_report_schema_accepts_chain():
     finding = Finding("bft/a.py", 3, 0, "DEEP-TAINT", "taint msg",
                       chain=("source: x at bft/a.py:3",
                              "sink: canonical() at bft/b.py:9"))
-    diff = baselinelib.apply([finding], [])
-    doc = reportlib.build(diff, DEEP_RULE_IDS, ["src/repro"])
+    doc = reportlib.build([finding], DEEP_RULE_IDS, ["src/repro"])
     assert doc["findings"][0]["chain"] == list(finding.chain)
     rehydrated = reportlib.finding_from_dict(doc["findings"][0])
     assert rehydrated == finding
@@ -339,8 +337,7 @@ def test_report_schema_accepts_chain():
 
 def test_report_schema_rejects_bad_chain():
     finding = Finding("bft/a.py", 3, 0, "DEEP-TAINT", "taint msg")
-    diff = baselinelib.apply([finding], [])
-    doc = reportlib.build(diff, DEEP_RULE_IDS, ["src/repro"])
+    doc = reportlib.build([finding], DEEP_RULE_IDS, ["src/repro"])
     doc["findings"][0]["chain"] = "not-a-list"
     with pytest.raises(ValueError):
         reportlib.validate(doc)
@@ -369,20 +366,6 @@ def test_cli_without_deep_skips_deep_rules(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert not set(DEEP_RULE_IDS) & set(report["rules"])
-
-
-def test_cli_prune_baseline_is_idempotent(tmp_path, capsys):
-    path = tmp_path / "baseline.json"
-    baselinelib.dump(["DEEP-TAINT:bft/gone.py:no longer fires"], path)
-    args = [str(FIXTURES / "taint_ok"), "--deep",
-            "--baseline", str(path), "--prune-baseline"]
-    assert main(args) == 0
-    assert "pruned stale baseline entry" in capsys.readouterr().out
-    assert baselinelib.load(path) == []
-    before = path.read_text()
-    assert main(args) == 0
-    assert "pruned" not in capsys.readouterr().out
-    assert path.read_text() == before
 
 
 def _git(repo, *argv):

@@ -1,31 +1,21 @@
 """The deep gate: ``src/repro`` stays DeepLint-clean.
 
 Mirrors the file-level gate in ``test_analysis_engine.py``: the deep
-passes run over the real tree against the committed
-``deeplint-baseline.json``.  New findings fail (fix the code or add a
-reasoned inline suppression); stale baseline entries fail too, so the
-baseline only ever shrinks.
+passes run over the real tree, and any finding fails (fix the code or
+add a reasoned inline suppression where it occurs).
 """
 
 from pathlib import Path
 
-from repro.analysis import baseline as baselinelib
 from repro.analysis.deep.driver import run_deep
 
-REPO = Path(__file__).parent.parent
-SRC = REPO / "src" / "repro"
-BASELINE = REPO / "deeplint-baseline.json"
+SRC = Path(__file__).parent.parent / "src" / "repro"
 
 
 def test_src_tree_is_deeplint_clean():
     findings = run_deep([SRC])
-    fingerprints = baselinelib.load(BASELINE)
-    diff = baselinelib.apply(findings, fingerprints)
-    assert not diff.new, (
-        "new deep findings (fix them or suppress with a reasoned "
+    assert not findings, (
+        "deep findings (fix them or suppress with a reasoned "
         "'# protolint: disable=' comment):\n"
         + "\n".join(f.render() + "\n" + "\n".join(
-            f"    {hop}" for hop in f.chain) for f in diff.new))
-    assert not diff.stale, (
-        "stale deeplint-baseline.json entries (debt paid — delete "
-        "them):\n" + "\n".join(diff.stale))
+            f"    {hop}" for hop in f.chain) for f in findings))

@@ -1,4 +1,4 @@
-"""Engine-level tests for ProtoLint: suppressions, baselines, reports,
+"""Engine-level tests for ProtoLint: suppressions, reports,
 deterministic ordering, and the ``python -m repro.analysis`` CLI."""
 
 import json
@@ -8,10 +8,8 @@ import pytest
 
 from repro.analysis import (Engine, Finding, SUPPRESS_RULE_ID, all_rules,
                             select_rules)
-from repro.analysis import baseline as baselinelib
 from repro.analysis import report as reportlib
 from repro.analysis.__main__ import main
-from repro.analysis.baseline import BaselineDiff
 from repro.analysis.engine import relativize
 
 REL = "bft/fixture.py"
@@ -97,7 +95,7 @@ def test_hash_inside_string_is_not_a_suppression():
     assert [f.rule for f in findings] == ["DET-RNG"]
 
 
-# -- baselines -----------------------------------------------------------------
+# -- report schema -------------------------------------------------------------
 
 def _one_finding():
     findings = _findings("import random\n" + BAD_LINE)
@@ -105,63 +103,16 @@ def _one_finding():
     return findings[0]
 
 
-def test_baseline_roundtrip_and_semantics(tmp_path):
-    finding = _one_finding()
-    path = tmp_path / "baseline.json"
-    baselinelib.dump([finding.fingerprint, "DET-RNG:gone.py:stale entry"],
-                     path)
-    entries = baselinelib.load(path)
-    diff = baselinelib.apply([finding], entries)
-    assert diff.new == ()                     # baselined finding passes
-    assert diff.baselined == (finding,)
-    assert diff.stale == ("DET-RNG:gone.py:stale entry",)  # warns
-
-
-def test_new_finding_is_not_masked_by_unrelated_baseline():
-    finding = _one_finding()
-    diff = baselinelib.apply([finding], ["DET-RNG:other.py:different"])
-    assert diff.new == (finding,)
-    assert diff.stale == ("DET-RNG:other.py:different",)
-
-
-def test_baseline_fingerprint_survives_line_churn():
-    a = Finding(REL, 2, 8, "DET-RNG", "message text")
-    b = Finding(REL, 99, 0, "DET-RNG", "message text")
-    assert a.fingerprint == b.fingerprint
-    assert baselinelib.apply([b], [a.fingerprint]).new == ()
-
-
-@pytest.mark.parametrize("doc", [
-    "[]",
-    '{"kind": "wrong", "schema_version": 1, "findings": []}',
-    '{"kind": "protolint_baseline", "schema_version": 99, "findings": []}',
-    '{"kind": "protolint_baseline", "schema_version": 1, "findings": [1]}',
-    '{"kind": "protolint_baseline", "schema_version": 1, '
-    '"findings": ["no-colons"]}',
-    "not json at all",
-])
-def test_invalid_baseline_files_are_rejected(tmp_path, doc):
-    path = tmp_path / "baseline.json"
-    path.write_text(doc)
-    with pytest.raises(ValueError):
-        baselinelib.load(path)
-
-
-# -- report schema -------------------------------------------------------------
-
-def _report(findings=(), baselined=(), stale=()):
-    diff = BaselineDiff(new=tuple(findings), baselined=tuple(baselined),
-                        stale=tuple(stale))
-    return reportlib.build(diff, [r.rule_id for r in all_rules()],
+def _report(findings=()):
+    return reportlib.build(findings, [r.rule_id for r in all_rules()],
                            ["src/repro"])
 
 
 def test_report_builds_and_validates():
     finding = _one_finding()
-    doc = _report([finding], stale=("DET-RNG:gone.py:old",))
+    doc = _report([finding])
     assert doc["ok"] is False
-    assert doc["counts"] == {"errors": 1, "warnings": 0, "baselined": 0,
-                             "stale_baseline": 1}
+    assert doc["counts"] == {"errors": 1, "warnings": 0}
     assert doc["findings"][0]["rule"] == "DET-RNG"
     # Round-trips through JSON.
     reportlib.validate(json.loads(json.dumps(doc)))
@@ -178,7 +129,7 @@ def test_report_ok_when_clean():
     lambda d: d.__setitem__("kind", "other"),
     lambda d: d.__setitem__("ok", "yes"),
     lambda d: d["counts"].__setitem__("errors", -1),
-    lambda d: d["counts"].pop("baselined"),
+    lambda d: d["counts"].pop("warnings"),
     lambda d: d.__setitem__("findings", [{"rule": "X"}]),
     lambda d: d.__setitem__("rules", ["Z", "A"]),
     lambda d: d.__setitem__("ok", False),
@@ -277,25 +228,6 @@ def test_cli_json_output_validates(tmp_path, capsys):
     assert file_doc["findings"] == stdout_doc["findings"]
 
 
-def test_cli_baseline_workflow(tmp_path, capsys):
-    root = _write_bad_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    # 1. Grandfather the current findings.
-    assert main([str(root), "--baseline", str(baseline),
-                 "--write-baseline"]) == 0
-    # 2. Same findings now pass, reported as baselined.
-    assert main([str(root), "--baseline", str(baseline)]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-    # 3. A new violation still fails.
-    (root / "bft" / "new.py").write_text("import time\nt = time.time()\n")
-    assert main([str(root), "--baseline", str(baseline)]) == 1
-    # 4. Fixing everything leaves the baseline stale: warn, exit 0.
-    (root / "bft" / "new.py").unlink()
-    (root / "bft" / "mod.py").write_text("x = 1\n")
-    assert main([str(root), "--baseline", str(baseline)]) == 0
-    assert "stale baseline entry" in capsys.readouterr().out
-
-
 def test_cli_rule_subset(tmp_path):
     root = _write_bad_tree(tmp_path)
     assert main([str(root), "--rules", "DET-CLOCK"]) == 0
@@ -318,14 +250,8 @@ def test_cli_list_rules(capsys):
 
 def test_src_tree_is_protolint_clean():
     """The whole point: src/repro stays clean under the full rule set
-    (modulo the committed baseline, which starts empty)."""
+    — every finding is fixed or suppressed where it occurs."""
     repo = Path(__file__).resolve().parent.parent
     engine = Engine(all_rules())
     findings = engine.run(repo / "src" / "repro")
-    baseline_path = repo / "protolint-baseline.json"
-    entries = baselinelib.load(baseline_path)
-    diff = baselinelib.apply(findings, entries)
-    assert diff.new == (), "\n".join(f.render() for f in diff.new)
-    assert diff.stale == (), \
-        f"stale baseline entries, prune protolint-baseline.json: " \
-        f"{diff.stale}"
+    assert findings == [], "\n".join(f.render() for f in findings)

@@ -114,7 +114,6 @@ def test_batching_under_load():
 def test_tentative_reply_digests_only_one_full_result(kv_cluster, kv_client):
     """With the reply optimization, exactly one replica sends the full
     result; the client still accepts."""
-    assert kv_cluster.config.tentative_reply_digests
     assert kv_client.call(put(9, b"z")) == b"ok"
 
 

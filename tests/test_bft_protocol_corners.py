@@ -96,6 +96,46 @@ def test_executed_log_bounded_by_watermarks():
         assert len(replica.log) <= cluster.config.log_window + 1
 
 
+def test_rollback_without_a_local_checkpoint_goes_through_state_transfer():
+    """rollback_to_stable with the stable checkpoint gone locally cannot
+    restore in place: it reports False, counts the fallback, and a
+    forced transfer to the stable certificate repairs the state."""
+    cluster = make_kv_cluster(checkpoint_interval=2, batch_max=1)
+    client = cluster.add_client("client0")
+    for i in range(4):
+        client.call(put(i, b"v%d" % i))
+    cluster.run(1.0)
+    victim = cluster.replicas[1]
+    stable = victim.last_stable
+    assert stable == 4 and victim.stable_cert
+    # Commits never reach the victim, so its next execution stays
+    # tentative (the client still accepts on 2f+1 tentative replies).
+    def no_commits(src, dst, msg):
+        return not (dst == victim.node_id
+                    and getattr(msg, "kind", "") == "commit")
+    cluster.network.add_filter(no_commits)
+    client.call(put(9, b"tentative"))
+    assert victim.last_executed == stable + 1
+    assert victim.last_committed_exec == stable
+    victim.state.discard_checkpoints_below(stable + 1)
+
+    assert victim.rollback_to_stable() is False
+    assert cluster.metrics.counter_value("bft.rollback_via_transfer") == 1
+    assert cluster.metrics.counter_value("bft.rollback") == 0
+    assert victim.transfer.active and victim.transfer.target_seq == stable
+
+    cluster.network.remove_filter(no_commits)
+    cluster.run(1.0)
+    assert not victim.transfer.active
+    assert cluster.tracer.counters["transfer_complete"] == 1
+    for i in range(4):
+        client.call(put(i, b"w%d" % i))
+    cluster.run(1.0)
+    assert {r.last_stable for r in cluster.replicas} == {stable + 4}
+    assert len({r.state.checkpoint_root(r.last_stable)
+                for r in cluster.replicas}) == 1
+
+
 def test_tracer_find_and_counters():
     tracer = Tracer()
     tracer.emit(1.0, "n1", "thing", value=1)

@@ -6,7 +6,7 @@ import pytest
 from repro.bft.faults import HONEST
 from repro.bft.statemachine import InMemoryStateManager
 from repro.faultlab import report as reportlib
-from repro.faultlab.explorer import replay_trial, run_trial, shrink, sweep
+from repro.faultlab.explorer import run_trial, shrink, sweep
 from repro.faultlab.injector import FaultInjector
 from repro.faultlab.plan import (
     DelaySpikeFault,
@@ -54,7 +54,7 @@ def test_shrink_finds_the_minimal_failing_plan_and_replay_reproduces_it():
     assert {f.describe() for f in result.plan} == \
         {"replica1:wrong_reply", "replica2:wrong_reply"}
 
-    replayed = replay_trial("beyond_f_wrong_reply", 0, plan=result.plan)
+    replayed = run_trial("beyond_f_wrong_reply", 0, plan=result.plan)
     assert not replayed.ok
     assert replayed.violation_keys() == sorted(v.key for v in result.violations)
 

@@ -147,3 +147,37 @@ def test_metadata_only_change_transfers():
     from repro.nfs.protocol import Fattr
     attr = Fattr.decode(b.ok("getattr", fh_b, read_only=True)[0])
     assert (attr.mode, attr.uid, attr.gid) == (0o600, 5, 6)
+
+
+@pytest.mark.parametrize("backend_cls", [LinuxExt2Backend, SolarisUfsBackend],
+                         ids=lambda c: c.vendor)
+def test_swapped_names_are_repaired_by_renaming_in_place(backend_cls):
+    """Two files of one directory swap names behind the wrapper's back
+    (Figure 5's directory repair): only the directory object differs
+    from the checkpoint, so put_objs renames the unchanged files back —
+    each target name still occupied by the other — and keeps their
+    backend objects."""
+    h = WrapperHarness(backend_cls)
+    d = h.ok("mkdir", ROOT_OID, "d", SATTR_DIR)[0]
+    for name in ("x", "y"):
+        fh, _ = h.ok("create", d, name, SATTR_FILE)
+        h.ok("write", fh, 0, b"was " + name.encode())
+    checkpoint = h.abstract_state()
+    wrapper = h.wrapper
+    d_index, _ = wrapper._entry_for(d)
+    fileids = [e.fileid for e in wrapper.rep.entries]
+    dir_fh = wrapper._backend_fh(d_index)
+    for old, new in (("x", "t"), ("y", "x"), ("t", "y")):
+        wrapper.backend.rename(dir_fh, old, dir_fh, new)
+    damaged = h.abstract_state()
+    delta = {i: blob for i, blob in enumerate(checkpoint)
+             if blob != damaged[i]}
+    assert list(delta) == [d_index]
+
+    wrapper.put_objs(delta)
+    assert h.abstract_state() == checkpoint
+    assert [e.fileid for e in wrapper.rep.entries] == fileids
+    for name in ("x", "y"):
+        fh = h.ok("lookup", d, name, read_only=True)[0]
+        assert h.ok("read", fh, 0, 100, read_only=True)[0] == \
+            b"was " + name.encode()
