@@ -311,7 +311,7 @@ class BftClient(Node):
             if len(voters) < self._weak_quorum:
                 continue
             if rdigest in call.results:
-                self._accept(call.results[rdigest], "committed", voters)
+                self._accept(rdigest, "committed", voters)
                 return
             # Result certified by f+1 digests but the designated replica
             # never sent the full bytes (it may be rebooting): retransmit
@@ -326,7 +326,7 @@ class BftClient(Node):
             if len(voters) < self._quorum:
                 continue
             if rdigest in call.results:
-                self._accept(call.results[rdigest], "tentative", voters)
+                self._accept(rdigest, "tentative", voters)
                 return
             # The certificate is complete but the designated replica's
             # full-result reply has not arrived.  Unlike the committed
@@ -341,11 +341,10 @@ class BftClient(Node):
         # Read-only optimization: 2f+1 matching read-only replies.
         for rdigest, voters in call.ro_votes.items():
             if len(voters) >= self._quorum and rdigest in call.results:
-                self._accept(call.results[rdigest], "read_only", voters)
+                self._accept(rdigest, "read_only", voters)
                 return
 
-    def _accept(self, result: bytes, path: str = "committed",
-                voters: Set[str] = frozenset()) -> None:
+    def _accept(self, rdigest: bytes, path: str, voters: Set[str]) -> None:
         call = self._pending
         self._pending = None
         self._retry_timer.stop()
@@ -353,10 +352,10 @@ class BftClient(Node):
         self._last_accept = (path, tuple(sorted(voters)))
         self.tracer.metrics.inc(f"client.accept_{path}")
         self.tracer.emit(self.now, self.node_id, "result_accepted",
-                         request_id=call.request.request_id)
+                         request_id=call.request.request_id, result=rdigest)
         self.tracer.observe_phase("request_to_reply",
                                   self.now - call.started_at)
-        call.callback(result)
+        call.callback(call.results[rdigest])
 
 
 class SyncClient:

@@ -340,10 +340,11 @@ class Replica(Node):
                                     self.last_executed, b"", read_only=True)
         if self._behavior is not HONEST:
             result = self._behavior.corrupt_reply_result(result)
-        self._reply(req.client_id, req.request_id, result, tentative=True,
-                    force_full=True, read_only=True)
-        self.trace("read_only_executed", client=req.client_id,
-                   request_id=req.request_id)
+        rdigest = self._reply(req.client_id, req.request_id, result,
+                              tentative=True, force_full=True, read_only=True)
+        self.trace("read_only_executed", seq=self.last_executed,
+                   client=req.client_id, request_id=req.request_id,
+                   result=rdigest)
 
     def handle_edge_read(self, src, msg: EdgeRead) -> None:
         """Serve a single-replica edge read with staleness evidence.
@@ -693,9 +694,10 @@ class Replica(Node):
                                     nondet)
         if self._behavior is not HONEST:
             result = self._behavior.corrupt_reply_result(result)
+        rdigest = self._reply(client_id, request_id, result, tentative, seq)
         self.trace("executed", seq=seq, client=client_id,
-                   request_id=request_id, tentative=tentative)
-        self._reply(client_id, request_id, result, tentative, seq)
+                   request_id=request_id, tentative=tentative,
+                   result=rdigest)
 
     def _safe_execute(self, op: bytes, client_id: str, request_id: int,
                       seq: int, nondet: bytes,
@@ -712,7 +714,9 @@ class Replica(Node):
 
     def _reply(self, client_id: str, request_id: int, result: bytes,
                tentative: bool = False, seq: int = 0,
-               force_full: bool = False, read_only: bool = False) -> None:
+               force_full: bool = False, read_only: bool = False) -> bytes:
+        """Send the reply; returns the result digest it carries (the
+        ``result`` field of the execution event the caller emits)."""
         rdigest = digest(result)
         self.charge(self.costs.digest(len(result)))
         # One designated replica sends the full result for each seq.
@@ -729,6 +733,7 @@ class Replica(Node):
             self._reply_seq[client_id] = seq
         self.authenticate_for(reply, client_id)
         self.send(client_id, reply)
+        return rdigest
 
     # -- checkpoints -------------------------------------------------------------------
 
@@ -901,12 +906,6 @@ class Replica(Node):
             self._ckpt_retry_timer.stop()
         self.trace("rollback", seq=seq)
         self.tracer.metrics.inc("bft.rollback")
-        # One-shot completion hooks (FaultLab records RollbackEntry
-        # evidence through the same channel as state transfer).
-        callbacks = self.transfer.completion_callbacks
-        self.transfer.completion_callbacks = []
-        for cb in callbacks:
-            cb(seq)
         return True
 
     # -- view changes (delegated) --------------------------------------------------------

@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.crypto.digest import digest
 from repro.faultlab.injector import FaultInjector
 from repro.faultlab.invariants import (
     AcceptedReply,
@@ -165,51 +164,36 @@ def replay_command(scenario: str, seed: int,
 # -- evidence capture ---------------------------------------------------------------
 
 
-def _record_executions(cluster, exec_log: ExecutionLog) -> None:
-    """Shim every replica's ``_safe_execute`` to log what it *computed*
-    (pre-corruption: a wrong-reply behavior rewrites the reply after this
-    point, so a lying replica's entry is its honest computation — which
-    is exactly what reply-validity must compare accepted replies to)."""
-    for replica in cluster.replicas:
-        log = exec_log.setdefault(replica.node_id, [])
-        original = replica._safe_execute
+def _read_evidence(cluster, ctx: TrialContext):
+    """Build the checkers' evidence from the request lifecycle events the
+    product emits (docs/OBSERVABILITY.md): ``(exec_log, accepted)``.
 
-        def shim(op, client_id, request_id, seq, nondet, read_only=False,
-                 _original=original, _log=log):
-            result = _original(op, client_id, request_id, seq, nondet,
-                               read_only=read_only)
-            _log.append(ExecutionEntry(seq, client_id, request_id,
-                                       digest(result), read_only))
-            return result
-
-        replica._safe_execute = shim
-        # A completed state transfer restores a checkpoint: mark the
-        # rollback so re-execution beyond it supersedes, not conflicts.
-        # Completion callbacks are one-shot, so the hook re-registers.
-        def make_hook(transfer, _log):
-            def hook(seq):
-                _log.append(RollbackEntry(seq))
-                transfer.completion_callbacks.append(hook)
-            return hook
-
-        replica.transfer.completion_callbacks.append(
-            make_hook(replica.transfer, log))
-
-
-def _record_accepts(cluster, accepted: List[AcceptedReply]) -> None:
-    """Shim every client's ``_accept`` to log the result it certified
-    (with its f+1 / 2f+1 vote already passed)."""
-    for client in cluster.clients.values():
-        original = client._accept
-
-        def shim(result, *args, _client=client, _original=original):
-            call = _client._pending
-            accepted.append(AcceptedReply(_client.node_id,
-                                          call.request.request_id,
-                                          digest(result), _client.now))
-            _original(result, *args)
-
-        client._accept = shim
+    A replica's ``result`` is the digest it *sent*, so a lying replica's
+    entry is its lie; the checkers only read correct replicas, whose
+    behaviour is honest for the whole trial.  A ring that evicted even
+    one event is partial evidence and is refused, not judged."""
+    tracer = cluster.tracer
+    if tracer.dropped_events:
+        raise RuntimeError(
+            f"scenario {ctx.scenario.name!r} seed {ctx.seed}: the event "
+            f"ring dropped {tracer.dropped_events} events; FaultLab will "
+            f"not judge a truncated trace")
+    exec_log: ExecutionLog = {r.node_id: [] for r in cluster.replicas}
+    accepted: List[AcceptedReply] = []
+    for e in tracer.events:
+        kind, d = e.kind, e.detail
+        if kind in ("executed", "read_only_executed"):
+            exec_log[e.source].append(ExecutionEntry(
+                d["seq"], d["client"], d["request_id"], d["result"],
+                kind == "read_only_executed"))
+        elif kind in ("rollback", "transfer_complete"):
+            # Either way a checkpoint was restored: re-execution beyond
+            # it supersedes, not conflicts.
+            exec_log[e.source].append(RollbackEntry(d["seq"]))
+        elif kind == "result_accepted":
+            accepted.append(AcceptedReply(e.source, d["request_id"],
+                                          d["result"], e.time))
+    return exec_log, accepted
 
 
 # -- cluster construction -----------------------------------------------------------
@@ -362,8 +346,6 @@ class _EdgeDriver:
         self.step = spec.pop("step", 0.05)
         self.slots = spec.pop("slots", 4)
         self.tier = EdgeTier.for_cluster(cluster, **spec)
-        # The injector resolves edge_partition faults against this.
-        cluster.edge_node_ids = self.tier.edge_node_ids
         self.reads = 0
 
     def read_once(self) -> None:
@@ -408,10 +390,6 @@ def run_trial(scenario: ScenarioRef, seed: int,
         plan = scenario.plan(ctx.rng_for("plan"))
     cluster, sharded = _build(scenario, seed)
 
-    exec_log: ExecutionLog = {}
-    accepted: List[AcceptedReply] = []
-    _record_executions(cluster, exec_log)
-
     workload = scenario.workload or kv_workload
     scripts = []
     for c in range(scenario.n_clients):
@@ -427,7 +405,6 @@ def run_trial(scenario: ScenarioRef, seed: int,
     driver = openloop_duration = None
     if scenario.openloop:
         driver, openloop_duration = _build_openloop(cluster, scenario, ctx)
-    _record_accepts(cluster, accepted)
 
     edge = None
     if scenario.edge is not None:
@@ -435,12 +412,11 @@ def run_trial(scenario: ScenarioRef, seed: int,
             raise ValueError(f"scenario {scenario.name!r}: the edge "
                              f"driver issues kv reads and needs "
                              f"service='kv'")
-        # Built after the evidence shims (edge-served executions land in
-        # the log as read-only entries) and before the injector arms, so
-        # an edge_partition fault can resolve the edge's node ids.
         edge = _EdgeDriver(cluster, scenario)
 
-    injector = FaultInjector(cluster, plan)
+    injector = FaultInjector(
+        cluster, plan,
+        edge_nodes=edge.tier.edge_node_ids if edge is not None else ())
     injector.arm()
     for script in scripts:
         script.start()
@@ -475,7 +451,6 @@ def run_trial(scenario: ScenarioRef, seed: int,
     # boundary.  Fresh traffic is the protocol's only anti-entropy — a
     # replica left behind by the chaos only state-transfers when it sees
     # a stable checkpoint ahead of it, which this burst manufactures.
-    # The probe client is deliberately not evidence-instrumented.
     if scenario.expect_liveness:
         probe = scenario.probe or kv_probe
         prober = cluster.add_client("faultlab-probe")
@@ -500,6 +475,7 @@ def run_trial(scenario: ScenarioRef, seed: int,
         # the scripted clients: every arrival must resolve (complete,
         # time out, or shed) before the trial's deadline.
         scripts_done.append((driver.label, driver.drained))
+    exec_log, accepted = _read_evidence(cluster, ctx)
     violations = check_all(
         cluster, exec_log, accepted, correct_ids, scripts_done,
         scenario.expect_liveness, scenario.duration)

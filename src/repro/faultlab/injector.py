@@ -4,8 +4,9 @@ The injector schedules each fault term's activation (and, for windowed
 faults, its deactivation) on the cluster's own scheduler, so injections
 interleave deterministically with protocol events.  Every activation and
 clearance is emitted into the cluster's tracer as a ``fault_injected`` /
-``fault_cleared`` event and counted in the metrics registry, so injected
-faults appear in the same observability stream as the protocol itself.
+``fault_cleared`` event (and so counted in ``tracer.counters``), so
+injected faults appear in the same observability stream as the protocol
+itself.
 
 ``quiesce()`` force-clears whatever is still active — the trial runner
 calls it before the settle phase so convergence is checked against a
@@ -15,7 +16,7 @@ eventually repaired.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.bft.faults import (
     HONEST,
@@ -59,9 +60,12 @@ def make_backend_fault(name: str, inner: Any, params=()) -> Any:
 class FaultInjector:
     """Schedules one plan's faults onto one cluster."""
 
-    def __init__(self, cluster, plan: FaultPlan):
+    def __init__(self, cluster, plan: FaultPlan,
+                 edge_nodes: Sequence[str] = ()):
         self.cluster = cluster
         self.plan = plan
+        #: The trial's edge tier nodes (what ``edge_partition`` cuts off).
+        self.edge_nodes = edge_nodes
         self.injected = 0
         self.cleared = 0
         #: Revert callbacks for faults active right now, keyed by term
@@ -111,10 +115,8 @@ class FaultInjector:
         self._trace("fault_cleared", self.plan.faults[index], forced=forced)
 
     def _trace(self, kind: str, fault, **extra) -> None:
-        tracer = self.cluster.tracer
-        tracer.emit(self.cluster.scheduler.now, "faultlab", kind,
-                    fault=fault.describe(), **extra)
-        tracer.metrics.inc(f"faultlab.{kind}")
+        self.cluster.tracer.emit(self.cluster.scheduler.now, "faultlab",
+                                 kind, fault=fault.describe(), **extra)
 
     # -- one applier per fault kind; each returns a revert callback ---------
 
@@ -142,11 +144,11 @@ class FaultInjector:
 
     def _apply_edge_partition(self, fault) -> Callable[[], None]:
         network = self.cluster.network
-        group = set(getattr(self.cluster, "edge_node_ids", ()))
+        group = set(self.edge_nodes)
         if not group:
             raise ValueError("edge_partition fault needs a trial built "
-                             "with an edge tier (no edge node ids on the "
-                             "cluster)")
+                             "with an edge tier (the injector was given "
+                             "no edge node ids)")
         others = [n for n in network.node_ids() if n not in group]
         pairs = [(a, b) for a in sorted(group) for b in others]
         for a, b in pairs:

@@ -1,9 +1,11 @@
 """Safety/liveness invariant checkers run against every FaultLab trial.
 
-The trial runner records two streams of evidence while the simulation
-runs — every execution at every replica (via a ``_safe_execute`` shim)
-and every reply the clients accepted (via a client ``_accept`` shim) —
-then hands them, plus the settled cluster, to the checkers:
+After the run the trial runner builds two streams of evidence, read from
+the event ring the product fills (``executed``, ``read_only_executed``,
+``rollback``, ``transfer_complete`` and ``result_accepted``, see
+docs/OBSERVABILITY.md) — every execution at every replica and every
+reply a client accepted — then hands them, plus the settled cluster, to
+the checkers:
 
 - **agreement** — all correct replicas' committed op sequences are
   prefixes of one another: any sequence number executed by two correct
@@ -50,8 +52,8 @@ class Violation:
 
 @dataclass(frozen=True)
 class ExecutionEntry:
-    """One execution at one replica (recorded pre-corruption, so a lying
-    replica's entry is what it *computed*, not what it sent)."""
+    """One execution at one replica, with the digest of the result it
+    replied (for a correct replica, the result it computed)."""
 
     seq: int
     client_id: str
@@ -62,10 +64,10 @@ class ExecutionEntry:
 
 @dataclass(frozen=True)
 class RollbackEntry:
-    """State transfer completed at this replica, restoring checkpoint
-    ``seq``: executions beyond it are discarded and will be re-run (the
-    normal recovery path), so re-execution after this marker supersedes
-    instead of conflicting."""
+    """This replica restored checkpoint ``seq`` (a rollback in place or
+    a completed state transfer): executions beyond it are discarded and
+    will be re-run (the normal recovery path), so re-execution after
+    this marker supersedes instead of conflicting."""
 
     seq: int
 

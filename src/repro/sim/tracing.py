@@ -32,7 +32,7 @@ PHASES = (
 _PHASE_NAMES = {phase: f"phase.{phase}" for phase in PHASES}
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     time: float
     source: Any
@@ -97,15 +97,6 @@ class Tracer:
 
     def count(self, kind: str, n: int = 1) -> None:
         self.counters[kind] += n
-
-    def record_timing(self, label: str, seconds: float) -> None:
-        self.metrics.observe(label, seconds)
-
-    def timings(self, label: str) -> List[float]:
-        """The samples the ``label`` histogram retains (bounded: see
-        :class:`~repro.sim.metrics.Histogram`)."""
-        hist = self.metrics.histograms.get(label)
-        return list(hist._samples) if hist is not None else []
 
     def find(self, kind: str, source: Optional[Any] = None) -> List[TraceEvent]:
         return [e for e in self.events

@@ -146,8 +146,8 @@ def test_tracer_find_and_counters():
     assert len(tracer.find("thing", source="n1")) == 1
     assert tracer.first("other").time == 3.0
     assert tracer.first("missing") is None
-    tracer.record_timing("lap", 0.5)
-    assert tracer.timings("lap") == [0.5]
+    tracer.observe("lap", 0.5)
+    assert tracer.metrics.histograms["lap"].sum == 0.5
     tracer.clear()
     assert not tracer.events and not tracer.counters
 

@@ -129,3 +129,36 @@ def test_repeated_recoveries_tolerate_unbounded_faults_over_time():
         victim.recovery.start_recovery()
         cluster.run(15.0)
         assert victim.state.values == cluster.replicas[(round_no + 1) % 4].state.values
+
+
+def test_rollback_mid_recovery_does_not_finish_the_recovery():
+    """A view change can roll a replica back while it is still fetching
+    and checking.  Restoring the local checkpoint proves nothing about
+    the state: the recovery completes only when its transfer does."""
+    cluster = make_kv_cluster(checkpoint_interval=4, reboot_delay=0.5)
+    client = cluster.add_client("client0")
+    for i in range(8):
+        client.call(put(i, b"v%d" % i))
+    cluster.run(1.0)
+    victim = cluster.replicas[3]
+    victim.recovery.start_recovery()
+    # No peer answers, so fetch-and-check cannot complete on its own.
+    for other in victim.other_replicas:
+        cluster.network.partition(victim.node_id, other)
+    cluster.run(1.0)
+    recovery = victim.recovery
+    assert recovery.recovering and not recovery.rebooting
+
+    assert victim.rollback_to_stable() is True
+    cluster.run(1.0)
+    assert recovery.recovering
+    assert recovery.records == []
+
+    # Healed, the next stable checkpoint starts the transfer it needs.
+    cluster.network.heal_all()
+    for i in range(8):
+        client.call(put(i, b"w%d" % i))
+    cluster.run(10.0)
+    assert not recovery.recovering
+    assert len(recovery.records) == 1
+    assert victim.state.values == cluster.replicas[0].state.values

@@ -59,6 +59,20 @@ def test_shrink_finds_the_minimal_failing_plan_and_replay_reproduces_it():
     assert replayed.violation_keys() == sorted(v.key for v in result.violations)
 
 
+def test_trial_refuses_to_judge_a_truncated_event_ring(monkeypatch):
+    """The ring is the evidence: once it has evicted an event the
+    checkers would pass on executions they never saw."""
+    from functools import partial
+
+    from repro.harness import cluster as harness_cluster
+    from repro.sim.tracing import Tracer
+    monkeypatch.setattr(harness_cluster, "Tracer",
+                        partial(Tracer, max_events=256))
+    with pytest.raises(RuntimeError,
+                       match=r"'byzantine_backup' seed 3: .* dropped \d+"):
+        run_trial("byzantine_backup", 3)
+
+
 def test_shrink_refuses_a_passing_plan():
     with pytest.raises(ValueError):
         shrink("byzantine_backup", 0, FaultPlan())
@@ -110,8 +124,8 @@ def test_injector_faults_flow_through_tracer_and_metrics():
     assert len(injected) == 2 and len(cleared) == 2
     assert {e.detail["fault"] for e in injected} == \
         {f.describe() for f in plan}
-    assert cluster.metrics.counters["faultlab.fault_injected"] == 2
-    assert cluster.metrics.counters["faultlab.fault_cleared"] == 2
+    assert cluster.tracer.counters["fault_injected"] == 2
+    assert cluster.tracer.counters["fault_cleared"] == 2
     # Reverts restored the system: honest behavior, original link.
     assert cluster.replicas[1].behavior is HONEST
     assert cluster.network.config.default_link.drop_rate == base_drop

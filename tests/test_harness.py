@@ -1,5 +1,6 @@
 """Harness utilities: report rendering, complexity counting, micro-benches."""
 
+import ast
 import math
 import re
 from pathlib import Path
@@ -121,6 +122,24 @@ def test_no_doc_names_a_file_that_does_not_exist():
                   for doc, token in named
                   if not (root / token).exists()
                   and not (doc.parent / token).exists()) == []
+
+
+def test_faultlab_patches_no_private_attribute_of_a_product_object():
+    """FaultLab's evidence is the event ring (docs/OBSERVABILITY.md): no
+    ``setattr`` and no ``<name>._<attr> = ...`` on anything but ``self``."""
+    root = Path(__file__).resolve().parents[1] / "src/repro/faultlab"
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and node.id == "setattr":
+                found.append((path.name, node.lineno, "setattr"))
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Store) \
+                    and node.attr.startswith("_") \
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id == "self"):
+                found.append((path.name, node.lineno, ast.unparse(node)))
+    assert found == []
 
 
 def test_sequential_microbench_counts():

@@ -6,13 +6,18 @@ import math
 
 import pytest
 
+from repro.bft.config import BftConfig
 from repro.bft.statemachine import InMemoryStateManager
+from repro.crypto.digest import digest
+from repro.encoding.canonical import canonical
 from repro.harness.report import (
     counters_table,
     histogram_table,
     phase_breakdown_table,
     run_selftest,
 )
+from repro.service.deploy import ReplicatedDeployment
+from repro.service.registry import get_service
 from repro.sim import Histogram, Metrics, Tracer
 from tests.conftest import make_kv_cluster
 
@@ -62,13 +67,13 @@ def test_clear_resets_drops_and_metrics():
     assert not tracer.metrics.histograms
 
 
-def test_record_timing_feeds_metrics_histogram():
+def test_observe_feeds_metrics_histogram():
     tracer = Tracer()
-    tracer.record_timing("lap", 0.5)
-    tracer.record_timing("lap", 1.5)
-    assert tracer.timings("lap") == [0.5, 1.5]
-    assert tracer.metrics.histogram("lap").count == 2
-    assert tracer.metrics.histogram("lap").mean == pytest.approx(1.0)
+    tracer.observe("lap", 0.5)
+    tracer.observe("lap", 1.5)
+    hist = tracer.metrics.histograms["lap"]
+    assert (hist.count, hist.min, hist.max) == (2, 0.5, 1.5)
+    assert hist.mean == pytest.approx(1.0)
 
 
 # -- Histogram ----------------------------------------------------------------
@@ -314,6 +319,80 @@ def test_recovery_breakdown_recorded():
     parts = sum(metrics.histogram(f"recovery.{p}").mean
                 for p in ("shutdown", "reboot", "restart", "fetch_and_check"))
     assert total == pytest.approx(parts)
+
+
+# -- request lifecycle events (docs/OBSERVABILITY.md) -------------------------
+
+LIFECYCLE_FIELDS = {
+    "executed": {"seq", "client", "request_id", "tentative", "result"},
+    "read_only_executed": {"seq", "client", "request_id", "result"},
+    "result_accepted": {"request_id", "result"},
+    "rollback": {"seq"},
+    "transfer_complete": {"seq", "objects"},
+}
+
+
+def _kv_group(**cfg):
+    cluster = make_kv_cluster(**cfg)
+    return (cluster, cluster.add_client("client0"),
+            [put(i, b"v%d" % i) for i in range(5)], get(0))
+
+
+def _sql_group(**cfg):
+    deployment = ReplicatedDeployment.build(get_service("sql"),
+                                            config=BftConfig(**cfg))
+    writes = [canonical(("create_table", "t", ("id", "val"), "id"))] + [
+        canonical(("insert", "t", (i, f"v{i}"))) for i in range(4)]
+    return (deployment.cluster, deployment.sync, writes,
+            canonical(("select", "t", 0)))
+
+
+@pytest.mark.parametrize("build", [_kv_group, _sql_group])
+def test_request_lifecycle_events_carry_their_documented_fields(build):
+    cluster, client, writes, read = build(checkpoint_interval=2,
+                                          batch_max=1)
+    for op in writes[:4]:
+        client.call(op)
+    reply = client.call(read, read_only=True)
+    cluster.run(1.0)
+    tracer = cluster.tracer
+    assert tracer.find("result_accepted")[-1].detail["result"] == \
+        digest(reply)
+
+    # One tentative execution at the victim, undone in place; then the
+    # same again with the local checkpoint gone, repaired by transfer.
+    victim = cluster.replicas[1]
+    stable = victim.last_stable
+
+    def no_commits(src, dst, msg):
+        return not (dst == victim.node_id
+                    and getattr(msg, "kind", "") == "commit")
+    cluster.network.add_filter(no_commits)
+    client.call(writes[4])
+    assert victim.last_executed == stable + 1
+    assert victim.rollback_to_stable() is True
+    victim.state.discard_checkpoints_below(stable + 1)
+    assert victim.rollback_to_stable() is False
+    cluster.network.remove_filter(no_commits)
+    cluster.run(1.0)
+    assert tracer.dropped_events == 0
+
+    for kind, fields in LIFECYCLE_FIELDS.items():
+        events = tracer.find(kind)
+        assert events, kind
+        for e in events:
+            assert set(e.detail) == fields, (kind, e.detail)
+
+    # What a client accepted is what f+1 replicas say they replied.
+    executions = tracer.find("executed") + tracer.find("read_only_executed")
+    accepted = tracer.find("result_accepted")
+    assert len(accepted) == 6
+    for a in accepted:
+        backers = {e.source for e in executions
+                   if (e.detail["client"], e.detail["request_id"],
+                       e.detail["result"])
+                   == (a.source, a.detail["request_id"], a.detail["result"])}
+        assert len(backers) >= cluster.config.weak_quorum, a
 
 
 # -- rendering and the smoke target -------------------------------------------
