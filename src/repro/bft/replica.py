@@ -130,6 +130,11 @@ class Replica(Node):
         # first pre-prepare racing its NEW-VIEW): buffered and redelivered
         # once we enter the view.
         self._future_view_msgs: List[Tuple[str, Message]] = []
+        # Highest view each peer has shown us in an authenticated
+        # ordering message (at most n-1 ints), and the highest view we
+        # have asked the group to prove to us.
+        self._peer_views: Dict[str, int] = {}
+        self._view_solicited = 0
         self.busy_until = 0.0
 
         self.view_changes = ViewChangeManager(self)
@@ -482,11 +487,32 @@ class Replica(Node):
     # -- three-phase protocol ---------------------------------------------------------
 
     def _stash_future(self, src, msg) -> bool:
-        """Buffer a message from a view we have not entered yet."""
-        if msg.view > self.view and len(self._future_view_msgs) < 512:
+        """Buffer a message from a view we have not entered yet, and
+        note that its sender operates there: a replica that was down
+        for a view change is told of it by nobody else.  Callers have
+        checked ``msg.view > self.view``."""
+        if (msg.view > self._peer_views.get(src, 0)
+                and src in self.other_replicas
+                and self.verify_auth(src, msg)):
+            self._peer_views[src] = msg.view
+        self._solicit_missed_view()
+        if len(self._future_view_msgs) < 512:
             self._future_view_msgs.append((src, msg))
             return True
         return False
+
+    def _solicit_missed_view(self) -> None:
+        """With f+1 peers above our view, one correct replica entered a
+        view we missed: ask for the NEW-VIEW that proves it (peers
+        answer FETCH-CERT with theirs), once per view."""
+        f = self.config.f
+        if len(self._peer_views) <= f or self.view_changes.active:
+            return
+        view = sorted(self._peer_views.values(), reverse=True)[f]
+        if view > max(self.view, self._view_solicited):
+            self._view_solicited = view
+            self.trace("view_solicited", view=view)
+            self.transfer.solicit_certs()
 
     def redeliver_future_msgs(self) -> None:
         """Re-dispatch buffered messages whose view we have now reached."""

@@ -158,6 +158,8 @@ class StateTransferManager:
 
     def on_fetch_cert(self, src, msg: FetchCert) -> None:
         r = self.replica
+        if src != msg.replica_id or src not in r.config.replica_ids:
+            return  # the reply can be a whole NEW-VIEW: members only
         r.charge(r.costs.digest(64 * len(r.stable_cert)))
         reply = CertReply(r.node_id, msg.nonce, r.stable_cert,
                           new_view=r.view_changes.last_new_view)
@@ -167,6 +169,8 @@ class StateTransferManager:
         """A valid certificate is self-validating: start a transfer to the
         newest one we learn about (used after recovery restarts)."""
         r = self.replica
+        if msg.nonce != self._cert_nonce:
+            return  # not an answer to our latest solicitation
         recovering = r.recovery.recovering
         if msg.new_view is not None and msg.new_view.view > r.view:
             # Catch up to the current view (self-validating NEW-VIEW).

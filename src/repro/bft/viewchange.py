@@ -279,6 +279,10 @@ class ViewChangeManager:
         max_seq = min_s
         for pp in pre_prepares:
             max_seq = max(max_seq, pp.seq)
+            if pp.seq <= r.last_stable:
+                # A late entrant's stable checkpoint already covers it:
+                # no slot under the low-water mark, nothing to prepare.
+                continue
             slot = r.log.slot(pp.seq)
             slot.pre_prepare = pp
             slot.prepares = {}

@@ -279,6 +279,19 @@ def _plan_crash_and_return(rng: random.Random) -> FaultPlan:
     ))
 
 
+def _plan_stale_view_second_crash(rng: random.Random) -> FaultPlan:
+    """Two crashes, never both at once: the primary is down across the
+    view change and comes back having missed it; a backup then stops for
+    good.  The returned replica must be the third of 2f+1 by then."""
+    start = round(rng.uniform(0.3, 0.8), 3)
+    stop = round(start + rng.uniform(1.5, 2.0), 3)
+    return FaultPlan((
+        CrashFault(0, start=start, stop=stop),
+        CrashFault(rng.choice((2, 3)),
+                   start=round(stop + rng.uniform(1.0, 1.5), 3)),
+    ))
+
+
 def _plan_aging_nfs(rng: random.Random) -> FaultPlan:
     """Software ageing on one NFS replica: its backend silently corrupts
     writes for a window, then proactive recovery rejuvenates it."""
@@ -480,6 +493,20 @@ register_scenario(Scenario(
     plan=_plan_crash_and_return,
     config=dict(_FAST_CFG),
     duration=60.0,
+))
+
+register_scenario(Scenario(
+    name="stale_view_second_crash",
+    description="The primary crashes, misses the view change, restarts; "
+                "then a backup crashes for good.  One fault at a time, "
+                "so steady open-loop traffic must be accepted throughout.",
+    plan=_plan_stale_view_second_crash,
+    config=dict(_FAST_CFG),
+    n_clients=1,
+    ops_per_client=4,
+    openloop=dict(rate=30.0, duration=8.0, slo_p95=0.5),
+    duration=30.0,
+    settle=10.0,
 ))
 
 register_scenario(Scenario(

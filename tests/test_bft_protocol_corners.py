@@ -1,8 +1,10 @@
-"""Protocol corner cases: watermarks, null-request gap fill, GC, tracer."""
+"""Protocol corner cases: watermarks, null-request gap fill, GC, tracer,
+and when a replica may ask for a view it missed."""
 
-from repro.bft.messages import PrePrepare, Request
+from repro.bft.messages import Commit, PrePrepare, Prepare, Request
 from repro.bft.statemachine import InMemoryStateManager
 from repro.bft.viewchange import ViewChangeManager
+from repro.crypto.mac import Authenticator
 from repro.sim.tracing import Tracer
 from tests.conftest import make_kv_cluster
 
@@ -134,6 +136,138 @@ def test_rollback_without_a_local_checkpoint_goes_through_state_transfer():
     assert {r.last_stable for r in cluster.replicas} == {stable + 4}
     assert len({r.state.checkpoint_root(r.last_stable)
                 for r in cluster.replicas}) == 1
+
+
+# -- catching up to a missed view: trigger discipline -------------------------
+
+def _sent(cluster, kind):
+    """The list every ``kind`` message is appended to, as ``(src, dst,
+    msg)``, when it leaves its sender."""
+    seen = []
+
+    def watch(src, dst, msg):
+        if getattr(msg, "kind", "") == kind:
+            seen.append((src, dst, msg))
+        return True
+
+    cluster.network.add_filter(watch)
+    return seen
+
+
+def _victim_and_fetches():
+    """Replica 0 of a quiet group (view 0), and its FETCH-CERTs."""
+    cluster = make_kv_cluster()
+    return cluster, cluster.replicas[0], _sent(cluster, "fetch_cert")
+
+
+def _prepare_from(peer, view, seq=1):
+    return peer.authenticate(Prepare(view, seq, b"d" * 32, peer.node_id))
+
+
+def test_one_peer_climbing_views_solicits_nothing():
+    """A single (possibly faulty) peer showing views 1..50, correctly
+    MACed, is one voice: no FETCH-CERT, and the table it writes to holds
+    one int per peer however far it climbs."""
+    cluster, victim, fetches = _victim_and_fetches()
+    liar = cluster.replicas[1]
+    for view in range(1, 51):
+        victim.on_message(liar.node_id, _prepare_from(liar, view))
+    cluster.run(1.0)
+    assert not fetches and not cluster.tracer.find("view_solicited")
+    assert victim._peer_views == {liar.node_id: 50}   # one int, not fifty
+    assert victim.view == 0
+
+
+def test_unauthenticated_future_view_messages_do_not_count():
+    """Missing authenticator, forged authenticator, an authenticator
+    minted by someone other than ``src``, a non-member ``src``: none
+    moves the per-peer table, so none counts toward f+1."""
+    cluster, victim, fetches = _victim_and_fetches()
+    r1, r2, r3 = cluster.replicas[1:]
+    bare = Prepare(1, 1, b"d" * 32, r1.node_id)
+    victim.on_message(r1.node_id, bare)
+    forged = Prepare(1, 1, b"d" * 32, r2.node_id)
+    forged.auth = Authenticator.forged(r2.node_id, [victim.node_id])
+    victim.on_message(r2.node_id, forged)
+    # r3's honest message, replayed under r1's name.
+    victim.on_message(r1.node_id, _prepare_from(r3, 1))
+    # A correctly MACed message from a node that is not a group member.
+    cluster.add_client("mallory")
+    com = Commit(1, 1, b"d" * 32, "mallory")
+    com.auth = Authenticator.create(cluster.registry, "mallory",
+                                    (victim.node_id,), com.digest())
+    victim.on_message("mallory", com)
+    cluster.run(1.0)
+    assert victim._peer_views == {}
+    assert not fetches
+
+    # One honest peer is still below f+1 ...
+    victim.on_message(r3.node_id, _prepare_from(r3, 1))
+    assert victim._peer_views == {r3.node_id: 1} and not fetches
+    # ... and the second makes it.
+    victim.on_message(r1.node_id, _prepare_from(r1, 1))
+    cluster.run(0.1)
+    assert len(fetches) == cluster.config.n - 1
+
+
+def test_nothing_is_solicited_during_a_view_change():
+    cluster, victim, fetches = _victim_and_fetches()
+    victim.view_changes.start(1)
+    assert victim.view_changes.active
+    for peer in cluster.replicas[1:]:
+        victim.on_message(peer.node_id, _prepare_from(peer, 2))
+    cluster.run(0.1)
+    assert not fetches and not cluster.tracer.find("view_solicited")
+
+
+def test_a_view_is_solicited_once_however_many_messages_show_it():
+    cluster, victim, fetches = _victim_and_fetches()
+    # Keep the answers away so the victim stays in view 0.
+    cluster.network.add_filter(
+        lambda s, d, m: getattr(m, "kind", "") != "cert_reply")
+    for seq in range(1, 40):
+        for peer in cluster.replicas[1:]:
+            victim.on_message(peer.node_id, _prepare_from(peer, 1, seq))
+            com = Commit(1, seq, b"d" * 32, peer.node_id)
+            victim.on_message(peer.node_id, peer.authenticate(com))
+    cluster.run(1.0)
+    assert victim.view == 0
+    assert len(cluster.tracer.find("view_solicited")) == 1
+    assert [dst for _, dst, _ in fetches] == list(victim.other_replicas)
+    # A higher view shown by f+1 peers is a new question.
+    for peer in cluster.replicas[1:3]:
+        victim.on_message(peer.node_id, _prepare_from(peer, 2))
+    assert [e.detail["view"] for e in cluster.tracer.find("view_solicited")] \
+        == [1, 2]
+
+
+def test_late_entrant_skips_reproposals_under_its_stable_checkpoint():
+    """A replica that enters a view late, with a stable checkpoint above
+    some of the NEW-VIEW's re-proposals, creates no log slot at or under
+    its low-water mark and sends no PREPARE there; the re-proposals
+    above it are prepared as before."""
+    from repro.bft.messages import ViewChange
+    cluster = make_kv_cluster(checkpoint_interval=4)
+    client = cluster.add_client("client0")
+    for i in range(4):
+        client.call(put(i, b"v%d" % i))
+    cluster.run(1.0)
+    entrant = cluster.replicas[2]
+    assert entrant.last_stable == 4 and not entrant.is_primary
+    prepares = _sent(cluster, "prepare")
+    # The view change it missed was decided when the group's stable
+    # checkpoint was still 0: seqs 1..6 are re-proposed.
+    vcs = tuple(ViewChange(1, 0, (), (), rid)
+                for rid in cluster.config.replica_ids[:3])
+    pps = [PrePrepare(1, seq, (Request.null(),), b"") for seq in range(1, 7)]
+    entrant.view_changes._enter_view(1, vcs, pps)
+    cluster.run(0.1)
+    assert entrant.view == 1
+    assert all(seq > entrant.last_stable for seq in entrant.log.seqs())
+    assert {(m.view, m.seq) for src, _, m in prepares
+            if src == entrant.node_id} == {(1, 5), (1, 6)}
+    for seq in (5, 6):
+        assert entrant.log.get(seq).pre_prepare is pps[seq - 1]
 
 
 def test_tracer_find_and_counters():

@@ -163,3 +163,60 @@ def test_serving_cert_and_table_charges_cpu():
     assert after_cert > before
     donor.transfer.on_fetch_table("replica1", FetchTable("replica1", seq))
     assert donor.busy_until > after_cert
+
+
+def test_fetch_cert_is_answered_to_group_members_only():
+    """The answer to FETCH-CERT can be a whole NEW-VIEW (2f+1 signed
+    view-changes and their pre-prepares), the largest message the
+    protocol has: a two-field unauthenticated request from outside the
+    group, or under another member's name, does not get one."""
+    cluster = make_kv_cluster(checkpoint_interval=4)
+    client = cluster.add_client("client0")
+    run_writes(cluster, client, 8)
+    cluster.run(1.0)
+    donor = cluster.replicas[0]
+    replies = []
+
+    def watch(src, dst, msg):
+        if getattr(msg, "kind", "") == "cert_reply":
+            replies.append(dst)
+        return True
+
+    cluster.network.add_filter(watch)
+    donor.on_message("client0", FetchCert("client0", 1))
+    donor.on_message("client0", FetchCert("replica1", 1))
+    donor.on_message("replica2", FetchCert("replica1", 1))
+    cluster.run(0.1)
+    assert replies == []
+    donor.on_message("replica1", FetchCert("replica1", 1))
+    cluster.run(0.1)
+    assert replies == ["replica1"]
+
+
+def test_cert_reply_with_a_stale_nonce_is_dropped_before_any_check():
+    """A CERT-REPLY that does not answer the latest solicitation is
+    dropped before its NEW-VIEW's signatures are paid for; the same
+    reply under the current nonce starts the transfer."""
+    from repro.bft.messages import CertReply
+    cluster = make_kv_cluster(checkpoint_interval=4)
+    client = cluster.add_client("client0")
+    lagger = cluster.replicas[3]
+    for other in cluster.config.replica_ids[:3]:
+        cluster.network.partition(lagger.node_id, other)
+    run_writes(cluster, client, 8)
+    cluster.run(1.0)
+    donor = cluster.replicas[0]
+    assert donor.stable_cert and lagger.last_stable == 0
+    lagger.costs = CostModel(signature=1e-3)
+    lagger.transfer.solicit_certs()          # partitioned: nobody hears it
+    nonce = lagger.transfer._cert_nonce
+    before = lagger.busy_until
+    for stale in (nonce - 1, nonce + 1):
+        lagger.on_message(donor.node_id, CertReply(
+            donor.node_id, stale, donor.stable_cert))
+    assert lagger.busy_until == before and not lagger.transfer.active
+    lagger.on_message(donor.node_id, CertReply(
+        donor.node_id, nonce, donor.stable_cert))
+    assert lagger.busy_until > before
+    assert lagger.transfer.active
+    assert lagger.transfer.target_seq == donor.last_stable

@@ -5,7 +5,9 @@
 - backups relaying waiting requests to the new primary;
 - NEW-VIEW forwarding in CERT replies (recovered replicas catch up to the
   current view);
-- the fast full-reply retransmit when the designated replier is down.
+- the fast full-reply retransmit when the designated replier is down;
+- a replica that was down for a view change asks for the NEW-VIEW once
+  f+1 peers show it a higher view, so the group is back to four.
 """
 
 from repro.bft.faults import MuteBehavior
@@ -90,6 +92,44 @@ def test_recovered_replica_catches_up_to_current_view():
     cluster.run(2.0)
     assert lagger.state.values[:8] == [b"v%d" % i for i in range(6)] + \
         [b"post-vc", b"both"]
+
+
+def test_restarted_old_primary_rejoins_and_a_second_crash_is_survived():
+    """Crash the primary, finish the view change, restart it, crash one
+    backup: two faults, never more than one at a time.  The restarted
+    replica was told of view 1 by nobody; unless it asks, the group is
+    three, and the second crash leaves two that agree."""
+    cluster = make_kv_cluster(view_change_timeout=0.5,
+                              client_retry_timeout=0.3,
+                              checkpoint_interval=8)
+    client = cluster.add_client("client0")
+    assert client.call(put(0, b"v0")) == b"ok"
+    old_primary = cluster.replicas[0]
+    old_primary.crash()
+    assert client.call(put(1, b"v1")) == b"ok"
+    assert [r.view for r in cluster.replicas] == [0, 1, 1, 1]
+
+    old_primary.restart_node()
+    assert client.call(put(2, b"v2")) == b"ok"
+    assert [r.view for r in cluster.replicas] == [1, 1, 1, 1]
+    solicited = cluster.tracer.find("view_solicited")
+    assert [(e.source, e.detail["view"]) for e in solicited] \
+        == [(old_primary.node_id, 1)]
+
+    for i in range(3, 8):
+        assert client.call(put(i, b"v%d" % i)) == b"ok"
+    cluster.replicas[2].crash()
+    done = []
+    start = cluster.scheduler.now
+    client.client.invoke(put(8, b"v8"), done.append)
+    cluster.run_until(lambda: bool(done))
+    assert done == [b"ok"]
+    # No second view change was needed: three replicas share view 1.
+    assert cluster.scheduler.now - start < 0.1
+    cluster.run(20.0)
+    assert [r.view for r in cluster.replicas] == [1, 1, 1, 1]
+    assert len(cluster.tracer.find("view_solicited")) == 1
+    assert old_primary.state.values[:9] == [b"v%d" % i for i in range(9)]
 
 
 def test_client_accepts_when_designated_replier_is_mute():

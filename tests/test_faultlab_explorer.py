@@ -102,6 +102,20 @@ def test_small_sweep_counts_and_report():
         reportlib.validate_sweep_report(report)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_two_crashes_one_at_a_time_lose_no_operation(seed):
+    """Primary down across the view change and back, then a backup down
+    for good: inside the fault budget at every instant, so everything
+    issued is accepted.  ``ok`` alone does not see the stall (an
+    open-loop timeout counts as resolved): before the restarted replica
+    asked for the view it missed, a third of the arrivals timed out."""
+    result = run_trial("stale_view_second_crash", seed)
+    assert result.ok, result.violation_keys()
+    assert result.faults_injected == 2
+    assert result.issued > 200
+    assert result.accepted == result.issued
+
+
 def test_injector_faults_flow_through_tracer_and_metrics():
     cluster = make_kv_cluster(view_change_timeout=0.5,
                               client_retry_timeout=0.3)
