@@ -1,8 +1,7 @@
 """ProtoLint command line.
 
     python -m repro.analysis [PATH ...] [--format text|json] [--out FILE]
-                             [--rules DET-RNG,RPL-SETITER,...] [--deep]
-                             [--changed-since REF] [--list-rules]
+                             [--rules DET-RNG,DEEP-TAINT,...] [--list-rules]
 
 Checks every ``*.py`` under the given paths (default: ``src/repro``)
 against the registered rule set and exits nonzero on any finding that
@@ -11,26 +10,25 @@ contract of the ``protolint`` CI job.  ``--format json`` emits the
 schema-validated report document on stdout; ``--out`` writes it to a
 file in either format mode.
 
-``--deep`` additionally runs the interprocedural DeepLint passes
-(call-graph taint + protocol conformance) over the *whole* tree; their
-findings join the report and are suppressed through the same inline
-comments.  ``--changed-since REF`` restricts the per-file rules to
-files changed since the git ref — the deep passes stay whole-program,
-because a call-graph property can regress through an unchanged file.
+One pass runs both rule sets: the file-level rules, and the
+interprocedural DeepLint passes (call-graph taint + protocol
+conformance), which always see the *whole* tree because a call-graph
+property can regress through an unchanged file.  Their findings join
+one report and are suppressed through the same inline comments;
+``--rules`` selects from both sets.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
-from typing import List, Optional, Set
 
 from repro.analysis import report as reportlib
-from repro.analysis.deep.catalog import DEEP_RULES
-from repro.analysis.engine import Engine, relativize
+from repro.analysis.deep.catalog import DEEP_RULE_IDS, DEEP_RULES
+from repro.analysis.deep.driver import run_deep
+from repro.analysis.engine import Engine
 from repro.analysis.rules import all_rules, select_rules
 
 
@@ -56,43 +54,9 @@ def _print_rules() -> int:
         print(f"{rule.rule_id:12s} [{rule.severity}] {rule.title}")
         print(f"    {rule.rationale}")
     for info in DEEP_RULES:
-        print(f"{info.rule_id:12s} [{info.severity}] {info.title} "
-              f"(--deep)")
+        print(f"{info.rule_id:12s} [{info.severity}] {info.title}")
         print(f"    {info.rationale}")
     return 0
-
-
-def _changed_files(ref: str) -> Optional[Set[Path]]:
-    """Files changed since ``ref``: committed diffs plus untracked
-    files, as resolved absolute paths.  None on git failure."""
-    changed: Set[Path] = set()
-    for cmd in (["git", "diff", "--name-only", ref, "--"],
-                ["git", "ls-files", "--others", "--exclude-standard"]):
-        try:
-            out = subprocess.run(cmd, capture_output=True, text=True,
-                                 check=True)
-        except (OSError, subprocess.CalledProcessError) as err:
-            detail = getattr(err, "stderr", "") or str(err)
-            print(f"protolint: --changed-since: {' '.join(cmd)} failed: "
-                  f"{detail.strip()}", file=sys.stderr)
-            return None
-        for line in out.stdout.splitlines():
-            if line.strip():
-                changed.add(Path(line.strip()).resolve())
-    return changed
-
-
-def _collect_findings(engine: Engine, roots: List[Path],
-                      changed: Optional[Set[Path]]):
-    findings = []
-    for root in roots:
-        paths = [root] if root.is_file() else sorted(root.rglob("*.py"))
-        for path in paths:
-            if changed is not None and path.resolve() not in changed:
-                continue
-            findings.extend(engine.check_file(path,
-                                              relativize(path, root)))
-    return findings
 
 
 def main(argv=None) -> int:
@@ -110,15 +74,8 @@ def main(argv=None) -> int:
                         help="also write the schema-validated JSON report "
                              "here")
     parser.add_argument("--rules", metavar="IDS",
-                        help="comma-separated rule ids to enable "
-                             "(default: all)")
-    parser.add_argument("--deep", action="store_true",
-                        help="also run the interprocedural DeepLint "
-                             "passes (whole-program taint + conformance)")
-    parser.add_argument("--changed-since", metavar="REF",
-                        help="restrict per-file rules to files changed "
-                             "since this git ref (deep passes stay "
-                             "whole-program)")
+                        help="comma-separated rule ids to enable, "
+                             "file-level or DEEP-* (default: all)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     args = parser.parse_args(argv)
@@ -126,31 +83,24 @@ def main(argv=None) -> int:
     if args.list_rules:
         return _print_rules()
 
+    wanted = set(args.rules.split(",")) if args.rules else None
+    deep_ids = [rule_id for rule_id in DEEP_RULE_IDS
+                if wanted is None or rule_id in wanted]
     try:
-        rules = select_rules(args.rules.split(",")) if args.rules \
-            else all_rules()
+        rules = all_rules() if wanted is None \
+            else select_rules(wanted.difference(DEEP_RULE_IDS))
     except ValueError as err:
         parser.error(str(err))
 
-    changed: Optional[Set[Path]] = None
-    if args.changed_since:
-        changed = _changed_files(args.changed_since)
-        if changed is None:
-            return 2
-
     roots = _resolve_roots(args.paths)
     engine = Engine(rules)
-    findings = _collect_findings(engine, roots, changed)
-    rule_ids = list(engine.rule_ids)
-
-    if args.deep:
-        # Imported lazily: the deep passes import the engine, and most
-        # invocations never need them.
-        from repro.analysis.deep.catalog import DEEP_RULE_IDS
-        from repro.analysis.deep.driver import run_deep
-        findings.extend(run_deep(roots, engine.config,
-                                 known_rule_ids=engine.rule_ids))
-        rule_ids.extend(DEEP_RULE_IDS)
+    findings = [f for root in roots for f in engine.run(root)]
+    if deep_ids:
+        findings.extend(
+            f for f in run_deep(roots, engine.config,
+                                known_rule_ids=engine.rule_ids)
+            if f.rule in deep_ids)
+    rule_ids = list(engine.rule_ids) + deep_ids
     findings.sort()
 
     doc = reportlib.build(findings, rule_ids, roots)

@@ -15,17 +15,13 @@ Implements the library side of the BASE methodology (paper §2.3):
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.bft.messages import Request
 from repro.bft.parttree import PartitionTree, TreeSnapshot
 from repro.bft.statemachine import StateManager
 from repro.crypto.digest import digest
 from repro.base.upcalls import LibraryHandle, Upcalls
-
-
-#: Checkpoint-history entries retained for staleness-contract audits.
-_HISTORY_MAX = 512
 
 
 class _CheckpointRecord:
@@ -69,14 +65,6 @@ class AbstractStateManager(StateManager):
         self._cow: Dict[int, Tuple[bytes, int]] = {}
         self._records: "OrderedDict[int, _CheckpointRecord]" = OrderedDict()
         self.last_checkpoint_seq = 0
-        # Every (seq, root_digest) this manager ever checkpointed —
-        # retained past garbage collection (bounded) so the edge tier's
-        # staleness contract can be audited against the abstract-state
-        # history the replica actually passed through.  Rolled-back
-        # checkpoints stay recorded: they were real states at the time,
-        # and evidence only ever anchors at *stable* seqs, which never
-        # roll back.
-        self.checkpoint_history: List[Tuple[int, bytes]] = []
         self.per_object_check_cost = per_object_check_cost  # cold, per KB
         self.checkpoint_cost = checkpoint_cost              # hot, per KB
         self.charge_hook: Callable[[float], None] = lambda seconds: None
@@ -154,9 +142,6 @@ class AbstractStateManager(StateManager):
         record = _CheckpointRecord(seq, self._tree.snapshot())
         self._records[seq] = record
         self.last_checkpoint_seq = seq
-        self.checkpoint_history.append((seq, record.snapshot.root_digest))
-        if len(self.checkpoint_history) > _HISTORY_MAX:
-            del self.checkpoint_history[:-_HISTORY_MAX]
         return record.snapshot.root_digest
 
     def discard_checkpoints_below(self, seq: int) -> None:
@@ -263,9 +248,6 @@ class AbstractStateManager(StateManager):
         self._records.clear()
         self._records[seq] = _CheckpointRecord(seq, self._tree.snapshot())
         self.last_checkpoint_seq = seq
-        self.checkpoint_history.append((seq, self._tree.root_digest))
-        if len(self.checkpoint_history) > _HISTORY_MAX:
-            del self.checkpoint_history[:-_HISTORY_MAX]
         return True
 
     @property

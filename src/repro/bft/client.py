@@ -113,9 +113,6 @@ class BftClient(Node):
                                             self._on_retry)
         self._nudge_timer = self.make_timer(NUDGE_GRACE,
                                             self._on_nudge_grace)
-        self.retransmissions = 0       # timeout-driven (backoff escalates)
-        self.fast_retransmissions = 0  # instant nudges (backoff untouched)
-        self.cancelled = 0
         # (path, voters) of the most recent acceptance — what
         # collect_read_certificate packages into a ReadCertificate.
         self._last_accept: Tuple[str, Tuple[str, ...]] = ("", ())
@@ -197,7 +194,6 @@ class BftClient(Node):
         if call is None:
             return
         call.retries += 1
-        self.retransmissions += 1
         self.tracer.metrics.inc("client.retransmissions")
         if call.read_only and call.retries >= 2:
             # Fall back to the ordered path: reissue as a normal request
@@ -229,7 +225,6 @@ class BftClient(Node):
         """
         if self._pending is None:
             return
-        self.fast_retransmissions += 1
         self.tracer.metrics.inc("client.fast_retransmissions")
         self._transmit(first=False)
 
@@ -255,7 +250,6 @@ class BftClient(Node):
         self._pending = None
         self._retry_timer.stop()
         self._nudge_timer.stop()
-        self.cancelled += 1
         self.tracer.metrics.inc("client.cancelled")
         return True
 

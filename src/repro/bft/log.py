@@ -43,6 +43,14 @@ class SeqSlot:
         # mid-re-prepare in v+1 is still carried into v+2.
         self.prepared_cert: Optional[tuple] = None
 
+    def void_votes(self) -> None:
+        """Forget the certificates being assembled: what was collected
+        for another view's pre-prepare proves nothing about this one."""
+        self.prepares = {}
+        self.commits = {}
+        self.prepared = False
+        self.committed = False
+
     def matching_prepares(self) -> int:
         """Prepares matching the accepted pre-prepare's digest."""
         return self._matching(self.prepares)
@@ -84,6 +92,13 @@ class MessageLog:
 
     def clear(self) -> None:
         self._slots.clear()
+
+    def unexecute_all(self) -> None:
+        """Un-mark every retained slot as executed, so the replica
+        replays them in order from the checkpoint it rewound to."""
+        for slot in self._slots.values():
+            slot.executed = False
+            slot.tentative = False
 
     def seqs(self):
         return sorted(self._slots)

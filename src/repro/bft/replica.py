@@ -150,8 +150,7 @@ class Replica(Node):
             config.view_change_timeout, self._retransmit_checkpoint)
         # Baseline checkpoint 0 so state transfer targets always exist.
         root0 = self.state.take_checkpoint(0)
-        blob = self.serialize_client_table()
-        self.table_checkpoints[0] = (digest(blob), blob)
+        self.record_table_checkpoint(0)
         # Every (seq, root) this replica checkpointed, retained past log
         # truncation (bounded): the abstract-state history the edge
         # tier's staleness contract is audited against.
@@ -542,10 +541,7 @@ class Replica(Node):
                 return
             # The logged pre-prepare is from an older view that the view
             # change did not carry forward — stale; replace it.
-            slot.prepares = {}
-            slot.commits = {}
-            slot.prepared = False
-            slot.committed = False
+            slot.void_votes()
         if not self.state.check_nondet(list(pp.requests), pp.seq, pp.nondet):
             self.trace("nondet_rejected", seq=pp.seq)
             # Do not accept; the vc timer will fire and replace the primary.
@@ -777,14 +773,22 @@ class Replica(Node):
     #: Checkpoint-history entries retained for staleness-contract audits.
     _HISTORY_MAX = 512
 
-    def _take_checkpoint(self, seq: int) -> None:
-        root = self.state.take_checkpoint(seq)
+    def _note_checkpoint(self, seq: int, root: bytes) -> None:
         self.checkpoint_history.append((seq, root))
         if len(self.checkpoint_history) > self._HISTORY_MAX:
             del self.checkpoint_history[:-self._HISTORY_MAX]
-        table_blob = self.serialize_client_table()
-        table_digest = digest(table_blob)
-        self.table_checkpoints[seq] = (table_digest, table_blob)
+
+    def record_table_checkpoint(self, seq: int) -> Tuple[bytes, bytes]:
+        """Checkpoint the reply cache as it stands, as the one at
+        ``seq``; returns the ``(digest, blob)`` retained."""
+        blob = self.serialize_client_table()
+        entry = self.table_checkpoints[seq] = (digest(blob), blob)
+        return entry
+
+    def _take_checkpoint(self, seq: int) -> None:
+        root = self.state.take_checkpoint(seq)
+        self._note_checkpoint(seq, root)
+        table_digest, table_blob = self.record_table_checkpoint(seq)
         self.charge(self.costs.digest(len(table_blob)))
         self.trace("checkpoint_taken", seq=seq)
         # Checkpoint messages are signed (not MACed) so that certificates
@@ -857,32 +861,33 @@ class Replica(Node):
             self.transfer.initiate(msg.seq, msg.root_digest, cert,
                                    force=True)
 
-    def note_stable_vector(self, seq: int, root: bytes) -> None:
-        """Mint the version vector edge reads will carry: the checkpoint
-        just proven stable, MAC'd per edge receiver at reply time.  Also
-        folds externally installed checkpoints (state transfer) into the
-        retained history so staleness audits see them."""
-        if not self.checkpoint_history or self.checkpoint_history[-1] != (seq, root):
-            self.checkpoint_history.append((seq, root))
-            if len(self.checkpoint_history) > self._HISTORY_MAX:
-                del self.checkpoint_history[:-self._HISTORY_MAX]
-        self.stable_vector = (seq, root, int(self.now * 1_000_000))
-
-    def _mark_stable(self, seq: int, cert: Tuple[CheckpointMsg, ...]) -> None:
-        if seq <= self.last_stable:
-            return
+    def adopt_checkpoint(self, seq: int, root: bytes,
+                         cert: Tuple[CheckpointMsg, ...]) -> None:
+        """Make the certified checkpoint ``(seq, root)`` the stable one:
+        the low water mark, the proof view changes carry, the version
+        vector edge reads carry (MAC'd per edge receiver at reply time),
+        and nothing retained under it.  A checkpoint installed by state
+        transfer joins the history here, so staleness audits see it."""
         self.last_stable = seq
         self.stable_cert = cert
-        self.note_stable_vector(seq, cert[0].root_digest)
+        if self.checkpoint_history[-1] != (seq, root):
+            self._note_checkpoint(seq, root)
+        self.stable_vector = (seq, root, int(self.now * 1_000_000))
+        # The 2f+1 certificate makes every execution under it durable.
         if self.last_committed_exec < seq:
             self.last_committed_exec = seq
-        self._advance_committed_frontier()
         self.log.truncate_below(seq)
         self.state.discard_checkpoints_below(seq)
         for old in [s for s in self.table_checkpoints if s < seq]:
             del self.table_checkpoints[old]
         for old in [s for s in self.checkpoint_msgs if s <= seq]:
             del self.checkpoint_msgs[old]
+
+    def _mark_stable(self, seq: int, cert: Tuple[CheckpointMsg, ...]) -> None:
+        if seq <= self.last_stable:
+            return
+        self.adopt_checkpoint(seq, cert[0].root_digest, cert)
+        self._advance_committed_frontier()
         self.trace("checkpoint_stable", seq=seq)
         if self._latest_checkpoint_msg is not None \
                 and self._latest_checkpoint_msg.seq <= seq:
@@ -912,27 +917,31 @@ class Replica(Node):
                                        self.stable_cert, force=True)
             return False
         self.install_client_table(table[1])
+        self.rewind_execution(seq)
+        self.trace("rollback", seq=seq)
+        self.tracer.metrics.inc("bft.rollback")
+        return True
+
+    def rewind_execution(self, seq: int) -> None:
+        """Execution resumes from the checkpoint at ``seq``, which the
+        caller has installed (service state and reply cache): every
+        retained slot replays, and nothing derived from an execution
+        above ``seq`` is kept."""
         self._reply_seq.clear()
         self.last_executed = seq
         self.last_committed_exec = seq
-        for s in self.log.seqs():
-            slot = self.log.get(s)
-            slot.executed = False
-            slot.tentative = False
-        # Our own checkpoints above the stable one described rolled-back
-        # state; drop them (peers' votes for those seqs remain valid — a
-        # batch tentatively executed by f+1 correct replicas is preserved
-        # by every view change, so their announcements never certify
-        # state that rollback erased).
+        self.log.unexecute_all()
+        # Our own checkpoints above it described rolled-back state; drop
+        # them (peers' votes for those seqs remain valid — a batch
+        # tentatively executed by f+1 correct replicas is preserved by
+        # every view change, so their announcements never certify state
+        # that rollback erased).
         for s in [s for s in self.table_checkpoints if s > seq]:
             del self.table_checkpoints[s]
         if self._latest_checkpoint_msg is not None \
                 and self._latest_checkpoint_msg.seq > seq:
             self._latest_checkpoint_msg = None
             self._ckpt_retry_timer.stop()
-        self.trace("rollback", seq=seq)
-        self.tracer.metrics.inc("bft.rollback")
-        return True
 
     # -- view changes (delegated) --------------------------------------------------------
 

@@ -324,29 +324,12 @@ class StateTransferManager:
         self._timer.stop()
         if self._table_blob is not None:
             r.install_client_table(self._table_blob)
-        table_blob = r.serialize_client_table()
-        r.table_checkpoints[self.target_seq] = (digest(table_blob), table_blob)
-        r.last_executed = self.target_seq
-        r.last_stable = self.target_seq
-        # The installed checkpoint carries a 2f+1 certificate — every
-        # execution under it is durable.
-        r.last_committed_exec = self.target_seq
-        r.stable_cert = self.cert
-        r.note_stable_vector(self.target_seq, self.target_root)
-        r.log.truncate_below(self.target_seq)
+        r.record_table_checkpoint(self.target_seq)
         # If this was a rollback to the stable checkpoint (recovery or
         # divergence repair), the retained committed slots above it must
-        # replay: clear their executed flags so try_execute re-runs them
-        # against the restored state.
-        for seq in r.log.seqs():
-            slot = r.log.slot(seq)
-            slot.executed = False
-            slot.tentative = False
-        r.state.discard_checkpoints_below(self.target_seq)
-        for old in [s for s in r.table_checkpoints if s < self.target_seq]:
-            del r.table_checkpoints[old]
-        for old in [s for s in r.checkpoint_msgs if s <= self.target_seq]:
-            del r.checkpoint_msgs[old]
+        # replay: try_execute re-runs them against the restored state.
+        r.rewind_execution(self.target_seq)
+        r.adopt_checkpoint(self.target_seq, self.target_root, self.cert)
         # Requests we were waiting on were covered by the checkpoint (or
         # will be retransmitted by their clients); stop suspecting.
         r.waiting.clear()

@@ -270,10 +270,7 @@ class ViewChangeManager:
             if seq > max(min_s, r.last_executed) and seq not in covered:
                 slot = r.log.slot(seq)
                 slot.pre_prepare = None
-                slot.prepares = {}
-                slot.commits = {}
-                slot.prepared = False
-                slot.committed = False
+                slot.void_votes()
                 slot.phase_marks = {}
 
         max_seq = min_s
@@ -285,10 +282,7 @@ class ViewChangeManager:
                 continue
             slot = r.log.slot(pp.seq)
             slot.pre_prepare = pp
-            slot.prepares = {}
-            slot.commits = {}
-            slot.prepared = False
-            slot.committed = False
+            slot.void_votes()
             slot.phase_marks = {"pre_prepare": r.now}
             slot.executed = slot.executed and pp.seq <= r.last_executed
             slot.tentative = slot.tentative and slot.executed

@@ -7,7 +7,6 @@ config resolve against the fixtures unchanged.
 """
 
 import json
-import subprocess
 import textwrap
 from pathlib import Path
 
@@ -346,9 +345,9 @@ def test_report_schema_rejects_bad_chain():
 # -- CLI -----------------------------------------------------------------------
 
 def test_cli_deep_flag(tmp_path, capsys):
+    """The deep passes need no flag: every run is all fourteen rules."""
     out = tmp_path / "report.json"
-    code = main([str(FIXTURES / "taint_clock_bad"), "--deep",
-                 "--out", str(out)])
+    code = main([str(FIXTURES / "taint_clock_bad"), "--out", str(out)])
     assert code == 1
     report = json.loads(out.read_text())
     reportlib.validate(report)
@@ -361,74 +360,16 @@ def test_cli_deep_flag(tmp_path, capsys):
 
 
 def test_cli_without_deep_skips_deep_rules(tmp_path):
+    """``--rules`` selects across both sets: with no DEEP-* id named the
+    deep passes do not run, and a named one runs alone."""
     out = tmp_path / "report.json"
-    code = main([str(FIXTURES / "taint_clock_bad"), "--out", str(out)])
-    assert code == 0
-    report = json.loads(out.read_text())
-    assert not set(DEEP_RULE_IDS) & set(report["rules"])
-
-
-def _git(repo, *argv):
-    subprocess.run(["git", "-C", str(repo), *argv], check=True,
-                   capture_output=True)
-
-
-def test_cli_changed_since(tmp_path, monkeypatch):
-    """--changed-since limits per-file rules to changed files, but the
-    deep passes stay whole-program."""
-    repo = tmp_path / "work"
-    pkg = repo / "repro" / "bft"
-    pkg.mkdir(parents=True)
-    (pkg / "stable.py").write_text(textwrap.dedent("""\
-        import time
-
-
-        def old_violation():
-            return time.time()
-
-
-        def quorum(votes):
-            return len(votes) >= 3
-        """), encoding="utf-8")
-    (pkg / "touched.py").write_text("def touched():\n    return 1\n",
-                                    encoding="utf-8")
-    _git(repo, "init", "-q")
-    _git(repo, "add", ".")
-    _git(repo, "-c", "user.email=t@t", "-c", "user.name=t",
-         "commit", "-q", "-m", "seed")
-    (pkg / "touched.py").write_text(textwrap.dedent("""\
-        import time
-
-
-        def touched():
-            return time.time()
-        """), encoding="utf-8")
-    monkeypatch.chdir(repo)
-
-    out = repo / "report.json"
-    code = main([str(repo / "repro"), "--changed-since", "HEAD",
+    code = main([str(FIXTURES / "taint_clock_bad"), "--rules", "DET-CLOCK",
                  "--out", str(out)])
-    assert code == 1
-    paths = {d["path"] for d in json.loads(out.read_text())["findings"]}
-    # stable.py's DET-CLOCK violation is filtered (unchanged)...
-    assert paths == {"bft/touched.py"}
-
-    code = main([str(repo / "repro"), "--changed-since", "HEAD",
-                 "--deep", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["rules"] == ["DET-CLOCK"]
+    code = main([str(FIXTURES / "taint_clock_bad"),
+                 "--rules", "DEEP-TAINT,DET-CLOCK", "--out", str(out)])
     assert code == 1
     report = json.loads(out.read_text())
-    deep_paths = {d["path"] for d in report["findings"]
-                  if d["rule"].startswith("DEEP-")}
-    # ...but the whole-program quorum check still sees it.
-    assert "bft/stable.py" in deep_paths
-
-
-def test_cli_changed_since_bad_ref(tmp_path, monkeypatch, capsys):
-    repo = tmp_path / "work"
-    (repo / "repro").mkdir(parents=True)
-    _git(repo, "init", "-q")
-    monkeypatch.chdir(repo)
-    code = main([str(repo / "repro"), "--changed-since",
-                 "no-such-ref"])
-    assert code == 2
-    assert "--changed-since" in capsys.readouterr().err
+    assert report["rules"] == ["DEEP-TAINT", "DET-CLOCK"]
+    assert {doc["rule"] for doc in report["findings"]} == {"DEEP-TAINT"}

@@ -38,7 +38,7 @@ def test_client_retransmits_when_primary_drops_request():
 
     cluster.network.add_filter(drop_first_request)
     assert sync.call(put(0, b"x")) == b"ok"
-    assert cluster.clients["client0"].retransmissions >= 1
+    assert cluster.metrics.counter_value("client.retransmissions") >= 1
 
 
 def test_client_ignores_replies_for_other_requests():
@@ -79,10 +79,11 @@ def test_client_learns_view_from_replies():
     # Next request goes straight to the new primary: no *timeout-driven*
     # retransmission needed (at most the instant full-reply nudge when the
     # crashed replica happens to be the designated replier).
-    before = cluster.clients["client0"].retransmissions
+    before = cluster.metrics.counter_value("client.retransmissions")
     start = cluster.scheduler.now
     sync.call(put(2, b"c"))
-    assert cluster.clients["client0"].retransmissions <= before + 1
+    assert cluster.metrics.counter_value("client.retransmissions") \
+        <= before + 1
     assert cluster.scheduler.now - start < \
         cluster.config.client_retry_timeout
 
@@ -131,7 +132,7 @@ def test_read_only_falls_back_to_ordered_path():
     # Only 2 tentative replies can arrive (< 2f+1 = 3): the client times
     # out, downgrades to the ordered path, and gets the result.
     assert sync.call(get(3), read_only=True) == b"fallback"
-    assert cluster.clients["client0"].retransmissions >= 2
+    assert cluster.metrics.counter_value("client.retransmissions") >= 2
     assert cluster.tracer.find("pre_prepare_sent")
 
 
@@ -240,11 +241,10 @@ def test_missing_full_result_nudge_does_not_escalate_backoff():
     for replica in ("replica1", "replica2"):
         client.on_message(replica, authed_reply(cluster, replica, "client0",
                                                 1, None, rdigest))
-    assert client.fast_retransmissions == 1
-    assert client.retransmissions == 0          # not a timeout
+    counter = cluster.metrics.counter_value
+    assert counter("client.fast_retransmissions") == 1
+    assert counter("client.retransmissions") == 0   # not a timeout
     assert client._pending.retries == 0         # backoff schedule untouched
-    assert client.tracer.metrics.counter_value(
-        "client.fast_retransmissions") == 1
     cluster.run_until(lambda: "r" in box)
     assert box["r"] == b"ok"
 
@@ -261,8 +261,9 @@ def test_timeout_backoff_escalates_exponentially():
     for horizon in (0.1, 0.3, 0.7, 1.5):
         cluster.scheduler.run_until(horizon + 0.01)
         expected += 1
-        assert client.retransmissions == expected
-    assert client.fast_retransmissions == 0
+        assert cluster.metrics.counter_value(
+            "client.retransmissions") == expected
+    assert cluster.metrics.counter_value("client.fast_retransmissions") == 0
 
 
 def test_cancel_abandons_the_call_and_frees_the_client():
@@ -275,7 +276,7 @@ def test_cancel_abandons_the_call_and_frees_the_client():
     assert not client.cancel()                  # nothing left to abandon
     cluster.run(1.0)                            # late replies: ignored
     assert "r" not in box
-    assert client.cancelled == 1
+    assert cluster.metrics.counter_value("client.cancelled") == 1
     # The pool slot is immediately reusable under a fresh request id.
     box2 = {}
     client.invoke(put(1, b"new"), lambda res: box2.update(r=res))

@@ -1,6 +1,8 @@
 """Protocol corner cases: watermarks, null-request gap fill, GC, tracer,
 and when a replica may ask for a view it missed."""
 
+import pytest
+
 from repro.bft.messages import Commit, PrePrepare, Prepare, Request
 from repro.bft.statemachine import InMemoryStateManager
 from repro.bft.viewchange import ViewChangeManager
@@ -136,6 +138,85 @@ def test_rollback_without_a_local_checkpoint_goes_through_state_transfer():
     assert {r.last_stable for r in cluster.replicas} == {stable + 4}
     assert len({r.state.checkpoint_root(r.last_stable)
                 for r in cluster.replicas}) == 1
+
+
+# -- the state transitions, each from every way in ----------------------------
+
+def assert_checkpoint_invariants(replica):
+    """What holds whenever a replica has just been brought to a
+    certified checkpoint, whichever way it got there."""
+    stable, root, _ = replica.stable_vector
+    assert stable == replica.last_stable
+    assert all(seq > stable for seq in replica.log.seqs())
+    assert all(seq >= stable for seq in replica.table_checkpoints)
+    assert stable in replica.table_checkpoints
+    assert all(seq > stable for seq in replica.checkpoint_msgs)
+    assert replica.last_committed_exec >= stable
+    assert replica.checkpoint_history[-1] == (stable, root)
+    assert not [seq for seq in replica.log.seqs()
+                if seq > replica.last_executed
+                and replica.log.get(seq).executed]
+    assert all(seq <= replica.last_executed
+               for seq in replica._reply_seq.values())
+
+
+def _tentative_above_stable():
+    """A group stable at 4 whose replica 1 gets no COMMIT: its next
+    execution (seq 5, no checkpoint due) stays tentative."""
+    cluster = make_kv_cluster(checkpoint_interval=2, batch_max=1)
+    client = cluster.add_client("client0")
+    for i in range(4):
+        client.call(put(i, b"v%d" % i))
+    cluster.run(1.0)
+    victim = cluster.replicas[1]
+    cluster.network.add_filter(
+        lambda src, dst, msg: not (dst == victim.node_id
+                                   and getattr(msg, "kind", "") == "commit"))
+    client.call(put(9, b"tentative"))
+    assert (victim.last_stable, victim.last_committed_exec,
+            victim.last_executed) == (4, 4, 5)
+    return cluster, victim
+
+
+def _stable_by_votes():
+    cluster = make_kv_cluster(checkpoint_interval=2, batch_max=1)
+    client = cluster.add_client("client0")
+    for i in range(6):
+        client.call(put(i, b"v%d" % i))
+    cluster.run(1.0)
+    assert cluster.tracer.counters["checkpoint_stable"] == 3 * cluster.config.n
+    return cluster.replicas[2], 6, 6
+
+
+def _stable_by_transfer():
+    """Forced back to the stable checkpoint it executed past."""
+    cluster, victim = _tentative_above_stable()
+    victim.view_changes.start(victim.view + 1)     # nothing replays
+    victim.transfer.initiate(4, victim.stable_cert[0].root_digest,
+                             victim.stable_cert, force=True)
+    cluster.run(0.5)
+    assert cluster.tracer.counters["transfer_complete"] == 1
+    return victim, 4, 4
+
+
+def _rolled_back_by_view_change():
+    """Enters a view whose NEW-VIEW does not carry its tentative slot."""
+    from repro.bft.messages import ViewChange
+    cluster, victim = _tentative_above_stable()
+    vcs = tuple(ViewChange(1, 4, (), (), rid)
+                for rid in cluster.config.replica_ids[:3])
+    victim.view_changes._enter_view(1, vcs, [])
+    assert cluster.tracer.counters["tentative_reordered"] == 1
+    assert cluster.tracer.counters["rollback"] == 1
+    return victim, 4, 4
+
+
+@pytest.mark.parametrize("way_in", [_stable_by_votes, _stable_by_transfer,
+                                    _rolled_back_by_view_change])
+def test_checkpoint_invariants_hold_after_every_way_in(way_in):
+    replica, stable, executed = way_in()
+    assert (replica.last_stable, replica.last_executed) == (stable, executed)
+    assert_checkpoint_invariants(replica)
 
 
 # -- catching up to a missed view: trigger discipline -------------------------

@@ -220,3 +220,56 @@ def test_cert_reply_with_a_stale_nonce_is_dropped_before_any_check():
     assert lagger.busy_until > before
     assert lagger.transfer.active
     assert lagger.transfer.target_seq == donor.last_stable
+
+
+def test_forced_transfer_back_to_stable_forgets_what_it_rolled_back():
+    """A forced transfer back to ``last_stable`` (recovery, divergence,
+    ``rollback_via_transfer``) rewinds execution like an in-place
+    rollback does: the cached reply the stable checkpoint certifies is
+    not marked tentative on retransmission, and the CHECKPOINT taken on
+    the rolled-back executions is not resent."""
+    cluster = make_kv_cluster(checkpoint_interval=2, batch_max=1)
+    client = cluster.add_client("client0")
+    victim = cluster.replicas[1]
+    requests, replies, checkpoints, cut = {}, [], [], []
+
+    def tap(src, dst, msg):
+        kind = getattr(msg, "kind", "")
+        if kind == "request" and src == "client0":
+            requests[msg.request_id] = msg
+        elif kind == "reply" and src == victim.node_id:
+            replies.append(msg)
+        elif kind == "checkpoint" and src == victim.node_id:
+            checkpoints.append(msg.seq)
+        # Once cut, no CHECKPOINT arrives anywhere (6 is taken, never
+        # stable, and the donors keep checkpoint 4 to serve) and no
+        # COMMIT reaches the victim (what it executes stays tentative).
+        return not cut or not (kind == "checkpoint" or (
+            kind == "commit" and dst == victim.node_id))
+
+    cluster.network.add_filter(tap)
+    run_writes(cluster, client, 4)
+    cluster.run(1.0)
+    stable = victim.last_stable
+    assert stable == 4 and victim.stable_cert
+    cut.append(True)
+    run_writes(cluster, client, 2, start=4)
+    assert victim.last_executed == stable + 2
+    assert victim.last_committed_exec == stable
+    assert victim._latest_checkpoint_msg.seq == stable + 2
+    # Its tentative slots never commit, so its timer would send it into
+    # a view change alone; until a new view nothing replays.
+    victim.view_changes.start(victim.view + 1)
+    victim.transfer.initiate(stable, victim.stable_cert[0].root_digest,
+                             victim.stable_cert, force=True)
+    cluster.run(0.5)
+    assert not victim.transfer.active and victim.last_executed == stable
+    certified_id = victim.client_table["client0"][0]
+    assert certified_id < max(requests)
+
+    del replies[:], checkpoints[:]
+    victim.on_message("client0", requests[certified_id])
+    cluster.run(2 * cluster.config.view_change_timeout)
+    assert [(m.request_id, m.tentative) for m in replies] \
+        == [(certified_id, False)]
+    assert checkpoints == []

@@ -142,6 +142,53 @@ def test_faultlab_patches_no_private_attribute_of_a_product_object():
     assert found == []
 
 
+def _protocol_sources():
+    root = Path(__file__).resolve().parents[1] / "src/repro"
+    for path in sorted([*(root / "bft").glob("*.py"),
+                        *(root / "base").glob("*.py")]):
+        yield path, path.read_text(encoding="utf-8")
+
+
+def _stores(match):
+    """``file:Class.function`` of every assignment target ``match``
+    accepts, over ``src/repro/bft`` and ``src/repro/base``."""
+    found = []
+
+    def walk(node, path, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + [node.name]
+        elif isinstance(getattr(node, "ctx", None), ast.Store) \
+                and match(node):
+            found.append(f"{path.name}:{'.'.join(scope)}")
+        for child in ast.iter_child_nodes(node):
+            walk(child, path, scope)
+
+    for path, source in _protocol_sources():
+        walk(ast.parse(source), path, [])
+    return sorted(found)
+
+
+def test_each_replica_state_transition_is_written_once():
+    """Adopting a certified checkpoint, rewinding execution, voiding a
+    slot's votes, checkpointing the reply cache and noting a checkpoint
+    each have one body (docs/PROTOCOL.md, "Checkpoints and garbage
+    collection"); every other site calls it."""
+    assert _stores(lambda n: isinstance(n, ast.Attribute)
+                   and n.attr == "last_stable") == [
+        "messages.py:ViewChange.__init__",      # the wire field
+        "replica.py:Replica.__init__", "replica.py:Replica.adopt_checkpoint"]
+    assert _stores(lambda n: isinstance(n, ast.Subscript)
+                   and isinstance(n.value, ast.Attribute)
+                   and n.value.attr == "table_checkpoints") == [
+        "replica.py:Replica.record_table_checkpoint"]
+    assert _stores(lambda n: isinstance(n, ast.Name)
+                   and n.id == "_HISTORY_MAX") == ["replica.py:Replica"]
+    assert [(path.name, text) for path, source in _protocol_sources()
+            if path.name != "log.py"
+            for text in (".executed = False", ".prepares = {}")
+            if text in source] == []
+
+
 def test_sequential_microbench_counts():
     cluster = build_kv_cluster()
     result = sequential_ops(cluster, 10, "t")

@@ -299,7 +299,7 @@ def test_basefs_simulated_outcome_is_pinned():
     assert cluster.network.bytes_sent == 1073305
     assert cluster.scheduler.now == 1.392662581387507
     assert [r.state.last_checkpoint_seq for r in cluster.replicas] == [80] * 4
-    assert {r.state.checkpoint_history[-1][1].hex()
+    assert {r.checkpoint_history[-1][1].hex()
             for r in cluster.replicas} == {
         "4fc78e72e775d7beeba941fef746c06aa82da7b1c094589e7cb9d44d0b17c9c0"}
     assert dict(cluster.tracer.counters) == {
