@@ -162,3 +162,17 @@ class ForgedAuthBehavior(Behavior):
             from repro.crypto.mac import Authenticator
             msg.auth = Authenticator.forged(auth.sender, list(auth.tags))
         return msg
+
+
+#: Name -> class of every canned behavior: what a FaultLab plan may name
+#: (``ReplicaFault`` validates against it) and what its injector builds.
+BEHAVIORS = {
+    "mute": MuteBehavior,
+    "wrong_reply": WrongReplyBehavior,
+    "bad_nondet": BadNondetBehavior,
+    "equivocate": EquivocatingPrimaryBehavior,
+    "forged_auth": ForgedAuthBehavior,
+    "unauth_reply": UnauthReplyBehavior,
+    "replay": ReplayBehavior,
+    "delay": DelayBehavior,
+}

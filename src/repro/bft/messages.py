@@ -24,33 +24,59 @@ no call at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
 
 from repro.crypto.digest import digest as sha_digest
-from repro.crypto.mac import MAC_SIZE
 from repro.crypto.signatures import SIGNATURE_SIZE
 from repro.encoding.canonical import (
-    RECORD_ENCODERS, canonical, register_record)
+    RECORD_ENCODERS, RECORD_FIELD_TYPES, canonical, register_record)
 
 NULL_CLIENT = "__null__"
 
 
 class Message:
-    """Base for protocol messages; subclasses define ``_fields()``."""
+    """Base for protocol messages.  A kind is declared once: a ``kind``
+    literal and ``__slots__ = {field: type}`` in wire order, plus its own
+    ``_fields()`` only when what it sends is not what it holds.  So
+    ``cls.__slots__`` over ``Message.__subclasses__()`` is the catalogue
+    of what every kind carries (docs/PROTOCOL.md, "Wire messages")."""
 
     kind = "message"
 
     __slots__ = ("_body", "body_size", "sealed_digest", "auth", "sig")
 
-    def __init__(self) -> None:
-        # The normal-case kinds set these five themselves, in one line,
-        # to spare a second frame per message: keep the two in step.
-        self._body: Optional[bytes] = None
-        self.body_size: Optional[int] = None       # len(body()), once encoded
-        self.sealed_digest: Optional[bytes] = None  # digest(), once hashed
-        self.auth = None   # Optional[Authenticator]
-        self.sig = None    # Optional[bytes]
+    def __init_subclass__(cls) -> None:
+        """Derive the constructor, ``_fields()`` and the record encoder.
+        A field is ``int``, ``str``, ``bool``, ``bytes`` or a ``Message``
+        class (both admit ``None``) or ``tuple`` (the constructor coerces
+        it); a float, set or dict is refused here, so none reaches the
+        wire.  ``_defaults`` holds the last fields' defaults, as a ``def``
+        would.  A test's subclass with plain slots inherits all three."""
+        fields = cls.__dict__.get("__slots__")
+        if type(fields) is not dict:
+            return
+        for name, kind in fields.items():
+            if not (kind in RECORD_FIELD_TYPES or kind is tuple
+                    or isinstance(kind, type) and issubclass(kind, Message)):
+                raise TypeError(f"{cls.__name__}.{name}: no wire type {kind!r}")
+        stores = "\n    ".join(
+            f"self.{name} = {f'tuple({name})' if kind is tuple else name}"
+            for name, kind in fields.items())
+        derived: dict = {}
+        # One frame per message: the five base slots and the kind's own.
+        exec(f"def __init__(self, {', '.join(fields)}):\n"
+             "    self._body = self.body_size = self.sealed_digest = None\n"
+             "    self.auth = self.sig = None\n"
+             f"    {stores}\n"
+             "def _fields(self):\n"
+             f"    return ({''.join(f'self.{name}, ' for name in fields)})\n",
+             derived)
+        derived["__init__"].__defaults__ = cls.__dict__.get("_defaults")
+        cls.__init__ = derived["__init__"]
+        if "_fields" not in cls.__dict__:   # it sends what it holds
+            cls._fields = derived["_fields"]
+            if RECORD_FIELD_TYPES.issuperset(fields.values()):
+                register_record(cls, cls.kind, fields)
 
     def _fields(self) -> tuple:
         raise NotImplementedError
@@ -87,35 +113,13 @@ class Message:
         return f"{type(self).__name__}{self._fields()!r}"
 
 
-def record(**fields: type):
-    """Class decorator: declare ``_fields()`` as a flat record of typed
-    attributes so ``body()`` takes the codec's straight-line encoder.
-    ``_fields()`` stays the specification the encoder is tested against."""
-    def decorate(cls: type) -> type:
-        register_record(cls, cls.kind, fields)
-        return cls
-    return decorate
-
-
-@record(client_id=str, request_id=int, op=bytes, read_only=bool)
 class Request(Message):
     """Client request to execute ``op`` (opaque service-level bytes)."""
 
     kind = "request"
-
-    __slots__ = ("client_id", "request_id", "op", "read_only")
-
-    def __init__(self, client_id: str, request_id: int, op: bytes,
-                 read_only: bool = False):
-        self._body = self.body_size = self.sealed_digest = None
-        self.auth = self.sig = None
-        self.client_id = client_id
-        self.request_id = request_id
-        self.op = op
-        self.read_only = read_only
-
-    def _fields(self) -> tuple:
-        return (self.client_id, self.request_id, self.op, self.read_only)
+    __slots__ = {"client_id": str, "request_id": int, "op": bytes,
+                 "read_only": bool}
+    _defaults = (False,)
 
     @classmethod
     def null(cls) -> "Request":
@@ -128,41 +132,22 @@ class Request(Message):
         return self.client_id == NULL_CLIENT
 
 
-@record(view=int, request_id=int, client_id=str, replica_id=str, result=bytes,
-        result_digest=bytes, tentative=bool, read_only=bool)
 class Reply(Message):
     """Replica's reply; carries the full result or only its digest when
     the tentative-reply optimization designates another replica."""
 
     kind = "reply"
-
-    __slots__ = ("view", "request_id", "client_id", "replica_id", "result",
-                 "result_digest", "tentative", "read_only")
-
-    def __init__(self, view: int, request_id: int, client_id: str,
-                 replica_id: str, result: Optional[bytes],
-                 result_digest: bytes, tentative: bool = False,
-                 read_only: bool = False):
-        self._body = self.body_size = self.sealed_digest = None
-        self.auth = self.sig = None
-        self.view = view
-        self.request_id = request_id
-        self.client_id = client_id
-        self.replica_id = replica_id
-        self.result = result
-        self.result_digest = result_digest
-        self.tentative = tentative
+    __slots__ = {
+        "view": int, "request_id": int, "client_id": str, "replica_id": str,
+        "result": bytes, "result_digest": bytes, "tentative": bool,
         # Distinguishes read-only-optimization replies (executed against
         # the replica's current state, never ordered) from ordered
         # tentative replies (executed at prepared, commit pending).  A
         # client that fell back from the read-only path must not count
         # straggling read-only replies toward the ordered quorum.
-        self.read_only = read_only
-
-    def _fields(self) -> tuple:
-        return (self.view, self.request_id, self.client_id, self.replica_id,
-                self.result, self.result_digest, self.tentative,
-                self.read_only)
+        "read_only": bool,
+    }
+    _defaults = (False, False)
 
 
 class PrePrepare(Message):
@@ -174,17 +159,9 @@ class PrePrepare(Message):
     """
 
     kind = "pre_prepare"
-
-    __slots__ = ("view", "seq", "requests", "nondet")
-
-    def __init__(self, view: int, seq: int, requests: Tuple[Request, ...],
-                 nondet: bytes):
-        self._body = self.body_size = self.sealed_digest = None
-        self.auth = self.sig = None
-        self.view = view
-        self.seq = seq
-        self.requests = tuple(requests)
-        self.nondet = nondet
+    __slots__ = {"view": int, "seq": int,
+                 "requests": tuple,     # of Request
+                 "nondet": bytes}
 
     def _fields(self) -> tuple:
         return (self.view, self.seq,
@@ -199,40 +176,16 @@ class PrePrepare(Message):
         return super().wire_size() + sum(r.wire_size() for r in self.requests)
 
 
-@record(view=int, seq=int, batch_digest=bytes, replica_id=str)
 class Prepare(Message):
     kind = "prepare"
-
-    __slots__ = ("view", "seq", "batch_digest", "replica_id")
-
-    def __init__(self, view: int, seq: int, batch_digest: bytes, replica_id: str):
-        self._body = self.body_size = self.sealed_digest = None
-        self.auth = self.sig = None
-        self.view = view
-        self.seq = seq
-        self.batch_digest = batch_digest
-        self.replica_id = replica_id
-
-    def _fields(self) -> tuple:
-        return (self.view, self.seq, self.batch_digest, self.replica_id)
+    __slots__ = {"view": int, "seq": int, "batch_digest": bytes,
+                 "replica_id": str}
 
 
-@record(view=int, seq=int, batch_digest=bytes, replica_id=str)
 class Commit(Message):
     kind = "commit"
-
-    __slots__ = ("view", "seq", "batch_digest", "replica_id")
-
-    def __init__(self, view: int, seq: int, batch_digest: bytes, replica_id: str):
-        self._body = self.body_size = self.sealed_digest = None
-        self.auth = self.sig = None
-        self.view = view
-        self.seq = seq
-        self.batch_digest = batch_digest
-        self.replica_id = replica_id
-
-    def _fields(self) -> tuple:
-        return (self.view, self.seq, self.batch_digest, self.replica_id)
+    __slots__ = {"view": int, "seq": int, "batch_digest": bytes,
+                 "replica_id": str}
 
 
 class CheckpointMsg(Message):
@@ -245,20 +198,8 @@ class CheckpointMsg(Message):
     """
 
     kind = "checkpoint"
-
-    __slots__ = ("seq", "root_digest", "table_digest", "replica_id")
-
-    def __init__(self, seq: int, root_digest: bytes, table_digest: bytes,
-                 replica_id: str):
-        super().__init__()
-        self.seq = seq
-        self.root_digest = root_digest
-        self.table_digest = table_digest
-        self.replica_id = replica_id
-
-    def _fields(self) -> tuple:
-        return (self.seq, self.root_digest, self.table_digest,
-                self.replica_id)
+    __slots__ = {"seq": int, "root_digest": bytes, "table_digest": bytes,
+                 "replica_id": str}
 
 
 @dataclass(frozen=True)
@@ -280,19 +221,10 @@ class ViewChange(Message):
     checkpoint proof and its prepared certificates above it."""
 
     kind = "view_change"
-
-    __slots__ = ("view", "last_stable", "checkpoint_proof", "prepared",
-                 "replica_id")
-
-    def __init__(self, view: int, last_stable: int,
-                 checkpoint_proof: Tuple[CheckpointMsg, ...],
-                 prepared: Tuple[PreparedProof, ...], replica_id: str):
-        super().__init__()
-        self.view = view
-        self.last_stable = last_stable
-        self.checkpoint_proof = tuple(checkpoint_proof)
-        self.prepared = tuple(prepared)
-        self.replica_id = replica_id
+    __slots__ = {"view": int, "last_stable": int,
+                 "checkpoint_proof": tuple,     # of CheckpointMsg
+                 "prepared": tuple,             # of PreparedProof
+                 "replica_id": str}
 
     def _fields(self) -> tuple:
         return (self.view, self.last_stable,
@@ -311,16 +243,10 @@ class NewView(Message):
     pre-prepares it re-proposes for the new view."""
 
     kind = "new_view"
-
-    __slots__ = ("view", "view_changes", "pre_prepares", "replica_id")
-
-    def __init__(self, view: int, view_changes: Tuple[ViewChange, ...],
-                 pre_prepares: Tuple[PrePrepare, ...], replica_id: str):
-        super().__init__()
-        self.view = view
-        self.view_changes = tuple(view_changes)
-        self.pre_prepares = tuple(pre_prepares)
-        self.replica_id = replica_id
+    __slots__ = {"view": int,
+                 "view_changes": tuple,     # of ViewChange
+                 "pre_prepares": tuple,     # of PrePrepare
+                 "replica_id": str}
 
     def _fields(self) -> tuple:
         return (self.view,
@@ -341,16 +267,7 @@ class FetchCert(Message):
     """Ask a replica for its latest stable checkpoint certificate."""
 
     kind = "fetch_cert"
-
-    __slots__ = ("replica_id", "nonce")
-
-    def __init__(self, replica_id: str, nonce: int):
-        super().__init__()
-        self.replica_id = replica_id
-        self.nonce = nonce
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.nonce)
+    __slots__ = {"replica_id": str, "nonce": int}
 
 
 class CertReply(Message):
@@ -359,16 +276,10 @@ class CertReply(Message):
     catch up to the current view — the NEW-VIEW is self-validating."""
 
     kind = "cert_reply"
-
-    __slots__ = ("replica_id", "nonce", "cert", "new_view")
-
-    def __init__(self, replica_id: str, nonce: int,
-                 cert: Tuple[CheckpointMsg, ...], new_view=None):
-        super().__init__()
-        self.replica_id = replica_id
-        self.nonce = nonce
-        self.cert = tuple(cert)
-        self.new_view = new_view
+    __slots__ = {"replica_id": str, "nonce": int,
+                 "cert": tuple,     # of CheckpointMsg
+                 "new_view": NewView}
+    _defaults = (None,)
 
     def _fields(self) -> tuple:
         return (self.replica_id, self.nonce,
@@ -388,99 +299,35 @@ class FetchMeta(Message):
     tree ``level``, as of the stable checkpoint ``seq``."""
 
     kind = "fetch_meta"
-
-    __slots__ = ("replica_id", "seq", "level", "index")
-
-    def __init__(self, replica_id: str, seq: int, level: int, index: int):
-        super().__init__()
-        self.replica_id = replica_id
-        self.seq = seq
-        self.level = level
-        self.index = index
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.seq, self.level, self.index)
+    __slots__ = {"replica_id": str, "seq": int, "level": int, "index": int}
 
 
 class MetaReply(Message):
     kind = "meta_reply"
-
-    __slots__ = ("replica_id", "seq", "level", "index", "children")
-
-    def __init__(self, replica_id: str, seq: int, level: int, index: int,
-                 children: Tuple[Tuple[bytes, int], ...]):
-        super().__init__()
-        self.replica_id = replica_id
-        self.seq = seq
-        self.level = level
-        self.index = index
-        self.children = tuple(children)  # (digest, last_modified_checkpoint)
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.seq, self.level, self.index,
-                self.children)
+    __slots__ = {"replica_id": str, "seq": int, "level": int, "index": int,
+                 "children": tuple}     # of (digest, last_modified_checkpoint)
 
 
 class FetchObject(Message):
     kind = "fetch_object"
-
-    __slots__ = ("replica_id", "seq", "index")
-
-    def __init__(self, replica_id: str, seq: int, index: int):
-        super().__init__()
-        self.replica_id = replica_id
-        self.seq = seq
-        self.index = index
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.seq, self.index)
+    __slots__ = {"replica_id": str, "seq": int, "index": int}
 
 
 class ObjectReply(Message):
     kind = "object_reply"
-
-    __slots__ = ("replica_id", "seq", "index", "value")
-
-    def __init__(self, replica_id: str, seq: int, index: int, value: bytes):
-        super().__init__()
-        self.replica_id = replica_id
-        self.seq = seq
-        self.index = index
-        self.value = value
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.seq, self.index, self.value)
+    __slots__ = {"replica_id": str, "seq": int, "index": int, "value": bytes}
 
 
 class FetchTable(Message):
     """Fetch the client reply cache as of stable checkpoint ``seq``."""
 
     kind = "fetch_table"
-
-    __slots__ = ("replica_id", "seq")
-
-    def __init__(self, replica_id: str, seq: int):
-        super().__init__()
-        self.replica_id = replica_id
-        self.seq = seq
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.seq)
+    __slots__ = {"replica_id": str, "seq": int}
 
 
 class TableReply(Message):
     kind = "table_reply"
-
-    __slots__ = ("replica_id", "seq", "blob")
-
-    def __init__(self, replica_id: str, seq: int, blob: bytes):
-        super().__init__()
-        self.replica_id = replica_id
-        self.seq = seq
-        self.blob = blob
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.seq, self.blob)
+    __slots__ = {"replica_id": str, "seq": int, "blob": bytes}
 
 
 class RecoveryRequest(Message):
@@ -488,16 +335,7 @@ class RecoveryRequest(Message):
     with their stable checkpoint certificates."""
 
     kind = "recovery_request"
-
-    __slots__ = ("replica_id", "epoch")
-
-    def __init__(self, replica_id: str, epoch: int):
-        super().__init__()
-        self.replica_id = replica_id
-        self.epoch = epoch
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.epoch)
+    __slots__ = {"replica_id": str, "epoch": int}
 
 
 # -- edge tier (bounded-staleness reads) ------------------------------------
@@ -508,17 +346,7 @@ class EdgeRead(Message):
     state and answer with staleness evidence (no ordering, no quorum)."""
 
     kind = "edge_read"
-
-    __slots__ = ("edge_id", "nonce", "op")
-
-    def __init__(self, edge_id: str, nonce: int, op: bytes):
-        super().__init__()
-        self.edge_id = edge_id
-        self.nonce = nonce
-        self.op = op
-
-    def _fields(self) -> tuple:
-        return (self.edge_id, self.nonce, self.op)
+    __slots__ = {"edge_id": str, "nonce": int, "op": bytes}
 
 
 class EdgeReadReply(Message):
@@ -532,26 +360,9 @@ class EdgeReadReply(Message):
     """
 
     kind = "edge_read_reply"
-
-    __slots__ = ("replica_id", "edge_id", "nonce", "result", "result_digest",
-                 "checkpoint_seq", "root_digest", "stable_at_us",
-                 "issued_at_us")
-
-    def __init__(self, replica_id: str, edge_id: str, nonce: int,
-                 result: bytes, result_digest: bytes, checkpoint_seq: int,
-                 root_digest: bytes, stable_at_us: int, issued_at_us: int):
-        super().__init__()
-        self.replica_id = replica_id
-        self.edge_id = edge_id
-        self.nonce = nonce
-        self.result = result
-        self.result_digest = result_digest
-        self.checkpoint_seq = checkpoint_seq
-        self.root_digest = root_digest
-        self.stable_at_us = stable_at_us    # when the anchor went stable
-        self.issued_at_us = issued_at_us    # when this read executed
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.edge_id, self.nonce, self.result,
-                self.result_digest, self.checkpoint_seq, self.root_digest,
-                self.stable_at_us, self.issued_at_us)
+    __slots__ = {
+        "replica_id": str, "edge_id": str, "nonce": int, "result": bytes,
+        "result_digest": bytes, "checkpoint_seq": int, "root_digest": bytes,
+        "stable_at_us": int,    # when the anchor went stable
+        "issued_at_us": int,    # when this read executed
+    }

@@ -50,6 +50,7 @@ from repro.edge.evidence import (BOUNDED_STALE, EVIDENCE_CERTIFICATE,
                                  StalenessEvidence)
 from repro.encoding.canonical import decanonical
 from repro.errors import ReproError
+from repro.service.sharding import CrossShardOp
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.scheduler import Scheduler
@@ -237,16 +238,15 @@ class EdgeTier:
         if self._router is None:
             return 0, None
         decoded = decanonical(op)
-        target = self._router.spec.extract(decoded)
-        if target is None:
-            return 0, None
-        keys = target if isinstance(target, list) else [target]
-        shards = {self._router.shard_of(k) for k in keys}
-        if len(shards) != 1:
-            raise EdgeUnavailable(
-                f"op {decoded[0]!r} spans shards {sorted(shards)}")
-        # protolint: disable=DEEP-TAINT singleton set (guarded by the len != 1 raise above), so pop() is deterministic
-        return shards.pop(), keys[0] if len(keys) == 1 else tuple(keys)
+        try:
+            shard, keys = self._router.route(decoded)
+        except CrossShardOp as exc:
+            raise EdgeUnavailable(str(exc)) from None
+        if shard is None:
+            raise EdgeUnavailable(f"op {decoded[0]!r} goes to every shard")
+        if not keys:
+            return shard, None
+        return shard, keys[0] if len(keys) == 1 else tuple(keys)
 
     # -- monitoring plane --------------------------------------------------
 

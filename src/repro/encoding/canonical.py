@@ -199,10 +199,10 @@ def _encode_slow(value: Any, out: list) -> None:
 #
 # A record is an object whose canonical form is the flat tuple
 # ``(head, obj.a, obj.b, ...)`` with every field's type known in advance
-# (the normal-case protocol messages).  Its encoder is one expression:
-# no tuple is built and no type is dispatched on.  A field holding some
-# other type than declared still encodes exactly as the tuple would,
-# through ``_encode_one``.
+# (the protocol messages that hold only scalars).  Its encoder is one
+# expression: no tuple is built and no type is dispatched on.  A field
+# holding some other type than declared still encodes exactly as the
+# tuple would, through ``_encode_one``.
 
 #: Source of one field's bytes, by declared type; ``{0}`` is the attribute.
 _FIELD_SOURCE = {
@@ -214,6 +214,7 @@ _FIELD_SOURCE = {
     bool: "b'T' if (v := m.{0}) is True else b'F' if v is False "
           "else _encode_one(v)",
 }
+RECORD_FIELD_TYPES = frozenset(_FIELD_SOURCE)  # what a field may declare
 #: Exact type -> its straight-line encoder; membership is what makes a
 #: type a record (``Message.body`` asks it, nothing else records it).
 RECORD_ENCODERS: dict = {}

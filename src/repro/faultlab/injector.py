@@ -18,37 +18,15 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Sequence
 
-from repro.bft.faults import (
-    HONEST,
-    BadNondetBehavior,
-    Behavior,
-    DelayBehavior,
-    EquivocatingPrimaryBehavior,
-    ForgedAuthBehavior,
-    MuteBehavior,
-    ReplayBehavior,
-    UnauthReplyBehavior,
-    WrongReplyBehavior,
-)
+from repro.bft.faults import BEHAVIORS, HONEST, Behavior
 from repro.faultlab.plan import FaultPlan
-
-BEHAVIOR_FACTORIES: Dict[str, Callable[..., Behavior]] = {
-    "mute": MuteBehavior,
-    "wrong_reply": WrongReplyBehavior,
-    "bad_nondet": BadNondetBehavior,
-    "equivocate": EquivocatingPrimaryBehavior,
-    "forged_auth": ForgedAuthBehavior,
-    "unauth_reply": UnauthReplyBehavior,
-    "replay": ReplayBehavior,
-    "delay": DelayBehavior,
-}
 
 
 def make_behavior(name: str, params=()) -> Behavior:
     kwargs = dict(params)
     if name == "delay" and "kinds" in kwargs:
         kwargs["kinds"] = tuple(kwargs["kinds"])
-    return BEHAVIOR_FACTORIES[name](**kwargs)
+    return BEHAVIORS[name](**kwargs)
 
 
 def make_backend_fault(name: str, inner: Any, params=()) -> Any:

@@ -33,10 +33,7 @@ from typing import Any, Dict, Iterator, Optional, Tuple, Type
 
 import json
 
-#: Behavior names a :class:`ReplicaFault` may reference (resolved by the
-#: injector against :mod:`repro.bft.faults`).
-BEHAVIOR_NAMES = ("mute", "wrong_reply", "bad_nondet", "equivocate",
-                  "forged_auth", "replay", "delay")
+from repro.bft.faults import BEHAVIORS
 
 #: Backend-wrapper names a :class:`BackendFault` may reference.
 BACKEND_FAULT_NAMES = ("leaky", "corrupting")
@@ -65,9 +62,9 @@ class ReplicaFault:
     kind: str = field(default="replica", init=False, repr=False)
 
     def __post_init__(self):
-        if self.behavior not in BEHAVIOR_NAMES:
+        if self.behavior not in BEHAVIORS:
             raise ValueError(f"unknown behavior {self.behavior!r}; "
-                             f"known: {BEHAVIOR_NAMES}")
+                             f"known: {tuple(BEHAVIORS)}")
         object.__setattr__(self, "params", _params(self.params))
 
     def describe(self) -> str:

@@ -30,7 +30,7 @@ class Cluster:
 
     @property
     def metrics(self):
-        """The shared metrics registry (counters/gauges/histograms)."""
+        """The shared metrics registry (counters/histograms)."""
         return self.tracer.metrics
 
     def phase_report(self, title: str = "Per-phase latency breakdown "

@@ -128,15 +128,21 @@ class ShardRouter(Channel):
             return pinned
         return stable_shard(key, self.num_shards)
 
-    def _resolve(self, target: Any, kind: Any) -> int:
+    def route(self, decoded: tuple) -> Tuple[Optional[int], List[Any]]:
+        """The one shard a decoded op belongs to, and the keys that put
+        it there.  ``(None, [])`` is a :data:`BROADCAST` op (no one
+        shard); keys that resolve to several shards raise
+        :class:`CrossShardOp`."""
+        target = self.spec.extract(decoded)
         if target is None:
-            return 0  # keyless registry-style ops live on the home shard
+            return 0, []  # keyless registry-style ops live on the home shard
+        if isinstance(target, Broadcast):
+            return None, []
         keys = target if isinstance(target, list) else [target]
         shards = {self.shard_of(key) for key in keys}
         if len(shards) != 1:
-            raise CrossShardOp(kind, shards)
-        # protolint: disable=DEEP-TAINT singleton set (guarded by the len != 1 raise above), so pop() is deterministic
-        return shards.pop()
+            raise CrossShardOp(decoded[0], shards)
+        return min(shards), keys    # of a singleton: no set order escapes
 
     def _pin(self, key: Any, shard: int) -> None:
         existing = self.pins.get(key)
@@ -155,10 +161,9 @@ class ShardRouter(Channel):
 
     def call(self, op: bytes, read_only: bool = False) -> bytes:
         decoded = decanonical(op)
-        target = self.spec.extract(decoded)
-        if isinstance(target, Broadcast):
+        shard, _ = self.route(decoded)
+        if shard is None:
             return self._broadcast(op, read_only)
-        shard = self._resolve(target, decoded[0])
         reply = self.channels[shard].call(op, read_only=read_only)
         self._record(shard, op, reply)
         if self.spec.learn is not None:
@@ -203,12 +208,10 @@ class ShardRouter(Channel):
             return []
         plan: Dict[int, List[Tuple[int, bytes]]] = {}
         for index, sub in enumerate(ops):
-            decoded = decanonical(sub)
-            target = self.spec.extract(decoded)
-            if isinstance(target, Broadcast):
+            shard, _ = self.route(decanonical(sub))
+            if shard is None:
                 raise RoutingError("broadcast ops cannot join a "
                                    "cross-shard transaction")
-            shard = self._resolve(target, decoded[0])
             plan.setdefault(shard, []).append((index, sub))
         self._txn_counter += 1
         txn_id = f"{self._client_tag}:{self._txn_counter}"

@@ -16,7 +16,7 @@ The kernel is deliberately small:
   with timer helpers.
 - :class:`~repro.sim.tracing.Tracer` — structured event ring with
   counters, used by the benchmark harness.
-- :class:`~repro.sim.metrics.Metrics` — counters/gauges/histograms with
+- :class:`~repro.sim.metrics.Metrics` — counters/histograms with
   percentile summaries, exportable as JSON or harness tables.
 """
 

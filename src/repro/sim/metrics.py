@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, and histograms with percentiles.
+"""Metrics registry: counters and histograms with percentiles.
 
 The observability substrate for the benchmark harness: protocol code
 records per-phase latencies and operation counters here (via the
@@ -112,7 +112,7 @@ class Span:
 
 
 class Metrics:
-    """Registry of named counters, gauges, and histograms.
+    """Registry of named counters and histograms.
 
     Names are free-form dotted strings; the harness conventions are
     ``phase.<name>`` for protocol phase latencies, ``recovery.<name>``
@@ -121,7 +121,6 @@ class Metrics:
 
     def __init__(self, max_samples_per_histogram: int = 65_536):
         self.counters: Dict[str, int] = {}
-        self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
         self._max_samples = max_samples_per_histogram
 
@@ -129,9 +128,6 @@ class Metrics:
 
     def inc(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
-
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
 
     def histogram(self, name: str) -> Histogram:
         hist = self.histograms.get(name)
@@ -152,9 +148,6 @@ class Metrics:
     def counter_value(self, name: str) -> int:
         return self.counters.get(name, 0)
 
-    def gauge_value(self, name: str, default: float = 0.0) -> float:
-        return self.gauges.get(name, default)
-
     def histograms_with_prefix(self, prefix: str) -> List[Tuple[str, Histogram]]:
         return sorted((name, h) for name, h in self.histograms.items()
                       if name.startswith(prefix))
@@ -164,7 +157,6 @@ class Metrics:
     def as_dict(self) -> Dict[str, Any]:
         return {
             "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
             "histograms": {
                 name: hist.summary()
                 for name, hist in sorted(self.histograms.items())},
@@ -181,8 +173,8 @@ class Metrics:
         return json.dumps(_clean(self.as_dict()), indent=2)
 
     def merge(self, other: "Metrics", prefix: str = "") -> None:
-        """Fold another registry into this one (counters add, gauges take
-        the other's value, histogram aggregates and samples combine).
+        """Fold another registry into this one (counters add, histogram
+        aggregates and samples combine).
 
         ``prefix`` namespaces every incoming name (e.g. ``"shard0."``):
         sharded deployments aggregate one registry per group into a
@@ -193,8 +185,6 @@ class Metrics:
         """
         for name, n in other.counters.items():
             self.inc(prefix + name, n)
-        for name, value in other.gauges.items():
-            self.gauges[prefix + name] = value
         for name, hist in other.histograms.items():
             mine = self.histogram(prefix + name)
             offset = mine.count
@@ -214,5 +204,4 @@ class Metrics:
 
     def clear(self) -> None:
         self.counters.clear()
-        self.gauges.clear()
         self.histograms.clear()

@@ -72,7 +72,6 @@ class Scheduler:
         self._now = 0.0
         self._seq = 0
         self._queue: List[_Entry] = []
-        self._halted = False
         self._cancelled = 0   # cancelled events still sitting in the queue
         self.events_run = 0   # cumulative executed events
 
@@ -95,14 +94,6 @@ class Scheduler:
         _heappush(self._queue, (time, seq, event))
         return event
 
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Run ``fn(*args)`` at absolute simulated ``time`` (>= now)."""
-        return self.schedule(max(0.0, time - self._now), fn, *args)
-
-    def halt(self) -> None:
-        """Stop the run loop after the current event completes."""
-        self._halted = True
-
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none remain."""
         queue = self._queue
@@ -120,9 +111,8 @@ class Scheduler:
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the queue drains (or ``max_events``).  Returns count run."""
-        self._halted = False
         count = 0
-        while not self._halted and (max_events is None or count < max_events):
+        while max_events is None or count < max_events:
             if not self.step():
                 break
             count += 1
@@ -130,9 +120,8 @@ class Scheduler:
 
     def run_until(self, time: float, max_events: int = 50_000_000) -> int:
         """Run events with time <= ``time``; advances the clock to ``time``."""
-        self._halted = False
         count = 0
-        while not self._halted and count < max_events:
+        while count < max_events:
             # Re-read the queue each pass: a callback may have compacted
             # it, which rebinds ``self._queue``.
             queue = self._queue
@@ -160,9 +149,8 @@ class Scheduler:
         after every event, making this the usual way tests wait for a
         protocol outcome without assuming how long it takes.
         """
-        self._halted = False
         count = 0
-        while not self._halted and count < max_events:
+        while count < max_events:
             if predicate():
                 return True
             if not self.step():

@@ -1,17 +1,19 @@
 """Record encoders equal the specification.
 
 ``Message._fields()`` is the specification of a message's canonical
-form; the codec's straight-line record encoders (``@record`` in
-``bft/messages.py``) are an implementation of it for the normal-case
-kinds.  For every ``Message`` subclass, registered or not, ``body()``
-must be byte-identical to ``canonical((kind,) + _fields())``.
+form; the codec's straight-line record encoders (compiled from the
+``__slots__ = {field: type}`` declarations in ``bft/messages.py``) are an
+implementation of it for the kinds that hold only scalars.  For every
+``Message`` subclass, registered or not, ``body()`` must be
+byte-identical to ``canonical((kind,) + _fields())``.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bft import messages as M
-from repro.encoding.canonical import RECORD_ENCODERS, canonical
+from repro.encoding.canonical import (
+    RECORD_ENCODERS, RECORD_FIELD_TYPES, canonical)
 
 # Edge values: ids past the small-int cache and negative, node ids that
 # are empty, non-ASCII or too long for the string cache, empty payloads.
@@ -61,7 +63,13 @@ STRATEGIES = {
                                ints, blobs, ints, ints),
 }
 
-RECORDS = (M.Request, M.Reply, M.Prepare, M.Commit)
+#: Every kind whose declared fields are all scalars.
+RECORDS = {cls for cls in STRATEGIES
+           if RECORD_FIELD_TYPES.issuperset(cls.__slots__.values())}
+#: The trailing fields a constructor may omit, with the value they take.
+DEFAULTS = {M.Request: {"read_only": False},
+            M.Reply: {"tentative": False, "read_only": False},
+            M.CertReply: {"new_view": None}}
 
 
 def specification(msg: M.Message) -> bytes:
@@ -71,7 +79,8 @@ def specification(msg: M.Message) -> bytes:
 def test_every_message_class_is_covered():
     assert set(STRATEGIES) == {cls for cls in M.Message.__subclasses__()
                                if cls.__module__ == M.__name__}
-    assert {cls for cls in STRATEGIES if cls in RECORD_ENCODERS} == set(RECORDS)
+    assert {cls for cls in STRATEGIES if cls in RECORD_ENCODERS} == RECORDS
+    assert len(RECORDS) == 14   # all but the composite four and MetaReply
 
 
 @pytest.mark.parametrize("cls", sorted(STRATEGIES, key=lambda c: c.__name__),
@@ -95,6 +104,12 @@ def test_body_equals_specification(cls, data):
     M.Request(("a", 1), None, None, None),
     M.Prepare(False, 2 ** 40, None, b"replica"),
     M.Commit(-1, 0, "digest", ""),
+    M.CheckpointMsg("seq", b"root", 7, "r"),
+    M.CheckpointMsg(1, None, None, "r"),
+    M.ObjectReply("r", 1, 2.5, ("not", b"bytes")),
+    M.ObjectReply("r", 1, 2, None),
+    M.EdgeReadReply("r", "e", True, b"", b"", -1, "root", 2 ** 40, None),
+    M.EdgeReadReply("r", "e", 1, None, None, 4096, None, 0, 0),
 ], ids=repr)
 def test_record_encoder_edge_values(msg):
     assert msg.body() == specification(msg)
@@ -112,3 +127,39 @@ def test_subclass_of_a_record_encodes_its_own_fields():
     msg.tag = "extra"
     assert msg.body() == canonical(
         ("tagged_request", "c", 1, b"op", False, "extra"))
+
+
+@pytest.mark.parametrize("bad", [float, set, dict, list, "int", None],
+                         ids=repr)
+def test_a_field_that_cannot_ride_the_wire_is_refused_at_declaration(bad):
+    with pytest.raises(TypeError, match="Probe.when"):
+        class Probe(M.Message):
+            kind = "probe"
+            __slots__ = {"replica_id": str, "when": bad}
+
+
+_SAMPLE = {int: 7, str: "id", bytes: b"\x00", bool: True}
+
+
+@pytest.mark.parametrize("cls", sorted(STRATEGIES, key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_constructor_takes_the_declared_fields_in_order(cls):
+    fields = cls.__slots__
+    # A tuple field is given as a list and held as a tuple; a field that
+    # holds a message (CertReply.new_view) may be None.
+    given = [[] if kind is tuple else _SAMPLE.get(kind) for kind in
+             fields.values()]
+    msg = cls(*given)
+    assert [getattr(msg, name) for name in fields] == [
+        () if kind is tuple else value
+        for kind, value in zip(fields.values(), given)]
+    assert (msg.body_size, msg.sealed_digest, msg.auth, msg.sig) == (None,) * 4
+
+    defaults = DEFAULTS.get(cls, {})
+    required = len(fields) - len(defaults)
+    assert list(fields)[required:] == list(defaults)
+    short = cls(*given[:required])
+    assert {name: getattr(short, name) for name in defaults} == defaults
+    with pytest.raises(TypeError):
+        cls(*given[:required - 1])
+    assert cls(**dict(zip(fields, given))).body() == msg.body()

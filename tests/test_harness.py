@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bft.messages import Message
 from repro.harness.complexity import (
     complexity_report,
     count_statements,
@@ -88,7 +89,7 @@ def test_complexity_report_covers_all_components():
 #: outgrows its ceiling needs the literal raised here, where a reviewer
 #: sees it; one that shrinks by a hundred lines gets it lowered.
 LINE_CEILINGS = {
-    "bft": 3700, "analysis": 3400, "benchmarks/ledger": 2900, "nfs": 2700,
+    "bft": 3500, "analysis": 3400, "benchmarks/ledger": 2900, "nfs": 2700,
     "faultlab": 2500, "service": 1900, "thor": 1400, "workloads": 1200,
     "sim": 1000, "base": 800, "sql": 800, "edge": 700, "harness": 700,
     "http": 700, "encoding": 400, "crypto": 400,
@@ -175,7 +176,6 @@ def test_each_replica_state_transition_is_written_once():
     collection"); every other site calls it."""
     assert _stores(lambda n: isinstance(n, ast.Attribute)
                    and n.attr == "last_stable") == [
-        "messages.py:ViewChange.__init__",      # the wire field
         "replica.py:Replica.__init__", "replica.py:Replica.adopt_checkpoint"]
     assert _stores(lambda n: isinstance(n, ast.Subscript)
                    and isinstance(n.value, ast.Attribute)
@@ -187,6 +187,56 @@ def test_each_replica_state_transition_is_written_once():
             if path.name != "log.py"
             for text in (".executed = False", ".prepares = {}")
             if text in source] == []
+
+
+def test_a_message_kind_is_one_declaration():
+    """``kind`` and ``__slots__ = {field: type}`` are all a kind writes
+    (``Message.__init_subclass__`` derives the rest); only the kinds that
+    send digests of what they hold write ``_fields()`` themselves."""
+    path = Path(__file__).resolve().parents[1] / "src/repro/bft/messages.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    kinds = [node for node in tree.body if isinstance(node, ast.ClassDef)
+             and [ast.unparse(base) for base in node.bases] == ["Message"]]
+    assert len(kinds) == 19
+    methods = {node.name: {stmt.name for stmt in node.body
+                           if isinstance(stmt, ast.FunctionDef)}
+               for node in kinds}
+    assert {name for name, defs in methods.items() if "__init__" in defs} \
+        == set()
+    assert {name for name, defs in methods.items() if "_fields" in defs} \
+        == {"PrePrepare", "ViewChange", "NewView", "CertReply"}
+    for node in kinds:
+        attrs = {stmt.targets[0].id: stmt.value for stmt in node.body
+                 if isinstance(stmt, ast.Assign)}
+        assert isinstance(attrs.get("kind"), ast.Constant) \
+            and isinstance(attrs["kind"].value, str), node.name
+        assert isinstance(attrs.get("__slots__"), ast.Dict), node.name
+    assert [node.lineno for node in ast.walk(tree)
+            if "record" in (getattr(node, "name", None),
+                            getattr(node, "id", None))] == []
+
+
+def test_protocol_doc_lists_every_kind_as_declared():
+    """The "Wire messages" table of docs/PROTOCOL.md names every kind,
+    its class and its fields with their types, in wire order — read
+    from the catalogue the declarations are."""
+    declared = {
+        cls.kind: (cls.__name__, [f"{name}: {kind.__name__}"
+                                  for name, kind in cls.__slots__.items()])
+        for cls in Message.__subclasses__()
+        if cls.__module__ == Message.__module__}
+    doc = (Path(__file__).resolve().parents[1]
+           / "docs/PROTOCOL.md").read_text(encoding="utf-8")
+    table = doc.split("## Wire messages")[1].split("\n## ")[0]
+    listed = {}
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            kind, cls, fields = [cell.strip() for cell in
+                                 line.strip("|").split("|")][:3]
+            listed[kind.strip("`")] = (cls.strip("`"), [
+                field.split(" = ")[0]
+                for field in re.findall(r"`([^`]+)`", fields)])
+    assert listed == declared
 
 
 def test_sequential_microbench_counts():

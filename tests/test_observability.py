@@ -118,11 +118,9 @@ def test_metrics_counters_gauges_histograms():
     m = Metrics()
     m.inc("ops")
     m.inc("ops", 4)
-    m.gauge("depth", 7.0)
     m.observe("lat", 0.25)
     assert m.counter_value("ops") == 5
     assert m.counter_value("missing") == 0
-    assert m.gauge_value("depth") == 7.0
     assert m.histogram("lat").count == 1
 
 
@@ -175,12 +173,10 @@ def test_merge_into_full_histogram_still_absorbs_samples():
 def test_merge_with_prefix_namespaces_every_metric():
     a, b = Metrics(), Metrics()
     b.inc("requests", 7)
-    b.gauge("depth", 3.0)
     b.observe("phase.commit", 0.5)
     a.merge(b, prefix="shard1.")
     assert a.counter_value("shard1.requests") == 7
     assert a.counter_value("requests") == 0
-    assert a.gauge_value("shard1.depth") == 3.0
     assert a.histogram("shard1.phase.commit").count == 1
     assert "phase.commit" not in a.histograms
 

@@ -87,24 +87,6 @@ def test_run_until_idle_or_returns_false_when_queue_drains(sched):
     assert not sched.run_until_idle_or(lambda: False)
 
 
-def test_schedule_at_absolute_time(sched):
-    seen = []
-    sched.schedule(1.0, lambda: sched.schedule_at(5.0, lambda: seen.append(sched.now)))
-    sched.run()
-    assert seen == [5.0]
-
-
-def test_halt_stops_run(sched):
-    order = []
-    sched.schedule(1.0, order.append, "a")
-    sched.schedule(2.0, sched.halt)
-    sched.schedule(3.0, order.append, "c")
-    sched.run()
-    assert order == ["a"]
-    sched.run()
-    assert order == ["a", "c"]
-
-
 def test_pending_counts_uncancelled(sched):
     e1 = sched.schedule(1.0, lambda: None)
     sched.schedule(2.0, lambda: None)
