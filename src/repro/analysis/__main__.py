@@ -10,12 +10,10 @@ contract of the ``protolint`` CI job.  ``--format json`` emits the
 schema-validated report document on stdout; ``--out`` writes it to a
 file in either format mode.
 
-One pass runs both rule sets: the file-level rules, and the
-interprocedural DeepLint passes (call-graph taint + protocol
+One pass runs every selected rule from the one catalogue: the per-node
+rules, and the whole-program DeepLint rules (call-graph taint + protocol
 conformance), which always see the *whole* tree because a call-graph
-property can regress through an unchanged file.  Their findings join
-one report and are suppressed through the same inline comments;
-``--rules`` selects from both sets.
+property can regress through an unchanged file.
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ import sys
 from pathlib import Path
 
 from repro.analysis import report as reportlib
-from repro.analysis.deep.catalog import DEEP_RULE_IDS, DEEP_RULES
-from repro.analysis.deep.driver import run_deep
 from repro.analysis.engine import Engine
 from repro.analysis.rules import all_rules, select_rules
 
@@ -53,9 +49,6 @@ def _print_rules() -> int:
     for rule in all_rules():
         print(f"{rule.rule_id:12s} [{rule.severity}] {rule.title}")
         print(f"    {rule.rationale}")
-    for info in DEEP_RULES:
-        print(f"{info.rule_id:12s} [{info.severity}] {info.title}")
-        print(f"    {info.rationale}")
     return 0
 
 
@@ -74,8 +67,8 @@ def main(argv=None) -> int:
                         help="also write the schema-validated JSON report "
                              "here")
     parser.add_argument("--rules", metavar="IDS",
-                        help="comma-separated rule ids to enable, "
-                             "file-level or DEEP-* (default: all)")
+                        help="comma-separated rule ids to enable "
+                             "(default: all)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     args = parser.parse_args(argv)
@@ -83,25 +76,16 @@ def main(argv=None) -> int:
     if args.list_rules:
         return _print_rules()
 
-    wanted = set(args.rules.split(",")) if args.rules else None
-    deep_ids = [rule_id for rule_id in DEEP_RULE_IDS
-                if wanted is None or rule_id in wanted]
     try:
-        rules = all_rules() if wanted is None \
-            else select_rules(wanted.difference(DEEP_RULE_IDS))
+        rules = select_rules(args.rules.split(",")) if args.rules \
+            else all_rules()
     except ValueError as err:
         parser.error(str(err))
 
     roots = _resolve_roots(args.paths)
     engine = Engine(rules)
-    findings = [f for root in roots for f in engine.run(root)]
-    if deep_ids:
-        findings.extend(
-            f for f in run_deep(roots, engine.config,
-                                known_rule_ids=engine.rule_ids)
-            if f.rule in deep_ids)
-    rule_ids = list(engine.rule_ids) + deep_ids
-    findings.sort()
+    findings = engine.run(*roots)
+    rule_ids = engine.rule_ids
 
     doc = reportlib.build(findings, rule_ids, roots)
 

@@ -68,15 +68,6 @@ PERF_COUNTER_ALLOWED = frozenset({
     "sim/metrics.py", "faultlab/explorer.py",
 })
 
-#: Modules allowed real file I/O: report writers and CLI entry points
-#: (they serialize results *after* the simulation) plus the repo-metrics
-#: harness that reads source files by design.
-IO_ALLOWED = frozenset({
-    "faultlab/report.py", "faultlab/__main__.py",
-    "analysis/engine.py", "analysis/__main__.py",
-    "harness/complexity.py", "harness/report.py",
-})
-
 # -- deep-pass anchors ---------------------------------------------------------
 # Dotted names the interprocedural passes resolve against.  They name
 # *this repo's* agreement-critical surfaces; fixture trees re-declare
@@ -126,7 +117,6 @@ class AnalysisConfig:
     protocol_packages: FrozenSet[str] = PROTOCOL_PACKAGES
     replay_packages: FrozenSet[str] = REPLAY_PACKAGES
     perf_counter_allowed: FrozenSet[str] = PERF_COUNTER_ALLOWED
-    io_allowed: FrozenSet[str] = IO_ALLOWED
     cost_packages: FrozenSet[str] = COST_PACKAGES
     quorum_exempt: FrozenSet[str] = QUORUM_EXEMPT
     quorum_len_packages: FrozenSet[str] = QUORUM_LEN_PACKAGES
@@ -142,9 +132,6 @@ class AnalysisConfig:
     def perf_counter_ok(self, rel: str) -> bool:
         return rel in self.perf_counter_allowed
 
-    def io_ok(self, rel: str) -> bool:
-        return rel in self.io_allowed
-
     def in_cost_scope(self, rel: str) -> bool:
         return "*" in self.cost_packages or _top(rel) in self.cost_packages
 
@@ -157,23 +144,14 @@ class AnalysisConfig:
             or _top(rel) in self.quorum_len_packages)
 
 
-#: Config used by tests pointing rules at fixture files: every scope
-#: check passes (``"*"`` wildcard), so each rule exercises its logic
+#: Config used by tests pointing rules at fixture files and trees, which
+#: live under arbitrary paths: every scope check passes (``"*"``
+#: wildcard) and no file is exempt, so each rule exercises its logic
 #: regardless of the fixture's path.
 EVERYWHERE = AnalysisConfig(
     protocol_packages=frozenset({"*"}),
     replay_packages=frozenset({"*"}),
     perf_counter_allowed=frozenset(),
-    io_allowed=frozenset(),
-)
-
-#: Deep-pass test config: fixture trees live under arbitrary paths, so
-#: every scope check passes and no file is exempt.
-DEEP_EVERYWHERE = AnalysisConfig(
-    protocol_packages=frozenset({"*"}),
-    replay_packages=frozenset({"*"}),
-    perf_counter_allowed=frozenset(),
-    io_allowed=frozenset(),
     cost_packages=frozenset({"*"}),
     quorum_exempt=frozenset(),
     quorum_len_packages=frozenset({"*"}),

@@ -1,20 +1,14 @@
-"""DeepLint: interprocedural dataflow and protocol-conformance analysis.
-
-Whole-program companions to the per-file ProtoLint rules:
+"""DeepLint: the whole-program model and the rules that need it.
 
 - :mod:`repro.analysis.deep.project`   — parsed-module model + resolver
 - :mod:`repro.analysis.deep.callgraph` — project-wide call graph
 - :mod:`repro.analysis.deep.taint`     — nondeterminism-taint fixpoint
-- :mod:`repro.analysis.deep.conformance` — handler/cost/quorum passes
-- :mod:`repro.analysis.deep.driver`    — ``run_deep()`` entry point
+  (DEEP-TAINT)
+- :mod:`repro.analysis.deep.conformance` — DEEP-HANDLER, DEEP-COST,
+  DEEP-QUORUM
 
-Only the catalog is re-exported here: the engine imports
-``repro.analysis.deep.catalog`` for the rule ids, so this package
-``__init__`` must not import the passes (they import the engine).
+The rules are ordinary :class:`~repro.analysis.engine.Rule` subclasses,
+listed with the file-level ones in ``repro.analysis.rules``.  This
+``__init__`` imports nothing: the engine imports the model modules, and
+the rule modules import the engine.
 """
-
-from repro.analysis.deep.catalog import (DEEP_RULE_IDS, DEEP_RULES,
-                                         DEEP_RULES_BY_ID, DeepRuleInfo)
-
-__all__ = ["DEEP_RULE_IDS", "DEEP_RULES", "DEEP_RULES_BY_ID",
-           "DeepRuleInfo"]

@@ -1,4 +1,4 @@
-"""Protocol-conformance passes over the whole-program call graph.
+"""Protocol-conformance rules over the whole program.
 
 DEEP-HANDLER — every wire message class (subclass of the message root
 with a ``kind`` class attribute) must have a ``handle_<kind>`` method
@@ -15,100 +15,102 @@ DEEP-QUORUM — quorum sizes must come from the ``BftConfig.quorum`` /
 ``weak_quorum`` helpers.  Re-deriving ``2f+1`` / ``f+1`` inline, or
 comparing a vote-set size against a hardcoded integer, silently
 diverges the moment the helper changes (e.g. for a different fault
-budget).
+budget).  It reads one node at a time, so it is a per-node rule; the
+other two need the class hierarchy and the call graph.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 from repro.analysis.config import MESSAGE_ROOT, NODE_ROOT
 from repro.analysis.deep.callgraph import CallGraph
 from repro.analysis.deep.project import Project
-from repro.analysis.engine import Finding
+from repro.analysis.engine import FileContext, Rule
 
 
-def _suppressed(project: Project, rule_id: str, rel: str,
-                line: int) -> bool:
-    module = project.modules.get(rel)
-    return module is not None and module.ctx.suppressed(rule_id, line)
+class HandlerRule(Rule):
+    rule_id = "DEEP-HANDLER"
+    title = "Every wire message kind has a handler"
+    rationale = (
+        "sim.Node dispatches a message to ``handle_<kind>`` on the "
+        "receiving node; a Message subclass whose kind no class "
+        "handles is silently dropped on delivery (and a handler for "
+        "a kind no message declares is dead protocol surface).")
+    example = ("class Probe(Message):\n"
+               "    kind = 'probe'   # no handle_probe anywhere")
+
+    def check_program(self, project: Project, graph: CallGraph) -> None:
+        messages = project.message_classes(MESSAGE_ROOT)
+        kinds = {cls.kind for cls in messages}
+
+        # Every handler name defined anywhere (any class: clients, edge
+        # proxies, and replicas all legitimately terminate messages).
+        handler_names: Set[str] = set()
+        for name in project.methods_by_name:
+            if name.startswith("handle_"):
+                handler_names.add(name)
+
+        for cls in messages:
+            if f"handle_{cls.kind}" not in handler_names:
+                cls.module.ctx.report(
+                    self, cls.node,
+                    f"wire message {cls.name} (kind={cls.kind!r}) has no "
+                    f"handle_{cls.kind} handler anywhere in the project")
+
+        # Orphan handlers on protocol nodes: dispatch will never reach
+        # them.
+        for qualname in sorted(project.functions):
+            info = project.functions[qualname]
+            if info.cls is None or not info.name.startswith("handle_"):
+                continue
+            if not project.is_subclass(info.cls.qualname, NODE_ROOT):
+                continue
+            kind = info.name[len("handle_"):]
+            if kind in kinds or not kind:
+                continue
+            info.module.ctx.report(
+                self, info.node,
+                f"handler {info.cls.name}.{info.name} matches no "
+                f"registered message kind (dispatch will never call it)",
+                severity="warning")
 
 
-# -- DEEP-HANDLER --------------------------------------------------------------
+class CostRule(Rule):
+    rule_id = "DEEP-COST"
+    title = "Every protocol handler charges the CostModel"
+    rationale = (
+        "Benchmark numbers are only honest if every message handler "
+        "charges simulated CPU for the work it models — directly or "
+        "through a callee.  A handler whose whole call tree never "
+        "reaches ``charge()`` executes for free and skews every "
+        "req/s figure derived from the cost model.")
+    example = ("def handle_probe(self, src, msg):\n"
+               "    self.table[msg.key] = msg.value   # no charge()")
 
-def run_handler_pass(project: Project, graph: CallGraph) -> List[Finding]:
-    _ = graph
-    findings: List[Finding] = []
-    messages = project.message_classes(MESSAGE_ROOT)
-    kinds = {cls.kind for cls in messages}
-
-    # Every handler name defined anywhere (any class: clients, edge
-    # proxies, and replicas all legitimately terminate messages).
-    handler_names: Set[str] = set()
-    for name in project.methods_by_name:
-        if name.startswith("handle_"):
-            handler_names.add(name)
-
-    for cls in messages:
-        handler = f"handle_{cls.kind}"
-        if handler in handler_names:
-            continue
-        if _suppressed(project, "DEEP-HANDLER", cls.rel, cls.lineno):
-            continue
-        findings.append(Finding(
-            cls.rel, cls.lineno, cls.node.col_offset, "DEEP-HANDLER",
-            f"wire message {cls.name} (kind={cls.kind!r}) has no "
-            f"handle_{cls.kind} handler anywhere in the project"))
-
-    # Orphan handlers on protocol nodes: dispatch will never reach them.
-    for qualname in sorted(project.functions):
-        info = project.functions[qualname]
-        if info.cls is None or not info.name.startswith("handle_"):
-            continue
-        if not project.is_subclass(info.cls.qualname, NODE_ROOT):
-            continue
-        kind = info.name[len("handle_"):]
-        if kind in kinds or not kind:
-            continue
-        if _suppressed(project, "DEEP-HANDLER", info.rel, info.lineno):
-            continue
-        findings.append(Finding(
-            info.rel, info.lineno, info.node.col_offset, "DEEP-HANDLER",
-            f"handler {info.cls.name}.{info.name} matches no registered "
-            f"message kind (dispatch will never call it)",
-            severity="warning"))
-    return findings
-
-
-# -- DEEP-COST -----------------------------------------------------------------
-
-def run_cost_pass(project: Project, graph: CallGraph) -> List[Finding]:
-    config = project.config
-    findings: List[Finding] = []
-    for qualname in sorted(project.functions):
-        info = project.functions[qualname]
-        if info.cls is None or not info.name.startswith("handle_"):
-            continue
-        if not config.in_cost_scope(info.rel):
-            continue
-        if not project.is_subclass(info.cls.qualname, NODE_ROOT):
-            continue
-        charges = False
-        for callee in graph.reachable(qualname):
-            analysis = graph.analysis(callee)
-            if analysis is not None and analysis.calls_charge:
-                charges = True
-                break
-        if charges:
-            continue
-        if _suppressed(project, "DEEP-COST", info.rel, info.lineno):
-            continue
-        findings.append(Finding(
-            info.rel, info.lineno, info.node.col_offset, "DEEP-COST",
-            f"message handler {info.cls.name}.{info.name} never charges "
-            f"the CostModel (no .charge() call reachable from it)"))
-    return findings
+    def check_program(self, project: Project, graph: CallGraph) -> None:
+        config = project.config
+        for qualname in sorted(project.functions):
+            info = project.functions[qualname]
+            if info.cls is None or not info.name.startswith("handle_"):
+                continue
+            if not config.in_cost_scope(info.rel):
+                continue
+            if not project.is_subclass(info.cls.qualname, NODE_ROOT):
+                continue
+            charges = False
+            for callee in graph.reachable(qualname):
+                analysis = graph.analysis(callee)
+                if analysis is not None and analysis.calls_charge:
+                    charges = True
+                    break
+            if not charges:
+                info.module.ctx.report(
+                    self, info.node,
+                    f"message handler {info.cls.name}.{info.name} never "
+                    f"charges the CostModel (no .charge() call reachable "
+                    f"from it)")
 
 
 # -- DEEP-QUORUM ---------------------------------------------------------------
@@ -156,40 +158,39 @@ def _is_len_call(node: ast.AST) -> bool:
             and node.func.id == "len")
 
 
-def run_quorum_pass(project: Project, graph: CallGraph) -> List[Finding]:
-    _ = graph
-    config = project.config
-    findings: List[Finding] = []
-    for rel in sorted(project.modules):
-        if not config.quorum_checked(rel):
-            continue
-        module = project.modules[rel]
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.BinOp) and _quorum_arith(node):
-                if _suppressed(project, "DEEP-QUORUM", rel, node.lineno):
-                    continue
-                findings.append(Finding(
-                    rel, node.lineno, node.col_offset, "DEEP-QUORUM",
-                    "quorum size derived inline from f; use the "
-                    "BftConfig.quorum / weak_quorum helpers"))
-            elif isinstance(node, ast.Compare) and len(node.ops) == 1 \
-                    and config.quorum_len_checked(rel):
-                op = node.ops[0]
-                left, right = node.left, node.comparators[0]
-                hit = None
-                if isinstance(op, (ast.GtE, ast.Gt)) and \
-                        _is_len_call(left):
-                    hit = _const_int(right)
-                elif isinstance(op, (ast.LtE, ast.Lt)) and \
-                        _is_len_call(right):
-                    hit = _const_int(left)
-                if hit is None or hit < 2:
-                    continue
-                if _suppressed(project, "DEEP-QUORUM", rel, node.lineno):
-                    continue
-                findings.append(Finding(
-                    rel, node.lineno, node.col_offset, "DEEP-QUORUM",
-                    f"vote count compared against hardcoded threshold "
-                    f"{hit}; use the BftConfig.quorum / weak_quorum "
-                    f"helpers"))
-    return findings
+class QuorumRule(Rule):
+    rule_id = "DEEP-QUORUM"
+    title = "Quorum sizes come from the config helpers"
+    rationale = (
+        "Certificate arithmetic written inline (``2 * f + 1``, "
+        "``f + 1``, or a bare literal compared against a vote count) "
+        "silently diverges from the group configuration when n or f "
+        "changes — the helpers ``config.quorum`` and "
+        "``config.weak_quorum`` are the single source of truth.")
+    example = "if len(votes) >= 2 * self.config.f + 1:  # use .quorum"
+    node_types = (ast.BinOp, ast.Compare)
+
+    def applies_to(self, ctx: FileContext) -> bool:
+        return ctx.config.quorum_checked(ctx.rel)
+
+    def visit(self, node: ast.AST, ctx: FileContext) -> None:
+        if isinstance(node, ast.BinOp):
+            if _quorum_arith(node):
+                ctx.report(self, node,
+                           "quorum size derived inline from f; use the "
+                           "BftConfig.quorum / weak_quorum helpers")
+            return
+        if len(node.ops) != 1 or not ctx.config.quorum_len_checked(ctx.rel):
+            return
+        op = node.ops[0]
+        left, right = node.left, node.comparators[0]
+        hit = None
+        if isinstance(op, (ast.GtE, ast.Gt)) and _is_len_call(left):
+            hit = _const_int(right)
+        elif isinstance(op, (ast.LtE, ast.Lt)) and _is_len_call(right):
+            hit = _const_int(left)
+        if hit is not None and hit >= 2:
+            ctx.report(self, node,
+                       f"vote count compared against hardcoded threshold "
+                       f"{hit}; use the BftConfig.quorum / weak_quorum "
+                       f"helpers")

@@ -1,6 +1,6 @@
 """Whole-program model for the deep passes.
 
-Parses every file under the scan roots once and builds the symbol
+Built from the files the engine has already parsed, it holds the symbol
 tables the interprocedural passes resolve against:
 
 - per-module import/alias tables (``import x as y``, ``from m import f``,
@@ -20,12 +20,12 @@ this model must produce byte-identical reports across runs.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.deep.catalog import DEEP_RULE_IDS
-from repro.analysis.engine import FileContext, relativize
+
+if TYPE_CHECKING:  # the engine builds the model, so it imports this module
+    from repro.analysis.engine import FileContext
 
 #: Builtins the resolver names explicitly (sources, sanitizers, and the
 #: handful of constructors the set-inference cares about).
@@ -112,20 +112,18 @@ class ClassInfo:
 class ModuleInfo:
     """One parsed source file and its module-scope symbol table."""
 
-    __slots__ = ("rel", "modname", "path", "tree", "source", "imports",
-                 "functions", "classes", "assigns", "ctx")
+    __slots__ = ("rel", "modname", "tree", "imports", "functions",
+                 "classes", "assigns", "ctx")
 
-    def __init__(self, rel: str, modname: str, path: Path, tree: ast.Module,
-                 source: str, ctx: FileContext):
-        self.rel = rel
-        self.modname = modname
-        self.path = path
-        self.tree = tree
-        self.source = source
+    def __init__(self, ctx: FileContext):
+        self.rel = ctx.rel
+        self.modname = ctx.modname
+        self.tree = ctx.tree
         self.imports: Dict[str, str] = {}     # local name -> dotted origin
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         self.assigns: Dict[str, str] = {}     # NAME = <resolvable alias>
+        #: Where findings in this module are reported.
         self.ctx = ctx
 
 
@@ -282,18 +280,6 @@ class Project:
         return out
 
 
-def _modname_for(rel: str, under_repro: bool) -> str:
-    dotted = rel[:-3].replace("/", ".") if rel.endswith(".py") else \
-        rel.replace("/", ".")
-    if dotted.endswith(".__init__"):
-        dotted = dotted[: -len(".__init__")]
-    elif dotted == "__init__":
-        dotted = ""
-    if under_repro:
-        return ("repro." + dotted) if dotted else "repro"
-    return dotted
-
-
 def _decorator_is_op(dec: ast.AST) -> bool:
     """True for ``@op`` / ``@op(...)`` / ``@kernel.op(...)`` — the
     service kernel's dispatch registration."""
@@ -305,39 +291,19 @@ def _decorator_is_op(dec: ast.AST) -> bool:
     return False
 
 
-def load_project(roots: Sequence[Path],
-                 config: Optional[AnalysisConfig] = None,
-                 known_rule_ids: Sequence[str] = ()) -> Project:
-    """Parse every ``*.py`` under ``roots`` into a :class:`Project`.
+def build_project(contexts: Sequence[FileContext],
+                  config: AnalysisConfig) -> Project:
+    """The whole-program model of the parsed files in ``contexts``.
 
-    ``known_rule_ids`` extends the suppression vocabulary of the
-    per-file contexts (the deep rule ids are always included)."""
-    config = config or AnalysisConfig()
+    A file that did not parse is left out.  When two files share a
+    finding path (two scan roots each holding ``bft/replica.py``), the
+    first in ``contexts`` order stands for it."""
     project = Project(config)
-    known = sorted(set(known_rule_ids) | set(DEEP_RULE_IDS))
-
-    files: List[Tuple[str, Path, bool]] = []
-    for root in sorted(Path(r) for r in roots):
-        paths = [root] if root.is_file() else sorted(root.rglob("*.py"))
-        for path in paths:
-            rel = relativize(path, root)
-            under = "repro" in path.resolve().parts
-            files.append((rel, path, under))
-    files.sort()
-
-    for rel, path, under in files:
-        if rel in project.modules:
+    for ctx in contexts:
+        if ctx.tree is None or ctx.rel in project.modules:
             continue
-        source = path.read_text(encoding="utf-8")
-        ctx = FileContext(rel, source, config, known)
-        try:
-            tree = ast.parse(source, filename=rel)
-        except SyntaxError:
-            continue  # the file-level engine reports PL-SYNTAX
-        ctx.tree = tree
-        module = ModuleInfo(rel, _modname_for(rel, under), path, tree,
-                            source, ctx)
-        project.modules[rel] = module
+        module = ModuleInfo(ctx)
+        project.modules[ctx.rel] = module
         project.by_modname[module.modname] = module
 
     for rel in sorted(project.modules):

@@ -30,6 +30,7 @@ accumulation is monotone, so the fixpoint terminates — mutual recursion
 included.  Each violation is reported as a full source→sink path: the
 finding anchors at the source site, the message carries the call chain
 by name, and the report's ``chain`` field carries file:line detail.
+A path is suppressible at either end, the source line or the sink line.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.analysis.config import (CANONICAL_SINKS, DIGEST_SINKS,
                                    STATE_SINKS)
 from repro.analysis.deep.callgraph import CallGraph, FunctionAnalysis
 from repro.analysis.deep.project import FunctionInfo, Project
+from repro.analysis.engine import Rule
 from repro.analysis.rules.determinism import (DATETIME_READS,
                                               GLOBAL_RNG_CALLS,
                                               WALL_CLOCK_READS)
@@ -803,3 +805,53 @@ class _BodyInterp:
                 else:
                     self.p.record_violation(tag, label, sink_rel,
                                             sink_line, chain)
+
+
+# -- the rule ------------------------------------------------------------------
+
+def _short(qualname: str) -> str:
+    """Last two dotted components: ``repro.bft.replica.Replica.on_x``
+    -> ``Replica.on_x`` (stable and line-free, so a finding's message
+    does not churn with unrelated edits)."""
+    return ".".join(qualname.split(".")[-2:])
+
+
+class TaintRule(Rule):
+    rule_id = "DEEP-TAINT"
+    title = "No nondeterministic value may reach a replicated sink"
+    rationale = (
+        "Replicas are deterministic state machines behind the "
+        "abstraction function; a wall-clock read, unseeded RNG draw, "
+        "hash()/id() value, or set-iteration-order value that flows — "
+        "through any number of helper calls — into canonical "
+        "encoding, a wire message, a digest, or abstract state breaks "
+        "agreement silently.  The intraprocedural DET-*/RPL-* rules "
+        "see only the call site; this pass follows the value.")
+    example = ("def _stamp():\n"
+               "    return time.time()          # laundered source\n"
+               "...\n"
+               "canonical((op, _stamp()))       # sink, two calls away")
+
+    def check_program(self, project: Project, graph: CallGraph) -> None:
+        taint = TaintPass(project, graph)
+        taint.run()
+        for key in sorted(taint.violations):
+            violation = taint.violations[key]
+            tag = violation.tag
+            # The source-line suppression is applied by report_at; a
+            # path may also be silenced where it lands.
+            if project.modules[violation.sink_rel].ctx.suppressed(
+                    self.rule_id, violation.sink_line):
+                continue
+            hops = [frame.split(" (")[0] for frame in violation.chain]
+            via = " -> ".join(_short(h) for h in hops) if hops \
+                else "directly"
+            project.modules[tag.rel].ctx.report_at(
+                self, tag.line, 0,
+                f"nondeterministic value ({tag.kind}: {tag.label}) "
+                f"reaches {violation.sink_label} in {violation.sink_rel} "
+                f"via {via}",
+                chain=((f"source: {tag.label} at {tag.rel}:{tag.line}",)
+                       + violation.chain
+                       + (f"sink: {violation.sink_label} at "
+                          f"{violation.sink_rel}:{violation.sink_line}",)))

@@ -1,10 +1,13 @@
-"""ProtoLint rule engine: a single-pass AST walker with pluggable rules.
+"""ProtoLint rule engine: one parse per file, one catalogue of rules.
 
 The engine parses each file once, walks the tree once, and dispatches
-every node to the rules registered for that node type.  Rules report
-:class:`Finding` records through the :class:`FileContext`; the context
-applies inline suppressions (``# protolint: disable=RULE-ID reason``)
-before a finding is recorded, so rules never need to know about them.
+every node to the rules registered for that node type.  Rules that need
+the whole program (a call graph, the class hierarchy) override
+:meth:`Rule.check_program` instead, which runs once after the walk over
+a model built from the same parsed files.  Rules report :class:`Finding`
+records through the :class:`FileContext`; the context applies inline
+suppressions (``# protolint: disable=RULE-ID reason``) before a finding
+is recorded, so rules never need to know about them.
 
 Design constraints, in the spirit of the repo's determinism discipline:
 
@@ -24,9 +27,11 @@ import re
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.config import AnalysisConfig
+from repro.analysis.deep.callgraph import CallGraph, build_callgraph
+from repro.analysis.deep.project import Project, build_project
 
 #: Rule id reserved for problems with suppression comments themselves.
 SUPPRESS_RULE_ID = "PL-SUPPRESS"
@@ -70,11 +75,12 @@ class Finding:
 class Rule:
     """Base class for ProtoLint rules.
 
-    Subclasses set ``rule_id``, ``title``, ``rationale``, and
-    ``node_types`` (the AST classes they want dispatched), then implement
-    :meth:`visit`.  ``begin_file`` runs once per file before the walk —
-    rules that need a pre-pass (e.g. inferring which names hold sets)
-    collect state there and must reset it per file.
+    Subclasses set ``rule_id``, ``title``, ``rationale`` and ``example``,
+    then either set ``node_types`` (the AST classes they want dispatched)
+    and implement :meth:`visit`, or override :meth:`check_program`.
+    ``begin_file`` runs once per file before the walk — rules that need a
+    pre-pass (e.g. inferring which names hold sets) collect state there
+    and must reset it per file.
     """
 
     rule_id: str = ""
@@ -95,6 +101,12 @@ class Rule:
     def visit(self, node: ast.AST, ctx: "FileContext") -> None:
         raise NotImplementedError
 
+    def check_program(self, project: Project, graph: CallGraph) -> None:
+        """Whole-program hook, run once after every file is walked; a
+        finding goes to the :class:`FileContext` of the module it is in
+        (``project.modules[rel].ctx``).  The engine builds the call graph
+        only when a selected rule overrides this."""
+
 
 @dataclass
 class _Suppression:
@@ -109,19 +121,31 @@ _DISABLE_RE = re.compile(
 
 
 class FileContext:
-    """Everything rules may consult about the file being checked."""
+    """One parsed file: everything rules may consult about it, and the
+    one place its findings are recorded and its suppressions applied.
+
+    ``modname`` is the file's dotted module name, which the whole-program
+    model resolves imports against.  ``tree`` is None when the file does
+    not parse (a ``PL-SYNTAX`` finding says why)."""
 
     def __init__(self, rel: str, source: str, config: AnalysisConfig,
-                 known_rule_ids: Iterable[str]):
+                 known_rule_ids: Iterable[str], modname: str):
         self.rel = rel
         self.source = source
         self.config = config
-        self.tree: Optional[ast.AST] = None  # set by the engine pre-walk
+        self.modname = modname
         self.findings: List[Finding] = []
         self._known = set(known_rule_ids) | {SUPPRESS_RULE_ID}
         #: line -> suppression record covering that line.
         self._suppressions: Dict[int, _Suppression] = {}
         self._parse_suppressions()
+        self.tree: Optional[ast.Module] = None
+        try:
+            self.tree = ast.parse(source, filename=rel)
+        except SyntaxError as err:
+            self.findings.append(Finding(rel, err.lineno or 1, 0,
+                                         "PL-SYNTAX",
+                                         f"syntax error: {err.msg}"))
 
     # -- suppressions ----------------------------------------------------------
 
@@ -138,7 +162,7 @@ class FileContext:
             match = _DISABLE_RE.search(tok.string)
             if match is None:
                 if "protolint:" in tok.string:
-                    self._raw_report(Finding(
+                    self.findings.append(Finding(
                         self.rel, tok.start[0], tok.start[1],
                         SUPPRESS_RULE_ID,
                         "malformed protolint comment (expected "
@@ -150,14 +174,14 @@ class FileContext:
             standalone = self.source.splitlines()[line - 1] \
                 .lstrip().startswith("#")
             if not reason:
-                self._raw_report(Finding(
+                self.findings.append(Finding(
                     self.rel, line, tok.start[1], SUPPRESS_RULE_ID,
                     f"suppression of {','.join(rules)} has no reason "
                     f"(format: '# protolint: disable=RULE-ID reason')"))
                 continue
             unknown = [r for r in rules if r not in self._known]
             if unknown:
-                self._raw_report(Finding(
+                self.findings.append(Finding(
                     self.rel, line, tok.start[1], SUPPRESS_RULE_ID,
                     f"suppression names unknown rule "
                     f"{', '.join(sorted(unknown))}"))
@@ -177,20 +201,27 @@ class FileContext:
 
     # -- reporting -------------------------------------------------------------
 
-    def _raw_report(self, finding: Finding) -> None:
-        self.findings.append(finding)
+    def report(self, rule: Rule, node: ast.AST, message: str,
+               severity: Optional[str] = None) -> None:
+        """Record a finding at ``node`` unless a suppression covers it."""
+        self.report_at(rule, getattr(node, "lineno", 1),
+                       getattr(node, "col_offset", 0), message, severity)
 
-    def report(self, rule: Rule, node: ast.AST, message: str) -> None:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
+    def report_at(self, rule: Rule, line: int, col: int, message: str,
+                  severity: Optional[str] = None,
+                  chain: Tuple[str, ...] = ()) -> None:
+        """Record a finding at ``line``/``col`` unless a suppression
+        covers it; ``severity`` defaults to the rule's own."""
         if self.suppressed(rule.rule_id, line):
             return
-        self._raw_report(Finding(self.rel, line, col, rule.rule_id,
-                                 message, rule.severity))
+        self.findings.append(Finding(self.rel, line, col, rule.rule_id,
+                                     message, severity or rule.severity,
+                                     chain))
 
 
 class Engine:
-    """Runs a rule set over sources: one parse, one walk per file."""
+    """Runs a rule set over sources: one parse and one walk per file,
+    then the whole-program rules over the same parsed files."""
 
     def __init__(self, rules: Sequence[Rule],
                  config: Optional[AnalysisConfig] = None):
@@ -207,56 +238,67 @@ class Engine:
         self.rules: Tuple[Rule, ...] = tuple(
             seen[rid] for rid in sorted(seen))
         self.config = config or AnalysisConfig()
+        # A suppression may name any catalogued rule, whichever are
+        # selected.  The catalogue imports this module, hence the late
+        # import.
+        from repro.analysis.rules import all_rules
+        self._known = {rule.rule_id for rule in all_rules()} | set(seen)
         self._dispatch: Dict[type, List[Rule]] = {}
         for rule in self.rules:
             for node_type in rule.node_types:
                 self._dispatch.setdefault(node_type, []).append(rule)
+        self._program_rules = tuple(
+            r for r in self.rules
+            if type(r).check_program is not Rule.check_program)
 
     @property
     def rule_ids(self) -> Tuple[str, ...]:
         return tuple(rule.rule_id for rule in self.rules)
 
     def check_source(self, source: str, rel: str) -> List[Finding]:
-        """Check one file's text; ``rel`` is its path used in findings
-        and in rule scope decisions (e.g. ``bft/replica.py``)."""
-        # The deep rule ids are always part of the suppression
-        # vocabulary: a file-level pass must not flag a suppression
-        # aimed at the interprocedural pass as unknown.
-        from repro.analysis.deep.catalog import DEEP_RULE_IDS
-        known = tuple(self.rule_ids) + tuple(DEEP_RULE_IDS)
-        ctx = FileContext(rel, source, self.config, known)
-        try:
-            tree = ast.parse(source, filename=rel)
-        except SyntaxError as err:
-            ctx._raw_report(Finding(rel, err.lineno or 1, 0, "PL-SYNTAX",
-                                    f"syntax error: {err.msg}"))
-            return sorted(ctx.findings)
-        ctx.tree = tree
-        active = [r for r in self.rules if r.applies_to(ctx)]
-        active_ids = {r.rule_id for r in active}
-        for rule in active:
-            rule.begin_file(ctx)
-        for node in ast.walk(tree):
-            for rule in self._dispatch.get(type(node), ()):
-                if rule.rule_id in active_ids:
-                    rule.visit(node, ctx)
-        return sorted(ctx.findings)
+        """Check one file's text as a one-file program; ``rel`` is its
+        path used in findings and in rule scope decisions (e.g.
+        ``bft/replica.py``)."""
+        return self._check([FileContext(rel, source, self.config,
+                                        self._known, module_name(rel))])
 
     def check_file(self, path: Path, rel: Optional[str] = None
                    ) -> List[Finding]:
         rel = rel if rel is not None else path.name
         return self.check_source(path.read_text(encoding="utf-8"), rel)
 
-    def run(self, root: Path) -> List[Finding]:
-        """Check every ``*.py`` under ``root`` (or just ``root`` if it is
-        a file); findings carry paths relative to the package root."""
-        findings: List[Finding] = []
-        if root.is_file():
-            findings.extend(self.check_file(root, relativize(root, root)))
-            return sorted(findings)
-        for path in sorted(root.rglob("*.py")):
-            findings.extend(self.check_file(path, relativize(path, root)))
-        return sorted(findings)
+    def run(self, *roots: Path) -> List[Finding]:
+        """Check every ``*.py`` under each root (or the root itself if it
+        is a file) as one program; findings carry paths relative to the
+        package root."""
+        files = sorted({(relativize(path, root), path)
+                        for root in roots
+                        for path in ([root] if root.is_file()
+                                     else root.rglob("*.py"))})
+        return self._check([
+            FileContext(rel, path.read_text(encoding="utf-8"), self.config,
+                        self._known,
+                        module_name(rel, "repro" in path.resolve().parts))
+            for rel, path in files])
+
+    def _check(self, contexts: List[FileContext]) -> List[Finding]:
+        for ctx in contexts:
+            if ctx.tree is None:
+                continue
+            active = [r for r in self.rules if r.applies_to(ctx)]
+            active_ids = {r.rule_id for r in active}
+            for rule in active:
+                rule.begin_file(ctx)
+            for node in ast.walk(ctx.tree):
+                for rule in self._dispatch.get(type(node), ()):
+                    if rule.rule_id in active_ids:
+                        rule.visit(node, ctx)
+        if self._program_rules:
+            project = build_project(contexts, self.config)
+            graph = build_callgraph(project)
+            for rule in self._program_rules:
+                rule.check_program(project, graph)
+        return sorted(f for ctx in contexts for f in ctx.findings)
 
 
 def relativize(path: Path, root: Path) -> str:
@@ -281,3 +323,18 @@ def relativize(path: Path, root: Path) -> str:
         except ValueError:
             pass
     return path.name
+
+
+def module_name(rel: str, under_repro: bool = False) -> str:
+    """Dotted module name of the file at ``rel``: rebased onto the
+    ``repro`` package when the file lives in it (``bft/replica.py`` ->
+    ``repro.bft.replica``), so fixture trees resolve like the real one."""
+    dotted = rel[:-3].replace("/", ".") if rel.endswith(".py") else \
+        rel.replace("/", ".")
+    if dotted.endswith(".__init__"):
+        dotted = dotted[: -len(".__init__")]
+    elif dotted == "__init__":
+        dotted = ""
+    if under_repro:
+        return ("repro." + dotted) if dotted else "repro"
+    return dotted

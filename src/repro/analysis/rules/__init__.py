@@ -1,15 +1,18 @@
-"""ProtoLint rule registry.
+"""ProtoLint rule registry: the one catalogue of every rule.
 
 ``all_rules()`` returns one instance of every rule, sorted by id; the
 CLI and tests select subsets by id from here.  Adding a rule = write the
 class, list it in ``_RULE_CLASSES``, document it in docs/ANALYSIS.md,
-and add a bad/ok fixture pair under tests/analysis_fixtures/.
+and add bad/ok fixtures under tests/analysis_fixtures/.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
+from repro.analysis.deep.conformance import (CostRule, HandlerRule,
+                                             QuorumRule)
+from repro.analysis.deep.taint import TaintRule
 from repro.analysis.engine import Rule
 from repro.analysis.rules.determinism import (PerfCounterRule,
                                               UnseededRandomRule,
@@ -30,10 +33,11 @@ _RULE_CLASSES = (
     MutableDefaultRule,     # RPL-MUTDEF
     FloatPayloadRule,       # WIRE-FLOAT
     BareExceptRule,         # WIRE-EXCEPT
+    QuorumRule,             # DEEP-QUORUM
+    TaintRule,              # DEEP-TAINT (whole program)
+    HandlerRule,            # DEEP-HANDLER (whole program)
+    CostRule,               # DEEP-COST (whole program)
 )
-
-#: The determinism subset: what tests/test_determinism_audit.py enforces.
-DETERMINISM_RULE_IDS = ("DET-RNG", "DET-CLOCK", "DET-PERF")
 
 
 def all_rules() -> List[Rule]:
@@ -42,13 +46,9 @@ def all_rules() -> List[Rule]:
                   key=lambda rule: rule.rule_id)
 
 
-def rules_by_id() -> Dict[str, Rule]:
-    return {rule.rule_id: rule for rule in all_rules()}
-
-
 def select_rules(ids: Sequence[str]) -> List[Rule]:
     """Rules for the given ids; unknown ids raise ValueError."""
-    table = rules_by_id()
+    table = {rule.rule_id: rule for rule in all_rules()}
     unknown = sorted(set(ids) - set(table))
     if unknown:
         raise ValueError(f"unknown rule id(s): {', '.join(unknown)} "

@@ -1,7 +1,6 @@
 """Determinism rules: every run must be a pure function of (scenario, seed).
 
-These subsume the original ad-hoc audit in ``tests/test_determinism_audit``:
-no unseeded randomness, no wall-clock or entropy reads, and
+No unseeded randomness, no wall-clock or entropy reads, and
 ``time.perf_counter`` only in the declared reporting modules.
 """
 

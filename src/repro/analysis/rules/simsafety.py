@@ -68,14 +68,12 @@ class RealIORule(Rule):
     rationale = ("Replicated services hold their state in memory behind "
                  "the abstraction wrapper; reading or writing real files "
                  "couples a replica to its host filesystem and breaks "
-                 "both determinism and the recovery model.  Report "
-                 "writers and CLIs are allowlisted.")
+                 "both determinism and the recovery model.")
     example = "open(path).read()  # inside a wrapper"
     node_types = (ast.Call,)
 
     def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.config.in_protocol(ctx.rel) \
-            and not ctx.config.io_ok(ctx.rel)
+        return ctx.config.in_protocol(ctx.rel)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> None:
         func = node.func

@@ -20,6 +20,7 @@ from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.bft.faults import BEHAVIORS, HONEST, Behavior
 from repro.faultlab.plan import FaultPlan
+from repro.nfs.backends.faulty import AGEING_BACKENDS
 
 
 def make_behavior(name: str, params=()) -> Behavior:
@@ -30,9 +31,7 @@ def make_behavior(name: str, params=()) -> Behavior:
 
 
 def make_backend_fault(name: str, inner: Any, params=()) -> Any:
-    from repro.nfs.backends.faulty import CorruptingBackend, LeakyBackend
-    factory = {"leaky": LeakyBackend, "corrupting": CorruptingBackend}[name]
-    return factory(inner, **dict(params))
+    return AGEING_BACKENDS[name](inner, **dict(params))
 
 
 class FaultInjector:

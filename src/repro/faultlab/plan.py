@@ -34,9 +34,7 @@ from typing import Any, Dict, Iterator, Optional, Tuple, Type
 import json
 
 from repro.bft.faults import BEHAVIORS
-
-#: Backend-wrapper names a :class:`BackendFault` may reference.
-BACKEND_FAULT_NAMES = ("leaky", "corrupting")
+from repro.nfs.backends.faulty import AGEING_BACKENDS
 
 Params = Tuple[Tuple[str, Any], ...]
 
@@ -168,9 +166,9 @@ class BackendFault:
     kind: str = field(default="backend", init=False, repr=False)
 
     def __post_init__(self):
-        if self.fault not in BACKEND_FAULT_NAMES:
+        if self.fault not in AGEING_BACKENDS:
             raise ValueError(f"unknown backend fault {self.fault!r}; "
-                             f"known: {BACKEND_FAULT_NAMES}")
+                             f"known: {tuple(AGEING_BACKENDS)}")
         object.__setattr__(self, "params", _params(self.params))
 
     def describe(self) -> str:

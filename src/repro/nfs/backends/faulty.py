@@ -78,3 +78,11 @@ class CorruptingBackend:
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
+
+
+#: Name -> class of every ageing wrapper: what a FaultLab plan may name
+#: (``BackendFault`` validates against it) and what its injector builds.
+AGEING_BACKENDS = {
+    "leaky": LeakyBackend,
+    "corrupting": CorruptingBackend,
+}

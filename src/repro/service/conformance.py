@@ -32,7 +32,7 @@ battery itself is service-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.base.nondet import ClockValue
@@ -619,19 +619,10 @@ def _corrupting_nfs_workload(d: Driver) -> None:
 def _make_faulty_nfs_probe(fault: str) -> ServiceProbe:
     workload = {"leaky": _leaky_nfs_workload,
                 "corrupting": _corrupting_nfs_workload}[fault]
-    return ServiceProbe(
-        name=f"nfs-{fault}",
+    return replace(
+        PROBES["nfs"], name=f"nfs-{fault}",
         make_wrapper=lambda variant: _faulty_nfs_wrapper(variant, fault),
-        workload=workload,
-        is_error=lambda reply: reply[0] != 0,
-        mutating_op=("create", _nfs_root(), "denied.txt", _SATTR_FILE),
-        post_restart_op=("create", _nfs_root(), "post-restart.txt",
-                         _SATTR_FILE),
-        read_only_op=("getattr", _nfs_root()),
-        malformed_ops=[("getattr",), ("write", _nfs_root()),
-                       ("setattr", _nfs_root())],
-        uses_nondet=True,
-    )
+        workload=workload)
 
 
 FAULTY_PROBES: Dict[str, ServiceProbe] = {

@@ -1,4 +1,4 @@
-"""DeepLint: fixture rules, call-graph edge cases, CLI flags.
+"""DeepLint: fixture rules, call-graph edge cases, the CLI.
 
 Fixture trees live under ``tests/analysis_fixtures/deep/<case>/repro/``:
 the ``repro/`` directory makes the loader assign the same dotted module
@@ -12,13 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import Engine, Rule, all_rules, select_rules
 from repro.analysis import report as reportlib
 from repro.analysis.__main__ import main
-from repro.analysis.config import DEEP_EVERYWHERE
-from repro.analysis.deep.callgraph import build_callgraph
-from repro.analysis.deep.catalog import DEEP_RULE_IDS, DEEP_RULES_BY_ID
-from repro.analysis.deep.driver import run_deep
-from repro.analysis.deep.project import load_project
+from repro.analysis.config import EVERYWHERE
 from repro.analysis.engine import Finding
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures" / "deep"
@@ -41,8 +38,31 @@ CASES = {
 }
 
 
+#: The DeepLint rules: the ones these fixture trees cover.
+DEEP_IDS = sorted({rule for rule, _ in CASES.values()})
+
+
+def deeplint(*roots: Path):
+    return Engine(select_rules(DEEP_IDS), EVERYWHERE).run(*roots)
+
+
 def deep(case: str):
-    return run_deep([FIXTURES / case], DEEP_EVERYWHERE)
+    return deeplint(FIXTURES / case)
+
+
+class Capture(Rule):
+    """A whole-program rule that keeps what the engine hands it."""
+
+    rule_id = "TEST-CAPTURE"
+
+    def check_program(self, project, graph):
+        self.project, self.graph = project, graph
+
+
+def capture(root: Path) -> Capture:
+    rule = Capture()
+    Engine([rule], EVERYWHERE).run(root)
+    return rule
 
 
 def of_rule(findings, rule_id):
@@ -50,10 +70,8 @@ def of_rule(findings, rule_id):
 
 
 def test_every_deep_rule_has_fixture_coverage():
-    covered = {rule for rule, count in CASES.values() if count}
-    assert covered == set(DEEP_RULE_IDS)
     # At least two bad fixtures and one ok fixture per rule.
-    for rule_id in DEEP_RULE_IDS:
+    for rule_id in DEEP_IDS:
         bad = [c for c, (r, n) in CASES.items() if r == rule_id and n]
         ok = [c for c, (r, n) in CASES.items() if r == rule_id and not n]
         assert len(bad) >= 2, f"{rule_id} needs >=2 bad fixtures"
@@ -70,9 +88,10 @@ def test_fixture(case):
 
 
 def test_catalog_is_complete():
-    for rule_id in DEEP_RULE_IDS:
-        info = DEEP_RULES_BY_ID[rule_id]
-        assert info.title and info.rationale and info.example
+    rules = all_rules()
+    assert len(rules) == 14
+    for rule in rules:
+        assert rule.title and rule.rationale and rule.example, rule.rule_id
 
 
 def test_taint_finding_carries_source_to_sink_chain():
@@ -106,8 +125,8 @@ def test_state_sink_reported_through_handler():
 
 def test_deep_runs_are_deterministic():
     roots = [FIXTURES / case for case in sorted(CASES)]
-    one = run_deep(roots, DEEP_EVERYWHERE)
-    two = run_deep(roots, DEEP_EVERYWHERE)
+    one = deeplint(*roots)
+    two = deeplint(*roots)
     assert one == two
     dump = lambda fs: json.dumps([f.to_dict() for f in fs])  # noqa: E731
     assert dump(one) == dump(two)
@@ -164,11 +183,10 @@ def test_op_dispatch_edge(tmp_path):
                     return value
             """,
     })
-    project = load_project([tmp_path], DEEP_EVERYWHERE)
-    graph = build_callgraph(project)
     execute = "repro.bft.svc.Service.execute"
-    assert "repro.bft.svc.Service.put" in graph.callees(execute)
-    findings = run_deep([tmp_path], DEEP_EVERYWHERE)
+    assert "repro.bft.svc.Service.put" in \
+        capture(tmp_path).graph.callees(execute)
+    findings = deeplint(tmp_path)
     assert not of_rule(findings, "DEEP-COST")
 
 
@@ -194,7 +212,7 @@ def test_super_call_resolution(tmp_path):
                     return canonical(super().stamp())
             """,
     })
-    findings = of_rule(run_deep([tmp_path], DEEP_EVERYWHERE),
+    findings = of_rule(deeplint(tmp_path),
                        "DEEP-TAINT")
     # super().stamp() resolves past Child.stamp (which is clean) to
     # Base.stamp (tainted).
@@ -221,7 +239,7 @@ def test_lambda_and_comprehension(tmp_path):
                 return canonical([x for x in pending])
             """,
     })
-    findings = of_rule(run_deep([tmp_path], DEEP_EVERYWHERE),
+    findings = of_rule(deeplint(tmp_path),
                        "DEEP-TAINT")
     kinds = sorted(f.message.split("(")[1].split(":")[0]
                    for f in findings)
@@ -241,7 +259,7 @@ def test_aliased_imports(tmp_path):
                 return canon(clock.time())
             """,
     })
-    findings = of_rule(run_deep([tmp_path], DEEP_EVERYWHERE),
+    findings = of_rule(deeplint(tmp_path),
                        "DEEP-TAINT")
     assert len(findings) == 1
     assert "time.time()" in findings[0].message
@@ -271,8 +289,7 @@ def test_inherited_classmethod_on_local_subclass_resolves(tmp_path):
                     self.rows = RowMapping.load(saved)
             """,
     })
-    project = load_project([tmp_path], DEEP_EVERYWHERE)
-    assert "repro.sql.wrapper.RowMapping" in project.classes
+    assert "repro.sql.wrapper.RowMapping" in capture(tmp_path).project.classes
 
 
 def test_mutual_recursion_reaches_fixpoint(tmp_path):
@@ -298,7 +315,7 @@ def test_mutual_recursion_reaches_fixpoint(tmp_path):
                 return canonical(ping(3))
             """,
     })
-    findings = of_rule(run_deep([tmp_path], DEEP_EVERYWHERE),
+    findings = of_rule(deeplint(tmp_path),
                        "DEEP-TAINT")
     assert len(findings) == 1
 
@@ -318,8 +335,26 @@ def test_suppression_silences_deep_finding(tmp_path):
                 return canonical(ts)
             """,
     })
-    findings = run_deep([tmp_path], DEEP_EVERYWHERE)
+    findings = deeplint(tmp_path)
     assert not of_rule(findings, "DEEP-TAINT")
+
+
+def test_suppression_on_the_sink_line_silences_deep_finding(tmp_path):
+    write_tree(tmp_path, {
+        "encoding/canonical.py": CANONICAL_SRC,
+        "bft/build.py": """\
+            import time
+
+            from repro.encoding.canonical import canonical
+
+
+            def build():
+                ts = time.time()
+                # protolint: disable=DEEP-TAINT the encoding is display-only
+                return canonical(ts)
+            """,
+    })
+    assert not of_rule(deeplint(tmp_path), "DEEP-TAINT")
 
 
 # -- report schema: the chain field --------------------------------------------
@@ -328,7 +363,7 @@ def test_report_schema_accepts_chain():
     finding = Finding("bft/a.py", 3, 0, "DEEP-TAINT", "taint msg",
                       chain=("source: x at bft/a.py:3",
                              "sink: canonical() at bft/b.py:9"))
-    doc = reportlib.build([finding], DEEP_RULE_IDS, ["src/repro"])
+    doc = reportlib.build([finding], DEEP_IDS, ["src/repro"])
     assert doc["findings"][0]["chain"] == list(finding.chain)
     rehydrated = reportlib.finding_from_dict(doc["findings"][0])
     assert rehydrated == finding
@@ -336,7 +371,7 @@ def test_report_schema_accepts_chain():
 
 def test_report_schema_rejects_bad_chain():
     finding = Finding("bft/a.py", 3, 0, "DEEP-TAINT", "taint msg")
-    doc = reportlib.build([finding], DEEP_RULE_IDS, ["src/repro"])
+    doc = reportlib.build([finding], DEEP_IDS, ["src/repro"])
     doc["findings"][0]["chain"] = "not-a-list"
     with pytest.raises(ValueError):
         reportlib.validate(doc)
@@ -344,8 +379,8 @@ def test_report_schema_rejects_bad_chain():
 
 # -- CLI -----------------------------------------------------------------------
 
-def test_cli_deep_flag(tmp_path, capsys):
-    """The deep passes need no flag: every run is all fourteen rules."""
+def test_cli_reports_deep_findings_with_their_chain(tmp_path, capsys):
+    """The deep rules need no flag: every run is all fourteen rules."""
     out = tmp_path / "report.json"
     code = main([str(FIXTURES / "taint_clock_bad"), "--out", str(out)])
     assert code == 1
@@ -354,14 +389,14 @@ def test_cli_deep_flag(tmp_path, capsys):
     rules = {doc["rule"] for doc in report["findings"]}
     assert rules == {"DEEP-TAINT"}
     assert report["findings"][0]["chain"]
-    assert set(DEEP_RULE_IDS) <= set(report["rules"])
+    assert set(DEEP_IDS) <= set(report["rules"])
     text = capsys.readouterr().out
     assert "DEEP-TAINT" in text and "source: time.time()" in text
 
 
-def test_cli_without_deep_skips_deep_rules(tmp_path):
-    """``--rules`` selects across both sets: with no DEEP-* id named the
-    deep passes do not run, and a named one runs alone."""
+def test_cli_rules_runs_only_the_named_rules(tmp_path):
+    """``--rules`` selects from the one catalogue: with no DEEP-* id
+    named no whole-program rule runs, and a named one runs alone."""
     out = tmp_path / "report.json"
     code = main([str(FIXTURES / "taint_clock_bad"), "--rules", "DET-CLOCK",
                  "--out", str(out)])

@@ -1,21 +1,24 @@
-"""The deep gate: ``src/repro`` stays DeepLint-clean.
+"""The deep gate: ``src/repro`` stays clean under the whole-program rules.
 
-Mirrors the file-level gate in ``test_analysis_engine.py``: the deep
-passes run over the real tree, and any finding fails (fix the code or
-add a reasoned inline suppression where it occurs).
+The four DEEP-* rules sit in the one catalogue beside the per-file
+rules; this gate runs just them over the real tree, so a deep finding
+is named as such.  Any finding fails (fix the code or add a reasoned
+inline suppression where it occurs).
 """
 
 from pathlib import Path
 
-from repro.analysis.deep.driver import run_deep
+from repro.analysis import Engine, select_rules
 
-SRC = Path(__file__).parent.parent / "src" / "repro"
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+DEEP_RULE_IDS = ("DEEP-COST", "DEEP-HANDLER", "DEEP-QUORUM", "DEEP-TAINT")
 
 
 def test_src_tree_is_deeplint_clean():
-    findings = run_deep([SRC])
+    findings = Engine(select_rules(DEEP_RULE_IDS)).run(SRC)
     assert not findings, (
         "deep findings (fix them or suppress with a reasoned "
         "'# protolint: disable=' comment):\n"
-        + "\n".join(f.render() + "\n" + "\n".join(
-            f"    {hop}" for hop in f.chain) for f in findings))
+        + "\n".join(f.render() + "".join(f"\n    {hop}" for hop in f.chain)
+                    for f in findings))

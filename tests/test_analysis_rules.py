@@ -1,17 +1,20 @@
 """Per-rule golden-fixture tests for the ProtoLint rule library.
 
-Every rule has a ``*_bad.py`` fixture (must fire, with the expected
-finding count) and a ``*_ok.py`` fixture (must stay silent) under
-``tests/analysis_fixtures/``.  Fixtures are checked under a protocol
-path (``bft/...``) so the rules' real scoping is exercised, not
-bypassed.
+Every file-level rule has a ``*_bad.py`` fixture (must fire, with the
+expected finding count) and a ``*_ok.py`` fixture (must stay silent)
+under ``tests/analysis_fixtures/``; the DeepLint rules have fixture
+trees under ``tests/analysis_fixtures/deep/`` (``test_analysis_deep``).
+Fixtures are checked under a protocol path (``bft/...``) so the rules'
+real scoping is exercised, not bypassed.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Engine, select_rules
+from repro.analysis import Engine, all_rules, select_rules
+
+from tests.test_analysis_deep import CASES as DEEP_CASES
 
 FIXTURES = Path(__file__).resolve().parent / "analysis_fixtures"
 
@@ -68,8 +71,22 @@ def test_bad_fixture_is_clean_python(rule_id):
 
 
 def test_every_registered_rule_has_fixtures():
-    from repro.analysis import all_rules
-    assert {r.rule_id for r in all_rules()} == set(CASES)
+    deep = {rule_id for rule_id, _ in DEEP_CASES.values()}
+    assert not deep & set(CASES)
+    assert {r.rule_id for r in all_rules()} == set(CASES) | deep
+
+
+def test_the_determinism_rules_catch_planted_offenders():
+    engine = Engine(select_rules(["DET-RNG", "DET-CLOCK", "DET-PERF"]))
+    by_fixture = {
+        "det_rng_bad.py": "DET-RNG",
+        "det_clock_bad.py": "DET-CLOCK",
+        "det_perf_bad.py": "DET-PERF",
+    }
+    for name, rule_id in by_fixture.items():
+        findings = engine.check_file(FIXTURES / name, rel="bft/planted.py")
+        assert findings, f"{name}: expected {rule_id} findings"
+        assert {f.rule for f in findings} == {rule_id}
 
 
 # -- scope behavior ------------------------------------------------------------
@@ -80,7 +97,7 @@ def test_perf_counter_allowed_in_reporting_modules():
     assert findings == []
 
 
-def test_io_allowed_in_report_writers():
+def test_sim_io_ignores_non_protocol_packages():
     findings = _check("SIM-IO", FIXTURES / "sim_io_bad.py",
                       "faultlab/report.py")
     assert findings == []

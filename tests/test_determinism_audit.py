@@ -2,38 +2,21 @@
 
 Every simulation outcome must be a pure function of (scenario, seed) —
 that is what makes FaultLab's replay command and the shrinker sound.
-The checks themselves now live in the ProtoLint rule engine
-(``repro.analysis``, rules DET-RNG / DET-CLOCK / DET-PERF); this test is
-the thin gate that runs the determinism rule set over ``src/repro`` and
-expects silence.  The self-test that the rules actually catch offenders
-lives in the per-rule fixtures under ``tests/analysis_fixtures/``
-(see ``tests/test_analysis_rules.py``); here we just spot-check the
-planted determinism fixtures end to end through the engine.
+The checks live in the ProtoLint catalogue (rules DET-RNG / DET-CLOCK /
+DET-PERF); this gate runs just those over ``src/repro`` and expects
+silence.  That the rules catch planted offenders is checked beside the
+other per-rule fixtures in ``tests/test_analysis_rules.py``.
 """
 
 from pathlib import Path
 
-from repro.analysis import DETERMINISM_RULE_IDS, Engine, select_rules
+from repro.analysis import Engine, select_rules
 
-REPO = Path(__file__).resolve().parent.parent
-SRC = REPO / "src" / "repro"
-FIXTURES = Path(__file__).resolve().parent / "analysis_fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+DETERMINISM_RULE_IDS = ("DET-CLOCK", "DET-PERF", "DET-RNG")
 
 
 def test_src_tree_is_deterministic():
-    engine = Engine(select_rules(DETERMINISM_RULE_IDS))
-    findings = engine.run(SRC)
+    findings = Engine(select_rules(DETERMINISM_RULE_IDS)).run(SRC)
     assert findings == [], "\n".join(f.render() for f in findings)
-
-
-def test_the_determinism_rules_catch_planted_offenders():
-    engine = Engine(select_rules(DETERMINISM_RULE_IDS))
-    by_fixture = {
-        "det_rng_bad.py": "DET-RNG",
-        "det_clock_bad.py": "DET-CLOCK",
-        "det_perf_bad.py": "DET-PERF",
-    }
-    for name, rule_id in by_fixture.items():
-        findings = engine.check_file(FIXTURES / name, rel="bft/planted.py")
-        assert findings, f"{name}: expected {rule_id} findings"
-        assert {f.rule for f in findings} == {rule_id}

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import all_rules
 from repro.bft.messages import Message
 from repro.harness.complexity import (
     complexity_report,
@@ -89,7 +90,7 @@ def test_complexity_report_covers_all_components():
 #: outgrows its ceiling needs the literal raised here, where a reviewer
 #: sees it; one that shrinks by a hundred lines gets it lowered.
 LINE_CEILINGS = {
-    "bft": 3500, "analysis": 3400, "benchmarks/ledger": 2900, "nfs": 2700,
+    "bft": 3500, "analysis": 3200, "benchmarks/ledger": 2900, "nfs": 2700,
     "faultlab": 2500, "service": 1900, "thor": 1400, "workloads": 1200,
     "sim": 1000, "base": 800, "sql": 800, "edge": 700, "harness": 700,
     "http": 700, "encoding": 400, "crypto": 400,
@@ -237,6 +238,48 @@ def test_protocol_doc_lists_every_kind_as_declared():
                 field.split(" = ")[0]
                 for field in re.findall(r"`([^`]+)`", fields)])
     assert listed == declared
+
+
+def test_analysis_parses_each_file_in_one_place():
+    """ProtoLint and DeepLint are one engine (docs/ANALYSIS.md): one
+    function parses a file, every rule reads that tree."""
+    root = Path(__file__).resolve().parents[1] / "src/repro/analysis"
+    found = []
+
+    def walk(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + [node.name]
+        elif isinstance(node, ast.Call) \
+                and ast.unparse(node.func) == "ast.parse":
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    for path in sorted(root.rglob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")),
+             [path.relative_to(root).as_posix()])
+    assert found == ["engine.py.FileContext.__init__"]
+
+
+def test_deleted_catalogues_and_tables_stay_deleted():
+    """Names whose one copy was folded into another owner."""
+    gone = re.compile(r"\b(DeepRuleInfo|DEEP_RULES|run_deep|DEEP_EVERYWHERE"
+                      r"|IO_ALLOWED|BACKEND_FAULT_NAMES)\b")
+    root = Path(__file__).resolve().parents[1]
+    here = Path(__file__).resolve()
+    assert [f"{path.relative_to(root)}:{match.group(1)}"
+            for top in ("src", "tests")
+            for path in sorted((root / top).rglob("*.py")) if path != here
+            for match in gone.finditer(path.read_text(encoding="utf-8"))
+            ] == []
+
+
+def test_analysis_doc_catalogues_every_rule():
+    doc = (Path(__file__).resolve().parents[1]
+           / "docs/ANALYSIS.md").read_text(encoding="utf-8")
+    table = doc.split("\n## Rule catalog\n")[1].split("\n## ")[0]
+    listed = re.findall(r"^\| `([A-Z]+-[A-Z]+)` \|", table, re.MULTILINE)
+    assert sorted(listed) == sorted(rule.rule_id for rule in all_rules())
 
 
 def test_sequential_microbench_counts():
