@@ -44,6 +44,8 @@ from repro.sim.tracing import Tracer
 # re-sending the request to every replica (a mute replier only costs
 # this much extra before the nudge goes out).
 NUDGE_GRACE = 0.002
+# The retry timer doubles per timeout up to this many retry timeouts.
+RETRY_BACKOFF_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -211,7 +213,8 @@ class BftClient(Node):
             self.tracer.metrics.inc("client.read_only_fallbacks")
         self._nudge_timer.stop()
         self._transmit(first=False)
-        timeout = self.config.client_retry_timeout * min(2 ** call.retries, 16)
+        timeout = self.config.client_retry_timeout * min(2 ** call.retries,
+                                                         RETRY_BACKOFF_MAX)
         self._retry_timer.restart(timeout)
 
     def _fast_retransmit(self) -> None:

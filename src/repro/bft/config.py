@@ -64,6 +64,14 @@ class BftConfig:
         """High-water mark offset: seq numbers accepted in (h, h + window]."""
         return self.checkpoint_interval * LOG_WINDOW_CHECKPOINTS
 
+    @property
+    def verified_sig_bound(self) -> int:
+        """Signatures a replica remembers as checked: every replica's
+        CHECKPOINT for the stable checkpoint and each one the log window
+        admits, every replica's VIEW-CHANGE for f+1 pending views (enough
+        to pass f faulty primaries), and the last NEW-VIEW."""
+        return self.n * (LOG_WINDOW_CHECKPOINTS + 1 + self.f + 1) + 1
+
     def primary_of(self, view: int) -> str:
         """The primary replica for ``view`` (round-robin, as in BFT)."""
         return self.replica_ids[view % self.n]

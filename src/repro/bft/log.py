@@ -90,9 +90,6 @@ class MessageLog:
         for s in [s for s in self._slots if s <= seq]:
             del self._slots[s]
 
-    def clear(self) -> None:
-        self._slots.clear()
-
     def unexecute_all(self) -> None:
         """Un-mark every retained slot as executed, so the replica
         replays them in order from the checkpoint it rewound to."""

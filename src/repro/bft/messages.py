@@ -25,6 +25,7 @@ no call at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.crypto.digest import digest as sha_digest
 from repro.crypto.signatures import SIGNATURE_SIZE
@@ -205,12 +206,13 @@ class CheckpointMsg(Message):
 @dataclass(frozen=True)
 class PreparedProof:
     """Evidence carried in a VIEW-CHANGE that a batch prepared at a replica:
-    the pre-prepare (with its requests) plus the view it prepared in."""
+    the pre-prepare (with its requests) plus the view it prepared in.
+    Inside a NEW-VIEW only the summary travels (``pre_prepare`` None)."""
 
     view: int
     seq: int
     batch_digest: bytes
-    pre_prepare: PrePrepare
+    pre_prepare: Optional[PrePrepare]
 
     def summary(self) -> tuple:
         return (self.view, self.seq, self.batch_digest)
@@ -235,12 +237,25 @@ class ViewChange(Message):
     def wire_size(self) -> int:
         return (super().wire_size()
                 + sum(m.wire_size() for m in self.checkpoint_proof)
-                + sum(p.pre_prepare.wire_size() for p in self.prepared))
+                + sum(p.pre_prepare.wire_size() for p in self.prepared
+                      if p.pre_prepare is not None))
+
+    def summarized(self) -> "ViewChange":
+        """This VIEW-CHANGE as its signature covers it, as a NEW-VIEW
+        embeds it: the same body and signature, each prepared proof cut
+        to its summary (the new primary has the batches already)."""
+        vc = ViewChange(self.view, self.last_stable, self.checkpoint_proof,
+                        [PreparedProof(*p.summary(), None)
+                         for p in self.prepared], self.replica_id)
+        vc.sig, vc._body, vc.body_size, vc.sealed_digest = (
+            self.sig, self._body, self.body_size, self.sealed_digest)
+        return vc
 
 
 class NewView(Message):
-    """New primary's signed certificate of 2f+1 view-changes plus the
-    pre-prepares it re-proposes for the new view."""
+    """New primary's signed certificate of 2f+1 view-changes, each
+    :meth:`~ViewChange.summarized`, plus the pre-prepares (with their
+    requests) it re-proposes for the new view."""
 
     kind = "new_view"
     __slots__ = {"view": int,

@@ -68,20 +68,14 @@ class RecoveryManager:
         self.background_cpu = 0.0
         config = replica.config
         self._watchdog = replica.make_timer(config.recovery_interval or 1.0,
-                                            self._on_watchdog)
+                                            self.start_recovery)
         if config.recovery_interval > 0:
             # Stagger in *reverse* index order: primaries rotate forward
             # through views, so recovering backwards avoids the resonance
             # where every view's new primary is the next replica to reboot.
             index = config.n - 1 - config.replica_index(replica.node_id)
             first = config.recovery_interval + index * config.recovery_stagger
-            replica.after(first, self._arm)
-
-    def _arm(self) -> None:
-        self.start_recovery()
-
-    def _on_watchdog(self) -> None:
-        self.start_recovery()
+            replica.after(first, self.start_recovery)
 
     # -- the recovery sequence ---------------------------------------------------
 
@@ -109,6 +103,9 @@ class RecoveryManager:
         # Fresh session keys: MACs computed with keys stolen before the
         # reboot no longer verify at this replica.
         r.registry.refresh_session_keys(r.node_id)
+        # Memory is untrusted after a compromise: no signature counts as
+        # checked until it is checked again.
+        r.verified_sigs.clear()
         restart_time = r.state.restart()
         self._current.restart = restart_time
         r.state.mark_all_dirty()

@@ -135,6 +135,9 @@ class Replica(Node):
         # have asked the group to prove to us.
         self._peer_views: Dict[str, int] = {}
         self._view_solicited = 0
+        # (signer, signed bytes, signature) this replica made or checked,
+        # oldest first; emptied when proactive recovery restarts it.
+        self.verified_sigs: Dict[Tuple[str, bytes, bytes], None] = {}
         self.busy_until = 0.0
 
         self.view_changes = ViewChangeManager(self)
@@ -249,13 +252,27 @@ class Replica(Node):
     def sign_msg(self, msg: Message) -> Message:
         msg.sig = sign(self.registry, self.node_id, msg.body())
         self.charge(self.costs.signature)
+        self._note_verified((self.node_id, msg.body(), msg.sig))
         return msg
 
     def verify_sig(self, signer: str, msg: Message) -> bool:
+        """Once per replica: a signature it made or checked over the same
+        bytes is not checked or charged again; a failed check is not kept."""
+        key = (signer, msg.body(), msg.sig)
+        if key in self.verified_sigs:
+            return True
         self.charge(self.costs.signature)
-        if msg.sig is None:
+        if msg.sig is None or not verify_signature(self.registry, signer,
+                                                   key[1], msg.sig):
             return False
-        return verify_signature(self.registry, signer, msg.body(), msg.sig)
+        self._note_verified(key)
+        return True
+
+    def _note_verified(self, key: Tuple[str, bytes, bytes]) -> None:
+        memo = self.verified_sigs
+        memo[key] = None
+        if len(memo) > self.config.verified_sig_bound:
+            del memo[next(iter(memo))]      # the oldest goes first
 
     def trace(self, kind: str, **detail) -> None:
         self.tracer.record(self.scheduler._now, self.node_id, kind, detail)

@@ -129,13 +129,12 @@ class StateTransferManager:
             # No progress since last tick: rotate donor and re-request.
             self._donor_index += 1
             self.replica.trace("transfer_donor_switch", donor=self.donor)
-            for (level, index) in self._outstanding_meta:
-                msg = FetchMeta(self.replica.node_id, self.target_seq,
-                                level, index)
-                self.replica.send(self.donor, msg)
-            for index in self._outstanding_objects:
-                msg = FetchObject(self.replica.node_id, self.target_seq, index)
-                self.replica.send(self.donor, msg)
+            for (level, index), expected in list(
+                    self._outstanding_meta.items()):
+                self._request_meta(level, index, expected)
+            for index, (expected, lm) in list(
+                    self._outstanding_objects.items()):
+                self._request_object(index, expected, lm)
             if self._table_pending:
                 self.replica.send(self.donor, FetchTable(
                     self.replica.node_id, self.target_seq))
@@ -301,10 +300,8 @@ class StateTransferManager:
         if (self._outstanding_meta or self._outstanding_objects
                 or self._table_pending):
             return
-        self._finish(self._fetched)
-
-    def _finish(self, objects: Dict[int, Tuple[bytes, int]]) -> None:
         r = self.replica
+        objects = self._fetched
         for idx, lm in self._lm_fixes.items():
             r.state.fix_leaf_lm(idx, lm)
         ok = r.state.apply_fetched(self.target_seq, self.target_root, objects)

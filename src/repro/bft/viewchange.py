@@ -37,6 +37,8 @@ class ViewChangeManager:
         #: Latest NEW-VIEW sent or accepted; forwarded in CERT replies so
         #: recovering replicas can catch up to the current view.
         self.last_new_view: Optional[NewView] = None
+        #: sender -> view of the last NEW-VIEW resent to it.
+        self._answered: Dict[str, int] = {}
         self._nv_timer = replica.make_timer(
             replica.config.view_change_timeout, self._on_new_view_timeout)
         # When this replica left normal operation (first VIEW-CHANGE sent
@@ -68,18 +70,31 @@ class ViewChangeManager:
                         r.node_id)
         r.sign_msg(vc)
         r.multicast(r.other_replicas, vc)
-        self._record(r.node_id, vc)
-        # Exponential backoff: if the new primary is also faulty we will
-        # time out and move another view along, waiting twice as long
-        # (capped so the delay stays finite under long view runs).
-        backoff = r.config.view_change_timeout * (
-            2 ** min(16, max(0, new_view - r.view - 1)))
-        self._nv_timer.restart(backoff)
+        self.received.setdefault(new_view, {})[r.node_id] = vc
+        self._arm()
         self._maybe_assemble(new_view)
 
+    def _arm(self) -> None:
+        """PBFT's timer: below 2f+1 VIEW-CHANGEs for the target view it
+        retransmits ours every ``view_change_timeout`` (a cut-off replica
+        waits at v+1, it does not climb); from 2f+1 it awaits the
+        NEW-VIEW, twice as long per further view (capped)."""
+        r = self.replica
+        timeout = r.config.view_change_timeout
+        if len(self.received[self.target_view]) >= r.config.quorum:
+            timeout *= 2 ** min(16, max(0, self.target_view - r.view - 1))
+        self._nv_timer.restart(timeout)
+
     def _on_new_view_timeout(self) -> None:
-        if self.active:
-            self.replica.trace("new_view_timeout", view=self.target_view)
+        r = self.replica
+        if not self.active:
+            return
+        by_replica = self.received[self.target_view]
+        if len(by_replica) < r.config.quorum:
+            r.multicast(r.other_replicas, by_replica[r.node_id])
+            self._arm()
+        else:
+            r.trace("new_view_timeout", view=self.target_view)
             self.start(self.target_view + 1)
 
     # -- receiving view-changes ---------------------------------------------------
@@ -89,12 +104,24 @@ class ViewChangeManager:
         if src != msg.replica_id or src not in r.config.replica_ids:
             return
         if msg.view <= r.view:
+            # It missed the NEW-VIEW for a view we entered: PBFT resends it.
+            # Once per sender and view, so it is no amplifier.
+            nv = self.last_new_view
+            if nv is not None and nv.view >= msg.view \
+                    and self._answered.get(src, -1) < nv.view:
+                self._answered[src] = nv.view
+                r.send(src, nv)
             return
         if not r.verify_sig(src, msg):
             return
         if not self._valid_view_change(msg):
             return
-        self._record(src, msg)
+        by_replica = self.received.setdefault(msg.view, {})
+        fresh = src not in by_replica
+        by_replica[src] = msg
+        if (fresh and self.active and msg.view == self.target_view
+                and len(by_replica) == r.config.quorum):
+            self._arm()
         # Liveness rule: if f+1 replicas want a view above ours, join the
         # smallest such view even if our own timer has not fired.
         if not self.active or msg.view > self.target_view:
@@ -106,11 +133,10 @@ class ViewChangeManager:
                 self.start(candidates[0])
         self._maybe_assemble(msg.view)
 
-    def _record(self, src: str, msg: ViewChange) -> None:
-        self.received.setdefault(msg.view, {})[src] = msg
-
-    def _valid_view_change(self, msg: ViewChange) -> bool:
-        """Check the embedded checkpoint proof and prepared certificates."""
+    def _valid_view_change(self, msg: ViewChange,
+                           summarized: bool = False) -> bool:
+        """Check the embedded checkpoint proof and prepared certificates
+        (summaries, in a NEW-VIEW; pre-prepares, sent to us directly)."""
         r = self.replica
         if msg.last_stable > 0:
             if not msg.checkpoint_proof:
@@ -121,7 +147,8 @@ class ViewChangeManager:
                 return False
         for proof in msg.prepared:
             pp = proof.pre_prepare
-            if (pp.seq != proof.seq or pp.view != proof.view
+            if (pp is None) != summarized or pp is not None and (
+                    pp.seq != proof.seq or pp.view != proof.view
                     or pp.batch_digest() != proof.batch_digest):
                 return False
             if proof.seq <= msg.last_stable:
@@ -153,7 +180,8 @@ class ViewChangeManager:
             vcs = tuple(sorted(list(vcs)[:-1] + [own],
                                key=lambda m: m.replica_id))
         pre_prepares = self.compute_new_view_pre_prepares(view, vcs)
-        nv = NewView(view, vcs, tuple(pre_prepares), r.node_id)
+        nv = NewView(view, tuple(vc.summarized() for vc in vcs),
+                     tuple(pre_prepares), r.node_id)
         r.sign_msg(nv)
         r.multicast(r.other_replicas, nv)
         r.trace("new_view_sent", view=view, reproposed=len(pre_prepares))
@@ -161,14 +189,9 @@ class ViewChangeManager:
         self._enter_view(view, vcs, pre_prepares)
 
     @staticmethod
-    def compute_new_view_pre_prepares(view: int, vcs) -> List[PrePrepare]:
-        """Deterministically derive the re-proposals from 2f+1 view-changes.
-
-        For each sequence number between the highest stable checkpoint
-        (min-s) and the highest prepared request (max-s), re-propose the
-        batch from the prepared certificate with the highest view, or a
-        null request if no view-change prepared anything there.
-        """
+    def _certified(vcs) -> Tuple[int, Dict[int, PreparedProof]]:
+        """min-s, the highest stable checkpoint among ``vcs``, and per seq
+        above it the prepared certificate with the highest view."""
         min_s = max(vc.last_stable for vc in vcs)
         best: Dict[int, PreparedProof] = {}
         for vc in vcs:
@@ -178,9 +201,20 @@ class ViewChangeManager:
                 cur = best.get(proof.seq)
                 if cur is None or proof.view > cur.view:
                     best[proof.seq] = proof
-        max_s = max(best) if best else min_s
+        return min_s, best
+
+    @classmethod
+    def compute_new_view_pre_prepares(cls, view: int, vcs) -> List[PrePrepare]:
+        """Deterministically derive the re-proposals from 2f+1 view-changes.
+
+        For each sequence number between the highest stable checkpoint
+        (min-s) and the highest prepared request (max-s), re-propose the
+        batch from the prepared certificate with the highest view, or a
+        null request if no view-change prepared anything there.
+        """
+        min_s, best = cls._certified(vcs)
         pps = []
-        for seq in range(min_s + 1, max_s + 1):
+        for seq in range(min_s + 1, max(best, default=min_s) + 1):
             proof = best.get(seq)
             if proof is not None:
                 src_pp = proof.pre_prepare
@@ -209,17 +243,36 @@ class ViewChangeManager:
         for vc in msg.view_changes:
             if vc.view != msg.view or not r.verify_sig(vc.replica_id, vc):
                 return
-            if not self._valid_view_change(vc):
+            if not self._valid_view_change(vc, summarized=True):
                 return
-        expected = self.compute_new_view_pre_prepares(msg.view,
-                                                      msg.view_changes)
-        if ([pp.digest() for pp in expected]
-                != [pp.digest() for pp in msg.pre_prepares]):
+        if not self._reproposes_certified(msg):
             r.trace("new_view_rejected", view=msg.view)
             return
         r.trace("new_view_accepted", view=msg.view)
         self.last_new_view = msg
         self._enter_view(msg.view, msg.view_changes, list(msg.pre_prepares))
+
+    def _reproposes_certified(self, msg: NewView) -> bool:
+        """The O set, checked against the summaries: exactly one
+        pre-prepare per seq in (min-s, max-s], in order, each the
+        certified batch (its request digests and nondet hash to the
+        summary's digest) or, where nothing prepared, a null request."""
+        min_s, best = self._certified(msg.view_changes)
+        pps = msg.pre_prepares
+        if [pp.seq for pp in pps] != list(
+                range(min_s + 1, max(best, default=min_s) + 1)):
+            return False
+        for pp in pps:
+            proof = best.get(pp.seq)
+            if proof is None:
+                ok = pp.digest() == PrePrepare(
+                    msg.view, pp.seq, (Request.null(),), b"").digest()
+            else:
+                ok = PrePrepare(proof.view, pp.seq, pp.requests,
+                                pp.nondet).digest() == proof.batch_digest
+            if pp.view != msg.view or not ok:
+                return False
+        return True
 
     # -- entering the new view ------------------------------------------------------
 
@@ -295,8 +348,7 @@ class ViewChangeManager:
             r.seq_assigned = max_seq
             # Requests that were in flight but not re-proposed must be
             # ordered afresh in this view.
-            for key, req_seq in list(r.in_flight.items()):
-                del r.in_flight[key]
+            r.in_flight.clear()
         for slot_seq in r.log.seqs():
             r._check_prepared(r.log.slot(slot_seq))
         if r.waiting:

@@ -35,7 +35,9 @@ from repro.faultlab.invariants import (
     RollbackEntry,
     Violation,
     check_all,
+    check_bounded_wait,
     check_staleness_contract,
+    liveness_bound,
 )
 from repro.faultlab.plan import FaultPlan
 from repro.faultlab.scenarios import (
@@ -77,8 +79,8 @@ class ClientScript:
         self.client = client
         self.gen = gen
         self.done = False
-        self.issued = 0
-        self.accepted = 0
+        #: ``[issued at, accepted at or None]`` per request, in order.
+        self.calls: List[List[Optional[float]]] = []
 
     @property
     def client_id(self) -> str:
@@ -88,14 +90,15 @@ class ClientScript:
         self._step(None, first=True)
 
     def _step(self, result: Optional[bytes], first: bool = False) -> None:
+        now = self.client.now
         if not first:
-            self.accepted += 1
+            self.calls[-1][1] = now
         try:
             issue = next(self.gen) if first else self.gen.send(result)
         except StopIteration:
             self.done = True
             return
-        self.issued += 1
+        self.calls.append([now, None])
         self.client.invoke(issue.op, self._step, read_only=issue.read_only)
 
 
@@ -479,6 +482,11 @@ def run_trial(scenario: ScenarioRef, seed: int,
     violations = check_all(
         cluster, exec_log, accepted, correct_ids, scripts_done,
         scenario.expect_liveness, scenario.duration)
+    calls = [(s.client_id, issued, done_at)
+             for s in scripts for issued, done_at in s.calls]
+    if scenario.expect_liveness:
+        violations.extend(check_bounded_wait(
+            calls, horizon, liveness_bound(cluster.config), scheduler.now))
     if sharded is not None:
         violations.extend(_check_sharded(sharded, plan))
     if edge is not None:
@@ -487,9 +495,8 @@ def run_trial(scenario: ScenarioRef, seed: int,
     metrics = cluster.metrics
     return TrialResult(
         scenario=scenario.name, seed=seed, plan=plan, violations=violations,
-        issued=sum(s.issued for s in scripts)
-        + (driver.offered if driver is not None else 0),
-        accepted=sum(s.accepted for s in scripts)
+        issued=len(calls) + (driver.offered if driver is not None else 0),
+        accepted=sum(done_at is not None for _, _, done_at in calls)
         + (driver.completed if driver is not None else 0),
         sim_seconds=scheduler.now,
         wall_seconds=time.perf_counter() - started,

@@ -19,7 +19,8 @@ the checkers:
   state roots, and every triggered proactive recovery completed;
 - **liveness** — under a quiescent plan (all faults within f, network
   healed), every client workload ran to completion within the trial's
-  simulated-time budget.
+  simulated-time budget, and once the plan's last fault ended every
+  request was accepted within :func:`liveness_bound` of the config.
 
 Checkers return :class:`Violation` lists with deterministic detail
 strings, so a replay of the same (scenario, seed) yields bit-identical
@@ -29,8 +30,9 @@ violations — the property the shrinker and ``replay`` rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.bft.client import RETRY_BACKOFF_MAX
 from repro.edge.evidence import (BOUNDED_STALE, EVIDENCE_CERTIFICATE,
                                  EVIDENCE_VECTOR, LINEARIZABLE, MODES)
 
@@ -228,6 +230,37 @@ def check_liveness(scripts_done: Sequence[Tuple[str, bool]],
         "liveness",
         f"clients {stuck} did not finish their workload within "
         f"{duration:g} simulated seconds despite a quiescent fault plan")]
+
+
+def liveness_bound(config) -> float:
+    """How long a correct client may wait for a request once a plan's
+    last fault has ended: its longest retry backoff, then a view change
+    past f faulty primaries (a backup's timer, then f+1 new-view timers,
+    each twice the last)."""
+    return (config.client_retry_timeout * RETRY_BACKOFF_MAX
+            + config.view_change_timeout * 2 ** (config.f + 1))
+
+
+def check_bounded_wait(calls: Sequence[Tuple[str, float, Optional[float]]],
+                       settled_at: float, bound: float,
+                       now: float) -> List[Violation]:
+    """Liveness with a clock: each request a client had outstanding when
+    the last fault ended (``settled_at``), or issued later, is accepted
+    within ``bound`` of that moment or of its issue.  ``calls`` are
+    ``(client, issued at, accepted at or None)``; one never accepted
+    has waited until ``now``.  One violation per late client."""
+    late: Dict[str, Tuple[float, float]] = {}
+    for client_id, issued, accepted in calls:
+        waited = (now if accepted is None else accepted) - max(issued,
+                                                               settled_at)
+        if waited > bound and client_id not in late:
+            late[client_id] = (issued, waited)
+    return [Violation(
+        "liveness",
+        f"client {client_id} waited {waited:.3f}s for a request issued at "
+        f"{issued:.3f}s; the bound after the last fault ended at "
+        f"{settled_at:.3f}s is {bound:.3f}s")
+        for client_id, (issued, waited) in sorted(late.items())]
 
 
 def check_staleness_contract(

@@ -158,3 +158,195 @@ def test_join_rule_threshold_is_weak_quorum():
     cluster.replicas[2].view_changes.start(1)
     cluster.run(1.0)
     assert bystander.view == 1
+
+
+# -- a signature is checked once per replica ------------------------------------
+
+
+def test_a_signature_is_checked_and_charged_once_per_replica(monkeypatch):
+    from repro.bft.messages import CheckpointMsg
+    cluster = make_kv_cluster()
+    signer, victim, other = cluster.replicas[1:]
+    msg = signer.sign_msg(CheckpointMsg(4, b"r" * 32, b"t" * 32,
+                                        signer.node_id))
+    charged = []
+    monkeypatch.setattr(victim, "charge", charged.append)
+    assert victim.verify_sig(signer.node_id, msg)
+    assert victim.verify_sig(signer.node_id, msg)        # remembered: free
+    assert len(charged) == 1
+    # A forged signature over the remembered body is checked, charged and
+    # rejected every time: a failed check is never remembered.
+    forged = CheckpointMsg(4, b"r" * 32, b"t" * 32, signer.node_id)
+    forged.sig = b"\0" * 32
+    assert not victim.verify_sig(signer.node_id, forged)
+    assert not victim.verify_sig(signer.node_id, forged)
+    assert len(charged) == 3
+    # The same bytes and signature under another signer's name too.
+    assert not victim.verify_sig(other.node_id, msg)
+    assert len(charged) == 4
+    assert list(victim.verified_sigs) == [
+        (signer.node_id, msg.body(), msg.sig)]
+
+
+def test_the_signature_memo_is_bounded_and_emptied_by_a_restart(
+        monkeypatch):
+    """Over a long run with checkpoints and two view changes no replica
+    remembers more than the config's bound (it reaches it: the oldest
+    entries go), and proactive recovery restarts with nothing trusted."""
+    cluster = make_kv_cluster(checkpoint_interval=2, view_change_timeout=0.3,
+                              client_retry_timeout=0.2, reboot_delay=0.2)
+    client = cluster.add_client("client0")
+    bound = cluster.config.verified_sig_bound
+    assert bound == 4 * (2 + 1 + 1 + 1) + 1
+    sizes = []
+    faults = {30: cluster.replicas[0].crash,
+              45: cluster.replicas[0].restart_node,
+              60: cluster.replicas[1].crash}
+    for i in range(80):
+        if i in faults:
+            faults[i]()
+        client.call(put(i % 8, b"v%d" % i))
+        sizes += [len(r.verified_sigs) for r in cluster.replicas]
+    assert max(sizes) == bound
+    assert [r.view for r in cluster.replicas] == [2, 1, 2, 2]
+
+    recovering = cluster.replicas[3]
+    at_restart = []
+    real_restart = recovering.state.restart
+    monkeypatch.setattr(recovering.state, "restart", lambda: (
+        at_restart.append(len(recovering.verified_sigs)), real_restart())[1])
+    assert recovering.verified_sigs
+    recovering.recovery.start_recovery()
+    cluster.run(2.0)
+    assert at_restart == [0]
+    assert not recovering.recovery.recovering
+
+
+# -- NEW-VIEW carries view-change summaries -------------------------------------
+
+
+def _view_change_without_new_views_to(victim_index):
+    """Six puts (stable checkpoint at 4, batches 5 and 6 prepared above
+    it), then three replicas move to view 1; every NEW-VIEW to the
+    fourth is dropped, so it stays in view 0 while they enter view 1."""
+    cluster = make_kv_cluster(view_change_timeout=0.3,
+                              client_retry_timeout=0.2)
+    client = cluster.add_client("client0")
+    for i in range(6):
+        client.call(put(i, b"v%d" % i))
+    victim = cluster.replicas[victim_index]
+    cluster.network.add_filter(lambda s, d, m: not (
+        d == victim.node_id and getattr(m, "kind", "") == "new_view"))
+    for r in cluster.replicas:
+        if r is not victim:
+            r.view_changes.start(1)
+    assert client.call(put(6, b"v6")) == b"ok"
+    new_primary = cluster.replicas[1]
+    assert new_primary.view == 1 and victim.view == 0
+    return cluster, victim, new_primary.view_changes.last_new_view
+
+
+def test_new_view_embeds_view_changes_as_their_signatures_cover_them():
+    _, _, nv = _view_change_without_new_views_to(3)
+    proofs = [p for vc in nv.view_changes for p in vc.prepared]
+    assert proofs and all(p.pre_prepare is None for p in proofs)
+    # Re-proposals keep their requests: a backup needs no fetch.
+    assert [pp.seq for pp in nv.pre_prepares] == [5, 6]
+    assert all(not pp.requests[0].is_null for pp in nv.pre_prepares)
+
+
+def test_a_new_view_whose_reproposals_differ_is_rejected():
+    """Backups check the O set against the summaries: a batch changed,
+    a certified seq left out (below max-s it stalls execution, at max-s
+    the primary would reuse a seq 2f+1 may have committed), a seq twice
+    or a null moved into a certified slot is each rejected."""
+    from repro.bft.messages import NewView, PrePrepare, Request
+    cluster, victim, nv = _view_change_without_new_views_to(3)
+    new_primary = cluster.replicas[1]
+    first, second = nv.pre_prepares
+    forged_o_sets = [
+        (PrePrepare(1, 5, (Request("mallory", 1, b"x"),), first.nondet),
+         second),
+        (PrePrepare(1, 5, first.requests, b"other nondet"), second),
+        (PrePrepare(1, 5, (Request.null(),), b""), second),
+        (PrePrepare(0, 5, first.requests, first.nondet), second),
+        (second,),
+        (first,),
+        (),
+        (first, first, second),
+        (first, second, PrePrepare(1, 7, (Request.null(),), b"")),
+    ]
+    for o_set in forged_o_sets:
+        forged = new_primary.sign_msg(NewView(
+            1, nv.view_changes, o_set, new_primary.node_id))
+        victim.on_message(new_primary.node_id, forged)
+        assert victim.view == 0
+    assert len(cluster.tracer.find("new_view_rejected")) == len(forged_o_sets)
+    victim.on_message(new_primary.node_id, nv)
+    assert victim.view == 1
+
+
+def test_a_stale_view_change_is_answered_once_per_sender_and_view(
+        monkeypatch):
+    """A replica that missed the NEW-VIEW gets it resent when its
+    VIEW-CHANGE arrives, but repeating that VIEW-CHANGE buys nothing more."""
+    cluster, lagger, nv = _view_change_without_new_views_to(3)
+    answerer = cluster.replicas[2]
+    resent = []
+    monkeypatch.setattr(answerer, "send",
+                        lambda dst, msg, size=None: resent.append((dst, msg)))
+    stale = lagger.view_changes.received[1][lagger.node_id]
+    for _ in range(5):
+        answerer.on_message(lagger.node_id, stale)
+    assert resent == [(lagger.node_id, nv)]
+
+
+def test_a_new_view_forwarded_in_a_cert_reply_brings_a_lagger_in():
+    """The lagger asks for certificates, and the NEW-VIEW
+    riding in a CERT-REPLY (not a NEW-VIEW message) brings it into the
+    view, its VIEW-CHANGEs still summaries."""
+    cluster, lagger, nv = _view_change_without_new_views_to(3)
+    lagger.transfer.solicit_certs()
+    cluster.run(0.1)
+    assert lagger.view == 1
+    assert lagger.view_changes.last_new_view is nv
+
+
+# -- the new-view timer is armed at 2f+1 ------------------------------------------
+
+
+def test_a_replica_cut_off_alone_waits_at_the_next_view_and_rejoins(
+        monkeypatch):
+    """Without 2f+1 VIEW-CHANGEs a replica does not climb: cut off alone
+    it stays at v+1 retransmitting its VIEW-CHANGE, converges with the
+    group's state once healed, and is the third VIEW-CHANGE when the
+    group next needs one."""
+    cluster = make_kv_cluster(view_change_timeout=0.2,
+                              client_retry_timeout=0.1)
+    client = cluster.add_client("client0")
+    client.call(put(0, b"a"))
+    loner = cluster.replicas[3]
+    for peer in cluster.network.node_ids():
+        if peer != loner.node_id:
+            cluster.network.partition(loner.node_id, peer)
+    sent = []
+    real_multicast = loner.multicast
+    monkeypatch.setattr(loner, "multicast", lambda dsts, msg, size=None: (
+        sent.append(msg.kind), real_multicast(dsts, msg, size))[1])
+    loner.view_changes.start(1)            # its view-change timer fired
+    cluster.run(2.9)
+    assert (loner.view, loner.view_changes.target_view) == (0, 1)
+    assert sent == ["view_change"] * 15    # sent, then every 0.2 s
+    assert not cluster.tracer.find("new_view_timeout")
+
+    cluster.network.heal_all()
+    for i in range(1, 9):
+        client.call(put(i, b"v%d" % i))
+    cluster.run(1.0)
+    assert {r.view for r in cluster.replicas} == {0}
+    assert len({tuple(r.state.values[:9]) for r in cluster.replicas}) == 1
+
+    cluster.replicas[0].crash()
+    assert client.call(put(9, b"v9")) == b"ok"
+    assert [r.view for r in cluster.replicas[1:]] == [1, 1, 1]
+    assert not cluster.tracer.find("new_view_timeout")

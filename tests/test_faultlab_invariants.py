@@ -1,11 +1,13 @@
 """Invariant checkers against synthetic execution logs, plus the
 end-to-end regression: a beyond-f colluding pair must be caught."""
 
+from repro.bft.config import BftConfig
 from repro.faultlab.explorer import run_trial
 from repro.faultlab.invariants import (
     AcceptedReply,
     ExecutionEntry,
     RollbackEntry,
+    Violation,
     check_agreement,
     check_liveness,
     check_reply_validity,
@@ -86,6 +88,60 @@ def test_liveness_flags_stuck_clients_only_when_expected():
     assert len(violations) == 1 and "c1" in violations[0].detail
     assert check_liveness(done, expect_liveness=False, duration=40.0) == []
     assert check_liveness([("c0", True)], True, 40.0) == []
+
+
+def test_bounded_wait_counts_from_the_last_fault_or_the_issue():
+    from repro.faultlab.invariants import check_bounded_wait
+    calls = [("c0", 0.0, 5.0),      # outstanding across the faults: 2.0 s
+             ("c0", 5.0, 5.1),
+             ("c1", 6.0, 8.6),      # issued after them: 2.6 s
+             ("c1", 8.6, None),     # never accepted: waited until now
+             ("c2", 0.0, 2.9)]      # done before the faults ended
+    assert check_bounded_wait(calls, 3.0, 2.5, now=10.0) == [
+        Violation("liveness", "client c1 waited 2.600s for a request issued "
+                              "at 6.000s; the bound after the last fault "
+                              "ended at 3.000s is 2.500s")]
+    assert [v.detail.split()[1] for v in check_bounded_wait(
+        calls, 3.0, 1.0, now=10.0)] == ["c0", "c1"]
+
+
+def test_bounded_wait_catches_a_new_view_timer_armed_before_2f_plus_1(
+        monkeypatch):
+    """The mutant: the old timer, armed with backoff the moment a replica
+    asks for a view, so replicas that cannot form 2f+1 climb views alone.
+    Plan: the view-0 primary crashes for good while a backup is cut off
+    alone; no three replicas can talk, and each live one climbs.  At the
+    heal all three sit at view 5 with a 3.2 s timer, so the clients wait
+    3.9 s against a 2.4 s bound.  The shipped timer keeps them at view 1
+    retransmitting, and the heal completes that view change."""
+    from repro.bft.viewchange import ViewChangeManager
+    from repro.faultlab.invariants import liveness_bound
+    from repro.faultlab.plan import CrashFault, FaultPlan, PartitionFault
+    from repro.faultlab.scenarios import Scenario
+    plan = FaultPlan((PartitionFault((3,), start=0.002, stop=4.0),
+                      CrashFault(0, start=0.003)))
+    scenario = Scenario(
+        name="lone_partition", description="", plan=lambda rng: plan,
+        config=dict(checkpoint_interval=4, view_change_timeout=0.2,
+                    client_retry_timeout=0.1))
+    result = run_trial(scenario, 0)
+    assert result.ok, result.violations
+    assert round(liveness_bound(BftConfig(**scenario.config)), 9) == 2.4
+
+    def arm_at_once(self):
+        r = self.replica
+        self._nv_timer.restart(r.config.view_change_timeout * 2 ** min(
+            16, max(0, self.target_view - r.view - 1)))
+
+    def climb(self):
+        if self.active:
+            self.start(self.target_view + 1)
+
+    monkeypatch.setattr(ViewChangeManager, "_arm", arm_at_once)
+    monkeypatch.setattr(ViewChangeManager, "_on_new_view_timeout", climb)
+    result = run_trial(scenario, 0)
+    assert [v.invariant for v in result.violations] == ["liveness"] * 2
+    assert "waited 3.903s" in result.violations[0].detail
 
 
 def test_beyond_f_collusion_is_caught_by_reply_validity():

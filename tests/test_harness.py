@@ -90,7 +90,7 @@ def test_complexity_report_covers_all_components():
 #: outgrows its ceiling needs the literal raised here, where a reviewer
 #: sees it; one that shrinks by a hundred lines gets it lowered.
 LINE_CEILINGS = {
-    "bft": 3500, "analysis": 3200, "benchmarks/ledger": 2900, "nfs": 2700,
+    "bft": 3600, "analysis": 3200, "benchmarks/ledger": 2900, "nfs": 2700,
     "faultlab": 2500, "service": 1900, "thor": 1400, "workloads": 1200,
     "sim": 1000, "base": 800, "sql": 800, "edge": 700, "harness": 700,
     "http": 700, "encoding": 400, "crypto": 400,

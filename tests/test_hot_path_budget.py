@@ -21,6 +21,10 @@ The fourth is the fence for the BASEFS path (Andrew over the four vendor
 backends, five checkpoints), plus the budget of a LOOKUP: per replica
 the backend calls the wrapper has always made and no value record but
 the backend's own, and one decode of the op for the whole group.
+
+The fifth pins one view change: a signature is checked once per
+replica however many messages carry it, and a NEW-VIEW carries the
+VIEW-CHANGEs as summaries.
 """
 
 import hashlib
@@ -211,7 +215,7 @@ def test_sql_simulated_outcome_is_pinned():
     assert cluster.scheduler.events_run == 3438
     assert cluster.network.messages_sent == 3792
     assert cluster.network.bytes_sent == 259979
-    assert cluster.scheduler.now == 2.112712049790446
+    assert cluster.scheduler.now == 2.1127117724611377
     assert {r.state.tree.root_digest.hex() for r in cluster.replicas} == {
         "622347d54fe2ea351a74d640aba11d2ed1794f5d3dcf2e5b796245cdffa35187"}
     assert Counter(r[0] if r[0] == "OK" else r[1] for r in replies) == {
@@ -349,3 +353,44 @@ def test_lookup_work_is_the_backend_calls_and_one_decode(monkeypatch):
             for backend, before in zip(backends, served)] == [2] * 4
     assert built == {"Fattr": 8}
     assert decoded == [canonical(("lookup", root, "src"))]
+
+
+# -- one view change --------------------------------------------------------------
+
+
+def test_one_view_change_checks_each_signature_once(monkeypatch):
+    """The primary crashes with a stable checkpoint at 32 and batches
+    33..40 prepared above it; f=1, no other fault.  The new primary
+    checks the two other VIEW-CHANGEs; a backup checks those two and the
+    NEW-VIEW.  The 2f+1 CHECKPOINTs inside each VIEW-CHANGE, and the
+    VIEW-CHANGEs inside the NEW-VIEW, were checked already (before: 8
+    and 21 checks, and a NEW-VIEW of 11752 bytes)."""
+    from repro.bft.replica import Replica
+    cluster = build_cluster(
+        lambda i: InMemoryStateManager(size=64),
+        config=BftConfig(n=4, batch_max=8, checkpoint_interval=16,
+                         view_change_timeout=0.05, client_retry_timeout=0.02),
+        network_config=lan_network(SEED), costs=PROTOCOL_COSTS, seed=SEED)
+    client = cluster.add_client("client0", costs=PROTOCOL_COSTS)
+    for i in range(40):
+        client.call(put(i, b"w%d" % i))
+    assert {(r.last_stable, r.last_executed)
+            for r in cluster.replicas} == {(32, 40)}
+    checked = Counter()
+    real_verify = Replica.verify_sig
+
+    def counting(self, signer, msg):
+        if (signer, msg.body(), msg.sig) not in self.verified_sigs:
+            checked[self.node_id] += 1
+        return real_verify(self, signer, msg)
+
+    monkeypatch.setattr(Replica, "verify_sig", counting)
+    cluster.replicas[0].crash()
+    assert client.call(put(1, b"after")) == b"ok"
+    cluster.run(0.5)
+    assert [r.view for r in cluster.replicas] == [0, 1, 1, 1]
+    assert checked == {"replica1": 2, "replica2": 3, "replica3": 3}
+    nv = cluster.replicas[1].view_changes.last_new_view
+    assert [len(vc.prepared) for vc in nv.view_changes] == [8, 8, 8]
+    assert len(nv.pre_prepares) == 8
+    assert nv.wire_size() == 5440
