@@ -1,15 +1,16 @@
 """Protocol-conformance rules over the whole program.
 
 DEEP-HANDLER — every wire message class (subclass of the message root
-with a ``kind`` class attribute) must have a ``handle_<kind>`` method
-*somewhere* in the project; a ``handle_*`` method on a protocol node
-whose suffix matches no registered kind is flagged too (it will never
-be dispatched).
+with a ``kind`` class attribute) must have a handler *somewhere* in the
+project: ``handle_<kind>``, or ``on_<kind>`` on a replica's manager; a
+``handle_*`` method on a protocol node whose suffix matches no
+registered kind is flagged too (it will never be dispatched).
 
-DEEP-COST — every ``handle_*`` method on a protocol-node subclass in
-the cost-model scope must reach a ``CostModel`` charge (a ``.charge()``
-call anywhere in its transitive callees): a handler that does work
-without charging skews every performance result.
+DEEP-COST — every handler in the cost-model scope must reach a
+``CostModel`` charge (a ``.charge()`` call anywhere in its transitive
+callees): a handler that does work without charging skews every
+performance result.  A kind whose wire contract names a MAC or a
+signature passes: the replica's gate charges it before dispatch.
 
 DEEP-QUORUM — quorum sizes must come from the ``BftConfig.quorum`` /
 ``weak_quorum`` helpers.  Re-deriving ``2f+1`` / ``f+1`` inline, or
@@ -22,9 +23,9 @@ other two need the class hierarchy and the call graph.
 from __future__ import annotations
 
 import ast
-from typing import Optional, Set
+from typing import Optional
 
-from repro.analysis.config import MESSAGE_ROOT, NODE_ROOT
+from repro.analysis.config import MESSAGE_ROOT
 from repro.analysis.deep.callgraph import CallGraph
 from repro.analysis.deep.project import Project
 from repro.analysis.engine import FileContext, Rule
@@ -35,7 +36,8 @@ class HandlerRule(Rule):
     title = "Every wire message kind has a handler"
     rationale = (
         "sim.Node dispatches a message to ``handle_<kind>`` on the "
-        "receiving node; a Message subclass whose kind no class "
+        "receiving node (a replica, or ``on_<kind>`` on one of its "
+        "managers); a Message subclass whose kind no class "
         "handles is silently dropped on delivery (and a handler for "
         "a kind no message declares is dead protocol surface).")
     example = ("class Probe(Message):\n"
@@ -45,15 +47,11 @@ class HandlerRule(Rule):
         messages = project.message_classes(MESSAGE_ROOT)
         kinds = {cls.kind for cls in messages}
 
-        # Every handler name defined anywhere (any class: clients, edge
-        # proxies, and replicas all legitimately terminate messages).
-        handler_names: Set[str] = set()
-        for name in project.methods_by_name:
-            if name.startswith("handle_"):
-                handler_names.add(name)
-
+        # Handlers on any class: clients, edge proxies, replicas and the
+        # replica's managers all legitimately terminate messages.
+        names = set(project.methods_by_name)
         for cls in messages:
-            if f"handle_{cls.kind}" not in handler_names:
+            if not {f"handle_{cls.kind}", f"on_{cls.kind}"} & names:
                 cls.module.ctx.report(
                     self, cls.node,
                     f"wire message {cls.name} (kind={cls.kind!r}) has no "
@@ -63,18 +61,19 @@ class HandlerRule(Rule):
         # them.
         for qualname in sorted(project.functions):
             info = project.functions[qualname]
-            if info.cls is None or not info.name.startswith("handle_"):
-                continue
-            if not project.is_subclass(info.cls.qualname, NODE_ROOT):
-                continue
-            kind = info.name[len("handle_"):]
-            if kind in kinds or not kind:
+            kind = project.handled_kind(info, kinds)
+            if not kind or kind in kinds:
                 continue
             info.module.ctx.report(
                 self, info.node,
                 f"handler {info.cls.name}.{info.name} matches no "
                 f"registered message kind (dispatch will never call it)",
                 severity="warning")
+
+
+#: The contract proofs ``Replica.on_message`` charges before dispatch
+#: (``contract = Contract(principal, MAC)`` in bft/messages.py).
+GATE_CHARGED = frozenset({"MAC", "SIG"})
 
 
 class CostRule(Rule):
@@ -91,13 +90,13 @@ class CostRule(Rule):
 
     def check_program(self, project: Project, graph: CallGraph) -> None:
         config = project.config
+        proofs = {cls.kind: cls.proof
+                  for cls in project.message_classes(MESSAGE_ROOT)}
         for qualname in sorted(project.functions):
             info = project.functions[qualname]
-            if info.cls is None or not info.name.startswith("handle_"):
-                continue
-            if not config.in_cost_scope(info.rel):
-                continue
-            if not project.is_subclass(info.cls.qualname, NODE_ROOT):
+            kind = project.handled_kind(info, proofs)
+            if kind is None or proofs.get(kind) in GATE_CHARGED \
+                    or not config.in_cost_scope(info.rel):
                 continue
             charges = False
             for callee in graph.reachable(qualname):

@@ -8,8 +8,8 @@ tables the interprocedural passes resolve against:
 - every function, method, nested function, and named lambda, keyed by a
   dotted qualname (``repro.bft.replica.Replica.handle_request``);
 - every class with its resolved base-class names, ``kind`` class
-  attribute (wire messages), and inferred ``self.x = Cls(...)``
-  attribute types;
+  attribute and contract proof (wire messages), and inferred
+  ``self.x = Cls(...)`` attribute types;
 - the subclass map and a deterministic MRO walk over locally-defined
   classes.
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.config import AnalysisConfig
+from repro.analysis.config import NODE_ROOT, AnalysisConfig
 
 if TYPE_CHECKING:  # the engine builds the model, so it imports this module
     from repro.analysis.engine import FileContext
@@ -88,7 +88,7 @@ class ClassInfo:
     """One class definition with resolved bases and inferred attr types."""
 
     __slots__ = ("qualname", "name", "rel", "node", "module", "bases",
-                 "methods", "kind", "attr_class_types", "lineno")
+                 "methods", "kind", "proof", "attr_class_types", "lineno")
 
     def __init__(self, qualname: str, name: str, node: ast.ClassDef,
                  module: "ModuleInfo"):
@@ -100,6 +100,7 @@ class ClassInfo:
         self.bases: Tuple[str, ...] = ()        # resolved after load
         self.methods: Dict[str, FunctionInfo] = {}
         self.kind: Optional[str] = None         # `kind = "..."` class attr
+        self.proof: Optional[str] = None    # `contract = Contract(_, MAC)`
         #: self.attr -> sorted tuple of class dotted names ever assigned
         #: via ``self.attr = Cls(...)`` in any method of this class.
         self.attr_class_types: Dict[str, Tuple[str, ...]] = {}
@@ -279,6 +280,17 @@ class Project:
                 out.append(cls)
         return out
 
+    def handled_kind(self, info: FunctionInfo, kinds) -> Optional[str]:
+        """The kind a method handles: as ``handle_<kind>`` on a protocol
+        node, or ``on_<kind>`` for a kind in ``kinds`` (a replica hands
+        those to the manager that runs that part of the protocol)."""
+        prefix, _, kind = info.name.partition("_")
+        if info.cls is not None and (prefix == "on" and kind in kinds or (
+                prefix == "handle"
+                and self.is_subclass(info.cls.qualname, NODE_ROOT))):
+            return kind
+        return None
+
 
 def _decorator_is_op(dec: ast.AST) -> bool:
     """True for ``@op`` / ``@op(...)`` / ``@kernel.op(...)`` — the
@@ -372,6 +384,9 @@ def _scan_module(project: Project, module: ModuleInfo) -> None:
                 if name == "kind" and isinstance(stmt.value, ast.Constant) \
                         and isinstance(stmt.value.value, str):
                     cls.kind = stmt.value.value
+                elif name == "contract" and isinstance(stmt.value, ast.Call) \
+                        and len(stmt.value.args) > 1:
+                    cls.proof = ast.unparse(stmt.value.args[1])
 
     def walk_body(body, prefix: str, cls: Optional[ClassInfo]) -> None:
         """Register nested defs/classes under ``prefix`` (no dispatch

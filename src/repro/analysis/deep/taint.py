@@ -178,10 +178,11 @@ class TaintPass:
             cls.qualname for cls in self.project.classes.values()
             if cls.qualname != MESSAGE_ROOT
             and self.project.is_subclass(cls.qualname, MESSAGE_ROOT))
+        kinds = {c.kind for c in self.project.message_classes(MESSAGE_ROOT)}
         reach: Set[str] = set()
         for qualname in sorted(self.project.functions):
             info = self.project.functions[qualname]
-            if info.cls is not None and info.name.startswith("handle_"):
+            if self.project.handled_kind(info, kinds) is not None:
                 reach.update(self.graph.reachable(qualname))
         self._handler_reachable = frozenset(reach)
         for qualname in sorted(self.project.classes):

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.bft.config import BftConfig
 from repro.bft.costs import CostModel, ZERO_COSTS
-from repro.bft.messages import Reply, Request
+from repro.bft.messages import Reply, Request, verify_auth
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.mac import Authenticator
@@ -262,21 +262,12 @@ class BftClient(Node):
         call = self._pending
         if call is None or reply.request_id != call.request.request_id:
             return
-        if src != reply.replica_id or src not in self._replicas:
-            return
-        # An unauthenticated reply proves nothing about its sender: any
-        # network party could have forged it, so it must not contribute a
-        # quorum vote (f+1 counts only hold if every vote is from a
-        # distinct authenticated replica).
-        auth = reply.auth
-        if auth is None or auth.sender != src:
-            return
-        size = reply.body_size
-        if size is None:
-            size = len(reply.body())
-        self.charge(self.costs.auth_verify(size))
-        if not auth.verify(self.registry, self.node_id,
-                           reply.sealed_digest or reply.digest()):
+        # One vote per replica, and only the replica's own: the reply must
+        # carry an authenticator it made for us.  An unauthenticated reply
+        # proves nothing about its sender (f+1 counts only hold if every
+        # vote is from a distinct authenticated replica).
+        voter = reply.replica_id
+        if voter not in self._replicas or not verify_auth(self, voter, reply):
             return
         if reply.result is not None:
             if digest(reply.result) != reply.result_digest:
@@ -294,7 +285,7 @@ class BftClient(Node):
             votes = call.tentative_votes
         else:
             votes = call.votes
-        votes.setdefault(reply.result_digest, set()).add(src)
+        votes.setdefault(reply.result_digest, set()).add(voter)
         self._check_accept()
 
     def _check_accept(self) -> None:

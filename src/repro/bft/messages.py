@@ -25,7 +25,7 @@ no call at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.crypto.digest import digest as sha_digest
 from repro.crypto.signatures import SIGNATURE_SIZE
@@ -34,11 +34,48 @@ from repro.encoding.canonical import (
 
 NULL_CLIENT = "__null__"
 
+# A contract's proof is one of a closed set: none, for contents that
+# verify themselves; the principal being a group member (no crypto); a
+# MAC authenticator the principal made; the principal's signature.
+OPEN, MEMBER, MAC, SIG = PROOFS = ("open", "member", "mac", "signature")
+PRIMARY = "the primary of view"          # a principal no field names
+CURRENT, LATER = "our view", "a later view"
+
+
+class Contract(NamedTuple):
+    """Who may send a kind a replica receives, and how it is proven;
+    ``Replica.on_message`` enforces it before dispatch.  ``principal``
+    is the field naming the sender (a ``replica_id`` must be a group
+    member), ``PRIMARY``, or None when the proof is ``OPEN``; the
+    transport source must be it unless ``relayed``; a ``view`` rule is
+    screened before any proof is charged."""
+
+    principal: Optional[str]
+    proof: str
+    relayed: bool = False
+    view: Optional[str] = None      # CURRENT or LATER
+
+
+def verify_auth(node, principal: str, msg: "Message") -> bool:
+    """The one MAC check, at replicas, clients and edge nodes: ``msg``
+    carries an authenticator ``principal`` made with a valid tag for
+    ``node``.  A missing or another's is refused free; a tag is charged."""
+    auth = msg.auth
+    if auth is None or auth.sender != principal:
+        return False
+    size = msg.body_size
+    if size is None:
+        size = len(msg.body())
+    node.charge(node.costs.auth_verify(size))
+    return auth.verify(node.registry, node.node_id,
+                       msg.sealed_digest or msg.digest())
+
 
 class Message:
     """Base for protocol messages.  A kind is declared once: a ``kind``
-    literal and ``__slots__ = {field: type}`` in wire order, plus its own
-    ``_fields()`` only when what it sends is not what it holds.  So
+    literal, ``__slots__ = {field: type}`` in wire order, a ``contract``
+    if replicas receive it, and its own ``_fields()`` only when what it
+    sends is not what it holds.  So
     ``cls.__slots__`` over ``Message.__subclasses__()`` is the catalogue
     of what every kind carries (docs/PROTOCOL.md, "Wire messages")."""
 
@@ -120,6 +157,7 @@ class Request(Message):
     kind = "request"
     __slots__ = {"client_id": str, "request_id": int, "op": bytes,
                  "read_only": bool}
+    contract = Contract("client_id", MAC, relayed=True)   # backups relay it
     _defaults = (False,)
 
     @classmethod
@@ -163,6 +201,7 @@ class PrePrepare(Message):
     __slots__ = {"view": int, "seq": int,
                  "requests": tuple,     # of Request
                  "nondet": bytes}
+    contract = Contract(PRIMARY, MAC, view=CURRENT)
 
     def _fields(self) -> tuple:
         return (self.view, self.seq,
@@ -181,12 +220,14 @@ class Prepare(Message):
     kind = "prepare"
     __slots__ = {"view": int, "seq": int, "batch_digest": bytes,
                  "replica_id": str}
+    contract = Contract("replica_id", MAC, view=CURRENT)
 
 
 class Commit(Message):
     kind = "commit"
     __slots__ = {"view": int, "seq": int, "batch_digest": bytes,
                  "replica_id": str}
+    contract = Contract("replica_id", MAC, view=CURRENT)
 
 
 class CheckpointMsg(Message):
@@ -201,6 +242,7 @@ class CheckpointMsg(Message):
     kind = "checkpoint"
     __slots__ = {"seq": int, "root_digest": bytes, "table_digest": bytes,
                  "replica_id": str}
+    contract = Contract("replica_id", SIG)
 
 
 @dataclass(frozen=True)
@@ -227,6 +269,7 @@ class ViewChange(Message):
                  "checkpoint_proof": tuple,     # of CheckpointMsg
                  "prepared": tuple,             # of PreparedProof
                  "replica_id": str}
+    contract = Contract("replica_id", SIG, view=LATER)
 
     def _fields(self) -> tuple:
         return (self.view, self.last_stable,
@@ -262,6 +305,8 @@ class NewView(Message):
                  "view_changes": tuple,     # of ViewChange
                  "pre_prepares": tuple,     # of PrePrepare
                  "replica_id": str}
+    # CERT-REPLY forwards it: the primary's signature is the proof.
+    contract = Contract(PRIMARY, SIG, relayed=True, view=LATER)
 
     def _fields(self) -> tuple:
         return (self.view,
@@ -283,6 +328,7 @@ class FetchCert(Message):
 
     kind = "fetch_cert"
     __slots__ = {"replica_id": str, "nonce": int}
+    contract = Contract("replica_id", MEMBER)   # the answer holds a NEW-VIEW
 
 
 class CertReply(Message):
@@ -294,6 +340,8 @@ class CertReply(Message):
     __slots__ = {"replica_id": str, "nonce": int,
                  "cert": tuple,     # of CheckpointMsg
                  "new_view": NewView}
+    # An empty ``cert`` proves nothing, and recovery counts who sent one.
+    contract = Contract("replica_id", MEMBER)
     _defaults = (None,)
 
     def _fields(self) -> tuple:
@@ -315,22 +363,26 @@ class FetchMeta(Message):
 
     kind = "fetch_meta"
     __slots__ = {"replica_id": str, "seq": int, "level": int, "index": int}
+    contract = Contract("replica_id", MEMBER)
 
 
 class MetaReply(Message):
     kind = "meta_reply"
     __slots__ = {"replica_id": str, "seq": int, "level": int, "index": int,
                  "children": tuple}     # of (digest, last_modified_checkpoint)
+    contract = Contract(None, OPEN)
 
 
 class FetchObject(Message):
     kind = "fetch_object"
     __slots__ = {"replica_id": str, "seq": int, "index": int}
+    contract = Contract("replica_id", MEMBER)
 
 
 class ObjectReply(Message):
     kind = "object_reply"
     __slots__ = {"replica_id": str, "seq": int, "index": int, "value": bytes}
+    contract = Contract(None, OPEN)
 
 
 class FetchTable(Message):
@@ -338,11 +390,13 @@ class FetchTable(Message):
 
     kind = "fetch_table"
     __slots__ = {"replica_id": str, "seq": int}
+    contract = Contract("replica_id", MEMBER)
 
 
 class TableReply(Message):
     kind = "table_reply"
     __slots__ = {"replica_id": str, "seq": int, "blob": bytes}
+    contract = Contract(None, OPEN)
 
 
 class RecoveryRequest(Message):
@@ -351,6 +405,7 @@ class RecoveryRequest(Message):
 
     kind = "recovery_request"
     __slots__ = {"replica_id": str, "epoch": int}
+    contract = Contract("replica_id", SIG)
 
 
 # -- edge tier (bounded-staleness reads) ------------------------------------
@@ -362,6 +417,7 @@ class EdgeRead(Message):
 
     kind = "edge_read"
     __slots__ = {"edge_id": str, "nonce": int, "op": bytes}
+    contract = Contract("edge_id", MAC)
 
 
 class EdgeReadReply(Message):

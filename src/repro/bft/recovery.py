@@ -190,7 +190,4 @@ class RecoveryManager:
         """A peer announced recovery: reply with our stable checkpoint cert
         (the transfer manager handles the actual FETCH-CERT exchange, so
         here we simply note the event for diagnostics)."""
-        r = self.replica
-        if src != msg.replica_id or not r.verify_sig(src, msg):
-            return
-        r.trace("peer_recovering", peer=src, epoch=msg.epoch)
+        self.replica.trace("peer_recovering", peer=src, epoch=msg.epoch)

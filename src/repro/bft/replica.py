@@ -30,7 +30,12 @@ from repro.bft.costs import CostModel, ZERO_COSTS
 from repro.bft.faults import HONEST, Behavior
 from repro.bft.log import MessageLog
 from repro.bft.messages import (
+    CURRENT,
+    LATER,
+    MAC,
     NULL_CLIENT,
+    PRIMARY,
+    SIG,
     CheckpointMsg,
     Commit,
     EdgeRead,
@@ -40,6 +45,7 @@ from repro.bft.messages import (
     Prepare,
     Reply,
     Request,
+    verify_auth,
 )
 from repro.bft.recovery import RecoveryManager
 from repro.bft.statemachine import StateManager
@@ -77,6 +83,7 @@ class Replica(Node):
         # message, so derived from the config once.
         self.other_replicas: Tuple[str, ...] = tuple(
             r for r in config.replica_ids if r != replica_id)
+        self._members = frozenset(config.replica_ids)
         self._index = config.replica_index(replica_id)
         self._quorum = config.quorum
         # The pre-prepare stands in for the primary's prepare, so a
@@ -143,6 +150,16 @@ class Replica(Node):
         self.view_changes = ViewChangeManager(self)
         self.transfer = StateTransferManager(self)
         self.recovery = RecoveryManager(self)
+        # kind -> (handler, *contract), for every kind a replica receives:
+        # its own handle_<kind> or on_<kind> of the manager that runs that
+        # part of the protocol.  on_message enforces the contract first.
+        self._handlers = {}
+        for cls in Message.__subclasses__():
+            for owner, name in ((self, "handle_"), (self.view_changes, "on_"),
+                                (self.transfer, "on_"), (self.recovery, "on_")):
+                handler = getattr(owner, name + cls.kind, None)
+                if handler is not None:
+                    self._handlers[cls.kind] = (handler, *cls.contract)
         self.vc_timer = self.make_timer(config.view_change_timeout,
                                         self._on_vc_timeout)
         # Retransmission of the latest checkpoint message until it (or a
@@ -238,17 +255,6 @@ class Replica(Node):
         self.charge(self.costs.auth_create(1, msg.body_size))
         return msg
 
-    def verify_auth(self, src, msg: Message) -> bool:
-        size = msg.body_size
-        if size is None:
-            size = len(msg.body())
-        self.charge(self.costs.auth_verify(size))
-        auth = msg.auth
-        if auth is None or auth.sender != src:
-            return False
-        return auth.verify(self.registry, self.node_id,
-                           msg.sealed_digest or msg.digest())
-
     def sign_msg(self, msg: Message) -> Message:
         msg.sig = sign(self.registry, self.node_id, msg.body())
         self.charge(self.costs.signature)
@@ -277,9 +283,14 @@ class Replica(Node):
     def trace(self, kind: str, **detail) -> None:
         self.tracer.record(self.scheduler._now, self.node_id, kind, detail)
 
-    # -- message gating --------------------------------------------------------------
+    # -- the gate: every delivery passes its kind's contract ---------------------
 
     def on_message(self, src, msg):
+        """Enforce the kind's wire contract (``contract`` in
+        :mod:`repro.bft.messages`), then dispatch.  The free checks and the
+        view screen come first, so a message for another view is stashed
+        or dropped unverified (docs/PERFORMANCE.md, "Rules for hot-path
+        work")."""
         if self._crashed or self.recovery.rebooting:
             # Crashed, or fully offline through shutdown + reboot.
             return
@@ -288,24 +299,37 @@ class Replica(Node):
         # digest-verified by the fetcher, so a possibly-corrupt donor
         # cannot do harm); only *execution* waits for the state check —
         # see the guards in try_execute and the read-only path.
-        handler = self._handlers.get(getattr(msg, "kind", None))
-        if handler:
-            handler(src, msg)
-        else:
-            # First message of its kind (resolves and caches the
-            # handler) or one nobody handles.
-            super().on_message(src, msg)
+        entry = self._handlers.get(getattr(msg, "kind", None))
+        if entry is None:
+            return
+        handler, field, proof, relayed, view = entry
+        if field is not None:
+            principal = (self.config.primary_of(msg.view) if field is PRIMARY
+                         else getattr(msg, field))
+            if (not relayed and src != principal or field == "replica_id"
+                    and principal not in self._members):
+                return
+        if view is CURRENT:
+            if msg.view != self.view:
+                if msg.view > self.view:
+                    self._stash_future(src, msg)
+                return
+        elif view is LATER and msg.view <= self.view:
+            if msg.kind == "view_change":
+                self.view_changes.resend_new_view(src, msg.view)
+            return
+        if proof is MAC:
+            if not verify_auth(self, principal, msg):
+                if msg.kind == "request":
+                    self.trace("bad_request_auth", client=principal)
+                return
+        elif proof is SIG and not self.verify_sig(principal, msg):
+            return
+        handler(src, msg)
 
     # -- client requests -----------------------------------------------------------
 
     def handle_request(self, src, req: Request) -> None:
-        # Requests are authenticated by their *client*, not the transport
-        # source — backups relay client requests to the primary verbatim.
-        # A request with no authenticator at all proves nothing about
-        # who sent it and is rejected like one with a bad tag.
-        if not self.verify_auth(req.client_id, req):
-            self.trace("bad_request_auth", client=req.client_id)
-            return
         last = self.client_table.get(req.client_id)
         if last is not None and req.request_id <= last[0]:
             if req.request_id == last[0]:
@@ -378,8 +402,6 @@ class Replica(Node):
         forge evidence; a Byzantine replica can still lie, which is
         exactly the trust the staleness contract advertises.
         """
-        if src != msg.edge_id or not self.verify_auth(src, msg):
-            return
         if self.recovery.recovering or self.transfer.active:
             # Unchecked state must not anchor staleness evidence.
             return
@@ -502,20 +524,18 @@ class Replica(Node):
 
     # -- three-phase protocol ---------------------------------------------------------
 
-    def _stash_future(self, src, msg) -> bool:
+    def _stash_future(self, src, msg) -> None:
         """Buffer a message from a view we have not entered yet, and
         note that its sender operates there: a replica that was down
-        for a view change is told of it by nobody else.  Callers have
-        checked ``msg.view > self.view``."""
+        for a view change is told of it by nobody else.  The gate has
+        checked ``msg.view > self.view`` and that ``src`` is the
+        message's principal and a group member."""
         if (msg.view > self._peer_views.get(src, 0)
-                and src in self.other_replicas
-                and self.verify_auth(src, msg)):
+                and verify_auth(self, src, msg)):
             self._peer_views[src] = msg.view
         self._solicit_missed_view()
         if len(self._future_view_msgs) < 512:
             self._future_view_msgs.append((src, msg))
-            return True
-        return False
 
     def _solicit_missed_view(self) -> None:
         """With f+1 peers above our view, one correct replica entered a
@@ -538,12 +558,6 @@ class Replica(Node):
                 self.on_message(src, msg)
 
     def handle_pre_prepare(self, src, pp: PrePrepare) -> None:
-        if pp.view > self.view and self._stash_future(src, pp):
-            return
-        if src != self.primary_id or pp.view != self.view:
-            return
-        if not self.verify_auth(src, pp):
-            return
         low = self.last_stable
         if not (low < pp.seq <= low + self._log_window):
             return
@@ -577,14 +591,8 @@ class Replica(Node):
         self._check_prepared(slot)
 
     def handle_prepare(self, src, prep: Prepare) -> None:
-        if prep.view > self.view and self._stash_future(src, prep):
-            return
-        if prep.view != self.view or src != prep.replica_id:
-            return
-        if src == self.config.primary_of(prep.view):
+        if prep.replica_id == self.primary_id:
             return  # the primary's pre-prepare is its prepare
-        if not self.verify_auth(src, prep):
-            return
         low = self.last_stable
         if not (low < prep.seq <= low + self._log_window):
             return
@@ -622,12 +630,6 @@ class Replica(Node):
                 self.try_execute()
 
     def handle_commit(self, src, com: Commit) -> None:
-        if com.view > self.view and self._stash_future(src, com):
-            return
-        if com.view != self.view or src != com.replica_id:
-            return
-        if not self.verify_auth(src, com):
-            return
         low = self.last_stable
         if not (low < com.seq <= low + self._log_window):
             return
@@ -826,8 +828,6 @@ class Replica(Node):
             self._ckpt_retry_timer.restart()
 
     def handle_checkpoint(self, src, msg: CheckpointMsg) -> None:
-        if src != msg.replica_id or not self.verify_sig(src, msg):
-            return
         if msg.seq <= self.last_stable:
             return
         self._record_checkpoint_msg(src, msg)
@@ -960,47 +960,10 @@ class Replica(Node):
             self._latest_checkpoint_msg = None
             self._ckpt_retry_timer.stop()
 
-    # -- view changes (delegated) --------------------------------------------------------
+    # -- view changes ---------------------------------------------------------------------
 
     def _on_vc_timeout(self) -> None:
         if self.recovery.recovering or self.transfer.active:
             return
         self.trace("vc_timeout", view=self.view)
         self.view_changes.start(self.view + 1)
-
-    def handle_view_change(self, src, msg) -> None:
-        self.view_changes.on_view_change(src, msg)
-
-    def handle_new_view(self, src, msg) -> None:
-        self.view_changes.on_new_view(src, msg)
-
-    # -- state transfer (delegated) ---------------------------------------------------------
-
-    def handle_fetch_cert(self, src, msg) -> None:
-        self.transfer.on_fetch_cert(src, msg)
-
-    def handle_cert_reply(self, src, msg) -> None:
-        self.transfer.on_cert_reply(src, msg)
-
-    def handle_fetch_meta(self, src, msg) -> None:
-        self.transfer.on_fetch_meta(src, msg)
-
-    def handle_meta_reply(self, src, msg) -> None:
-        self.transfer.on_meta_reply(src, msg)
-
-    def handle_fetch_object(self, src, msg) -> None:
-        self.transfer.on_fetch_object(src, msg)
-
-    def handle_object_reply(self, src, msg) -> None:
-        self.transfer.on_object_reply(src, msg)
-
-    def handle_fetch_table(self, src, msg) -> None:
-        self.transfer.on_fetch_table(src, msg)
-
-    def handle_table_reply(self, src, msg) -> None:
-        self.transfer.on_table_reply(src, msg)
-
-    # -- recovery (delegated) -------------------------------------------------------------------
-
-    def handle_recovery_request(self, src, msg) -> None:
-        self.recovery.on_recovery_request(src, msg)

@@ -157,8 +157,6 @@ class StateTransferManager:
 
     def on_fetch_cert(self, src, msg: FetchCert) -> None:
         r = self.replica
-        if src != msg.replica_id or src not in r.config.replica_ids:
-            return  # the reply can be a whole NEW-VIEW: members only
         r.charge(r.costs.digest(64 * len(r.stable_cert)))
         reply = CertReply(r.node_id, msg.nonce, r.stable_cert,
                           new_view=r.view_changes.last_new_view)
@@ -171,9 +169,10 @@ class StateTransferManager:
         if msg.nonce != self._cert_nonce:
             return  # not an answer to our latest solicitation
         recovering = r.recovery.recovering
-        if msg.new_view is not None and msg.new_view.view > r.view:
-            # Catch up to the current view (self-validating NEW-VIEW).
-            r.view_changes.on_new_view(src, msg.new_view)
+        if msg.new_view is not None:
+            # Catch up to the current view: the forwarded NEW-VIEW passes
+            # the gate as one its primary sent would.
+            r.on_message(src, msg.new_view)
         if not msg.cert:
             r.recovery.note_empty_cert(src)
             return

@@ -99,21 +99,18 @@ class ViewChangeManager:
 
     # -- receiving view-changes ---------------------------------------------------
 
+    def resend_new_view(self, src: str, view: int) -> None:
+        """``src`` asks for ``view``, which we entered: it missed the
+        NEW-VIEW, and PBFT resends it.  Once per sender and view, so it is
+        no amplifier, and before any signature check (the gate's)."""
+        nv = self.last_new_view
+        if nv is not None and nv.view >= view \
+                and self._answered.get(src, -1) < nv.view:
+            self._answered[src] = nv.view
+            self.replica.send(src, nv)
+
     def on_view_change(self, src: str, msg: ViewChange) -> None:
         r = self.replica
-        if src != msg.replica_id or src not in r.config.replica_ids:
-            return
-        if msg.view <= r.view:
-            # It missed the NEW-VIEW for a view we entered: PBFT resends it.
-            # Once per sender and view, so it is no amplifier.
-            nv = self.last_new_view
-            if nv is not None and nv.view >= msg.view \
-                    and self._answered.get(src, -1) < nv.view:
-                self._answered[src] = nv.view
-                r.send(src, nv)
-            return
-        if not r.verify_sig(src, msg):
-            return
         if not self._valid_view_change(msg):
             return
         by_replica = self.received.setdefault(msg.view, {})
@@ -135,9 +132,14 @@ class ViewChangeManager:
 
     def _valid_view_change(self, msg: ViewChange,
                            summarized: bool = False) -> bool:
-        """Check the embedded checkpoint proof and prepared certificates
-        (summaries, in a NEW-VIEW; pre-prepares, sent to us directly)."""
+        """Check the embedded checkpoint proof and prepared certificates:
+        pre-prepares, in one sent to us (the gate checked its sender);
+        summaries, in one a NEW-VIEW embeds, whose signer is checked here
+        as the gate checks a sender: a group member, its signature."""
         r = self.replica
+        if summarized and (msg.replica_id not in r.config.replica_ids
+                           or not r.verify_sig(msg.replica_id, msg)):
+            return False
         if msg.last_stable > 0:
             if not msg.checkpoint_proof:
                 return False
@@ -227,23 +229,15 @@ class ViewChangeManager:
     # -- backups: accepting NEW-VIEW -------------------------------------------------
 
     def on_new_view(self, src: str, msg: NewView) -> None:
-        """Accept a NEW-VIEW.  The message is validated against the
-        signature of the claimed new primary, not the transport source —
-        NEW-VIEWs are self-validating and may be *forwarded* (a peer
-        relays its stored copy to a recovering replica)."""
+        """Accept a NEW-VIEW for a view above ours, signed by its primary
+        (the gate checked both, not the transport source: a peer forwards
+        its stored copy in a CERT-REPLY), if its contents certify it."""
         r = self.replica
-        if r.config.primary_of(msg.view) != msg.replica_id:
-            return
-        if msg.view <= r.view:
-            return
-        if not r.verify_sig(msg.replica_id, msg):
-            return
         if len({vc.replica_id for vc in msg.view_changes}) < r.config.quorum:
             return
         for vc in msg.view_changes:
-            if vc.view != msg.view or not r.verify_sig(vc.replica_id, vc):
-                return
-            if not self._valid_view_change(vc, summarized=True):
+            if vc.view != msg.view \
+                    or not self._valid_view_change(vc, summarized=True):
                 return
         if not self._reproposes_certified(msg):
             r.trace("new_view_rejected", view=msg.view)

@@ -38,7 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.bft.client import BftClient
 from repro.bft.config import BftConfig
 from repro.bft.costs import CostModel, ZERO_COSTS
-from repro.bft.messages import EdgeRead, EdgeReadReply
+from repro.bft.messages import EdgeRead, EdgeReadReply, verify_auth
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.mac import Authenticator
@@ -99,13 +99,8 @@ class _EdgeNode(Node):
         box = self._boxes.get(reply.nonce)
         if box is None or "reply" in box:
             return
-        if src != reply.replica_id or reply.edge_id != self.node_id:
-            return
-        auth = reply.auth
-        if auth is None or auth.sender != src:
-            return
-        self.charge(self.costs.auth_verify(len(reply.body())))
-        if not auth.verify(self.registry, self.node_id, reply.digest()):
+        if reply.edge_id != self.node_id \
+                or not verify_auth(self, reply.replica_id, reply):
             return
         if digest(reply.result) != reply.result_digest:
             return

@@ -31,6 +31,7 @@ CASES = {
     "handler_ok": ("DEEP-HANDLER", 0),
     "cost_bad_1": ("DEEP-COST", 1),
     "cost_bad_2": ("DEEP-COST", 1),
+    "cost_bad_contract": ("DEEP-COST", 2),
     "cost_ok": ("DEEP-COST", 0),
     "quorum_bad_1": ("DEEP-QUORUM", 2),
     "quorum_bad_2": ("DEEP-QUORUM", 2),
@@ -113,6 +114,15 @@ def test_handler_orphan_is_a_warning():
     assert by_severity == {"error", "warning"}
     orphan = [f for f in findings if f.severity == "warning"]
     assert "handle_zap" in orphan[0].message
+
+
+def test_cost_rule_reads_the_wire_contract():
+    """A kind whose contract names a MAC or a signature is charged by the
+    replica's gate, so its uncharged handler passes; a member-only or
+    open kind's is flagged, on a node or as a manager's ``on_<kind>``."""
+    flagged = sorted(f.message.split()[2]
+                     for f in of_rule(deep("cost_bad_contract"), "DEEP-COST"))
+    assert flagged == ["PeekManager.on_peek", "Replica.handle_pong"]
 
 
 def test_state_sink_reported_through_handler():

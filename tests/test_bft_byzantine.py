@@ -6,9 +6,17 @@ from repro.bft.faults import (
     UnauthReplyBehavior,
     WrongReplyBehavior,
 )
-from repro.bft.messages import Request
+from repro.bft.messages import (
+    CheckpointMsg,
+    Commit,
+    FetchMeta,
+    FetchObject,
+    FetchTable,
+    Prepare,
+    Request,
+)
 from repro.bft.statemachine import InMemoryStateManager
-from repro.crypto import Authenticator
+from repro.crypto import Authenticator, sign
 from tests.conftest import make_kv_cluster
 
 put = InMemoryStateManager.op_put
@@ -154,3 +162,96 @@ def test_request_without_authenticator_is_never_ordered():
                for _, dst, kind in wire) == 4
     for r in cluster.replicas:
         assert r.state.values[0] == b"mine"
+
+
+# -- the wire contract: a client is not a replica --------------------------------
+
+
+def _cast_by(cluster, client_id, msg):
+    """``msg`` authenticated by ``client_id`` as its kind's principal
+    would be: a MAC authenticator for every replica, or a signature."""
+    if msg.kind == "checkpoint":
+        msg.sig = sign(cluster.registry, client_id, msg.body())
+    else:
+        msg.auth = Authenticator.create(cluster.registry, client_id,
+                                        cluster.config.replica_ids,
+                                        msg.digest())
+    return msg
+
+
+def test_a_clients_votes_never_enter_a_vote_set():
+    """An enrolled client can MAC and sign under its own name, so a
+    PREPARE, COMMIT or CHECKPOINT naming it as ``replica_id`` has a
+    valid proof: only membership refuses it.  Without that, a backup
+    cut off from the other backups' PREPAREs prepared on its own PREPARE
+    plus one client's."""
+    cluster = make_kv_cluster()
+    client = cluster.add_client("client0")
+    cluster.add_client("mallory")
+    victim = cluster.replicas[3]
+    cluster.network.add_filter(lambda src, dst, msg: not (
+        dst == victim.node_id and getattr(msg, "kind", "") == "prepare"
+        and src in cluster.config.replica_ids))
+    assert client.call(put(0, b"x")) == b"ok"
+    slot = victim.log.get(1)
+    assert slot.matching_prepares() == 1 and not slot.prepared
+
+    digest = slot.pre_prepare.batch_digest()
+    for msg in (Prepare(0, 1, digest, "mallory"),
+                Commit(0, 1, digest, "mallory"),
+                CheckpointMsg(4, b"r" * 32, b"t" * 32, "mallory")):
+        for r in cluster.replicas:
+            cluster.network.send("mallory", r.node_id,
+                                 _cast_by(cluster, "mallory", msg))
+    cluster.run(0.1)
+    assert not slot.prepared and slot.matching_prepares() == 1
+    for r in cluster.replicas:
+        assert all("mallory" not in s.prepares and "mallory" not in s.commits
+                   for s in map(r.log.get, r.log.seqs()))
+        assert all("mallory" not in votes
+                   for votes in r.checkpoint_msgs.values())
+
+
+def test_a_clients_prepare_is_refused_as_the_first_message_of_its_kind():
+    """The first delivery of a kind to a fresh replica passes the same
+    gate as every later one: no path dispatches around it."""
+    cluster = make_kv_cluster()
+    cluster.add_client("mallory")
+    victim = cluster.replicas[1]
+    own = _cast_by(cluster, "mallory", Prepare(0, 1, b"d" * 32, "mallory"))
+    cluster.network.send("mallory", victim.node_id, own)
+    cluster.run(0.1)
+    assert victim.log.get(1) is None and len(victim.log) == 0
+
+
+def test_state_fetches_are_answered_to_group_members_only():
+    """FETCH-META, FETCH-OBJECT and FETCH-TABLE read the abstract state
+    and the reply cache: a client, under its own name or a replica's,
+    gets nothing; a replica asking for itself gets each answer."""
+    cluster = make_kv_cluster()
+    cluster.add_client("mallory")
+    donor = cluster.replicas[0]
+    answers = []
+
+    def watch(src, dst, msg):
+        if src == donor.node_id:
+            answers.append((dst, msg.kind))
+        return True
+
+    cluster.network.add_filter(watch)
+
+    def fetches(asker):
+        return (FetchMeta(asker, 0, 0, 0), FetchObject(asker, 0, 0),
+                FetchTable(asker, 0))
+
+    for asker in ("mallory", "replica1"):
+        for msg in fetches(asker):
+            cluster.network.send("mallory", donor.node_id, msg)
+    cluster.run(0.1)
+    assert answers == []
+    for msg in fetches("replica1"):
+        cluster.network.send("replica1", donor.node_id, msg)
+    cluster.run(0.1)
+    assert sorted(answers) == [("replica1", "meta_reply"),
+                               ("replica1", "object_reply"),
+                               ("replica1", "table_reply")]

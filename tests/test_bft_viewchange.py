@@ -289,16 +289,22 @@ def test_a_new_view_whose_reproposals_differ_is_rejected():
 def test_a_stale_view_change_is_answered_once_per_sender_and_view(
         monkeypatch):
     """A replica that missed the NEW-VIEW gets it resent when its
-    VIEW-CHANGE arrives, but repeating that VIEW-CHANGE buys nothing more."""
+    VIEW-CHANGE arrives, but repeating that VIEW-CHANGE buys nothing more,
+    and none of them costs the answerer a signature check."""
+    from repro.bft.costs import CostModel
     cluster, lagger, nv = _view_change_without_new_views_to(3)
     answerer = cluster.replicas[2]
+    answerer.costs = CostModel(signature=1e-3)
     resent = []
     monkeypatch.setattr(answerer, "send",
                         lambda dst, msg, size=None: resent.append((dst, msg)))
     stale = lagger.view_changes.received[1][lagger.node_id]
+    answerer.verified_sigs.clear()          # nothing remembered: all paid
+    before = answerer.busy_until
     for _ in range(5):
         answerer.on_message(lagger.node_id, stale)
     assert resent == [(lagger.node_id, nv)]
+    assert answerer.busy_until == before and not answerer.verified_sigs
 
 
 def test_a_new_view_forwarded_in_a_cert_reply_brings_a_lagger_in():

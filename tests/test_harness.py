@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import all_rules
+from repro.bft import messages
 from repro.bft.messages import Message
 from repro.harness.complexity import (
     complexity_report,
@@ -191,7 +192,8 @@ def test_each_replica_state_transition_is_written_once():
 
 
 def test_a_message_kind_is_one_declaration():
-    """``kind`` and ``__slots__ = {field: type}`` are all a kind writes
+    """``kind``, ``__slots__ = {field: type}`` and, for a kind a replica
+    receives, its ``contract`` are all a kind writes
     (``Message.__init_subclass__`` derives the rest); only the kinds that
     send digests of what they hold write ``_fields()`` themselves."""
     path = Path(__file__).resolve().parents[1] / "src/repro/bft/messages.py"
@@ -209,21 +211,107 @@ def test_a_message_kind_is_one_declaration():
     for node in kinds:
         attrs = {stmt.targets[0].id: stmt.value for stmt in node.body
                  if isinstance(stmt, ast.Assign)}
+        assert set(attrs) <= {"kind", "__slots__", "contract", "_defaults"}
         assert isinstance(attrs.get("kind"), ast.Constant) \
             and isinstance(attrs["kind"].value, str), node.name
         assert isinstance(attrs.get("__slots__"), ast.Dict), node.name
     assert [node.lineno for node in ast.walk(tree)
             if "record" in (getattr(node, "name", None),
                             getattr(node, "id", None))] == []
+    # The kinds a replica dispatches are exactly those with a contract,
+    # and each states one from the closed set: a principal the kind can
+    # name (a field, or the primary of its view), none exactly when the
+    # contents verify themselves, a view rule only where there is a view.
+    declared = {cls: vars(cls)["contract"] for cls in Message.__subclasses__()
+                if "contract" in vars(cls)}
+    assert set(build_kv_cluster().replicas[0]._handlers) \
+        == {cls.kind for cls in declared}
+    for cls, contract in declared.items():
+        assert contract.proof in messages.PROOFS, cls.kind
+        assert (contract.principal is None) == (contract.proof
+                                                == messages.OPEN), cls.kind
+        assert contract.principal in (None, messages.PRIMARY) \
+            or contract.principal in cls.__slots__, cls.kind
+        assert contract.view in (None, messages.CURRENT, messages.LATER)
+        assert contract.view is None or "view" in cls.__slots__, cls.kind
+
+
+def _functions(top):
+    """``(file:Class.function, node)`` of every def under ``src/repro/top``."""
+    root = Path(__file__).resolve().parents[1] / "src/repro"
+
+    def walk(node, path, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + [node.name]
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path}:{'.'.join(scope)}", node
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, path, scope)
+
+    for path in sorted((root / top).rglob("*.py")):
+        yield from walk(ast.parse(path.read_text(encoding="utf-8")),
+                        path.relative_to(root).as_posix(), [])
+
+
+def test_only_the_gate_authenticates_what_a_replica_receives():
+    """``verify_auth`` and ``verify_sig`` are called by the gate
+    (``Replica.on_message``), the future-view stash, the two certificate
+    checks, and the client's and the edge's reply checks; and no handler
+    under ``src/repro/bft`` but the gate checks its sender."""
+    callers = sorted({where for where, fn in _functions("")
+                      for node in ast.walk(fn) if isinstance(node, ast.Call)
+                      and ast.unparse(node.func).split(".")[-1]
+                      in ("verify_auth", "verify_sig")})
+    assert callers == [
+        "bft/client.py:BftClient.handle_reply",
+        "bft/replica.py:Replica._stash_future",
+        "bft/replica.py:Replica.on_message",
+        "bft/replica.py:Replica.valid_checkpoint_cert",
+        "bft/viewchange.py:ViewChangeManager._valid_view_change",
+        "edge/tier.py:_EdgeNode.handle_edge_read_reply"]
+    assert [(where, ast.unparse(node)) for where, fn in _functions("bft")
+            if fn.name.startswith(("handle_", "on_"))
+            and where != "bft/replica.py:Replica.on_message"
+            for node in ast.walk(fn) if isinstance(node, ast.Compare)
+            and _compares_src(node)] == []
+
+
+def _compares_src(node):
+    """``src`` against a message field or a membership list: anything
+    but a local name (``src not in by_replica`` is bookkeeping)."""
+    sides = [node.left, *node.comparators]
+    return "src" in map(ast.unparse, sides) \
+        and not all(isinstance(side, ast.Name) for side in sides)
+
+
+#: Names of the contract constants, as the declarations spell them.
+_CONTRACT_NAMES = {getattr(messages, name): name for name in (
+    "OPEN", "MEMBER", "MAC", "SIG", "PRIMARY", "CURRENT", "LATER")}
+
+
+def _declaration(contract):
+    """A contract as ``messages.py`` declares it: ``Contract(...)``."""
+    if contract is None:
+        return None
+    who = contract.principal
+    args = [_CONTRACT_NAMES.get(who, "None" if who is None else f'"{who}"'),
+            _CONTRACT_NAMES[contract.proof]]
+    if contract.relayed:
+        args.append("relayed=True")
+    if contract.view is not None:
+        args.append(f"view={_CONTRACT_NAMES[contract.view]}")
+    return f"Contract({', '.join(args)})"
 
 
 def test_protocol_doc_lists_every_kind_as_declared():
     """The "Wire messages" table of docs/PROTOCOL.md names every kind,
-    its class and its fields with their types, in wire order — read
-    from the catalogue the declarations are."""
+    its class, its fields with their types, in wire order, and opens its
+    authentication column with the kind's contract — read from the
+    catalogue the declarations are."""
     declared = {
         cls.kind: (cls.__name__, [f"{name}: {kind.__name__}"
-                                  for name, kind in cls.__slots__.items()])
+                                  for name, kind in cls.__slots__.items()],
+                   _declaration(vars(cls).get("contract")))
         for cls in Message.__subclasses__()
         if cls.__module__ == Message.__module__}
     doc = (Path(__file__).resolve().parents[1]
@@ -232,11 +320,13 @@ def test_protocol_doc_lists_every_kind_as_declared():
     listed = {}
     for line in table.splitlines():
         if line.startswith("| `"):
-            kind, cls, fields = [cell.strip() for cell in
-                                 line.strip("|").split("|")][:3]
+            kind, cls, fields, auth = [cell.strip() for cell in
+                                       line.strip("|").split("|")][:4]
+            contract = re.match(r"`(Contract\([^`]*\))`", auth)
             listed[kind.strip("`")] = (cls.strip("`"), [
                 field.split(" = ")[0]
-                for field in re.findall(r"`([^`]+)`", fields)])
+                for field in re.findall(r"`([^`]+)`", fields)],
+                contract and contract.group(1))
     assert listed == declared
 
 
