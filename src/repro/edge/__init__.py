@@ -7,13 +7,12 @@ from repro.edge.cache import CacheEntry, EdgeCache, ReadLease
 from repro.edge.evidence import (BOUNDED_STALE, EVIDENCE_CERTIFICATE,
                                  EVIDENCE_KINDS, EVIDENCE_VECTOR,
                                  LAST_KNOWN_GOOD, LINEARIZABLE, MODES,
-                                 EdgeReadRecord, EdgeReply,
-                                 StalenessEvidence)
+                                 EdgeReply, StalenessEvidence)
 from repro.edge.tier import EdgeTier, EdgeUnavailable
 
 __all__ = [
     "BOUNDED_STALE", "CLOSED", "CacheEntry", "CircuitBreaker", "EdgeCache",
-    "EdgeReadRecord", "EdgeReply", "EdgeTier", "EdgeUnavailable",
+    "EdgeReply", "EdgeTier", "EdgeUnavailable",
     "EVIDENCE_CERTIFICATE", "EVIDENCE_KINDS", "EVIDENCE_VECTOR", "HALF_OPEN",
     "LAST_KNOWN_GOOD", "LINEARIZABLE", "MODES", "OPEN", "ReadLease",
     "STATES", "StalenessEvidence",

@@ -78,17 +78,3 @@ class EdgeReply:
     @property
     def degraded(self) -> bool:
         return self.mode != LINEARIZABLE
-
-
-@dataclass(frozen=True)
-class EdgeReadRecord:
-    """One served read, as the staleness-contract audit consumes it."""
-
-    op_digest: bytes
-    result_digest: bytes
-    key: object
-    shard: int
-    mode: str
-    staleness_bound: Optional[float]
-    served_at: float
-    evidence: Optional[StalenessEvidence]

@@ -20,10 +20,10 @@ per-shard *consistency-mode ladder*::
   **LAST_KNOWN_GOOD** from the expired cache — flagged, with no bound —
   or raises :class:`EdgeUnavailable` if it has never seen the key.
 
-Every reply is flagged ``(mode, staleness_bound, evidence)`` and logged
-to :attr:`EdgeTier.records` for the FaultLab ``staleness_contract``
-checker.  Half-open probes re-promote a healed shard back to the top of
-the ladder.
+Every reply is flagged ``(mode, staleness_bound, evidence)`` and leaves
+one ``edge_reply`` event in the tier's tracer, which the FaultLab
+``staleness_contract`` checker audits.  Half-open probes re-promote a
+healed shard back to the top of the ladder.
 
 Like :class:`~repro.bft.client.SyncClient`, :meth:`EdgeTier.read` drives
 the scheduler and must only be called from *outside* event context —
@@ -32,7 +32,7 @@ never from inside a scheduled callback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bft.client import BftClient
@@ -43,11 +43,10 @@ from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.mac import Authenticator
 from repro.edge.breaker import OPEN, CircuitBreaker
-from repro.edge.cache import CacheEntry, EdgeCache
+from repro.edge.cache import EdgeCache
 from repro.edge.evidence import (BOUNDED_STALE, EVIDENCE_CERTIFICATE,
                                  EVIDENCE_VECTOR, LAST_KNOWN_GOOD,
-                                 LINEARIZABLE, EdgeReadRecord, EdgeReply,
-                                 StalenessEvidence)
+                                 LINEARIZABLE, EdgeReply, StalenessEvidence)
 from repro.encoding.canonical import decanonical
 from repro.errors import ReproError
 from repro.service.sharding import CrossShardOp
@@ -157,12 +156,13 @@ class EdgeTier:
             raise ValueError("need at least one replication group")
         self.scheduler = scheduler
         self.network = network
-        self.tracer = tracer or Tracer(keep_events=False)
+        # Without a shared tracer the tier keeps its own bounded ring, so
+        # its ``edge_reply`` events can still be audited.
+        self.tracer = tracer or Tracer()
         self.delta = delta
         self.read_timeout = read_timeout
         self.refresh_timeout = refresh_timeout
         self.cache = EdgeCache(lambda: scheduler.now, delta)
-        self.records: List[EdgeReadRecord] = []
         self._router = None  # ShardRouter (extraction + shard routing)
         self.ports: List[_ShardPort] = []
         for i, (config, registry, replicas) in enumerate(groups):
@@ -268,15 +268,14 @@ class EdgeTier:
         port = self.ports[shard]
         self._poll_view_signal(port)
         cache_key = (shard, axis_key, digest(op))
-        self.metrics.inc("edge.reads")
 
         if port.breaker.allow_attempt():
             fetched = self._linearizable_read(port, op)
             if fetched is not None:
                 port.breaker.record_success()
                 self.cache.put(cache_key, fetched.result, fetched.evidence)
-                return self._serve(port, op, axis_key, LINEARIZABLE, None,
-                                   fetched.result, fetched.evidence)
+                return self._serve(port, LINEARIZABLE, None, fetched.result,
+                                   fetched.evidence)
             port.breaker.record_failure()
             self.metrics.inc("edge.linearizable_timeouts")
 
@@ -290,28 +289,24 @@ class EdgeTier:
                 if not entry.lease.valid(self.now):
                     entry = None  # evidence already older than Δ
         if entry is not None:
-            self.metrics.inc("edge.degraded_reads")
-            return self._serve(port, op, axis_key, BOUNDED_STALE, self.delta,
-                               entry.result, entry.evidence)
+            return self._serve(port, BOUNDED_STALE, self.delta, entry.result,
+                               entry.evidence)
 
         # LAST_KNOWN_GOOD: anything we ever saw, flagged, no bound.
         entry = self.cache.get_any(cache_key)
         if entry is not None:
-            self.metrics.inc("edge.degraded_reads")
-            self.metrics.inc("edge.last_known_good_reads")
-            return self._serve(port, op, axis_key, LAST_KNOWN_GOOD, None,
-                               entry.result, entry.evidence)
+            return self._serve(port, LAST_KNOWN_GOOD, None, entry.result,
+                               entry.evidence)
         self.metrics.inc("edge.unavailable")
         raise EdgeUnavailable(f"shard {shard}: core unreachable and no "
                               f"cached state for key {axis_key!r}")
 
-    def _serve(self, port: _ShardPort, op: bytes, axis_key: Any, mode: str,
-               bound: Optional[float], result: bytes,
+    def _serve(self, port: _ShardPort, mode: str, bound: Optional[float],
+               result: bytes,
                evidence: Optional[StalenessEvidence]) -> EdgeReply:
-        self.records.append(EdgeReadRecord(
-            op_digest=digest(op), result_digest=digest(result),
-            key=axis_key, shard=port.shard, mode=mode, staleness_bound=bound,
-            served_at=self.now, evidence=evidence))
+        self.tracer.emit(self.now, port.node.node_id, "edge_reply",
+                         shard=port.shard, mode=mode, bound=bound,
+                         result=digest(result), evidence=evidence)
         return EdgeReply(result, mode, bound, evidence)
 
     # -- fetch paths -------------------------------------------------------
@@ -343,8 +338,6 @@ class EdgeTier:
             kind=EVIDENCE_CERTIFICATE,
             issued_at_us=int(round(cert.issued_at * 1_000_000)),
             replicas=cert.voters)
-        if cert.fell_back:
-            self.metrics.inc("edge.read_fallbacks")
         return _Fetched(cert.result, evidence)
 
     def _refresh_from_replica(self, port: _ShardPort,
@@ -356,12 +349,11 @@ class EdgeTier:
             replica = port.replicas[port.rotation % n]
             port.rotation += 1
             nonce = port.node.fetch(replica.node_id, op)
-            got = self._await(self.refresh_timeout,
-                              lambda: port.node.reply_for(nonce) is not None)
+            self._await(self.refresh_timeout,
+                        lambda: port.node.reply_for(nonce) is not None)
             reply = port.node.reply_for(nonce)
             port.node.forget(nonce)
-            if not got or reply is None:
-                self.metrics.inc("edge.vector_timeouts")
+            if reply is None:
                 continue
             self.metrics.inc("edge.vector_reads")
             return _Fetched(reply.result, StalenessEvidence(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
@@ -169,7 +170,10 @@ def replay_command(scenario: str, seed: int,
 
 def _read_evidence(cluster, ctx: TrialContext):
     """Build the checkers' evidence from the request lifecycle events the
-    product emits (docs/OBSERVABILITY.md): ``(exec_log, accepted)``.
+    product emits (docs/OBSERVABILITY.md): ``(exec_log, accepted,
+    edge_replies, rollbacks)`` — the last two are the ``edge_reply``
+    events in serve order and the count of ``rollback`` and
+    ``rollback_via_transfer`` events.
 
     A replica's ``result`` is the digest it *sent*, so a lying replica's
     entry is its lie; the checkers only read correct replicas, whose
@@ -183,6 +187,8 @@ def _read_evidence(cluster, ctx: TrialContext):
             f"not judge a truncated trace")
     exec_log: ExecutionLog = {r.node_id: [] for r in cluster.replicas}
     accepted: List[AcceptedReply] = []
+    edge_replies: List = []
+    rollbacks = 0
     for e in tracer.events:
         kind, d = e.kind, e.detail
         if kind in ("executed", "read_only_executed"):
@@ -196,7 +202,11 @@ def _read_evidence(cluster, ctx: TrialContext):
         elif kind == "result_accepted":
             accepted.append(AcceptedReply(e.source, d["request_id"],
                                           d["result"], e.time))
-    return exec_log, accepted
+        elif kind == "edge_reply":
+            edge_replies.append(e)
+        if kind in ("rollback", "rollback_via_transfer"):
+            rollbacks += 1
+    return exec_log, accepted, edge_replies, rollbacks
 
 
 # -- cluster construction -----------------------------------------------------------
@@ -337,37 +347,35 @@ def _build_openloop(cluster, scenario: Scenario, ctx: TrialContext):
 # -- the edge tier ------------------------------------------------------------------
 
 
+#: Chaos-loop granularity of an edge trial (sim seconds): one edge read
+#: per step.
+EDGE_STEP = 0.05
+#: Distinct kv slots the edge reads cycle over.
+EDGE_SLOTS = 4
+
+
 class _EdgeDriver:
     """Drives edge reads from the chaos loop (outside event context —
     :meth:`EdgeTier.read` runs the scheduler itself, so it must never be
-    issued from inside a scheduled callback) and collects the evidence
-    the ``staleness_contract`` checker audits."""
+    issued from inside a scheduled callback) and judges the
+    ``edge_reply`` events with the ``staleness_contract`` checker."""
 
     def __init__(self, cluster, scenario: Scenario):
         from repro.edge import EdgeTier
-        spec = dict(scenario.edge)
-        self.step = spec.pop("step", 0.05)
-        self.slots = spec.pop("slots", 4)
-        self.tier = EdgeTier.for_cluster(cluster, **spec)
+        self.tier = EdgeTier.for_cluster(cluster, **scenario.edge)
         self.reads = 0
 
     def read_once(self) -> None:
         from repro.bft.statemachine import InMemoryStateManager
         from repro.edge.tier import EdgeUnavailable
-        op = InMemoryStateManager.op_get(self.reads % self.slots)
+        op = InMemoryStateManager.op_get(self.reads % EDGE_SLOTS)
         self.reads += 1
         try:
             self.tier.read(op)
         except EdgeUnavailable:
             return  # allowed; the tier counts it (edge.unavailable)
 
-    def mode_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for record in self.tier.records:
-            counts[record.mode] = counts.get(record.mode, 0) + 1
-        return counts
-
-    def check(self, cluster, correct_ids,
+    def check(self, cluster, correct_ids, replies,
               expect_repromotion: bool) -> List[Violation]:
         histories = {r.node_id: list(r.checkpoint_history)
                      for r in cluster.replicas
@@ -375,7 +383,7 @@ class _EdgeDriver:
         breaker_states = [(p.shard, p.breaker.state)
                           for p in self.tier.ports]
         return check_staleness_contract(
-            self.tier.records, histories, breaker_states,
+            replies, histories, breaker_states,
             expect_repromotion=expect_repromotion)
 
 
@@ -433,7 +441,7 @@ def run_trial(scenario: ScenarioRef, seed: int,
     horizon = max([0.0] + [max(f.start, f.stop or 0.0) for f in plan])
     scheduler = cluster.scheduler
     deadline = scenario.duration
-    step = edge.step if edge is not None else 1.0
+    step = EDGE_STEP if edge is not None else 1.0
     while scheduler.now < deadline:
         if all(s.done for s in scripts) and scheduler.now >= horizon \
                 and (driver is None or driver.drained):
@@ -466,7 +474,7 @@ def run_trial(scenario: ScenarioRef, seed: int,
     # the staleness contract judges the final ladder state.
     if edge is not None and scenario.expect_liveness:
         for _ in range(4):
-            cluster.run(edge.step)
+            cluster.run(EDGE_STEP)
             edge.read_once()
 
     byzantine = set(plan.byzantine_replicas())
@@ -478,7 +486,8 @@ def run_trial(scenario: ScenarioRef, seed: int,
         # the scripted clients: every arrival must resolve (complete,
         # time out, or shed) before the trial's deadline.
         scripts_done.append((driver.label, driver.drained))
-    exec_log, accepted = _read_evidence(cluster, ctx)
+    exec_log, accepted, edge_replies, rollbacks = _read_evidence(cluster,
+                                                                 ctx)
     violations = check_all(
         cluster, exec_log, accepted, correct_ids, scripts_done,
         scenario.expect_liveness, scenario.duration)
@@ -490,9 +499,8 @@ def run_trial(scenario: ScenarioRef, seed: int,
     if sharded is not None:
         violations.extend(_check_sharded(sharded, plan))
     if edge is not None:
-        violations.extend(edge.check(cluster, correct_ids,
+        violations.extend(edge.check(cluster, correct_ids, edge_replies,
                                      scenario.expect_liveness))
-    metrics = cluster.metrics
     return TrialResult(
         scenario=scenario.name, seed=seed, plan=plan, violations=violations,
         issued=len(calls) + (driver.offered if driver is not None else 0),
@@ -501,9 +509,8 @@ def run_trial(scenario: ScenarioRef, seed: int,
         sim_seconds=scheduler.now,
         wall_seconds=time.perf_counter() - started,
         faults_injected=injector.injected, faults_cleared=injector.cleared,
-        rollbacks=metrics.counter_value("bft.rollback")
-        + metrics.counter_value("bft.rollback_via_transfer"),
-        edge_modes=edge.mode_counts() if edge is not None else {})
+        rollbacks=rollbacks,
+        edge_modes=dict(Counter(e.detail["mode"] for e in edge_replies)))
 
 
 # -- shrinking ----------------------------------------------------------------------

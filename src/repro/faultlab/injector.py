@@ -106,26 +106,20 @@ class FaultInjector:
         return revert
 
     def _apply_partition(self, fault) -> Callable[[], None]:
-        network = self.cluster.network
-        group = {self.cluster.replicas[r].node_id for r in fault.replicas}
-        # Snapshot the node set at activation time: replicas and clients.
-        others = [n for n in network.node_ids() if n not in group]
-        pairs = [(a, b) for a in sorted(group) for b in others]
-        for a, b in pairs:
-            network.partition(a, b)
-
-        def revert():
-            for a, b in pairs:
-                network.heal(a, b)
-        return revert
+        return self._cut_off({self.cluster.replicas[r].node_id
+                              for r in fault.replicas})
 
     def _apply_edge_partition(self, fault) -> Callable[[], None]:
-        network = self.cluster.network
-        group = set(self.edge_nodes)
-        if not group:
+        if not self.edge_nodes:
             raise ValueError("edge_partition fault needs a trial built "
                              "with an edge tier (the injector was given "
                              "no edge node ids)")
+        return self._cut_off(set(self.edge_nodes))
+
+    def _cut_off(self, group) -> Callable[[], None]:
+        """Partition ``group`` from every other node id."""
+        network = self.cluster.network
+        # Snapshot the node set at activation time: replicas and clients.
         others = [n for n in network.node_ids() if n not in group]
         pairs = [(a, b) for a in sorted(group) for b in others]
         for a, b in pairs:

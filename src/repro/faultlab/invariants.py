@@ -264,7 +264,7 @@ def check_bounded_wait(calls: Sequence[Tuple[str, float, Optional[float]]],
 
 
 def check_staleness_contract(
-        records: Sequence,
+        replies: Sequence,
         histories: Dict[str, Sequence[Tuple[int, bytes]]],
         breaker_states: Sequence[Tuple[int, str]] = (),
         expect_repromotion: bool = False) -> List[Violation]:
@@ -282,59 +282,59 @@ def check_staleness_contract(
     - after the plan quiesces, every shard's breaker re-promoted to the
       top of the ladder (when the trial expects liveness).
 
-    ``records`` are :class:`~repro.edge.evidence.EdgeReadRecord`;
-    ``histories`` maps correct replica ids to their retained
-    ``checkpoint_history``; ``breaker_states`` is the final
+    ``replies`` are the tier's ``edge_reply`` events
+    (docs/OBSERVABILITY.md); ``histories`` maps correct replica ids to
+    their retained ``checkpoint_history``; ``breaker_states`` is the final
     ``(shard, breaker state)`` per shard.
     """
     violations: List[Violation] = []
     known: Set[Tuple[int, bytes]] = set()
     for replica_id in sorted(histories):
         known.update(histories[replica_id])
-    for i, rec in enumerate(records):
+    for i, reply in enumerate(replies):
         tag = f"read[{i}]"
-        if rec.mode not in MODES:
+        d = reply.detail
+        mode, bound, ev = d["mode"], d["bound"], d["evidence"]
+        if mode not in MODES:
             violations.append(Violation(
                 "staleness_contract",
-                f"{tag} served under unknown mode {rec.mode!r}"))
+                f"{tag} served under unknown mode {mode!r}"))
             continue
-        ev = rec.evidence
         if ev is None:
             violations.append(Violation(
                 "staleness_contract",
-                f"{tag} ({rec.mode}) carries no staleness evidence"))
+                f"{tag} ({mode}) carries no staleness evidence"))
             continue
-        if rec.mode == LINEARIZABLE:
+        if mode == LINEARIZABLE:
             if ev.kind != EVIDENCE_CERTIFICATE:
                 violations.append(Violation(
                     "staleness_contract",
                     f"{tag} claims linearizable but is backed by "
                     f"{ev.kind} evidence from {list(ev.replicas)}"))
-            if rec.staleness_bound is not None:
+            if bound is not None:
                 violations.append(Violation(
                     "staleness_contract",
                     f"{tag} linearizable reply advertises a staleness "
-                    f"bound ({rec.staleness_bound:g}s)"))
-        elif rec.mode == BOUNDED_STALE:
-            if rec.staleness_bound is None:
+                    f"bound ({bound:g}s)"))
+        elif mode == BOUNDED_STALE:
+            if bound is None:
                 violations.append(Violation(
                     "staleness_contract",
                     f"{tag} bounded-stale reply advertises no bound"))
             else:
-                actual = rec.served_at - ev.issued_at
+                actual = reply.time - ev.issued_at
                 # 1e-9: float slack on a difference of sim seconds
-                if actual > rec.staleness_bound + 1e-9:
+                if actual > bound + 1e-9:
                     violations.append(Violation(
                         "staleness_contract",
                         f"{tag} actual staleness {actual:.6f}s exceeds "
-                        f"its advertised bound "
-                        f"{rec.staleness_bound:g}s"))
+                        f"its advertised bound {bound:g}s"))
         else:  # LAST_KNOWN_GOOD claims nothing but the flag itself
-            if rec.staleness_bound is not None:
+            if bound is not None:
                 violations.append(Violation(
                     "staleness_contract",
                     f"{tag} last-known-good reply advertises a bound "
-                    f"({rec.staleness_bound:g}s) it cannot honor"))
+                    f"({bound:g}s) it cannot honor"))
         if ev.kind == EVIDENCE_VECTOR:
             vector = (ev.checkpoint_seq, ev.root_digest)
             if ev.checkpoint_seq is None or vector not in known:

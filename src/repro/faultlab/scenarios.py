@@ -87,13 +87,12 @@ class Scenario:
     #: seeded RNG streams, so trials stay bit-replayable.
     openloop: Optional[Dict[str, Any]] = None
     #: Non-None mounts an :class:`~repro.edge.tier.EdgeTier` in front of
-    #: the cluster and drives edge reads from the chaos loop.  Keys
-    #: ``step`` (loop granularity, sim seconds) and ``slots`` (distinct
-    #: kv slots the reads cycle over) configure the driver; everything
-    #: else is passed to :meth:`EdgeTier.for_cluster` (``delta``,
-    #: ``read_timeout``, ``failure_threshold``, ``cooldown``, ...).  The
-    #: trial then runs the ``staleness_contract`` checker over the
-    #: tier's read records.
+    #: the cluster and drives one edge read per ``EDGE_STEP`` of the chaos
+    #: loop (:mod:`repro.faultlab.explorer`).  The keys are passed to
+    #: :meth:`EdgeTier.for_cluster` (``delta``, ``read_timeout``,
+    #: ``failure_threshold``, ``cooldown``, ...).  The trial then runs the
+    #: ``staleness_contract`` checker over the tier's ``edge_reply``
+    #: events.
     edge: Optional[Dict[str, Any]] = None
 
 
@@ -603,8 +602,7 @@ register_scenario(Scenario(
     plan=_plan_edge_partition,
     config=dict(_FAST_CFG),
     edge=dict(delta=0.5, read_timeout=0.04, refresh_timeout=0.04,
-              failure_threshold=1, cooldown=0.3, probe_quota=1,
-              step=0.05, slots=4),
+              failure_threshold=1, cooldown=0.3, probe_quota=1),
     duration=30.0,
     settle=10.0,
 ))
@@ -620,8 +618,7 @@ register_scenario(Scenario(
     # backups actually see retransmissions and arm view-change timers.
     config=dict(_FAST_CFG, client_retry_timeout=0.1),
     edge=dict(delta=0.6, read_timeout=0.04, refresh_timeout=0.04,
-              failure_threshold=2, cooldown=0.5, probe_quota=2,
-              step=0.05, slots=4),
+              failure_threshold=2, cooldown=0.5, probe_quota=2),
     # Ordered traffic must be in flight when the primary disappears or
     # no view-change timer ever arms (the closed-loop scripts finish in
     # milliseconds): open-loop writes span the partition window.

@@ -98,8 +98,6 @@ class ShardRouter(Channel):
         self.num_shards = len(self.channels)
         #: Learned key -> shard bindings (service-minted identifiers).
         self.pins: Dict[Any, int] = {}
-        #: Shard index of every routed call, in issue order.
-        self.assignments: List[int] = []
         #: Routed-op count per shard.
         self.ops_routed = [0] * self.num_shards
         #: Rolling digest chain per shard over (op, reply) pairs: equal
@@ -154,7 +152,6 @@ class ShardRouter(Channel):
 
     def _record(self, shard: int, op: bytes, reply: bytes) -> None:
         self.ops_routed[shard] += 1
-        self.assignments.append(shard)
         self.shard_logs[shard] = digest(self.shard_logs[shard] + op + reply)
 
     # -- Channel -----------------------------------------------------------

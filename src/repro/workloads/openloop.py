@@ -301,13 +301,9 @@ class OpenLoopDriver:
         self._started_at = 0.0
         self._arrivals_open = False
         self._arrivals_pending = False
+        #: The one count: every total below is a sum over these.
         self.stats: Dict[str, ClassStats] = {
             c.name: ClassStats() for c in self.classes}
-        self.offered = 0
-        self.completed = 0
-        self.timed_out = 0
-        self.shed = 0
-        self.errors = 0
         self.arrival_log: List[float] = [] if record_arrivals else None
 
     # -- lifecycle ----------------------------------------------------------
@@ -357,10 +353,8 @@ class OpenLoopDriver:
         user = self.rng.randrange(self.n_users)
         op, read_only = cls.make_op(self.rng, user)
         pending = _OpenRequest(cls, op, read_only, self.scheduler.now)
-        self.offered += 1
         stats = self.stats[cls.name]
         stats.offered += 1
-        self.metrics.inc("openloop.offered")
         if self._free:
             self._admit(pending)
             self._dispatch(self._free.popleft(), pending)
@@ -368,14 +362,11 @@ class OpenLoopDriver:
             self._admit(pending)
             self._queue.append(pending)
             self._live_queued += 1
-            self.metrics.inc("openloop.queued")
         else:
             # Front door full: shed.  Serving *something* to most users
             # beats serving nothing to everyone — but every shed request
             # is an SLO miss, never a statistics exclusion.
-            self.shed += 1
             stats.shed += 1
-            self.metrics.inc("openloop.shed")
         self._schedule_next(t)
 
     def _admit(self, pending: _OpenRequest) -> None:
@@ -404,16 +395,11 @@ class OpenLoopDriver:
         latency = self.scheduler.now - pending.arrived_at
         stats = self.stats[pending.cls.name]
         stats.completed += 1
-        self.completed += 1
-        self.metrics.inc("openloop.completed")
         self.metrics.observe(f"openloop.latency.{pending.cls.name}", latency)
         if result.startswith(ERROR_PREFIX):
             stats.errors += 1
-            self.errors += 1
-            self.metrics.inc("openloop.errors")
         elif latency <= pending.cls.slo_p95:
             stats.slo_met += 1
-            self.metrics.inc("openloop.slo_met")
         self._release(client)
 
     def _deadline(self, pending: _OpenRequest) -> None:
@@ -423,8 +409,6 @@ class OpenLoopDriver:
         pending.deadline_event = None
         stats = self.stats[pending.cls.name]
         stats.timed_out += 1
-        self.timed_out += 1
-        self.metrics.inc("openloop.timeouts")
         # Censored observation: the user saw *at least* the timeout.
         # Recording the cap keeps overloaded percentiles honest instead
         # of surveying only the requests that happened to finish.
@@ -454,6 +438,26 @@ class OpenLoopDriver:
     @property
     def resolved(self) -> int:
         return self.completed + self.timed_out + self.shed
+
+    @property
+    def offered(self) -> int:
+        return sum(s.offered for s in self.stats.values())
+
+    @property
+    def completed(self) -> int:
+        return sum(s.completed for s in self.stats.values())
+
+    @property
+    def timed_out(self) -> int:
+        return sum(s.timed_out for s in self.stats.values())
+
+    @property
+    def shed(self) -> int:
+        return sum(s.shed for s in self.stats.values())
+
+    @property
+    def errors(self) -> int:
+        return sum(s.errors for s in self.stats.values())
 
     @property
     def slo_met(self) -> int:

@@ -33,9 +33,12 @@ def test_sequence_of_writes_all_replicas_agree(kv_cluster, kv_client):
 def test_replicas_execute_same_order(kv_cluster, kv_client):
     for i in range(6):
         kv_client.call(put(i % 2, b"x%d" % i))
-    histories = [tuple(op for _, _, _, op in r.state.executed_ops)
+    histories = [tuple((e.detail["seq"], e.detail["request_id"],
+                        e.detail["result"])
+                       for e in kv_cluster.tracer.find("executed", r.node_id))
                  for r in kv_cluster.replicas]
     assert len(set(histories)) == 1
+    assert len(histories[0]) == 6
 
 
 def test_multiple_clients_interleave_consistently(kv_cluster):
@@ -89,9 +92,10 @@ def test_request_deduplication_on_retransmit(kv_cluster, kv_client):
     kv_cluster.network.send("client0", kv_cluster.primary.node_id, dup)
     kv_cluster.run(1.0)
     for replica in kv_cluster.replicas:
-        writes = [op for _, _, _, op in replica.state.executed_ops
-                  if op == put(0, b"first")]
-        assert len(writes) == 1
+        runs = [e for e in kv_cluster.tracer.find("executed", replica.node_id)
+                if (e.detail["client"], e.detail["request_id"])
+                == ("client0", 1)]
+        assert len(runs) == 1
 
 
 def test_batching_under_load():

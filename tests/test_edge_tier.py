@@ -153,6 +153,11 @@ def make_tier(cluster, **kw):
     return EdgeTier.for_cluster(cluster, **kw)
 
 
+def served(tier):
+    """The tier's ``edge_reply`` events, one per served read."""
+    return tier.tracer.find("edge_reply")
+
+
 def isolate_edge(cluster, tier):
     """Partition every edge identity from everything non-edge."""
     for edge_id in tier.edge_node_ids:
@@ -173,10 +178,10 @@ def test_linearizable_read_with_certificate_evidence():
     assert reply.evidence.kind == EVIDENCE_CERTIFICATE
     quorum = 2 * cluster.config.f + 1
     assert len(reply.evidence.replicas) >= quorum
-    record = tier.records[-1]
-    assert record.mode == LINEARIZABLE
-    assert record.result_digest == digest(b"fresh")
-    assert tier.metrics.counter_value("edge.reads") == 1
+    [event] = served(tier)
+    assert event.detail["mode"] == LINEARIZABLE
+    assert event.detail["result"] == digest(b"fresh")
+    assert event.detail["evidence"] == reply.evidence
 
 
 def test_degradation_ladder_and_repromotion():
@@ -214,9 +219,9 @@ def test_degradation_ladder_and_repromotion():
     assert reply.mode == LINEARIZABLE and not reply.degraded
     assert tier.ports[0].breaker.state == CLOSED
     assert tier.ports[0].breaker.promotions >= 1
-    assert tier.metrics.counter_value("edge.degraded_reads") >= 2
+    modes = [event.detail["mode"] for event in served(tier)]
+    assert sum(mode != LINEARIZABLE for mode in modes) >= 2
     assert tier.metrics.counter_value("edge.unavailable") == 1
-    modes = [record.mode for record in tier.records]
     assert modes[0] == LINEARIZABLE and modes[-1] == LINEARIZABLE
     assert BOUNDED_STALE in modes and LAST_KNOWN_GOOD in modes
 
@@ -253,8 +258,9 @@ def test_cache_served_reads_cost_zero_events_and_are_pinned():
         assert reply.result == b"edge%d" % (i % 16)
     assert position() == opened
     chain = b""
-    for record in tier.records:
-        chain = digest(chain + record.result_digest + record.mode.encode())
+    for event in served(tier):
+        chain = digest(chain + event.detail["result"]
+                       + event.detail["mode"].encode())
     assert chain.hex() == (
         "1997fe8f5c7b84ddde6cf00234290377e8440570afbb3099c5d76004e70864d8")
 
@@ -327,7 +333,7 @@ def test_edge_read_routes_across_a_sharded_deployment():
     for shard, table in tables.items():
         reply = tier.read(canonical(("select", table, 1)))
         assert reply.mode == LINEARIZABLE and not reply.degraded
-        assert tier.records[-1].shard == shard
+        assert served(tier)[-1].detail["shard"] == shard
 
 
 # -- satellite: the read-certificate path on the BFT client ------------------------

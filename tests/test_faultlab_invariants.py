@@ -156,11 +156,10 @@ def test_beyond_f_collusion_is_caught_by_reply_validity():
 # -- the edge staleness contract ---------------------------------------------------
 
 
-def _edge_record(mode, bound, served_at, evidence):
-    from repro.edge.evidence import EdgeReadRecord
-    return EdgeReadRecord(op_digest=b"op", result_digest=b"res", key=0,
-                          shard=0, mode=mode, staleness_bound=bound,
-                          served_at=served_at, evidence=evidence)
+def _edge_reply(mode, bound, served_at, evidence):
+    from repro.sim.tracing import TraceEvent
+    return TraceEvent(served_at, "edge0", "edge_reply", dict(
+        shard=0, mode=mode, bound=bound, result=b"res", evidence=evidence))
 
 
 def _cert_evidence(issued_at):
@@ -185,46 +184,46 @@ _HISTORIES = {r: [(0, b"root0"), (4, b"root4"), (8, b"root8")]
 
 def test_staleness_contract_accepts_a_clean_ladder():
     from repro.faultlab.invariants import check_staleness_contract
-    records = [
-        _edge_record("linearizable", None, 1.0, _cert_evidence(1.0)),
-        _edge_record("bounded_stale", 0.5, 1.4, _vector_evidence(1.0)),
-        _edge_record("last_known_good", None, 9.0, _vector_evidence(1.0)),
+    replies = [
+        _edge_reply("linearizable", None, 1.0, _cert_evidence(1.0)),
+        _edge_reply("bounded_stale", 0.5, 1.4, _vector_evidence(1.0)),
+        _edge_reply("last_known_good", None, 9.0, _vector_evidence(1.0)),
     ]
     assert check_staleness_contract(
-        records, _HISTORIES, breaker_states=[(0, "closed")],
+        replies, _HISTORIES, breaker_states=[(0, "closed")],
         expect_repromotion=True) == []
 
 
 def test_staleness_contract_rejects_masquerading_linearizable():
     from repro.faultlab.invariants import check_staleness_contract
-    records = [_edge_record("linearizable", None, 1.0, _vector_evidence(1.0))]
-    violations = check_staleness_contract(records, _HISTORIES)
+    replies = [_edge_reply("linearizable", None, 1.0, _vector_evidence(1.0))]
+    violations = check_staleness_contract(replies, _HISTORIES)
     assert len(violations) == 1
     assert "claims linearizable" in violations[0].detail
 
 
 def test_staleness_contract_rejects_bound_overrun():
     from repro.faultlab.invariants import check_staleness_contract
-    records = [_edge_record("bounded_stale", 0.5, 2.0, _vector_evidence(1.0))]
-    violations = check_staleness_contract(records, _HISTORIES)
+    replies = [_edge_reply("bounded_stale", 0.5, 2.0, _vector_evidence(1.0))]
+    violations = check_staleness_contract(replies, _HISTORIES)
     assert len(violations) == 1
     assert "exceeds its advertised bound" in violations[0].detail
 
 
 def test_staleness_contract_rejects_fabricated_vector():
     from repro.faultlab.invariants import check_staleness_contract
-    records = [_edge_record("bounded_stale", 0.5, 1.2,
+    replies = [_edge_reply("bounded_stale", 0.5, 1.2,
                             _vector_evidence(1.0, seq=99, root=b"forged"))]
-    violations = check_staleness_contract(records, _HISTORIES)
+    violations = check_staleness_contract(replies, _HISTORIES)
     assert len(violations) == 1
     assert "matches no correct replica" in violations[0].detail
 
 
 def test_staleness_contract_requires_evidence_and_repromotion():
     from repro.faultlab.invariants import check_staleness_contract
-    records = [_edge_record("bounded_stale", 0.5, 1.2, None)]
+    replies = [_edge_reply("bounded_stale", 0.5, 1.2, None)]
     violations = check_staleness_contract(
-        records, _HISTORIES, breaker_states=[(0, "open")],
+        replies, _HISTORIES, breaker_states=[(0, "open")],
         expect_repromotion=True)
     assert len(violations) == 2
     assert "no staleness evidence" in violations[0].detail

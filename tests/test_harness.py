@@ -145,6 +145,97 @@ def test_faultlab_patches_no_private_attribute_of_a_product_object():
     assert found == []
 
 
+def test_faultlab_reads_only_the_event_ring_and_final_state():
+    """No ``metrics`` registry and no ``.records`` list under
+    ``src/repro/faultlab``: every count a trial reports is a count of
+    events (docs/OBSERVABILITY.md, "One record per fact")."""
+    root = Path(__file__).resolve().parents[1] / "src/repro/faultlab"
+    assert [(path.name, node.lineno, node.attr)
+            for path in sorted(root.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("metrics", "records")] == []
+
+
+def _sized(owners):
+    """``{Class.attr: largest len}`` over every sized attribute the
+    owners hold directly."""
+    sizes = {}
+    for owner in owners:
+        for name, value in vars(owner).items():
+            if hasattr(value, "__len__") \
+                    and not isinstance(value, (str, bytes)):
+                key = f"{type(owner).__name__}.{name}"
+                sizes[key] = max(sizes.get(key, 0), len(value))
+    return sizes
+
+
+def _outgrown(owners, run, bounds, n=16):
+    """Run ``n`` operations, then ``3n`` more: the attributes of
+    ``owners`` that grew without a declared bound, or passed theirs."""
+    run(n)
+    before = _sized(owners)
+    run(3 * n)
+    return sorted(key for key, size in _sized(owners).items()
+                  if size > bounds.get(key, before.get(key, 0)))
+
+
+def test_no_container_grows_per_operation_but_the_event_ring():
+    """The tracer's bounded ring is the one per-operation log
+    (docs/OBSERVABILITY.md, "One record per fact"): what a replica, its
+    state manager, an edge tier, its ports or a shard router holds stops
+    growing, except the containers with a declared bound."""
+    from repro.bft.config import BftConfig
+    from repro.bft.replica import Replica
+    from repro.bft.statemachine import InMemoryStateManager
+    from repro.edge import EdgeTier
+    from repro.service.sharding import ShardedDeployment, stable_shard
+    from repro.sql.service import SQL_SERVICE
+    from tests.conftest import make_kv_cluster
+
+    keys = 4
+    cluster = make_kv_cluster()
+    sync = cluster.add_client("client0")
+    tier = EdgeTier.for_cluster(cluster)
+
+    def kv_ops(count):
+        for i in range(count):
+            sync.call(InMemoryStateManager.op_put(i % keys, b"v%d" % i))
+            tier.read(InMemoryStateManager.op_get(i % keys))
+        cluster.run(1.0)
+
+    bounds = {"Replica.checkpoint_history": Replica._HISTORY_MAX,
+              "Replica.verified_sigs": cluster.config.verified_sig_bound}
+    replicas = cluster.replicas
+    outgrown = _outgrown([*replicas, *(r.state for r in replicas), tier,
+                          *tier.ports], kv_ops,
+                         {**bounds, "EdgeTier.cache": keys})
+
+    deployment = ShardedDeployment.build(
+        SQL_SERVICE, 2, config=BftConfig(checkpoint_interval=8), seed=0)
+    client = deployment.client
+    tables, i = {}, 0
+    while len(tables) < 2:      # one table on each shard
+        tables.setdefault(stable_shard(f"t{i}", 2), f"t{i}")
+        i += 1
+    for table in tables.values():
+        client.create_table(table, ["id", "val"], "id")
+        client.insert(table, [1, "row"])
+
+    def sql_ops(count):
+        for i in range(count):
+            client.update(tables[i % 2], 1, [1, f"v{i}"])
+            client.select(tables[i % 2], 1)
+        for shard in deployment.shards:
+            shard.cluster.run(1.0)
+
+    replicas = [r for shard in deployment.shards
+                for r in shard.cluster.replicas]
+    outgrown += _outgrown([*replicas, *(r.state for r in replicas),
+                           deployment.router], sql_ops, bounds)
+    assert outgrown == []
+
+
 def _protocol_sources():
     root = Path(__file__).resolve().parents[1] / "src/repro"
     for path in sorted([*(root / "bft").glob("*.py"),
@@ -386,7 +477,7 @@ def test_concurrent_microbench_completes_all():
     result = concurrent_ops(cluster, clients=4, per_client=5, label="t")
     assert result.operations == 20
     # All 20 writes actually executed on the replicas.
-    executed = [len([op for _, _, _, op in r.state.executed_ops if op])
+    executed = [len(cluster.tracer.find("executed", r.node_id))
                 for r in cluster.replicas]
     assert max(executed) >= 20
 

@@ -391,6 +391,29 @@ def test_request_lifecycle_events_carry_their_documented_fields(build):
         assert len(backers) >= cluster.config.weak_quorum, a
 
 
+EDGE_REPLY_FIELDS = {"shard", "mode", "bound", "result", "evidence"}
+
+
+def test_edge_reply_events_carry_their_documented_fields():
+    """An edge tier in front of a kv group leaves one ``edge_reply`` per
+    served read in the ring the lifecycle kinds go to."""
+    from repro.edge import EdgeTier
+    cluster, client, writes, read = _kv_group()
+    for op in writes:
+        client.call(op)
+    tier = EdgeTier.for_cluster(cluster)
+    replies = [tier.read(read), tier.read(get(1))]
+    events = cluster.tracer.find("edge_reply")
+    assert [e.source for e in events] == [tier.ports[0].node.node_id] * 2
+    for event, reply in zip(events, replies):
+        assert set(event.detail) == EDGE_REPLY_FIELDS
+        assert event.detail == {
+            "shard": 0, "mode": reply.mode, "bound": reply.staleness_bound,
+            "result": digest(reply.result), "evidence": reply.evidence}
+    assert all(cluster.tracer.find(kind) for kind in LIFECYCLE_FIELDS
+               if kind not in ("rollback", "transfer_complete"))
+
+
 # -- rendering and the smoke target -------------------------------------------
 
 def test_phase_breakdown_table_renders_in_protocol_order():

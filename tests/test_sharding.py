@@ -7,7 +7,7 @@ Covers the sharding layer at three levels:
   NFS handles, broadcast agreement, and cross-shard refusal, over
   scripted channels (no clusters);
 - **full deployments** — same seed + same op stream give bit-identical
-  shard assignments and per-shard request-log digest chains; two
+  per-shard op counts and request-log digest chains; two
   co-tenant groups on one fabric exchange zero messages, and a 1 -> 2
   -> 4 shard weak-scaling sweep reads pinned simulated rates;
 - **differential** — a cross-shard transaction leaves exactly the
@@ -177,12 +177,13 @@ def test_same_seed_same_stream_identical_routing():
     for _ in range(2):
         deployment = _sharded_sql(2)
         _run_workload(deployment, tables)
-        runs.append((list(deployment.router.assignments),
-                     list(deployment.router.shard_logs),
+        # One sequential client: equal per-shard digest chains and counts
+        # pin which shard every op went to.
+        runs.append((list(deployment.router.shard_logs),
                      list(deployment.router.ops_routed)))
     assert runs[0] == runs[1]
     # And the stream genuinely exercised both shards.
-    assert all(count > 0 for count in runs[0][2])
+    assert all(count > 0 for count in runs[0][1])
 
 
 def test_co_tenant_groups_exchange_zero_messages():
