@@ -12,18 +12,16 @@ ratio, not the absolute counts.
 """
 
 from benchmarks.conftest import run_once
-from repro.harness.complexity import complexity_report, line_budget_table
-from repro.harness.report import format_table
+from repro.harness.complexity import (complexity_report, complexity_table,
+                                      line_budget_table)
 
 
 def test_sec43_code_complexity(benchmark):
     rows_data = run_once(benchmark, complexity_report)
     counts = {row.component: row.statements for row in rows_data}
 
-    rows = [(row.component, row.statements) for row in rows_data]
     print()
-    print(format_table("Section 4.3: code complexity (AST statements)",
-                       ["component", "statements"], rows))
+    print(complexity_table(rows_data))
 
     kernel = counts["service kernel (shared)"]
     nfs_new = (counts["NFS conformance wrapper"]

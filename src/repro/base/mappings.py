@@ -7,12 +7,12 @@ here, extracted so new conformance wrappers can reuse them:
 
 - :class:`SlotAllocator` — deterministic lowest-free-index allocation
   over a fixed-size abstract array with per-entry generation numbers
-  (the oid discipline of the file service and the client/VQ arrays of
-  BASE-Thor);
+  (the oid discipline of the file service's conformance rep);
 - :class:`KeyedArrayMapping` — maps arbitrary service-level keys (path
   names, primary keys, client ids) to abstract array slots, with the
   reverse map, persistence for the shutdown/restart upcalls, and
-  generation-checked lookup.
+  generation-checked lookup (BASE-SQL's rows, BASE-HTTP's resources,
+  BASE-Thor's client table).
 """
 
 from __future__ import annotations
@@ -39,10 +39,14 @@ class SlotAllocator:
             raise ValueError("more reserved slots than the array holds")
         self.size = size
         self.reserved = reserved
+        # A lazy heap: a slot used since it was queued is skipped when
+        # popped.  ``_queued`` marks the slots it holds, so none is
+        # queued twice and the heap never outgrows the array.
         self._free = list(range(reserved, size))
-        heapq.heapify(self._free)
+        self._queued = bytearray(reserved) + b"\x01" * (size - reserved)
         self._used: Dict[int, int] = {i: 0 for i in range(reserved)}
-        self._generations: List[int] = [0] * size
+        #: Per-slot generation; callers on a hot path may index it.
+        self.generations: List[int] = [0] * size
 
     _PENDING = -1
 
@@ -50,44 +54,48 @@ class SlotAllocator:
         """Reserve the lowest free slot (generation bumps on `commit`)."""
         while self._free:
             index = heapq.heappop(self._free)
+            self._queued[index] = 0
             if index not in self._used:
                 self._used[index] = self._PENDING
                 return index
         raise IndexError("abstract array exhausted")
 
+    def _queue(self, index: int) -> None:
+        if not self._queued[index]:
+            self._queued[index] = 1
+            heapq.heappush(self._free, index)
+
     def commit(self, index: int) -> int:
         """Finalize an allocation: bump and return the new generation."""
-        self._generations[index] += 1
-        self._used[index] = self._generations[index]
-        return self._generations[index]
+        self.generations[index] += 1
+        self._used[index] = self.generations[index]
+        return self.generations[index]
 
     def release(self, index: int) -> None:
         """Free a slot (its generation survives for staleness checks)."""
         if index < self.reserved:
             raise ValueError(f"slot {index} is reserved")
         if self._used.pop(index, None) is not None:
-            heapq.heappush(self._free, index)
+            self._queue(index)
 
     def rollback(self, index: int) -> None:
         """Undo an `allocate` that was never committed."""
         if self._used.get(index) == self._PENDING and index >= self.reserved:
             del self._used[index]
-            heapq.heappush(self._free, index)
+            self._queue(index)
 
     def generation(self, index: int) -> int:
-        return self._generations[index]
+        return self.generations[index]
 
     def set_generation(self, index: int, gen: int, used: bool) -> None:
-        """Install externally-determined state (put_objs / restart)."""
-        self._generations[index] = gen
+        """Install externally-determined state (put_objs / restart).
+        A reserved slot stays used whatever ``used`` says."""
+        self.generations[index] = gen
         if used:
             self._used[index] = gen
-        elif index >= self.reserved and index in self._used:
-            del self._used[index]
-            heapq.heappush(self._free, index)
         elif index >= self.reserved:
-            # Ensure the slot is findable as free.
-            heapq.heappush(self._free, index)
+            self._used.pop(index, None)
+            self._queue(index)
 
     def is_used(self, index: int) -> bool:
         return index in self._used

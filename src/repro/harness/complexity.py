@@ -8,6 +8,7 @@ which like semicolon-counting ignores blank lines and comments.
 :func:`package_lines` is the blunter companion: physical lines per
 package, held under a ceiling by ``tests/test_harness.py`` so that
 growing a package is an edit a reviewer sees.
+``python -m repro.harness.complexity`` prints both tables.
 """
 
 from __future__ import annotations
@@ -104,5 +105,13 @@ def complexity_report() -> List[ComplexityRow]:
             for name, paths in groups]
 
 
+def complexity_table(rows: List[ComplexityRow]) -> str:
+    return format_table("Section 4.3: code complexity (AST statements)",
+                        ["component", "statements"],
+                        [(row.component, row.statements) for row in rows])
+
+
 if __name__ == "__main__":
     print(line_budget_table())
+    print()
+    print(complexity_table(complexity_report()))

@@ -39,7 +39,7 @@ class InverseConversion:
         # the rebuild of live directories.
         for index in sorted(self.objects):
             if self.objects[index].is_free:
-                self._free_entry(index)
+                self.rep.free(index, self.objects[index].gen)
         for index in sorted(self.objects):
             obj = self.objects[index]
             if obj.is_free:
@@ -51,13 +51,6 @@ class InverseConversion:
                 self._update_leaf(index, obj)
         # Directory meta/conformance updates happen inside
         # update_directory; leaves inside _update_leaf.
-
-    # -- free entries ---------------------------------------------------------
-
-    def _free_entry(self, index: int) -> None:
-        obj = self.objects[index]
-        self.rep.free(index)
-        self.rep.entry(index).gen = obj.gen
 
     # -- directories --------------------------------------------------------------
 
@@ -98,7 +91,7 @@ class InverseConversion:
             # content), so the backend object must be recreated.
             keep = (name in new_by_name and mapped is not None
                     and new_by_name[name][0] == mapped
-                    and new_by_name[name][1] == self.rep.entry(mapped).gen)
+                    and new_by_name[name][1] == self.rep.generations[mapped])
             if keep:
                 continue
             if (mapped is not None and mapped in new_index_to_name
@@ -132,7 +125,13 @@ class InverseConversion:
                                            uid=obj.meta.uid,
                                            gid=obj.meta.gid))
         self.wrapper._charge_backend("setattr")
-        entry.gen = obj.gen
+        self._apply_meta(index, obj)
+
+    def _apply_meta(self, index: int, obj: AbstractObject) -> None:
+        """A live entry takes its transferred object's generation,
+        parent, times and size."""
+        entry = self.rep.entry(index)
+        self.rep.set_generation(index, obj.gen)
         entry.parent = obj.meta.parent
         entry.atime = obj.meta.atime
         entry.mtime = obj.meta.mtime
@@ -166,16 +165,7 @@ class InverseConversion:
         else:
             self.backend.remove(dir_fh, name)
             self.wrapper._charge_backend("remove")
-        # The object's conformance entry is updated by its own null/changed
-        # object in the vector; only the reverse maps need scrubbing here.
-        mapped = self.rep.fileid_to_index.get(fattr.fileid)
-        if mapped is not None and self.rep.entry(mapped).fileid == fattr.fileid:
-            stale = self.rep.entry(mapped)
-            if stale.fh is not None:
-                self.rep.fh_to_index.pop(stale.fh, None)
-                stale.fh = None
-            self.rep.fileid_to_index.pop(fattr.fileid, None)
-            stale.fileid = None
+        self.rep.forget_fileid(fattr.fileid)
 
     def _create_child(self, dir_index: int, dir_fh: bytes, name: str,
                       cidx: int, cgen: int) -> None:
@@ -198,18 +188,8 @@ class InverseConversion:
             self.wrapper._charge_backend("symlink")
         else:
             raise StateTransferError(f"cannot create type {child_obj.ftype}")
-        entry = self.rep.entry(cidx)
-        if not entry.is_free and entry.fh is not None:
-            self.rep.fh_to_index.pop(entry.fh, None)
-        if entry.fileid is not None:
-            self.rep.fileid_to_index.pop(entry.fileid, None)
-        entry.ftype = child_obj.ftype
-        entry.gen = cgen
-        entry.fh = fh
-        entry.fileid = fattr.fileid
-        entry.parent = dir_index
-        self.rep.fh_to_index[fh] = cidx
-        self.rep.fileid_to_index[fattr.fileid] = cidx
+        self.rep.bind(cidx, child_obj.ftype, cgen, fh, fattr.fileid,
+                      dir_index)
 
     # -- files and symlinks ----------------------------------------------------------
 
@@ -233,9 +213,4 @@ class InverseConversion:
                                                  uid=obj.meta.uid,
                                                  gid=obj.meta.gid))
             self.wrapper._charge_backend("setattr")
-        entry.gen = obj.gen
-        entry.parent = obj.meta.parent
-        entry.atime = obj.meta.atime
-        entry.mtime = obj.meta.mtime
-        entry.ctime = obj.meta.ctime
-        self.rep.update_size(index, obj.abstract_size())
+        self._apply_meta(index, obj)

@@ -82,17 +82,8 @@ class NfsConformanceWrapper(AbstractService):
         self.timestamps = TimestampAgreement(clock, delta=CLOCK_DELTA)
         self.rep = ConformanceRep(self.spec.array_size)
         root_fh = backend.mount()
-        root_attr = backend.getattr(root_fh)
-        entry = self.rep.entry(0)
-        entry.ftype = FileType.NFDIR
-        entry.gen = 1
-        entry.fh = root_fh
-        entry.fileid = root_attr.fileid
-        entry.parent = 0
-        entry.abstract_size = 64
-        self.rep.bytes_used = 64
-        self.rep.fh_to_index[root_fh] = 0
-        self.rep.fileid_to_index[root_attr.fileid] = 0
+        self.rep.assign(0, FileType.NFDIR, root_fh,
+                        backend.getattr(root_fh).fileid, 0, 0, 64)
 
     # -- Upcalls: sizing --------------------------------------------------------
 
@@ -169,7 +160,7 @@ class NfsConformanceWrapper(AbstractService):
                 entry.atime, entry.mtime, entry.ctime, 0)
 
     def _oid(self, index: int) -> bytes:
-        return oid_bytes(index, self.rep.entry(index).gen)
+        return oid_bytes(index, self.rep.generations[index])
 
     # -- operations --------------------------------------------------------------------------------
 
@@ -298,15 +289,16 @@ class NfsConformanceWrapper(AbstractService):
                                      len(name.encode("utf-8")) + 16)
         # Reserve the abstract entry first; modify() must see pre-mutation
         # values (free object, old generation) for copy-on-write to serve
-        # earlier checkpoints correctly.
+        # earlier checkpoints correctly.  Any failure before assign()
+        # hands the entry back.
         index = self.rep.allocate()
-        self._modify(dir_index)
-        self._modify(index)
-        backend_dir_fh = self._backend_fh(dir_index)
-        concrete = Sattr(sattr.mode, sattr.uid, sattr.gid,
-                         sattr.size if ftype == FileType.NFREG else -1,
-                         -1, -1)
         try:
+            self._modify(dir_index)
+            self._modify(index)
+            backend_dir_fh = self._backend_fh(dir_index)
+            concrete = Sattr(sattr.mode, sattr.uid, sattr.gid,
+                             sattr.size if ftype == FileType.NFREG else -1,
+                             -1, -1)
             if ftype == FileType.NFREG:
                 fh, fattr = self.backend.create(backend_dir_fh, name,
                                                 concrete)
@@ -319,8 +311,8 @@ class NfsConformanceWrapper(AbstractService):
                 fh, fattr = self.backend.symlink(backend_dir_fh, name,
                                                  target, concrete)
                 self._charge_backend("symlink")
-        except NfsError:
-            self.rep.release_unassigned(index)
+        except Exception:
+            self.rep.rollback(index)
             raise
         self.rep.assign(index, ftype, fh, fattr.fileid, dir_index, now,
                         abstract_size)
@@ -447,8 +439,9 @@ class NfsConformanceWrapper(AbstractService):
 
     def get_obj(self, index: int) -> bytes:
         entry = self.rep.entry(index)
+        gen = self.rep.generations[index]
         if entry.is_free:
-            return encode_object(AbstractObject(FileType.NFNON, entry.gen))
+            return encode_object(AbstractObject(FileType.NFNON, gen))
         try:
             fh = self._backend_fh(index)
         except NfsError:
@@ -466,7 +459,7 @@ class NfsConformanceWrapper(AbstractService):
         if entry.ftype == FileType.NFREG:
             data, _ = self.backend.read(fh, 0, concrete.size)
             self._charge_backend("read", len(data))
-            obj = AbstractObject(FileType.NFREG, entry.gen, meta, data=data)
+            obj = AbstractObject(FileType.NFREG, gen, meta, data=data)
         elif entry.ftype == FileType.NFDIR:
             raw = self.backend.readdir(fh)
             self._charge_backend("readdir", 32 * len(raw))
@@ -477,15 +470,14 @@ class NfsConformanceWrapper(AbstractService):
                     raise StateTransferError(
                         f"{self.backend.vendor}: fileid {fileid} unmapped "
                         f"while abstracting directory {index}")
-                entries.append((name, child, self.rep.entry(child).gen))
+                entries.append((name, child, self.rep.generations[child]))
             entries.sort(key=lambda e: e[0])
-            obj = AbstractObject(FileType.NFDIR, entry.gen, meta,
+            obj = AbstractObject(FileType.NFDIR, gen, meta,
                                  entries=tuple(entries))
         else:
             target = self.backend.readlink(fh)
             self._charge_backend("readlink")
-            obj = AbstractObject(FileType.NFLNK, entry.gen, meta,
-                                 target=target)
+            obj = AbstractObject(FileType.NFLNK, gen, meta, target=target)
         return encode_object(obj)
 
     # -- inverse abstraction function (put_objs) ------------------------------------------------
@@ -499,18 +491,7 @@ class NfsConformanceWrapper(AbstractService):
     # -- proactive recovery (shutdown / restart) ----------------------------------------------------
 
     def save_rep(self) -> tuple:
-        """The conformance representation (the <fsid,fileid>→oid map and
-        per-entry metadata) as persisted to 'disk' at shutdown."""
-        entries = []
-        for index, entry in enumerate(self.rep.entries):
-            if entry.is_free:
-                entries.append((index, None, entry.gen, 0, 0, 0, 0, 0, 0))
-            else:
-                entries.append((index, int(entry.ftype), entry.gen,
-                                entry.fileid, entry.parent, entry.atime,
-                                entry.mtime, entry.ctime,
-                                entry.abstract_size))
-        return tuple(entries)
+        return self.rep.save()
 
     def load_rep(self, saved: tuple) -> None:
         """Reload the representation and re-mount; handles are re-resolved
@@ -525,35 +506,11 @@ class NfsConformanceWrapper(AbstractService):
             if rejuvenate is not None:
                 rejuvenate()
             self.backend.server_restart()
-        rep = ConformanceRep(self.spec.array_size)
-        rep._free_heap = []
-        for (index, ftype, gen, fileid, parent, atime, mtime, ctime,
-             abstract_size) in saved:
-            entry = rep.entry(index)
-            entry.gen = gen
-            if ftype is None:
-                if index != 0:
-                    rep._free_heap.append(index)
-                continue
-            entry.ftype = FileType(ftype)
-            entry.fileid = fileid
-            entry.parent = parent
-            entry.atime = atime
-            entry.mtime = mtime
-            entry.ctime = ctime
-            entry.abstract_size = abstract_size
-            rep.bytes_used += abstract_size
-            rep.fileid_to_index[fileid] = index
-        import heapq
-        heapq.heapify(rep._free_heap)
-        self.rep = rep
+        self.rep = ConformanceRep.load(self.spec.array_size, saved)
         # Fresh mount: the root handle is known; everything else is None
         # until resolved by walking down from a known ancestor.
         root_fh = self.backend.mount()
-        root_attr = self.backend.getattr(root_fh)
-        self.rep.set_fh(0, root_fh)
-        self.rep.fileid_to_index[root_attr.fileid] = 0
-        self.rep.entry(0).fileid = root_attr.fileid
+        self.rep.remount(root_fh, self.backend.getattr(root_fh).fileid)
 
     def _resolve_fh(self, index: int, visited: set) -> None:
         """Recover the backend handle for ``index`` after a restart: walk

@@ -17,12 +17,13 @@ matter which off-the-shelf implementation sits underneath:
   deterministic error envelopes from every replica, never an exception;
 - **restart survival** — ``shutdown``/``restart`` persist the
   conformance representation; the state-transfer delta repairs whatever
-  the reboot lost and the service keeps executing.
-- **consistency modes** — the edge ladder's staleness contract holds
-  over the service's abstract state: LINEARIZABLE reads return the
-  current state unflagged, BOUNDED_STALE reads are flagged and match
-  *some* state the service exposed within Δ of the serve time, and
-  LAST_KNOWN_GOOD reads are flagged with no bound.
+  the reboot lost and the service keeps executing;
+- **transaction framing** — the kernel's prepare/commit meta-ops frame a
+  sub-op without changing its reply or its effect, and a refused,
+  aborted or abandoned prepare changes nothing.
+
+The edge ladder's staleness contract is audited over real edge tiers by
+FaultLab's ``staleness_contract`` invariant, not here.
 
 One :class:`ServiceProbe` per registered service supplies the minimum
 service-specific knowledge: how to build a heterogeneous wrapper pair,
@@ -36,18 +37,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.base.nondet import ClockValue
-from repro.crypto.digest import digest
-from repro.edge.cache import EdgeCache
-from repro.edge.evidence import (BOUNDED_STALE, EVIDENCE_CERTIFICATE,
-                                 EVIDENCE_VECTOR, LAST_KNOWN_GOOD,
-                                 LINEARIZABLE, MODES, EdgeReply,
-                                 StalenessEvidence)
 from repro.encoding.canonical import canonical, decanonical
 from repro.service.kernel import AbstractService
-
-#: The edge ladder's rungs, in degradation order — the conformance axis
-#: every service is checked under (see :func:`check_consistency_mode`).
-CONSISTENCY_MODES: Tuple[str, ...] = MODES
 
 
 class Driver:
@@ -271,105 +262,6 @@ def check_txn_framing(probe: ServiceProbe) -> None:
         f"{probe.name}: abandoned prepares changed abstract state"
 
 
-def _state_blob(snapshot: Dict[int, bytes]) -> bytes:
-    """One canonical blob for a whole abstract state — the 'result' an
-    edge read of the service's abstraction function would return."""
-    return canonical(tuple(sorted(snapshot.items())))
-
-
-def check_consistency_mode(probe: ServiceProbe, mode: str) -> None:
-    """The edge staleness contract holds over this service's abstract
-    state, exercised through the real cache/lease machinery on a manual
-    clock (the driver's own op clock):
-
-    - LINEARIZABLE — the reply is unflagged, carries no bound, holds
-      certificate evidence, and equals the *latest* abstract state;
-    - BOUNDED_STALE — the reply is flagged, carries Δ, its lease is
-      still valid, and the result matches *some* abstract state the
-      service exposed within Δ of the serve time;
-    - LAST_KNOWN_GOOD — past Δ the lease no longer validates, the reply
-      is flagged with no bound, and the result still matches some
-      historical abstract state (stale, never fabricated).
-    """
-    assert mode in CONSISTENCY_MODES, mode
-    delta = 3.0
-    driver, _ = probe.pair()
-    history: List[Tuple[float, bytes]] = []
-    inner_raw = driver.raw
-
-    def recording_raw(op_blob: bytes, read_only: bool = False) -> bytes:
-        out = inner_raw(op_blob, read_only=read_only)
-        history.append((driver.clock, _state_blob(driver.snapshot())))
-        return out
-
-    driver.raw = recording_raw  # record the abstract-state history
-    probe.workload(driver)
-    assert len(history) >= 2, f"{probe.name}: workload too short"
-
-    # A near-final state enters the edge cache under the lease
-    # machinery, timestamped with the clock it was captured at.
-    cache = EdgeCache(lambda: driver.clock, delta)
-    cached_at, cached_blob = history[-2]
-    cache.put("state", cached_blob, StalenessEvidence(
-        kind=EVIDENCE_VECTOR,
-        issued_at_us=int(round(cached_at * 1_000_000)),
-        replicas=("replica0",),
-        checkpoint_seq=len(history) - 2,
-        root_digest=digest(cached_blob),
-        stable_at_us=int(round(cached_at * 1_000_000))))
-
-    now = driver.clock
-    if mode == LINEARIZABLE:
-        reply = EdgeReply(
-            result=_state_blob(driver.snapshot()), mode=LINEARIZABLE,
-            staleness_bound=None,
-            evidence=StalenessEvidence(
-                kind=EVIDENCE_CERTIFICATE,
-                issued_at_us=int(round(now * 1_000_000)),
-                replicas=("replica0", "replica1", "replica2")))
-        assert not reply.degraded, \
-            f"{probe.name}: linearizable reply must not be flagged"
-        assert reply.staleness_bound is None
-        assert reply.evidence.kind == EVIDENCE_CERTIFICATE
-        assert reply.result == history[-1][1], \
-            f"{probe.name}: linearizable read missed the latest state"
-    elif mode == BOUNDED_STALE:
-        entry = cache.get_fresh("state")
-        assert entry is not None, \
-            f"{probe.name}: lease within Δ did not validate"
-        reply = EdgeReply(result=entry.result, mode=BOUNDED_STALE,
-                          staleness_bound=delta, evidence=entry.evidence)
-        assert reply.degraded, \
-            f"{probe.name}: bounded-stale reply must be flagged"
-        assert reply.staleness_bound == delta
-        assert now - reply.evidence.issued_at <= delta
-        window = [blob for when, blob in history if now - when <= delta]
-        assert reply.result in window, \
-            f"{probe.name}: bounded-stale read matches no state within Δ"
-    else:  # LAST_KNOWN_GOOD
-        driver.clock += delta + 1.0  # the lease ages out, core is gone
-        assert cache.get_fresh("state") is None, \
-            f"{probe.name}: lease validated past Δ"
-        entry = cache.get_any("state")
-        assert entry is not None
-        assert cache.staleness(entry) > delta
-        reply = EdgeReply(result=entry.result, mode=LAST_KNOWN_GOOD,
-                          staleness_bound=None, evidence=entry.evidence)
-        assert reply.degraded, \
-            f"{probe.name}: last-known-good reply must be flagged"
-        assert reply.staleness_bound is None, \
-            f"{probe.name}: an expired lease cannot advertise a bound"
-        assert reply.result in [blob for _, blob in history], \
-            f"{probe.name}: last-known-good read fabricated a state"
-
-
-def check_consistency_modes(probe: ServiceProbe) -> None:
-    """Every rung of the edge ladder honors the staleness contract over
-    this service's abstract state."""
-    for mode in CONSISTENCY_MODES:
-        check_consistency_mode(probe, mode)
-
-
 #: The battery, in the order the checks are usually discussed.
 BATTERY: Tuple[Callable[[ServiceProbe], None], ...] = (
     check_round_trip,
@@ -378,7 +270,6 @@ BATTERY: Tuple[Callable[[ServiceProbe], None], ...] = (
     check_malformed_ops,
     check_restart_survival,
     check_txn_framing,
-    check_consistency_modes,
 )
 
 

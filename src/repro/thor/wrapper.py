@@ -15,10 +15,11 @@ must transfer with the state (documented as a deviation in DESIGN.md).
 
 The wrapper keeps two conformance structures (paper: "the VQ array and
 the client array"): ``vq_array`` maps abstract VQ indices to transaction
-timestamps, and ``client_array`` maps abstract client numbers to the
-per-client structures maintained by Thor.  State conversions use the
-server's *internal* APIs (as the paper did — the external interface is
-too narrow), treating them as black boxes.
+timestamps, and ``clients`` — a §6 :class:`KeyedArrayMapping` — maps
+abstract client numbers to the client ids Thor keys its per-client
+structures by.  State conversions use the server's *internal* APIs (as
+the paper did — the external interface is too narrow), treating them as
+black boxes.
 
 Dispatch, error enveloping, and shutdown/restart persistence ride the
 service kernel (:mod:`repro.service.kernel`).
@@ -26,8 +27,9 @@ service kernel (:mod:`repro.service.kernel`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
+from repro.base.mappings import KeyedArrayMapping
 from repro.base.nondet import TimestampAgreement
 from repro.encoding.canonical import canonical, decanonical
 from repro.errors import StateTransferError
@@ -59,8 +61,7 @@ class ThorConformanceWrapper(AbstractService):
         self.timestamps = TimestampAgreement(clock)
         # Conformance representation (paper §3.2.3).
         self.vq_array: List[int] = [0] * self.vq_capacity
-        self.client_array: List[Optional[str]] = [None] * max_clients
-        self._client_numbers: Dict[str, int] = {}
+        self.clients: KeyedArrayMapping[str] = KeyedArrayMapping(max_clients)
 
     # -- area index arithmetic -------------------------------------------------------
 
@@ -120,30 +121,28 @@ class ThorConformanceWrapper(AbstractService):
 
     @op("start_session")
     def _op_start_session(self, agreed_us: int, client_id: str) -> tuple:
-        existing = self._client_numbers.get(client_id)
+        existing = self.clients.index_of(client_id)
         if existing is not None:
             return (existing,)
         try:
-            number = next(i for i, c in enumerate(self.client_array)
-                          if c is None)
-        except StopIteration:
-            raise RuntimeError("client table full")
+            number = self.clients.reserve()
+        except IndexError:
+            raise RuntimeError("client table full") from None
         self._modify(self.is_index(number))
-        self.client_array[number] = client_id
-        self._client_numbers[client_id] = number
+        self.clients.bind(client_id, number)
         self.server.start_session(client_id)
         return (number,)
 
     @op("end_session")
     def _op_end_session(self, agreed_us: int, client_id: str) -> tuple:
-        number = self._client_numbers.pop(client_id, None)
+        number = self.clients.index_of(client_id)
         if number is None:
             return ()
         self._modify(self.is_index(number))
         for pagenum in range(self.num_pages):
             if client_id in self.server.directory.clients_caching(pagenum):
                 self._modify(self.dir_index(pagenum))
-        self.client_array[number] = None
+        self.clients.release(client_id)
         self.server.end_session(client_id)
         return ()
 
@@ -152,7 +151,7 @@ class ThorConformanceWrapper(AbstractService):
                   discards: tuple, acks: tuple) -> tuple:
         if not 0 <= pagenum < self.num_pages:
             raise ValueError(f"pagenum {pagenum} out of range")
-        number = self._client_numbers.get(client_id)
+        number = self.clients.index_of(client_id)
         if number is None:
             raise RuntimeError(f"no session for {client_id}")
         self._modify(self.dir_index(pagenum))
@@ -169,7 +168,7 @@ class ThorConformanceWrapper(AbstractService):
     def _op_commit(self, agreed_us: int, client_id: str, timestamp: int,
                    reads: tuple, writes: tuple, discards: tuple,
                    acks: tuple) -> tuple:
-        number = self._client_numbers.get(client_id)
+        number = self.clients.index_of(client_id)
         if number is None:
             raise RuntimeError(f"no session for {client_id}")
         # Faulty clients must not commit with wild timestamps (they would
@@ -193,7 +192,7 @@ class ThorConformanceWrapper(AbstractService):
                 raise ValueError(f"write to page {pagenum} out of range")
             self._modify(self.page_index(pagenum))
             for other in self.server.directory.clients_caching(pagenum):
-                other_number = self._client_numbers.get(other)
+                other_number = self.clients.index_of(other)
                 if other_number is not None and other != client_id:
                     self._modify(self.is_index(other_number))
         slot = self._predict_vq_slot()
@@ -236,7 +235,7 @@ class ThorConformanceWrapper(AbstractService):
                               tuple(sorted(entry.writes))))
         if index < 1 + self.num_pages + self.vq_capacity + self.max_clients:
             number = index - 1 - self.num_pages - self.vq_capacity
-            client_id = self.client_array[number]
+            client_id = self.clients.key_of(number)
             if client_id is None:
                 return canonical((None,))
             orefs = tuple(sorted(self.server.invalid_sets.get(client_id)))
@@ -246,8 +245,8 @@ class ThorConformanceWrapper(AbstractService):
         if pagenum >= self.num_pages:
             raise IndexError(f"abstract index {index} out of range")
         caching = self.server.directory.clients_caching(pagenum)
-        numbers = tuple(sorted(self._client_numbers[c] for c in caching
-                               if c in self._client_numbers))
+        numbers = tuple(sorted(self.clients.index_of(c) for c in caching
+                               if c in self.clients))
         return canonical((numbers,))
 
     # -- inverse abstraction function -------------------------------------------------------------
@@ -289,27 +288,21 @@ class ThorConformanceWrapper(AbstractService):
 
     def _put_invalid_set(self, number: int, blob: bytes) -> None:
         decoded = decanonical(blob)
-        old = self.client_array[number]
-        if decoded == (None,):
-            if old is not None:
-                self.server.invalid_sets.end_client(old)
-                self._client_numbers.pop(old, None)
-            self.client_array[number] = None
-            return
-        client_id, orefs = decoded
+        client_id = decoded[0]     # (None,) or (client_id, orefs)
+        old = self.clients.key_of(number)
         if old is not None and old != client_id:
             self.server.invalid_sets.end_client(old)
-            self._client_numbers.pop(old, None)
-        self.client_array[number] = client_id
-        self._client_numbers[client_id] = number
-        self.server.invalid_sets.start_client(client_id)
-        self.server.invalid_sets.replace(client_id, set(orefs))
+        # A client the source renumbered moves here from its old slot.
+        self.clients.install(client_id, number, 0)
+        if client_id is not None:
+            self.server.invalid_sets.start_client(client_id)
+            self.server.invalid_sets.replace(client_id, set(decoded[1]))
 
     def _put_directory(self, pagenum: int, blob: bytes) -> None:
         (numbers,) = decanonical(blob)
         clients = set()
         for number in numbers:
-            client_id = self.client_array[number]
+            client_id = self.clients.key_of(number)
             if client_id is None:
                 raise StateTransferError(
                     f"directory page {pagenum} references free client "
@@ -320,7 +313,8 @@ class ThorConformanceWrapper(AbstractService):
     # -- proactive recovery ---------------------------------------------------------------------------
 
     def save_rep(self) -> tuple:
-        return (tuple(self.vq_array), tuple(self.client_array))
+        return (tuple(self.vq_array),
+                tuple(map(self.clients.key_of, range(self.max_clients))))
 
     def load_rep(self, saved: tuple) -> None:
         """The server process restarts: page cache, MOB, VQ, invalid sets
@@ -340,10 +334,10 @@ class ThorConformanceWrapper(AbstractService):
         server.vq = ValidationQueue(server.config.vq_capacity)
         server.invalid_sets = InvalidSets()
         server.directory = CachedPagesDirectory()
-        _vq_array, client_array = saved
+        _vq_array, client_ids = saved
         self.vq_array = [0] * self.vq_capacity
-        self.client_array = list(client_array)
-        self._client_numbers = {c: i for i, c in enumerate(client_array)
-                                if c is not None}
-        for client_id in self._client_numbers:
-            self.server.invalid_sets.start_client(client_id)
+        self.clients = KeyedArrayMapping(self.max_clients)
+        for number, client_id in enumerate(client_ids):
+            if client_id is not None:
+                self.clients.install(client_id, number, 0)
+                self.server.invalid_sets.start_client(client_id)

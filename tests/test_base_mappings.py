@@ -94,6 +94,20 @@ def test_mapping_install_overrides():
     assert mapping.bind("c", index) == 7
 
 
+def test_allocator_heap_never_outgrows_the_array():
+    """Transfers free slots that are already free and install keys over
+    queued ones; no slot is queued twice, and the lowest still comes
+    first."""
+    mapping = KeyedArrayMapping(7)
+    for gen in range(5):
+        for index in range(7):
+            mapping.install(None, index, gen)
+        mapping.install("k", 3, gen)
+        mapping.release("k")
+        assert len(mapping.allocator._free) <= 7
+    assert [mapping.reserve() for _ in range(7)] == list(range(7))
+
+
 def test_mapping_save_load_roundtrip():
     mapping = KeyedArrayMapping(16, reserved=2)
     mapping.assign(("users", 5))

@@ -69,6 +69,7 @@ def test_edge_cache_lease_lifecycle():
     stale = cache.get_any("k")
     assert stale is not None and stale.result == b"v"
     assert cache.expired_hits == 1
+    assert cache.staleness(stale) > cache.delta
 
 
 def test_edge_cache_lease_starts_at_evidence_time_not_insert_time():

@@ -267,6 +267,20 @@ def test_put_objs_rename_in_place_preserves_unshipped_data():
     assert b.ok("read", fh_b, 0, 100, read_only=True)[0] == b"precious data"
 
 
+def test_a_create_that_fails_after_allocating_hands_its_entry_back():
+    """A directory whose backend object vanished answers CREATE with
+    NFSERR_STALE only after the new entry was allocated: the entry goes
+    back to the free pool, so the next create takes the lowest index."""
+    h = WrapperHarness(LinuxExt2Backend)
+    dir_fh, _ = h.ok("mkdir", ROOT_OID, "d", SATTR_DIR)
+    assert dir_fh == oid_bytes(1, 1)
+    h.wrapper.backend.rmdir(h.wrapper.rep.entry(0).fh, "d")
+    h.wrapper.rep.set_fh(1, None)   # its handle must now be re-resolved
+    assert h.op("create", dir_fh, "f", SATTR_FILE) == (
+        int(NfsStatus.NFSERR_STALE),)
+    assert h.ok("create", ROOT_OID, "g", SATTR_FILE)[0] == oid_bytes(2, 1)
+
+
 # -- regression: values outside their unsigned fields ---------------------------
 #
 # offset, count and the sattr fields are unsigned on the wire of the

@@ -11,9 +11,7 @@ import pytest
 from repro.encoding.canonical import canonical, decanonical
 from repro.service.conformance import (
     BATTERY,
-    CONSISTENCY_MODES,
     check_abstract_determinism,
-    check_consistency_mode,
     check_malformed_ops,
     check_read_only_rejection,
     check_restart_survival,
@@ -129,19 +127,6 @@ def test_build_refuses_undeclared_and_missing_options(name, build,
             build(definition, **options)
 
 
-@pytest.mark.parametrize("mode", CONSISTENCY_MODES)
-@pytest.mark.parametrize("name", probe_names())
-def test_consistency_mode(name, mode):
-    check_consistency_mode(get_probe(name), mode)
-
-
-def test_consistency_modes_cover_the_whole_ladder():
-    from repro.edge.evidence import MODES
-    assert CONSISTENCY_MODES == MODES
-    assert set(CONSISTENCY_MODES) == {
-        "linearizable", "bounded_stale", "last_known_good"}
-
-
 # -- faulty backends ---------------------------------------------------------
 #
 # The BASE claim under test: the abstraction wrapper tolerates software
@@ -178,12 +163,11 @@ def test_aged_out_leaky_backend_recovers_via_rejuvenation():
     driver.ok(*probe.mutating_op)
 
 
-def test_battery_covers_all_seven_checks():
+def test_battery_covers_all_six_checks():
     assert {check.__name__ for check in BATTERY} == {
         "check_round_trip", "check_abstract_determinism",
         "check_read_only_rejection", "check_malformed_ops",
-        "check_restart_survival", "check_txn_framing",
-        "check_consistency_modes"}
+        "check_restart_survival", "check_txn_framing"}
 
 
 # -- regression: wire-legal procedures outside the abstract spec ------------------

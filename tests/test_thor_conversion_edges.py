@@ -106,7 +106,27 @@ def test_put_objs_clears_removed_clients():
              if blob != dst.state()[i]}
     dst.wrapper.put_objs(delta)
     assert dst.state() == src.state()
-    assert "bob" not in dst.wrapper._client_numbers
+    assert "bob" not in dst.wrapper.clients
+
+
+def test_put_objs_moves_a_renumbered_client():
+    """The source renumbers ``alice`` from 1 to 0; a replica that still
+    holds the old numbering must move the session, not lose it."""
+    src, dst = Harness(seed=3), Harness(seed=4)
+    for h in (src, dst):
+        assert h.ok("start_session", "bob") == (0,)
+        assert h.ok("start_session", "alice") == (1,)
+    src.ok("end_session", "alice")
+    src.ok("end_session", "bob")
+    assert src.ok("start_session", "alice") == (0,)
+    src.ok("fetch", "alice", 1, (), ())
+    delta = {i: blob for i, blob in enumerate(src.state())
+             if blob != dst.state()[i]}
+    dst.wrapper.put_objs(delta)
+    assert dst.state() == src.state()
+    for h in (src, dst):
+        h.ok("fetch", "alice", 2, (), ())
+    assert dst.state() == src.state()
 
 
 def test_unknown_op_is_deterministic_error():
