@@ -13,7 +13,13 @@ Fast paths:
   commit phase finishes and reply marked tentative; 2f+1 matching
   tentative replies form a *commit certificate* (the request's position
   survives any view change), letting the client accept one round early.
-  Fewer matching tentative replies fall back to the f+1 committed rule.
+  A committed reply counts toward it too (that replica prepared the
+  batch).  Fewer matching replies fall back to the f+1 committed rule.
+- *Designated replier*: replica ``seq % n`` sends the full result, the
+  rest digests.  A certificate complete without the bytes waits
+  ``NUDGE_GRACE``, then retransmits; the replicas it lacked stay *mute*
+  until they vote in an accepted quorum, and a certificate lacking only
+  mute replicas retransmits at once.
 - *Read-only optimization*: read-only requests go straight to all
   replicas, execute against current state, and need 2f+1 matching
   read-only replies; if that quorum does not show up (concurrent writes
@@ -41,8 +47,8 @@ from repro.sim.tracing import Tracer
 # Grace before the client retransmits on a complete result-digest
 # certificate with no full result: the designated replier's bytes are
 # usually still in flight, so waiting a moment beats re-MACing and
-# re-sending the request to every replica (a mute replier only costs
-# this much extra before the nudge goes out).
+# re-sending the request to every replica.  A replier it expires on is
+# mute, and costs no further grace until it votes in an accepted quorum.
 NUDGE_GRACE = 0.002
 # The retry timer doubles per timeout up to this many retry timeouts.
 RETRY_BACKOFF_MAX = 16
@@ -80,8 +86,9 @@ class _PendingCall:
     # result_digest -> set of replica ids vouching for it
     votes: Dict[bytes, Set[str]] = field(default_factory=dict)
     results: Dict[bytes, bytes] = field(default_factory=dict)
-    # Ordered-but-uncommitted (tentative execution) votes: 2f+1 matching
-    # form a commit certificate.
+    # Votes of the replicas that executed the request prepared, tentative
+    # or committed (a committed execution was prepared there too): 2f+1
+    # matching form a commit certificate.
     tentative_votes: Dict[bytes, Set[str]] = field(default_factory=dict)
     # Read-only-optimization votes, kept apart from the ordered quorums:
     # they certify a read against *unordered* state and become worthless
@@ -118,6 +125,9 @@ class BftClient(Node):
         # (path, voters) of the most recent acceptance — what
         # collect_read_certificate packages into a ReadCertificate.
         self._last_accept: Tuple[str, Tuple[str, ...]] = ("", ())
+        # Repliers a grace expired on, until they next vote in an accepted
+        # quorum: a subset of the n replicas.
+        self._mute: Set[str] = set()
 
     @property
     def busy(self) -> bool:
@@ -237,6 +247,9 @@ class BftClient(Node):
         call = self._pending
         if call is None or call.nudged:
             return
+        for voters in call.tentative_votes.values():
+            if len(voters) >= self._quorum:
+                self._mute |= self._replicas - voters
         call.nudged = True
         self._fast_retransmit()
 
@@ -285,6 +298,8 @@ class BftClient(Node):
             votes = call.tentative_votes
         else:
             votes = call.votes
+            call.tentative_votes.setdefault(reply.result_digest,
+                                            set()).add(voter)
         votes.setdefault(reply.result_digest, set()).add(voter)
         self._check_accept()
 
@@ -321,9 +336,12 @@ class BftClient(Node):
             # path (where the missing replica may be gone for good), a
             # 2f+1 tentative quorum usually means the last reply is
             # simply still in flight — give it a short grace window
-            # before retransmitting, so the common case costs nothing
-            # and a mute replier only costs the grace.
-            if not call.nudged and not self._nudge_timer.running:
+            # before retransmitting, so the common case costs nothing.
+            if call.nudged:
+                return
+            if self._replicas - voters <= self._mute:
+                self._on_nudge_grace()      # no second grace for the mute
+            elif not self._nudge_timer.running:
                 self._nudge_timer.start()
             return
         # Read-only optimization: 2f+1 matching read-only replies.
@@ -335,6 +353,7 @@ class BftClient(Node):
     def _accept(self, rdigest: bytes, path: str, voters: Set[str]) -> None:
         call = self._pending
         self._pending = None
+        self._mute -= voters
         self._retry_timer.stop()
         self._nudge_timer.stop()
         self._last_accept = (path, tuple(sorted(voters)))

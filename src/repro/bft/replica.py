@@ -557,8 +557,15 @@ class Replica(Node):
             if msg.view >= self.view:
                 self.on_message(src, msg)
 
+    def _low_water(self) -> int:
+        """h of the ordering window (h, h + L]: the stable checkpoint, or
+        while fetching, the checkpoint fetched (the group orders above it)."""
+        if self.transfer.active:
+            return max(self.last_stable, self.transfer.target_seq)
+        return self.last_stable
+
     def handle_pre_prepare(self, src, pp: PrePrepare) -> None:
-        low = self.last_stable
+        low = self._low_water()
         if not (low < pp.seq <= low + self._log_window):
             return
         slot = self.log.slot(pp.seq)
@@ -593,7 +600,7 @@ class Replica(Node):
     def handle_prepare(self, src, prep: Prepare) -> None:
         if prep.replica_id == self.primary_id:
             return  # the primary's pre-prepare is its prepare
-        low = self.last_stable
+        low = self._low_water()
         if not (low < prep.seq <= low + self._log_window):
             return
         slot = self.log.slot(prep.seq)
@@ -630,7 +637,7 @@ class Replica(Node):
                 self.try_execute()
 
     def handle_commit(self, src, com: Commit) -> None:
-        low = self.last_stable
+        low = self._low_water()
         if not (low < com.seq <= low + self._log_window):
             return
         slot = self.log.slot(com.seq)

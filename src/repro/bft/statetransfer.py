@@ -51,8 +51,6 @@ class StateTransferManager:
         self._fetched: Dict[int, Tuple[bytes, int]] = {}
         # leaves whose value matches but whose lm must be adopted
         self._lm_fixes: Dict[int, int] = {}
-        self._progress = 0
-        self._last_progress_seen = -1
         self._timer = replica.make_timer(self.RETRY_PERIOD, self._on_timeout)
         self.completion_callbacks = []
         self.objects_fetched_total = 0
@@ -81,6 +79,9 @@ class StateTransferManager:
             r.trace("transfer_bad_cert", seq=seq)
             return
         r.trace("transfer_started", seq=seq)
+        # The certified checkpoint supersedes every slot at or under it:
+        # the ordering window moves to (seq, seq + L] now (_low_water).
+        r.log.truncate_below(seq)
         if not self.active:
             self._started_at = r.now
         self.active = True
@@ -99,8 +100,6 @@ class StateTransferManager:
         self._lm_fixes.clear()
         self._table_blob = None
         self._table_pending = False
-        self._progress = 0
-        self._last_progress_seen = -1
         # Refresh dirty leaf digests so local comparisons are meaningful;
         # during recovery everything is dirty and this is the expensive
         # "check" phase of Table IV.
@@ -123,23 +122,20 @@ class StateTransferManager:
         return others[self._donor_index % len(others)]
 
     def _on_timeout(self) -> None:
+        """A donor silent for a whole period is dropped: rotate and
+        re-request everything outstanding from the next one."""
         if not self.active:
             return
-        if self._progress == self._last_progress_seen:
-            # No progress since last tick: rotate donor and re-request.
-            self._donor_index += 1
-            self.replica.trace("transfer_donor_switch", donor=self.donor)
-            for (level, index), expected in list(
-                    self._outstanding_meta.items()):
-                self._request_meta(level, index, expected)
-            for index, (expected, lm) in list(
-                    self._outstanding_objects.items()):
-                self._request_object(index, expected, lm)
-            if self._table_pending:
-                self.replica.send(self.donor, FetchTable(
-                    self.replica.node_id, self.target_seq))
-        self._last_progress_seen = self._progress
-        self._timer.restart(self.RETRY_PERIOD)
+        self._donor_index += 1
+        self.replica.trace("transfer_donor_switch", donor=self.donor)
+        for (level, index), expected in list(self._outstanding_meta.items()):
+            self._request_meta(level, index, expected)
+        for index, (expected, lm) in list(self._outstanding_objects.items()):
+            self._request_object(index, expected, lm)
+        if self._table_pending:
+            self.replica.send(self.donor, FetchTable(
+                self.replica.node_id, self.target_seq))
+        self._timer.restart()
 
     # -- fetch requests ---------------------------------------------------------------
 
@@ -221,7 +217,7 @@ class StateTransferManager:
             return  # donor lied; timeout will rotate
         r.charge(r.costs.digest(64 * len(msg.children)))
         del self._outstanding_meta[key]
-        self._progress += 1
+        self._timer.restart()
         tree = r.state.tree
         child_level = msg.level + 1
         base = msg.index * tree.branching
@@ -267,7 +263,7 @@ class StateTransferManager:
             return
         del self._outstanding_objects[msg.index]
         self._fetched[msg.index] = (msg.value, lm)
-        self._progress += 1
+        self._timer.restart()
         self.objects_fetched_total += 1
         self.bytes_fetched_total += len(msg.value)
         self._check_done()
@@ -292,7 +288,7 @@ class StateTransferManager:
             return
         self._table_blob = msg.blob
         self._table_pending = False
-        self._progress += 1
+        self._timer.restart()
         self._check_done()
 
     def _check_done(self) -> None:

@@ -61,13 +61,17 @@ class ViewChangeManager:
         r.vc_timer.stop()
         r.trace("view_change_started", view=new_view)
 
+        # Report from the base of the window this replica votes in: while
+        # fetching, the certified checkpoint it fetches, so every slot it
+        # prepared or committed above it is in the VIEW-CHANGE.
+        low = r._low_water()
+        cert = r.stable_cert if low == r.last_stable else r.transfer.cert
         prepared = tuple(
             PreparedProof(slot.prepared_cert[0], slot.seq,
                           slot.prepared_cert[1].batch_digest(),
                           slot.prepared_cert[1])
-            for slot in r.log.prepared_above(r.last_stable))
-        vc = ViewChange(new_view, r.last_stable, r.stable_cert, prepared,
-                        r.node_id)
+            for slot in r.log.prepared_above(low))
+        vc = ViewChange(new_view, low, cert, prepared, r.node_id)
         r.sign_msg(vc)
         r.multicast(r.other_replicas, vc)
         self.received.setdefault(new_view, {})[r.node_id] = vc

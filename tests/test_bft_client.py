@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bft.client import NUDGE_GRACE
 from repro.bft.messages import Reply
 from repro.bft.statemachine import InMemoryStateManager
 from repro.crypto.digest import digest
@@ -10,11 +11,11 @@ from tests.conftest import make_kv_cluster
 
 
 def authed_reply(cluster, replica_id, client_id, request_id, result,
-                 result_digest=None, view=0):
+                 result_digest=None, view=0, tentative=False):
     """A reply carrying a *valid* MAC from ``replica_id``."""
     reply = Reply(view, request_id, client_id, replica_id, result,
                   result_digest if result_digest is not None
-                  else digest(result))
+                  else digest(result), tentative)
     reply.auth = Authenticator.create(cluster.registry, replica_id,
                                       [client_id], reply.digest())
     return reply
@@ -283,3 +284,73 @@ def test_cancel_abandons_the_call_and_frees_the_client():
     cluster.run_until(lambda: "r" in box2)
     assert box2["r"] == b"ok"
     assert "r" not in box
+
+
+# -- a replica that is down or behind costs one timeout ---------------------------
+
+
+def _timed_puts(cluster, sync, count, start):
+    """Issue ``count`` sequential puts; the simulated wait of each."""
+    waits = []
+    for i in range(start, start + count):
+        began = cluster.scheduler.now
+        assert sync.call(put(i % 16, b"m%d" % i)) == b"ok"
+        waits.append(cluster.scheduler.now - began)
+    return waits
+
+
+def test_a_mute_designated_replier_costs_one_grace():
+    """replica1 orders but none of its replies arrive.  It is the
+    designated replier of seqs 1, 5 and 9: the first certificate lacking
+    its bytes waits out NUDGE_GRACE, the later two retransmit at once."""
+    cluster = make_kv_cluster(client_retry_timeout=5.0)
+    sync = cluster.add_client("client0")
+    cluster.network.add_filter(lambda src, dst, msg: not (
+        getattr(msg, "kind", "") == "reply" and src == "replica1"))
+    waits = _timed_puts(cluster, sync, 12, 0)
+    assert [i for i, wait in enumerate(waits) if wait >= NUDGE_GRACE] == [0]
+    assert cluster.metrics.counter_value("client.fast_retransmissions") == 3
+    assert sync.client._mute == {"replica1"}
+
+
+def test_a_replier_is_forgiven_once_it_votes_in_an_accepted_quorum():
+    """Once replica1's replies arrive again, its full result completes the
+    next certificate it is designated for and it leaves the mute set: cut
+    off again, it is given the grace again (seq 9)."""
+    cluster = make_kv_cluster(client_retry_timeout=5.0)
+    sync = cluster.add_client("client0")
+    muted = [True]
+    cluster.network.add_filter(lambda src, dst, msg: not (
+        muted and getattr(msg, "kind", "") == "reply" and src == "replica1"))
+    assert _timed_puts(cluster, sync, 4, 0)[0] >= NUDGE_GRACE
+    assert sync.client._mute == {"replica1"}
+    muted.clear()
+    _timed_puts(cluster, sync, 4, 4)
+    assert sync.client._mute == set()
+    muted.append(True)
+    assert _timed_puts(cluster, sync, 4, 8)[0] >= NUDGE_GRACE
+
+
+def test_a_committed_reply_joins_the_commit_certificate():
+    """A lagging replica0 answers committed while replica1 and replica3
+    answer tentatively: two tentative votes and one committed vote for
+    one digest are 2f+1 replicas that prepared the request, a commit
+    certificate, so the client accepts with no retry timeout."""
+    cluster = make_kv_cluster(client_retry_timeout=5.0)
+    client = cluster.add_client("client0").client
+    cluster.network.add_filter(
+        lambda src, dst, msg: getattr(msg, "kind", "") != "reply")
+    box = {}
+    client.invoke(put(0, b"v"), lambda res: box.update(r=res))
+    cluster.run(0.1)                   # executed; every real reply dropped
+    rdigest = digest(b"ok")
+    client.on_message("replica0", authed_reply(
+        cluster, "replica0", "client0", 1, None, rdigest))
+    client.on_message("replica1", authed_reply(
+        cluster, "replica1", "client0", 1, b"ok", tentative=True))
+    assert "r" not in box
+    client.on_message("replica3", authed_reply(
+        cluster, "replica3", "client0", 1, None, rdigest, tentative=True))
+    assert box == {"r": b"ok"}
+    assert cluster.metrics.counter_value("client.accept_tentative") == 1
+    assert cluster.metrics.counter_value("client.retransmissions") == 0

@@ -273,3 +273,108 @@ def test_forced_transfer_back_to_stable_forgets_what_it_rolled_back():
     assert [(m.request_id, m.tentative) for m in replies] \
         == [(certified_id, False)]
     assert checkpoints == []
+
+
+# -- a replica that is down or behind costs one timeout ---------------------------
+
+
+def test_a_donor_that_crashes_mid_transfer_is_dropped_within_one_period():
+    """The donor answers the lagger's first fetch and crashes.  The
+    lagger switches donor one RETRY_PERIOD after that answer, not after
+    a first period that only notes progress and a second that sees
+    none, and finishes the transfer from the next donor."""
+    cluster = make_kv_cluster(checkpoint_interval=4)
+    client = cluster.add_client("client0")
+    lagger = cluster.replicas[3]
+    for other in cluster.config.replica_ids[:3]:
+        cluster.network.partition(lagger.node_id, other)
+    run_writes(cluster, client, 8)
+    cluster.run(1.0)
+    cluster.network.heal_all()
+    donor = cluster.replicas[0]
+    crashed_at = []
+
+    def answer_once_then_crash(src, dst, msg):
+        if src == donor.node_id and dst == lagger.node_id \
+                and getattr(msg, "kind", "").endswith("_reply") \
+                and not crashed_at:
+            crashed_at.append(cluster.scheduler.now)
+            donor.crash()
+        return True
+
+    cluster.network.add_filter(answer_once_then_crash)
+    lagger.transfer.initiate(donor.last_stable, donor.stable_cert[0].root_digest,
+                             donor.stable_cert)
+    assert lagger.transfer.donor == donor.node_id
+    cluster.run(3.0)
+    switch = cluster.tracer.find("transfer_donor_switch", source=lagger.node_id)
+    assert crashed_at and switch
+    assert switch[0].time - crashed_at[0] \
+        < lagger.transfer.RETRY_PERIOD + 0.01
+    assert not lagger.transfer.active
+    assert lagger.state.values == cluster.replicas[1].state.values
+
+
+def _fetching_lagger():
+    """Replica 3 executes two writes and misses the next fourteen, so its
+    stable checkpoint is 0 and its window ends at L = 8.  It then fetches
+    the group's stable checkpoint 16 while its fetches are held back, and
+    the group orders seqs 17 and 18 meanwhile.  Returns the cluster, the
+    lagger and the list whose emptying releases the fetches."""
+    cluster = make_kv_cluster(checkpoint_interval=4)
+    client = cluster.add_client("client0")
+    lagger = cluster.replicas[3]
+    run_writes(cluster, client, 2)
+    cluster.run(0.1)
+    for other in cluster.config.replica_ids[:3]:
+        cluster.network.partition(lagger.node_id, other)
+    run_writes(cluster, client, 14, start=2)
+    cluster.run(0.1)
+    donor = cluster.replicas[0]
+    assert (lagger.last_stable, donor.last_stable) == (0, 16)
+    cluster.network.heal_all()
+    stalled = [True]
+    cluster.network.add_filter(lambda src, dst, msg: not (
+        stalled and src == lagger.node_id
+        and getattr(msg, "kind", "").startswith("fetch_")))
+    lagger.transfer.initiate(16, donor.stable_cert[0].root_digest,
+                             donor.stable_cert)
+    run_writes(cluster, client, 2, start=16)
+    assert lagger.transfer.active and donor.last_executed == 18
+    return cluster, lagger, stalled
+
+
+def test_a_fetching_replica_keeps_the_next_window():
+    """The pre-prepares for 17 and 18 lie above the lagger's old
+    high-water mark (0 + 8) but inside the window of the checkpoint it
+    fetches (16 + 8): it logs and prepares them, and executes them the
+    moment the transfer completes."""
+    cluster, lagger, stalled = _fetching_lagger()
+    assert [lagger.log.get(seq).prepared for seq in (17, 18)] == [True] * 2
+    stalled.clear()
+    cluster.run(3.0)
+    done = cluster.tracer.find("transfer_complete", source=lagger.node_id)
+    assert [e.detail["seq"] for e in done] == [16]
+    executed = [e for e in cluster.tracer.find("executed", source=lagger.node_id)
+                if e.detail["seq"] > 16]
+    assert [e.detail["seq"] for e in executed] == [17, 18]
+    assert {e.time for e in executed} == {done[0].time}
+    assert lagger.state.values == cluster.replicas[0].state.values
+
+
+def test_a_view_change_started_mid_transfer_reports_the_fetched_window():
+    """A VIEW-CHANGE must report every slot its sender voted on, or a
+    quorum of view changes can miss a batch that committed with its
+    vote.  The fetching lagger voted on 17 and 18, above its own stable
+    checkpoint's window (0, 8]: it reports the certified checkpoint 16 it
+    fetches and both slots, and its peers accept that VIEW-CHANGE.  The
+    slots 1 and 2 the checkpoint supersedes left its log at the start of
+    the transfer, so the log stays within one window."""
+    cluster, lagger, _ = _fetching_lagger()
+    assert lagger.log.seqs() == [17, 18]
+    lagger.view_changes.start(lagger.view + 1)
+    vc = lagger.view_changes.received[lagger.view + 1][lagger.node_id]
+    assert (vc.last_stable, vc.checkpoint_proof) == (16, lagger.transfer.cert)
+    assert [proof.seq for proof in vc.prepared] == [17, 18]
+    peer = cluster.replicas[0]
+    assert peer.view_changes._valid_view_change(vc)

@@ -112,7 +112,7 @@ def test_bounded_wait_catches_a_new_view_timer_armed_before_2f_plus_1(
     Plan: the view-0 primary crashes for good while a backup is cut off
     alone; no three replicas can talk, and each live one climbs.  At the
     heal all three sit at view 5 with a 3.2 s timer, so the clients wait
-    3.9 s against a 2.4 s bound.  The shipped timer keeps them at view 1
+    3.4 s against a 2.4 s bound.  The shipped timer keeps them at view 1
     retransmitting, and the heal completes that view change."""
     from repro.bft.viewchange import ViewChangeManager
     from repro.faultlab.invariants import liveness_bound
@@ -141,7 +141,7 @@ def test_bounded_wait_catches_a_new_view_timer_armed_before_2f_plus_1(
     monkeypatch.setattr(ViewChangeManager, "_on_new_view_timeout", climb)
     result = run_trial(scenario, 0)
     assert [v.invariant for v in result.violations] == ["liveness"] * 2
-    assert "waited 3.903s" in result.violations[0].detail
+    assert "waited 3.405s" in result.violations[0].detail
 
 
 def test_beyond_f_collusion_is_caught_by_reply_validity():

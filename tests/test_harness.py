@@ -367,6 +367,23 @@ def test_only_the_gate_authenticates_what_a_replica_receives():
             and _compares_src(node)] == []
 
 
+def test_the_ordering_handlers_take_their_window_from_low_water():
+    """``handle_pre_prepare``, ``handle_prepare`` and ``handle_commit``
+    get the base h of their (h, h + L] window only from
+    ``Replica._low_water()``, which moves it to the checkpoint a state
+    transfer is fetching; none of them reads ``last_stable`` itself."""
+    handlers = {fn.name: fn for where, fn in _functions("bft")
+                if where.startswith("bft/replica.py:Replica.handle_")}
+    for name in ("handle_pre_prepare", "handle_prepare", "handle_commit"):
+        fn = handlers[name]
+        assert "self._low_water" in [ast.unparse(node.func)
+                                     for node in ast.walk(fn)
+                                     if isinstance(node, ast.Call)], name
+        assert [node.lineno for node in ast.walk(fn)
+                if isinstance(node, ast.Attribute)
+                and node.attr == "last_stable"] == [], name
+
+
 def _compares_src(node):
     """``src`` against a message field or a membership list: anything
     but a local name (``src not in by_replica`` is bookkeeping)."""

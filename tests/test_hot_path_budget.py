@@ -210,12 +210,12 @@ def run_sql_loop():
 def test_sql_simulated_outcome_is_pinned():
     cluster, replies = run_sql_loop()
     lagger = cluster.replicas[3]
-    assert lagger.transfer.objects_fetched_total == 55
+    assert lagger.transfer.objects_fetched_total == 35
     assert [r.last_stable for r in cluster.replicas] == [128] * 4
-    assert cluster.scheduler.events_run == 3438
-    assert cluster.network.messages_sent == 3792
-    assert cluster.network.bytes_sent == 259979
-    assert cluster.scheduler.now == 2.1127117724611377
+    assert cluster.scheduler.events_run == 3359
+    assert cluster.network.messages_sent == 3732
+    assert cluster.network.bytes_sent == 251371
+    assert cluster.scheduler.now == 2.0734909880839143
     assert {r.state.tree.root_digest.hex() for r in cluster.replicas} == {
         "622347d54fe2ea351a74d640aba11d2ed1794f5d3dcf2e5b796245cdffa35187"}
     assert Counter(r[0] if r[0] == "OK" else r[1] for r in replies) == {
@@ -223,10 +223,10 @@ def test_sql_simulated_outcome_is_pinned():
     assert hashlib.sha256(canonical(tuple(replies))).hexdigest() == (
         "83b922d75fe90d2e3398a43af674c84a013ea74e61fbea5d1bf54b11c1c68a9e")
     assert dict(cluster.tracer.counters) == {
-        "checkpoint_stable": 13, "checkpoint_taken": 13, "committed": 449,
-        "executed": 417, "pre_prepare_sent": 128, "prepared": 449,
+        "checkpoint_stable": 14, "checkpoint_taken": 14, "committed": 452,
+        "executed": 449, "pre_prepare_sent": 128, "prepared": 452,
         "read_only_executed": 91, "result_accepted": 151,
-        "transfer_complete": 2, "transfer_started": 2}
+        "transfer_complete": 1, "transfer_started": 1}
 
 
 def test_insert_work_does_not_grow_with_the_table():
@@ -297,15 +297,15 @@ def test_basefs_simulated_outcome_is_pinned():
                              AndrewConfig(copies=1)).run()
     cluster.run(0.5)
     assert result.ops_issued == 244
-    assert result.total == 0.8926625813875071
-    assert cluster.scheduler.events_run == 3923
+    assert result.total == 0.8517960743174282
+    assert cluster.scheduler.events_run == 3903
     assert cluster.network.messages_sent == 3902
     assert cluster.network.bytes_sent == 1073305
-    assert cluster.scheduler.now == 1.392662581387507
+    assert cluster.scheduler.now == 1.3517960743174282
     assert [r.state.last_checkpoint_seq for r in cluster.replicas] == [80] * 4
     assert {r.checkpoint_history[-1][1].hex()
             for r in cluster.replicas} == {
-        "4fc78e72e775d7beeba941fef746c06aa82da7b1c094589e7cb9d44d0b17c9c0"}
+        "f98004b5707f439c70e2d4a07742526471b2cd6c0777d5a5135a7eb3549060ae"}
     assert dict(cluster.tracer.counters) == {
         "checkpoint_stable": 20, "checkpoint_taken": 20, "committed": 328,
         "executed": 328, "pre_prepare_sent": 82, "prepared": 328,
