@@ -1,55 +1,9 @@
-"""Shared, cached experiment runs for the benchmark harness.
+"""Shared helper for the benchmark harness.
 
-Each paper table/figure gets its own test file; expensive simulation runs
-are cached here so that, e.g., the Andrew100 BASEFS run feeds Table I,
-Table III, and Table IV without re-simulating.
+The expensive simulation runs are cached in ``benchmarks/paper.py``, so
+that, e.g., the Andrew100 BASEFS run feeds Tables I, III and IV without
+re-simulating.
 """
-
-from __future__ import annotations
-
-import functools
-
-import pytest
-
-from repro.harness import experiments as E
-from repro.nfs.backends import ALL_BACKENDS
-
-
-@functools.lru_cache(maxsize=None)
-def andrew_std(scale: str, vendor: str = "linux-ext2"):
-    config = E.ANDREW100 if scale == "100" else E.ANDREW500
-    backend_class = next(c for c in ALL_BACKENDS if c.vendor == vendor)
-    return E.run_andrew_std(config, backend_class=backend_class)
-
-
-@functools.lru_cache(maxsize=None)
-def andrew_basefs(scale: str, heterogeneous: bool = False,
-                  recovery: bool = False):
-    config = E.ANDREW100 if scale == "100" else E.ANDREW500
-    backends = list(ALL_BACKENDS) if heterogeneous else None
-    if recovery:
-        # Staggered so the four replicas rejuvenate one at a time
-        # (reverse order; see RecoveryManager), scaled from the paper's
-        # cadence: 80 s (A100) / 250 s (A500) / 425 s (heterogeneous,
-        # which the paper spaced widest because its recoveries take the
-        # longest — the slow replica refetches a lot).
-        if heterogeneous:
-            interval, stagger = (1.0, 3.0)
-        elif scale == "100":
-            interval, stagger = (0.8, 1.1)
-        else:
-            interval, stagger = (1.5, 3.3)
-        return E.run_andrew_basefs(config, backend_classes=backends,
-                                   recovery_interval=interval,
-                                   recovery_stagger=stagger)
-    return E.run_andrew_basefs(config, backend_classes=backends)
-
-
-@functools.lru_cache(maxsize=None)
-def oo7(system: str, names: tuple):
-    if system == "std":
-        return E.run_oo7_std(list(names))
-    return E.run_oo7_base(list(names))
 
 
 def run_once(benchmark, fn):

@@ -1,44 +1,22 @@
 """Figure 6 — OO7 cold read-only traversals: Thor vs BASE-Thor.
 
-Paper: BASE-Thor takes +39% on T1 (full composite-graph DFS) and +29% on
-T6 (root atomic parts only); the commit bar is a small fraction of both;
-T6's overhead is *lower* because its page reads have less locality, so
-disk time dilutes the protocol overhead.
+T1 is a full composite-graph DFS, T6 visits root atomic parts only;
+commit is a small fraction of both.
 """
 
-from benchmarks.conftest import oo7, run_once
-from repro.harness.report import assert_shape, format_table, overhead_pct
-
-TRAVERSALS = ("T1", "T6", "T2a", "T2b")
-PAPER_PCT = {"T1": 39, "T6": 29}
+from benchmarks import paper
+from benchmarks.conftest import run_once
 
 
 def test_fig6_oo7_readonly(benchmark):
-    base = run_once(benchmark, lambda: oo7("base", TRAVERSALS))
-    std = oo7("std", TRAVERSALS)
+    record = run_once(benchmark, paper.fig6)
+    print(f"\n{record}")
+    record.check()
 
-    rows = []
-    for name in ("T1", "T6"):
-        s, b = std.results[name], base.results[name]
-        pct = overhead_pct(b.total, s.total)
-        rows.append((name, f"{s.traversal_seconds:.3f}",
-                     f"{s.commit_seconds:.3f}", f"{b.traversal_seconds:.3f}",
-                     f"{b.commit_seconds:.3f}", f"+{pct:.0f}%",
-                     f"+{PAPER_PCT[name]}%"))
-    print()
-    print(format_table(
-        "Figure 6: OO7 cold read-only traversals (seconds, simulated)",
-        ["traversal", "Thor trav", "Thor commit", "BASE trav",
-         "BASE commit", "overhead", "paper"], rows,
-        note="Scaled-down medium database (100 composites x 50 atomic "
-             "parts); cold client and server caches per traversal."))
-
-    t1_pct = overhead_pct(base.results["T1"].total, std.results["T1"].total)
-    t6_pct = overhead_pct(base.results["T6"].total, std.results["T6"].total)
-    assert_shape("OO7 T1", t1_pct, 20, 60)
-    assert_shape("OO7 T6", t6_pct, 15, 50)
+    base, std = paper.oo7("base"), paper.oo7("std")
+    measured = record.measured()
     # T6 pays less than T1 (less locality -> disk dilutes the protocol).
-    assert t6_pct < t1_pct
+    assert measured["T6 (roots only)"] < measured["T1 (full DFS)"]
     # Commit time is a small fraction of read-only traversals.
     for name in ("T1", "T6"):
         for run in (std, base):

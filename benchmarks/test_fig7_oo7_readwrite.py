@@ -1,45 +1,20 @@
 """Figure 7 — OO7 cold read-write traversals: Thor vs BASE-Thor.
 
-Paper: +38% on T2a (updates the root atomic part of each composite) and
-+45% on T2b (updates *every* atomic part).  The traversal portions of
-T1/T2a/T2b are nearly identical; the difference is commit time — a small
-fraction for T2a, a large fraction for T2b (100 000 modified objects),
-with BASE adding significant commit overhead there due to checkpoint
-maintenance.
+T2a updates the root atomic part of each composite, T2b *every* atomic
+part; their traversals match T1's and the difference is commit time,
+where BASE adds checkpoint maintenance.
 """
 
-from benchmarks.conftest import oo7, run_once
-from repro.harness.report import assert_shape, format_table, overhead_pct
-
-TRAVERSALS = ("T1", "T6", "T2a", "T2b")
-PAPER_PCT = {"T2a": 38, "T2b": 45}
+from benchmarks import paper
+from benchmarks.conftest import run_once
 
 
 def test_fig7_oo7_readwrite(benchmark):
-    base = run_once(benchmark, lambda: oo7("base", TRAVERSALS))
-    std = oo7("std", TRAVERSALS)
+    record = run_once(benchmark, paper.fig7)
+    print(f"\n{record}")
+    record.check()
 
-    rows = []
-    for name in ("T2a", "T2b"):
-        s, b = std.results[name], base.results[name]
-        pct = overhead_pct(b.total, s.total)
-        rows.append((name, f"{s.traversal_seconds:.3f}",
-                     f"{s.commit_seconds:.3f}", f"{b.traversal_seconds:.3f}",
-                     f"{b.commit_seconds:.3f}", f"+{pct:.0f}%",
-                     f"+{PAPER_PCT[name]}%"))
-    print()
-    print(format_table(
-        "Figure 7: OO7 cold read-write traversals (seconds, simulated)",
-        ["traversal", "Thor trav", "Thor commit", "BASE trav",
-         "BASE commit", "overhead", "paper"], rows))
-
-    t2a_pct = overhead_pct(base.results["T2a"].total,
-                           std.results["T2a"].total)
-    t2b_pct = overhead_pct(base.results["T2b"].total,
-                           std.results["T2b"].total)
-    assert_shape("OO7 T2a", t2a_pct, 20, 65)
-    assert_shape("OO7 T2b", t2b_pct, 25, 70)
-
+    base, std = paper.oo7("base"), paper.oo7("std")
     # Traversal times of T1/T2a/T2b are almost identical (same DFS).
     t1 = std.results["T1"].traversal_seconds
     for name in ("T2a", "T2b"):

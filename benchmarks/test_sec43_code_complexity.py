@@ -1,44 +1,25 @@
-"""§4.3 — code complexity: the wrapper + conversion code is small.
-
-The paper counts semicolons: 1105 for the whole replicated file system
-(624 wrapper + 481 conversions) against 17 735 for the kernel code it
-wraps, and 658 for replicated Thor against 37 055 of Thor itself.  The
-claim being supported: the *new* code the methodology requires is a small
-fraction of the systems it reuses, so it is cheap to write and unlikely
-to introduce many new bugs.
-
-The Python analogue counts AST statements.  The claim to reproduce is the
-ratio, not the absolute counts.
+"""§4.3 — code complexity: the *new* code the methodology requires (the
+wrapper and conversions) is a small fraction of the systems it reuses.
+The paper counts semicolons; the Python analogue counts AST statements.
 """
 
+from benchmarks import paper
 from benchmarks.conftest import run_once
-from repro.harness.complexity import (complexity_report, complexity_table,
-                                      line_budget_table)
+from repro.harness.complexity import line_budget_table
 
 
 def test_sec43_code_complexity(benchmark):
-    rows_data = run_once(benchmark, complexity_report)
-    counts = {row.component: row.statements for row in rows_data}
-
-    print()
-    print(complexity_table(rows_data))
+    record = run_once(benchmark, paper.sec43)
+    print(f"\n{record}\n\n{line_budget_table()}")
+    record.check()
+    counts = record.measured()
 
     kernel = counts["service kernel (shared)"]
-    nfs_new = (counts["NFS conformance wrapper"]
-               + counts["NFS state conversions"]
-               + counts["NFS abstract spec"])
-    nfs_reused = counts["wrapped NFS implementations"]
+    nfs_new = counts[paper.NFS_TOTAL]
     thor_new = counts["Thor conformance wrapper + conversions"]
     thor_reused = counts["wrapped Thor implementation"]
-    print(f"\nNFS: new {nfs_new} vs reused {nfs_reused} "
-          f"({100 * nfs_new / nfs_reused:.0f}%)  [paper: 1105 vs 17735, 6%]")
-    print(f"Thor: new {thor_new} vs reused {thor_reused} "
-          f"({100 * thor_new / thor_reused:.0f}%)  [paper: 658 vs 37055, 2%]")
-    print()
-    print(line_budget_table())
-
     # Shape: the new code is small next to the machinery it composes.
-    # Caveat for the first ratio: our "reused" implementations are
+    # Caveat for the NFS ratio: our "reused" implementations are
     # miniature simulators (hundreds of statements, not a kernel's tens
     # of thousands), which inflates new/reused enormously versus the
     # paper; the within-new structure is what transfers.
@@ -46,7 +27,7 @@ def test_sec43_code_complexity(benchmark):
     assert nfs_new < counts["BFT library"]
     assert thor_new < counts["BFT library"]
     # Many NFS procedures make the wrapper bigger than the conversions,
-    # exactly as the paper observes (624 vs 481).
+    # exactly as the paper observes.
     assert counts["NFS conformance wrapper"] > \
         counts["NFS state conversions"]
     # The conversions plus spec are themselves modest (the paper's

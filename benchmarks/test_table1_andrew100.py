@@ -1,58 +1,20 @@
 """Table I — Andrew100: elapsed seconds per phase, BASEFS vs NFS-std.
 
-Paper (homogeneous Linux setup):
-
-    Phase     BASEFS   NFS-std
-    1         0.9      0.5
-    2         49.2     27.4
-    3         45.4     39.2
-    4         44.7     36.5
-    5         287.3    234.7
-    Total     427.65   338.3     (BASEFS +26%)
-
-We reproduce the scaled workload's *shape*: per-phase and total overhead
-ratios of the replicated service against the implementation it reuses.
+The shape to reproduce is the overhead of the replicated service over
+the implementation it reuses, per phase and in total.
 """
 
-from benchmarks.conftest import andrew_basefs, andrew_std, run_once
-from repro.harness.report import assert_shape, format_table, overhead_pct
-
-PAPER = {1: (0.9, 0.5), 2: (49.2, 27.4), 3: (45.4, 39.2),
-         4: (44.7, 36.5), 5: (287.3, 234.7)}
-PAPER_TOTAL_PCT = 26.4
+from benchmarks import paper
+from benchmarks.conftest import run_once
 
 
 def test_table1_andrew100(benchmark):
-    base = run_once(benchmark, lambda: andrew_basefs("100")).result
-    std = andrew_std("100").result
+    record = run_once(benchmark, paper.table1)
+    print(f"\n{record}")
+    record.check()
 
-    rows = []
-    for phase in range(1, 6):
-        measured = overhead_pct(base.phase_seconds[phase],
-                                std.phase_seconds[phase])
-        paper = overhead_pct(*PAPER[phase])
-        rows.append((f"phase {phase}", base.phase_seconds[phase],
-                     std.phase_seconds[phase], f"+{measured:.0f}%",
-                     f"+{paper:.0f}%"))
-    total_pct = overhead_pct(base.total, std.total)
-    rows.append(("total", base.total, std.total, f"+{total_pct:.0f}%",
-                 f"+{PAPER_TOTAL_PCT:.0f}%"))
-    print()
-    print(format_table(
-        "Table I: Andrew100 elapsed time (seconds, simulated)",
-        ["phase", "BASEFS", "NFS-std", "overhead", "paper"], rows,
-        note="Workload scaled 100x down; overhead ratios are the "
-             "reproduction target."))
-
-    # Shape assertions: the replicated service is tens-of-percent slower,
-    # never multiples; write phases pay more than read phases.
-    assert_shape("Andrew100 total", total_pct, 15, 45)
-    assert_shape("Andrew100 phase 2 (writes)",
-                 overhead_pct(base.phase_seconds[2], std.phase_seconds[2]),
-                 40, 130)
-    assert_shape("Andrew100 phase 5 (compile)",
-                 overhead_pct(base.phase_seconds[5], std.phase_seconds[5]),
-                 10, 40)
+    base = paper.andrew_basefs("100").result
+    std = paper.andrew_std("100").result
     # Phase 5 dominates the run in both systems, as in the paper.
     assert base.phase_seconds[5] > 0.5 * base.total
     assert std.phase_seconds[5] > 0.5 * std.total

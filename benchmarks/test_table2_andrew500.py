@@ -1,45 +1,24 @@
 """Table II — Andrew500: the scaled-up run (state no longer cache-resident
-in the paper; 3x the work in this reproduction).
-
-Paper: BASEFS 2328.7 s vs NFS-std 1824.4 s (+28%), overhead slightly
-above Andrew100's +26%.
+in the paper; 3x the work in this reproduction).  The paper's overhead
+lands slightly above Andrew100's.
 """
 
-from benchmarks.conftest import andrew_basefs, andrew_std, run_once
-from repro.harness.report import assert_shape, format_table, overhead_pct
-
-PAPER = {1: (5.0, 2.4), 2: (248.2, 137.6), 3: (231.5, 199.2),
-         4: (298.5, 238.1), 5: (1545.5, 1247.1)}
-PAPER_TOTAL_PCT = 27.6
+from benchmarks import paper
+from benchmarks.conftest import run_once
 
 
 def test_table2_andrew500(benchmark):
-    base = run_once(benchmark, lambda: andrew_basefs("500")).result
-    std = andrew_std("500").result
+    record = run_once(benchmark, paper.table2)
+    print(f"\n{record}")
+    record.check()
 
-    rows = []
-    for phase in range(1, 6):
-        measured = overhead_pct(base.phase_seconds[phase],
-                                std.phase_seconds[phase])
-        paper = overhead_pct(*PAPER[phase])
-        rows.append((f"phase {phase}", base.phase_seconds[phase],
-                     std.phase_seconds[phase], f"+{measured:.0f}%",
-                     f"+{paper:.0f}%"))
-    total_pct = overhead_pct(base.total, std.total)
-    rows.append(("total", base.total, std.total, f"+{total_pct:.0f}%",
-                 f"+{PAPER_TOTAL_PCT:.0f}%"))
-    print()
-    print(format_table(
-        "Table II: Andrew500 elapsed time (seconds, simulated)",
-        ["phase", "BASEFS", "NFS-std", "overhead", "paper"], rows))
-
-    assert_shape("Andrew500 total", total_pct, 15, 45)
     # Larger state does not change who wins or the rough factor.
-    a100_base = andrew_basefs("100").result
-    a100_std = andrew_std("100").result
-    a100_pct = overhead_pct(a100_base.total, a100_std.total)
+    total_pct = record.measured()["total"]
+    a100_pct = paper.table1().measured()["total"]
     assert abs(total_pct - a100_pct) < 15, (
         f"A500 overhead {total_pct:.0f}% wildly different from "
         f"A100 {a100_pct:.0f}%")
     # And it really is a bigger run.
+    std = paper.andrew_std("500").result
+    a100_std = paper.andrew_std("100").result
     assert std.total > 2 * a100_std.total

@@ -1,56 +1,22 @@
 """Table IV — maximum time to complete a recovery, by phase.
 
-Paper (seconds):
-
-                 Andrew100   Andrew500
-    Shutdown     0.07        0.32
-    Reboot       30.05       30.05
-    Restart      0.18        0.97
-    Fetch+check  18.28       141.37
-    Total        48.58       172.71
-
 Shape to reproduce: the reboot is a fixed cost; shutdown/restart are
 negligible; fetch-and-check grows with the state size and comes to rival
-then dominate the reboot as the state grows (82% of the A500 total).
+then dominate the reboot as the state grows.
 """
 
-from benchmarks.conftest import andrew_basefs, run_once
+from benchmarks import paper
+from benchmarks.conftest import run_once
 from repro.harness.experiments import REBOOT_DELAY
-from repro.harness.report import format_table
-
-
-def slowest_recovery(run):
-    records = [rec for r in run.cluster.replicas
-               for rec in r.recovery.records]
-    assert records, "no recoveries completed during the run"
-    return max(records, key=lambda rec: rec.total), len(records)
 
 
 def test_table4_recovery_breakdown(benchmark):
-    run100 = run_once(benchmark,
-                      lambda: andrew_basefs("100", recovery=True))
-    run500 = andrew_basefs("500", recovery=True)
-    rec100, n100 = slowest_recovery(run100)
-    rec500, n500 = slowest_recovery(run500)
+    record = run_once(benchmark, paper.table4)
+    print(f"\n{record}")
+    record.check()
 
-    rows = [
-        ("shutdown", rec100.shutdown, rec500.shutdown, 0.07, 0.32),
-        ("reboot", rec100.reboot, rec500.reboot, 30.05, 30.05),
-        ("restart", rec100.restart, rec500.restart, 0.18, 0.97),
-        ("fetch+check", rec100.fetch_and_check, rec500.fetch_and_check,
-         18.28, 141.37),
-        ("total", rec100.total, rec500.total, 48.58, 172.71),
-    ]
-    print()
-    print(format_table(
-        "Table IV: slowest recovery breakdown (seconds; paper columns at "
-        "100x scale)",
-        ["phase", "A100 (sim)", "A500 (sim)", "paper A100", "paper A500"],
-        rows,
-        note=f"({n100} recoveries in the A100 run, {n500} in A500; "
-             f"reboot scaled to {REBOOT_DELAY}s)"))
-
-    # Shape assertions.
+    rec100 = paper.slowest_recovery(paper.andrew_basefs("100", recovery=True))
+    rec500 = paper.slowest_recovery(paper.andrew_basefs("500", recovery=True))
     assert rec100.reboot == REBOOT_DELAY
     assert rec500.reboot == REBOOT_DELAY
     # Shutdown/restart are negligible next to the reboot.
@@ -59,7 +25,7 @@ def test_table4_recovery_breakdown(benchmark):
     # Fetch-and-check grows with the state...
     assert rec500.fetch_and_check > 1.5 * rec100.fetch_and_check
     # ...and rivals/overtakes the fixed reboot at the larger scale, while
-    # staying below it at the smaller one (paper: 18 vs 30, then 141 vs 30).
+    # staying below it at the smaller one, as in the paper.
     assert rec100.fetch_and_check < rec100.reboot
     assert rec500.fetch_and_check > 0.5 * rec500.reboot
     share500 = rec500.fetch_and_check / rec500.total

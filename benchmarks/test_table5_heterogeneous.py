@@ -1,89 +1,29 @@
 """Table V — Andrew100 in the heterogeneous (N-version) setup.
 
-Paper (seconds):
-
-    BASEFS-PR    1950.6
-    BASEFS       1662.2
-    OpenBSD      1599.1
-    Solaris      1009.2
-    FreeBSD      848.4
-    Linux        338.3
-
 Shape: the native implementations span ~4.7x (Linux replies without
-stable writes — fast and non-compliant; the BSDs/Solaris sync), and the
-heterogeneous BASEFS lands *near the slowest replica* (+4% vs OpenBSD in
-the paper) because it needs a quorum of 3 including the (fast, Linux)
-primary — i.e. +391% vs Linux but barely slower than OpenBSD alone.
+stable writes; the BSDs/Solaris sync), and heterogeneous BASEFS costs
+multiples of Linux, since its quorum of 3 includes slow replicas.  The
+paper's lands just above the slowest native, dragged there by state
+transfers thrashing real disks; the simulator has no disk contention, so
+ours lands between the 3rd-fastest and slowest natives.
 """
 
-from benchmarks.conftest import andrew_basefs, andrew_std, run_once
-from repro.harness.report import assert_shape, format_table, overhead_pct
-
-PAPER = {"linux-ext2": 338.3, "freebsd-ufs": 848.4, "solaris-ufs": 1009.2,
-         "openbsd-ffs": 1599.1, "basefs-het": 1662.2,
-         "basefs-het-pr": 1950.6}
-VENDORS = ("linux-ext2", "freebsd-ufs", "solaris-ufs", "openbsd-ffs")
+from benchmarks import paper
+from benchmarks.conftest import run_once
 
 
 def test_table5_heterogeneous(benchmark):
-    het = run_once(benchmark,
-                   lambda: andrew_basefs("100", heterogeneous=True))
-    natives = {v: andrew_std("100", vendor=v).result.total for v in VENDORS}
-    het_total = het.result.total
-    linux = natives["linux-ext2"]
+    record = run_once(benchmark, paper.table5)
+    print(f"\n{record}")
+    record.check()
 
-    rows = []
-    for vendor in VENDORS:
-        rows.append((vendor, natives[vendor],
-                     f"{natives[vendor] / linux:.2f}x",
-                     f"{PAPER[vendor] / PAPER['linux-ext2']:.2f}x"))
-    rows.append(("BASEFS (heterogeneous)", het_total,
-                 f"{het_total / linux:.2f}x",
-                 f"{PAPER['basefs-het'] / PAPER['linux-ext2']:.2f}x"))
-    print()
-    print(format_table(
-        "Table V: Andrew100 heterogeneous setup (seconds, simulated; "
-        "ratios vs native Linux)",
-        ["system", "seconds", "vs linux", "paper"], rows))
-
-    # Native spread matches the paper's ordering and rough factors.
+    # Native spread matches the paper's ordering.
+    natives = {v: paper.andrew_std("100", vendor=v).result.total
+               for v in paper.VENDORS}
     assert natives["linux-ext2"] < natives["freebsd-ufs"] \
         < natives["solaris-ufs"] < natives["openbsd-ffs"]
-    assert_shape("FreeBSD/Linux ratio",
-                 100 * (natives["freebsd-ufs"] / linux - 1), 100, 220)
-    assert_shape("OpenBSD/Linux ratio",
-                 100 * (natives["openbsd-ffs"] / linux - 1), 280, 480)
-    # The headline: heterogeneous BASEFS costs multiples of the fastest
-    # native implementation while remaining a working service.  The paper
-    # measured it a touch *above* the slowest native (+4% vs OpenBSD)
-    # because the permanently-lagging replica's constant state transfers
-    # thrashed the others' real disks; our simulator charges donors for
-    # serving but cannot reproduce the full disk-contention drag, so our
-    # BASEFS-het lands between the 3rd-fastest and slowest natives.
-    vs_linux = overhead_pct(het_total, linux)
-    vs_solaris = overhead_pct(het_total, natives["solaris-ufs"])
-    vs_slowest = overhead_pct(het_total, natives["openbsd-ffs"])
-    print(f"BASEFS-het: +{vs_linux:.0f}% vs Linux (paper +391%), "
-          f"+{vs_solaris:.0f}% vs Solaris (paper +65%), "
-          f"{vs_slowest:+.0f}% vs OpenBSD (paper +4%)")
-    assert_shape("BASEFS-het vs Linux", vs_linux, 180, 450)
+    vs_solaris = record.measured()["BASEFS-het vs Solaris"]
     assert vs_solaris > 0, "must cost more than the 3rd-fastest native"
-    assert vs_slowest <= 30, "must not exceed the slowest native by much"
-
-
-def test_table5_heterogeneous_with_recovery(benchmark):
-    het_pr = run_once(benchmark, lambda: andrew_basefs(
-        "100", heterogeneous=True, recovery=True))
-    het = andrew_basefs("100", heterogeneous=True)
-    linux = andrew_std("100").result.total
-    print(f"\nBASEFS-het-PR {het_pr.result.total:.2f}s vs BASEFS-het "
-          f"{het.result.total:.2f}s (paper: 1950.6 vs 1662.2, +17%)")
-    premium = overhead_pct(het_pr.result.total, het.result.total)
-    # Paper: +17% premium (recoveries periodically make slow replicas
-    # primary).  Our simulated premium runs higher because the plain
-    # het baseline is *faster* than the paper's (no disk-contention
-    # drag), which the recovery stalls are measured against.
-    assert 0 <= premium <= 100, f"PR premium {premium:.0f}% out of band"
-    recoveries = {rec.replica_id for r in het_pr.cluster.replicas
-                  for rec in r.recovery.records}
+    het_pr = paper.andrew_basefs("100", heterogeneous=True, recovery=True)
+    recoveries = {rec.replica_id for rec in paper.recoveries(het_pr)}
     assert len(recoveries) == 4

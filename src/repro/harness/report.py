@@ -1,7 +1,7 @@
 """Plain-text table/figure rendering for the benchmark harness.
 
-Each benchmark prints the same rows/series the paper reports, alongside
-the paper's values, so a reader can eyeball the shape agreement.  The
+The paper-table records of ``benchmarks/paper.py`` print through
+:func:`format_table`, the paper's value beside each measured one.  The
 metrics helpers render the observability layer's per-phase latency
 histograms (see :mod:`repro.sim.metrics`) next to those tables.
 
@@ -58,24 +58,11 @@ def overhead_pct(measured: float, baseline: float) -> float:
 
     A non-positive baseline means the benchmark produced no work to
     compare against — that is a broken run, not a 0% overhead, so the
-    result is NaN (which :func:`assert_shape` rejects loudly).
+    result is NaN (which ``benchmarks/paper.py`` rejects loudly).
     """
     if baseline <= 0:
         return float("nan")
     return 100.0 * (measured - baseline) / baseline
-
-
-def assert_shape(description: str, measured_pct: float, low: float,
-                 high: float) -> None:
-    """Benchmarks assert overheads land in a generous band around the
-    paper's figure — tight enough to catch a broken shape, loose enough
-    to absorb the simulator/scale substitution."""
-    assert not math.isnan(measured_pct), (
-        f"{description}: overhead is NaN (zero or negative baseline — "
-        f"the benchmark measured nothing)")
-    assert low <= measured_pct <= high, (
-        f"{description}: overhead {measured_pct:.1f}% outside the "
-        f"expected band [{low}, {high}]%")
 
 
 # -- metrics rendering --------------------------------------------------------

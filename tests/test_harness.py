@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.paper import BLOCK, Record, Row, splice
 from repro.analysis import all_rules
 from repro.bft import messages
 from repro.bft.messages import Message
@@ -15,11 +16,7 @@ from repro.harness.complexity import (
     count_statements,
     package_lines,
 )
-from repro.harness.report import (
-    assert_shape,
-    format_table,
-    overhead_pct,
-)
+from repro.harness.report import format_table, overhead_pct
 from repro.workloads.microbench import (
     build_kv_cluster,
     concurrent_ops,
@@ -38,17 +35,104 @@ def test_overhead_pct_broken_baseline_is_nan():
     assert math.isnan(overhead_pct(5, -1))
 
 
-def test_assert_shape_bands():
-    assert_shape("ok", 25, 20, 30)
-    with pytest.raises(AssertionError):
-        assert_shape("too low", 10, 20, 30)
-    with pytest.raises(AssertionError):
-        assert_shape("too high", 40, 20, 30)
+def _record(*rows):
+    return Record("t", "t", list(rows))
 
 
-def test_assert_shape_rejects_nan():
-    with pytest.raises(AssertionError, match="NaN"):
-        assert_shape("broken baseline", overhead_pct(5, 0), 0, 100)
+def test_paper_row_passes_in_its_band_and_fails_outside_it():
+    _record(Row("ok", 25, 26, (20, 30)), Row("unbanded", 99, 26)).check()
+    for measured in (10, 40):
+        with pytest.raises(AssertionError, match="outside the asserted band"):
+            _record(Row("off", measured, 26, (20, 30))).check()
+
+
+def test_paper_row_measuring_nothing_fails():
+    for band in (None, (0, 100)):
+        with pytest.raises(AssertionError, match="measured nothing"):
+            _record(Row("broken baseline", overhead_pct(5, 0), 26,
+                        band)).check()
+
+
+def test_paper_band_must_contain_the_paper_figure():
+    with pytest.raises(ValueError, match="paper's figure"):
+        Row("Table I total", 31, 26.4, (30, 45))
+    with pytest.raises(ValueError, match="paper's figure"):
+        Row("no paper figure to contain", 31, None, (30, 45))
+
+
+def test_paper_row_renders_a_negative_overhead_with_its_sign():
+    row = Row("BASEFS-het vs OpenBSD", -5.0, 4.0, (-math.inf, 30))
+    assert row.cells() == ("BASEFS-het vs OpenBSD", "+4%", "-5%", "≤ +30%")
+    assert "| BASEFS-het vs OpenBSD | +4% | -5% | ≤ +30% |" in \
+        _record(row).markdown()
+    assert "-5%" in str(_record(row))
+
+
+def test_paper_splice_rewrites_only_inside_its_markers():
+    record = _record(Row("total", 31, 26, (15, 45)))
+    text = ("# head |x|\n<!-- paper:t -->\n| stale |\n<!-- /paper:t -->\n"
+            "tail\n")
+    spliced = splice(text, [record])
+    before, rest = spliced.split("<!-- paper:t -->\n")
+    inside, after = rest.split("<!-- /paper:t -->")
+    assert (before, after) == ("# head |x|\n", "\ntail\n")
+    assert inside == record.markdown() + "\n"
+    assert splice(spliced, [record]) == spliced
+    orphan = text + "<!-- paper:u -->\n<!-- /paper:u -->\n"
+    unclosed = text.replace("<!-- /paper:t -->", "")
+    for bad_text, records in ((orphan, [record]), (unclosed, [record]),
+                              (text, [record, Record("v", "v", [])])):
+        with pytest.raises(ValueError, match="do not pair"):
+            splice(bad_text, records)
+
+
+#: The benchmarks that print a paper table or figure through
+#: ``benchmarks/paper.py``.
+PAPER_TABLE_FILES = (
+    "test_table1_andrew100.py", "test_table2_andrew500.py",
+    "test_table3_proactive_recovery.py", "test_table4_recovery_breakdown.py",
+    "test_table5_heterogeneous.py", "test_fig6_oo7_readonly.py",
+    "test_fig7_oo7_readwrite.py", "test_sec43_code_complexity.py")
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _module_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((alias.asname or alias.name).split(".")[0]
+                        for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        else:
+            yield from (sub.id for sub in ast.walk(node)
+                        if isinstance(sub, ast.Name)
+                        and isinstance(sub.ctx, ast.Store))
+
+
+def test_paper_values_and_tables_are_declared_only_in_benchmarks_paper():
+    bench = Path(__file__).resolve().parents[1] / "benchmarks"
+    assert sorted(PAPER_TABLE_FILES) == sorted(
+        path.name for path in bench.glob("test_*.py")
+        if "paper" in _module_names(_parse(path)))
+    assert [(path.name, name) for path in sorted(bench.glob("test_*.py"))
+            for name in _module_names(_parse(path))
+            if name.startswith("PAPER")] == []
+    assert [(name, node.lineno) for name in PAPER_TABLE_FILES
+            for node in ast.walk(_parse(bench / name))
+            if (isinstance(node, ast.Name) and node.id == "format_table")
+            or (isinstance(node, ast.Attribute)
+                and node.attr == "format_table")] == []
+
+
+def test_every_experiments_table_is_generated():
+    text = (Path(__file__).resolve().parents[1] / "EXPERIMENTS.md").read_text(
+        encoding="utf-8")
+    assert BLOCK.findall(text)
+    assert [line for line in BLOCK.sub("", text).splitlines()
+            if line.startswith("|")] == []
 
 
 def test_format_table_alignment():
