@@ -359,7 +359,7 @@ class BftClient(Node):
         self._last_accept = (path, tuple(sorted(voters)))
         self.tracer.metrics.inc(f"client.accept_{path}")
         self.tracer.emit(self.now, self.node_id, "result_accepted",
-                         request_id=call.request.request_id, result=rdigest)
+                         call.request.request_id, rdigest)
         self.tracer.observe_phase("request_to_reply",
                                   self.now - call.started_at)
         call.callback(call.results[rdigest])

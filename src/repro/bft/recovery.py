@@ -89,7 +89,7 @@ class RecoveryManager:
         self.rebooting = True
         self.epoch += 1
         self._current = RecoveryRecord(r.node_id, r.now)
-        r.trace("recovery_started", epoch=self.epoch)
+        r.trace("recovery_started", self.epoch)
         r.vc_timer.stop()
         r.waiting.clear()
 
@@ -117,7 +117,7 @@ class RecoveryManager:
         self._fetch_started_at = r.now
         self.background_cpu = 0.0
         self._empty_cert_replies.clear()
-        r.trace("recovery_fetching", epoch=self.epoch)
+        r.trace("recovery_fetching", self.epoch)
         req = RecoveryRequest(r.node_id, self.epoch)
         r.sign_msg(req)
         r.multicast(r.other_replicas, req)
@@ -164,8 +164,7 @@ class RecoveryManager:
         self.records.append(rec)
         self._current = None
         self.recovering = False
-        r.trace("recovery_complete", epoch=self.epoch,
-                total=rec.total)
+        r.trace("recovery_complete", self.epoch, rec.total)
         # Table-IV breakdown, one observation per phase per recovery.
         metrics = r.tracer.metrics
         metrics.observe("recovery.shutdown", rec.shutdown)
@@ -190,4 +189,4 @@ class RecoveryManager:
         """A peer announced recovery: reply with our stable checkpoint cert
         (the transfer manager handles the actual FETCH-CERT exchange, so
         here we simply note the event for diagnostics)."""
-        self.replica.trace("peer_recovering", peer=src, epoch=msg.epoch)
+        self.replica.trace("peer_recovering", src, msg.epoch)

@@ -280,8 +280,8 @@ class Replica(Node):
         if len(memo) > self.config.verified_sig_bound:
             del memo[next(iter(memo))]      # the oldest goes first
 
-    def trace(self, kind: str, **detail) -> None:
-        self.tracer.record(self.scheduler._now, self.node_id, kind, detail)
+    def trace(self, kind: str, *fields) -> None:
+        self.tracer.record(self.scheduler._now, self.node_id, kind, fields)
 
     # -- the gate: every delivery passes its kind's contract ---------------------
 
@@ -321,7 +321,7 @@ class Replica(Node):
         if proof is MAC:
             if not verify_auth(self, principal, msg):
                 if msg.kind == "request":
-                    self.trace("bad_request_auth", client=principal)
+                    self.trace("bad_request_auth", principal)
                 return
         elif proof is SIG and not self.verify_sig(principal, msg):
             return
@@ -387,9 +387,8 @@ class Replica(Node):
             result = self._behavior.corrupt_reply_result(result)
         rdigest = self._reply(req.client_id, req.request_id, result,
                               tentative=True, force_full=True, read_only=True)
-        self.trace("read_only_executed", seq=self.last_executed,
-                   client=req.client_id, request_id=req.request_id,
-                   result=rdigest)
+        self.trace("read_only_executed", self.last_executed, req.client_id,
+                   req.request_id, rdigest)
 
     def handle_edge_read(self, src, msg: EdgeRead) -> None:
         """Serve a single-replica edge read with staleness evidence.
@@ -415,7 +414,7 @@ class Replica(Node):
         self.charge(self.costs.digest(len(result)))
         self.authenticate_for(reply, msg.edge_id)
         self.send(msg.edge_id, reply)
-        self.trace("edge_read_served", edge=msg.edge_id, nonce=msg.nonce)
+        self.trace("edge_read_served", msg.edge_id, msg.nonce)
 
     # -- primary: ordering ------------------------------------------------------------
 
@@ -501,7 +500,7 @@ class Replica(Node):
             nondet = self.behavior.bad_nondet(nondet)
             pp = PrePrepare(self.view, seq, tuple(batch), nondet)
             self.authenticate(pp)
-            self.trace("pre_prepare_sent", seq=seq, batch=len(batch))
+            self.trace("pre_prepare_sent", seq, len(batch))
             if self.behavior.equivocate_pre_prepare() and len(batch) == 1:
                 self._send_equivocating(pp, batch[0])
             else:
@@ -547,7 +546,7 @@ class Replica(Node):
         view = sorted(self._peer_views.values(), reverse=True)[f]
         if view > max(self.view, self._view_solicited):
             self._view_solicited = view
-            self.trace("view_solicited", view=view)
+            self.trace("view_solicited", view)
             self.transfer.solicit_certs()
 
     def redeliver_future_msgs(self) -> None:
@@ -574,14 +573,14 @@ class Replica(Node):
                 if slot.pre_prepare.batch_digest() != pp.batch_digest():
                     # Two different pre-prepares for the same (view, seq)
                     # can only come from a faulty primary: suspect it.
-                    self.trace("conflicting_pre_prepare", seq=pp.seq)
+                    self.trace("conflicting_pre_prepare", pp.seq)
                     self.view_changes.start(self.view + 1)
                 return
             # The logged pre-prepare is from an older view that the view
             # change did not carry forward — stale; replace it.
             slot.void_votes()
         if not self.state.check_nondet(list(pp.requests), pp.seq, pp.nondet):
-            self.trace("nondet_rejected", seq=pp.seq)
+            self.trace("nondet_rejected", pp.seq)
             # Do not accept; the vc timer will fire and replace the primary.
             self.vc_timer.start()
             return
@@ -618,7 +617,7 @@ class Replica(Node):
             if (slot.prepared_cert is None
                     or slot.prepared_cert[0] < self.view):
                 slot.prepared_cert = (self.view, slot.pre_prepare)
-            self.trace("prepared", seq=slot.seq)
+            self.trace("prepared", slot.seq)
             now = self.scheduler._now
             mark = slot.phase_marks.get("pre_prepare")
             if mark is not None:
@@ -650,7 +649,7 @@ class Replica(Node):
             return
         if slot.matching_commits() >= self._quorum:
             slot.committed = True
-            self.trace("committed", seq=slot.seq)
+            self.trace("committed", slot.seq)
             now = self.scheduler._now
             mark = slot.phase_marks.get("prepared")
             if mark is not None:
@@ -743,9 +742,7 @@ class Replica(Node):
         if self._behavior is not HONEST:
             result = self._behavior.corrupt_reply_result(result)
         rdigest = self._reply(client_id, request_id, result, tentative, seq)
-        self.trace("executed", seq=seq, client=client_id,
-                   request_id=request_id, tentative=tentative,
-                   result=rdigest)
+        self.trace("executed", seq, client_id, request_id, tentative, rdigest)
 
     def _safe_execute(self, op: bytes, client_id: str, request_id: int,
                       seq: int, nondet: bytes,
@@ -757,7 +754,7 @@ class Replica(Node):
             return self.state.execute(op, client_id, request_id, seq,
                                       nondet, read_only=read_only)
         except Exception as exc:
-            self.trace("execute_error", error=type(exc).__name__)
+            self.trace("execute_error", type(exc).__name__)
             return b"__error__:" + type(exc).__name__.encode("ascii")
 
     def _reply(self, client_id: str, request_id: int, result: bytes,
@@ -816,7 +813,7 @@ class Replica(Node):
         self._note_checkpoint(seq, root)
         table_digest, table_blob = self.record_table_checkpoint(seq)
         self.charge(self.costs.digest(len(table_blob)))
-        self.trace("checkpoint_taken", seq=seq)
+        self.trace("checkpoint_taken", seq)
         # Checkpoint messages are signed (not MACed) so that certificates
         # assembled from them are independently verifiable by third parties
         # — view-change messages and recovering replicas rely on this.
@@ -881,7 +878,7 @@ class Replica(Node):
             # (A *missing* record is NOT divergence — it just means we
             # state-transferred past this seq and never took it; rolling
             # back on stale certificates would rewrite executed history.)
-            self.trace("checkpoint_divergence", seq=msg.seq)
+            self.trace("checkpoint_divergence", msg.seq)
             self.transfer.initiate(msg.seq, msg.root_digest, cert,
                                    force=True)
 
@@ -912,7 +909,7 @@ class Replica(Node):
             return
         self.adopt_checkpoint(seq, cert[0].root_digest, cert)
         self._advance_committed_frontier()
-        self.trace("checkpoint_stable", seq=seq)
+        self.trace("checkpoint_stable", seq)
         if self._latest_checkpoint_msg is not None \
                 and self._latest_checkpoint_msg.seq <= seq:
             self._ckpt_retry_timer.stop()
@@ -934,7 +931,7 @@ class Replica(Node):
         restored = self.state.restore_checkpoint(seq)
         table = self.table_checkpoints.get(seq)
         if not restored or table is None:
-            self.trace("rollback_via_transfer", seq=seq)
+            self.trace("rollback_via_transfer", seq)
             self.tracer.metrics.inc("bft.rollback_via_transfer")
             if self.stable_cert:
                 self.transfer.initiate(seq, self.stable_cert[0].root_digest,
@@ -942,7 +939,7 @@ class Replica(Node):
             return False
         self.install_client_table(table[1])
         self.rewind_execution(seq)
-        self.trace("rollback", seq=seq)
+        self.trace("rollback", seq)
         self.tracer.metrics.inc("bft.rollback")
         return True
 
@@ -972,5 +969,5 @@ class Replica(Node):
     def _on_vc_timeout(self) -> None:
         if self.recovery.recovering or self.transfer.active:
             return
-        self.trace("vc_timeout", view=self.view)
+        self.trace("vc_timeout", self.view)
         self.view_changes.start(self.view + 1)

@@ -76,9 +76,9 @@ class StateTransferManager:
         if seq <= r.last_stable and not force:
             return
         if not r.valid_checkpoint_cert(seq, root, cert):
-            r.trace("transfer_bad_cert", seq=seq)
+            r.trace("transfer_bad_cert", seq)
             return
-        r.trace("transfer_started", seq=seq)
+        r.trace("transfer_started", seq)
         # The certified checkpoint supersedes every slot at or under it:
         # the ordering window moves to (seq, seq + L] now (_low_water).
         r.log.truncate_below(seq)
@@ -127,7 +127,7 @@ class StateTransferManager:
         if not self.active:
             return
         self._donor_index += 1
-        self.replica.trace("transfer_donor_switch", donor=self.donor)
+        self.replica.trace("transfer_donor_switch", self.donor)
         for (level, index), expected in list(self._outstanding_meta.items()):
             self._request_meta(level, index, expected)
         for index, (expected, lm) in list(self._outstanding_objects.items()):
@@ -213,7 +213,7 @@ class StateTransferManager:
         if expected is None:
             return
         if PartitionTree.combine(msg.children) != expected:
-            r.trace("transfer_bad_meta", level=msg.level, index=msg.index)
+            r.trace("transfer_bad_meta", msg.level, msg.index)
             return  # donor lied; timeout will rotate
         r.charge(r.costs.digest(64 * len(msg.children)))
         del self._outstanding_meta[key]
@@ -259,7 +259,7 @@ class StateTransferManager:
         expected_digest, lm = expected
         r.charge(r.costs.digest(len(msg.value)))
         if digest(msg.value) != expected_digest:
-            r.trace("transfer_bad_object", index=msg.index)
+            r.trace("transfer_bad_object", msg.index)
             return
         del self._outstanding_objects[msg.index]
         self._fetched[msg.index] = (msg.value, lm)
@@ -284,7 +284,7 @@ class StateTransferManager:
             return
         r.charge(r.costs.digest(len(msg.blob)))
         if digest(msg.blob) != self.target_table_digest:
-            r.trace("transfer_bad_table", donor=src)
+            r.trace("transfer_bad_table", src)
             return
         self._table_blob = msg.blob
         self._table_pending = False
@@ -302,7 +302,7 @@ class StateTransferManager:
         ok = r.state.apply_fetched(self.target_seq, self.target_root, objects)
         if not ok:
             self._attempts += 1
-            r.trace("transfer_apply_failed", attempt=self._attempts)
+            r.trace("transfer_apply_failed", self._attempts)
             if self._attempts < 3:
                 # Local state was corrupt beyond the fetched set; re-check
                 # everything and walk again.
@@ -326,8 +326,7 @@ class StateTransferManager:
         # will be retransmitted by their clients); stop suspecting.
         r.waiting.clear()
         r.vc_timer.stop()
-        r.trace("transfer_complete", seq=self.target_seq,
-                objects=len(objects))
+        r.trace("transfer_complete", self.target_seq, len(objects))
         r.tracer.observe_phase("state_transfer", r.now - self._started_at)
         r.tracer.metrics.inc("transfer.objects_fetched", len(objects))
         callbacks, self.completion_callbacks = self.completion_callbacks, []

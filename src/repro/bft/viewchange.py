@@ -59,7 +59,7 @@ class ViewChangeManager:
         self.active = True
         self.target_view = new_view
         r.vc_timer.stop()
-        r.trace("view_change_started", view=new_view)
+        r.trace("view_change_started", new_view)
 
         # Report from the base of the window this replica votes in: while
         # fetching, the certified checkpoint it fetches, so every slot it
@@ -98,7 +98,7 @@ class ViewChangeManager:
             r.multicast(r.other_replicas, by_replica[r.node_id])
             self._arm()
         else:
-            r.trace("new_view_timeout", view=self.target_view)
+            r.trace("new_view_timeout", self.target_view)
             self.start(self.target_view + 1)
 
     # -- receiving view-changes ---------------------------------------------------
@@ -190,7 +190,7 @@ class ViewChangeManager:
                      tuple(pre_prepares), r.node_id)
         r.sign_msg(nv)
         r.multicast(r.other_replicas, nv)
-        r.trace("new_view_sent", view=view, reproposed=len(pre_prepares))
+        r.trace("new_view_sent", view, len(pre_prepares))
         self.last_new_view = nv
         self._enter_view(view, vcs, pre_prepares)
 
@@ -244,9 +244,9 @@ class ViewChangeManager:
                     or not self._valid_view_change(vc, summarized=True):
                 return
         if not self._reproposes_certified(msg):
-            r.trace("new_view_rejected", view=msg.view)
+            r.trace("new_view_rejected", msg.view)
             return
-        r.trace("new_view_accepted", view=msg.view)
+        r.trace("new_view_accepted", msg.view)
         self.last_new_view = msg
         self._enter_view(msg.view, msg.view_changes, list(msg.pre_prepares))
 
@@ -300,7 +300,7 @@ class ViewChangeManager:
             pp = new_pps.get(seq)
             if (pp is None or slot.pre_prepare is None
                     or pp.batch_digest() != slot.pre_prepare.batch_digest()):
-                r.trace("tentative_reordered", seq=seq, view=view)
+                r.trace("tentative_reordered", seq, view)
                 r.rollback_to_stable()
                 break
 

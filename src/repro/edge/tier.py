@@ -305,8 +305,7 @@ class EdgeTier:
                result: bytes,
                evidence: Optional[StalenessEvidence]) -> EdgeReply:
         self.tracer.emit(self.now, port.node.node_id, "edge_reply",
-                         shard=port.shard, mode=mode, bound=bound,
-                         result=digest(result), evidence=evidence)
+                         port.shard, mode, bound, digest(result), evidence)
         return EdgeReply(result, mode, bound, evidence)
 
     # -- fetch paths -------------------------------------------------------

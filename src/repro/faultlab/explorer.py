@@ -189,19 +189,23 @@ def _read_evidence(cluster, ctx: TrialContext):
     accepted: List[AcceptedReply] = []
     edge_replies: List = []
     rollbacks = 0
-    for e in tracer.events:
-        kind, d = e.kind, e.detail
-        if kind in ("executed", "read_only_executed"):
-            exec_log[e.source].append(ExecutionEntry(
-                d["seq"], d["client"], d["request_id"], d["result"],
-                kind == "read_only_executed"))
+    for e in tracer.events:     # fields by position: tracing.EVENT_FIELDS
+        kind = e[2]
+        if kind == "executed":
+            _, source, _, seq, client, request_id, _, result = e
+            exec_log[source].append(ExecutionEntry(
+                seq, client, request_id, result, False))
+        elif kind == "read_only_executed":
+            _, source, _, seq, client, request_id, result = e
+            exec_log[source].append(ExecutionEntry(
+                seq, client, request_id, result, True))
         elif kind in ("rollback", "transfer_complete"):
             # Either way a checkpoint was restored: re-execution beyond
             # it supersedes, not conflicts.
-            exec_log[e.source].append(RollbackEntry(d["seq"]))
+            exec_log[e[1]].append(RollbackEntry(e[3]))
         elif kind == "result_accepted":
-            accepted.append(AcceptedReply(e.source, d["request_id"],
-                                          d["result"], e.time))
+            at, source, _, request_id, result = e
+            accepted.append(AcceptedReply(source, request_id, result, at))
         elif kind == "edge_reply":
             edge_replies.append(e)
         if kind in ("rollback", "rollback_via_transfer"):

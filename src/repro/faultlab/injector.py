@@ -74,7 +74,8 @@ class FaultInjector:
     def _activate(self, index: int, fault) -> None:
         revert = getattr(self, f"_apply_{fault.kind}")(fault)
         self.injected += 1
-        self._trace("fault_injected", fault)
+        self.cluster.tracer.emit(self.cluster.scheduler.now, "faultlab",
+                                 "fault_injected", fault.describe())
         if revert is None:
             return
         self._active[index] = revert
@@ -89,11 +90,9 @@ class FaultInjector:
             return  # already cleared (e.g. quiesce raced the stop event)
         revert()
         self.cleared += 1
-        self._trace("fault_cleared", self.plan.faults[index], forced=forced)
-
-    def _trace(self, kind: str, fault, **extra) -> None:
         self.cluster.tracer.emit(self.cluster.scheduler.now, "faultlab",
-                                 kind, fault=fault.describe(), **extra)
+                                 "fault_cleared",
+                                 self.plan.faults[index].describe(), forced)
 
     # -- one applier per fault kind; each returns a revert callback ---------
 

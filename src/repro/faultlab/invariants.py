@@ -293,8 +293,7 @@ def check_staleness_contract(
         known.update(histories[replica_id])
     for i, reply in enumerate(replies):
         tag = f"read[{i}]"
-        d = reply.detail
-        mode, bound, ev = d["mode"], d["bound"], d["evidence"]
+        _, _, _, _, mode, bound, _, ev = reply
         if mode not in MODES:
             violations.append(Violation(
                 "staleness_contract",

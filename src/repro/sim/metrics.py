@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from array import array
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
@@ -23,9 +24,9 @@ class Histogram:
     """Latency/size distribution with exact aggregates and percentiles.
 
     ``count``/``sum``/``min``/``max`` are exact for every observation.
-    Percentiles come from a bounded sample buffer (``max_samples``);
-    once full, new observations overwrite slots round-robin, which keeps
-    memory bounded on long runs while remaining deterministic.
+    Percentiles come from a bounded ``array('d')`` of samples (one
+    unboxed double each, ``max_samples`` at most); once full, new
+    observations overwrite slots round-robin, deterministically.
     """
 
     __slots__ = ("name", "count", "sum", "min", "max",
@@ -39,7 +40,7 @@ class Histogram:
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self._samples: List[float] = []
+        self._samples = array("d")
         self._max_samples = max_samples
 
     def observe(self, value: float) -> None:
@@ -192,15 +193,14 @@ class Metrics:
             mine.sum += hist.sum
             mine.min = min(mine.min, hist.min)
             mine.max = max(mine.max, hist.max)
-            for i, v in enumerate(hist._samples):
-                if len(mine._samples) < mine._max_samples:
-                    mine._samples.append(v)
-                else:
-                    # Overwrite round-robin exactly as ``observe`` does:
-                    # a full destination buffer must keep absorbing the
-                    # other registry's samples, or merged percentiles
-                    # silently ignore every late source.
-                    mine._samples[(offset + i) % mine._max_samples] = v
+            # Append what fits, then overwrite round-robin exactly as
+            # ``observe`` would: the i-th incoming sample is observation
+            # ``offset + i + 1``, and a full buffer keeps absorbing.
+            samples, cap = mine._samples, mine._max_samples
+            room = cap - len(samples)
+            samples.extend(hist._samples[:room])
+            for i in range(room, len(hist._samples)):
+                samples[(offset + i + 1) % cap] = hist._samples[i]
 
     def clear(self) -> None:
         self.counters.clear()

@@ -10,8 +10,8 @@ digests, messages), the bounded event ring, and the
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional
+from operator import itemgetter
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.metrics import Metrics, Span
 
@@ -32,12 +32,54 @@ PHASES = (
 _PHASE_NAMES = {phase: f"phase.{phase}" for phase in PHASES}
 
 
-@dataclass(slots=True)
-class TraceEvent:
-    time: float
-    source: Any
-    kind: str
-    detail: Dict[str, Any]
+#: Every event kind, with its fields in emission order: an event is the
+#: tuple ``(time, source, kind, *fields)``.  One line per field set and
+#: the kinds carrying it; docs/OBSERVABILITY.md's lifecycle table agrees.
+EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
+    kind: tuple(fields.split()) for fields, kinds in {
+        "seq client request_id tentative result": "executed",
+        "seq client request_id result": "read_only_executed",
+        "request_id result": "result_accepted",
+        "seq objects": "transfer_complete",
+        "shard mode bound result evidence": "edge_reply",
+        "seq": "rollback rollback_via_transfer prepared committed"
+               " checkpoint_taken checkpoint_stable checkpoint_divergence"
+               " conflicting_pre_prepare nondet_rejected transfer_started"
+               " transfer_bad_cert",
+        "view": "vc_timeout view_change_started new_view_timeout"
+                " new_view_accepted new_view_rejected view_solicited",
+        "view reproposed": "new_view_sent",
+        "seq view": "tentative_reordered",
+        "seq batch": "pre_prepare_sent",
+        "epoch": "recovery_started recovery_fetching",
+        "epoch total": "recovery_complete",
+        "peer epoch": "peer_recovering",
+        "donor": "transfer_donor_switch transfer_bad_table",
+        "level index": "transfer_bad_meta",
+        "index": "transfer_bad_object",
+        "attempt": "transfer_apply_failed",
+        "client": "bad_request_auth",
+        "edge nonce": "edge_read_served",
+        "error": "execute_error",
+        "fault": "fault_injected",
+        "fault forced": "fault_cleared",
+    }.items() for kind in kinds.split()}
+_ARITY = {kind: len(fields) for kind, fields in EVENT_FIELDS.items()}
+
+
+class TraceEvent(tuple):
+    """One ring event, ``(time, source, kind, *fields)``: a bare tuple,
+    so the ring keeps no per-event dict or instance attributes."""
+
+    __slots__ = ()
+    time = property(itemgetter(0))
+    source = property(itemgetter(1))
+    kind = property(itemgetter(2))
+
+    @property
+    def detail(self) -> Dict[str, Any]:
+        """The fields by name, built from :data:`EVENT_FIELDS` per read."""
+        return dict(zip(EVENT_FIELDS[self[2]], self[3:]))
 
 
 class Tracer:
@@ -77,14 +119,17 @@ class Tracer:
 
     # -- events and counters --------------------------------------------------
 
-    def emit(self, time: float, source: Any, kind: str, **detail: Any) -> None:
-        self.record(time, source, kind, detail)
+    def emit(self, time: float, source: Any, kind: str, *fields: Any) -> None:
+        self.record(time, source, kind, fields)
 
     def record(self, time: float, source: Any, kind: str,
-               detail: Dict[str, Any]) -> None:
-        """:meth:`emit` for a caller that already holds the detail dict
-        (a node's own ``trace(kind, **detail)`` helper), sparing the
-        second keyword unpack-and-repack on the per-message path."""
+               fields: Tuple[Any, ...]) -> None:
+        """:meth:`emit` for a caller already holding the field tuple (a
+        node's ``trace(kind, *fields)``).  A kind not in
+        :data:`EVENT_FIELDS`, or the wrong number of fields, is refused."""
+        if _ARITY.get(kind) != len(fields):
+            raise ValueError(f"event {kind!r} has {len(fields)} fields; "
+                             f"declared: {EVENT_FIELDS.get(kind)}")
         counters = self.counters
         counters[kind] = counters.get(kind, 0) + 1
         if not self.keep_events:
@@ -93,7 +138,7 @@ class Tracer:
         events = self.events
         if len(events) == self.max_events:
             self.dropped_events += 1
-        events.append(TraceEvent(time, source, kind, detail))
+        events.append(TraceEvent((time, source, kind) + fields))
 
     def count(self, kind: str, n: int = 1) -> None:
         self.counters[kind] += n

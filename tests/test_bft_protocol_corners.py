@@ -353,14 +353,14 @@ def test_late_entrant_skips_reproposals_under_its_stable_checkpoint():
 
 def test_tracer_find_and_counters():
     tracer = Tracer()
-    tracer.emit(1.0, "n1", "thing", value=1)
-    tracer.emit(2.0, "n2", "thing", value=2)
-    tracer.emit(3.0, "n1", "other")
-    assert tracer.counters["thing"] == 2
-    assert len(tracer.find("thing")) == 2
-    assert len(tracer.find("thing", source="n1")) == 1
-    assert tracer.first("other").time == 3.0
-    assert tracer.first("missing") is None
+    tracer.emit(1.0, "n1", "vc_timeout", 1)
+    tracer.emit(2.0, "n2", "vc_timeout", 2)
+    tracer.emit(3.0, "n1", "new_view_accepted", 2)
+    assert tracer.counters["vc_timeout"] == 2
+    assert len(tracer.find("vc_timeout")) == 2
+    assert len(tracer.find("vc_timeout", source="n1")) == 1
+    assert tracer.first("new_view_accepted").time == 3.0
+    assert tracer.first("new_view_rejected") is None
     tracer.observe("lap", 0.5)
     assert tracer.metrics.histograms["lap"].sum == 0.5
     tracer.clear()
@@ -370,6 +370,6 @@ def test_tracer_find_and_counters():
 def test_tracer_event_cap():
     tracer = Tracer(max_events=3)
     for i in range(10):
-        tracer.emit(float(i), "n", "e")
+        tracer.emit(float(i), "n", "prepared", i)
     assert len(tracer.events) == 3
-    assert tracer.counters["e"] == 10  # counters keep counting
+    assert tracer.counters["prepared"] == 10  # counters keep counting

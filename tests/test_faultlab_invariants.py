@@ -158,8 +158,8 @@ def test_beyond_f_collusion_is_caught_by_reply_validity():
 
 def _edge_reply(mode, bound, served_at, evidence):
     from repro.sim.tracing import TraceEvent
-    return TraceEvent(served_at, "edge0", "edge_reply", dict(
-        shard=0, mode=mode, bound=bound, result=b"res", evidence=evidence))
+    return TraceEvent((served_at, "edge0", "edge_reply",
+                       0, mode, bound, b"res", evidence))
 
 
 def _cert_evidence(issued_at):

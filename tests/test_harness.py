@@ -17,6 +17,7 @@ from repro.harness.complexity import (
     package_lines,
 )
 from repro.harness.report import format_table, overhead_pct
+from repro.sim.tracing import EVENT_FIELDS
 from repro.workloads.microbench import (
     build_kv_cluster,
     concurrent_ops,
@@ -409,6 +410,43 @@ def test_a_message_kind_is_one_declaration():
             or contract.principal in cls.__slots__, cls.kind
         assert contract.view in (None, messages.CURRENT, messages.LATER)
         assert contract.view is None or "view" in cls.__slots__, cls.kind
+
+
+def test_every_event_is_emitted_as_the_catalogue_declares_it():
+    """An event is ``(time, source, kind, *fields)`` with the fields
+    ``EVENT_FIELDS`` declares for its kind (``sim/tracing.py``).  Every
+    ``.trace(kind, ...)`` and ``.emit(time, source, kind, ...)`` under
+    ``src/`` names a declared kind as a literal and passes exactly its
+    fields, positionally; every declared kind is emitted somewhere,
+    FaultLab's two by the injector itself; and ``Tracer.record`` is
+    called only by the two forwarders."""
+    root = Path(__file__).resolve().parents[1] / "src/repro"
+    emitters, wrong = {}, []
+    for path in sorted(root.rglob("*.py")):
+        where = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("trace", "emit")):
+                continue
+            at = 2 if node.func.attr == "emit" else 0
+            kind = node.args[at].value if len(node.args) > at \
+                and isinstance(node.args[at], ast.Constant) else None
+            if kind in EVENT_FIELDS and not node.keywords \
+                    and len(node.args) - at - 1 == len(EVENT_FIELDS[kind]) \
+                    and not any(isinstance(arg, ast.Starred)
+                                for arg in node.args):
+                emitters.setdefault(kind, set()).add(where)
+            else:
+                wrong.append(f"{where}:{node.lineno}: {ast.unparse(node)}")
+    assert wrong == []
+    assert sorted(set(EVENT_FIELDS) - set(emitters)) == []
+    assert emitters["fault_injected"] == emitters["fault_cleared"] \
+        == {"faultlab/injector.py"}
+    assert sorted({where for where, fn in _functions("")
+                   for node in ast.walk(fn) if isinstance(node, ast.Call)
+                   and ast.unparse(node.func).split(".")[-1] == "record"}) \
+        == ["bft/replica.py:Replica.trace", "sim/tracing.py:Tracer.emit"]
 
 
 def _functions(top):

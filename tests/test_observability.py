@@ -1,8 +1,12 @@
 """The observability layer: ring-buffer tracing, histograms, metrics,
 spans, and the per-phase latency instrumentation in the BFT stack."""
 
+import gc
 import json
 import math
+import re
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,7 @@ from repro.harness.report import (
 from repro.service.deploy import ReplicatedDeployment
 from repro.service.registry import get_service
 from repro.sim import Histogram, Metrics, Tracer
+from repro.sim.tracing import EVENT_FIELDS
 from tests.conftest import make_kv_cluster
 
 put = InMemoryStateManager.op_put
@@ -30,35 +35,57 @@ get = InMemoryStateManager.op_get
 def test_ring_buffer_keeps_most_recent_events():
     tracer = Tracer(max_events=3)
     for i in range(10):
-        tracer.emit(float(i), "n", "e", i=i)
+        tracer.emit(float(i), "n", "checkpoint_taken", i)
     assert len(tracer.events) == 3
-    assert [e.detail["i"] for e in tracer.events] == [7, 8, 9]
+    assert [e.detail["seq"] for e in tracer.events] == [7, 8, 9]
     assert tracer.dropped_events == 7
-    assert tracer.counters["e"] == 10  # counters keep counting
+    assert tracer.counters["checkpoint_taken"] == 10  # counters keep counting
 
 
 def test_ring_buffer_find_and_first_see_recent_window():
     tracer = Tracer(max_events=2)
-    tracer.emit(1.0, "n", "old")
-    tracer.emit(2.0, "n", "mid")
-    tracer.emit(3.0, "n", "new")
-    assert tracer.find("old") == []
-    assert tracer.first("mid").time == 2.0
-    assert [e.kind for e in tracer.events] == ["mid", "new"]
+    tracer.emit(1.0, "n", "prepared", 1)
+    tracer.emit(2.0, "n", "committed", 1)
+    tracer.emit(3.0, "n", "checkpoint_stable", 1)
+    assert tracer.find("prepared") == []
+    assert tracer.first("committed").time == 2.0
+    assert [e.kind for e in tracer.events] == ["committed",
+                                              "checkpoint_stable"]
 
 
 def test_no_silent_drops_when_events_disabled():
     tracer = Tracer(keep_events=False)
     for i in range(5):
-        tracer.emit(float(i), "n", "e")
+        tracer.emit(float(i), "n", "rollback", i)
     assert len(tracer.events) == 0
     assert tracer.dropped_events == 5
 
 
+def test_an_event_is_one_tuple_in_catalogue_order():
+    tracer = Tracer()
+    tracer.emit(1.5, "r0", "executed", 7, "c0", 3, True, b"d")
+    (event,) = tracer.events
+    assert event == (1.5, "r0", "executed", 7, "c0", 3, True, b"d")
+    assert (event.time, event.source, event.kind) == (1.5, "r0", "executed")
+    assert event.detail == dict(zip(EVENT_FIELDS["executed"],
+                                    (7, "c0", 3, True, b"d")))
+    assert not hasattr(event, "__dict__")
+
+
+@pytest.mark.parametrize("kind,fields", [
+    ("no_such_kind", ()), ("executed", (7, "c0", 3, True)), ("rollback", ())])
+def test_record_refuses_an_undeclared_kind_or_a_wrong_field_count(kind,
+                                                                 fields):
+    tracer = Tracer(keep_events=False)
+    with pytest.raises(ValueError):
+        tracer.emit(1.0, "n", kind, *fields)
+    assert not tracer.counters and tracer.dropped_events == 0
+
+
 def test_clear_resets_drops_and_metrics():
     tracer = Tracer(max_events=1)
-    tracer.emit(1.0, "n", "a")
-    tracer.emit(2.0, "n", "b")
+    tracer.emit(1.0, "n", "prepared", 1)
+    tracer.emit(2.0, "n", "committed", 1)
     tracer.observe("x", 1.0)
     assert tracer.dropped_events == 1
     tracer.clear()
@@ -168,6 +195,28 @@ def test_merge_into_full_histogram_still_absorbs_samples():
     # The buffer kept rotating: the merged percentile sees b's samples
     # (before the fix, p95 stayed at 1.0 forever).
     assert hist.percentile(95) == 100.0
+
+
+@pytest.mark.parametrize("mine", [(1.0, 2.0, 3.0, 4.0), (1.0, 2.0), ()])
+@pytest.mark.parametrize("theirs", [(9.0,), (9.0, 10.0, 11.0, 12.0, 13.0)])
+def test_merge_equals_observing_the_other_registrys_samples(mine, theirs):
+    """Regression: once the buffer was full, merge wrote the other
+    registry's i-th sample one slot behind where ``observe`` puts it
+    (A = 1, 2, 3, 4 merged with B = 9 gave 9, 2, 3, 4, not 1, 9, 3, 4)."""
+    merged = Metrics(max_samples_per_histogram=4)
+    observed = Metrics(max_samples_per_histogram=4)
+    other = Metrics()
+    for v in mine:
+        merged.observe("lat", v)
+        observed.observe("lat", v)
+    for v in theirs:
+        other.observe("lat", v)
+        observed.observe("lat", v)
+    merged.merge(other)
+    got, want = merged.histogram("lat"), observed.histogram("lat")
+    assert got._samples == want._samples
+    assert (got.count, got.sum, got.min, got.max) == \
+        (want.count, want.sum, want.min, want.max)
 
 
 def test_merge_with_prefix_namespaces_every_metric():
@@ -412,6 +461,62 @@ def test_edge_reply_events_carry_their_documented_fields():
             "result": digest(reply.result), "evidence": reply.evidence}
     assert all(cluster.tracer.find(kind) for kind in LIFECYCLE_FIELDS
                if kind not in ("rollback", "transfer_complete"))
+
+
+def test_lifecycle_table_field_lists_are_the_catalogue():
+    """docs/OBSERVABILITY.md's lifecycle table lists each kind's fields in
+    emission order; those lists are ``EVENT_FIELDS``'s entries."""
+    doc = (Path(__file__).resolve().parents[1] / "docs"
+           / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    table = doc.split("## Request lifecycle events")[1].split("\n## ")[0]
+    rows = {m.group(1): tuple(re.findall(r"`(\w+)`", m.group(2)))
+            for m in re.finditer(r"^\| `(\w+)` \|[^|]*\|([^|]*)\|", table,
+                                 re.M)}
+    assert set(rows) == set(LIFECYCLE_FIELDS) | {"edge_reply"}
+    assert rows == {kind: EVENT_FIELDS[kind] for kind in rows}
+    assert all(set(EVENT_FIELDS[kind]) == fields
+               for kind, fields in LIFECYCLE_FIELDS.items())
+
+
+# -- what the ring and the histograms keep alive ------------------------------
+
+#: Bytes the ring may retain per event, and a histogram per retained
+#: sample, on a kv group.  An event is one tuple and a sample one double
+#: (about 135 and 8.5 bytes on CPython 3.11); a dict per event (about
+#: 290) or a boxed float per sample (about 32) fails these.
+RING_BYTES_PER_EVENT = 200
+HISTOGRAM_BYTES_PER_SAMPLE = 16
+
+
+def _bytes_freed_by(action) -> int:
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    action()
+    gc.collect()
+    return before - tracemalloc.get_traced_memory()[0]
+
+
+def test_ring_keeps_a_tuple_per_event_and_histograms_a_double_per_sample():
+    tracemalloc.start()
+    try:
+        cluster = make_kv_cluster(checkpoint_interval=16)
+        client = cluster.add_client("client0")
+        for i in range(800):
+            client.call(put(i % 64, b"v%d" % i))
+        cluster.run(0.5)
+        tracer = cluster.tracer
+        events = len(tracer.events)
+        samples = sum(len(hist._samples)
+                      for hist in tracer.metrics.histograms.values())
+        ring = _bytes_freed_by(tracer.events.clear)
+        histograms = _bytes_freed_by(tracer.metrics.clear)
+    finally:
+        tracemalloc.stop()
+    assert tracer.dropped_events == 0
+    assert events > 10_000 and samples > 10_000
+    assert ring / events <= RING_BYTES_PER_EVENT, ring / events
+    assert histograms / samples <= HISTOGRAM_BYTES_PER_SAMPLE, \
+        histograms / samples
 
 
 # -- rendering and the smoke target -------------------------------------------
