@@ -64,9 +64,7 @@ REPLAY_PACKAGES = frozenset({"base", "bft", "edge", "faultlab", "sim"})
 
 #: Modules allowed to call ``time.perf_counter``: wall-clock *reporting*
 #: only — they measure wall time about a run, never feed it back in.
-PERF_COUNTER_ALLOWED = frozenset({
-    "sim/metrics.py", "faultlab/explorer.py",
-})
+PERF_COUNTER_ALLOWED = frozenset({"faultlab/explorer.py"})
 
 # -- deep-pass anchors ---------------------------------------------------------
 # Dotted names the interprocedural passes resolve against.  They name

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence
 from repro.base.state import AbstractStateManager
 from repro.base.upcalls import Upcalls
 from repro.bft.config import BftConfig
-from repro.bft.costs import CostModel, ZERO_COSTS
+from repro.bft.costs import CostModel
 from repro.harness.cluster import Cluster, build_cluster
 from repro.sim.network import NetworkConfig
 from repro.sim.tracing import Tracer
@@ -35,7 +35,6 @@ def build_base_cluster(wrapper_factories: Sequence[Callable[[], Upcalls]],
                        config: Optional[BftConfig] = None,
                        base_config: Optional[BaseServiceConfig] = None,
                        network_config: Optional[NetworkConfig] = None,
-                       costs: CostModel = ZERO_COSTS,
                        replica_costs: Optional[List[CostModel]] = None,
                        tracer: Optional[Tracer] = None,
                        seed: int = 0,
@@ -58,7 +57,7 @@ def build_base_cluster(wrapper_factories: Sequence[Callable[[], Upcalls]],
         return manager
 
     cluster = build_cluster(make_state, config=config,
-                            network_config=network_config, costs=costs,
+                            network_config=network_config,
                             replica_costs=replica_costs, tracer=tracer,
                             seed=seed, scheduler=scheduler, network=network)
     # Wire CPU charging to the replica: the library's own charges and

@@ -71,12 +71,6 @@ class ReadCertificate:
     issued_at: float         # sim time the read was issued
     accepted_at: float       # sim time the quorum completed
 
-    @property
-    def fell_back(self) -> bool:
-        """True when the read-only quorum never formed and the ordered
-        path answered instead (banked read-only votes were discarded)."""
-        return self.path != "read_only"
-
 
 @dataclass
 class _PendingCall:

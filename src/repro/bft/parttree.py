@@ -94,11 +94,6 @@ class PartitionTree:
         self.refresh()
 
     @property
-    def levels(self) -> int:
-        """Total number of levels including the leaf row."""
-        return len(self._digests)
-
-    @property
     def leaf_level(self) -> int:
         return len(self._digests) - 1
 
@@ -150,20 +145,6 @@ class PartitionTree:
         self.refresh()
         return self._digests[0][0]
 
-    def children_info(self, level: int,
-                      index: int) -> Optional[Tuple[Tuple[bytes, int], ...]]:
-        self.refresh()
-        child_level = level + 1
-        if child_level >= len(self._digests):
-            return None
-        row = self._digests[child_level]
-        lm_row = self._lms[child_level]
-        start = index * self.branching
-        if start >= len(row):
-            return None
-        end = min(start + self.branching, len(row))
-        return tuple((row[i], lm_row[i]) for i in range(start, end))
-
     def snapshot(self) -> TreeSnapshot:
         """Cheap immutable copy of the current digests (pointer copies)."""
         self.refresh()
@@ -176,6 +157,3 @@ class PartitionTree:
     def combine(children: Sequence[Tuple[bytes, int]]) -> bytes:
         """Digest of an internal node from its children's (digest, lm)."""
         return digest_many(d + struct.pack(">q", lm) for d, lm in children)
-
-    def row_size(self, level: int) -> int:
-        return len(self._digests[level])

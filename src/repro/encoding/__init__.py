@@ -8,6 +8,6 @@ Used for two purposes, mirroring the paper:
   computed over them.
 """
 
-from repro.encoding.xdr import XdrDecoder, XdrEncoder, xdr_size_of_opaque
+from repro.encoding.xdr import XdrDecoder, XdrEncoder
 
-__all__ = ["XdrDecoder", "XdrEncoder", "xdr_size_of_opaque"]
+__all__ = ["XdrDecoder", "XdrEncoder"]

@@ -1,8 +1,8 @@
 """XDR-style canonical encoder/decoder (subset of RFC-1014).
 
 Supports the types the NFS abstract state and the protocol messages need:
-32/64-bit signed and unsigned integers, booleans, variable-length opaque
-data, strings, and arrays.  All values are big-endian and padded to
+32/64-bit unsigned integers, variable-length opaque data, strings, and
+arrays.  All values are big-endian and padded to
 4-byte boundaries, per XDR.
 """
 
@@ -24,11 +24,6 @@ def _pad(n: int) -> int:
     return (4 - (n % 4)) % 4
 
 
-def xdr_size_of_opaque(n: int) -> int:
-    """Wire size of a variable-length opaque of ``n`` bytes."""
-    return 4 + n + _pad(n)
-
-
 class XdrEncoder:
     """Accumulates XDR-encoded values into a byte buffer."""
 
@@ -41,31 +36,10 @@ class XdrEncoder:
         self._parts.append(struct.pack(">I", value))
         return self
 
-    def pack_int(self, value: int) -> "XdrEncoder":
-        if not -(2**31) <= value < 2**31:
-            raise EncodingError(f"int out of range: {value!r}")
-        self._parts.append(struct.pack(">i", value))
-        return self
-
     def pack_uhyper(self, value: int) -> "XdrEncoder":
         if not 0 <= value <= _U64_MAX:
             raise EncodingError(f"uhyper out of range: {value!r}")
         self._parts.append(struct.pack(">Q", value))
-        return self
-
-    def pack_hyper(self, value: int) -> "XdrEncoder":
-        if not -(2**63) <= value < 2**63:
-            raise EncodingError(f"hyper out of range: {value!r}")
-        self._parts.append(struct.pack(">q", value))
-        return self
-
-    def pack_bool(self, value: bool) -> "XdrEncoder":
-        return self.pack_uint(1 if value else 0)
-
-    def pack_fixed_opaque(self, data: bytes, size: int) -> "XdrEncoder":
-        if len(data) != size:
-            raise EncodingError(f"fixed opaque: expected {size} bytes, got {len(data)}")
-        self._parts.append(data + b"\x00" * _pad(size))
         return self
 
     def pack_opaque(self, data: bytes) -> "XdrEncoder":
@@ -85,9 +59,6 @@ class XdrEncoder:
 
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
-
-    def __len__(self) -> int:
-        return sum(len(p) for p in self._parts)
 
 
 class XdrDecoder:
@@ -116,20 +87,8 @@ class XdrDecoder:
     def unpack_uint(self) -> int:
         return struct.unpack(">I", self._take(4))[0]
 
-    def unpack_int(self) -> int:
-        return struct.unpack(">i", self._take(4))[0]
-
     def unpack_uhyper(self) -> int:
         return struct.unpack(">Q", self._take(8))[0]
-
-    def unpack_hyper(self) -> int:
-        return struct.unpack(">q", self._take(8))[0]
-
-    def unpack_bool(self) -> bool:
-        value = self.unpack_uint()
-        if value not in (0, 1):
-            raise EncodingError(f"bool must be 0 or 1, got {value}")
-        return bool(value)
 
     def unpack_fixed_opaque(self, size: int) -> bytes:
         data = self._take(size)

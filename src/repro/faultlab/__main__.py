@@ -77,8 +77,12 @@ def cmd_replay(args) -> int:
 
 def cmd_sweep(args) -> int:
     n_seeds = 3 if args.quick else args.seeds
-    mode = "quick" if args.quick else \
-        ("custom" if args.scenario else "full")
+    # "quick" and "full" name exactly the in-sweep registry x 3 or 8
+    # seeds from 0; any other sweep is "custom".
+    whole = args.base_seed == 0 and sorted(args.scenario or []) in (
+        [], scenario_names(in_sweep_only=True))
+    mode = {3: "quick", 8: "full"}.get(n_seeds, "custom") if whole \
+        else "custom"
     result = sweep(scenarios=args.scenario or None, n_seeds=n_seeds,
                    base_seed=args.base_seed,
                    progress=None if args.quiet else print)

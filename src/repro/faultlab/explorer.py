@@ -618,7 +618,6 @@ class SweepResult:
 
 
 def sweep(scenarios: Optional[Sequence[str]] = None,
-          seeds: Optional[Sequence[int]] = None,
           n_seeds: int = 4, base_seed: int = 0,
           progress=None) -> SweepResult:
     """Run every in-sweep scenario across a seed range; shrink each
@@ -626,8 +625,7 @@ def sweep(scenarios: Optional[Sequence[str]] = None,
     called with a one-line string after every trial."""
     names = list(scenarios) if scenarios else scenario_names(
         in_sweep_only=True)
-    seed_list = list(seeds) if seeds is not None else \
-        [base_seed + k for k in range(n_seeds)]
+    seed_list = [base_seed + k for k in range(n_seeds)]
     out = SweepResult(scenarios=names, seeds=seed_list)
     started = time.perf_counter()
     for name in names:

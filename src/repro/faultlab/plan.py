@@ -279,8 +279,8 @@ class FaultPlan:
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
         return cls(tuple(fault_from_dict(f) for f in data["faults"]))
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":

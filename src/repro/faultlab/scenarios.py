@@ -81,7 +81,7 @@ class Scenario:
     shards: int = 1
     #: Optional open-loop traffic riding alongside the closed-loop
     #: clients (see :mod:`repro.workloads.openloop`).  Keys: ``rate``
-    #: (required), ``process`` (poisson|onoff|diurnal), ``duration``,
+    #: (required), ``process`` (poisson|onoff), ``duration``,
     #: ``slo_p95``, ``pool_size``, ``queue_limit``, ``n_users``,
     #: ``process_kwargs``.  All randomness is drawn from the trial's
     #: seeded RNG streams, so trials stay bit-replayable.

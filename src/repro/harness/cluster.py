@@ -33,11 +33,10 @@ class Cluster:
         """The shared metrics registry (counters/histograms)."""
         return self.tracer.metrics
 
-    def phase_report(self, title: str = "Per-phase latency breakdown "
-                                        "(microseconds, simulated)") -> str:
+    def phase_report(self) -> str:
         """Render the per-phase latency histograms as a table."""
         from repro.harness.report import phase_breakdown_table
-        return phase_breakdown_table(self.tracer.metrics, title=title)
+        return phase_breakdown_table(self.tracer.metrics)
 
     @property
     def primary(self) -> Replica:
@@ -92,8 +91,6 @@ def build_cluster(make_state: Callable[[int], StateManager],
         raise ValueError("network rides a different scheduler")
     registry = KeyRegistry()
     tracer = tracer or Tracer()
-    # Spans and phase observations measure *simulated* time.
-    tracer.bind_clock(lambda: scheduler.now)
     replicas = []
     for i, replica_id in enumerate(config.replica_ids):
         cost_model = replica_costs[i] if replica_costs else costs

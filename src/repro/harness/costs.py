@@ -88,5 +88,5 @@ BASE_THOR_OP_COST = 3.5e-4
 THOR_COMMIT_BYTE_COST = 1e-4
 
 
-def replica_costs(n: int = 4) -> List[CostModel]:
-    return [PROTOCOL_COSTS] * n
+def replica_costs() -> List[CostModel]:
+    return [PROTOCOL_COSTS] * 4

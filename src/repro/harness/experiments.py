@@ -52,9 +52,9 @@ REBOOT_DELAY = 0.45
 ATTR_TTL = 30.0
 
 
-def _bft_config(n: int = 4, recovery_interval: float = 0.0,
+def _bft_config(recovery_interval: float = 0.0,
                 recovery_stagger: float = 0.0) -> BftConfig:
-    return BftConfig(n=n, checkpoint_interval=64,
+    return BftConfig(checkpoint_interval=64,
                      view_change_timeout=0.15, client_retry_timeout=0.1,
                      recovery_interval=recovery_interval,
                      recovery_stagger=recovery_stagger,
@@ -69,13 +69,13 @@ class AndrewRun:
 
 
 def run_andrew_std(config: AndrewConfig,
-                   backend_class: Type[MemoryFilesystem] = LinuxExt2Backend,
-                   seed: int = 0) -> AndrewRun:
+                   backend_class: Type[MemoryFilesystem] = LinuxExt2Backend
+                   ) -> AndrewRun:
     """The unreplicated NFS-std baseline for one vendor."""
     std = UnreplicatedDeployment.build(
         NFS_SERVICE, backend_class,
         profile=C.vendor_profile(backend_class.vendor),
-        network_config=C.lan_network(seed), seed=seed)
+        network_config=C.lan_network())
     fs = NfsClient(std.client, attr_ttl=ATTR_TTL)
     result = AndrewBenchmark(fs, config).run()
     return AndrewRun(result, backend=std.backend)
@@ -84,8 +84,7 @@ def run_andrew_std(config: AndrewConfig,
 def run_andrew_basefs(config: AndrewConfig,
                       backend_classes: Optional[Sequence[type]] = None,
                       recovery_interval: float = 0.0,
-                      recovery_stagger: float = 0.0,
-                      seed: int = 0) -> AndrewRun:
+                      recovery_stagger: float = 0.0) -> AndrewRun:
     """BASEFS (homogeneous by default; pass ALL_BACKENDS for Table V)."""
     backend_classes = list(backend_classes or [LinuxExt2Backend] * 4)
     basefs = ReplicatedDeployment.build(
@@ -94,8 +93,8 @@ def run_andrew_basefs(config: AndrewConfig,
                            recovery_stagger=recovery_stagger),
         profiles=[C.vendor_profile(cls.vendor) for cls in backend_classes],
         replica_costs=C.replica_costs(),
-        network_config=C.lan_network(seed),
-        base_config=BASE_CONFIG, seed=seed)
+        network_config=C.lan_network(),
+        base_config=BASE_CONFIG)
     cluster = basefs.cluster
     fs = NfsClient(basefs.client, attr_ttl=ATTR_TTL)
     result = AndrewBenchmark(fs, config).run()

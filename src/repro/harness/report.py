@@ -69,8 +69,7 @@ def overhead_pct(measured: float, baseline: float) -> float:
 
 def histogram_table(metrics: Metrics, title: str, prefix: str = "",
                     scale: float = 1.0, unit: str = "s",
-                    order: Optional[Sequence[str]] = None,
-                    note: str = "") -> str:
+                    order: Optional[Sequence[str]] = None) -> str:
     """Render every histogram under ``prefix`` as count/mean/percentiles.
 
     ``scale`` multiplies the recorded values (1e6 renders seconds as
@@ -96,17 +95,16 @@ def histogram_table(metrics: Metrics, title: str, prefix: str = "",
     headers = ["phase" if prefix == "phase." else "histogram", "count",
                f"mean ({unit})", f"p50 ({unit})", f"p90 ({unit})",
                f"p99 ({unit})", f"max ({unit})"]
-    return format_table(title, headers, rows, note=note)
+    return format_table(title, headers, rows)
 
 
 def phase_breakdown_table(metrics: Metrics,
                           title: str = "Per-phase latency breakdown "
-                                       "(microseconds, simulated)",
-                          note: str = "") -> str:
+                                       "(microseconds, simulated)") -> str:
     """The canonical per-phase table benchmarks print alongside the
     paper's figures: one row per protocol phase, in protocol order."""
     return histogram_table(metrics, title, prefix="phase.", scale=1e6,
-                           unit="us", order=list(PHASES), note=note)
+                           unit="us", order=list(PHASES))
 
 
 def counters_table(metrics: Metrics, title: str = "Counters",

@@ -186,10 +186,10 @@ def decode_object(blob: bytes) -> AbstractObject:
     return obj
 
 
-def initial_object(index: int, root_mode: int = 0o755) -> AbstractObject:
+def initial_object(index: int) -> AbstractObject:
     """Initial abstract state: entry 0 is the root directory, the rest are
     free entries with generation 0."""
     if index == 0:
-        meta = AbstractMeta(root_mode, 0, 0, 0, 0, 0, parent=0)
+        meta = AbstractMeta(0o755, 0, 0, 0, 0, 0, parent=0)
         return AbstractObject(FileType.NFDIR, 1, meta)
     return AbstractObject(FileType.NFNON, 0)

@@ -67,9 +67,7 @@ class NfsConformanceWrapper(AbstractService):
 
     def __init__(self, backend: MemoryFilesystem,
                  spec: Optional[AbstractSpecConfig] = None,
-                 clock: Callable[[], float] = lambda: 0.0,
-                 clean_recovery_factory: Optional[
-                     Callable[[], MemoryFilesystem]] = None):
+                 clock: Callable[[], float] = lambda: 0.0):
         super().__init__()
         self.backend = backend
         #: §3.1.4's improvement: when set, restart() discards the old
@@ -77,7 +75,8 @@ class NfsConformanceWrapper(AbstractService):
         #: state — tolerating corrupt concrete data structures that an
         #: in-place repair could never fix (and fixing resource leaks by
         #: construction).
-        self.clean_recovery_factory = clean_recovery_factory
+        self.clean_recovery_factory: Optional[
+            Callable[[], MemoryFilesystem]] = None
         self.spec = spec or AbstractSpecConfig()
         self.timestamps = TimestampAgreement(clock, delta=CLOCK_DELTA)
         self.rep = ConformanceRep(self.spec.array_size)

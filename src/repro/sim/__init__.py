@@ -21,7 +21,7 @@ The kernel is deliberately small:
 """
 
 from repro.sim.scheduler import Event, Scheduler
-from repro.sim.metrics import Histogram, Metrics, Span
+from repro.sim.metrics import Histogram, Metrics
 from repro.sim.network import LinkConfig, Network, NetworkConfig
 from repro.sim.node import Node, Timer
 from repro.sim.tracing import PHASES, Tracer
@@ -36,7 +36,6 @@ __all__ = [
     "NetworkConfig",
     "Node",
     "PHASES",
-    "Span",
     "Timer",
     "Tracer",
 ]

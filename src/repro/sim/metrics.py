@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from array import array
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 
 class Histogram:
@@ -87,31 +86,6 @@ class Histogram:
                 f"mean={self.mean:.6g})")
 
 
-class Span:
-    """Context manager timing one region into a histogram.
-
-    ``clock`` is any zero-argument callable returning seconds — the
-    simulation passes ``scheduler.now`` so spans measure *simulated*
-    time; outside a simulation it defaults to wall-clock time.
-    """
-
-    __slots__ = ("_hist", "_clock", "_start", "elapsed")
-
-    def __init__(self, hist: Histogram, clock: Callable[[], float]):
-        self._hist = hist
-        self._clock = clock
-        self._start = 0.0
-        self.elapsed: Optional[float] = None
-
-    def __enter__(self) -> "Span":
-        self._start = self._clock()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.elapsed = self._clock() - self._start
-        self._hist.observe(self.elapsed)
-
-
 class Metrics:
     """Registry of named counters and histograms.
 
@@ -139,10 +113,6 @@ class Metrics:
 
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
-
-    def span(self, name: str,
-             clock: Optional[Callable[[], float]] = None) -> Span:
-        return Span(self.histogram(name), clock or time.perf_counter)
 
     # -- reading -----------------------------------------------------------
 

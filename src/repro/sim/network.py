@@ -189,10 +189,6 @@ class Network:
         if entered:
             self.bytes_sent += size
 
-    def broadcast(self, src: Any, msg: Any, size: Optional[int] = None) -> None:
-        """Send to every registered node except ``src``."""
-        self.multicast(src, [d for d in self._nodes if d != src], msg, size=size)
-
     # -- internals -----------------------------------------------------------
 
     def _sample_delay(self, link: LinkConfig, nbytes: int) -> float:

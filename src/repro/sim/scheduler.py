@@ -39,9 +39,6 @@ class Event:
             if self.scheduler is not None:
                 self.scheduler._note_cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, seq={self.seq}, {state}, fn={self.fn!r})"

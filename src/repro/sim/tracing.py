@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from operator import itemgetter
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.sim.metrics import Metrics, Span
+from repro.sim.metrics import Metrics
 
 #: The normal-case phase taxonomy, in protocol order.  Each entry is a
 #: histogram named ``phase.<name>`` in the tracer's metrics registry;
@@ -97,25 +97,13 @@ class Tracer:
     most recent window and the drop count says how much history is gone.
     """
 
-    def __init__(self, keep_events: bool = True, max_events: int = 200_000,
-                 clock: Optional[Callable[[], float]] = None):
+    def __init__(self, keep_events: bool = True, max_events: int = 200_000):
         self.keep_events = keep_events
         self.max_events = max_events
         self.events: Deque[TraceEvent] = deque(maxlen=max_events)
         self.counters: Counter = Counter()
         self.dropped_events = 0
         self.metrics = Metrics()
-        self._clock = clock
-
-    # -- clock ----------------------------------------------------------------
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Attach the simulation clock so spans measure simulated time."""
-        self._clock = clock
-
-    @property
-    def now(self) -> float:
-        return self._clock() if self._clock is not None else 0.0
 
     # -- events and counters --------------------------------------------------
 
@@ -172,13 +160,3 @@ class Tracer:
         if hist is None:
             hist = self.metrics.histogram(name)
         hist.observe(seconds)
-
-    def span(self, name: str) -> Span:
-        """Span-style timing context over the bound (simulated) clock.
-
-        Falls back to wall-clock time when no clock is bound, so the
-        same code paths work outside a simulation.
-        """
-        clock = self._clock
-        return self.metrics.span(name, clock) if clock is not None \
-            else self.metrics.span(name)

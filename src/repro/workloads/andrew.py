@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.nfs.client import NfsClient
 
@@ -31,9 +31,19 @@ def _file_body(name: str, size: int) -> bytes:
     return (seed * reps)[:size]
 
 
+#: Header files at the root of each copy (a third of ``file_size`` each).
+HEADER_FILES = 2
+#: Phase-5 client compute per source byte; the link burns half as much.
+COMPILE_CPU_PER_BYTE = 2e-6
+#: Client overhead per stat in phase 3.
+STAT_CPU = 5e-6
+#: Size of a ``.o`` relative to its source.
+OBJECT_SIZE_RATIO = 0.6
+
+
 @dataclass(frozen=True)
 class AndrewConfig:
-    """The synthetic source tree and client CPU rates.
+    """The synthetic source tree.
 
     The default tree is a scaled-down stand-in for the benchmark's source
     tree; ``copies`` scales the run the way the paper's Andrew100 and
@@ -44,10 +54,6 @@ class AndrewConfig:
     subdirs: Tuple[str, ...] = ("cmds", "lib", "sys", "doc")
     files_per_subdir: int = 4
     file_size: int = 3000
-    header_files: int = 2
-    compile_cpu_per_byte: float = 2e-6   # phase-5 client compute
-    stat_cpu: float = 5e-6               # per stat client overhead
-    object_size_ratio: float = 0.6       # .o size relative to source
 
     def tree_files(self) -> List[Tuple[str, bytes]]:
         files = []
@@ -55,7 +61,7 @@ class AndrewConfig:
             for i in range(self.files_per_subdir):
                 name = f"{subdir}/{subdir}{i}.c"
                 files.append((name, _file_body(name, self.file_size)))
-        for i in range(self.header_files):
+        for i in range(HEADER_FILES):
             name = f"include{i}.h"
             files.append((name, _file_body(name, self.file_size // 3)))
         return files
@@ -75,11 +81,10 @@ class AndrewResult:
 
 
 class AndrewBenchmark:
-    def __init__(self, fs: NfsClient, config: AndrewConfig,
-                 charge: Callable[[float], None] = None):
+    def __init__(self, fs: NfsClient, config: AndrewConfig):
         self.fs = fs
         self.config = config
-        self.charge = charge if charge is not None else fs.transport.charge
+        self.charge = fs.transport.charge
         self._files = config.tree_files()
 
     def _copy_root(self, copy: int) -> str:
@@ -107,7 +112,7 @@ class AndrewBenchmark:
                 self.fs.listdir(f"{root}/{subdir}")
             for name, _ in self._files:
                 self.fs.getattr(f"{root}/{name}")
-                self.charge(self.config.stat_cpu)
+                self.charge(STAT_CPU)
 
     def phase4_read(self) -> None:
         for copy in range(self.config.copies):
@@ -123,10 +128,10 @@ class AndrewBenchmark:
                 if not name.endswith(".c"):
                     continue
                 source = self.fs.read_file(f"{root}/{name}")
-                self.charge(len(source) * self.config.compile_cpu_per_byte)
+                self.charge(len(source) * COMPILE_CPU_PER_BYTE)
                 obj_name = name[:-2] + ".o"
                 obj_body = _file_body(obj_name, int(
-                    len(source) * self.config.object_size_ratio))
+                    len(source) * OBJECT_SIZE_RATIO))
                 self.fs.write_file(f"{root}/{obj_name}", obj_body)
                 objects.append((obj_name, len(obj_body)))
             # Link: read every object, burn CPU, write the executable.
@@ -134,7 +139,7 @@ class AndrewBenchmark:
             for obj_name, size in objects:
                 self.fs.read_file(f"{root}/{obj_name}")
                 linked += size
-            self.charge(linked * self.config.compile_cpu_per_byte * 0.5)
+            self.charge(linked * COMPILE_CPU_PER_BYTE * 0.5)
             self.fs.write_file(f"{root}/a.out", _file_body("a.out", linked))
 
     # -- driver ---------------------------------------------------------------------

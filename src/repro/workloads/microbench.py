@@ -32,23 +32,22 @@ class MicroResult:
         return self.operations / self.elapsed if self.elapsed else 0.0
 
 
-def build_kv_cluster(config: Optional[BftConfig] = None, size: int = 64,
+def build_kv_cluster(config: Optional[BftConfig] = None,
                      network_config=None, costs=None,
                      seed: int = 0) -> Cluster:
     from repro.bft.costs import ZERO_COSTS
-    return build_cluster(lambda i: InMemoryStateManager(size=size),
+    return build_cluster(lambda i: InMemoryStateManager(size=64),
                          config=config or BftConfig(),
                          network_config=network_config,
                          costs=costs or ZERO_COSTS, seed=seed)
 
 
 def sequential_ops(cluster: Cluster, count: int, label: str,
-                   read_only: bool = False,
-                   payload: bytes = b"x") -> MicroResult:
+                   read_only: bool = False) -> MicroResult:
     """One client, back-to-back operations: measures latency."""
     client = cluster.add_client(f"micro-{label}")
     op = (InMemoryStateManager.op_get(0) if read_only
-          else InMemoryStateManager.op_put(0, payload))
+          else InMemoryStateManager.op_put(0, b"x"))
     start_time = cluster.scheduler.now
     start_msgs = cluster.network.messages_sent
     start_bytes = cluster.network.bytes_sent

@@ -32,16 +32,19 @@ from repro.thor.pages import Page
 from repro.thor.server import ThorServer
 
 PAGE_BYTES = 4096
+#: Outgoing connections of each atomic part, within its composite.
+CONNECTIONS_PER_ATOMIC = 3
+#: Children of each complex assembly.
+ASSEMBLY_FANOUT = 3
+#: Composite parts a base assembly points to.
+COMPOSITES_PER_BASE_ASSEMBLY = 3
 
 
 @dataclass(frozen=True)
 class OO7Config:
     num_composites: int = 20
     atomic_per_composite: int = 20
-    connections_per_atomic: int = 3
-    assembly_fanout: int = 3
     assembly_levels: int = 4          # paper medium uses 7
-    composites_per_base_assembly: int = 3
     seed: int = 7
 
     @classmethod
@@ -121,7 +124,7 @@ class OO7Database:
                 "AtomicPart", (composite_id, i, i, i * 2), ())))
         for i, oref in enumerate(orefs):
             targets = []
-            for c in range(self.config.connections_per_atomic):
+            for c in range(CONNECTIONS_PER_ATOMIC):
                 targets.append(orefs[(i + 1 + c * 7) % count])
             self._patch(oref, ObjectRecord(
                 "AtomicPart", (composite_id, i, i, i * 2), tuple(targets)))
@@ -133,10 +136,10 @@ class OO7Database:
             chosen = tuple(
                 self.composite_roots[self._rng.randrange(
                     self.config.num_composites)]
-                for _ in range(self.config.composites_per_base_assembly))
+                for _ in range(COMPOSITES_PER_BASE_ASSEMBLY))
             return self._emit(ObjectRecord("BaseAssembly", (level,), chosen))
         children = tuple(self._build_assembly(level + 1)
-                         for _ in range(self.config.assembly_fanout))
+                         for _ in range(ASSEMBLY_FANOUT))
         return self._emit(ObjectRecord("ComplexAssembly", (level,), children))
 
     # -- loading --------------------------------------------------------------------------

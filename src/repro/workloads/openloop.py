@@ -11,9 +11,9 @@ are not raw rates but *sustainable* rates at a latency SLO.
 This module provides:
 
 - **Arrival processes** (:class:`PoissonArrivals`, :class:`OnOffArrivals`
-  for bursty/self-similar traffic, :class:`DiurnalArrivals` for
-  rate ramps), all drawing exclusively from a caller-supplied seeded
-  ``random.Random`` so a run is a pure function of its seed;
+  for bursty/self-similar traffic), both drawing exclusively from a
+  caller-supplied seeded ``random.Random`` so a run is a pure function
+  of its seed;
 - **An aggregated client population**: ~10^6 logical users cost
   O(active requests), not O(users).  A fixed pool of
   :class:`~repro.bft.client.BftClient` instances multiplexes logical
@@ -117,42 +117,11 @@ class OnOffArrivals(ArrivalProcess):
                 return candidate
             t = self._on_until  # burst ended before the next arrival
 
-class DiurnalArrivals(ArrivalProcess):
-    """A rate ramp: non-homogeneous Poisson with sinusoidal intensity.
-
-    ``rate(t) = mean * (1 + a*sin(2*pi*t/period))`` where ``a`` is chosen
-    so the peak:trough intensity ratio equals ``peak_to_trough`` — a
-    whole diurnal cycle compressed into ``period`` simulated seconds.
-    Sampled by thinning, so determinism needs only the one RNG.
-    """
-
-    def __init__(self, rate: float, rng: random.Random,
-                 period: float = 10.0, peak_to_trough: float = 4.0):
-        if peak_to_trough < 1:
-            raise ValueError(f"peak_to_trough must be >= 1, got {peak_to_trough!r}")
-        self.mean_rate = rate
-        self.rng = rng
-        self.period = period
-        self.amplitude = (peak_to_trough - 1.0) / (peak_to_trough + 1.0)
-        self.peak_rate = rate * (1.0 + self.amplitude)
-
-    def rate_at(self, t: float) -> float:
-        return self.mean_rate * (
-            1.0 + self.amplitude * math.sin(2.0 * math.pi * t / self.period))
-
-    def next_after(self, t: float) -> float:
-        # Lewis–Shedler thinning against the constant peak envelope.
-        while True:
-            t += self.rng.expovariate(self.peak_rate)
-            if self.rng.random() * self.peak_rate <= self.rate_at(t):
-                return t
-
 
 #: name -> factory(rate, rng, **kwargs)
 PROCESSES: Dict[str, Callable[..., ArrivalProcess]] = {
     "poisson": PoissonArrivals,
     "onoff": OnOffArrivals,
-    "diurnal": DiurnalArrivals,
 }
 
 
@@ -633,7 +602,6 @@ def run_load_point(cluster_factory: Callable[[int], Any], rate: float,
 def walk_to_knee(cluster_factory: Callable[[int], Any], start_rate: float,
                  duration: float, seed: int = 0, factor: float = 2.0,
                  max_points: int = 8, refine: int = 1,
-                 progress: Optional[Callable[[str], None]] = None,
                  **point_kwargs: Any) -> LoadCurve:
     """Walk offered load up geometrically until the SLO breaks, then
     optionally bisect (geometric midpoint) between the last sustainable
@@ -653,11 +621,6 @@ def walk_to_knee(cluster_factory: Callable[[int], Any], start_rate: float,
         point, _cluster = run_load_point(cluster_factory, rate, duration,
                                          seed=seed, **point_kwargs)
         curve.points.append(point)
-        if progress:
-            progress(f"offered {rate:g}/s -> achieved "
-                     f"{point.achieved_rate:.1f}/s attainment "
-                     f"{point.attainment:.3f}"
-                     f"{'' if point.sustainable else '  [knee passed]'}")
         if point.sustainable:
             lo = rate
             rate *= factor
@@ -673,9 +636,6 @@ def walk_to_knee(cluster_factory: Callable[[int], Any], start_rate: float,
         point, _cluster = run_load_point(cluster_factory, mid, duration,
                                          seed=seed, **point_kwargs)
         curve.points.append(point)
-        if progress:
-            progress(f"refine {mid:.1f}/s -> attainment "
-                     f"{point.attainment:.3f}")
         if point.sustainable:
             lo = mid
         else:

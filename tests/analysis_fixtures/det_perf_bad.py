@@ -1,7 +1,8 @@
 """DET-PERF fixture: perf_counter outside the reporting allowlist.
 
 The per-rule test checks this file twice: under a protocol path it must
-fire, under an allowlisted reporting path (sim/metrics.py) it must not.
+fire, under an allowlisted reporting path (faultlab/explorer.py) it must
+not.
 """
 
 import time

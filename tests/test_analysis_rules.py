@@ -93,7 +93,7 @@ def test_the_determinism_rules_catch_planted_offenders():
 
 def test_perf_counter_allowed_in_reporting_modules():
     findings = _check("DET-PERF", FIXTURES / "det_perf_bad.py",
-                      "sim/metrics.py")
+                      "faultlab/explorer.py")
     assert findings == []
 
 

@@ -42,18 +42,19 @@ def test_children_info_verifies_against_parent():
     tree = PartitionTree(64, branching=8)
     for i in range(64):
         tree.set_leaf(i, digest(b"obj%d" % i), i % 5)
+    snap = tree.snapshot()
     # Walk every internal node: combine(children) must equal node digest.
-    for level in range(tree.levels - 1):
-        for index in range(tree.row_size(level)):
-            children = tree.children_info(level, index)
+    for level in range(len(snap.digests) - 1):
+        for index in range(len(snap.digests[level])):
+            children = snap.children_info(level, index, tree.branching)
             assert children is not None
-            assert PartitionTree.combine(children) == tree._digests[level][index]
+            assert PartitionTree.combine(children) == snap.digests[level][index]
 
 
 def test_children_info_out_of_range_returns_none():
-    tree = PartitionTree(10, branching=4)
-    assert tree.children_info(tree.levels - 1, 0) is None
-    assert tree.children_info(0, 99) is None
+    snap = PartitionTree(10, branching=4).snapshot()
+    assert snap.children_info(len(snap.digests) - 1, 0, 4) is None
+    assert snap.children_info(0, 99, 4) is None
 
 
 def test_snapshot_immutable_under_later_updates():
@@ -73,7 +74,7 @@ def test_non_power_of_branching_sizes():
         tree.set_leaf(size - 1, digest(b"end"), 1)
         assert isinstance(tree.root_digest, bytes)
         # Leaf row has exactly `size` entries.
-        assert tree.row_size(tree.leaf_level) == size
+        assert len(tree.snapshot().digests[tree.leaf_level]) == size
 
 
 def test_set_leaf_out_of_range():
@@ -117,11 +118,12 @@ def test_every_leaf_reachable_from_root_walk(size, branching):
     tree = PartitionTree(size, branching=branching)
     for i in range(size):
         tree.set_leaf(i, digest(b"leaf%d" % i), 0)
+    snap = tree.snapshot()
     found = set()
     queue = [(0, 0)]
     while queue:
         level, index = queue.pop()
-        children = tree.children_info(level, index)
+        children = snap.children_info(level, index, branching)
         if children is None:
             continue
         child_level = level + 1

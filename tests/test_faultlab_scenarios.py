@@ -128,8 +128,36 @@ def test_cli_sweep_writes_a_validating_report(tmp_path):
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     validate_sweep_report(report)
-    assert report["mode"] == "quick"
+    assert report["mode"] == "custom"   # one scenario is not the sweep
     assert report["trials"] == 3  # --quick pins 3 seeds per scenario
+
+
+@pytest.mark.parametrize("argv, mode", [
+    (["--quick"], "quick"),
+    (["--seeds", "3"], "quick"),
+    ([], "full"),
+    (sum((["--scenario", name] for name in reversed(SWEPT)), []), "full"),
+    (["--seeds", "1"], "custom"),
+    (["--base-seed", "100"], "custom"),
+    (["--quick", "--base-seed", "5"], "custom"),
+    (["--quick", "--scenario", SWEPT[0]], "custom"),
+], ids=["quick", "seeds-3", "full", "every-scenario-named", "seeds-1",
+        "base-seed-100", "quick-base-seed-5", "quick-one-scenario"])
+def test_cli_sweep_labels_only_the_whole_registry_quick_or_full(
+        monkeypatch, argv, mode):
+    import repro.faultlab.__main__ as cli
+    from repro.faultlab.explorer import SweepResult
+
+    def no_trials(scenarios=None, n_seeds=4, base_seed=0, progress=None):
+        return SweepResult(scenarios=list(scenarios or SWEPT),
+                           seeds=[base_seed + k for k in range(n_seeds)])
+
+    labels = []
+    monkeypatch.setattr(cli, "sweep", no_trials)
+    monkeypatch.setattr(cli.reportlib, "sweep_report",
+                        lambda result, label: labels.append(label) or {})
+    assert main(["sweep", "--quiet", *argv]) == 0
+    assert labels == [mode]
 
 
 def test_cli_replay_with_a_failing_plan_exits_nonzero(tmp_path, capsys):

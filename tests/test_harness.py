@@ -9,6 +9,7 @@ import pytest
 
 from benchmarks.paper import BLOCK, Record, Row, splice
 from repro.analysis import all_rules
+from repro.analysis.config import PERF_COUNTER_ALLOWED
 from repro.bft import messages
 from repro.bft.messages import Message
 from repro.harness.complexity import (
@@ -210,6 +211,55 @@ def test_no_doc_names_a_file_that_does_not_exist():
                   for doc, token in named
                   if not (root / token).exists()
                   and not (doc.parent / token).exists()) == []
+
+
+#: A backticked word that reads as a code symbol when it contains ``_``
+#: or is CamelCase; ``*`` in it is a glob.
+_DOC_SYMBOL = re.compile(r"[A-Za-z_*][\w*]*")
+
+#: Symbols a doc names on purpose that no code carries.
+_DOC_SYMBOLS_NOT_IN_CODE = {
+    "arry_size": "the misspelt build option docs/SERVICES.md shows refused",
+    "http_status": "a placeholder in the shape of an HTTP reply tuple",
+    "sub_op_bytes": "a placeholder in the shape of a 2PC meta-op tuple",
+    "_charge": "the deleted forwarder a docs/PERFORMANCE.md run log names",
+}
+
+
+def test_no_doc_names_a_symbol_the_code_does_not_have():
+    """A symbol a doc backticks occurs as a whole word under src, tests,
+    benchmarks, examples or .github, or in a root JSON artifact, or is
+    the stem of a file (``BENCH_4``): a doc cannot point a reader at a
+    check or a name that was never written or has since been deleted."""
+    root = Path(__file__).resolve().parents[1]
+    here = Path(__file__).resolve()
+    corpus = [path for top in ("src", "tests", "benchmarks", "examples",
+                               ".github")
+              for path in sorted((root / top).rglob("*"))
+              if path.suffix in (".py", ".md", ".json", ".yml")
+              and path != here]
+    corpus += sorted(root.glob("*.json"))
+    words = {word for path in corpus
+             for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))}
+    words |= {path.stem for top in root.iterdir() if top.name != ".git"
+              for path in [top, *(top.rglob("*") if top.is_dir() else ())]}
+    docs = [root / name for name in ("README.md", "DESIGN.md",
+                                     "EXPERIMENTS.md")]
+    docs += sorted((root / "docs").glob("*.md"))
+    missing = set()
+    for doc in docs:
+        for span in re.findall(r"`([^`\n]+)`", doc.read_text(encoding="utf-8")):
+            for token in _DOC_SYMBOL.findall(span):
+                if "_" not in token and not re.search("[a-z][A-Z]", token):
+                    continue
+                glob = re.compile(re.escape(token).replace(r"\*", r"\w*"))
+                if token in words or "*" in token and any(
+                        glob.fullmatch(word) for word in words):
+                    continue
+                missing.add((str(doc.relative_to(root)), token))
+    assert sorted((doc, token) for doc, token in missing
+                  if token not in _DOC_SYMBOLS_NOT_IN_CODE) == []
+    assert {token for _, token in missing} == set(_DOC_SYMBOLS_NOT_IN_CODE)
 
 
 def test_faultlab_patches_no_private_attribute_of_a_product_object():
@@ -582,10 +632,13 @@ def test_analysis_parses_each_file_in_one_place():
 
 
 def test_deleted_catalogues_and_tables_stay_deleted():
-    """Names whose one copy was folded into another owner."""
+    """Names whose one copy was folded into another owner, and
+    capabilities no run reached."""
     gone = re.compile(r"\b(DeepRuleInfo|DEEP_RULES|run_deep|DEEP_EVERYWHERE"
                       r"|IO_ALLOWED|BACKEND_FAULT_NAMES|fh_to_index"
-                      r"|CONSISTENCY_MODES)\b")
+                      r"|CONSISTENCY_MODES|Span|bind_clock|DiurnalArrivals"
+                      r"|fell_back|xdr_size_of_opaque|pack_fixed_opaque"
+                      r"|unpack_bool|pack_hyper)\b")
     root = Path(__file__).resolve().parents[1]
     here = Path(__file__).resolve()
     assert [f"{path.relative_to(root)}:{match.group(1)}"
@@ -593,6 +646,20 @@ def test_deleted_catalogues_and_tables_stay_deleted():
             for path in sorted((root / top).rglob("*.py")) if path != here
             for match in gone.finditer(path.read_text(encoding="utf-8"))
             ] == []
+
+
+def test_nothing_under_sim_reads_wall_time():
+    """The simulator's one clock is the scheduler's: no module under
+    ``src/repro/sim`` imports ``time``, and DET-PERF allows
+    ``time.perf_counter`` only in FaultLab's per-trial wall timing."""
+    root = Path(__file__).resolve().parents[1] / "src/repro/sim"
+    assert [path.name for path in sorted(root.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Import)
+            and "time" in [alias.name for alias in node.names]
+            or isinstance(node, ast.ImportFrom) and node.module == "time"
+            ] == []
+    assert PERF_COUNTER_ALLOWED == frozenset({"faultlab/explorer.py"})
 
 
 def test_wrappers_allocate_slots_through_the_mapping_library():

@@ -17,6 +17,7 @@ from repro.encoding.canonical import canonical
 from repro.harness.report import (
     counters_table,
     histogram_table,
+    main as report_main,
     phase_breakdown_table,
     run_selftest,
 )
@@ -277,25 +278,6 @@ def test_merge_partially_full_buffer_appends_then_rotates():
     assert 30.0 in hist._samples                # the overflow wrapped in
 
 
-def test_span_measures_with_custom_clock():
-    m = Metrics()
-    fake = {"t": 10.0}
-    with m.span("region", clock=lambda: fake["t"]) as span:
-        fake["t"] = 12.5
-    assert span.elapsed == pytest.approx(2.5)
-    assert m.histogram("region").count == 1
-    assert m.histogram("region").max == pytest.approx(2.5)
-
-
-def test_tracer_span_uses_bound_simulation_clock():
-    tracer = Tracer()
-    fake = {"t": 0.0}
-    tracer.bind_clock(lambda: fake["t"])
-    with tracer.span("step"):
-        fake["t"] = 4.0
-    assert tracer.metrics.histogram("step").percentile(50) == pytest.approx(4.0)
-
-
 # -- protocol phase instrumentation -------------------------------------------
 
 def test_normal_case_populates_phase_histograms():
@@ -548,3 +530,9 @@ def test_report_selftest_end_to_end(capsys):
     assert "Per-phase latency breakdown" in out
     assert "client.requests" in out
     assert metrics.counter_value("client.requests") == 15
+
+
+def test_report_selftest_cli_exits_zero(capsys):
+    """``python -m repro.harness.report --selftest`` as CI used to run it."""
+    assert report_main(["--selftest", "--quiet"]) == 0
+    assert capsys.readouterr().out == "selftest: ok\n"

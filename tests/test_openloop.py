@@ -88,13 +88,6 @@ def test_onoff_is_bursty_but_keeps_the_long_run_mean():
     assert gaps[len(gaps) // 2] < 0.5 / 100.0
 
 
-def test_diurnal_intensity_oscillates_around_the_mean():
-    proc = make_process("diurnal", 100.0, random.Random("diurnal"),
-                        period=10.0, peak_to_trough=4.0)
-    assert proc.rate_at(2.5) > 100.0 > proc.rate_at(7.5)
-    assert proc.rate_at(2.5) / proc.rate_at(7.5) == pytest.approx(4.0)
-
-
 def test_make_process_rejects_unknowns_and_bad_parameters():
     rng = random.Random(0)
     with pytest.raises(KeyError):
@@ -103,8 +96,6 @@ def test_make_process_rejects_unknowns_and_bad_parameters():
         make_process("poisson", 0.0, rng)
     with pytest.raises(ValueError):
         make_process("onoff", 10.0, rng, on_fraction=0.0)
-    with pytest.raises(ValueError):
-        make_process("diurnal", 10.0, rng, peak_to_trough=0.5)
 
 
 # -- the aggregated population driver -----------------------------------------

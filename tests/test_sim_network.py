@@ -65,16 +65,6 @@ def test_multicast_reaches_all_destinations():
     assert all(len(r.received) == 1 for r in others)
 
 
-def test_broadcast_excludes_sender():
-    sched, net = make_net()
-    a = Recorder("a", net)
-    b = Recorder("b", net)
-    net.broadcast("a", Ping(payload="b"))
-    sched.run()
-    assert len(a.received) == 0
-    assert len(b.received) == 1
-
-
 def test_partition_drops_messages_and_heals():
     sched, net = make_net()
     a = Recorder("a", net)
