@@ -359,7 +359,10 @@ class OpenLoopDriver:
             return
         pending.done = True
         if pending.deadline_event is not None:
+            # Drop the reference too: the event's args point back at
+            # ``pending``, and the pair would be a cycle only GC frees.
             pending.deadline_event.cancel()
+            pending.deadline_event = None
         self._in_flight -= 1
         latency = self.scheduler.now - pending.arrived_at
         stats = self.stats[pending.cls.name]

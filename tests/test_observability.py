@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from repro.harness.report import (
 from repro.service.deploy import ReplicatedDeployment
 from repro.service.registry import get_service
 from repro.sim import Histogram, Metrics, Tracer
-from repro.sim.tracing import EVENT_FIELDS
+from repro.sim.tracing import CATALOGUE, EVENT_FIELDS, parse_catalogue
 from tests.conftest import make_kv_cluster
 
 put = InMemoryStateManager.op_put
@@ -64,13 +65,127 @@ def test_no_silent_drops_when_events_disabled():
 
 def test_an_event_is_one_tuple_in_catalogue_order():
     tracer = Tracer()
-    tracer.emit(1.5, "r0", "executed", 7, "c0", 3, True, b"d")
+    fields = (7, "c0", 3, True, b"d" * 32)
+    tracer.emit(1.5, "r0", "executed", *fields)
     (event,) = tracer.events
-    assert event == (1.5, "r0", "executed", 7, "c0", 3, True, b"d")
+    assert event == (1.5, "r0", "executed") + fields
     assert (event.time, event.source, event.kind) == (1.5, "r0", "executed")
-    assert event.detail == dict(zip(EVENT_FIELDS["executed"],
-                                    (7, "c0", 3, True, b"d")))
+    assert event.detail == dict(zip(EVENT_FIELDS["executed"], fields))
     assert not hasattr(event, "__dict__")
+    assert not tracer.events.overflow      # it was packed into its slot
+
+
+# -- the packed ring: every kind and every overflow reads back exactly ----------
+
+#: A value of each wire type, well inside its range.
+SAMPLES = {"int": -(2 ** 40), "str": "replica1", "bool": False,
+           "float": 0.125, "digest": bytes(range(32))}
+
+
+def _typed(event):
+    return [(value, type(value)) for value in event]
+
+
+def _reads_back(tracer, emitted):
+    """Every reader returns ``emitted``, value for value and type for type."""
+    kind = emitted[2]
+    assert [_typed(e) for e in tracer.events] == [_typed(emitted)]
+    assert [_typed(e) for e in tracer.find(kind, emitted[1])] \
+        == [_typed(emitted)]
+    assert _typed(tracer.first(kind)) == _typed(emitted)
+    detail = tracer.first(kind).detail
+    assert list(detail) == list(EVENT_FIELDS[kind])
+    assert [(v, type(v)) for v in detail.values()] == _typed(emitted)[3:]
+
+
+@pytest.mark.parametrize("kind", sorted(EVENT_FIELDS))
+def test_every_kind_round_trips_through_its_slot(kind):
+    fields = tuple(SAMPLES[wire]
+                   for _, wire in parse_catalogue(CATALOGUE)[kind])
+    tracer = Tracer()
+    tracer.emit(2.5, "replica0", kind, *fields)
+    _reads_back(tracer, (2.5, "replica0", kind) + fields)
+    assert not tracer.events.overflow
+
+
+class _Evidence:
+    pass
+
+
+OVERFLOWS = {
+    "none": (1.0, "r0", "edge_reply", 0, "mode", None, bytes(32), None),
+    "an object": (1.0, "r0", "edge_reply", 0, "mode", 0.5, bytes(32),
+                  _Evidence()),
+    "short digest": (1.0, "r0", "executed", 1, "c0", 2, True, b"d"),
+    "long digest": (1.0, "r0", "result_accepted", 2, bytes(33)),
+    "digest not bytes": (1.0, "r0", "result_accepted", 2, bytearray(32)),
+    "int above int64": (1.0, "r0", "prepared", 2 ** 63),
+    "int below int64": (1.0, "r0", "prepared", -(2 ** 63) - 1),
+    "bool for int": (1.0, "r0", "prepared", True),
+    "int for bool": (1.0, "faultlab", "fault_cleared", "f", 1),
+    "int for float": (1.0, "r0", "recovery_complete", 1, 2),
+    "int time": (1, "r0", "prepared", 2),
+    "non-str source": (1.0, 3, "prepared", 2),
+    "non-str string": (1.0, "r0", "execute_error", None),
+}
+
+
+@pytest.mark.parametrize("cause", sorted(OVERFLOWS))
+def test_a_value_its_wire_type_cannot_hold_overflows_whole(cause):
+    emitted = OVERFLOWS[cause]
+    tracer = Tracer()
+    tracer.emit(*emitted)
+    assert list(tracer.events.overflow) == [0]
+    _reads_back(tracer, emitted)
+
+
+def test_a_new_string_once_the_table_is_full_overflows():
+    """A code is 2 bytes and 0 is unused: 65 535 strings, "r0" one."""
+    tracer = Tracer(max_events=8)
+    for i in range(65_534):
+        tracer.emit(1.0, "r0", "execute_error", f"E{i}")
+    assert not tracer.events.overflow
+    tracer.emit(2.0, "r0", "execute_error", "one too many")
+    tracer.emit(3.0, "r0", "execute_error", "E7")     # already has a code
+    tracer.emit(4.0, "r1", "prepared", 5)             # a new source
+    assert sorted(tracer.events.overflow) == [65_534, 65_536]
+    assert list(tracer.events)[-3:] == [
+        (2.0, "r0", "execute_error", "one too many"),
+        (3.0, "r0", "execute_error", "E7"), (4.0, "r1", "prepared", 5)]
+
+
+def _mixed_stream(count):
+    """Events alternating between packed and overflowing ones."""
+    for i in range(count):
+        if i % 3 == 2:
+            yield (float(i), "r0", "prepared", 2 ** 64 + i)      # overflows
+        elif i % 3 == 1:
+            yield (float(i), f"r{i % 4}", "executed", i, "c0", i, i % 2 == 0,
+                   bytes([i % 256]) * 32)
+        else:
+            yield (float(i), "r1", "fault_cleared", f"f{i}", True)
+
+
+@pytest.mark.parametrize("max_events", [1, 2, 3, 5])
+def test_ring_order_after_a_wrap_matches_a_deque(max_events):
+    tracer, reference = Tracer(max_events=max_events), deque(maxlen=max_events)
+    for count, event in enumerate(_mixed_stream(4 * max_events + 3), 1):
+        tracer.emit(*event)
+        reference.append(event)
+        assert [_typed(e) for e in tracer.events] \
+            == [_typed(e) for e in reference]
+        assert len(tracer.events) == len(reference)
+        assert tracer.dropped_events == count - len(reference)
+        assert len(tracer.events.overflow) <= max_events
+        assert tracer.find("prepared") == [e for e in reference
+                                           if e[2] == "prepared"]
+    tracer.clear()
+    assert (list(tracer.events), tracer.dropped_events) == ([], 0)
+    assert not tracer.events.overflow and not tracer.events.buf
+    for event in _mixed_stream(max_events):
+        tracer.emit(*event)
+    assert list(tracer.events) == list(_mixed_stream(max_events))
+    assert tracer.dropped_events == 0
 
 
 @pytest.mark.parametrize("kind,fields", [
@@ -447,15 +562,16 @@ def test_edge_reply_events_carry_their_documented_fields():
 
 def test_lifecycle_table_field_lists_are_the_catalogue():
     """docs/OBSERVABILITY.md's lifecycle table lists each kind's fields in
-    emission order; those lists are ``EVENT_FIELDS``'s entries."""
+    emission order with their wire types; those are ``CATALOGUE``'s."""
     doc = (Path(__file__).resolve().parents[1] / "docs"
            / "OBSERVABILITY.md").read_text(encoding="utf-8")
     table = doc.split("## Request lifecycle events")[1].split("\n## ")[0]
-    rows = {m.group(1): tuple(re.findall(r"`(\w+)`", m.group(2)))
+    rows = {m.group(1): tuple(re.findall(r"`(\w+)` (\w+)", m.group(2)))
             for m in re.finditer(r"^\| `(\w+)` \|[^|]*\|([^|]*)\|", table,
                                  re.M)}
     assert set(rows) == set(LIFECYCLE_FIELDS) | {"edge_reply"}
-    assert rows == {kind: EVENT_FIELDS[kind] for kind in rows}
+    declared = parse_catalogue(CATALOGUE)
+    assert rows == {kind: declared[kind] for kind in rows}
     assert all(set(EVENT_FIELDS[kind]) == fields
                for kind, fields in LIFECYCLE_FIELDS.items())
 
@@ -463,10 +579,11 @@ def test_lifecycle_table_field_lists_are_the_catalogue():
 # -- what the ring and the histograms keep alive ------------------------------
 
 #: Bytes the ring may retain per event, and a histogram per retained
-#: sample, on a kv group.  An event is one tuple and a sample one double
-#: (about 135 and 8.5 bytes on CPython 3.11); a dict per event (about
-#: 290) or a boxed float per sample (about 32) fails these.
-RING_BYTES_PER_EVENT = 200
+#: sample, on a kv group.  An event is one 64-byte slot, and a ring that
+#: has not wrapped runs at most a seventh (or 256 slots) ahead of its
+#: events; a sample is one double.  A tuple per event (about 135 bytes
+#: on CPython 3.11) or a boxed float per sample (about 32) fails these.
+RING_BYTES_PER_EVENT = 75
 HISTOGRAM_BYTES_PER_SAMPLE = 16
 
 
@@ -478,7 +595,7 @@ def _bytes_freed_by(action) -> int:
     return before - tracemalloc.get_traced_memory()[0]
 
 
-def test_ring_keeps_a_tuple_per_event_and_histograms_a_double_per_sample():
+def test_ring_keeps_a_slot_per_event_and_histograms_a_double_per_sample():
     tracemalloc.start()
     try:
         cluster = make_kv_cluster(checkpoint_interval=16)
@@ -499,6 +616,24 @@ def test_ring_keeps_a_tuple_per_event_and_histograms_a_double_per_sample():
     assert ring / events <= RING_BYTES_PER_EVENT, ring / events
     assert histograms / samples <= HISTOGRAM_BYTES_PER_SAMPLE, \
         histograms / samples
+
+
+def test_a_full_ring_of_the_largest_events_keeps_64_bytes_each():
+    """The worst case for the tuple ring: every event an ``executed``
+    whose digest and ints (above 2**31, so never cached) only the ring
+    would hold.  A full ring keeps its buffer and nothing per event."""
+    events = 5_000
+    tracemalloc.start()
+    try:
+        tracer = Tracer(max_events=events)
+        for i in range(2 * events):
+            tracer.emit(i / 7, "replica0", "executed", 2 ** 40 + i, "client0",
+                        2 ** 33 + i, i % 2 == 0, digest(b"%d" % i))
+        ring = _bytes_freed_by(tracer.events.clear)
+    finally:
+        tracemalloc.stop()
+    assert tracer.dropped_events == events
+    assert ring <= 64 * events + 2048, ring - 64 * events
 
 
 # -- rendering and the smoke target -------------------------------------------

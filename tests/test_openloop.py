@@ -14,6 +14,7 @@ The engine's contract has three legs, each pinned here:
   through a small protocol-client pool.
 """
 
+import gc
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from repro.workloads.openloop import (
     OpenLoopDriver,
     PROCESSES,
     RequestClass,
+    _OpenRequest,
     default_kv_classes,
     make_process,
     run_load_point,
@@ -108,6 +110,24 @@ def _drive(cluster, seed=0, rate=300.0, duration=0.4, **kwargs):
                             seed=seed, **kwargs)
     assert driver.drive(duration)
     return driver
+
+
+def test_a_completed_request_leaves_no_reference_cycle():
+    """A request's deadline event points back at it; once the request
+    completes, nothing may keep the pair alive for the cyclic GC."""
+    gc.collect()
+    gc.disable()
+    try:
+        driver = _drive(lan_cluster(seed=0), seed=1)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = sum(isinstance(obj, _OpenRequest) for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert sum(s.completed for s in driver.stats.values()) > 50
+    assert leaked == 0
 
 
 def test_same_seed_gives_identical_arrivals_and_summary():
