@@ -39,11 +39,15 @@ class SlotAllocator:
             raise ValueError("more reserved slots than the array holds")
         self.size = size
         self.reserved = reserved
-        # A lazy heap: a slot used since it was queued is skipped when
-        # popped.  ``_queued`` marks the slots it holds, so none is
-        # queued twice and the heap never outgrows the array.
-        self._free = list(range(reserved, size))
-        self._queued = bytearray(reserved) + b"\x01" * (size - reserved)
+        # Every slot at or above the watermark ``_fresh`` is free unless
+        # ``_used`` says otherwise, and none of them is queued.  Below it,
+        # a lazy heap holds the released slots: a slot used since it was
+        # queued is skipped when popped.  ``_queued`` marks the slots it
+        # holds, so none is queued twice and the heap holds at most the
+        # slots released below the watermark.
+        self._fresh = reserved
+        self._free: List[int] = []
+        self._queued = bytearray(size)
         self._used: Dict[int, int] = {i: 0 for i in range(reserved)}
         #: Per-slot generation; callers on a hot path may index it.
         self.generations: List[int] = [0] * size
@@ -58,10 +62,16 @@ class SlotAllocator:
             if index not in self._used:
                 self._used[index] = self._PENDING
                 return index
+        while self._fresh < self.size:
+            index = self._fresh
+            self._fresh += 1
+            if index not in self._used:
+                self._used[index] = self._PENDING
+                return index
         raise IndexError("abstract array exhausted")
 
     def _queue(self, index: int) -> None:
-        if not self._queued[index]:
+        if index < self._fresh and not self._queued[index]:
             self._queued[index] = 1
             heapq.heappush(self._free, index)
 

@@ -73,9 +73,16 @@ class AbstractStateManager(StateManager):
         # ``build_base_cluster`` points ``charge_hook`` and the wrapper's
         # ``library.charge`` at the replica's ``charge`` together.
         upcalls.library = LibraryHandle(self.modify, self.charge_hook)
-        # Initial leaf digests reflect the initial abstract state.
+        # Initial leaf digests reflect the initial abstract state.  Most
+        # initial objects are equal (free slots): digest each distinct
+        # value once, and let equal leaves share the digest.
+        digests: Dict[bytes, bytes] = {}
         for i in range(self.size):
-            self._tree.set_leaf(i, digest(upcalls.get_obj(i)), 0)
+            value = upcalls.get_obj(i)
+            leaf = digests.get(value)
+            if leaf is None:
+                leaf = digests[value] = digest(value)
+            self._tree.set_leaf(i, leaf, 0)
 
     def _charge_check(self, index: int, value: bytes) -> None:
         """Cost of one get_obj + digest, proportional to object size."""

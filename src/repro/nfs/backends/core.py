@@ -63,7 +63,9 @@ class Inode:
         self.mode = mode
         self.uid = uid
         self.gid = gid
-        self.data = bytearray()
+        # Immutable: every change stores a new value, so replicas handed
+        # the same decoded bytes share them and never alias a buffer.
+        self.data = b""
         self.children: "Dict[str, int]" = {}
         self.target = ""
         self.atime = now
@@ -199,9 +201,9 @@ class MemoryFilesystem:
             old = len(inode.data)
             if sattr.size > old:
                 self._check_capacity(sattr.size - old)
-                inode.data.extend(b"\x00" * (sattr.size - old))
+                inode.data += b"\x00" * (sattr.size - old)
             else:
-                del inode.data[sattr.size:]
+                inode.data = inode.data[:sattr.size]
             self._bytes_stored += len(inode.data) - old
         if sattr.atime != -1:
             inode.atime = sattr.atime
@@ -233,8 +235,7 @@ class MemoryFilesystem:
         inode = self._inode(fh)
         if inode.ftype == FileType.NFDIR:
             raise NfsError(NfsStatus.NFSERR_ISDIR)
-        data = bytes(inode.data[offset:offset + count])
-        return data, self.fattr_of(inode)
+        return inode.data[offset:offset + count], self.fattr_of(inode)
 
     def write(self, fh: bytes, offset: int, data: bytes) -> Fattr:
         self.ops_served += 1
@@ -243,12 +244,16 @@ class MemoryFilesystem:
         inode = self._inode(fh)
         if inode.ftype != FileType.NFREG:
             raise NfsError(NfsStatus.NFSERR_ISDIR)
+        old = inode.data
         end = offset + len(data)
-        grow = max(0, end - len(inode.data))
+        grow = max(0, end - len(old))
         self._check_capacity(grow)
-        if grow:
-            inode.data.extend(b"\x00" * (end - len(inode.data)))
-        inode.data[offset:end] = data
+        if offset == 0 and end >= len(old):
+            # The whole file: keep the caller's (immutable) value.
+            inode.data = bytes(data)
+        else:
+            gap = b"\x00" * max(0, offset - len(old))
+            inode.data = old[:offset] + gap + data + old[end:]
         self._bytes_stored += grow
         inode.mtime = self._now()
         inode.ctime = inode.mtime
@@ -286,7 +291,7 @@ class MemoryFilesystem:
                             sattr.uid if sattr.uid != -1 else 0,
                             sattr.gid if sattr.gid != -1 else 0)
         if sattr.size > 0 and ftype == FileType.NFREG:
-            inode.data.extend(b"\x00" * sattr.size)
+            inode.data = b"\x00" * sattr.size
             self._bytes_stored += sattr.size
         directory.children[name] = inode.ino
         if ftype == FileType.NFDIR:
@@ -399,7 +404,7 @@ class MemoryFilesystem:
     def corrupt_file_data(self, path_ino: int, garbage: bytes) -> None:
         """Flip a file's bytes behind the server's back (fault injection)."""
         inode = self._inodes[path_ino]
-        inode.data[:len(garbage)] = garbage
+        inode.data = bytes(garbage) + inode.data[len(garbage):]
 
     def find_ino(self, *path: str) -> int:
         """Resolve a path from the root to an ino (test helper)."""

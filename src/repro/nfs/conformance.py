@@ -4,10 +4,13 @@ An array paralleling the abstract state.  It stores *no object data* —
 only what is needed to translate between the concrete NFS server and the
 abstract specification: per entry the object type, the backend file
 handle, the backend fileid, the abstract timestamps, the parent index,
-and the entry's contribution to the virtual capacity.  Generations and
-free entries live in the §6 mapping library's ``SlotAllocator`` (slot 0,
-the root, reserved).  A reverse map from backend fileids to oids makes
-reply processing and recovery efficient; every backend reply carries the
+and the entry's contribution to the virtual capacity.  Every free slot
+points at one shared, read-only ``FREE`` entry; a slot gets its own
+entry when ``assign``, ``bind`` or ``load`` makes it live.  Generations
+and free entries live in the §6 mapping library's ``SlotAllocator``
+(slot 0, the root, reserved; its watermark keeps the untouched tail off
+the free heap).  A reverse map from backend fileids to oids makes reply
+processing and recovery efficient; every backend reply carries the
 fileid, so no handle→oid map is kept.  Only this module writes the map,
 ``bytes_used`` and an entry's handle, fileid and type.
 """
@@ -39,13 +42,26 @@ class ConformanceEntry:
         return self.ftype is None
 
 
+class _FreeEntry(ConformanceEntry):
+    """Every free slot's entry: its fields are set once, at creation."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        if hasattr(self, name):
+            raise AttributeError(f"wrote {name} of the shared free entry")
+        super().__setattr__(name, value)
+
+
+FREE: ConformanceEntry = _FreeEntry()
+
+
 class ConformanceRep:
     """The array plus its reverse map and slot allocator."""
 
     def __init__(self, size: int):
         self.size = size
-        self.entries: List[ConformanceEntry] = [ConformanceEntry()
-                                                for _ in range(size)]
+        self.entries: List[ConformanceEntry] = [FREE] * size
         self.fileid_to_index: Dict[int, int] = {}
         self.slots = SlotAllocator(size, reserved=1)
         #: The allocator's generation list (read it, never write it).
@@ -95,6 +111,8 @@ class ConformanceRep:
     def _link(self, index: int, ftype: FileType, fh: bytes, fileid: int,
               parent: int) -> ConformanceEntry:
         entry = self.entries[index]
+        if entry is FREE:
+            entry = self.entries[index] = ConformanceEntry()
         entry.ftype = ftype
         entry.fh = fh
         entry.fileid = fileid
@@ -110,8 +128,7 @@ class ConformanceRep:
             if entry.fileid is not None:
                 self.fileid_to_index.pop(entry.fileid, None)
             self.update_size(index, 0)
-            entry.ftype = entry.fh = entry.fileid = None
-            entry.parent = entry.atime = entry.mtime = entry.ctime = 0
+            self.entries[index] = FREE
         self.slots.set_generation(
             index, self.generations[index] if gen is None else gen,
             used=False)
@@ -181,7 +198,7 @@ class ConformanceRep:
              abstract_size) in saved:
             rep.slots.set_generation(index, gen, used=ftype is not None)
             if ftype is not None:
-                entry = rep.entries[index]
+                entry = rep.entries[index] = ConformanceEntry()
                 entry.ftype, entry.fileid = FileType(ftype), fileid
                 entry.parent, entry.abstract_size = parent, abstract_size
                 entry.atime, entry.mtime, entry.ctime = atime, mtime, ctime

@@ -126,26 +126,73 @@ def test_mapping_save_load_roundtrip():
     assert a == b
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(st.booleans(), st.integers(0, 15)), max_size=60))
-def test_mapping_determinism_property(ops):
-    """Two mappings fed the same op sequence stay identical."""
-    m1 = KeyedArrayMapping(16)
-    m2 = KeyedArrayMapping(16)
-    live = set()
-    for is_assign, key in ops:
-        for m in (m1, m2):
-            if is_assign and key not in live:
-                try:
-                    m.assign(key)
-                except IndexError:
-                    pass
-            elif not is_assign and key in live:
-                m.release(key)
-        if is_assign and key not in live:
-            if m1.index_of(key) is not None:
-                live.add(key)
-        elif not is_assign:
-            live.discard(key)
-    assert list(m1.items()) == list(m2.items())
-    assert m1.save() == m2.save()
+ALLOCATOR_OPS = ("allocate", "commit", "release", "rollback",
+                 "set_generation")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2),
+       st.lists(st.tuples(st.sampled_from(ALLOCATOR_OPS), st.integers(0, 8),
+                          st.integers(0, 3), st.booleans()), max_size=60))
+def test_mapping_determinism_property(size, reserved, ops):
+    """Two mappings fed the same allocator ops stay identical, and every
+    step agrees with a brute-force model: ``allocate`` returns the lowest
+    index that is not reserved, pending or committed."""
+    reserved = min(reserved, size)
+    mappings = [KeyedArrayMapping(size, reserved) for _ in range(2)]
+    allocators = [mapping.allocator for mapping in mappings]
+    used = set(range(reserved))     # reserved, pending or committed
+    pending = set()
+    gens = [0] * size
+    for op, pick, gen, flag in ops:
+        index = pick % size
+        if op == "allocate":
+            lowest = min(set(range(size)) - used, default=None)
+            for alloc in allocators:
+                if lowest is None:
+                    with pytest.raises(IndexError):
+                        alloc.allocate()
+                else:
+                    assert alloc.allocate() == lowest
+            if lowest is not None:
+                used.add(lowest)
+                pending.add(lowest)
+        elif op == "commit":
+            if not pending:
+                continue
+            index = sorted(pending)[pick % len(pending)]
+            pending.discard(index)
+            gens[index] += 1
+            assert [alloc.commit(index) for alloc in allocators] == \
+                [gens[index]] * 2
+        elif op == "release":
+            for alloc in allocators:
+                if index < reserved:
+                    with pytest.raises(ValueError):
+                        alloc.release(index)
+                else:
+                    alloc.release(index)
+            if index >= reserved:
+                used.discard(index)
+                pending.discard(index)
+        elif op == "rollback":
+            for alloc in allocators:
+                alloc.rollback(index)
+            if index in pending:
+                used.discard(index)
+                pending.discard(index)
+        else:
+            for alloc in allocators:
+                alloc.set_generation(index, gen, used=flag)
+            gens[index] = gen
+            pending.discard(index)
+            if flag:
+                used.add(index)
+            elif index >= reserved:
+                used.discard(index)
+        for alloc in allocators:
+            assert [alloc.is_used(i) for i in range(size)] == \
+                [i in used for i in range(size)]
+            assert alloc.generations == gens
+            assert len(alloc._free) <= size
+    assert mappings[0].save() == mappings[1].save()

@@ -208,3 +208,59 @@ def test_basefs_refuses_negative_unsigned_fields(heterogeneous):
 def test_nfs_std_refuses_negative_unsigned_fields(backend_cls):
     std = UnreplicatedDeployment.build(NFS_SERVICE, backend_cls)
     _hostile_calls(NfsClient(std.client))
+
+
+# -- file bytes: one value shared by the replicas, never a shared buffer -------
+
+
+def test_one_replicas_fault_leaves_the_shared_file_bytes_alone(heterogeneous):
+    """A whole-file write leaves the four backends holding one immutable
+    value.  Corrupting it on one replica, or writing into its middle,
+    replaces that replica's value only: the other three keep their bytes
+    and leaf digests, and the victim's recovery check flags both
+    objects."""
+    cluster, fs = heterogeneous
+    fs.mkdir("/proj")
+    fs.write_file("/proj/a.c", b"int a;\n" * 40)
+    fs.write_file("/proj/b.c", b"int b;\n" * 40)
+    cluster.run(1.0)
+    wrappers = [replica.state.upcalls for replica in cluster.replicas]
+
+    def inode(wrapper, name):
+        backend = wrapper.backend
+        return backend._inodes[backend.find_ino("proj", name)]
+
+    def checked_leaves(replica):
+        """What the recovery check re-derives from concrete state."""
+        replica.state.mark_all_dirty()
+        replica.state.refresh_dirty()
+        rep = replica.state.upcalls.rep
+        return [replica.state.tree.leaf_digest(
+                    rep.fileid_to_index[inode(replica.state.upcalls,
+                                              name).ino])
+                for name in ("a.c", "b.c")]
+
+    values = [inode(w, "a.c").data for w in wrappers]
+    assert all(type(value) is bytes for value in values)
+    assert all(value is values[0] for value in values)
+    before = [checked_leaves(replica) for replica in cluster.replicas]
+    assert all(leaves == before[0] for leaves in before)
+
+    victim = wrappers[1]
+    victim.backend.corrupt_file_data(inode(victim, "a.c").ino, b"GARBAGE!")
+    b_fh = victim.rep.entry(
+        victim.rep.fileid_to_index[inode(victim, "b.c").ino]).fh
+    victim.backend.write(b_fh, 9, b"XX")
+
+    for index, replica in enumerate(cluster.replicas):
+        wrapper = wrappers[index]
+        after = checked_leaves(replica)
+        if wrapper is victim:
+            assert inode(wrapper, "a.c").data.startswith(b"GARBAGE!")
+            assert inode(wrapper, "b.c").data[9:11] == b"XX"
+            assert after[0] != before[index][0]
+            assert after[1] != before[index][1]
+        else:
+            assert inode(wrapper, "a.c").data == b"int a;\n" * 40
+            assert inode(wrapper, "b.c").data == b"int b;\n" * 40
+            assert after == before[index]

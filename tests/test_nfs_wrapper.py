@@ -10,6 +10,7 @@ import pytest
 from repro.base.state import AbstractStateManager
 from repro.encoding.canonical import canonical, decanonical
 from repro.nfs.backends import ALL_BACKENDS, FreeBsdUfsBackend, LinuxExt2Backend
+from repro.nfs.conformance import FREE
 from repro.nfs.protocol import FileType, NfsStatus
 from repro.nfs.spec import (
     AbstractSpecConfig,
@@ -133,6 +134,22 @@ def test_oids_assigned_deterministically_lowest_free():
     h.ok("remove", ROOT_OID, "one")
     f3, _ = h.ok("create", ROOT_OID, "three", SATTR_FILE)
     assert f3 == oid_bytes(1, 2)  # reused index, bumped generation
+
+
+def test_free_slots_share_one_read_only_entry():
+    """A slot has its own entry only while live; a free one points at
+    the shared ``FREE`` entry, and a stray write to it raises instead of
+    changing every free slot."""
+    h = WrapperHarness(LinuxExt2Backend)
+    rep = h.wrapper.rep
+    assert all(entry is FREE for entry in rep.entries[1:])
+    h.ok("create", ROOT_OID, "one", SATTR_FILE)
+    assert rep.entry(1) is not FREE and not rep.entry(1).is_free
+    h.ok("remove", ROOT_OID, "one")
+    assert rep.entry(1) is FREE
+    with pytest.raises(AttributeError):
+        rep.entry(1).parent = 0
+    assert FREE.parent == 0 and FREE.is_free
 
 
 def test_stale_oid_rejected_after_generation_bump():

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.base.mappings import SlotAllocator
 from repro.bft.config import BftConfig
 from repro.bft.statemachine import InMemoryStateManager
 from repro.crypto.digest import digest
@@ -22,6 +23,9 @@ from repro.harness.report import (
     phase_breakdown_table,
     run_selftest,
 )
+from repro.nfs.backends import ALL_BACKENDS
+from repro.nfs.conformance import ConformanceRep
+from repro.nfs.service import NFS_SERVICE
 from repro.service.deploy import ReplicatedDeployment
 from repro.service.registry import get_service
 from repro.sim import Histogram, Metrics, Tracer
@@ -634,6 +638,41 @@ def test_a_full_ring_of_the_largest_events_keeps_64_bytes_each():
         tracemalloc.stop()
     assert tracer.dropped_events == events
     assert ring <= 64 * events + 2048, ring - 64 * events
+
+
+# -- what a fresh BASEFS replica keeps per abstract slot -----------------------
+
+#: Bytes a fresh 4096-slot conformance array and slot allocator may hold
+#: per slot.  The array is a pointer per slot plus its allocator; the
+#: allocator is a generation pointer and a queued byte per slot.  An
+#: object per slot (a free entry, a boxed free index on the heap, 28
+#: bytes or more) fails these.
+REP_BYTES_PER_SLOT = 18
+ALLOCATOR_BYTES_PER_SLOT = 10
+
+
+def test_a_fresh_conformance_array_keeps_no_object_per_slot():
+    slots = 4096
+    tracemalloc.start()
+    try:
+        reps, allocators = [ConformanceRep(slots)], [SlotAllocator(slots)]
+        rep = _bytes_freed_by(reps.clear)
+        allocator = _bytes_freed_by(allocators.clear)
+    finally:
+        tracemalloc.stop()
+    assert rep / slots <= REP_BYTES_PER_SLOT, rep / slots
+    assert allocator / slots <= ALLOCATOR_BYTES_PER_SLOT, allocator / slots
+
+
+def test_equal_initial_leaves_share_one_digest_object():
+    """Every free slot of a fresh BASEFS replica has the same initial
+    value; its leaves hold one digest object, not one per slot."""
+    group = ReplicatedDeployment.build(NFS_SERVICE, list(ALL_BACKENDS))
+    for replica in group.replicas:
+        leaves = [replica.state.tree.leaf_digest(i)
+                  for i in range(replica.state.size)]
+        assert len(leaves) == 4096
+        assert len({id(leaf) for leaf in leaves}) == len(set(leaves)) == 2
 
 
 # -- rendering and the smoke target -------------------------------------------
