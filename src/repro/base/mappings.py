@@ -70,6 +70,10 @@ class SlotAllocator:
                 return index
         raise IndexError("abstract array exhausted")
 
+    def claim(self) -> "SlotClaim":
+        """:meth:`allocate` for the length of a ``with`` block."""
+        return SlotClaim(self, self.allocate())
+
     def _queue(self, index: int) -> None:
         if index < self._fresh and not self._queued[index]:
             self._queued[index] = 1
@@ -109,6 +113,23 @@ class SlotAllocator:
 
     def is_used(self, index: int) -> bool:
         return index in self._used
+
+
+class SlotClaim:
+    """A slot reserved for one ``with`` block and handed back if the
+    block raises anything, its backend's own error class or not: a slot
+    left pending is lost, so a faulty client could drain the array."""
+
+    def __init__(self, allocator: SlotAllocator, index: int):
+        self.allocator = allocator
+        self.index = index
+
+    def __enter__(self) -> int:
+        return self.index
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self.allocator.rollback(self.index)
 
 
 class KeyedArrayMapping(Generic[K]):
@@ -158,9 +179,9 @@ class KeyedArrayMapping(Generic[K]):
         self._link(key, index)
         return gen
 
-    def rollback(self, index: int) -> None:
-        """Undo a :meth:`reserve` whose operation failed."""
-        self.allocator.rollback(index)
+    def claim(self) -> SlotClaim:
+        """:meth:`reserve` for a ``with`` block that ends in :meth:`bind`."""
+        return self.allocator.claim()
 
     def release(self, key: K) -> int:
         """Unbind ``key``; returns the freed index."""

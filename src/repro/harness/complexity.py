@@ -7,8 +7,8 @@ which like semicolon-counting ignores blank lines and comments.
 
 :func:`package_lines` is the blunter companion: physical lines per
 package, held under a ceiling by ``tests/test_harness.py`` so that
-growing a package is an edit a reviewer sees.
-``python -m repro.harness.complexity`` prints both tables.
+growing a package is an edit a reviewer sees; :func:`settable_values`
+is held the same way.  ``python -m repro.harness.complexity`` prints all.
 """
 
 from __future__ import annotations
@@ -33,6 +33,27 @@ def count_file(path: Path) -> int:
 
 def count_module_group(paths: Iterable[Path]) -> int:
     return sum(count_file(p) for p in paths)
+
+
+def count_settable(source: str) -> int:
+    """Values a caller can set: defaulted parameters of every ``def``
+    plus defaulted fields of every ``@dataclass`` in the module."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            count += len(node.args.defaults) + sum(
+                default is not None for default in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).startswith("dataclass")
+                for d in node.decorator_list):
+            count += sum(isinstance(stmt, ast.AnnAssign)
+                         and stmt.value is not None for stmt in node.body)
+    return count
+
+
+def settable_values() -> int:
+    return sum(count_settable(path.read_text())
+               for path in (repo_root() / "repro").rglob("*.py"))
 
 
 @dataclass
@@ -113,5 +134,6 @@ def complexity_table(rows: List[ComplexityRow]) -> str:
 
 if __name__ == "__main__":
     print(line_budget_table())
+    print("settable values (defaulted parameters):", settable_values())
     print()
     print(complexity_table(complexity_report()))

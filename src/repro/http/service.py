@@ -15,10 +15,10 @@ from repro.http.wrapper import HttpConformanceWrapper
 from repro.service.deploy import (
     Channel,
     DirectService,
-    DirectServiceServer,
     ServiceDefinition,
     ShardKeySpec,
     WrapperContext,
+    wrapper_as_baseline,
 )
 from repro.service.registry import register
 
@@ -79,27 +79,14 @@ def _make_server(server_class: type, index: int) -> _BaseServer:
 
 
 def _make_wrapper(ctx: WrapperContext) -> HttpConformanceWrapper:
-    server_class = ctx.backend_class or NginxLikeServer
-    factory = None
-    if ctx.options["clean_recovery"]:
-        factory = lambda: _make_server(server_class, ctx.index)  # noqa: E731
     return HttpConformanceWrapper(
-        _make_server(server_class, ctx.index),
-        array_size=ctx.options["array_size"],
-        clean_recovery_factory=factory)
+        _make_server(ctx.backend_class or NginxLikeServer, ctx.index),
+        array_size=ctx.options["array_size"])
 
 
 def _make_direct(ctx: WrapperContext) -> DirectService:
-    server_class = ctx.backend_class or NginxLikeServer
-    server = server_class()
-    wrapper = HttpConformanceWrapper(server)
-
-    def handler(node: DirectServiceServer, src: str,
-                op: bytes) -> Tuple[bytes, int]:
-        raw = wrapper.execute(op, src, b"")
-        return raw, 64 + len(raw)
-
-    return DirectService(backend=server, handler=handler)
+    server = (ctx.backend_class or NginxLikeServer)()
+    return wrapper_as_baseline(HttpConformanceWrapper(server), server)
 
 
 def _shard_key(decoded: tuple):
@@ -117,7 +104,7 @@ HTTP_SERVICE = register(ServiceDefinition(
     make_wrapper=_make_wrapper,
     make_client=HttpClient,
     make_direct=_make_direct,
-    wrapper_options={"array_size": 256, "clean_recovery": False},
+    wrapper_options={"array_size": 256},
     default_backends=(NginxLikeServer,) * 4,
     branching=16,
     shard_key=ShardKeySpec(extract=_shard_key, axis="top path segment"),

@@ -9,7 +9,9 @@ The common abstract specification:
   servers' inode- or hash-based tags never escape);
 - conditional PUT (If-Match) is decided against abstract ETags, so all
   replicas agree;
-- PROPFIND listings are name-sorted.
+- PROPFIND listings are name-sorted;
+- a PUT body is ``bytes``: one server stores anything, another refuses
+  what is not bytes, so the wrapper answers 400 before either sees it.
 
 Dispatch, read-only gating, error enveloping, and shutdown/restart
 persistence ride the service kernel (:mod:`repro.service.kernel`).
@@ -17,7 +19,7 @@ persistence ride the service kernel (:mod:`repro.service.kernel`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.base.mappings import KeyedArrayMapping
 from repro.encoding.canonical import canonical, decanonical
@@ -28,17 +30,10 @@ from repro.service.kernel import AbstractService, op
 class HttpConformanceWrapper(AbstractService):
     CATALOG_INDEX = 0
 
-    def __init__(self, server: _BaseServer, array_size: int = 512,
-                 clean_recovery_factory: Optional[
-                     Callable[[], _BaseServer]] = None):
+    def __init__(self, server: _BaseServer, array_size: int = 512):
         super().__init__()
         self.server = server
         self.array_size = array_size
-        #: When set, restart() replaces the server with a fresh one and
-        #: the lost resources are rebuilt from the abstract state fetched
-        #: during recovery (clean recovery, §3.1.4).
-        self.clean_recovery_factory = clean_recovery_factory
-        self._clean_restarted = False
         self.resources: KeyedArrayMapping = KeyedArrayMapping(array_size,
                                                               reserved=1)
         #: path -> abstract version counter (the virtualized ETag).
@@ -96,27 +91,22 @@ class HttpConformanceWrapper(AbstractService):
     @op()
     def _op_put(self, path: str, body: bytes, if_match: str = "") -> tuple:
         path = self._norm(path)
+        if not isinstance(body, bytes):
+            raise TypeError("PUT body must be bytes")
         if if_match:
             if path not in self.versions or if_match != self._etag(path):
                 return (int(HttpStatus.PRECONDITION_FAILED),)
-        index = None
-        if path not in self.versions:
-            index = self.resources.reserve()
-            self._modify(index)
-        else:
+        if path in self.versions:
             self._modify(self.resources.index_of(path))
-        try:
             created, _ = self.server.put(path, body)
-        except HttpError:
-            if index is not None:
-                self.resources.rollback(index)
-            raise
-        if index is not None:
-            self.resources.bind(path, index)
+            self.versions[path] += 1
+        else:
+            with self.resources.claim() as index:
+                self._modify(index)
+                created, _ = self.server.put(path, body)
+                self.resources.bind(path, index)
             self._modify(self.CATALOG_INDEX)
             self.versions[path] = 1
-        else:
-            self.versions[path] += 1
         status = HttpStatus.CREATED if created else HttpStatus.NO_CONTENT
         return (int(status), self._etag(path))
 
@@ -137,14 +127,10 @@ class HttpConformanceWrapper(AbstractService):
         path = self._norm(path)
         if path in self.versions:
             raise HttpError(HttpStatus.METHOD_NOT_ALLOWED)
-        index = self.resources.reserve()
-        self._modify(index)
-        try:
+        with self.resources.claim() as index:
+            self._modify(index)
             self.server.mkcol(path)
-        except HttpError:
-            self.resources.rollback(index)
-            raise
-        self.resources.bind(path, index)
+            self.resources.bind(path, index)
         self.versions[path] = 0  # collections: version 0 marks "is a col"
         self._modify(self.CATALOG_INDEX)
         return (int(HttpStatus.CREATED),)
@@ -174,7 +160,7 @@ class HttpConformanceWrapper(AbstractService):
         try:
             body, _ = self.server.get(path)
         except HttpError:
-            if self._clean_restarted:
+            if self.restarted_clean:
                 # The resource does not exist in the fresh server yet;
                 # an impossible digest forces the check to fetch it.
                 return b""
@@ -195,7 +181,7 @@ class HttpConformanceWrapper(AbstractService):
                        if obj[0] == "col"),
                       key=lambda o: o[2].count("/"))
         for _, gen, path in cols:
-            if path not in self.versions or self._clean_restarted:
+            if path not in self.versions or self.restarted_clean:
                 try:
                     self.server.mkcol(path)
                 except HttpError:
@@ -283,8 +269,8 @@ class HttpConformanceWrapper(AbstractService):
         mapping_blob, versions = saved
         self.resources = KeyedArrayMapping.load(mapping_blob)
         self.versions = dict(versions)
-        if self.clean_recovery_factory is not None:
+        server = self.fresh_backend()
+        if server is not None:
             # Start over on an empty server; resources come back through
             # put_objs during fetch-and-check.
-            self.server = self.clean_recovery_factory()
-            self._clean_restarted = True
+            self.server = server

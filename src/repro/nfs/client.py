@@ -22,15 +22,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.nfs.protocol import Fattr, FileType, NfsError, NfsProc, NfsStatus
-from repro.nfs.service import NfsTransport
+from repro.nfs.service import BaseFsTransport
 
 TRANSFER_SIZE = 4096
 
 
 class NfsClient:
-    """Path-level API over an :class:`NfsTransport`."""
+    """Path-level API over a :class:`BaseFsTransport`."""
 
-    def __init__(self, transport: NfsTransport, attr_ttl: float = 3.0,
+    def __init__(self, transport: BaseFsTransport, attr_ttl: float = 3.0,
                  use_caches: bool = True):
         self.transport = transport
         self.attr_ttl = attr_ttl

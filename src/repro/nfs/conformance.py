@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.base.mappings import SlotAllocator
+from repro.base.mappings import SlotAllocator, SlotClaim
 from repro.nfs.protocol import FileType, NfsError, NfsStatus
 
 
@@ -82,22 +82,19 @@ class ConformanceRep:
                            f"{self.generations[index]}")
         return entry
 
-    # -- the wrapper's writes: allocate, then assign or roll back ---------------
+    # -- the wrapper's writes: claim, then assign ----------------------------------
 
-    def allocate(self) -> int:
-        """Deterministic allocation: the lowest free index.
+    def claim(self) -> SlotClaim:
+        """Deterministic allocation: the lowest free index, held for a
+        ``with`` block that ends in :meth:`assign`.
 
         The generation bumps at :meth:`assign` (after the caller's
         ``modify`` upcall has preserved the free entry's pre-image)."""
         try:
-            return self.slots.allocate()
+            return self.slots.claim()
         except IndexError:
             raise NfsError(NfsStatus.NFSERR_NOSPC,
                            "abstract array exhausted") from None
-
-    def rollback(self, index: int) -> None:
-        """Return an allocated-but-never-assigned index to the free pool."""
-        self.slots.rollback(index)
 
     def assign(self, index: int, ftype: FileType, fh: bytes, fileid: int,
                parent: int, now: int, abstract_size: int) -> None:

@@ -8,9 +8,10 @@ Two deployments, matching the paper's evaluation:
 - **NFS-std** — one unreplicated backend behind a plain request/response
   server node (the baseline every table compares against).
 
-Both expose the same :class:`NfsTransport` so the simulated NFS client
-and the Andrew benchmark are oblivious to which they are driving.  The
-service is declared once as :data:`NFS_SERVICE`;
+Both are reached through :class:`BaseFsTransport` (the baseline's
+:class:`DirectTransport` finds the mount handle another way), so the
+simulated NFS client and the Andrew benchmark are oblivious to which
+they are driving.  The service is declared once as :data:`NFS_SERVICE`;
 :mod:`repro.service.deploy` builds both deployments from it.
 """
 
@@ -35,27 +36,8 @@ from repro.service.deploy import (
 from repro.service.registry import register
 
 
-class NfsTransport:
-    """How a client reaches a file service: issue one NFS procedure."""
-
-    def call(self, proc: NfsProc, *args, read_only: bool = False) -> tuple:
-        raise NotImplementedError
-
-    def root_fh(self) -> bytes:
-        """The mount handle."""
-        raise NotImplementedError
-
-    def charge(self, seconds: float) -> None:
-        """Burn client-machine CPU (workload think time)."""
-        raise NotImplementedError
-
-    @property
-    def now(self) -> float:
-        raise NotImplementedError
-
-
-class BaseFsTransport(NfsTransport):
-    """Client side of BASEFS: procedures ride a service channel."""
+class BaseFsTransport:
+    """Client side of BASEFS: each NFS procedure rides a service channel."""
 
     def __init__(self, channel: Channel):
         self.channel = channel
@@ -71,6 +53,7 @@ class BaseFsTransport(NfsTransport):
         return result[1:]
 
     def root_fh(self) -> bytes:
+        """The mount handle."""
         from repro.nfs.spec import ROOT_OID
         return ROOT_OID
 

@@ -9,7 +9,7 @@ Implements the BASE upcalls around one off-the-shelf NFS backend:
 - ``get_obj`` is the abstraction function of Figure 4;
 - ``put_objs`` delegates to the inverse conversion engine of Figure 5
   (:mod:`repro.nfs.conversion`);
-- ``propose_value``/``check_value`` agree on the clock;
+- the kernel agrees on the clock through ``timestamps``;
 - ``shutdown``/``restart`` persist/rebuild the conformance representation
   around proactive-recovery reboots, re-resolving file handles from
   ``<fsid, fileid>`` when the server restart invalidated them.
@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.base.nondet import TimestampAgreement
 from repro.errors import StateTransferError
-from repro.service.kernel import AbstractService, OpSpec, op
+from repro.service.kernel import AbstractService, op
 from repro.nfs.backends.core import MemoryFilesystem
 from repro.nfs.conformance import ConformanceRep
 from repro.nfs.protocol import (
@@ -70,13 +70,6 @@ class NfsConformanceWrapper(AbstractService):
                  clock: Callable[[], float] = lambda: 0.0):
         super().__init__()
         self.backend = backend
-        #: §3.1.4's improvement: when set, restart() discards the old
-        #: backend and rebuilds onto a *fresh* one from the abstract
-        #: state — tolerating corrupt concrete data structures that an
-        #: in-place repair could never fix (and fixing resource leaks by
-        #: construction).
-        self.clean_recovery_factory: Optional[
-            Callable[[], MemoryFilesystem]] = None
         self.spec = spec or AbstractSpecConfig()
         self.timestamps = TimestampAgreement(clock, delta=CLOCK_DELTA)
         self.rep = ConformanceRep(self.spec.array_size)
@@ -89,14 +82,6 @@ class NfsConformanceWrapper(AbstractService):
     @property
     def num_objects(self) -> int:
         return self.spec.array_size
-
-    # -- Upcalls: nondeterminism ---------------------------------------------------
-
-    def propose_value(self, requests, seq: int) -> bytes:
-        return self.timestamps.propose()
-
-    def check_value(self, requests, seq: int, nondet: bytes) -> bool:
-        return self.timestamps.check(nondet)
 
     # -- cost plumbing ----------------------------------------------------------------
 
@@ -126,11 +111,6 @@ class NfsConformanceWrapper(AbstractService):
         if isinstance(exc, NfsError):
             return (int(exc.status),)
         return None
-
-    def agreed_time(self, spec: OpSpec, nondet: bytes) -> int:
-        if spec.read_only or not nondet:
-            return 0
-        return int(self.timestamps.accept(nondet) * 1_000_000)
 
     # -- oid/attr helpers ---------------------------------------------------------------------
 
@@ -286,12 +266,10 @@ class NfsConformanceWrapper(AbstractService):
         abstract_size = initial_size + 64 + len(target.encode("utf-8"))
         self._check_virtual_capacity(abstract_size +
                                      len(name.encode("utf-8")) + 16)
-        # Reserve the abstract entry first; modify() must see pre-mutation
+        # Claim the abstract entry first; modify() must see pre-mutation
         # values (free object, old generation) for copy-on-write to serve
-        # earlier checkpoints correctly.  Any failure before assign()
-        # hands the entry back.
-        index = self.rep.allocate()
-        try:
+        # earlier checkpoints correctly.
+        with self.rep.claim() as index:
             self._modify(dir_index)
             self._modify(index)
             backend_dir_fh = self._backend_fh(dir_index)
@@ -310,11 +288,8 @@ class NfsConformanceWrapper(AbstractService):
                 fh, fattr = self.backend.symlink(backend_dir_fh, name,
                                                  target, concrete)
                 self._charge_backend("symlink")
-        except Exception:
-            self.rep.rollback(index)
-            raise
-        self.rep.assign(index, ftype, fh, fattr.fileid, dir_index, now,
-                        abstract_size)
+            self.rep.assign(index, ftype, fh, fattr.fileid, dir_index, now,
+                            abstract_size)
         dir_entry.mtime = dir_entry.ctime = now
         self.rep.update_size(dir_index, dir_entry.abstract_size +
                              len(name.encode("utf-8")) + 16)
@@ -496,10 +471,11 @@ class NfsConformanceWrapper(AbstractService):
         """Reload the representation and re-mount; handles are re-resolved
         lazily from <fsid,fileid> since the server restart may have
         invalidated them."""
-        if self.clean_recovery_factory is not None:
+        backend = self.fresh_backend()
+        if backend is not None:
             # Start over on an empty file system; every object's value
             # comes back through put_objs during fetch-and-check.
-            self.backend = self.clean_recovery_factory()
+            self.backend = backend
         else:
             rejuvenate = getattr(self.backend, "rejuvenate", None)
             if rejuvenate is not None:

@@ -45,7 +45,7 @@ class Driver:
     """Issues wire ops against one wrapper with a deterministic clock.
 
     The clock advances one second per issued op, and (for services whose
-    mutations take an agreed timestamp) each op carries the matching
+    wrapper agrees on ``timestamps``) each op carries the matching
     :class:`ClockValue` nondet payload — the stand-in for the BFT
     propose/check agreement, identical across a wrapper pair.
     """
@@ -56,7 +56,7 @@ class Driver:
         self.clock = 0.0
 
     def _nondet(self) -> bytes:
-        if not self.probe.uses_nondet:
+        if self.wrapper.timestamps is None:
             return b""
         return ClockValue.encode(self.clock)
 
@@ -110,8 +110,6 @@ class ServiceProbe:
     #: Op tags outside the abstract specification.
     unknown_ops: List[tuple] = field(
         default_factory=lambda: [("__no_such_op__",), (123,)])
-    #: Whether mutations execute under an agreed timestamp.
-    uses_nondet: bool = False
 
     def driver(self, variant: int) -> Driver:
         return Driver(self, self.make_wrapper(variant))
@@ -328,6 +326,8 @@ def _sql_workload(d: Driver) -> None:
     d.ok("delete", "users", 3)
     d.ok("create_table", "tags", ("tag", "count"), "tag")
     d.ok("insert", "tags", ("base", 1))
+    d.ok("create_table", "pairs", ("key", "value"), "key")
+    d.ok("insert", "pairs", ((1, "a"), "first"))
     d.ok("select", "users", 1, read_only=True)
     d.ok("scan", "users", read_only=True)
 
@@ -404,7 +404,6 @@ PROBES: Dict[str, ServiceProbe] = {probe.name: probe for probe in (
         read_only_op=("getattr", _nfs_root()),
         malformed_ops=[("getattr",), ("write", _nfs_root()),
                        ("setattr", _nfs_root())],
-        uses_nondet=True,
     ),
     ServiceProbe(
         name="sql",
@@ -415,7 +414,9 @@ PROBES: Dict[str, ServiceProbe] = {probe.name: probe for probe in (
         post_restart_op=("insert", "users", (7, "post-restart", 1)),
         read_only_op=("tables",),
         malformed_ops=[("insert",), ("select", "users"),
-                       ("create_table", "t")],
+                       ("create_table", "t"),
+                       # a tuple key whose members differ in type
+                       ("insert", "pairs", (("b", 2), "second"))],
     ),
     ServiceProbe(
         name="http",
@@ -426,7 +427,8 @@ PROBES: Dict[str, ServiceProbe] = {probe.name: probe for probe in (
         mutating_op=("PUT", "/denied.txt", b"x", ""),
         post_restart_op=("PUT", "/post-restart.txt", b"post", ""),
         read_only_op=("GET", "/b.txt", ""),
-        malformed_ops=[("PUT", "/x"), ("GET",), ("MKCOL",)],
+        malformed_ops=[("PUT", "/x"), ("GET",), ("MKCOL",),
+                       ("PUT", "/x", 5, "")],  # a body that is not bytes
     ),
     ServiceProbe(
         name="thor",
@@ -438,7 +440,6 @@ PROBES: Dict[str, ServiceProbe] = {probe.name: probe for probe in (
         read_only_op=None,  # every Thor op mutates server state
         malformed_ops=[("fetch", "alice"), ("commit", "alice"),
                        ("start_session",)],
-        uses_nondet=True,
     ),
 )}
 

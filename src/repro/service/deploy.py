@@ -153,6 +153,19 @@ class DirectService:
     wire: Optional[Callable[[DirectServiceServer], None]] = None
 
 
+def wrapper_as_baseline(wrapper: Upcalls, backend: Any) -> DirectService:
+    """A baseline whose server runs the service's own conformance
+    wrapper over one backend, with no agreed value (for services whose
+    wrapped implementations speak no wire protocol of their own)."""
+
+    def handler(node: DirectServiceServer, src: str,
+                op: bytes) -> Tuple[bytes, int]:
+        raw = wrapper.execute(op, src, b"")
+        return raw, 64 + len(raw)
+
+    return DirectService(backend=backend, handler=handler)
+
+
 class Broadcast:
     """Shard-key sentinel: the op must reach *every* shard (e.g. Thor
     session management); replies must agree and one is returned."""

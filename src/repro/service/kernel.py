@@ -10,16 +10,20 @@ that shape once, over a dispatch table built at class-definition time
 from ``@op``-decorated methods, with small per-service hooks for the
 envelope formats the wire protocols pin down.
 
-The same class also centralizes the shutdown/restart persistence of the
-conformance representation (paper §3.1.4): subclasses implement
-``save_rep``/``load_rep`` over plain canonical-encodable values and the
-kernel owns the serialization and the simulated I/O cost.
+The same class owns what every wrapper would otherwise restate: the
+agreed clock (§2.3 — a wrapper that sets ``timestamps`` gets the agreed
+microseconds as every handler's first argument), and the shutdown/restart
+persistence of the conformance representation (§3.1.4): subclasses
+implement ``save_rep``/``load_rep`` over plain canonical-encodable values
+and the kernel owns the serialization, the simulated I/O cost, and
+whether a restart rebuilds onto a fresh backend.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
+from repro.base.nondet import TimestampAgreement
 from repro.base.upcalls import Upcalls
 from repro.encoding.canonical import canonical, decanonical
 
@@ -121,6 +125,19 @@ class AbstractService(Upcalls):
         #: Simulated CPU seconds charged for every operation (faulty or
         #: not) before dispatch; per-op extras come from ``@op(cost=...)``.
         self.per_op_cost: float = 0.0
+        #: The agreed clock of a service whose handlers take a timestamp;
+        #: None for services that agree on nothing.
+        self.timestamps: Optional[TimestampAgreement] = None
+        #: §3.1.4's improvement: when set, ``load_rep`` discards the
+        #: wrapped implementation and rebuilds onto the *fresh* one this
+        #: returns (see ``fresh_backend``), from the abstract state fetched
+        #: during recovery — tolerating corrupt concrete data structures
+        #: an in-place repair could never fix, and clearing leaks by
+        #: construction.
+        self.clean_recovery_factory: Optional[Callable[[], Any]] = None
+        #: True once ``restart`` has rebuilt onto a fresh backend: the
+        #: abstraction function then meets objects that are not there yet.
+        self.restarted_clean = False
         self._saved_rep: Optional[bytes] = None
 
     # -- introspection -----------------------------------------------------------
@@ -154,8 +171,11 @@ class AbstractService(Upcalls):
             return canonical(self.unknown_op_reply(kind))
         if read_only and not spec.read_only:
             return canonical(self.read_only_reply(kind))
-        now = self.agreed_time(spec, nondet)
-        if now is not None:
+        if self.timestamps is not None:
+            # Read-only ops neither need nor accept the agreed value.
+            now = 0
+            if nondet and not spec.read_only:
+                now = int(self.timestamps.accept(nondet) * 1_000_000)
             args = (now,) + args
         try:
             payload = spec.method(self, *args)
@@ -231,12 +251,6 @@ class AbstractService(Upcalls):
         if seconds:
             self.charge(seconds)
 
-    def agreed_time(self, spec: OpSpec, nondet: bytes) -> Optional[int]:
-        """Accept the agreed nondeterministic value and return the value
-        to prepend to the handler's arguments, or None for services whose
-        handlers do not take one."""
-        return None
-
     def ok_reply(self, payload: tuple) -> tuple:
         """Wrap a handler's payload in the service's success envelope."""
         return payload
@@ -260,6 +274,18 @@ class AbstractService(Upcalls):
         or return None to let it propagate (library bugs must surface)."""
         return None
 
+    # -- nondeterminism (paper §2.3) ----------------------------------------------
+
+    def propose_value(self, requests, seq: int) -> bytes:
+        if self.timestamps is None:
+            return super().propose_value(requests, seq)
+        return self.timestamps.propose()
+
+    def check_value(self, requests, seq: int, nondet: bytes) -> bool:
+        if self.timestamps is None:
+            return super().check_value(requests, seq, nondet)
+        return self.timestamps.check(nondet)
+
     # -- library plumbing shared by every wrapper ---------------------------------
 
     def _modify(self, index: int) -> None:
@@ -282,6 +308,15 @@ class AbstractService(Upcalls):
     def load_rep(self, saved: Any) -> None:
         """Rebuild the conformance representation from ``save_rep``'s
         value after the reboot."""
+
+    def fresh_backend(self) -> Optional[Any]:
+        """For ``load_rep``: the fresh backend to rebuild onto when clean
+        recovery is on (the wrapper is then restarted clean), or None to
+        restart the old one in place."""
+        if self.clean_recovery_factory is None:
+            return None
+        self.restarted_clean = True
+        return self.clean_recovery_factory()
 
     def shutdown(self) -> float:
         saved = self.save_rep()

@@ -6,16 +6,16 @@ both deployments from it (mix engine classes for N-version operation).
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from repro.encoding.canonical import canonical, decanonical
 from repro.service.deploy import (
     Channel,
     DirectService,
-    DirectServiceServer,
     ServiceDefinition,
     ShardKeySpec,
     WrapperContext,
+    wrapper_as_baseline,
 )
 from repro.service.registry import register
 from repro.sql.engine import BTreeStoreEngine, SqlEngineError
@@ -74,24 +74,13 @@ class SqlClient:
 
 def _make_wrapper(ctx: WrapperContext) -> SqlConformanceWrapper:
     engine_class = ctx.backend_class or BTreeStoreEngine
-    return SqlConformanceWrapper(
-        engine_class(),
-        array_size=ctx.options["array_size"],
-        clean_recovery_factory=engine_class
-        if ctx.options["clean_recovery"] else None)
+    return SqlConformanceWrapper(engine_class(),
+                                 array_size=ctx.options["array_size"])
 
 
 def _make_direct(ctx: WrapperContext) -> DirectService:
-    engine_class = ctx.backend_class or BTreeStoreEngine
-    engine = engine_class()
-    wrapper = SqlConformanceWrapper(engine)
-
-    def handler(node: DirectServiceServer, src: str,
-                op: bytes) -> Tuple[bytes, int]:
-        raw = wrapper.execute(op, src, b"")
-        return raw, 64 + len(raw)
-
-    return DirectService(backend=engine, handler=handler)
+    engine = (ctx.backend_class or BTreeStoreEngine)()
+    return wrapper_as_baseline(SqlConformanceWrapper(engine), engine)
 
 
 def _shard_key(decoded: tuple):
@@ -107,7 +96,7 @@ SQL_SERVICE = register(ServiceDefinition(
     make_wrapper=_make_wrapper,
     make_client=SqlClient,
     make_direct=_make_direct,
-    wrapper_options={"array_size": 512, "clean_recovery": False},
+    wrapper_options={"array_size": 512},
     default_backends=(BTreeStoreEngine,) * 4,
     branching=16,
     shard_key=ShardKeySpec(extract=_shard_key, axis="table name"),

@@ -9,6 +9,11 @@ Common abstract specification (what ODBC under-specifies, pinned down):
   matter what row ids their engines use internally;
 - ``scan`` returns rows in primary-key order (both engines' native scan
   orders are hidden);
+- all primary keys of a table share one type, and a tuple key's members
+  share it position by position (:func:`key_type`): the b-tree engine
+  orders keys and cannot compare an ``int`` with a ``str``, the hash
+  engine never compares them, so the wrapper refuses such an insert
+  with ``22018`` before either engine sees it;
 - errors are the deterministic SQLSTATE-ish codes of the spec, never
   engine internals.
 
@@ -19,13 +24,21 @@ module declares the ops and the state conversions.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.base.mappings import KeyedArrayMapping
 from repro.encoding.canonical import canonical, decanonical
 from repro.errors import StateTransferError
 from repro.service.kernel import AbstractService, op
 from repro.sql.engine import SqlEngine, SqlEngineError
+
+
+def key_type(key: Any) -> str:
+    """The abstract type of a primary key: its type name, or for a tuple
+    the abstract types of its members."""
+    if isinstance(key, tuple):
+        return "(" + ",".join(map(key_type, key)) + ")"
+    return type(key).__name__
 
 
 class RowMapping(KeyedArrayMapping):
@@ -41,7 +54,7 @@ class RowMapping(KeyedArrayMapping):
     def _link(self, key: Tuple[str, Any], index: int) -> None:
         super()._link(key, index)
         types = self.key_types.setdefault(key[0], {})
-        name = type(key[1]).__name__
+        name = key_type(key[1])
         types[name] = types.get(name, 0) + 1
 
     def _unlink(self, key: Tuple[str, Any]) -> int:
@@ -50,7 +63,7 @@ class RowMapping(KeyedArrayMapping):
         table, stored = self._index_to_key[self._key_to_index[key]]
         index = super()._unlink(key)
         types = self.key_types[table]
-        name = type(stored).__name__
+        name = key_type(stored)
         if types[name] > 1:
             types[name] -= 1
         else:
@@ -65,17 +78,10 @@ class SqlConformanceWrapper(AbstractService):
 
     CATALOG_INDEX = 0
 
-    def __init__(self, engine: SqlEngine, array_size: int = 1024,
-                 clean_recovery_factory: Optional[
-                     Callable[[], SqlEngine]] = None):
+    def __init__(self, engine: SqlEngine, array_size: int = 1024):
         super().__init__()
         self.engine = engine
         self.array_size = array_size
-        #: §3.1.4's improvement, applied to the relational service: when
-        #: set, restart() discards the old engine and rebuilds onto a
-        #: *fresh* one from the abstract state fetched during recovery.
-        self.clean_recovery_factory = clean_recovery_factory
-        self._clean_restarted = False
         self.rows = RowMapping(array_size, reserved=1)
 
     @property
@@ -133,28 +139,25 @@ class SqlConformanceWrapper(AbstractService):
     def _op_insert(self, table: str, values: tuple) -> tuple:
         key_pos = self._key_pos(table)
         key = values[key_pos]
-        # Abstract-spec rule: all keys in a table share one type.  The
-        # engines genuinely disagree here (the b-tree store cannot order
-        # mixed int/str keys, the hash store can), so the wrapper must
-        # virtualize the check or replicas running different engines
-        # would diverge — §2.4's "very different behavior" case.
+        # Abstract-spec rule: all keys in a table share one type, member
+        # by member for tuple keys.  The engines genuinely disagree here
+        # (the b-tree store cannot order mixed int/str keys, the hash
+        # store can), so the wrapper must virtualize the check or
+        # replicas running different engines would diverge — §2.4's
+        # "very different behavior" case.
+        new_type = key_type(key)
         existing_type = self._key_type_of(table)
-        if existing_type is not None and \
-                type(key).__name__ != existing_type:
+        if existing_type is not None and new_type != existing_type:
             raise SqlEngineError(
-                "22018", f"key type {type(key).__name__} does not match "
+                "22018", f"key type {new_type} does not match "
                          f"table's {existing_type}")
         row_key = (table, key)
         if row_key in self.rows:
             raise SqlEngineError("23000", f"duplicate key {key!r}")
-        index = self.rows.reserve()
-        self._modify(index)  # pre-image: a free slot at the old generation
-        try:
+        with self.rows.claim() as index:
+            self._modify(index)  # pre-image: a free slot at the old generation
             self.engine.insert(table, tuple(values))
-        except SqlEngineError:
-            self.rows.rollback(index)
-            raise
-        gen = self.rows.bind(row_key, index)
+            gen = self.rows.bind(row_key, index)
         return (index, gen)
 
     @op(read_only=True)
@@ -226,11 +229,11 @@ class SqlConformanceWrapper(AbstractService):
         try:
             row = self.engine.select(table, key)
         except SqlEngineError:
-            if self._clean_restarted:
+            if self.restarted_clean:
                 return b""  # the fresh engine has no such table yet
             raise
         if row is None:
-            if self._clean_restarted:
+            if self.restarted_clean:
                 # After a clean-recovery restart the row does not exist
                 # in the fresh engine yet.  Return a marker that can
                 # never match a real row's digest, so the check fetches
@@ -305,8 +308,8 @@ class SqlConformanceWrapper(AbstractService):
 
     def load_rep(self, saved: bytes) -> None:
         self.rows = RowMapping.load(saved)
-        if self.clean_recovery_factory is not None:
+        engine = self.fresh_backend()
+        if engine is not None:
             # Start over on an empty engine; every row's value comes
             # back through put_objs during fetch-and-check.
-            self.engine = self.clean_recovery_factory()
-            self._clean_restarted = True
+            self.engine = engine

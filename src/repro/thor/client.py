@@ -16,25 +16,15 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.thor.objects import ObjectRecord
 from repro.thor.orefs import oref_onum, oref_pagenum
 from repro.thor.pages import Page
+from repro.thor.service import BaseThorTransport
 
 
 class TransactionAborted(Exception):
     """The server refused to serialize the transaction."""
 
 
-class ThorTransport:
-    """How the client reaches the (replicated or plain) server."""
-
-    def call(self, op: tuple) -> tuple:
-        raise NotImplementedError
-
-    @property
-    def now(self) -> float:
-        raise NotImplementedError
-
-
 class ThorClient:
-    def __init__(self, transport: ThorTransport, client_id: str,
+    def __init__(self, transport: BaseThorTransport, client_id: str,
                  cache_bytes: int = 16 * 1024 * 1024):
         self.transport = transport
         self.client_id = client_id

@@ -21,7 +21,6 @@ from repro.service.deploy import (
     WrapperContext,
 )
 from repro.service.registry import register
-from repro.thor.client import ThorTransport
 from repro.thor.server import ThorServer, ThorServerConfig
 from repro.thor.wrapper import ThorConformanceWrapper
 
@@ -30,7 +29,7 @@ class ThorCallError(Exception):
     """The server-side wrapper reported a (deterministic) failure."""
 
 
-class BaseThorTransport(ThorTransport):
+class BaseThorTransport:
     """Client side of either deployment: operations ride a service
     channel (the paper replaced Thor's communication library with one
     that calls the BASE library, avoiding interposed proxies)."""

@@ -33,7 +33,7 @@ from repro.base.mappings import KeyedArrayMapping
 from repro.base.nondet import TimestampAgreement
 from repro.encoding.canonical import canonical, decanonical
 from repro.errors import StateTransferError
-from repro.service.kernel import AbstractService, OpSpec, op
+from repro.service.kernel import AbstractService, op
 from repro.thor.pages import Page
 from repro.thor.server import ThorServer
 from repro.thor.vq import VqEntry
@@ -82,14 +82,6 @@ class ThorConformanceWrapper(AbstractService):
         return (1 + self.num_pages + self.vq_capacity + self.max_clients
                 + pagenum)
 
-    # -- nondeterminism ---------------------------------------------------------------
-
-    def propose_value(self, requests, seq: int) -> bytes:
-        return self.timestamps.propose()
-
-    def check_value(self, requests, seq: int, nondet: bytes) -> bool:
-        return self.timestamps.check(nondet)
-
     # -- kernel hooks: envelopes ------------------------------------------------
 
     def ok_reply(self, payload: tuple) -> tuple:
@@ -111,11 +103,6 @@ class ThorConformanceWrapper(AbstractService):
         # server's own exceptions are deterministic functions of the
         # agreed request sequence.
         return (1, type(exc).__name__)
-
-    def agreed_time(self, spec: OpSpec, nondet: bytes) -> int:
-        if nondet:
-            return int(self.timestamps.accept(nondet) * 1_000_000)
-        return 0
 
     # -- operations --------------------------------------------------------------
 

@@ -71,12 +71,16 @@ def test_mapping_duplicate_key_rejected():
 
 
 def test_mapping_reserve_bind_rollback():
+    """A claim whose block raises hands its slot back; one that binds
+    keeps it."""
     mapping = KeyedArrayMapping(4)
-    index = mapping.reserve()
-    mapping.rollback(index)
-    index2 = mapping.reserve()
-    assert index2 == index
-    assert mapping.bind("x", index2) == 1
+    with pytest.raises(RuntimeError):
+        with mapping.claim() as index:
+            raise RuntimeError("the backend failed")
+    with mapping.claim() as index2:
+        assert index2 == index
+        assert mapping.bind("x", index2) == 1
+    assert mapping.index_of("x") == index
 
 
 def test_mapping_install_overrides():

@@ -28,9 +28,6 @@ load_all()
 
 SERVICES = ("nfs", "sql", "http", "thor")
 
-#: Services whose wrappers propose clock nondeterminism.
-USES_NONDET = {"nfs": True, "sql": False, "http": False, "thor": True}
-
 
 def _pin_nondet(cluster) -> None:
     """Replace the wall-clock nondet agreement with a function of the
@@ -155,7 +152,7 @@ def _run_script(name: str, fast: bool):
     deployment = ReplicatedDeployment.build(
         get_service(name), config=config, seed=11,
         **_service_options(name))
-    if USES_NONDET[name]:
+    if deployment.replicas[0].state.upcalls.timestamps is not None:
         _pin_nondet(deployment.cluster)
     channel = deployment.channel
     replies = []

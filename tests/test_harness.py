@@ -14,8 +14,10 @@ from repro.bft import messages
 from repro.bft.messages import Message
 from repro.harness.complexity import (
     complexity_report,
+    count_settable,
     count_statements,
     package_lines,
+    settable_values,
 )
 from repro.harness.report import format_table, overhead_pct
 from repro.sim.tracing import EVENT_FIELDS, parse_catalogue
@@ -189,6 +191,30 @@ def test_every_package_fits_its_line_ceiling():
     assert set(lines) == set(LINE_CEILINGS)  # a new package needs a ceiling
     assert {name: count for name, count in lines.items()
             if count > LINE_CEILINGS[name]} == {}
+
+
+#: Settable values under ``src/repro`` (see ``settable_values``) when the
+#: literal was last set: a new knob needs it raised here, where a reviewer
+#: sees it; a change that removes knobs lowers it.
+SETTABLE_CEILING = 430
+
+
+def test_settable_values_fit_their_ceiling():
+    assert count_settable("""\
+from dataclasses import dataclass, field
+
+def f(a, b=1, *, c, d=2): pass
+
+@dataclass
+class C:
+    x: int
+    y: int = 0
+    z: list = field(default_factory=list)
+
+class Plain:
+    w: int = 0
+""") == 4
+    assert settable_values() <= SETTABLE_CEILING
 
 
 #: A path a reader could try to open: anything under the five source

@@ -9,6 +9,7 @@ import re
 import pytest
 
 from repro.encoding.canonical import canonical, decanonical
+from repro.nfs.spec import ROOT_OID
 from repro.service.conformance import (
     BATTERY,
     check_abstract_determinism,
@@ -197,3 +198,43 @@ def test_nfs_std_baseline_rejects_unknown_wire_procedures():
         with pytest.raises(NfsError) as excinfo:
             transport.call(proc)
         assert excinfo.value.status == NfsStatus.NFSERR_IO
+
+
+# -- slot claims -----------------------------------------------------------------
+#
+# Every create path claims the lowest free abstract slot before it calls
+# the backend.  A backend call that fails with an exception outside the
+# service's own error class must still hand the slot back: a slot left
+# pending is lost for good, so a faulty client could drain the abstract
+# array one ill-typed request at a time.
+
+_SLOT_CLAIMS = {
+    "nfs-create": ("nfs", "backend", "create",
+                   ("create", ROOT_OID, "new", (0o644, 0, 0, -1, -1, -1))),
+    "sql-insert": ("sql", "engine", "insert",
+                   ("insert", "users", (9, "new", 0))),
+    "http-put": ("http", "server", "put", ("PUT", "/new.txt", b"new", "")),
+    "http-mkcol": ("http", "server", "mkcol", ("MKCOL", "/new")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SLOT_CLAIMS))
+def test_failed_backend_call_hands_its_slot_back(case, monkeypatch):
+    """One wrapper's backend raises TypeError once; the reply is the
+    service's error envelope, and the next create takes the slot a twin
+    that never saw the failure takes."""
+    name, attr, method, create = _SLOT_CLAIMS[case]
+    probe = get_probe(name)
+    failed, twin = probe.driver(0), probe.driver(0)
+    for driver in (failed, twin):
+        probe.workload(driver)
+
+    def broken(*args, **kwargs):
+        raise TypeError("backend bug")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(getattr(failed.wrapper, attr), method, broken)
+        assert probe.is_error(failed.op(*create))
+    twin.raw(canonical(("__no_such_op__",)))  # same clock for the create
+    assert failed.op(*create) == twin.op(*create)
+    assert failed.snapshot() == twin.snapshot()

@@ -5,8 +5,9 @@ Wrapper level: ``shutdown``/``restart`` with a ``clean_recovery_factory``
 must rebuild the whole service onto a *fresh* backend from the abstract
 state — including onto a different vendor, which is the N-version twist
 the abstraction makes free.  End to end: a replica of the replicated
-deployment goes through proactive recovery with ``clean_recovery=True``
-and rejoins with a brand-new backend instance serving the same state.
+deployment whose wrappers have a ``clean_recovery_factory`` goes through
+proactive recovery and rejoins with a brand-new backend instance serving
+the same state.
 """
 
 import pytest
@@ -39,9 +40,8 @@ def _clean_restart_roundtrip(wrapper, probe):
 
 
 def test_sql_clean_recovery_rebuilds_onto_fresh_engine():
-    wrapper = SqlConformanceWrapper(
-        HashStoreEngine(), array_size=32,
-        clean_recovery_factory=HashStoreEngine)
+    wrapper = SqlConformanceWrapper(HashStoreEngine(), array_size=32)
+    wrapper.clean_recovery_factory = HashStoreEngine
     old_engine = wrapper.engine
     driver = _clean_restart_roundtrip(wrapper, get_probe("sql"))
     assert wrapper.engine is not old_engine
@@ -53,9 +53,8 @@ def test_sql_clean_recovery_rebuilds_onto_fresh_engine():
 def test_sql_clean_recovery_onto_different_vendor():
     """Rebuilding from abstract state does not care what engine the
     replica ran before the reboot."""
-    wrapper = SqlConformanceWrapper(
-        HashStoreEngine(), array_size=32,
-        clean_recovery_factory=BTreeStoreEngine)
+    wrapper = SqlConformanceWrapper(HashStoreEngine(), array_size=32)
+    wrapper.clean_recovery_factory = BTreeStoreEngine
     driver = _clean_restart_roundtrip(wrapper, get_probe("sql"))
     assert isinstance(wrapper.engine, BTreeStoreEngine)
     assert driver.ok("scan", "users", read_only=True)[1] == (
@@ -63,9 +62,9 @@ def test_sql_clean_recovery_onto_different_vendor():
 
 
 def test_http_clean_recovery_rebuilds_onto_fresh_server():
-    wrapper = HttpConformanceWrapper(
-        ApacheLikeServer(boot_salt=3), array_size=32,
-        clean_recovery_factory=NginxLikeServer)
+    wrapper = HttpConformanceWrapper(ApacheLikeServer(boot_salt=3),
+                                     array_size=32)
+    wrapper.clean_recovery_factory = NginxLikeServer
     old_server = wrapper.server
     driver = _clean_restart_roundtrip(wrapper, get_probe("http"))
     assert wrapper.server is not old_server
@@ -83,7 +82,11 @@ def _clean_recovery_group(definition, backend_classes):
         config=BftConfig(n=4, checkpoint_interval=8, reboot_delay=0.3,
                          view_change_timeout=2.0,
                          client_retry_timeout=1.0),
-        array_size=64, clean_recovery=True)
+        array_size=64)
+    for replica, backend_class in zip(group.cluster.replicas,
+                                      backend_classes):
+        # Each replica rebuilds onto a fresh backend of its own vendor.
+        replica.state.upcalls.clean_recovery_factory = backend_class
     return group.cluster, group.client
 
 
