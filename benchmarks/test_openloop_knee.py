@@ -27,20 +27,20 @@ GOLDEN = Path(__file__).resolve().parent.parent / "openloop_curve.json"
 def calibrated_cluster(seed):
     return build_kv_cluster(BftConfig(checkpoint_interval=16, batch_max=8),
                             network_config=C.lan_network(seed),
-                            costs=C.PROTOCOL_COSTS, seed=seed)
+                            costs=C.PROTOCOL_COSTS)
 
 
 def test_openloop_knee_matches_the_golden_curve(benchmark):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     slo = golden["slo_p95_seconds"]
+    # walk_to_knee runs one ladder: seed 0, Poisson arrivals.
+    assert (golden["seed"], golden["arrival_process"]) == (0, "poisson")
 
     def run():
         return walk_to_knee(calibrated_cluster, start_rate=500.0,
-                            duration=0.5, seed=golden["seed"], factor=2.0,
+                            duration=0.5, factor=2.0,
                             max_points=7, refine=2,
-                            classes=default_kv_classes(slo_p95=slo),
-                            target_attainment=golden["target_attainment"],
-                            process=golden["arrival_process"])
+                            classes=default_kv_classes(slo_p95=slo))
     curve = benchmark.pedantic(run, rounds=1, iterations=1)
 
     print()

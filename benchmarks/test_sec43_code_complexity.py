@@ -34,7 +34,8 @@ def test_sec43_code_complexity(benchmark):
     # "simple enough not to introduce bugs" argument).
     assert counts["NFS state conversions"] < 400
     assert counts["Thor conformance wrapper + conversions"] < 400
-    # The shared service kernel (dispatch + deployment + conformance
-    # battery) amortizes across all four services; it is infrastructure
-    # like the BFT library, and smaller than it.
+    # The shared service kernel (dispatch + deployment; the conformance
+    # battery is test code and is not counted) amortizes across all four
+    # services; it is infrastructure like the BFT library, and smaller
+    # than it.
     assert kernel < counts["BFT library"]

@@ -19,7 +19,6 @@ from repro.bft.config import BftConfig
 from repro.bft.costs import CostModel
 from repro.harness.cluster import Cluster, build_cluster
 from repro.sim.network import NetworkConfig
-from repro.sim.tracing import Tracer
 
 
 @dataclass
@@ -36,7 +35,6 @@ def build_base_cluster(wrapper_factories: Sequence[Callable[[], Upcalls]],
                        base_config: Optional[BaseServiceConfig] = None,
                        network_config: Optional[NetworkConfig] = None,
                        replica_costs: Optional[List[CostModel]] = None,
-                       tracer: Optional[Tracer] = None,
                        seed: int = 0,
                        scheduler=None,
                        network=None) -> Cluster:
@@ -58,8 +56,8 @@ def build_base_cluster(wrapper_factories: Sequence[Callable[[], Upcalls]],
 
     cluster = build_cluster(make_state, config=config,
                             network_config=network_config,
-                            replica_costs=replica_costs, tracer=tracer,
-                            seed=seed, scheduler=scheduler, network=network)
+                            replica_costs=replica_costs, seed=seed,
+                            scheduler=scheduler, network=network)
     # Wire CPU charging to the replica: the library's own charges and
     # the wrapper's ``library.charge`` are the replica's ``charge``
     # itself.  The recovery check pass accounts its CPU to the recovery

@@ -97,12 +97,12 @@ class BftClient(Node):
     """Protocol client; use :class:`SyncClient` for imperative call style."""
 
     def __init__(self, client_id: str, network: Network, config: BftConfig,
-                 registry: KeyRegistry, tracer: Optional[Tracer] = None,
+                 registry: KeyRegistry, tracer: Tracer,
                  costs: CostModel = ZERO_COSTS):
         super().__init__(client_id, network)
         self.config = config
         self.registry = registry
-        self.tracer = tracer or Tracer(keep_events=False)
+        self.tracer = tracer
         self.costs = costs
         registry.enroll(client_id)
         # Fixed for the life of the group, read on every reply.

@@ -68,14 +68,13 @@ class Replica(Node):
     """One member of the replication group."""
 
     def __init__(self, replica_id: str, network: Network, config: BftConfig,
-                 registry: KeyRegistry, state: StateManager,
-                 tracer: Optional[Tracer] = None,
+                 registry: KeyRegistry, state: StateManager, tracer: Tracer,
                  costs: CostModel = ZERO_COSTS):
         super().__init__(replica_id, network)
         self.config = config
         self.registry = registry
         self.state = state
-        self.tracer = tracer or Tracer(keep_events=False)
+        self.tracer = tracer
         self.costs = costs
         self._behavior: Behavior = HONEST
         registry.enroll(replica_id)
@@ -210,7 +209,7 @@ class Replica(Node):
             value.bind(self)
         self._behavior = value
 
-    def send(self, dst, msg, size=None):
+    def send(self, dst, msg):
         """Send with the Byzantine rewrite hook applied.  An honest
         replica has nothing to rewrite and goes straight to the fabric
         (:meth:`Node.send` without the extra frame)."""
@@ -221,17 +220,17 @@ class Replica(Node):
         if self._crashed:
             return
         delay = self.busy_until - self.scheduler._now
-        self.network.send(self.node_id, dst, msg, size,
+        self.network.send(self.node_id, dst, msg, None,
                           delay if delay > 0 else 0.0)
 
-    def multicast(self, dsts, msg, size=None):
+    def multicast(self, dsts, msg):
         if self._behavior is not HONEST:
             for dst in dsts:
-                self.send(dst, msg, size=size)
+                self.send(dst, msg)
         elif not self._crashed:
             # True IP multicast, as :meth:`Node.multicast`.
             delay = self.busy_until - self.scheduler._now
-            self.network.multicast(self.node_id, dsts, msg, size,
+            self.network.multicast(self.node_id, dsts, msg,
                                    delay if delay > 0 else 0.0)
 
     # -- authentication helpers ------------------------------------------------------

@@ -144,10 +144,10 @@ class InMemoryStateManager(StateManager):
     manager in :mod:`repro.base.state` is differential-tested against it).
     """
 
-    def __init__(self, size: int = 64, branching: int = 8):
+    def __init__(self, size: int = 64):
         self.size = size
         self.values: list = [b""] * size
-        self._tree = PartitionTree(size, branching)
+        self._tree = PartitionTree(size, branching=8)
         self._checkpoints: Dict[int, Tuple[TreeSnapshot, list]] = {}
         for i in range(size):
             self._tree.set_leaf(i, digest(b""), 0)

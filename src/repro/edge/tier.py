@@ -66,7 +66,7 @@ class _EdgeNode(Node):
     """The edge's network presence for single-replica vector reads."""
 
     def __init__(self, edge_id: str, network: Network, registry: KeyRegistry,
-                 costs: CostModel = ZERO_COSTS):
+                 costs: CostModel):
         super().__init__(edge_id, network)
         self.registry = registry
         self.costs = costs

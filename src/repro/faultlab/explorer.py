@@ -42,6 +42,7 @@ from repro.faultlab.invariants import (
 )
 from repro.faultlab.plan import FaultPlan
 from repro.faultlab.scenarios import (
+    STATE_SIZE,
     Scenario,
     get_scenario,
     kv_probe,
@@ -245,8 +246,7 @@ def _build(scenario: Scenario, seed: int):
         from repro.bft.statemachine import InMemoryStateManager
         from repro.harness.cluster import build_cluster
         return build_cluster(
-            lambda i: InMemoryStateManager(size=scenario.state_size,
-                                           branching=scenario.branching),
+            lambda i: InMemoryStateManager(size=STATE_SIZE),
             config=config, network_config=network_config, seed=seed), None
     from repro.service.deploy import ReplicatedDeployment
     from repro.service.registry import get_service
@@ -257,7 +257,7 @@ def _build(scenario: Scenario, seed: int):
     options: Dict[str, Any] = {}
     if scenario.service == "nfs":
         from repro.nfs.spec import AbstractSpecConfig
-        options["spec"] = AbstractSpecConfig(array_size=scenario.state_size)
+        options["spec"] = AbstractSpecConfig(array_size=STATE_SIZE)
     if scenario.shards > 1:
         from repro.service.sharding import ShardedDeployment
         deployment = ShardedDeployment.build(
@@ -342,7 +342,7 @@ def _build_openloop(cluster, scenario: Scenario, ctx: TrialContext):
     proc = make_process(process, rate, ctx.rng_for("openloop:arrivals"),
                         **process_kwargs)
     classes = default_kv_classes(slo_p95=slo_p95,
-                                 state_size=scenario.state_size)
+                                 state_size=STATE_SIZE)
     driver = OpenLoopDriver(cluster, proc, classes, seed=ctx.seed,
                             label=f"ol-{scenario.name}", **spec)
     return driver, duration

@@ -55,6 +55,11 @@ Workload = Callable[[Any, int], Iterator[Issue]]
 Probe = Callable[[Any, int], Issue]
 
 
+#: Slots of every scenario's abstract state: the kv store's array, the
+#: NFS spec's array, and the open-loop key space.
+STATE_SIZE = 32
+
+
 @dataclass
 class Scenario:
     """One registered fault-exploration scenario."""
@@ -68,8 +73,6 @@ class Scenario:
     probe: Optional[Probe] = None
     n_clients: int = 2
     ops_per_client: int = 8
-    state_size: int = 32
-    branching: int = 8
     duration: float = 40.0     # simulated-seconds budget for the chaos phase
     settle: float = 10.0       # simulated seconds of fault-free settling
     expect_liveness: bool = True
@@ -82,9 +85,9 @@ class Scenario:
     #: Optional open-loop traffic riding alongside the closed-loop
     #: clients (see :mod:`repro.workloads.openloop`).  Keys: ``rate``
     #: (required), ``process`` (poisson|onoff), ``duration``,
-    #: ``slo_p95``, ``pool_size``, ``queue_limit``, ``n_users``,
-    #: ``process_kwargs``.  All randomness is drawn from the trial's
-    #: seeded RNG streams, so trials stay bit-replayable.
+    #: ``slo_p95``, ``pool_size``, ``queue_limit``, ``process_kwargs``.
+    #: All randomness is drawn from the trial's seeded RNG streams, so
+    #: trials stay bit-replayable.
     openloop: Optional[Dict[str, Any]] = None
     #: Non-None mounts an :class:`~repro.edge.tier.EdgeTier` in front of
     #: the cluster and drives one edge read per ``EDGE_STEP`` of the chaos
@@ -129,7 +132,7 @@ def kv_workload(ctx, client_index: int) -> Iterator[Issue]:
     rng = ctx.rng_for(f"workload:{client_index}")
     scenario = ctx.scenario
     for i in range(scenario.ops_per_client):
-        slot = rng.randrange(max(1, scenario.state_size // 2))
+        slot = rng.randrange(max(1, STATE_SIZE // 2))
         if i > 0 and rng.random() < 0.25:
             yield Issue(InMemoryStateManager.op_get(slot), read_only=True)
         else:
@@ -520,7 +523,6 @@ register_scenario(Scenario(
     probe=nfs_probe,
     n_clients=1,
     ops_per_client=9,
-    state_size=32,
     duration=90.0,
     settle=20.0,
 ))

@@ -65,7 +65,6 @@ def build_cluster(make_state: Callable[[int], StateManager],
                   network_config: Optional[NetworkConfig] = None,
                   costs: CostModel = ZERO_COSTS,
                   replica_costs: Optional[List[CostModel]] = None,
-                  tracer: Optional[Tracer] = None,
                   seed: int = 0,
                   scheduler: Optional[Scheduler] = None,
                   network: Optional[Network] = None) -> Cluster:
@@ -90,7 +89,7 @@ def build_cluster(make_state: Callable[[int], StateManager],
     elif network.scheduler is not scheduler:
         raise ValueError("network rides a different scheduler")
     registry = KeyRegistry()
-    tracer = tracer or Tracer()
+    tracer = Tracer()
     replicas = []
     for i, replica_id in enumerate(config.replica_ids):
         cost_model = replica_costs[i] if replica_costs else costs

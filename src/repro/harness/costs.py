@@ -29,7 +29,7 @@ from repro.sim.network import LinkConfig, NetworkConfig
 def lan_network(seed: int = 0) -> NetworkConfig:
     """The paper's testbed network: 100 Mb/s switched Ethernet."""
     return NetworkConfig(seed=seed, default_link=LinkConfig(
-        latency=5e-5, jitter=1e-5, bandwidth=12_500_000.0))
+        latency=5e-5, jitter=1e-5))
 
 
 #: Crypto/CPU charges for replicas and clients.

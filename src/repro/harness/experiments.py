@@ -147,13 +147,12 @@ def _run_traversals(bench: OO7Benchmark, names: Sequence[str],
     return results
 
 
-def run_oo7_std(names: Sequence[str], config: OO7Config = OO7_BENCH,
-                seed: int = 0) -> OO7Run:
-    database = OO7Database(config)
+def run_oo7_std(names: Sequence[str]) -> OO7Run:
+    database = OO7Database(OO7_BENCH)
     std = UnreplicatedDeployment.build(
         THOR_SERVICE, db_loader=database.load_into,
         server_config=THOR_SERVER_CONFIG, op_cost=C.THOR_OP_COST,
-        network_config=C.lan_network(seed), seed=seed)
+        network_config=C.lan_network())
     client = ThorClient(std.client, "oo7", cache_bytes=OO7_CLIENT_CACHE)
     client.start_session()
     bench = OO7Benchmark(database, client)
@@ -161,17 +160,16 @@ def run_oo7_std(names: Sequence[str], config: OO7Config = OO7_BENCH,
                   database, server=std.backend)
 
 
-def run_oo7_base(names: Sequence[str], config: OO7Config = OO7_BENCH,
-                 seed: int = 0) -> OO7Run:
-    database = OO7Database(config)
+def run_oo7_base(names: Sequence[str]) -> OO7Run:
+    database = OO7Database(OO7_BENCH)
     base = ReplicatedDeployment.build(
         THOR_SERVICE, num_pages=database.num_pages + 8,
         db_loader=database.load_into,
         server_config=THOR_SERVER_CONFIG, config=_bft_config(),
         replica_costs=C.replica_costs(),
-        network_config=C.lan_network(seed), base_config=BASE_CONFIG,
+        network_config=C.lan_network(), base_config=BASE_CONFIG,
         op_cost=C.BASE_THOR_OP_COST,
-        commit_byte_cost=C.THOR_COMMIT_BYTE_COST, seed=seed)
+        commit_byte_cost=C.THOR_COMMIT_BYTE_COST)
     client = ThorClient(base.client, "oo7", cache_bytes=OO7_CLIENT_CACHE)
     client.start_session()
     bench = OO7Benchmark(database, client)

@@ -49,26 +49,20 @@ _last_decoded: Tuple[Optional[bytes], Any, tuple] = (None, None, ())
 class OpSpec:
     """One registered operation of a service's abstract specification."""
 
-    __slots__ = ("name", "method", "read_only", "cost")
+    __slots__ = ("name", "method", "read_only")
 
-    def __init__(self, name: str, method: Callable, read_only: bool,
-                 cost: float):
+    def __init__(self, name: str, method: Callable, read_only: bool):
         self.name = name
         self.method = method
         #: Eligible for BFT's read-only optimization; mutating ops issued
         #: on the read-only path are rejected with the service's envelope.
         self.read_only = read_only
-        #: Extra simulated CPU seconds charged per invocation (on top of
-        #: the service-wide ``per_op_cost``).
-        self.cost = cost
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"OpSpec({self.name!r}, read_only={self.read_only}, "
-                f"cost={self.cost})")
+        return f"OpSpec({self.name!r}, read_only={self.read_only})"
 
 
-def op(name: Optional[str] = None, *, read_only: bool = False,
-       cost: float = 0.0):
+def op(name: Optional[str] = None, *, read_only: bool = False):
     """Register a method as one operation of the abstract specification.
 
     The wire op tag defaults to the method name with its ``_op_`` prefix
@@ -83,7 +77,7 @@ def op(name: Optional[str] = None, *, read_only: bool = False,
             tag = method.__name__
             if tag.startswith("_op_"):
                 tag = tag[len("_op_"):]
-        method.__op_spec__ = OpSpec(tag, method, read_only, cost)
+        method.__op_spec__ = OpSpec(tag, method, read_only)
         return method
 
     return decorate
@@ -166,7 +160,7 @@ class AbstractService(Upcalls):
             return self._execute_txn(kind, args, client_id, nondet, read_only)
         key = self.op_key(kind) if isinstance(kind, str) else None
         spec = self.OPS.get(key) if key is not None else None
-        self.charge_op(spec)
+        self.charge_op()
         if spec is None:
             return canonical(self.unknown_op_reply(kind))
         if read_only and not spec.read_only:
@@ -200,7 +194,7 @@ class AbstractService(Upcalls):
         abandon a prepared transaction, which holds no locks and has
         zero abstract-state effect.
         """
-        self.charge_op(None)
+        self.charge_op()
         if read_only:
             # Mutating by construction: committing applies sub-ops.
             return canonical((TXN_TAG, "read_only", kind))
@@ -244,12 +238,11 @@ class AbstractService(Upcalls):
         """Normalize a wire op tag to a table key (e.g. HTTP methods)."""
         return kind
 
-    def charge_op(self, spec: Optional[OpSpec]) -> None:
+    def charge_op(self) -> None:
         """Charge simulated CPU for one request (unknown ops included —
         a faulty client still costs the replica the decode)."""
-        seconds = self.per_op_cost + (spec.cost if spec is not None else 0.0)
-        if seconds:
-            self.charge(seconds)
+        if self.per_op_cost:
+            self.charge(self.per_op_cost)
 
     def ok_reply(self, payload: tuple) -> tuple:
         """Wrap a handler's payload in the service's success envelope."""

@@ -94,10 +94,9 @@ class Metrics:
     for Table-IV recovery breakdowns, and bare names for counters.
     """
 
-    def __init__(self, max_samples_per_histogram: int = 65_536):
+    def __init__(self):
         self.counters: Dict[str, int] = {}
         self.histograms: Dict[str, Histogram] = {}
-        self._max_samples = max_samples_per_histogram
 
     # -- recording ---------------------------------------------------------
 
@@ -107,8 +106,7 @@ class Metrics:
     def histogram(self, name: str) -> Histogram:
         hist = self.histograms.get(name)
         if hist is None:
-            hist = self.histograms[name] = Histogram(
-                name, max_samples=self._max_samples)
+            hist = self.histograms[name] = Histogram(name)
         return hist
 
     def observe(self, name: str, value: float) -> None:

@@ -1,34 +1,35 @@
 """Simulated asynchronous network: delays, loss, partitions, multicast.
 
 Models the substrate BFT assumes: an unreliable network that may delay,
-drop, duplicate, or reorder messages, but eventually delivers them (the
-liveness assumption).  Per-link behaviour is configurable and every random
-choice comes from a seeded RNG, so runs are reproducible.
+drop, or reorder messages, but eventually delivers them (the liveness
+assumption).  Every link behaves as the one configured link, and every
+random choice comes from a seeded RNG, so runs are reproducible.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Set
 
 from repro.sim.scheduler import Scheduler
+
+#: Serialization rate of every link, bytes/sec (100 Mb/s).
+BANDWIDTH = 12_500_000.0
 
 
 @dataclass
 class LinkConfig:
-    """Behaviour of a single directed link."""
+    """Behaviour of every directed link."""
 
     latency: float = 0.0001          # base propagation delay (100 us LAN)
     jitter: float = 0.00002          # uniform extra delay in [0, jitter]
-    bandwidth: float = 12_500_000.0  # bytes/sec (100 Mb/s)
     drop_rate: float = 0.0           # probability a message is silently lost
-    duplicate_rate: float = 0.0      # probability a message is delivered twice
 
 
 @dataclass
 class NetworkConfig:
-    """Network-wide defaults; individual links may override."""
+    """The RNG seed and the link every message travels."""
 
     seed: int = 0
     default_link: LinkConfig = field(default_factory=LinkConfig)
@@ -48,12 +49,10 @@ class Network:
         self.config = config or NetworkConfig()
         self.rng = random.Random(self.config.seed)
         self._nodes: Dict[Any, Any] = {}
-        self._links: Dict[Tuple[Any, Any], LinkConfig] = {}
         self._partitioned: Set[frozenset] = set()
         self._filters: list = []  # callables (src, dst, msg) -> bool (deliver?)
         self.messages_sent = 0
         self.messages_dropped = 0
-        self.messages_duplicated = 0
         self.bytes_sent = 0
 
     # -- topology ----------------------------------------------------------
@@ -64,10 +63,6 @@ class Network:
 
     def node_ids(self) -> Iterable[Any]:
         return self._nodes.keys()
-
-    def set_link(self, src: Any, dst: Any, link: LinkConfig) -> None:
-        """Override the link configuration for the directed pair."""
-        self._links[(src, dst)] = link
 
     # -- partitions and filters --------------------------------------------
 
@@ -104,98 +99,67 @@ class Network:
         ``size`` is the wire size in bytes used for the bandwidth charge;
         when omitted the message's ``wire_size()`` is used if present,
         else a small fixed size.  ``extra_delay`` shifts the departure
-        (a busy sender's CPU backlog) without a trampoline event.
+        (a busy sender's CPU backlog) without a trampoline event.  Unlike
+        :meth:`multicast`, the size counts against ``bytes_sent`` even
+        when the copy is then partitioned, filtered, or dropped.
         """
-        self.messages_sent += 1
         if size is None:
             wire = getattr(msg, "wire_size", None)
             size = wire() if wire is not None else 64
         self.bytes_sent += size
-        # Hot path: skip the partition/filter machinery entirely when no
-        # partitions or filters are installed (the common case).
-        if self._partitioned and self.is_partitioned(src, dst):
-            self.messages_dropped += 1
-            return
-        if self._filters:
-            for fn in self._filters:
-                if not fn(src, dst, msg):
-                    self.messages_dropped += 1
-                    return
-        link = self.config.default_link
-        if self._links:     # per-link overrides are rare: skip the key
-            link = self._links.get((src, dst), link)
-        if link.drop_rate and self.rng.random() < link.drop_rate:
-            self.messages_dropped += 1
-            return
-        # ``_sample_delay``, spelled out: one RNG draw, same association.
-        delay = extra_delay + (
-            link.latency
-            + (self.rng.random() * link.jitter if link.jitter else 0.0)
-            + size / link.bandwidth)
-        self.scheduler.schedule(delay, self._deliver, src, dst, msg)
-        if link.duplicate_rate and self.rng.random() < link.duplicate_rate:
-            # The duplicate takes its own trip through the network: an
-            # independently sampled delay, not a deterministic doubling
-            # (it may even arrive before the original).
-            self.messages_duplicated += 1
-            self.scheduler.schedule(
-                extra_delay + self._sample_delay(link, size),
-                self._deliver, src, dst, msg)
+        self._transmit(src, dst, msg, size, extra_delay)
 
     def multicast(self, src: Any, dsts: Iterable[Any], msg: Any,
-                  size: Optional[int] = None,
                   extra_delay: float = 0.0) -> None:
         """True IP multicast: the sender serializes the message *once*
-        (it counts once against ``bytes_sent``), but each destination is
-        charged the serialization delay of *its own* link — a slow edge
-        must not speed up, nor a fast edge slow down, the others.
-        Per-destination propagation jitter, drops, and partitions apply
-        as usual, drawn in destination order.
+        (it counts once against ``bytes_sent``), and each destination's
+        copy then takes the same trip a :meth:`send` would, drawn in
+        destination order.
 
         ``bytes_sent`` counts the single serialization only when at least
         one copy actually enters the fabric: if every destination copy is
         partitioned, filtered, or dropped, nothing went onto the wire.
         """
-        if size is None:
-            wire = getattr(msg, "wire_size", None)
-            size = wire() if wire is not None else 64
-        check_partitions = bool(self._partitioned)
-        filters = self._filters
-        links = self._links
-        default_link = self.config.default_link
-        random = self.rng.random
-        schedule = self.scheduler.schedule
-        deliver = self._deliver
+        wire = getattr(msg, "wire_size", None)
+        size = wire() if wire is not None else 64
+        transmit = self._transmit
         entered = False
         for dst in dsts:
-            self.messages_sent += 1
-            if check_partitions and self.is_partitioned(src, dst):
-                self.messages_dropped += 1
-                continue
-            if filters and any(not fn(src, dst, msg) for fn in filters):
-                self.messages_dropped += 1
-                continue
-            link = default_link
-            if links:
-                link = links.get((src, dst), link)
-            if link.drop_rate and random() < link.drop_rate:
-                self.messages_dropped += 1
-                continue
-            schedule(extra_delay + (
-                link.latency
-                + (random() * link.jitter if link.jitter else 0.0)
-                + size / link.bandwidth), deliver, src, dst, msg)
-            entered = True
+            if transmit(src, dst, msg, size, extra_delay):
+                entered = True
         if entered:
             self.bytes_sent += size
 
     # -- internals -----------------------------------------------------------
 
-    def _sample_delay(self, link: LinkConfig, nbytes: int) -> float:
-        """One trip's delay on ``link``: latency + jitter + serialization."""
-        return (link.latency
-                + (self.rng.random() * link.jitter if link.jitter else 0.0)
-                + nbytes / link.bandwidth)
+    def _transmit(self, src: Any, dst: Any, msg: Any, size: int,
+                  extra_delay: float) -> bool:
+        """One copy's trip, the rule both transmit paths follow: a
+        partition, a filter or the link's drop rate loses it; otherwise
+        it arrives after latency + jitter + serialization, one RNG draw
+        for each of the drop and the jitter.  True if it entered the
+        fabric."""
+        self.messages_sent += 1
+        # Hot path: skip the partition/filter machinery entirely when no
+        # partitions or filters are installed (the common case).
+        if self._partitioned and frozenset((src, dst)) in self._partitioned:
+            self.messages_dropped += 1
+            return False
+        if self._filters:
+            for fn in self._filters:
+                if not fn(src, dst, msg):
+                    self.messages_dropped += 1
+                    return False
+        link = self.config.default_link
+        random = self.rng.random
+        if link.drop_rate and random() < link.drop_rate:
+            self.messages_dropped += 1
+            return False
+        self.scheduler.schedule(extra_delay + (
+            link.latency
+            + (random() * link.jitter if link.jitter else 0.0)
+            + size / BANDWIDTH), self._deliver, src, dst, msg)
+        return True
 
     def _deliver(self, src: Any, dst: Any, msg: Any) -> None:
         node = self._nodes.get(dst)

@@ -34,16 +34,9 @@ class Timer:
     def running(self) -> bool:
         return self._event is not None and not self._event.cancelled
 
-    def start(self, period: Optional[float] = None) -> None:
-        """Arm the timer.
-
-        A running timer keeps its current deadline (use :meth:`restart`
-        to re-arm from now), but a new ``period`` is recorded either way
-        and takes effect the next time the timer is armed — it is never
-        silently discarded.
-        """
-        if period is not None:
-            self.period = period
+    def start(self) -> None:
+        """Arm the timer; a running timer keeps its current deadline
+        (use :meth:`restart` to re-arm from now)."""
         if self.running:
             return
         self._deadline = self.scheduler._now + self.period
@@ -132,11 +125,11 @@ class Node:
         self.network.send(self.node_id, dst, msg, size=size,
                           extra_delay=delay if delay > 0 else 0.0)
 
-    def multicast(self, dsts, msg: Any, size: Optional[int] = None) -> None:
+    def multicast(self, dsts, msg: Any) -> None:
         if self._crashed:
             return
         delay = self.busy_until - self.scheduler._now
-        self.network.multicast(self.node_id, dsts, msg, size=size,
+        self.network.multicast(self.node_id, dsts, msg,
                                extra_delay=delay if delay > 0 else 0.0)
 
     def on_message(self, src: Any, msg: Any) -> None:

@@ -115,10 +115,10 @@ class Scheduler:
             count += 1
         return count
 
-    def run_until(self, time: float, max_events: int = 50_000_000) -> int:
+    def run_until(self, time: float) -> int:
         """Run events with time <= ``time``; advances the clock to ``time``."""
         count = 0
-        while count < max_events:
+        while True:
             # Re-read the queue each pass: a callback may have compacted
             # it, which rebinds ``self._queue``.
             queue = self._queue

@@ -250,20 +250,26 @@ class EventRing:
                 yield _UNPACK[index](buf, off, strings)
 
 
+#: Events a tracer's ring holds before it evicts the oldest.
+MAX_EVENTS = 200_000
+
+
 class Tracer:
     """Collects protocol events, counters, and phase metrics.
 
     The benchmark harness uses counters (MAC ops, digests, messages) to
     attribute simulated time via the cost model; tests and FaultLab read
     the event ring; benchmarks read ``metrics`` for per-phase latencies.
-    Once the ring holds ``max_events`` the oldest is evicted and
+    Once the ring holds :data:`MAX_EVENTS` the oldest is evicted and
     ``dropped_events`` increments, so a long run never silently
     truncates the trace: ``find``/``first`` see the most recent window.
+    A test that needs a smaller window gives the tracer its own
+    ``EventRing(n)``; ``EventRing(0)`` keeps nothing and counts every
+    event as dropped.
     """
 
-    def __init__(self, keep_events: bool = True, max_events: int = 200_000):
-        self.keep_events = keep_events
-        self.events = EventRing(max_events)
+    def __init__(self):
+        self.events = EventRing(MAX_EVENTS)
         self.counters: Counter = Counter()
         self.dropped_events = 0
         self.metrics = Metrics()
@@ -283,8 +289,7 @@ class Tracer:
                              f"declared: {EVENT_FIELDS.get(kind)}")
         counters = self.counters
         counters[kind] = counters.get(kind, 0) + 1
-        if not self.keep_events or self.events.append(time, source, kind,
-                                                      fields):
+        if self.events.append(time, source, kind, fields):
             self.dropped_events += 1
 
     def count(self, kind: str, n: int = 1) -> None:

@@ -46,13 +46,13 @@ class FetchResult:
 
 
 class ThorServer:
-    def __init__(self, config: Optional[ThorServerConfig] = None,
-                 charge: Callable[[float], None] = lambda seconds: None):
+    def __init__(self, config: Optional[ThorServerConfig] = None):
         from repro.thor.vq import ValidationQueue
         self.config = config or ThorServerConfig()
-        self.charge = charge
+        # A deployment binds its node's ``charge`` here and on the disk.
+        self.charge: Callable[[float], None] = lambda seconds: None
         self.disk = PageStore(self.config.disk_seek_cost,
-                              self.config.disk_byte_cost, charge)
+                              self.config.disk_byte_cost, self.charge)
         self.cache = PageCache(self.config.cache_pages,
                                seed=self.config.seed)
         self.mob = ModifiedObjectBuffer(self.config.mob_bytes,

@@ -31,7 +31,13 @@ def _file_body(name: str, size: int) -> bytes:
     return (seed * reps)[:size]
 
 
-#: Header files at the root of each copy (a third of ``file_size`` each).
+#: Subdirectories of each copy of the source tree.
+SUBDIRS = ("cmds", "lib", "sys", "doc")
+#: Source files in each subdirectory.
+FILES_PER_SUBDIR = 4
+#: Bytes of each source file.
+FILE_SIZE = 3000
+#: Header files at the root of each copy (a third of ``FILE_SIZE`` each).
 HEADER_FILES = 2
 #: Phase-5 client compute per source byte; the link burns half as much.
 COMPILE_CPU_PER_BYTE = 2e-6
@@ -51,19 +57,16 @@ class AndrewConfig:
     """
 
     copies: int = 1
-    subdirs: Tuple[str, ...] = ("cmds", "lib", "sys", "doc")
-    files_per_subdir: int = 4
-    file_size: int = 3000
 
     def tree_files(self) -> List[Tuple[str, bytes]]:
         files = []
-        for subdir in self.subdirs:
-            for i in range(self.files_per_subdir):
+        for subdir in SUBDIRS:
+            for i in range(FILES_PER_SUBDIR):
                 name = f"{subdir}/{subdir}{i}.c"
-                files.append((name, _file_body(name, self.file_size)))
+                files.append((name, _file_body(name, FILE_SIZE)))
         for i in range(HEADER_FILES):
             name = f"include{i}.h"
-            files.append((name, _file_body(name, self.file_size // 3)))
+            files.append((name, _file_body(name, FILE_SIZE // 3)))
         return files
 
 
@@ -96,7 +99,7 @@ class AndrewBenchmark:
         for copy in range(self.config.copies):
             root = self._copy_root(copy)
             self.fs.mkdir(root)
-            for subdir in self.config.subdirs:
+            for subdir in SUBDIRS:
                 self.fs.mkdir(f"{root}/{subdir}")
 
     def phase2_copy(self) -> None:
@@ -108,7 +111,7 @@ class AndrewBenchmark:
     def phase3_stat(self) -> None:
         for copy in range(self.config.copies):
             root = self._copy_root(copy)
-            for subdir in self.config.subdirs:
+            for subdir in SUBDIRS:
                 self.fs.listdir(f"{root}/{subdir}")
             for name, _ in self._files:
                 self.fs.getattr(f"{root}/{name}")

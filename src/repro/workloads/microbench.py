@@ -33,13 +33,12 @@ class MicroResult:
 
 
 def build_kv_cluster(config: Optional[BftConfig] = None,
-                     network_config=None, costs=None,
-                     seed: int = 0) -> Cluster:
+                     network_config=None, costs=None) -> Cluster:
     from repro.bft.costs import ZERO_COSTS
     return build_cluster(lambda i: InMemoryStateManager(size=64),
                          config=config or BftConfig(),
                          network_config=network_config,
-                         costs=costs or ZERO_COSTS, seed=seed)
+                         costs=costs or ZERO_COSTS)
 
 
 def sequential_ops(cluster: Cluster, count: int, label: str,

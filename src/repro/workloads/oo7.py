@@ -38,6 +38,8 @@ CONNECTIONS_PER_ATOMIC = 3
 ASSEMBLY_FANOUT = 3
 #: Composite parts a base assembly points to.
 COMPOSITES_PER_BASE_ASSEMBLY = 3
+#: Seed of the generator's RNG: every database of one shape is the same.
+DATABASE_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,6 @@ class OO7Config:
     num_composites: int = 20
     atomic_per_composite: int = 20
     assembly_levels: int = 4          # paper medium uses 7
-    seed: int = 7
 
     @classmethod
     def tiny(cls) -> "OO7Config":
@@ -65,8 +66,8 @@ class OO7Config:
 
 
 class OO7Database:
-    """Deterministic generator: the same config+seed yields the identical
-    page image on every replica."""
+    """Deterministic generator: the same config yields the identical page
+    image on every replica."""
 
     def __init__(self, config: OO7Config):
         self.config = config
@@ -74,7 +75,7 @@ class OO7Database:
         self.module_oref = 0
         self.composite_roots: Dict[int, int] = {}   # composite id -> oref
         self.composite_atomics: Dict[int, List[int]] = {}
-        self._rng = random.Random(config.seed)
+        self._rng = random.Random(DATABASE_SEED)
         self._current = Page(0)
         self._current_bytes = 0
         self._next_onum = 0

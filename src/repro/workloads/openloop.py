@@ -224,6 +224,10 @@ class ClassStats:
                 "attainment": self.attainment}
 
 
+#: The logical user population a driver draws session ids from.
+N_USERS = 1_000_000
+
+
 class OpenLoopDriver:
     """Drives open-loop traffic from a simulated million-user population.
 
@@ -240,7 +244,7 @@ class OpenLoopDriver:
 
     def __init__(self, cluster, process: ArrivalProcess,
                  classes: Sequence[RequestClass], seed: int = 0,
-                 n_users: int = 1_000_000, pool_size: int = 32,
+                 pool_size: int = 32,
                  queue_limit: int = 256, label: str = "openloop",
                  record_arrivals: bool = False):
         if not classes:
@@ -250,7 +254,6 @@ class OpenLoopDriver:
         self.metrics = cluster.metrics
         self.process = process
         self.classes = list(classes)
-        self.n_users = n_users
         self.queue_limit = queue_limit
         self.label = label
         self.rng = random.Random(f"openloop:{seed}:{label}")
@@ -293,11 +296,10 @@ class OpenLoopDriver:
         return (self._arrivals_open and not self._arrivals_pending
                 and self._in_flight == 0 and self._live_queued == 0)
 
-    def drive(self, duration: float, max_events: int = 50_000_000) -> bool:
+    def drive(self, duration: float) -> bool:
         """Start and run the scheduler until the traffic drains."""
         self.start(duration)
-        return self.scheduler.run_until_idle_or(lambda: self.drained,
-                                                max_events)
+        return self.scheduler.run_until_idle_or(lambda: self.drained)
 
     # -- arrivals -----------------------------------------------------------
 
@@ -319,7 +321,7 @@ class OpenLoopDriver:
             if draw <= cum:
                 cls = self.classes[i]
                 break
-        user = self.rng.randrange(self.n_users)
+        user = self.rng.randrange(N_USERS)
         op, read_only = cls.make_op(self.rng, user)
         pending = _OpenRequest(cls, op, read_only, self.scheduler.now)
         stats = self.stats[cls.name]
@@ -515,6 +517,11 @@ class LoadPoint:
         }
 
 
+#: Share of resolved requests that must meet their SLO for a load point
+#: to count as sustainable.
+TARGET_ATTAINMENT = 0.95
+
+
 @dataclass
 class LoadCurve:
     """A monotone offered-load sweep and where its knee is."""
@@ -567,23 +574,17 @@ class LoadCurve:
 
 def run_load_point(cluster_factory: Callable[[int], Any], rate: float,
                    duration: float, seed: int = 0,
-                   classes: Optional[Sequence[RequestClass]] = None,
-                   process: str = "poisson",
-                   process_kwargs: Optional[Dict[str, Any]] = None,
-                   pool_size: int = 32, queue_limit: int = 256,
-                   n_users: int = 1_000_000,
-                   target_attainment: float = 0.95,
-                   max_events: int = 50_000_000) -> Tuple[LoadPoint, Any]:
-    """Run one offered-load point on a fresh cluster; returns the point
-    and the cluster it ran on (for metrics/event inspection)."""
+                   classes: Optional[Sequence[RequestClass]] = None
+                   ) -> Tuple[LoadPoint, Any]:
+    """Run one offered-load point on a fresh cluster, Poisson arrivals
+    into the driver's default pool and queue; returns the point and the
+    cluster it ran on (for metrics/event inspection)."""
     classes = list(classes) if classes is not None else default_kv_classes()
     cluster = cluster_factory(seed)
     rng = random.Random(f"openloop:{seed}:arrivals:{rate:g}")
-    proc = make_process(process, rate, rng, **(process_kwargs or {}))
-    driver = OpenLoopDriver(cluster, proc, classes, seed=seed,
-                            n_users=n_users, pool_size=pool_size,
-                            queue_limit=queue_limit)
-    drained = driver.drive(duration, max_events=max_events)
+    driver = OpenLoopDriver(cluster, PoissonArrivals(rate, rng), classes,
+                            seed=seed)
+    drained = driver.drive(duration)
     summary = driver.summary()
     attainment = summary["attainment"] if drained else 0.0
     point = LoadPoint(
@@ -597,32 +598,31 @@ def run_load_point(cluster_factory: Callable[[int], Any], rate: float,
         achieved_rate=summary["achieved_rate"],
         p95=summary["p95"],
         attainment=attainment,
-        sustainable=attainment >= target_attainment,
+        sustainable=attainment >= TARGET_ATTAINMENT,
     )
     return point, cluster
 
 
 def walk_to_knee(cluster_factory: Callable[[int], Any], start_rate: float,
-                 duration: float, seed: int = 0, factor: float = 2.0,
+                 duration: float, factor: float = 2.0,
                  max_points: int = 8, refine: int = 1,
-                 **point_kwargs: Any) -> LoadCurve:
+                 classes: Optional[Sequence[RequestClass]] = None
+                 ) -> LoadCurve:
     """Walk offered load up geometrically until the SLO breaks, then
     optionally bisect (geometric midpoint) between the last sustainable
     and first unsustainable rates.  The returned curve is sorted by
     offered rate, so it reads as one monotone sweep through the knee."""
     if factor <= 1:
         raise ValueError(f"factor must be > 1, got {factor!r}")
-    classes = point_kwargs.get("classes") or default_kv_classes()
-    point_kwargs["classes"] = classes
+    classes = classes or default_kv_classes()
     curve = LoadCurve(slo_p95=max(c.slo_p95 for c in classes),
-                      target_attainment=point_kwargs.get("target_attainment",
-                                                         0.95))
+                      target_attainment=TARGET_ATTAINMENT)
     lo: Optional[float] = None   # highest sustainable rate seen
     hi: Optional[float] = None   # lowest unsustainable rate seen
     rate = start_rate
     for _ in range(max_points):
         point, _cluster = run_load_point(cluster_factory, rate, duration,
-                                         seed=seed, **point_kwargs)
+                                         classes=classes)
         curve.points.append(point)
         if point.sustainable:
             lo = rate
@@ -637,7 +637,7 @@ def walk_to_knee(cluster_factory: Callable[[int], Any], start_rate: float,
         if hi / lo < 1.1:
             break
         point, _cluster = run_load_point(cluster_factory, mid, duration,
-                                         seed=seed, **point_kwargs)
+                                         classes=classes)
         curve.points.append(point)
         if point.sustainable:
             lo = mid

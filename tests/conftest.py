@@ -5,6 +5,14 @@ import pytest
 from repro.bft.config import BftConfig
 from repro.bft.statemachine import InMemoryStateManager
 from repro.harness.cluster import build_cluster
+from repro.sim.tracing import EventRing, Tracer
+
+
+def ring_tracer(max_events):
+    """A tracer whose ring holds ``max_events`` (0 keeps none)."""
+    tracer = Tracer()
+    tracer.events = EventRing(max_events)
+    return tracer
 
 
 def make_kv_cluster(n=4, checkpoint_interval=4, size=64, seed=0, **cfg_kwargs):

@@ -8,7 +8,7 @@ from repro.bft.statemachine import InMemoryStateManager
 from repro.bft.viewchange import ViewChangeManager
 from repro.crypto.mac import Authenticator
 from repro.sim.tracing import Tracer
-from tests.conftest import make_kv_cluster
+from tests.conftest import make_kv_cluster, ring_tracer
 
 put = InMemoryStateManager.op_put
 
@@ -368,7 +368,7 @@ def test_tracer_find_and_counters():
 
 
 def test_tracer_event_cap():
-    tracer = Tracer(max_events=3)
+    tracer = ring_tracer(3)
     for i in range(10):
         tracer.emit(float(i), "n", "prepared", i)
     assert len(tracer.events) == 3

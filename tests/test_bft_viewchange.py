@@ -337,8 +337,8 @@ def test_a_replica_cut_off_alone_waits_at_the_next_view_and_rejoins(
             cluster.network.partition(loner.node_id, peer)
     sent = []
     real_multicast = loner.multicast
-    monkeypatch.setattr(loner, "multicast", lambda dsts, msg, size=None: (
-        sent.append(msg.kind), real_multicast(dsts, msg, size))[1])
+    monkeypatch.setattr(loner, "multicast", lambda dsts, msg: (
+        sent.append(msg.kind), real_multicast(dsts, msg))[1])
     loner.view_changes.start(1)            # its view-change timer fired
     cluster.run(2.9)
     assert (loner.view, loner.view_changes.target_view) == (0, 1)

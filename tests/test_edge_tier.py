@@ -234,7 +234,7 @@ def test_cache_served_reads_cost_zero_events_and_are_pinned():
     moves the simulation by exactly nothing."""
     cluster = build_kv_cluster(
         BftConfig(checkpoint_interval=16, batch_max=8),
-        network_config=lan_network(3), costs=PROTOCOL_COSTS, seed=3)
+        network_config=lan_network(3), costs=PROTOCOL_COSTS)
     sync = cluster.add_client("warmup", costs=PROTOCOL_COSTS)
     for key in range(16):
         sync.call(put(key, b"edge%d" % key))

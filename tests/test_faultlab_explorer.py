@@ -62,12 +62,8 @@ def test_shrink_finds_the_minimal_failing_plan_and_replay_reproduces_it():
 def test_trial_refuses_to_judge_a_truncated_event_ring(monkeypatch):
     """The ring is the evidence: once it has evicted an event the
     checkers would pass on executions they never saw."""
-    from functools import partial
-
-    from repro.harness import cluster as harness_cluster
-    from repro.sim.tracing import Tracer
-    monkeypatch.setattr(harness_cluster, "Tracer",
-                        partial(Tracer, max_events=256))
+    from repro.sim import tracing
+    monkeypatch.setattr(tracing, "MAX_EVENTS", 256)
     with pytest.raises(RuntimeError,
                        match=r"'byzantine_backup' seed 3: .* dropped \d+"):
         run_trial("byzantine_backup", 3)

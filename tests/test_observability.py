@@ -30,7 +30,7 @@ from repro.service.deploy import ReplicatedDeployment
 from repro.service.registry import get_service
 from repro.sim import Histogram, Metrics, Tracer
 from repro.sim.tracing import CATALOGUE, EVENT_FIELDS, parse_catalogue
-from tests.conftest import make_kv_cluster
+from tests.conftest import make_kv_cluster, ring_tracer
 
 put = InMemoryStateManager.op_put
 get = InMemoryStateManager.op_get
@@ -39,7 +39,7 @@ get = InMemoryStateManager.op_get
 # -- Tracer ring buffer -------------------------------------------------------
 
 def test_ring_buffer_keeps_most_recent_events():
-    tracer = Tracer(max_events=3)
+    tracer = ring_tracer(3)
     for i in range(10):
         tracer.emit(float(i), "n", "checkpoint_taken", i)
     assert len(tracer.events) == 3
@@ -49,7 +49,7 @@ def test_ring_buffer_keeps_most_recent_events():
 
 
 def test_ring_buffer_find_and_first_see_recent_window():
-    tracer = Tracer(max_events=2)
+    tracer = ring_tracer(2)
     tracer.emit(1.0, "n", "prepared", 1)
     tracer.emit(2.0, "n", "committed", 1)
     tracer.emit(3.0, "n", "checkpoint_stable", 1)
@@ -60,7 +60,7 @@ def test_ring_buffer_find_and_first_see_recent_window():
 
 
 def test_no_silent_drops_when_events_disabled():
-    tracer = Tracer(keep_events=False)
+    tracer = ring_tracer(0)
     for i in range(5):
         tracer.emit(float(i), "n", "rollback", i)
     assert len(tracer.events) == 0
@@ -145,7 +145,7 @@ def test_a_value_its_wire_type_cannot_hold_overflows_whole(cause):
 
 def test_a_new_string_once_the_table_is_full_overflows():
     """A code is 2 bytes and 0 is unused: 65 535 strings, "r0" one."""
-    tracer = Tracer(max_events=8)
+    tracer = ring_tracer(8)
     for i in range(65_534):
         tracer.emit(1.0, "r0", "execute_error", f"E{i}")
     assert not tracer.events.overflow
@@ -172,7 +172,7 @@ def _mixed_stream(count):
 
 @pytest.mark.parametrize("max_events", [1, 2, 3, 5])
 def test_ring_order_after_a_wrap_matches_a_deque(max_events):
-    tracer, reference = Tracer(max_events=max_events), deque(maxlen=max_events)
+    tracer, reference = ring_tracer(max_events), deque(maxlen=max_events)
     for count, event in enumerate(_mixed_stream(4 * max_events + 3), 1):
         tracer.emit(*event)
         reference.append(event)
@@ -196,14 +196,14 @@ def test_ring_order_after_a_wrap_matches_a_deque(max_events):
     ("no_such_kind", ()), ("executed", (7, "c0", 3, True)), ("rollback", ())])
 def test_record_refuses_an_undeclared_kind_or_a_wrong_field_count(kind,
                                                                  fields):
-    tracer = Tracer(keep_events=False)
+    tracer = ring_tracer(0)
     with pytest.raises(ValueError):
         tracer.emit(1.0, "n", kind, *fields)
     assert not tracer.counters and tracer.dropped_events == 0
 
 
 def test_clear_resets_drops_and_metrics():
-    tracer = Tracer(max_events=1)
+    tracer = ring_tracer(1)
     tracer.emit(1.0, "n", "prepared", 1)
     tracer.emit(2.0, "n", "committed", 1)
     tracer.observe("x", 1.0)
@@ -296,13 +296,21 @@ def test_metrics_merge():
     assert a.histogram("lat").mean == pytest.approx(2.0)
 
 
+def capped_metrics(name, max_samples):
+    """A registry whose histogram ``name`` keeps ``max_samples`` samples
+    (the cap is the histogram's own, not the registry's)."""
+    metrics = Metrics()
+    metrics.histograms[name] = Histogram(name, max_samples=max_samples)
+    return metrics
+
+
 def test_merge_into_full_histogram_still_absorbs_samples():
     """Regression: merge used to stop copying the other registry's
     samples once the destination buffer was full, so merged percentiles
     silently ignored every late source.  It must overwrite round-robin
     exactly as ``observe`` does."""
-    a = Metrics(max_samples_per_histogram=4)
-    b = Metrics(max_samples_per_histogram=4)
+    a = capped_metrics("lat", 4)
+    b = capped_metrics("lat", 4)
     for _ in range(4):
         a.observe("lat", 1.0)       # destination buffer now full
     for _ in range(4):
@@ -323,8 +331,8 @@ def test_merge_equals_observing_the_other_registrys_samples(mine, theirs):
     """Regression: once the buffer was full, merge wrote the other
     registry's i-th sample one slot behind where ``observe`` puts it
     (A = 1, 2, 3, 4 merged with B = 9 gave 9, 2, 3, 4, not 1, 9, 3, 4)."""
-    merged = Metrics(max_samples_per_histogram=4)
-    observed = Metrics(max_samples_per_histogram=4)
+    merged = capped_metrics("lat", 4)
+    observed = capped_metrics("lat", 4)
     other = Metrics()
     for v in mine:
         merged.observe("lat", v)
@@ -384,8 +392,8 @@ def test_prefixed_merge_keeps_identically_named_shards_apart():
 
 
 def test_merge_partially_full_buffer_appends_then_rotates():
-    a = Metrics(max_samples_per_histogram=4)
-    b = Metrics(max_samples_per_histogram=4)
+    a = capped_metrics("lat", 4)
+    b = capped_metrics("lat", 4)
     for v in (1.0, 2.0):
         a.observe("lat", v)
     for v in (10.0, 20.0, 30.0):
@@ -629,7 +637,7 @@ def test_a_full_ring_of_the_largest_events_keeps_64_bytes_each():
     events = 5_000
     tracemalloc.start()
     try:
-        tracer = Tracer(max_events=events)
+        tracer = ring_tracer(events)
         for i in range(2 * events):
             tracer.emit(i / 7, "replica0", "executed", 2 ** 40 + i, "client0",
                         2 ** 33 + i, i % 2 == 0, digest(b"%d" % i))

@@ -142,7 +142,7 @@ def test_same_seed_gives_identical_arrivals_and_summary():
 
 def test_pool_multiplexes_many_logical_users():
     cluster = lan_cluster()
-    driver = _drive(cluster, pool_size=8, n_users=1_000_000)
+    driver = _drive(cluster, pool_size=8)
     assert driver.offered > 8                 # more sessions than clients
     assert driver.completed == driver.offered
     assert driver.shed == 0 and driver.timed_out == 0
@@ -194,7 +194,7 @@ def test_service_errors_count_against_slo():
 
 
 def test_run_load_point_is_deterministic():
-    kwargs = dict(rate=400.0, duration=0.3, seed=5, pool_size=8)
+    kwargs = dict(rate=400.0, duration=0.3, seed=5)
     first, _ = run_load_point(lan_cluster, **kwargs)
     second, _ = run_load_point(lan_cluster, **kwargs)
     assert first.as_dict() == second.as_dict()
@@ -203,8 +203,8 @@ def test_run_load_point_is_deterministic():
 
 def test_walk_to_knee_produces_a_monotone_curve_with_a_knee():
     curve = walk_to_knee(lan_cluster, start_rate=400.0, duration=0.25,
-                         seed=0, factor=8.0, max_points=3, refine=1,
-                         pool_size=2, queue_limit=4)
+                         factor=8.0, max_points=3, refine=1,
+                         classes=default_kv_classes(slo_p95=0.001))
     rates = [p.offered_rate for p in curve.points]
     assert rates == sorted(rates) and len(set(rates)) == len(rates)
     assert any(p.sustainable for p in curve.points)
@@ -256,9 +256,8 @@ QUICK_KNEE_POINTS = [
 def test_quick_knee_is_pinned():
     curve = walk_to_knee(
         lambda seed: lan_cluster(seed, checkpoint_interval=16, batch_max=8),
-        start_rate=1000.0, duration=0.2, seed=0, factor=2.5, max_points=5,
-        refine=1, classes=default_kv_classes(slo_p95=0.005),
-        target_attainment=0.95, process="poisson")
+        start_rate=1000.0, duration=0.2, factor=2.5, max_points=5,
+        refine=1, classes=default_kv_classes(slo_p95=0.005))
     curve.check()
     assert [p.as_dict() for p in curve.points] == [
         LoadPoint(*row).as_dict() for row in QUICK_KNEE_POINTS]

@@ -15,8 +15,7 @@ from repro.thor.service import THOR_SERVICE
 from repro.workloads.andrew import AndrewBenchmark, AndrewConfig
 from repro.workloads.oo7 import OO7Benchmark, OO7Config, OO7Database
 
-SMALL_ANDREW = AndrewConfig(copies=1, subdirs=("a", "b"),
-                            files_per_subdir=2, file_size=500)
+SMALL_ANDREW = AndrewConfig(copies=1)
 
 
 def nfs_std_client():
@@ -32,7 +31,7 @@ def test_andrew_all_phases_run_on_nfs_std():
     assert result.ops_issued > 0
     # The tree exists: every copy has its compiled output.
     assert fs.exists("/andrew0/a.out")
-    assert fs.exists("/andrew0/a/a0.o")
+    assert fs.exists("/andrew0/cmds/cmds0.o")
 
 
 def test_andrew_runs_on_basefs_and_produces_same_tree():
@@ -44,15 +43,14 @@ def test_andrew_runs_on_basefs_and_produces_same_tree():
     AndrewBenchmark(fs, SMALL_ANDREW).run()
     std_fs = nfs_std_client()
     AndrewBenchmark(std_fs, SMALL_ANDREW).run()
-    assert fs.read_file("/andrew0/a/a0.c") == \
-        std_fs.read_file("/andrew0/a/a0.c")
+    assert fs.read_file("/andrew0/cmds/cmds0.c") == \
+        std_fs.read_file("/andrew0/cmds/cmds0.c")
     assert sorted(fs.listdir("/andrew0")) == sorted(std_fs.listdir("/andrew0"))
 
 
 def test_andrew_scaling_copies():
     fs = nfs_std_client()
-    AndrewBenchmark(fs, AndrewConfig(copies=3, subdirs=("s",),
-                                     files_per_subdir=1)).run()
+    AndrewBenchmark(fs, AndrewConfig(copies=3)).run()
     for copy in range(3):
         assert fs.exists(f"/andrew{copy}/a.out")
 
