@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.harness import experiments as E
 from repro.harness.complexity import complexity_report
 from repro.harness.report import format_table, overhead_pct
-from repro.nfs.backends import ALL_BACKENDS
+from repro.nfs.backends.vendors import ALL_BACKENDS
 
 PCT, SHARE, PP, SECONDS, COUNT = "{:+.0f}%", "{:.0f}%", "{:+.0f} pp", \
     "{:.3f}", "{:.0f}"

@@ -8,7 +8,7 @@ a simple form of concurrency control in the wrapper" quantified.
 """
 
 from repro.harness.report import format_table
-from repro.nfs.backends import LinuxExt2Backend
+from repro.nfs.backends.vendors import LinuxExt2Backend
 from repro.nfs.client import NfsClient
 from repro.nfs.concurrency import concurrent_speedup, schedule_waves
 from repro.nfs.service import NFS_SERVICE

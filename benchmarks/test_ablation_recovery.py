@@ -11,7 +11,7 @@ from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
 from repro.harness import costs as C
 from repro.harness.report import format_table
-from repro.nfs.backends import LinuxExt2Backend
+from repro.nfs.backends.vendors import LinuxExt2Backend
 from repro.nfs.client import NfsClient
 from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig

@@ -10,7 +10,7 @@ replica that lies in its replies.
 Run:  python examples/quickstart.py
 """
 
-from repro.base import build_base_cluster
+from repro.base.library import build_base_cluster
 from repro.base.upcalls import Upcalls
 from repro.bft.faults import WrongReplyBehavior
 from repro.encoding.canonical import canonical, decanonical

@@ -17,7 +17,7 @@ Run:  python examples/replicated_nfs.py
 
 from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
-from repro.nfs.backends import ALL_BACKENDS
+from repro.nfs.backends.vendors import ALL_BACKENDS
 from repro.nfs.client import NfsClient
 from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig

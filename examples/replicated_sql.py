@@ -16,12 +16,8 @@ Run:  python examples/replicated_sql.py
 
 from repro.bft.config import BftConfig
 from repro.service.deploy import ReplicatedDeployment
-from repro.sql import (
-    SQL_SERVICE,
-    BTreeStoreEngine,
-    HashStoreEngine,
-    SqlEngineError,
-)
+from repro.sql.service import SQL_SERVICE
+from repro.sql.engine import BTreeStoreEngine, HashStoreEngine, SqlEngineError
 
 
 def main():

@@ -14,14 +14,9 @@ Run:  python examples/replicated_web.py
 """
 
 from repro.bft.config import BftConfig
-from repro.http import (
-    HTTP_SERVICE,
-    ApacheLikeServer,
-    HttpClient,
-    HttpStatus,
-    NginxLikeServer,
-)
-from repro.http.engine import HttpError
+from repro.http.service import HTTP_SERVICE, HttpClient
+from repro.http.engine import (ApacheLikeServer, HttpError, HttpStatus,
+                               NginxLikeServer)
 from repro.service.deploy import ReplicatedDeployment
 
 

@@ -13,7 +13,8 @@ Run:  python examples/software_aging.py
 
 from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
-from repro.nfs.backends import LeakyBackend, LinuxExt2Backend
+from repro.nfs.backends.faulty import LeakyBackend
+from repro.nfs.backends.vendors import LinuxExt2Backend
 from repro.nfs.client import NfsClient
 from repro.nfs.protocol import NfsError
 from repro.nfs.service import NFS_SERVICE

@@ -7,7 +7,7 @@ Checks every ``*.py`` under the given paths (default: ``src/repro``)
 against the registered rule set and exits nonzero on any finding that
 is not suppressed, with a reason, where it occurs — that is the whole
 contract of the ``protolint`` CI job.  ``--format json`` emits the
-schema-validated report document on stdout; ``--out`` writes it to a
+JSON report document on stdout; ``--out`` writes it to a
 file in either format mode.
 
 One pass runs every selected rule from the one catalogue: the per-node
@@ -64,8 +64,7 @@ def main(argv=None) -> int:
                         default="text", dest="fmt",
                         help="stdout format (default text)")
     parser.add_argument("--out", metavar="FILE",
-                        help="also write the schema-validated JSON report "
-                             "here")
+                        help="also write the JSON report here")
     parser.add_argument("--rules", metavar="IDS",
                         help="comma-separated rule ids to enable "
                              "(default: all)")

@@ -66,6 +66,25 @@ REPLAY_PACKAGES = frozenset({"base", "bft", "edge", "faultlab", "sim"})
 #: only — they measure wall time about a run, never feed it back in.
 PERF_COUNTER_ALLOWED = frozenset({"faultlab/explorer.py"})
 
+# -- nondeterminism sources (DET-RNG, DET-CLOCK, DEEP-TAINT) ------------------
+
+#: Calls through the module-level (shared, unseeded) random API.
+GLOBAL_RNG_CALLS = frozenset({
+    "random", "randint", "randrange", "choice", "choices", "shuffle",
+    "uniform", "sample", "getrandbits", "gauss", "betavariate",
+    "expovariate", "normalvariate", "triangular",
+})
+
+#: (module, attr) wall-clock and entropy reads that break replay outright.
+WALL_CLOCK_READS = frozenset({
+    ("time", "time"), ("time", "time_ns"),
+    ("time", "monotonic"), ("time", "monotonic_ns"),
+    ("os", "urandom"),
+    ("uuid", "uuid1"), ("uuid", "uuid4"),
+})
+
+DATETIME_READS = frozenset({"now", "utcnow", "today"})
+
 # -- deep-pass anchors ---------------------------------------------------------
 # Dotted names the interprocedural passes resolve against.  They name
 # *this repo's* agreement-critical surfaces; fixture trees re-declare

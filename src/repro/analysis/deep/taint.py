@@ -38,15 +38,13 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
-from repro.analysis.config import (CANONICAL_SINKS, DIGEST_SINKS,
+from repro.analysis.config import (CANONICAL_SINKS, DATETIME_READS,
+                                   DIGEST_SINKS, GLOBAL_RNG_CALLS,
                                    MESSAGE_ROOT, STATE_SINK_NAMES,
-                                   STATE_SINKS)
+                                   STATE_SINKS, WALL_CLOCK_READS)
 from repro.analysis.deep.callgraph import CallGraph, FunctionAnalysis
 from repro.analysis.deep.project import FunctionInfo, Project
 from repro.analysis.engine import Rule
-from repro.analysis.rules.determinism import (DATETIME_READS,
-                                              GLOBAL_RNG_CALLS,
-                                              WALL_CLOCK_READS)
 
 # -- lattice constants ---------------------------------------------------------
 

@@ -9,24 +9,9 @@ from __future__ import annotations
 import ast
 from typing import Optional, Tuple
 
+from repro.analysis.config import (DATETIME_READS, GLOBAL_RNG_CALLS,
+                                   WALL_CLOCK_READS)
 from repro.analysis.engine import FileContext, Rule
-
-#: Calls through the module-level (shared, unseeded) random API.
-GLOBAL_RNG_CALLS = frozenset({
-    "random", "randint", "randrange", "choice", "choices", "shuffle",
-    "uniform", "sample", "getrandbits", "gauss", "betavariate",
-    "expovariate", "normalvariate", "triangular",
-})
-
-#: (module, attr) wall-clock and entropy reads that break replay outright.
-WALL_CLOCK_READS = frozenset({
-    ("time", "time"), ("time", "time_ns"),
-    ("time", "monotonic"), ("time", "monotonic_ns"),
-    ("os", "urandom"),
-    ("uuid", "uuid1"), ("uuid", "uuid4"),
-})
-
-DATETIME_READS = frozenset({"now", "utcnow", "today"})
 
 
 def dotted_call(node: ast.Call) -> Optional[Tuple[str, str]]:

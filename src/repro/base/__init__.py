@@ -17,17 +17,3 @@ Use :func:`~repro.base.library.build_base_cluster` to stand up a
 replicated service from a list of per-replica wrapper factories — passing
 *different* factories is the paper's opportunistic N-version programming.
 """
-
-from repro.base.library import BaseServiceConfig, build_base_cluster
-from repro.base.nondet import ClockValue, TimestampAgreement
-from repro.base.state import AbstractStateManager
-from repro.base.upcalls import Upcalls
-
-__all__ = [
-    "AbstractStateManager",
-    "BaseServiceConfig",
-    "ClockValue",
-    "TimestampAgreement",
-    "Upcalls",
-    "build_base_cluster",
-]

@@ -10,17 +10,3 @@ The replica delegates all service-state concerns to a
 :class:`~repro.bft.statemachine.StateManager`; the BASE layer
 (:mod:`repro.base`) provides the abstraction-aware implementation.
 """
-
-from repro.bft.config import BftConfig
-from repro.bft.client import BftClient, SyncClient
-from repro.bft.replica import Replica
-from repro.bft.statemachine import InMemoryStateManager, StateManager
-
-__all__ = [
-    "BftConfig",
-    "BftClient",
-    "SyncClient",
-    "Replica",
-    "StateManager",
-    "InMemoryStateManager",
-]

@@ -2,7 +2,7 @@
 
 Each message exposes:
 
-- ``kind`` — dispatch key used by :class:`repro.sim.Node`;
+- ``kind`` — dispatch key used by :class:`repro.sim.node.Node`;
 - ``body()`` — canonical bytes covered by MACs/signatures;
 - ``digest()`` — SHA-256 of the body;
 - ``wire_size()`` — bytes charged to the network, body + authentication.

@@ -62,6 +62,8 @@ from repro.sim.tracing import Tracer
 
 MAX_OUTSTANDING = 1        # pre-prepares in flight per primary
 BATCH_WINDOW_MAX = 0.002   # upper bound on the batch hold window
+#: Prefix of the result ``_safe_execute`` returns when the service raised.
+ERROR_PREFIX = b"__error__:"
 
 
 class Replica(Node):
@@ -754,7 +756,7 @@ class Replica(Node):
                                       nondet, read_only=read_only)
         except Exception as exc:
             self.trace("execute_error", type(exc).__name__)
-            return b"__error__:" + type(exc).__name__.encode("ascii")
+            return ERROR_PREFIX + type(exc).__name__.encode("ascii")
 
     def _reply(self, client_id: str, request_id: int, result: bytes,
                tentative: bool = False, seq: int = 0,

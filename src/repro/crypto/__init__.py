@@ -13,20 +13,3 @@ This package reproduces that structure with modern primitives:
   per-node private key checked through the registry; a stand-in for RSA
   with identical protocol-visible behaviour).
 """
-
-from repro.crypto.digest import DIGEST_SIZE, digest, digest_many
-from repro.crypto.keys import KeyRegistry
-from repro.crypto.mac import Authenticator, compute_mac, verify_mac
-from repro.crypto.signatures import sign, verify_signature
-
-__all__ = [
-    "DIGEST_SIZE",
-    "digest",
-    "digest_many",
-    "KeyRegistry",
-    "Authenticator",
-    "compute_mac",
-    "verify_mac",
-    "sign",
-    "verify_signature",
-]

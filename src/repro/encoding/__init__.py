@@ -7,7 +7,3 @@ Used for two purposes, mirroring the paper:
 - BFT protocol messages are encoded canonically before MACs/digests are
   computed over them.
 """
-
-from repro.encoding.xdr import XdrDecoder, XdrEncoder
-
-__all__ = ["XdrDecoder", "XdrEncoder"]

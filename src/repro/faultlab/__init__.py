@@ -17,29 +17,7 @@ systematic, seed-reproducible exploration engine:
   shrinker that reduces a failing plan to a minimal still-failing one;
 - :mod:`repro.faultlab.scenarios` — the scenario registry the sweep and
   the ``faultlab-smoke`` CI job iterate;
-- :mod:`repro.faultlab.report` — the schema-validated JSON report.
+- :mod:`repro.faultlab.report` — the versioned JSON reports.
 
 CLI: ``python -m repro.faultlab {list,run,sweep,replay}``.
 """
-
-from repro.faultlab.explorer import TrialResult, run_trial, shrink
-from repro.faultlab.injector import FaultInjector
-from repro.faultlab.invariants import Violation, check_all
-from repro.faultlab.plan import (
-    BackendFault,
-    CrashFault,
-    DelaySpikeFault,
-    FaultPlan,
-    LossFault,
-    PartitionFault,
-    RecoveryFault,
-    ReplicaFault,
-)
-from repro.faultlab.scenarios import SCENARIOS, get_scenario, scenario_names
-
-__all__ = [
-    "BackendFault", "CrashFault", "DelaySpikeFault", "FaultInjector",
-    "FaultPlan", "LossFault", "PartitionFault", "RecoveryFault",
-    "ReplicaFault", "SCENARIOS", "TrialResult", "Violation", "check_all",
-    "get_scenario", "run_trial", "scenario_names", "shrink",
-]

@@ -8,15 +8,17 @@
                                     [--plan plan.json] [--json out.json]
 
 ``sweep`` exits nonzero if any trial violated an invariant — that is the
-whole contract of the ``faultlab-smoke`` CI job.  ``replay`` re-runs a
-(scenario, seed) pair exactly as the sweep did; with ``--plan`` it runs a
-shrunk plan file instead of the seed-derived one.
+whole contract of the ``faultlab-smoke`` CI job.  It writes each failing
+trial's shrunk plan beside ``--out`` (or into the working directory) and
+prints the replay command that runs it.  ``replay`` re-runs a (scenario,
+seed) pair exactly as the sweep did; with ``--plan`` it runs a shrunk
+plan file instead of the seed-derived one.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
 from repro.faultlab import report as reportlib
@@ -91,11 +93,19 @@ def cmd_sweep(args) -> int:
           f"{result.accepted}/{result.issued} ops accepted, "
           f"{len(result.failures)} failing trial(s) "
           f"({result.wall_seconds:.1f}s wall)")
+    # Each shrunk plan goes beside the report (or into the working
+    # directory), where its replay command finds it.
+    plan_dir = os.path.dirname(args.out or "")
     for failure in result.failures:
-        print(f"  FAIL {failure.result.scenario} seed={failure.result.seed}: "
+        shrunk = failure.shrunk
+        shrunk.plan_file = os.path.join(
+            plan_dir, f"{shrunk.scenario}-seed{shrunk.seed}-plan.json")
+        with open(shrunk.plan_file, "w", encoding="utf-8") as fh:
+            fh.write(shrunk.plan.to_json())
+        print(f"  FAIL {shrunk.scenario} seed={shrunk.seed}: "
               f"{failure.result.violations[0]}")
-        print(f"       minimal plan: {failure.shrunk.plan.describe()}")
-        print(f"       replay: {failure.to_dict()['replay']}")
+        print(f"       minimal plan: {shrunk.plan.describe()}")
+        print(f"       replay: {shrunk.to_dict()['replay']}")
     _write_json(reportlib.sweep_report(result, mode), args.out)
     return 0 if result.ok else 1
 
@@ -117,7 +127,7 @@ def main(argv=None) -> int:
                        choices=scenario_names())
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--json", metavar="PATH",
-                       help="also write the schema-validated report")
+                       help="also write the JSON report")
     replay_p.add_argument("--plan", metavar="PATH",
                           help="replay this (e.g. shrunk) plan JSON instead "
                                "of the seed-derived one")
@@ -133,7 +143,7 @@ def main(argv=None) -> int:
                          choices=scenario_names(),
                          help="restrict to these scenarios (repeatable)")
     sweep_p.add_argument("--out", metavar="PATH",
-                         help="write the schema-validated sweep report")
+                         help="write the JSON sweep report")
     sweep_p.add_argument("--quiet", action="store_true")
 
     args = parser.parse_args(argv)

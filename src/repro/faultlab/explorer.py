@@ -251,9 +251,6 @@ def _build(scenario: Scenario, seed: int):
     from repro.service.deploy import ReplicatedDeployment
     from repro.service.registry import get_service
     definition = get_service(scenario.service)
-    if definition is None:
-        raise KeyError(f"scenario {scenario.name!r} needs unknown service "
-                       f"{scenario.service!r}")
     options: Dict[str, Any] = {}
     if scenario.service == "nfs":
         from repro.nfs.spec import AbstractSpecConfig
@@ -365,7 +362,7 @@ class _EdgeDriver:
     ``edge_reply`` events with the ``staleness_contract`` checker."""
 
     def __init__(self, cluster, scenario: Scenario):
-        from repro.edge import EdgeTier
+        from repro.edge.tier import EdgeTier
         self.tier = EdgeTier.for_cluster(cluster, **scenario.edge)
         self.reads = 0
 
@@ -530,6 +527,9 @@ class ShrinkResult:
     plan: FaultPlan
     violations: List[Violation]
     trials: int
+    #: The file the CLI wrote ``plan`` to (None until it does); the
+    #: replay command names it.
+    plan_file: Optional[str]
 
     @property
     def shrunk(self) -> bool:
@@ -546,7 +546,7 @@ class ShrinkResult:
                            for v in self.violations],
             "trials": self.trials,
             "replay": replay_command(self.scenario, self.seed,
-                                     plan_file="plan.json"),
+                                     plan_file=self.plan_file),
         }
 
 
@@ -578,7 +578,8 @@ def shrink(scenario: ScenarioRef, seed: int, plan: FaultPlan,
                 progress = True
                 break
     return ShrinkResult(scenario=scenario.name, seed=seed, original=original,
-                        plan=best, violations=best_violations, trials=trials)
+                        plan=best, violations=best_violations, trials=trials,
+                        plan_file=None)
 
 
 # -- sweeping -----------------------------------------------------------------------

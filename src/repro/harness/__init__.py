@@ -1,6 +1,2 @@
 """Experiment harness: cluster construction, cost models, fault injection,
 reporting, and the code-complexity counter used by §4.3."""
-
-from repro.harness.cluster import Cluster, build_cluster
-
-__all__ = ["Cluster", "build_cluster"]

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
 from repro.harness import costs as C
-from repro.nfs.backends import ALL_BACKENDS, LinuxExt2Backend
+from repro.nfs.backends.vendors import ALL_BACKENDS, LinuxExt2Backend
 from repro.nfs.backends.core import MemoryFilesystem
 from repro.nfs.client import NfsClient
 from repro.nfs.service import NFS_SERVICE

@@ -10,16 +10,3 @@ and across restarts: exactly the nondeterminism the NFS spec's file
 handles exhibit).  The common abstract specification replaces ETags with
 agreed version counters and pins PROPFIND ordering.
 """
-
-from repro.http.engine import ApacheLikeServer, NginxLikeServer, HttpStatus
-from repro.http.wrapper import HttpConformanceWrapper
-from repro.http.service import HTTP_SERVICE, HttpClient
-
-__all__ = [
-    "ApacheLikeServer",
-    "HTTP_SERVICE",
-    "HttpClient",
-    "HttpConformanceWrapper",
-    "HttpStatus",
-    "NginxLikeServer",
-]

@@ -1,4 +1,4 @@
-"""Registration and client for the replicated web/DAV service.
+"""Definition and client for the replicated web/DAV service.
 
 Declared once as :data:`HTTP_SERVICE`; :mod:`repro.service.deploy`
 builds both deployments from it.
@@ -20,7 +20,6 @@ from repro.service.deploy import (
     WrapperContext,
     wrapper_as_baseline,
 )
-from repro.service.registry import register
 
 #: Methods eligible for BFT's read-only path, off the declarative table.
 READ_ONLY_METHODS = frozenset(
@@ -69,7 +68,7 @@ class HttpClient:
             raise HttpError(HttpStatus(result[0]))
 
 
-# -- service registration ----------------------------------------------------------
+# -- service definition -------------------------------------------------------------
 
 
 def _make_server(server_class: type, index: int) -> _BaseServer:
@@ -99,7 +98,7 @@ def _shard_key(decoded: tuple):
     return None
 
 
-HTTP_SERVICE = register(ServiceDefinition(
+HTTP_SERVICE = ServiceDefinition(
     name="http",
     make_wrapper=_make_wrapper,
     make_client=HttpClient,
@@ -108,4 +107,4 @@ HTTP_SERVICE = register(ServiceDefinition(
     default_backends=(NginxLikeServer,) * 4,
     branching=16,
     shard_key=ShardKeySpec(extract=_shard_key, axis="top path segment"),
-))
+)

@@ -45,6 +45,8 @@ class HttpConformanceWrapper(AbstractService):
 
     @staticmethod
     def _norm(path: str) -> str:
+        if not isinstance(path, str):   # a malformed request: 400
+            raise TypeError(f"path must be str, not {type(path).__name__}")
         return "/" + "/".join(p for p in path.split("/") if p)
 
     def _etag(self, path: str) -> str:

@@ -17,24 +17,7 @@ Layers (paper Figure 3):
   the state-conversion functions (``get_obj`` / ``put_objs``);
 - :mod:`repro.nfs.client` — a simulated kernel NFS client (attribute and
   lookup caching) that can mount either BASEFS or an unreplicated backend;
-- :mod:`repro.nfs.service` — the service registration
+- :mod:`repro.nfs.service` — the service definition
   (:data:`NFS_SERVICE`) and the transports for BASEFS and the
   unreplicated NFS-std baseline.
 """
-
-from repro.nfs.protocol import Fattr, FileType, NfsError, NfsStatus
-from repro.nfs.spec import AbstractSpecConfig
-from repro.nfs.wrapper import NfsConformanceWrapper
-from repro.nfs.client import NfsClient
-from repro.nfs.service import NFS_SERVICE
-
-__all__ = [
-    "AbstractSpecConfig",
-    "Fattr",
-    "FileType",
-    "NFS_SERVICE",
-    "NfsClient",
-    "NfsConformanceWrapper",
-    "NfsError",
-    "NfsStatus",
-]

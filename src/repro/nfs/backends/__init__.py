@@ -24,25 +24,6 @@ The conformance wrapper must mask every one of these differences to make
 replicas behave per the common abstract specification.
 """
 
-from repro.nfs.backends.core import CostProfile, Inode, MemoryFilesystem
-from repro.nfs.backends.vendors import (
-    ALL_BACKENDS,
-    FreeBsdUfsBackend,
-    LinuxExt2Backend,
-    OpenBsdFfsBackend,
-    SolarisUfsBackend,
-)
-from repro.nfs.backends.faulty import CorruptingBackend, LeakyBackend
-
-__all__ = [
-    "ALL_BACKENDS",
-    "CorruptingBackend",
-    "CostProfile",
-    "FreeBsdUfsBackend",
-    "Inode",
-    "LeakyBackend",
-    "LinuxExt2Backend",
-    "MemoryFilesystem",
-    "OpenBsdFfsBackend",
-    "SolarisUfsBackend",
-]
+# The perf ledger imports these three names from the package.
+from repro.nfs.backends.core import MemoryFilesystem
+from repro.nfs.backends.vendors import ALL_BACKENDS, LinuxExt2Backend

@@ -1,4 +1,4 @@
-"""Registration and transports for the file service.
+"""Definition and transports for the file service.
 
 Two deployments, matching the paper's evaluation:
 
@@ -33,7 +33,6 @@ from repro.service.deploy import (
     ShardKeySpec,
     WrapperContext,
 )
-from repro.service.registry import register
 
 
 class BaseFsTransport:
@@ -164,7 +163,7 @@ def _direct_handler(backend: MemoryFilesystem):
     return handler
 
 
-# -- service registration ----------------------------------------------------------
+# -- service definition -------------------------------------------------------------
 
 
 def _backend_kwargs(backend_class: type, index: int, clock,
@@ -238,7 +237,7 @@ def _nfs_learn(decoded: tuple, reply: tuple):
     return ()
 
 
-NFS_SERVICE = register(ServiceDefinition(
+NFS_SERVICE = ServiceDefinition(
     name="nfs",
     make_wrapper=_make_wrapper,
     make_client=BaseFsTransport,
@@ -253,4 +252,4 @@ NFS_SERVICE = register(ServiceDefinition(
     direct_client_id="nfs-client",
     shard_key=ShardKeySpec(extract=_nfs_shard_key, learn=_nfs_learn,
                            axis="top-level subtree"),
-))
+)

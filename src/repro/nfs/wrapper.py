@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.base.nondet import TimestampAgreement
-from repro.errors import StateTransferError
+from repro.errors import EncodingError, StateTransferError
 from repro.service.kernel import AbstractService, op
 from repro.nfs.backends.core import MemoryFilesystem
 from repro.nfs.conformance import ConformanceRep
@@ -115,7 +115,12 @@ class NfsConformanceWrapper(AbstractService):
     # -- oid/attr helpers ---------------------------------------------------------------------
 
     def _entry_for(self, fh: bytes):
-        index, gen = oid_parse(fh)
+        try:
+            index, gen = oid_parse(fh)
+        except EncodingError:
+            # A handle of the wrong size names no file: stale, as every
+            # vendor answers for a handle it cannot resolve.
+            raise NfsError(NfsStatus.NFSERR_STALE) from None
         return index, self.rep.lookup_oid(index, gen)
 
     def _backend_fh(self, index: int) -> bytes:

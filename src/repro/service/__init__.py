@@ -16,82 +16,18 @@ holds the parts every service shares, once:
   (replicated, unreplicated) over a declarative
   :class:`ServiceDefinition`, which also names the build options the
   service's factories read; ``Deployment.build`` is the one way to
-  stand up a registered service;
+  stand up a service;
 - :mod:`repro.service.sharding` — :class:`ShardedDeployment`: N
   independent BASE groups on one simulation fabric behind the
   deterministic :class:`ShardRouter` (see ``docs/SHARDING.md``);
-- :mod:`repro.service.registry` — the :class:`ServiceRegistry` mapping
-  service names to their :class:`~repro.service.deploy.ServiceDefinition`;
+- :mod:`repro.service.registry` — ``get_service(name)`` and
+  ``service_names()``, answered from one tuple of the four
+  :class:`~repro.service.deploy.ServiceDefinition` values;
 - :mod:`repro.service.conformance` — the cross-service conformance
   battery run by ``tests/test_service_conformance.py`` against every
-  registered service.
+  service.
 
-Adding a backend is a wrapper subclass plus one registration; see
-``docs/SERVICES.md``.
+Adding a backend is a wrapper subclass; adding a service is a
+``service.py`` that binds a ``ServiceDefinition``, plus its entry in
+that tuple.  See ``docs/SERVICES.md``.
 """
-
-from repro.service.kernel import AbstractService, OpSpec, op
-from repro.service.deploy import (
-    BROADCAST,
-    Broadcast,
-    Channel,
-    Deployment,
-    DirectChannel,
-    DirectService,
-    DirectServiceServer,
-    LearnedKey,
-    REQUIRED,
-    ReplicatedChannel,
-    ReplicatedDeployment,
-    ServiceDefinition,
-    ShardKeySpec,
-    UnreplicatedDeployment,
-    WrapperContext,
-)
-from repro.service.sharding import (
-    CrossShardOp,
-    RoutingError,
-    ShardRouter,
-    ShardedDeployment,
-    TxnAborted,
-    stable_shard,
-)
-from repro.service.registry import (
-    ServiceRegistry,
-    get_service,
-    load_all,
-    register,
-    service_names,
-)
-
-__all__ = [
-    "AbstractService",
-    "BROADCAST",
-    "Broadcast",
-    "Channel",
-    "CrossShardOp",
-    "Deployment",
-    "DirectChannel",
-    "DirectService",
-    "DirectServiceServer",
-    "LearnedKey",
-    "OpSpec",
-    "REQUIRED",
-    "ReplicatedChannel",
-    "ReplicatedDeployment",
-    "RoutingError",
-    "ServiceDefinition",
-    "ServiceRegistry",
-    "ShardKeySpec",
-    "ShardRouter",
-    "ShardedDeployment",
-    "TxnAborted",
-    "UnreplicatedDeployment",
-    "WrapperContext",
-    "get_service",
-    "load_all",
-    "op",
-    "register",
-    "service_names",
-    "stable_shard",
-]

@@ -403,7 +403,8 @@ PROBES: Dict[str, ServiceProbe] = {probe.name: probe for probe in (
                          _SATTR_FILE),
         read_only_op=("getattr", _nfs_root()),
         malformed_ops=[("getattr",), ("write", _nfs_root()),
-                       ("setattr", _nfs_root())],
+                       ("setattr", _nfs_root()),
+                       ("getattr", b"ab")],  # a handle of the wrong size
     ),
     ServiceProbe(
         name="sql",
@@ -428,7 +429,8 @@ PROBES: Dict[str, ServiceProbe] = {probe.name: probe for probe in (
         post_restart_op=("PUT", "/post-restart.txt", b"post", ""),
         read_only_op=("GET", "/b.txt", ""),
         malformed_ops=[("PUT", "/x"), ("GET",), ("MKCOL",),
-                       ("PUT", "/x", 5, "")],  # a body that is not bytes
+                       ("PUT", "/x", 5, ""),  # a body that is not bytes
+                       ("GET", 5)],  # a path that is not a str
     ),
     ServiceProbe(
         name="thor",

@@ -1,112 +1,31 @@
-"""Registry of the services built on the kernel.
+"""The services built on the kernel, by name.
 
-Each service's ``service.py`` registers its
-:class:`~repro.service.deploy.ServiceDefinition` at import time; the
-cross-service conformance harness and any by-name tooling iterate the
-registry instead of hard-coding the four stacks.
-
-Registration is **idempotent**: re-registering the same (or an
-equal-valued) definition is a no-op rather than an error, and
-``load_all`` repopulates even a *fresh* registry from already-imported
-service modules — ``importlib.import_module`` is a no-op for cached
-modules, so without the rescan a new registry would silently stay
-empty.
+The cross-service conformance harness and any by-name tooling look the
+four stacks up here instead of hard-coding them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import List, Tuple
 
 from repro.service.deploy import ServiceDefinition
 
-#: Importing these modules populates the default registry.
-_SERVICE_MODULES = (
-    "repro.nfs.service",
-    "repro.thor.service",
-    "repro.sql.service",
-    "repro.http.service",
-)
 
-
-class ServiceRegistry:
-    """Name -> :class:`ServiceDefinition` mapping."""
-
-    def __init__(self) -> None:
-        self._services: Dict[str, ServiceDefinition] = {}
-
-    def register(self, definition: ServiceDefinition) -> ServiceDefinition:
-        """Add a definition; idempotent for equal-valued re-registrations.
-
-        Registering the same object twice, or a value-equal rebuild of
-        an existing definition (the repeated-import case), returns the
-        already-registered definition.  Only a *conflicting* definition
-        under an existing name raises.
-        """
-        existing = self._services.get(definition.name)
-        if existing is not None:
-            if existing is definition or existing == definition:
-                return existing
-            raise ValueError(f"service {definition.name!r} already "
-                             f"registered with a different definition")
-        self._services[definition.name] = definition
-        return definition
-
-    def load_all(self) -> "ServiceRegistry":
-        """Populate this registry with every known service definition.
-
-        Imports any service module not yet loaded, then rescans the
-        (possibly already-cached) modules for their module-level
-        :class:`ServiceDefinition` instances and registers each
-        idempotently — so the call works on a fresh registry even when
-        every module import is a cache hit.
-        """
-        import importlib
-
-        for module_name in _SERVICE_MODULES:
-            module = importlib.import_module(module_name)
-            for value in vars(module).values():
-                if isinstance(value, ServiceDefinition):
-                    self.register(value)
-        return self
-
-    def get(self, name: str) -> ServiceDefinition:
-        try:
-            return self._services[name]
-        except KeyError:
-            raise KeyError(f"unknown service {name!r}; registered: "
-                           f"{sorted(self._services)}") from None
-
-    def names(self) -> List[str]:
-        return sorted(self._services)
-
-    def __iter__(self) -> Iterator[ServiceDefinition]:
-        return iter(self._services.values())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._services
-
-
-#: The default registry used by the builders and the conformance harness.
-REGISTRY = ServiceRegistry()
-
-
-def register(definition: ServiceDefinition) -> ServiceDefinition:
-    return REGISTRY.register(definition)
-
-
-def load_all(registry: Optional[ServiceRegistry] = None) -> ServiceRegistry:
-    """Import every service module so ``registry`` (default: the default
-    registry) is fully populated."""
-    return (registry if registry is not None else REGISTRY).load_all()
+def _services() -> Tuple[ServiceDefinition, ...]:
+    # Imported here: each service module imports repro.service.deploy.
+    from repro.http.service import HTTP_SERVICE
+    from repro.nfs.service import NFS_SERVICE
+    from repro.sql.service import SQL_SERVICE
+    from repro.thor.service import THOR_SERVICE
+    return (HTTP_SERVICE, NFS_SERVICE, SQL_SERVICE, THOR_SERVICE)
 
 
 def get_service(name: str) -> ServiceDefinition:
-    """Look up a service by name, loading the service modules on demand."""
-    if name not in REGISTRY:
-        load_all()
-    return REGISTRY.get(name)
+    for definition in _services():
+        if definition.name == name:
+            return definition
+    raise KeyError(f"unknown service {name!r}; known: {service_names()}")
 
 
 def service_names() -> List[str]:
-    load_all()
-    return REGISTRY.names()
+    return [definition.name for definition in _services()]

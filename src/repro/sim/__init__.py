@@ -19,23 +19,3 @@ The kernel is deliberately small:
 - :class:`~repro.sim.metrics.Metrics` — counters/histograms with
   percentile summaries, exportable as JSON or harness tables.
 """
-
-from repro.sim.scheduler import Event, Scheduler
-from repro.sim.metrics import Histogram, Metrics
-from repro.sim.network import LinkConfig, Network, NetworkConfig
-from repro.sim.node import Node, Timer
-from repro.sim.tracing import PHASES, Tracer
-
-__all__ = [
-    "Event",
-    "Scheduler",
-    "Histogram",
-    "LinkConfig",
-    "Metrics",
-    "Network",
-    "NetworkConfig",
-    "Node",
-    "PHASES",
-    "Timer",
-    "Tracer",
-]

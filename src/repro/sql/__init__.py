@@ -12,26 +12,7 @@ ODBC standard."  This package does exactly that, in miniature:
   are identified by (table, pk); errors are virtualized) and a
   conformance wrapper built on the reusable
   :mod:`repro.base.mappings` library;
-- the service registration (:data:`SQL_SERVICE`) that
+- the service definition (:data:`SQL_SERVICE`) that
   :mod:`repro.service.deploy` builds the replicated deployment and the
   unreplicated baseline from.
 """
-
-from repro.sql.engine import (
-    BTreeStoreEngine,
-    HashStoreEngine,
-    SqlEngine,
-    SqlEngineError,
-)
-from repro.sql.wrapper import SqlConformanceWrapper
-from repro.sql.service import SQL_SERVICE, SqlClient
-
-__all__ = [
-    "BTreeStoreEngine",
-    "HashStoreEngine",
-    "SQL_SERVICE",
-    "SqlClient",
-    "SqlConformanceWrapper",
-    "SqlEngine",
-    "SqlEngineError",
-]

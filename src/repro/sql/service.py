@@ -1,4 +1,4 @@
-"""Registration and client for the relational service.
+"""Definition and client for the relational service.
 
 Declared once as :data:`SQL_SERVICE`; :mod:`repro.service.deploy` builds
 both deployments from it (mix engine classes for N-version operation).
@@ -17,7 +17,6 @@ from repro.service.deploy import (
     WrapperContext,
     wrapper_as_baseline,
 )
-from repro.service.registry import register
 from repro.sql.engine import BTreeStoreEngine, SqlEngineError
 from repro.sql.wrapper import SqlConformanceWrapper
 
@@ -69,7 +68,7 @@ class SqlClient:
         return self._issue("row_count", table, read_only=True)[0]
 
 
-# -- service registration ----------------------------------------------------------
+# -- service definition -------------------------------------------------------------
 
 
 def _make_wrapper(ctx: WrapperContext) -> SqlConformanceWrapper:
@@ -91,7 +90,7 @@ def _shard_key(decoded: tuple):
     return None
 
 
-SQL_SERVICE = register(ServiceDefinition(
+SQL_SERVICE = ServiceDefinition(
     name="sql",
     make_wrapper=_make_wrapper,
     make_client=SqlClient,
@@ -100,4 +99,4 @@ SQL_SERVICE = register(ServiceDefinition(
     default_backends=(BTreeStoreEngine,) * 4,
     branching=16,
     shard_key=ShardKeySpec(extract=_shard_key, axis="table name"),
-))
+)

@@ -15,23 +15,3 @@ replica — which is exactly what the BASE abstract specification hides:
 - **invalid sets** — per-active-client stale-object lists;
 - **cached-pages directory** — which (abstract) clients cache each page.
 """
-
-from repro.thor.orefs import make_oref, oref_onum, oref_pagenum
-from repro.thor.objects import ObjectRecord
-from repro.thor.server import ThorServer, ThorServerConfig
-from repro.thor.client import ThorClient, TransactionAborted
-from repro.thor.wrapper import ThorConformanceWrapper
-from repro.thor.service import THOR_SERVICE
-
-__all__ = [
-    "ObjectRecord",
-    "THOR_SERVICE",
-    "ThorClient",
-    "ThorConformanceWrapper",
-    "ThorServer",
-    "ThorServerConfig",
-    "TransactionAborted",
-    "make_oref",
-    "oref_onum",
-    "oref_pagenum",
-]

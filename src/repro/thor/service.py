@@ -1,4 +1,4 @@
-"""Registration and transport for BASE-Thor and the baseline.
+"""Definition and transport for BASE-Thor and the baseline.
 
 Declared once as :data:`THOR_SERVICE`; :mod:`repro.service.deploy`
 builds both deployments from it (the replicated one is four replicas of
@@ -20,7 +20,6 @@ from repro.service.deploy import (
     ShardKeySpec,
     WrapperContext,
 )
-from repro.service.registry import register
 from repro.thor.server import ThorServer, ThorServerConfig
 from repro.thor.wrapper import ThorConformanceWrapper
 
@@ -49,7 +48,7 @@ class BaseThorTransport:
         return self.channel.now
 
 
-# -- service registration ----------------------------------------------------------
+# -- service definition -------------------------------------------------------------
 
 
 def _replica_config(base: ThorServerConfig, index: int) -> ThorServerConfig:
@@ -147,7 +146,7 @@ def _thor_shard_key(decoded: tuple):
     return None
 
 
-THOR_SERVICE = register(ServiceDefinition(
+THOR_SERVICE = ServiceDefinition(
     name="thor",
     make_wrapper=_make_wrapper,
     make_client=BaseThorTransport,
@@ -160,4 +159,4 @@ THOR_SERVICE = register(ServiceDefinition(
     branching=64,
     wire_replica=_wire_replica,
     shard_key=ShardKeySpec(extract=_thor_shard_key, axis="page number"),
-))
+)

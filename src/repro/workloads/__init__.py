@@ -1,14 +1,2 @@
 """Benchmark workloads: the modified Andrew benchmark (file service) and
 OO7 (object-oriented database), plus protocol micro-benchmarks."""
-
-from repro.workloads.andrew import AndrewBenchmark, AndrewConfig, AndrewResult
-from repro.workloads.oo7 import OO7Benchmark, OO7Config, TraversalResult
-
-__all__ = [
-    "AndrewBenchmark",
-    "AndrewConfig",
-    "AndrewResult",
-    "OO7Benchmark",
-    "OO7Config",
-    "TraversalResult",
-]

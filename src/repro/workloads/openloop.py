@@ -39,8 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-#: Result prefix the replica execution envelope uses for service errors.
-ERROR_PREFIX = b"__error__:"
+from repro.bft.replica import ERROR_PREFIX
 
 
 # -- arrival processes --------------------------------------------------------------

@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Engine, Rule, all_rules, select_rules
+from repro.analysis.engine import Engine, Finding, Rule
+from repro.analysis.rules import all_rules, select_rules
 from repro.analysis import report as reportlib
 from repro.analysis.__main__ import main
 from repro.analysis.config import EVERYWHERE
-from repro.analysis.engine import Finding
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures" / "deep"
 
@@ -374,17 +374,8 @@ def test_report_schema_accepts_chain():
                       chain=("source: x at bft/a.py:3",
                              "sink: canonical() at bft/b.py:9"))
     doc = reportlib.build([finding], DEEP_IDS, ["src/repro"])
+    assert doc["findings"] == [finding.to_dict()]
     assert doc["findings"][0]["chain"] == list(finding.chain)
-    rehydrated = reportlib.finding_from_dict(doc["findings"][0])
-    assert rehydrated == finding
-
-
-def test_report_schema_rejects_bad_chain():
-    finding = Finding("bft/a.py", 3, 0, "DEEP-TAINT", "taint msg")
-    doc = reportlib.build([finding], DEEP_IDS, ["src/repro"])
-    doc["findings"][0]["chain"] = "not-a-list"
-    with pytest.raises(ValueError):
-        reportlib.validate(doc)
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -395,7 +386,8 @@ def test_cli_reports_deep_findings_with_their_chain(tmp_path, capsys):
     code = main([str(FIXTURES / "taint_clock_bad"), "--out", str(out)])
     assert code == 1
     report = json.loads(out.read_text())
-    reportlib.validate(report)
+    assert set(report) == {"kind", "schema_version", "python", "roots",
+                           "rules", "findings", "counts", "ok"}
     rules = {doc["rule"] for doc in report["findings"]}
     assert rules == {"DEEP-TAINT"}
     assert report["findings"][0]["chain"]

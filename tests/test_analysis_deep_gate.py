@@ -8,7 +8,8 @@ inline suppression where it occurs).
 
 from pathlib import Path
 
-from repro.analysis import Engine, select_rules
+from repro.analysis.engine import Engine
+from repro.analysis.rules import select_rules
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 

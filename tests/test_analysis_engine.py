@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (Engine, Finding, SUPPRESS_RULE_ID, all_rules,
-                            select_rules)
+from repro.analysis.engine import (SUPPRESS_RULE_ID, Engine, Finding,
+                                   relativize)
+from repro.analysis.rules import all_rules, select_rules
 from repro.analysis import report as reportlib
 from repro.analysis.__main__ import main
-from repro.analysis.engine import relativize
 
 REL = "bft/fixture.py"
 
@@ -117,15 +117,21 @@ def _report(findings=()):
                            ["src/repro"])
 
 
+REPORT_KEYS = {"kind", "schema_version", "python", "roots", "rules",
+               "findings", "counts", "ok"}
+
+
 def test_report_builds_and_validates():
     finding = _one_finding()
     doc = _report([finding])
+    assert set(doc) == REPORT_KEYS
+    assert doc["kind"] == "protolint_report"
     assert doc["ok"] is False
     assert doc["counts"] == {"errors": 1, "warnings": 0}
+    assert doc["findings"] == [finding.to_dict()]
     assert doc["findings"][0]["rule"] == "DET-RNG"
     # Round-trips through JSON.
-    reportlib.validate(json.loads(json.dumps(doc)))
-    assert reportlib.finding_from_dict(doc["findings"][0]) == finding
+    assert json.loads(json.dumps(doc)) == doc
 
 
 def test_report_ok_when_clean():
@@ -133,30 +139,11 @@ def test_report_ok_when_clean():
     assert doc["ok"] is True and doc["findings"] == []
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda d: d.pop("rules"),
-    lambda d: d.__setitem__("kind", "other"),
-    lambda d: d.__setitem__("ok", "yes"),
-    lambda d: d["counts"].__setitem__("errors", -1),
-    lambda d: d["counts"].pop("warnings"),
-    lambda d: d.__setitem__("findings", [{"rule": "X"}]),
-    lambda d: d.__setitem__("rules", ["Z", "A"]),
-    lambda d: d.__setitem__("ok", False),
-])
-def test_report_schema_rejects_drift(mutate):
-    doc = _report()
-    mutate(doc)
-    with pytest.raises(ValueError):
-        reportlib.validate(doc)
-
-
-def test_report_rejects_unsorted_findings():
+def test_report_sorts_its_findings():
     doc = _report([Finding("b.py", 1, 0, "DET-RNG", "m"),
                    Finding("a.py", 1, 0, "DET-RNG", "m")])
-    # build() sorts, so force disorder after the fact.
-    doc["findings"].reverse()
-    with pytest.raises(ValueError):
-        reportlib.validate(doc)
+    assert [f["path"] for f in doc["findings"]] == ["a.py", "b.py"]
+    assert doc["rules"] == sorted(doc["rules"])
 
 
 # -- deterministic ordering ----------------------------------------------------
@@ -231,9 +218,9 @@ def test_cli_json_output_validates(tmp_path, capsys):
     assert main([str(root), "--format", "json",
                  "--out", str(out_file)]) == 1
     stdout_doc = json.loads(capsys.readouterr().out)
-    reportlib.validate(stdout_doc)
+    assert set(stdout_doc) == REPORT_KEYS
     file_doc = json.loads(out_file.read_text())
-    reportlib.validate(file_doc)
+    assert set(file_doc) == REPORT_KEYS
     assert file_doc["findings"] == stdout_doc["findings"]
 
 

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Engine, all_rules, select_rules
+from repro.analysis.engine import Engine
+from repro.analysis.rules import all_rules, select_rules
 
 from tests.test_analysis_deep import CASES as DEEP_CASES
 

@@ -3,12 +3,12 @@ recovery through the full upcall interface."""
 
 import pytest
 
-from repro.base import TimestampAgreement, build_base_cluster
-from repro.base.nondet import ClockValue
+from repro.base.nondet import ClockValue, TimestampAgreement
+from repro.base.library import build_base_cluster
 from repro.base.upcalls import Upcalls
 from repro.bft.config import BftConfig
 from repro.encoding.canonical import canonical, decanonical
-from repro.sim import Scheduler
+from repro.sim.scheduler import Scheduler
 
 
 class RegisterWrapperA(Upcalls):

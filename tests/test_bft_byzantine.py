@@ -16,7 +16,8 @@ from repro.bft.messages import (
     Request,
 )
 from repro.bft.statemachine import InMemoryStateManager
-from repro.crypto import Authenticator, sign
+from repro.crypto.mac import Authenticator
+from repro.crypto.signatures import sign
 from tests.conftest import make_kv_cluster
 
 put = InMemoryStateManager.op_put

@@ -2,17 +2,10 @@
 
 from hypothesis import given, strategies as st
 
-from repro.crypto import (
-    Authenticator,
-    DIGEST_SIZE,
-    KeyRegistry,
-    compute_mac,
-    digest,
-    digest_many,
-    sign,
-    verify_mac,
-    verify_signature,
-)
+from repro.crypto.mac import Authenticator, compute_mac, verify_mac
+from repro.crypto.digest import DIGEST_SIZE, digest, digest_many
+from repro.crypto.keys import KeyRegistry
+from repro.crypto.signatures import sign, verify_signature
 
 
 def test_digest_size_and_determinism():

@@ -6,7 +6,7 @@ Byzantine schedule in this suite is reproducible.
 
 from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
-from repro.nfs.backends import ALL_BACKENDS
+from repro.nfs.backends.vendors import ALL_BACKENDS
 from repro.nfs.client import NfsClient
 from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig

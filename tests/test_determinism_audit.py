@@ -10,7 +10,8 @@ other per-rule fixtures in ``tests/test_analysis_rules.py``.
 
 from pathlib import Path
 
-from repro.analysis import Engine, select_rules
+from repro.analysis.engine import Engine
+from repro.analysis.rules import select_rules
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
-from repro.nfs.backends import ALL_BACKENDS, LinuxExt2Backend
+from repro.nfs.backends.vendors import ALL_BACKENDS, LinuxExt2Backend
 from repro.nfs.client import NfsClient
 from repro.nfs.protocol import NfsError
 from repro.nfs.service import NFS_SERVICE

@@ -10,23 +10,12 @@ import pytest
 from repro.bft.config import BftConfig
 from repro.bft.statemachine import InMemoryStateManager
 from repro.crypto.digest import digest
-from repro.edge import (
-    BOUNDED_STALE,
-    CLOSED,
-    EVIDENCE_CERTIFICATE,
-    EVIDENCE_VECTOR,
-    HALF_OPEN,
-    LAST_KNOWN_GOOD,
-    LINEARIZABLE,
-    OPEN,
-    CircuitBreaker,
-    EdgeCache,
-    EdgeReply,
-    EdgeTier,
-    EdgeUnavailable,
-    ReadLease,
-    StalenessEvidence,
-)
+from repro.edge.evidence import (BOUNDED_STALE, EVIDENCE_CERTIFICATE,
+                                 EVIDENCE_VECTOR, LAST_KNOWN_GOOD,
+                                 LINEARIZABLE, EdgeReply, StalenessEvidence)
+from repro.edge.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.edge.cache import EdgeCache, ReadLease
+from repro.edge.tier import EdgeTier, EdgeUnavailable
 from repro.harness.costs import PROTOCOL_COSTS, lan_network
 from repro.workloads.microbench import build_kv_cluster
 from tests.conftest import make_kv_cluster

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.encoding import XdrDecoder, XdrEncoder
+from repro.encoding.xdr import XdrDecoder, XdrEncoder
 from repro.errors import EncodingError
 
 

@@ -22,9 +22,7 @@ from repro.base.nondet import ClockValue
 from repro.bft.config import BftConfig
 from repro.encoding.canonical import canonical, decanonical
 from repro.service.deploy import ReplicatedDeployment
-from repro.service.registry import get_service, load_all
-
-load_all()
+from repro.service.registry import get_service
 
 SERVICES = ("nfs", "sql", "http", "thor")
 

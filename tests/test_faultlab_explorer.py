@@ -74,14 +74,21 @@ def test_shrink_refuses_a_passing_plan():
         shrink("byzantine_backup", 0, FaultPlan())
 
 
-def test_trial_report_validates_and_rejects_corruption():
+TRIAL_KEYS = {"scenario", "seed", "plan", "plan_text", "ok", "violations",
+              "issued", "accepted", "sim_seconds", "wall_seconds",
+              "faults_injected", "faults_cleared", "rollbacks", "edge_modes"}
+SWEEP_KEYS = {"kind", "schema_version", "mode", "python", "ok", "scenarios",
+              "seeds", "trials", "issued", "accepted", "wall_seconds",
+              "per_scenario", "failures"}
+
+
+def test_trial_report_is_the_trial_dict_under_kind_and_version():
     result = run_trial("byzantine_backup", 1)
     report = reportlib.trial_report(result)
-    reportlib.validate_trial_report(report)
-
-    report["ok"] = not report["ok"]
-    with pytest.raises(ValueError):
-        reportlib.validate_trial_report(report)
+    assert set(report) == TRIAL_KEYS | {"kind", "schema_version", "python"}
+    assert report["kind"] == "faultlab_trial"
+    assert report["schema_version"] == reportlib.SCHEMA_VERSION
+    assert report["ok"] is result.ok is (not report["violations"])
 
 
 def test_small_sweep_counts_and_report():
@@ -90,12 +97,11 @@ def test_small_sweep_counts_and_report():
     assert result.trials == 2
     assert result.issued > 0 and result.accepted > 0
     report = reportlib.sweep_report(result, "custom")
-    reportlib.validate_sweep_report(report)
-    assert report["per_scenario"]["byzantine_backup"]["trials"] == 2
-
-    report["mode"] = "leisurely"
-    with pytest.raises(ValueError):
-        reportlib.validate_sweep_report(report)
+    assert set(report) == SWEEP_KEYS
+    assert report["per_scenario"]["byzantine_backup"] == {
+        "trials": 2, "failures": 0, "issued": result.issued,
+        "accepted": result.accepted,
+        "faults_injected": sum(r.faults_injected for r in result.results)}
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,6 +1,8 @@
 """Invariant checkers against synthetic execution logs, plus the
 end-to-end regression: a beyond-f colluding pair must be caught."""
 
+import pytest
+
 from repro.bft.config import BftConfig
 from repro.faultlab.explorer import run_trial
 from repro.faultlab.invariants import (
@@ -228,3 +230,75 @@ def test_staleness_contract_requires_evidence_and_repromotion():
     assert len(violations) == 2
     assert "no staleness evidence" in violations[0].detail
     assert "expected re-promotion" in violations[1].detail
+
+
+@pytest.mark.parametrize("reply, detail", [
+    (_edge_reply("eventual", None, 1.0, _cert_evidence(1.0)),
+     "served under unknown mode 'eventual'"),
+    (_edge_reply("linearizable", 0.5, 1.0, _cert_evidence(1.0)),
+     "linearizable reply advertises a staleness bound"),
+    (_edge_reply("bounded_stale", None, 1.2, _vector_evidence(1.0)),
+     "bounded-stale reply advertises no bound"),
+    (_edge_reply("last_known_good", 0.5, 9.0, _vector_evidence(1.0)),
+     "last-known-good reply advertises a bound"),
+], ids=["unknown-mode", "linearizable-with-bound", "bounded-without-bound",
+        "last-known-good-with-bound"])
+def test_staleness_contract_rejects_each_malformed_claim(reply, detail):
+    from repro.faultlab.invariants import check_staleness_contract
+    violations = check_staleness_contract([reply], _HISTORIES)
+    assert [v.invariant for v in violations] == ["staleness_contract"]
+    assert detail in violations[0].detail
+
+
+# -- convergence: positive controls on a settled kv group --------------------------
+
+
+def _settled_kv_group():
+    from repro.bft.statemachine import InMemoryStateManager
+    from tests.conftest import make_kv_cluster
+    cluster = make_kv_cluster()
+    client = cluster.add_client("client0")
+    for i in range(6):
+        client.call(InMemoryStateManager.op_put(i, b"v%d" % i))
+    cluster.run(1.0)
+    return cluster, [r.node_id for r in cluster.replicas]
+
+
+def test_convergence_holds_on_a_settled_group():
+    from repro.faultlab.invariants import check_convergence
+    cluster, correct = _settled_kv_group()
+    assert check_convergence(cluster, correct, expect_liveness=True) == []
+
+
+def test_convergence_catches_a_diverged_replica_state():
+    from repro.bft.statemachine import InMemoryStateManager
+    from repro.faultlab.invariants import check_convergence
+    cluster, correct = _settled_kv_group()
+    victim = cluster.replicas[2]
+    victim.state.execute(InMemoryStateManager.op_put(0, b"corrupt"),
+                         "nobody", 0, victim.last_executed, b"")
+    violations = check_convergence(cluster, correct, expect_liveness=True)
+    assert [v.invariant for v in violations] == ["convergence"]
+    assert "abstract state roots diverged" in violations[0].detail
+    assert "replica2=" in violations[0].detail
+
+
+def test_convergence_catches_a_replica_left_mid_recovery():
+    from repro.faultlab.invariants import check_convergence
+    cluster, correct = _settled_kv_group()
+    cluster.replicas[1].recovery.recovering = True
+    violations = check_convergence(cluster, correct, expect_liveness=True)
+    assert [v.detail for v in violations] == [
+        "replica1 still mid-recovery after the settle phase"]
+
+
+def test_convergence_catches_too_few_replicas_at_the_frontier():
+    from repro.faultlab.invariants import check_convergence
+    cluster, correct = _settled_kv_group()
+    frontier = cluster.replicas[0].last_executed
+    for replica in cluster.replicas[1:]:
+        replica.last_executed = frontier - 1
+    violations = check_convergence(cluster, correct, expect_liveness=True)
+    assert [v.detail for v in violations] == [
+        f"only 1 correct replicas reached the execution frontier (seq "
+        f"{frontier}); need at least {cluster.config.weak_quorum}"]

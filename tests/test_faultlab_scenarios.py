@@ -6,17 +6,14 @@ import random
 import pytest
 
 from repro.faultlab.__main__ import main
-from repro.faultlab.explorer import TrialContext, run_trial
+from repro.faultlab.explorer import TrialContext, run_trial, shrink
 from repro.faultlab.plan import FaultPlan, ReplicaFault
-from repro.faultlab.report import (
-    validate_sweep_report,
-    validate_trial_report,
-)
 from repro.faultlab.scenarios import (
     SCENARIOS,
     get_scenario,
     scenario_names,
 )
+from tests.test_faultlab_explorer import SWEEP_KEYS, TRIAL_KEYS
 
 SWEPT = scenario_names(in_sweep_only=True)
 
@@ -117,7 +114,7 @@ def test_cli_run_writes_a_validating_report(tmp_path):
     assert main(["run", "--scenario", "lossy_bursts", "--seed", "1",
                  "--json", str(out)]) == 0
     report = json.loads(out.read_text())
-    validate_trial_report(report)
+    assert set(report) == TRIAL_KEYS | {"kind", "schema_version", "python"}
     assert report["scenario"] == "lossy_bursts"
 
 
@@ -127,7 +124,7 @@ def test_cli_sweep_writes_a_validating_report(tmp_path):
                  "--scenario", "byzantine_backup",
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    validate_sweep_report(report)
+    assert set(report) == SWEEP_KEYS
     assert report["mode"] == "custom"   # one scenario is not the sweep
     assert report["trials"] == 3  # --quick pins 3 seeds per scenario
 
@@ -169,3 +166,30 @@ def test_cli_replay_with_a_failing_plan_exits_nonzero(tmp_path, capsys):
                  "--seed", "0", "--plan", str(plan_file)])
     assert code == 1
     assert "violation" in capsys.readouterr().out
+
+
+def test_a_failing_sweep_prints_a_replay_that_runs(tmp_path, monkeypatch,
+                                                   capsys):
+    """The sweep writes each shrunk plan beside its report, and the
+    replay line it prints and reports reruns that plan to the same
+    violations."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--scenario", "beyond_f_wrong_reply",
+                 "--seeds", "1", "--quiet", "--out", "sweep.json"]) == 1
+    printed = [line.split("replay: ", 1)[1]
+               for line in capsys.readouterr().out.splitlines()
+               if line.lstrip().startswith("replay: ")]
+    failure, = json.loads((tmp_path / "sweep.json").read_text())["failures"]
+    assert printed == [failure["shrunk"]["replay"]]
+    argv = printed[0].split("python -m repro.faultlab ", 1)[1].split()
+    assert argv[-2] == "--plan" and (tmp_path / argv[-1]).exists()
+
+    assert main(argv + ["--json", "replay.json"]) == 1
+    replayed = json.loads((tmp_path / "replay.json").read_text())
+    assert replayed["violations"] == failure["shrunk"]["violations"]
+    plan = FaultPlan.from_json((tmp_path / argv[-1]).read_text())
+    assert plan.to_dict() == failure["shrunk"]["plan"]
+    shrunk = shrink("beyond_f_wrong_reply", 0,
+                    run_trial("beyond_f_wrong_reply", 0).plan)
+    assert run_trial("beyond_f_wrong_reply", 0, plan=plan).violation_keys() \
+        == sorted(v.key for v in shrunk.violations)

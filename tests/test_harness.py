@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from benchmarks.paper import BLOCK, Record, Row, splice
-from repro.analysis import all_rules
+from repro.analysis.rules import all_rules
 from repro.analysis.config import PERF_COUNTER_ALLOWED
 from repro.bft import messages
 from repro.bft.messages import Message
@@ -179,10 +179,10 @@ def test_complexity_report_covers_all_components():
 #: outgrows its ceiling needs the literal raised here, where a reviewer
 #: sees it; one that shrinks by a hundred lines gets it lowered.
 LINE_CEILINGS = {
-    "bft": 3600, "analysis": 3200, "benchmarks/ledger": 2900, "nfs": 2700,
-    "faultlab": 2500, "service": 1800, "thor": 1400, "workloads": 1200,
-    "sim": 1100, "base": 800, "sql": 800, "edge": 700, "harness": 700,
-    "http": 700, "encoding": 400, "crypto": 400,
+    "bft": 3600, "analysis": 3100, "benchmarks/ledger": 2900, "nfs": 2700,
+    "faultlab": 2400, "service": 1700, "thor": 1300, "workloads": 1200,
+    "sim": 1100, "base": 800, "sql": 700, "edge": 700, "harness": 700,
+    "http": 600, "encoding": 400, "crypto": 300,
 }
 
 
@@ -196,7 +196,7 @@ def test_every_package_fits_its_line_ceiling():
 #: Settable values under ``src/repro`` (see ``settable_values``), exactly:
 #: a new knob raises it here, where a reviewer sees it, and a change that
 #: removes knobs must lower it.
-SETTABLE_CEILING = 390
+SETTABLE_CEILING = 389
 
 
 def test_settable_values_fit_their_ceiling():
@@ -349,7 +349,7 @@ def test_no_container_grows_per_operation_but_the_event_ring():
     from repro.bft.config import BftConfig
     from repro.bft.replica import Replica
     from repro.bft.statemachine import InMemoryStateManager
-    from repro.edge import EdgeTier
+    from repro.edge.tier import EdgeTier
     from repro.service.sharding import ShardedDeployment, stable_shard
     from repro.sql.service import SQL_SERVICE
     from tests.conftest import make_kv_cluster
@@ -679,7 +679,9 @@ def test_deleted_catalogues_and_tables_stay_deleted():
                       r"|fell_back|xdr_size_of_opaque|pack_fixed_opaque"
                       r"|unpack_bool|pack_hyper|set_link|duplicate_rate"
                       r"|messages_duplicated|keep_events"
-                      r"|max_samples_per_histogram)\b")
+                      r"|max_samples_per_histogram|ServiceRegistry|load_all"
+                      r"|validate_trial_report|validate_sweep_report"
+                      r"|finding_from_dict)\b")
     root = Path(__file__).resolve().parents[1]
     here = Path(__file__).resolve()
     assert [f"{path.relative_to(root)}:{match.group(1)}"
@@ -687,6 +689,30 @@ def test_deleted_catalogues_and_tables_stay_deleted():
             for path in sorted((root / top).rglob("*.py")) if path != here
             for match in gone.finditer(path.read_text(encoding="utf-8"))
             ] == []
+
+
+def test_a_package_init_re_exports_nothing():
+    """A name is imported from the module that defines it: an
+    ``__init__.py`` under ``src/repro`` imports only from ``__future__``
+    and assigns no ``__all__``.  ``analysis/rules`` defines the rule
+    catalogue; ``nfs/backends`` gives the perf ledger its three names."""
+    root = Path(__file__).resolve().parents[1] / "src/repro"
+    found = {}
+    for path in sorted(root.rglob("__init__.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = sorted(
+            alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom)
+            and node.module != "__future__" for alias in node.names)
+        if any(isinstance(node, ast.Assign) and "__all__" in
+               [getattr(target, "id", None) for target in node.targets]
+               for node in tree.body):
+            names.append("__all__")
+        package = path.parent.relative_to(root).as_posix()
+        if names and package != "analysis/rules":
+            found[package] = names
+    assert found == {"nfs/backends": ["ALL_BACKENDS", "LinuxExt2Backend",
+                                      "MemoryFilesystem"]}
 
 
 def test_nothing_under_sim_reads_wall_time():

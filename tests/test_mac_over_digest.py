@@ -13,8 +13,8 @@ import hmac as hmac_stdlib
 from hypothesis import given, strategies as st
 
 from repro.bft.messages import PrePrepare, Request
-from repro.crypto import Authenticator, KeyRegistry, compute_mac, verify_mac
-from repro.crypto.mac import MAC_SIZE
+from repro.crypto.mac import MAC_SIZE, Authenticator, compute_mac, verify_mac
+from repro.crypto.keys import KeyRegistry
 
 RECEIVERS = ["r0", "r1", "r2"]
 

@@ -2,15 +2,10 @@
 
 import pytest
 
-from repro.nfs.backends import (
-    ALL_BACKENDS,
-    CorruptingBackend,
-    FreeBsdUfsBackend,
-    LeakyBackend,
-    LinuxExt2Backend,
-    OpenBsdFfsBackend,
-    SolarisUfsBackend,
-)
+from repro.nfs.backends.vendors import (ALL_BACKENDS, FreeBsdUfsBackend,
+                                        LinuxExt2Backend, OpenBsdFfsBackend,
+                                        SolarisUfsBackend)
+from repro.nfs.backends.faulty import CorruptingBackend, LeakyBackend
 from repro.nfs.protocol import FileType, NfsError, NfsStatus, Sattr
 
 

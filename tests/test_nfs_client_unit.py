@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.nfs.backends import LinuxExt2Backend
+from repro.nfs.backends.vendors import LinuxExt2Backend
 from repro.nfs.client import NfsClient, TRANSFER_SIZE
 from repro.nfs.protocol import NfsError, NfsStatus
 from repro.nfs.service import NFS_SERVICE

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import StateTransferError
-from repro.nfs.backends import LinuxExt2Backend, SolarisUfsBackend
+from repro.nfs.backends.vendors import LinuxExt2Backend, SolarisUfsBackend
 from repro.nfs.spec import ROOT_OID
 from tests.test_nfs_wrapper import (
     SATTR_DIR,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
-from repro.nfs.backends import ALL_BACKENDS, LinuxExt2Backend
+from repro.nfs.backends.vendors import ALL_BACKENDS, LinuxExt2Backend
 from repro.nfs.client import NfsClient
 from repro.nfs.protocol import NfsError, NfsProc, NfsStatus
 from repro.nfs.service import NFS_SERVICE

@@ -5,7 +5,8 @@ import pytest
 from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
 from repro.bft.faults import WrongReplyBehavior
-from repro.nfs.backends import ALL_BACKENDS, CorruptingBackend, LinuxExt2Backend
+from repro.nfs.backends.vendors import ALL_BACKENDS, LinuxExt2Backend
+from repro.nfs.backends.faulty import CorruptingBackend
 from repro.nfs.client import NfsClient
 from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig

@@ -3,7 +3,8 @@ handle reconstruction from the <fsid,fileid>→oid map."""
 
 import pytest
 
-from repro.nfs.backends import FreeBsdUfsBackend, LinuxExt2Backend, LeakyBackend
+from repro.nfs.backends.vendors import FreeBsdUfsBackend, LinuxExt2Backend
+from repro.nfs.backends.faulty import LeakyBackend
 from repro.nfs.spec import ROOT_OID, AbstractSpecConfig
 from repro.nfs.wrapper import NfsConformanceWrapper
 from repro.errors import StateTransferError

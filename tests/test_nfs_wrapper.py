@@ -9,7 +9,8 @@ import pytest
 
 from repro.base.state import AbstractStateManager
 from repro.encoding.canonical import canonical, decanonical
-from repro.nfs.backends import ALL_BACKENDS, FreeBsdUfsBackend, LinuxExt2Backend
+from repro.nfs.backends.vendors import (ALL_BACKENDS, FreeBsdUfsBackend,
+                                        LinuxExt2Backend)
 from repro.nfs.conformance import FREE
 from repro.nfs.protocol import FileType, NfsStatus
 from repro.nfs.spec import (

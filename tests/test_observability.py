@@ -23,13 +23,14 @@ from repro.harness.report import (
     phase_breakdown_table,
     run_selftest,
 )
-from repro.nfs.backends import ALL_BACKENDS
+from repro.nfs.backends.vendors import ALL_BACKENDS
 from repro.nfs.conformance import ConformanceRep
 from repro.nfs.service import NFS_SERVICE
 from repro.service.deploy import ReplicatedDeployment
 from repro.service.registry import get_service
-from repro.sim import Histogram, Metrics, Tracer
-from repro.sim.tracing import CATALOGUE, EVENT_FIELDS, parse_catalogue
+from repro.sim.metrics import Histogram, Metrics
+from repro.sim.tracing import (CATALOGUE, EVENT_FIELDS, Tracer,
+                               parse_catalogue)
 from tests.conftest import make_kv_cluster, ring_tracer
 
 put = InMemoryStateManager.op_put
@@ -555,7 +556,7 @@ EDGE_REPLY_FIELDS = {"shard", "mode", "bound", "result", "evidence"}
 def test_edge_reply_events_carry_their_documented_fields():
     """An edge tier in front of a kv group leaves one ``edge_reply`` per
     served read in the ring the lifecycle kinds go to."""
-    from repro.edge import EdgeTier
+    from repro.edge.tier import EdgeTier
     cluster, client, writes, read = _kv_group()
     for op in writes:
         client.call(op)

@@ -25,12 +25,11 @@ from repro.service.conformance import (
 )
 from repro.service.deploy import (REQUIRED, ReplicatedDeployment,
                                   UnreplicatedDeployment)
-from repro.service.registry import get_service, load_all, service_names
+from repro.service.registry import get_service, service_names
 from repro.service.sharding import ShardedDeployment
 
 
 def test_every_registered_service_has_a_probe():
-    load_all()
     assert set(probe_names()) == set(service_names())
 
 

@@ -1,55 +1,20 @@
-"""ServiceRegistry idempotency.
-
-Regression coverage for two historical failure modes:
-
-- re-registering a service (repeated imports, reloaded modules) used to
-  raise instead of being a no-op for equal definitions;
-- ``load_all`` on a *fresh* registry relied on module import side
-  effects, which are no-ops for already-cached modules — the new
-  registry silently stayed empty.
-"""
-
-import dataclasses
+"""The service lookup reads one tuple of the four definitions."""
 
 import pytest
 
-from repro.service.deploy import ServiceDefinition
-from repro.service.registry import REGISTRY, ServiceRegistry, load_all
+from repro.http.service import HTTP_SERVICE
+from repro.nfs.service import NFS_SERVICE
+from repro.service.registry import get_service, service_names
 from repro.sql.service import SQL_SERVICE
+from repro.thor.service import THOR_SERVICE
 
 
-def test_reregistering_same_definition_is_a_noop():
-    registry = ServiceRegistry()
-    assert registry.register(SQL_SERVICE) is SQL_SERVICE
-    assert registry.register(SQL_SERVICE) is SQL_SERVICE
-    assert registry.names() == ["sql"]
+def test_get_service_returns_each_bound_definition_by_name():
+    assert service_names() == ["http", "nfs", "sql", "thor"]
+    assert [get_service(name) for name in service_names()] == \
+        [HTTP_SERVICE, NFS_SERVICE, SQL_SERVICE, THOR_SERVICE]
 
 
-def test_reregistering_equal_valued_rebuild_is_a_noop():
-    # The repeated-import case: a module re-executed in a fresh namespace
-    # builds a new but value-equal definition object.
-    registry = ServiceRegistry()
-    registry.register(SQL_SERVICE)
-    rebuilt = dataclasses.replace(SQL_SERVICE)
-    assert registry.register(rebuilt) is SQL_SERVICE
-
-
-def test_conflicting_definition_still_raises():
-    registry = ServiceRegistry()
-    registry.register(SQL_SERVICE)
-    conflicting = dataclasses.replace(SQL_SERVICE, branching=99)
-    with pytest.raises(ValueError, match="different definition"):
-        registry.register(conflicting)
-
-
-def test_load_all_populates_a_fresh_registry_despite_cached_imports():
-    # Importing SQL_SERVICE above guarantees the service modules are in
-    # sys.modules, so a pure import-side-effect load would see nothing.
-    fresh = load_all(ServiceRegistry())
-    assert set(fresh.names()) == {"http", "nfs", "sql", "thor"}
-
-
-def test_load_all_on_default_registry_is_idempotent():
-    before = load_all().names()
-    assert load_all() is REGISTRY
-    assert load_all().names() == before
+def test_unknown_service_names_the_known_ones():
+    with pytest.raises(KeyError, match="known: .*'thor'"):
+        get_service("ftp")

@@ -4,7 +4,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.sim import LinkConfig, Network, NetworkConfig, Node, Scheduler
+from repro.sim.network import LinkConfig, Network, NetworkConfig
+from repro.sim.node import Node
+from repro.sim.scheduler import Scheduler
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Scheduler
+from repro.sim.scheduler import Scheduler
 
 
 @pytest.fixture(params=["heap"])

@@ -19,7 +19,8 @@ from repro.base.library import build_base_cluster
 from repro.base.upcalls import Upcalls
 from repro.bft.config import BftConfig
 from repro.encoding.canonical import canonical, decanonical
-from repro.nfs.backends import ALL_BACKENDS, FreeBsdUfsBackend, LinuxExt2Backend
+from repro.nfs.backends.vendors import (ALL_BACKENDS, FreeBsdUfsBackend,
+                                        LinuxExt2Backend)
 from repro.nfs.protocol import NfsError, Sattr
 
 
@@ -108,7 +109,7 @@ def test_nondeterminism_without_abstraction_starves_clients():
 def test_readdir_order_divergence_without_abstraction():
     """Deterministic ops with order-divergent replies also fail: the
     insertion-order and sorted-order backends cannot agree on READDIR."""
-    from repro.nfs.backends import OpenBsdFfsBackend, SolarisUfsBackend
+    from repro.nfs.backends.vendors import OpenBsdFfsBackend, SolarisUfsBackend
     cluster = naive_cluster([LinuxExt2Backend, SolarisUfsBackend,
                              OpenBsdFfsBackend, LinuxExt2Backend])
     client = cluster.add_client("naive").client

@@ -4,7 +4,7 @@ import pytest
 
 from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
-from repro.nfs.backends import LinuxExt2Backend
+from repro.nfs.backends.vendors import LinuxExt2Backend
 from repro.nfs.client import NfsClient
 from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig
