@@ -85,6 +85,12 @@ def cmd_sweep(args) -> int:
         [], scenario_names(in_sweep_only=True))
     mode = {3: "quick", 8: "full"}.get(n_seeds, "custom") if whole \
         else "custom"
+    # Each shrunk plan goes beside the report (or into the working
+    # directory), where its replay command finds it.  The directory is
+    # made before the first trial, so no sweep runs only to fail to write.
+    plan_dir = os.path.dirname(args.out or "")
+    if plan_dir:
+        os.makedirs(plan_dir, exist_ok=True)
     result = sweep(scenarios=args.scenario or None, n_seeds=n_seeds,
                    base_seed=args.base_seed,
                    progress=None if args.quiet else print)
@@ -93,9 +99,6 @@ def cmd_sweep(args) -> int:
           f"{result.accepted}/{result.issued} ops accepted, "
           f"{len(result.failures)} failing trial(s) "
           f"({result.wall_seconds:.1f}s wall)")
-    # Each shrunk plan goes beside the report (or into the working
-    # directory), where its replay command finds it.
-    plan_dir = os.path.dirname(args.out or "")
     for failure in result.failures:
         shrunk = failure.shrunk
         shrunk.plan_file = os.path.join(

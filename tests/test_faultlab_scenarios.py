@@ -6,7 +6,12 @@ import random
 import pytest
 
 from repro.faultlab.__main__ import main
-from repro.faultlab.explorer import TrialContext, run_trial, shrink
+from repro.faultlab.explorer import (
+    SweepResult,
+    TrialContext,
+    run_trial,
+    shrink,
+)
 from repro.faultlab.plan import FaultPlan, ReplicaFault
 from repro.faultlab.scenarios import (
     SCENARIOS,
@@ -129,6 +134,12 @@ def test_cli_sweep_writes_a_validating_report(tmp_path):
     assert report["trials"] == 3  # --quick pins 3 seeds per scenario
 
 
+def _no_trials(scenarios=None, n_seeds=4, base_seed=0, progress=None):
+    """``sweep`` with no trial run, so a CLI test checks only the CLI."""
+    return SweepResult(scenarios=list(scenarios or SWEPT),
+                       seeds=[base_seed + k for k in range(n_seeds)])
+
+
 @pytest.mark.parametrize("argv, mode", [
     (["--quick"], "quick"),
     (["--seeds", "3"], "quick"),
@@ -143,18 +154,30 @@ def test_cli_sweep_writes_a_validating_report(tmp_path):
 def test_cli_sweep_labels_only_the_whole_registry_quick_or_full(
         monkeypatch, argv, mode):
     import repro.faultlab.__main__ as cli
-    from repro.faultlab.explorer import SweepResult
-
-    def no_trials(scenarios=None, n_seeds=4, base_seed=0, progress=None):
-        return SweepResult(scenarios=list(scenarios or SWEPT),
-                           seeds=[base_seed + k for k in range(n_seeds)])
 
     labels = []
-    monkeypatch.setattr(cli, "sweep", no_trials)
+    monkeypatch.setattr(cli, "sweep", _no_trials)
     monkeypatch.setattr(cli.reportlib, "sweep_report",
                         lambda result, label: labels.append(label) or {})
     assert main(["sweep", "--quiet", *argv]) == 0
     assert labels == [mode]
+
+
+def test_cli_sweep_makes_the_report_directory_before_any_trial(
+        tmp_path, monkeypatch):
+    import repro.faultlab.__main__ as cli
+
+    out = tmp_path / "missing" / "report.json"
+    seen = []
+
+    def sweep(**kwargs):
+        seen.append(out.parent.is_dir())
+        return _no_trials(**kwargs)
+
+    monkeypatch.setattr(cli, "sweep", sweep)
+    assert main(["sweep", "--quiet", "--quick", "--out", str(out)]) == 0
+    assert seen == [True]
+    assert json.loads(out.read_text())["mode"] == "quick"
 
 
 def test_cli_replay_with_a_failing_plan_exits_nonzero(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Harness utilities: report rendering, complexity counting, micro-benches."""
 
 import ast
+import json
 import math
 import re
 from pathlib import Path
@@ -218,7 +219,7 @@ class Plain:
 
 
 #: A path a reader could try to open: anything under the five source
-#: directories, or an ALL-CAPS root artifact (``BENCH_6.json``).
+#: directories, or an ALL-CAPS root artifact (``BENCHMARK.json``).
 _DOC_PATH = re.compile(
     r"(?<![\w./-])((?:src|tests|benchmarks|docs|examples)/[\w./-]*"
     r"\.(?:py|md|json|yml)|[A-Z][A-Z0-9_]*\.(?:json|md))\b")
@@ -248,14 +249,14 @@ _DOC_SYMBOLS_NOT_IN_CODE = {
     "arry_size": "the misspelt build option docs/SERVICES.md shows refused",
     "http_status": "a placeholder in the shape of an HTTP reply tuple",
     "sub_op_bytes": "a placeholder in the shape of a 2PC meta-op tuple",
-    "_charge": "the deleted forwarder a docs/PERFORMANCE.md run log names",
 }
 
 
 def test_no_doc_names_a_symbol_the_code_does_not_have():
     """A symbol a doc backticks occurs as a whole word under src, tests,
-    benchmarks, examples or .github, or in a root JSON artifact, or is
-    the stem of a file (``BENCH_4``): a doc cannot point a reader at a
+    benchmarks, examples or .github, or in a JSON artifact at the root
+    or beside the run logs (``docs/perf-log/BENCH_4.json``), or is the
+    stem of a file (``BENCH_4``): a doc cannot point a reader at a
     check or a name that was never written or has since been deleted."""
     root = Path(__file__).resolve().parents[1]
     here = Path(__file__).resolve()
@@ -265,6 +266,7 @@ def test_no_doc_names_a_symbol_the_code_does_not_have():
               if path.suffix in (".py", ".md", ".json", ".yml")
               and path != here]
     corpus += sorted(root.glob("*.json"))
+    corpus += sorted((root / "docs/perf-log").glob("*.json"))
     words = {word for path in corpus
              for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))}
     words |= {path.stem for top in root.iterdir() if top.name != ".git"
@@ -286,6 +288,26 @@ def test_no_doc_names_a_symbol_the_code_does_not_have():
     assert sorted((doc, token) for doc, token in missing
                   if token not in _DOC_SYMBOLS_NOT_IN_CODE) == []
     assert {token for _, token in missing} == set(_DOC_SYMBOLS_NOT_IN_CODE)
+
+
+def test_the_records_fit_in_one_reading():
+    """docs/PERFORMANCE.md is the contract, with the one ``sim-digests``
+    block in the shape CI's ledger-smoke step parses; a CHANGES.md entry
+    is one short paragraph, and a FOUND line starts its own line."""
+    root = Path(__file__).resolve().parents[1]
+    perf = (root / "docs/PERFORMANCE.md").read_text(encoding="utf-8")
+    assert len(perf.splitlines()) <= 250
+    block, = re.findall(r"```sim-digests\n(.*?)```", perf, re.S)
+    recorded = dict(line.split() for line in block.splitlines())
+    declared = json.loads((root / "BENCHMARK.json").read_text())
+    assert sorted(recorded) == sorted(w["name"]
+                                      for w in declared["workloads"])
+    assert all(re.fullmatch("[0-9a-f]{64}", digest)
+               for digest in recorded.values())
+    changes = (root / "CHANGES.md").read_text(encoding="utf-8").splitlines()
+    assert [line[:60] for line in changes if len(line) > 2000] == []
+    assert [line[:60] for line in changes
+            if "FOUND:" in line and not line.startswith("FOUND:")] == []
 
 
 def test_faultlab_patches_no_private_attribute_of_a_product_object():
