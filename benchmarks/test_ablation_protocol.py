@@ -75,7 +75,6 @@ def test_ablation_incremental_checkpoints(benchmark):
         wrapper = ToyWrapper(size=4096)
         manager = AbstractStateManager(wrapper, branching=64)
         touched = []
-        manager.charge_hook = lambda s: None
         calls = {"count": 0}
         original = wrapper.get_obj
 

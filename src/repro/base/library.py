@@ -10,7 +10,7 @@ file-system implementation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.base.state import AbstractStateManager
@@ -63,13 +63,6 @@ def build_base_cluster(wrapper_factories: Sequence[Callable[[], Upcalls]],
     # itself.  The recovery check pass accounts its CPU to the recovery
     # manager (it overlaps fetch round-trips), not to the protocol.
     for replica, manager in zip(cluster.replicas, managers):
-        manager.charge_hook = manager.upcalls.library.charge = replica.charge
-
-        def background(seconds: float, replica=replica) -> None:
-            if replica.recovery.recovering:
-                replica.recovery.background_cpu += seconds
-            else:
-                replica.charge(seconds)
-
-        manager.background_hook = background
+        manager.charge = replica.charge
+        manager.background_hook = replica.recovery.charge_check
     return cluster

@@ -21,7 +21,7 @@ from repro.bft.messages import Request
 from repro.bft.parttree import PartitionTree, TreeSnapshot
 from repro.bft.statemachine import StateManager
 from repro.crypto.digest import digest
-from repro.base.upcalls import LibraryHandle, Upcalls
+from repro.base.upcalls import Upcalls
 
 
 class _CheckpointRecord:
@@ -67,12 +67,13 @@ class AbstractStateManager(StateManager):
         self.last_checkpoint_seq = 0
         self.per_object_check_cost = per_object_check_cost  # cold, per KB
         self.checkpoint_cost = checkpoint_cost              # hot, per KB
-        self.charge_hook: Callable[[float], None] = lambda seconds: None
+        #: ``charge(seconds)`` — consume simulated CPU/disk time: this
+        #: manager's checkpoint work and its wrapper's ``library.charge``
+        #: alike.  ``build_base_cluster`` binds the replica's ``charge``.
+        self.charge: Callable[[float], None] = lambda seconds: None
         self.background_hook: Callable[[float], None] = \
-            lambda seconds: self.charge_hook(seconds)
-        # ``build_base_cluster`` points ``charge_hook`` and the wrapper's
-        # ``library.charge`` at the replica's ``charge`` together.
-        upcalls.library = LibraryHandle(self.modify, self.charge_hook)
+            lambda seconds: self.charge(seconds)
+        upcalls.library = self  # its handle: modify, charge (Fig. 2)
         # Initial leaf digests reflect the initial abstract state.  Most
         # initial objects are equal (free slots): digest each distinct
         # value once, and let equal leaves share the digest.
@@ -90,7 +91,7 @@ class AbstractStateManager(StateManager):
         if index in self._cold:
             self.background_hook(self.per_object_check_cost * kb)
         else:
-            self.charge_hook(self.checkpoint_cost * kb)
+            self.charge(self.checkpoint_cost * kb)
 
     # -- copy-on-write (the `modify` library call) -----------------------------
 

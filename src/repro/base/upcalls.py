@@ -19,7 +19,10 @@ specification.  The library calls:
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
+
+if TYPE_CHECKING:  # the manager imports this module
+    from repro.base.state import AbstractStateManager
 
 
 class Upcalls(abc.ABC):
@@ -27,8 +30,12 @@ class Upcalls(abc.ABC):
     service implementation."""
 
     def __init__(self) -> None:
-        #: Set by the AbstractStateManager; exposes ``modify`` and ``charge``.
-        self.library: Optional["LibraryHandle"] = None
+        #: The :class:`~repro.base.state.AbstractStateManager` binding
+        #: this wrapper, which sets itself here.  Its ``modify(index)``
+        #: MUST be called before mutating an abstract object (it
+        #: implements copy-on-write checkpointing); ``charge(seconds)``
+        #: consumes simulated CPU/disk time at the replica.
+        self.library: Optional["AbstractStateManager"] = None
 
     # -- sizing ------------------------------------------------------------
 
@@ -83,14 +90,3 @@ class Upcalls(abc.ABC):
         """Rebuild the conformance representation after a reboot; returns
         simulated seconds the rebuild took."""
         return 0.0
-
-
-class LibraryHandle:
-    """What the library exposes back to the conformance wrapper."""
-
-    def __init__(self, modify, charge) -> None:
-        #: ``modify(index)`` — MUST be called before mutating an abstract
-        #: object; implements copy-on-write checkpointing.
-        self.modify = modify
-        #: ``charge(seconds)`` — consume simulated CPU/disk time.
-        self.charge = charge

@@ -77,6 +77,14 @@ class RecoveryManager:
             first = config.recovery_interval + index * config.recovery_stagger
             replica.after(first, self.start_recovery)
 
+    def charge_check(self, seconds: float) -> None:
+        """CPU of the state check: overlapped with the fetch while
+        recovering (:attr:`background_cpu`), else the replica's own."""
+        if self.recovering:
+            self.background_cpu += seconds
+        else:
+            self.replica.charge(seconds)
+
     # -- the recovery sequence ---------------------------------------------------
 
     def start_recovery(self) -> None:

@@ -30,10 +30,6 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.faultlab.injector import FaultInjector
 from repro.faultlab.invariants import (
-    AcceptedReply,
-    ExecutionEntry,
-    ExecutionLog,
-    RollbackEntry,
     Violation,
     check_all,
     check_bounded_wait,
@@ -49,6 +45,7 @@ from repro.faultlab.scenarios import (
     kv_workload,
     scenario_names,
 )
+from repro.sim.tracing import TraceEvent
 
 ScenarioRef = Union[str, Scenario]
 
@@ -169,49 +166,17 @@ def replay_command(scenario: str, seed: int,
 # -- evidence capture ---------------------------------------------------------------
 
 
-def _read_evidence(cluster, ctx: TrialContext):
-    """Build the checkers' evidence from the request lifecycle events the
-    product emits (docs/OBSERVABILITY.md): ``(exec_log, accepted,
-    edge_replies, rollbacks)`` — the last two are the ``edge_reply``
-    events in serve order and the count of ``rollback`` and
-    ``rollback_via_transfer`` events.
-
-    A replica's ``result`` is the digest it *sent*, so a lying replica's
-    entry is its lie; the checkers only read correct replicas, whose
-    behaviour is honest for the whole trial.  A ring that evicted even
-    one event is partial evidence and is refused, not judged."""
+def _read_evidence(cluster, ctx: TrialContext) -> List[TraceEvent]:
+    """The trial's evidence: the ring's events, decoded once, oldest
+    first (docs/OBSERVABILITY.md).  A ring that evicted even one event
+    is partial evidence and is refused, not judged."""
     tracer = cluster.tracer
     if tracer.dropped_events:
         raise RuntimeError(
             f"scenario {ctx.scenario.name!r} seed {ctx.seed}: the event "
             f"ring dropped {tracer.dropped_events} events; FaultLab will "
             f"not judge a truncated trace")
-    exec_log: ExecutionLog = {r.node_id: [] for r in cluster.replicas}
-    accepted: List[AcceptedReply] = []
-    edge_replies: List = []
-    rollbacks = 0
-    for e in tracer.events:     # fields by position: tracing.EVENT_FIELDS
-        kind = e[2]
-        if kind == "executed":
-            _, source, _, seq, client, request_id, _, result = e
-            exec_log[source].append(ExecutionEntry(
-                seq, client, request_id, result, False))
-        elif kind == "read_only_executed":
-            _, source, _, seq, client, request_id, result = e
-            exec_log[source].append(ExecutionEntry(
-                seq, client, request_id, result, True))
-        elif kind in ("rollback", "transfer_complete"):
-            # Either way a checkpoint was restored: re-execution beyond
-            # it supersedes, not conflicts.
-            exec_log[e[1]].append(RollbackEntry(e[3]))
-        elif kind == "result_accepted":
-            at, source, _, request_id, result = e
-            accepted.append(AcceptedReply(source, request_id, result, at))
-        elif kind == "edge_reply":
-            edge_replies.append(e)
-        if kind in ("rollback", "rollback_via_transfer"):
-            rollbacks += 1
-    return exec_log, accepted, edge_replies, rollbacks
+    return list(tracer.events)
 
 
 # -- cluster construction -----------------------------------------------------------
@@ -333,8 +298,8 @@ def _build_openloop(cluster, scenario: Scenario, ctx: TrialContext):
     spec = dict(scenario.openloop)
     rate = spec.pop("rate")
     process = spec.pop("process", "poisson")
-    duration = spec.pop("duration", scenario.duration / 2.0)
-    slo_p95 = spec.pop("slo_p95", 0.02)
+    duration = spec.pop("duration")
+    slo_p95 = spec.pop("slo_p95")
     process_kwargs = spec.pop("process_kwargs", {})
     proc = make_process(process, rate, ctx.rng_for("openloop:arrivals"),
                         **process_kwargs)
@@ -487,11 +452,11 @@ def run_trial(scenario: ScenarioRef, seed: int,
         # the scripted clients: every arrival must resolve (complete,
         # time out, or shed) before the trial's deadline.
         scripts_done.append((driver.label, driver.drained))
-    exec_log, accepted, edge_replies, rollbacks = _read_evidence(cluster,
-                                                                 ctx)
+    events = _read_evidence(cluster, ctx)
     violations = check_all(
-        cluster, exec_log, accepted, correct_ids, scripts_done,
+        cluster, events, correct_ids, scripts_done,
         scenario.expect_liveness, scenario.duration)
+    edge_replies = [e for e in events if e.kind == "edge_reply"]
     calls = [(s.client_id, issued, done_at)
              for s in scripts for issued, done_at in s.calls]
     if scenario.expect_liveness:
@@ -510,7 +475,8 @@ def run_trial(scenario: ScenarioRef, seed: int,
         sim_seconds=scheduler.now,
         wall_seconds=time.perf_counter() - started,
         faults_injected=injector.injected, faults_cleared=injector.cleared,
-        rollbacks=rollbacks,
+        rollbacks=sum(e.kind in ("rollback", "rollback_via_transfer")
+                      for e in events),
         edge_modes=dict(Counter(e.detail["mode"] for e in edge_replies)))
 
 

@@ -1,11 +1,12 @@
 """Safety/liveness invariant checkers run against every FaultLab trial.
 
-After the run the trial runner builds two streams of evidence, read from
-the event ring the product fills (``executed``, ``read_only_executed``,
-``rollback``, ``transfer_complete`` and ``result_accepted``, see
-docs/OBSERVABILITY.md) — every execution at every replica and every
-reply a client accepted — then hands them, plus the settled cluster, to
-the checkers:
+After the run the trial runner decodes the event ring the product fills
+once and hands its events, oldest first, plus the settled cluster, to
+the checkers.  They select the records they judge by kind and source
+(``executed``, ``read_only_executed``, ``rollback``,
+``transfer_complete`` and ``result_accepted``, see
+docs/OBSERVABILITY.md): every execution at every replica, every
+checkpoint a replica restored, and every reply a client accepted.
 
 - **agreement** — all correct replicas' committed op sequences are
   prefixes of one another: any sequence number executed by two correct
@@ -35,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.bft.client import RETRY_BACKOFF_MAX
 from repro.edge.evidence import (BOUNDED_STALE, EVIDENCE_CERTIFICATE,
                                  EVIDENCE_VECTOR, LINEARIZABLE, MODES)
+from repro.sim.tracing import TraceEvent
 
 
 @dataclass(frozen=True)
@@ -52,44 +54,19 @@ class Violation:
         return f"{self.invariant}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ExecutionEntry:
-    """One execution at one replica, with the digest of the result it
-    replied (for a correct replica, the result it computed)."""
-
-    seq: int
-    client_id: str
-    request_id: int
-    result_digest: bytes
-    read_only: bool
-
-
-@dataclass(frozen=True)
-class RollbackEntry:
-    """This replica restored checkpoint ``seq`` (a rollback in place or
-    a completed state transfer): executions beyond it are discarded and
-    will be re-run (the normal recovery path), so re-execution after
-    this marker supersedes instead of conflicting."""
-
-    seq: int
+#: A rollback in place or a completed state transfer: the replica
+#: restored checkpoint ``seq`` (the kind's first field), so executions
+#: beyond it are discarded and will be re-run (the normal recovery path)
+#: and re-execution after one supersedes instead of conflicting.
+RESTORES = ("rollback", "transfer_complete")
+#: Both execution kinds, read by position (tracing.CATALOGUE): an
+#: event is ``(time, source, kind, seq, client, request_id, ...,
+#: result)``.  A replica's ``result`` is the digest it *sent*, so a
+#: lying replica's is its lie; only correct replicas' are read.
+EXECUTIONS = ("executed", "read_only_executed")
 
 
-@dataclass(frozen=True)
-class AcceptedReply:
-    """One result a client accepted (f+1 or 2f+1 vote passed)."""
-
-    client_id: str
-    request_id: int
-    result_digest: bytes
-    at: float
-
-
-#: Per-replica stream of :class:`ExecutionEntry` interleaved with
-#: :class:`RollbackEntry` markers, in simulation order.
-ExecutionLog = Dict[str, List[object]]
-
-
-def check_agreement(exec_log: ExecutionLog,
+def check_agreement(events: Sequence[TraceEvent],
                     correct_ids: Sequence[str]) -> List[Violation]:
     """Committed op sequences of correct replicas agree point-wise (and
     hence are prefixes of one another, since each replica executes its
@@ -100,32 +77,34 @@ def check_agreement(exec_log: ExecutionLog,
     Ident = Tuple[Tuple[str, int, bytes], ...]
     # seq -> {ordered batch identity -> [replica ids]}
     by_seq: Dict[int, Dict[Ident, List[str]]] = {}
+    history = [e for e in events if e.kind == "executed"
+               or e.kind in RESTORES]
     for replica_id in sorted(correct_ids):
         last_seq = 0
         open_seq = None  # the batch currently being appended to
         batches: Dict[int, List[Tuple[str, int, bytes]]] = {}
-        for e in exec_log.get(replica_id, ()):
-            if isinstance(e, RollbackEntry):
-                # Checkpoint restored at e.seq: later executions are
-                # gone and will be legitimately re-run.
-                for seq in [s for s in batches if s > e.seq]:
-                    del batches[seq]
-                last_seq = e.seq
+        for e in history:
+            if e.source != replica_id:
+                continue
+            seq = e[3]
+            if e.kind in RESTORES:
+                # Checkpoint restored at seq: later executions are gone
+                # and will be legitimately re-run.
+                for later in [s for s in batches if s > seq]:
+                    del batches[later]
+                last_seq = seq
                 open_seq = None
                 continue
-            if e.read_only:
-                continue
-            if e.seq < last_seq:
+            if seq < last_seq:
                 violations.append(Violation(
                     "agreement",
-                    f"{replica_id} executed seq {e.seq} out of order "
+                    f"{replica_id} executed seq {seq} out of order "
                     f"(after seq {last_seq})"))
-            if e.seq != open_seq:
-                batches[e.seq] = []  # a fresh batch supersedes any re-run
-                open_seq = e.seq
-            last_seq = max(last_seq, e.seq)
-            batches[e.seq].append(
-                (e.client_id, e.request_id, e.result_digest))
+            if seq != open_seq:
+                batches[seq] = []  # a fresh batch supersedes any re-run
+                open_seq = seq
+            last_seq = max(last_seq, seq)
+            batches[seq].append((e[4], e[5], e[-1]))
         for seq, batch in batches.items():
             by_seq.setdefault(seq, {}).setdefault(tuple(batch), []).append(
                 replica_id)
@@ -146,32 +125,31 @@ def check_agreement(exec_log: ExecutionLog,
     return violations
 
 
-def check_reply_validity(accepted: Sequence[AcceptedReply],
-                         exec_log: ExecutionLog,
+def check_reply_validity(events: Sequence[TraceEvent],
                          correct_ids: Sequence[str]) -> List[Violation]:
     """Every client-accepted reply is backed by a correct replica's
     computation of that very request."""
     violations: List[Violation] = []
     computed: Dict[Tuple[str, int], Set[bytes]] = {}
-    for replica_id in correct_ids:
-        for e in exec_log.get(replica_id, ()):
-            if isinstance(e, RollbackEntry):
-                continue
-            computed.setdefault((e.client_id, e.request_id),
-                                set()).add(e.result_digest)
-    for reply in accepted:
-        digests = computed.get((reply.client_id, reply.request_id))
+    for e in events:
+        if e.kind in EXECUTIONS and e.source in correct_ids:
+            computed.setdefault((e[4], e[5]), set()).add(e[-1])
+    for e in events:
+        if e.kind != "result_accepted":
+            continue
+        _, client_id, _, request_id, result = e
+        digests = computed.get((client_id, request_id))
         if digests is None:
             violations.append(Violation(
                 "reply_validity",
-                f"client {reply.client_id} accepted a reply for request "
-                f"{reply.request_id} that no correct replica executed"))
-        elif reply.result_digest not in digests:
+                f"client {client_id} accepted a reply for request "
+                f"{request_id} that no correct replica executed"))
+        elif result not in digests:
             violations.append(Violation(
                 "reply_validity",
-                f"client {reply.client_id} accepted result "
-                f"{reply.result_digest.hex()[:12]} for request "
-                f"{reply.request_id}, but correct replicas computed "
+                f"client {client_id} accepted result "
+                f"{result.hex()[:12]} for request "
+                f"{request_id}, but correct replicas computed "
                 f"{sorted(d.hex()[:12] for d in digests)}"))
     return violations
 
@@ -354,15 +332,14 @@ def check_staleness_contract(
     return violations
 
 
-def check_all(cluster, exec_log: ExecutionLog,
-              accepted: Sequence[AcceptedReply],
+def check_all(cluster, events: Sequence[TraceEvent],
               correct_ids: Sequence[str],
               scripts_done: Sequence[Tuple[str, bool]],
               expect_liveness: bool, duration: float) -> List[Violation]:
     """Run the full suite in its canonical order."""
     violations = []
-    violations += check_agreement(exec_log, correct_ids)
-    violations += check_reply_validity(accepted, exec_log, correct_ids)
+    violations += check_agreement(events, correct_ids)
+    violations += check_reply_validity(events, correct_ids)
     violations += check_convergence(cluster, correct_ids, expect_liveness)
     violations += check_liveness(scripts_done, expect_liveness, duration)
     return violations

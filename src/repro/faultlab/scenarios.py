@@ -83,9 +83,10 @@ class Scenario:
     #: the sharded checks in :mod:`repro.faultlab.explorer`).
     shards: int = 1
     #: Optional open-loop traffic riding alongside the closed-loop
-    #: clients (see :mod:`repro.workloads.openloop`).  Keys: ``rate``
-    #: (required), ``process`` (poisson|onoff), ``duration``,
-    #: ``slo_p95``, ``pool_size``, ``queue_limit``, ``process_kwargs``.
+    #: clients (see :mod:`repro.workloads.openloop`).  Keys: ``rate``,
+    #: ``duration`` and ``slo_p95`` (all three required), ``process``
+    #: (poisson|onoff), ``pool_size``, ``queue_limit``,
+    #: ``process_kwargs``.
     #: All randomness is drawn from the trial's seeded RNG streams, so
     #: trials stay bit-replayable.
     openloop: Optional[Dict[str, Any]] = None

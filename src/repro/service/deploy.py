@@ -247,8 +247,6 @@ class ServiceDefinition:
     branching: int = 16
     client_id: str = ""
     direct_client_id: str = ""
-    #: Run once per replica after the cluster is built (e.g. charge hooks).
-    wire_replica: Optional[Callable[[Any, Upcalls], None]] = None
     #: How ops map onto shards of a :class:`ShardedDeployment` (None:
     #: the service cannot be sharded).
     shard_key: Optional[ShardKeySpec] = None
@@ -361,9 +359,6 @@ class ReplicatedDeployment(Deployment):
             base_config=base_config, network_config=network_config,
             replica_costs=replica_costs, seed=seed,
             scheduler=scheduler, network=network)
-        if definition.wire_replica is not None:
-            for replica in cluster.replicas:
-                definition.wire_replica(replica, replica.state.upcalls)
         sync = cluster.add_client(client_id or definition.client_id)
         channel = ReplicatedChannel(sync)
         return cls(definition=definition, scheduler=cluster.scheduler,

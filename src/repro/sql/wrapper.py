@@ -273,13 +273,11 @@ class SqlConformanceWrapper(AbstractService):
         wanted = {name: (tuple(cols), key) for name, cols, key in catalog}
         existing = {name: (tuple(cols), key)
                     for name, cols, key in self.engine.tables()}
-        for name in existing:
-            if name not in wanted or wanted[name] != existing[name]:
+        for name, shape in existing.items():
+            if wanted.get(name) != shape:
                 self.engine.drop_table(name)
         for name, (cols, key) in sorted(wanted.items()):
-            if name not in existing or wanted[name] != existing.get(name):
-                if name in existing:
-                    pass  # already dropped above
+            if existing.get(name) != (cols, key):
                 self.engine.create_table(name, cols, key)
 
     def _put_free(self, index: int, gen: int) -> None:

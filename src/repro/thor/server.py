@@ -49,7 +49,8 @@ class ThorServer:
     def __init__(self, config: Optional[ThorServerConfig] = None):
         from repro.thor.vq import ValidationQueue
         self.config = config or ThorServerConfig()
-        # A deployment binds its node's ``charge`` here and on the disk.
+        # Bound here and on the disk by the conformance wrapper (to its
+        # library) or by the unreplicated baseline (to its node).
         self.charge: Callable[[float], None] = lambda seconds: None
         self.disk = PageStore(self.config.disk_seek_cost,
                               self.config.disk_byte_cost, self.charge)

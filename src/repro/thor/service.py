@@ -74,12 +74,6 @@ def _make_wrapper(ctx: WrapperContext) -> ThorConformanceWrapper:
         commit_byte_cost=ctx.options["commit_byte_cost"])
 
 
-def _wire_replica(replica, wrapper: ThorConformanceWrapper) -> None:
-    # Disk costs charge CPU time through the replica.
-    wrapper.server.disk.charge = replica.charge
-    wrapper.server.charge = replica.charge
-
-
 def _make_direct(ctx: WrapperContext) -> DirectService:
     """The paper's baseline, which does not even ensure stability of
     committed data — it keeps the MOB in memory; the paper calls its own
@@ -157,6 +151,5 @@ THOR_SERVICE = ServiceDefinition(
     direct_options={"db_loader": REQUIRED, "server_config": None,
                     "op_cost": 0.0},
     branching=64,
-    wire_replica=_wire_replica,
     shard_key=ShardKeySpec(extract=_thor_shard_key, axis="page number"),
 )

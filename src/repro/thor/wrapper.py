@@ -27,7 +27,8 @@ service kernel (:mod:`repro.service.kernel`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from functools import partialmethod
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.base.mappings import KeyedArrayMapping
 from repro.base.nondet import TimestampAgreement
@@ -62,25 +63,42 @@ class ThorConformanceWrapper(AbstractService):
         # Conformance representation (paper §3.2.3).
         self.vq_array: List[int] = [0] * self.vq_capacity
         self.clients: KeyedArrayMapping[str] = KeyedArrayMapping(max_clients)
+        #: The abstract areas in index order, with their sizes (module
+        #: docstring): every index below derives from this table.
+        self.areas: Dict[str, int] = {
+            "meta": 1, "page": num_pages, "vq": self.vq_capacity,
+            "is": max_clients, "dir": num_pages}
+        # The server's and its disk's CPU go through the library.
+        server.charge = server.disk.charge = self.charge
 
     # -- area index arithmetic -------------------------------------------------------
 
     @property
     def num_objects(self) -> int:
-        return 1 + 2 * self.num_pages + self.vq_capacity + self.max_clients
+        return sum(self.areas.values())
 
-    def page_index(self, pagenum: int) -> int:
-        return 1 + pagenum
+    def _index(self, area: str, offset: int) -> int:
+        """The abstract index of object ``offset`` of ``area``."""
+        for name, size in self.areas.items():
+            if name == area:
+                return offset
+            offset += size
+        raise KeyError(area)
 
-    def vq_index(self, slot: int) -> int:
-        return 1 + self.num_pages + slot
+    def _locate(self, index: int) -> Tuple[str, int]:
+        """The area abstract object ``index`` lies in, and its offset
+        there."""
+        offset = index
+        for name, size in self.areas.items():
+            if offset < size:
+                return name, offset
+            offset -= size
+        raise IndexError(f"abstract index {index} out of range")
 
-    def is_index(self, client_number: int) -> int:
-        return 1 + self.num_pages + self.vq_capacity + client_number
-
-    def dir_index(self, pagenum: int) -> int:
-        return (1 + self.num_pages + self.vq_capacity + self.max_clients
-                + pagenum)
+    page_index = partialmethod(_index, "page")   # (pagenum)
+    vq_index = partialmethod(_index, "vq")       # (slot)
+    is_index = partialmethod(_index, "is")       # (client number)
+    dir_index = partialmethod(_index, "dir")     # (pagenum)
 
     # -- kernel hooks: envelopes ------------------------------------------------
 
@@ -184,7 +202,7 @@ class ThorConformanceWrapper(AbstractService):
                     self._modify(self.is_index(other_number))
         slot = self._predict_vq_slot()
         self._modify(self.vq_index(slot))
-        self._modify(0)  # threshold may advance on eviction
+        self._modify(self._index("meta", 0))  # eviction may advance it
         result = self.server.commit(client_id, timestamp,
                                     frozenset(reads), write_dict,
                                     tuple(discards), tuple(acks))
@@ -203,35 +221,29 @@ class ThorConformanceWrapper(AbstractService):
     # -- abstraction function ----------------------------------------------------------------
 
     def get_obj(self, index: int) -> bytes:
-        if index == 0:
+        area, offset = self._locate(index)
+        if area == "meta":
             return canonical((self.server.vq.threshold,))
-        if index < 1 + self.num_pages:
-            pagenum = index - 1
-            return self.server.current_page(pagenum).encode()
-        if index < 1 + self.num_pages + self.vq_capacity:
-            slot = index - 1 - self.num_pages
-            ts = self.vq_array[slot]
+        if area == "page":
+            return self.server.current_page(offset).encode()
+        if area == "vq":
+            ts = self.vq_array[offset]
             if ts == 0:
                 return canonical((0,))
             entry = self.server.vq.find_by_timestamp(ts)
             if entry is None:
                 raise StateTransferError(
-                    f"VQ array slot {slot} ts {ts} missing from server VQ")
+                    f"VQ array slot {offset} ts {ts} missing from server VQ")
             return canonical((entry.timestamp, entry.status,
                               tuple(sorted(entry.reads)),
                               tuple(sorted(entry.writes))))
-        if index < 1 + self.num_pages + self.vq_capacity + self.max_clients:
-            number = index - 1 - self.num_pages - self.vq_capacity
-            client_id = self.clients.key_of(number)
+        if area == "is":
+            client_id = self.clients.key_of(offset)
             if client_id is None:
                 return canonical((None,))
             orefs = tuple(sorted(self.server.invalid_sets.get(client_id)))
             return canonical((client_id, orefs))
-        pagenum = index - 1 - self.num_pages - self.vq_capacity \
-            - self.max_clients
-        if pagenum >= self.num_pages:
-            raise IndexError(f"abstract index {index} out of range")
-        caching = self.server.directory.clients_caching(pagenum)
+        caching = self.server.directory.clients_caching(offset)
         numbers = tuple(sorted(self.clients.index_of(c) for c in caching
                                if c in self.clients))
         return canonical((numbers,))
@@ -242,22 +254,15 @@ class ThorConformanceWrapper(AbstractService):
         # Ascending index order processes areas in dependency order:
         # meta, pages, VQ, invalid sets (which rebuild the client array),
         # then the directory (which maps client numbers through it).
+        put = {"meta": self._put_meta, "page": self._put_page,
+               "vq": self._put_vq, "is": self._put_invalid_set,
+               "dir": self._put_directory}
         for index in sorted(objects):
-            blob = objects[index]
-            if index == 0:
-                (self.server.vq.threshold,) = decanonical(blob)
-            elif index < 1 + self.num_pages:
-                self._put_page(index - 1, blob)
-            elif index < 1 + self.num_pages + self.vq_capacity:
-                self._put_vq(index - 1 - self.num_pages, blob)
-            elif index < (1 + self.num_pages + self.vq_capacity
-                          + self.max_clients):
-                self._put_invalid_set(
-                    index - 1 - self.num_pages - self.vq_capacity, blob)
-            else:
-                self._put_directory(
-                    index - 1 - self.num_pages - self.vq_capacity
-                    - self.max_clients, blob)
+            area, offset = self._locate(index)
+            put[area](offset, objects[index])
+
+    def _put_meta(self, _: int, blob: bytes) -> None:
+        (self.server.vq.threshold,) = decanonical(blob)
 
     def _put_page(self, pagenum: int, blob: bytes) -> None:
         self.server.install_page_value(Page.decode(pagenum, blob))

@@ -188,3 +188,18 @@ def test_lm_advances_only_at_checkpoints():
     assert mgr.tree.leaf_lm(2) == 0  # not yet checkpointed
     mgr.take_checkpoint(4)
     assert mgr.tree.leaf_lm(2) == 4
+
+
+def test_one_charge_binding_carries_checkpoints_and_the_wrapper():
+    """The manager is its wrapper's library handle: pointing its one
+    ``charge`` at a sink sends the sink both the manager's checkpoint
+    work and the wrapper's ``library.charge``."""
+    wrapper = ToyWrapper()
+    mgr = AbstractStateManager(wrapper, branching=4, checkpoint_cost=1.0)
+    charged = []
+    mgr.charge = charged.append
+    run_op(mgr, op_set(1, b"x"), 1)
+    mgr.take_checkpoint(4)
+    wrapper.library.charge(0.5)
+    assert charged == [64 / 1024.0, 0.5]
+    assert wrapper.library is mgr

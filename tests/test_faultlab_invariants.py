@@ -1,4 +1,4 @@
-"""Invariant checkers against synthetic execution logs, plus the
+"""Invariant checkers against synthetic ring histories, plus the
 end-to-end regression: a beyond-f colluding pair must be caught."""
 
 import pytest
@@ -6,31 +6,41 @@ import pytest
 from repro.bft.config import BftConfig
 from repro.faultlab.explorer import run_trial
 from repro.faultlab.invariants import (
-    AcceptedReply,
-    ExecutionEntry,
-    RollbackEntry,
     Violation,
     check_agreement,
     check_liveness,
     check_reply_validity,
 )
+from repro.sim.tracing import TraceEvent
 
 CORRECT = ("replica0", "replica1", "replica2")
 
 
-def entry(seq, rid, digest, client="c0", read_only=False):
-    return ExecutionEntry(seq=seq, client_id=client, request_id=rid,
-                          result_digest=digest, read_only=read_only)
+def event(source, kind, *fields, at=0.0):
+    """One ring event as the tracer decodes it, ``(time, source, kind,
+    *fields)`` (fields in ``tracing.CATALOGUE`` order)."""
+    return TraceEvent((at, source, kind) + fields)
+
+
+def entry(replica, seq, rid, digest, client="c0", read_only=False):
+    if read_only:
+        return event(replica, "read_only_executed", seq, client, rid, digest)
+    return event(replica, "executed", seq, client, rid, False, digest)
+
+
+def accepted(rid, digest, at):
+    return event("c0", "result_accepted", rid, digest, at=at)
 
 
 def test_agreement_accepts_identical_histories():
-    log = {r: [entry(1, 1, b"a"), entry(2, 2, b"b")] for r in CORRECT}
+    log = [e for r in CORRECT
+           for e in (entry(r, 1, 1, b"a"), entry(r, 2, 2, b"b"))]
     assert check_agreement(log, CORRECT) == []
 
 
 def test_agreement_catches_divergent_digest_at_a_seq():
-    log = {r: [entry(1, 1, b"a")] for r in CORRECT}
-    log["replica2"] = [entry(1, 1, b"X")]
+    log = [entry("replica0", 1, 1, b"a"), entry("replica1", 1, 1, b"a"),
+           entry("replica2", 1, 1, b"X")]
     violations = check_agreement(log, CORRECT)
     assert len(violations) == 1
     assert violations[0].invariant == "agreement"
@@ -40,10 +50,12 @@ def test_agreement_catches_divergent_digest_at_a_seq():
 def test_agreement_compares_whole_batches_at_one_seq():
     # One pre-prepare batch = several executions at the same seq; same
     # ordered batch everywhere is agreement, a reordered batch is not.
-    batch = [entry(1, 1, b"a"), entry(1, 2, b"b", client="c1")]
-    log = {r: list(batch) for r in CORRECT}
+    def batch(r):
+        return [entry(r, 1, 1, b"a"), entry(r, 1, 2, b"b", client="c1")]
+    log = [e for r in CORRECT for e in batch(r)]
     assert check_agreement(log, CORRECT) == []
-    log["replica1"] = [batch[1], batch[0]]
+    log = [e for r in CORRECT
+           for e in (batch(r)[::-1] if r == "replica1" else batch(r))]
     violations = check_agreement(log, CORRECT)
     assert len(violations) == 1 and "seq 1 diverged" in violations[0].detail
 
@@ -51,34 +63,36 @@ def test_agreement_compares_whole_batches_at_one_seq():
 def test_agreement_allows_reexecution_after_rollback():
     # replica2 state-transferred back to seq 1 and legitimately re-ran
     # seq 2; without the marker the same trace is an ordering violation.
-    log = {r: [entry(1, 1, b"a"), entry(2, 2, b"b")] for r in CORRECT}
-    log["replica2"] = log["replica2"] + [RollbackEntry(1), entry(2, 2, b"b")]
+    log = [e for r in CORRECT
+           for e in (entry(r, 1, 1, b"a"), entry(r, 2, 2, b"b"))]
+    log += [event("replica2", "transfer_complete", 1, 0),
+            entry("replica2", 2, 2, b"b")]
     assert check_agreement(log, CORRECT) == []
 
     # The same rewind without the marker is an ordering violation.
-    log["replica2"] = [entry(1, 1, b"a"), entry(2, 2, b"b"), entry(1, 1, b"a")]
+    log[-2] = entry("replica2", 1, 1, b"a")
+    del log[-1]
     violations = check_agreement(log, CORRECT)
     assert any("out of order" in v.detail for v in violations)
 
 
 def test_agreement_ignores_read_only_and_byzantine_entries():
-    log = {r: [entry(1, 1, b"a")] for r in CORRECT}
-    log["replica0"].append(entry(1, 3, b"r", read_only=True))
-    log["replica3"] = [entry(1, 1, b"LIE")]  # not in correct_ids
+    log = [entry(r, 1, 1, b"a") for r in CORRECT]
+    log.append(entry("replica0", 1, 3, b"r", read_only=True))
+    log.append(entry("replica3", 1, 1, b"LIE"))  # not in correct_ids
     assert check_agreement(log, CORRECT) == []
 
 
 def test_reply_validity_accepts_backed_replies():
-    log = {"replica0": [entry(1, 1, b"a")], "replica1": [entry(1, 1, b"a")]}
-    accepted = [AcceptedReply("c0", 1, b"a", at=0.5)]
-    assert check_reply_validity(accepted, log, CORRECT) == []
+    log = [entry("replica0", 1, 1, b"a"), entry("replica1", 1, 1, b"a"),
+           accepted(1, b"a", at=0.5)]
+    assert check_reply_validity(log, CORRECT) == []
 
 
 def test_reply_validity_catches_unbacked_digest_and_unknown_request():
-    log = {"replica0": [entry(1, 1, b"a")]}
-    accepted = [AcceptedReply("c0", 1, b"FORGED", at=0.5),
-                AcceptedReply("c0", 99, b"a", at=0.6)]
-    violations = check_reply_validity(accepted, log, CORRECT)
+    log = [entry("replica0", 1, 1, b"a"), accepted(1, b"FORGED", at=0.5),
+           accepted(99, b"a", at=0.6)]
+    violations = check_reply_validity(log, CORRECT)
     assert [v.invariant for v in violations] == ["reply_validity"] * 2
     assert "correct replicas computed" in violations[0].detail
     assert "no correct replica executed" in violations[1].detail
@@ -159,9 +173,8 @@ def test_beyond_f_collusion_is_caught_by_reply_validity():
 
 
 def _edge_reply(mode, bound, served_at, evidence):
-    from repro.sim.tracing import TraceEvent
-    return TraceEvent((served_at, "edge0", "edge_reply",
-                       0, mode, bound, b"res", evidence))
+    return event("edge0", "edge_reply", 0, mode, bound, b"res", evidence,
+                 at=served_at)
 
 
 def _cert_evidence(issued_at):

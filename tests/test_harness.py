@@ -181,7 +181,7 @@ def test_complexity_report_covers_all_components():
 #: sees it; one that shrinks by a hundred lines gets it lowered.
 LINE_CEILINGS = {
     "bft": 3600, "analysis": 3100, "benchmarks/ledger": 2900, "nfs": 2700,
-    "faultlab": 2400, "service": 1700, "thor": 1300, "workloads": 1200,
+    "faultlab": 2350, "service": 1700, "thor": 1300, "workloads": 1200,
     "sim": 1100, "base": 800, "sql": 700, "edge": 700, "harness": 700,
     "http": 600, "encoding": 400, "crypto": 300,
 }
@@ -197,7 +197,7 @@ def test_every_package_fits_its_line_ceiling():
 #: Settable values under ``src/repro`` (see ``settable_values``), exactly:
 #: a new knob raises it here, where a reviewer sees it, and a change that
 #: removes knobs must lower it.
-SETTABLE_CEILING = 389
+SETTABLE_CEILING = 387
 
 
 def test_settable_values_fit_their_ceiling():
@@ -703,7 +703,9 @@ def test_deleted_catalogues_and_tables_stay_deleted():
                       r"|messages_duplicated|keep_events"
                       r"|max_samples_per_histogram|ServiceRegistry|load_all"
                       r"|validate_trial_report|validate_sweep_report"
-                      r"|finding_from_dict)\b")
+                      r"|finding_from_dict|LibraryHandle|charge_hook"
+                      r"|wire_replica|ExecutionEntry|RollbackEntry"
+                      r"|AcceptedReply|ExecutionLog)\b")
     root = Path(__file__).resolve().parents[1]
     here = Path(__file__).resolve()
     assert [f"{path.relative_to(root)}:{match.group(1)}"
