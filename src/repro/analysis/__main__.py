@@ -1,14 +1,13 @@
 """ProtoLint command line.
 
-    python -m repro.analysis [PATH ...] [--format text|json] [--out FILE]
+    python -m repro.analysis [PATH ...] [--out FILE]
                              [--rules DET-RNG,DEEP-TAINT,...] [--list-rules]
 
 Checks every ``*.py`` under the given paths (default: ``src/repro``)
-against the registered rule set and exits nonzero on any finding that
-is not suppressed, with a reason, where it occurs — that is the whole
-contract of the ``protolint`` CI job.  ``--format json`` emits the
-JSON report document on stdout; ``--out`` writes it to a
-file in either format mode.
+against the registered rule set, prints each finding, and exits nonzero
+on any finding — that is the whole contract of the ``protolint`` CI
+job.  A rule stops looking at a site only through its scope in
+:mod:`repro.analysis.config`.  ``--out`` writes the JSON report.
 
 One pass runs every selected rule from the one catalogue: the per-node
 rules, and the whole-program DeepLint rules (call-graph taint + protocol
@@ -19,7 +18,6 @@ property can regress through an unchanged file.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -47,7 +45,7 @@ def _resolve_roots(paths):
 
 def _print_rules() -> int:
     for rule in all_rules():
-        print(f"{rule.rule_id:12s} [{rule.severity}] {rule.title}")
+        print(f"{rule.rule_id:12s} {rule.title}")
         print(f"    {rule.rationale}")
     return 0
 
@@ -60,9 +58,6 @@ def main(argv=None) -> int:
     parser.add_argument("paths", nargs="*",
                         help="files or directories to check "
                              "(default: src/repro)")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text", dest="fmt",
-                        help="stdout format (default text)")
     parser.add_argument("--out", metavar="FILE",
                         help="also write the JSON report here")
     parser.add_argument("--rules", metavar="IDS",
@@ -91,18 +86,13 @@ def main(argv=None) -> int:
     if args.out:
         reportlib.dump(doc, Path(args.out))
 
-    if args.fmt == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for finding in findings:
-            print(finding.render())
-            for hop in finding.chain:
-                print(f"    {hop}")
-        counts = doc["counts"]
-        checked = ", ".join(str(r) for r in roots)
-        print(f"protolint: {len(rule_ids)} rules over {checked}: "
-              f"{counts['errors']} error(s), {counts['warnings']} "
-              f"warning(s)")
+    for finding in findings:
+        print(finding.render())
+        for hop in finding.chain:
+            print(f"    {hop}")
+    checked = ", ".join(str(r) for r in roots)
+    print(f"protolint: {len(rule_ids)} rules over {checked}: "
+          f"{len(findings)} finding(s)")
     return 0 if doc["ok"] else 1
 
 

@@ -67,8 +67,7 @@ class HandlerRule(Rule):
             info.module.ctx.report(
                 self, info.node,
                 f"handler {info.cls.name}.{info.name} matches no "
-                f"registered message kind (dispatch will never call it)",
-                severity="warning")
+                f"registered message kind (dispatch will never call it)")
 
 
 #: The contract proofs ``Replica.on_message`` charges before dispatch

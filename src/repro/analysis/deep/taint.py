@@ -30,7 +30,6 @@ accumulation is monotone, so the fixpoint terminates — mutual recursion
 included.  Each violation is reported as a full source→sink path: the
 finding anchors at the source site, the message carries the call chain
 by name, and the report's ``chain`` field carries file:line detail.
-A path is suppressible at either end, the source line or the sink line.
 """
 
 from __future__ import annotations
@@ -837,11 +836,6 @@ class TaintRule(Rule):
         for key in sorted(taint.violations):
             violation = taint.violations[key]
             tag = violation.tag
-            # The source-line suppression is applied by report_at; a
-            # path may also be silenced where it lands.
-            if project.modules[violation.sink_rel].ctx.suppressed(
-                    self.rule_id, violation.sink_line):
-                continue
             hops = [frame.split(" (")[0] for frame in violation.chain]
             via = " -> ".join(_short(h) for h in hops) if hops \
                 else "directly"

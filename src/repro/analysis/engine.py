@@ -5,38 +5,27 @@ every node to the rules registered for that node type.  Rules that need
 the whole program (a call graph, the class hierarchy) override
 :meth:`Rule.check_program` instead, which runs once after the walk over
 a model built from the same parsed files.  Rules report :class:`Finding`
-records through the :class:`FileContext`; the context applies inline
-suppressions (``# protolint: disable=RULE-ID reason``) before a finding
-is recorded, so rules never need to know about them.
+records through the :class:`FileContext`.
 
 Design constraints, in the spirit of the repo's determinism discipline:
 
 - findings are value objects with a total order, so a run over the same
   tree always reports the same findings in the same order;
-- suppressions *require* a reason — an inline disable with no reason (or
-  naming an unknown rule) is itself a finding (``PL-SUPPRESS``);
-- everything is pure-stdlib (``ast`` + ``tokenize``), no third-party
-  dependency.
+- every finding fails the run: the only way a rule stops looking at a
+  site is its scope in :mod:`repro.analysis.config`;
+- everything is pure-stdlib (``ast``), no third-party dependency.
 """
 
 from __future__ import annotations
 
 import ast
-import io
-import re
-import tokenize
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.deep.callgraph import CallGraph, build_callgraph
 from repro.analysis.deep.project import Project, build_project
-
-#: Rule id reserved for problems with suppression comments themselves.
-SUPPRESS_RULE_ID = "PL-SUPPRESS"
-
-SEVERITIES = ("error", "warning")
 
 
 @dataclass(frozen=True, order=True)
@@ -55,21 +44,19 @@ class Finding:
     col: int
     rule: str
     message: str
-    severity: str = "error"
     chain: Tuple[str, ...] = ()
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
             "rule": self.rule, "path": self.path, "line": self.line,
-            "col": self.col, "message": self.message,
-            "severity": self.severity}
+            "col": self.col, "message": self.message}
         if self.chain:
             out["chain"] = list(self.chain)
         return out
 
     def render(self) -> str:
         return (f"{self.path}:{self.line}:{self.col}: "
-                f"{self.rule} [{self.severity}] {self.message}")
+                f"{self.rule} {self.message}")
 
 
 class Rule:
@@ -84,7 +71,6 @@ class Rule:
     """
 
     rule_id: str = ""
-    severity: str = "error"
     title: str = ""
     rationale: str = ""
     #: Example of a violation, for the docs rule catalog.
@@ -108,37 +94,20 @@ class Rule:
         only when a selected rule overrides this."""
 
 
-@dataclass
-class _Suppression:
-    line: int
-    rules: Tuple[str, ...]
-    reason: str
-    standalone: bool  # comment-only line: also covers the next line
-
-
-_DISABLE_RE = re.compile(
-    r"protolint:\s*disable=([A-Za-z0-9_,\-]+)\s*(.*)\Z")
-
-
 class FileContext:
     """One parsed file: everything rules may consult about it, and the
-    one place its findings are recorded and its suppressions applied.
+    one place its findings are recorded.
 
     ``modname`` is the file's dotted module name, which the whole-program
     model resolves imports against.  ``tree`` is None when the file does
     not parse (a ``PL-SYNTAX`` finding says why)."""
 
     def __init__(self, rel: str, source: str, config: AnalysisConfig,
-                 known_rule_ids: Iterable[str], modname: str):
+                 modname: str):
         self.rel = rel
-        self.source = source
         self.config = config
         self.modname = modname
         self.findings: List[Finding] = []
-        self._known = set(known_rule_ids) | {SUPPRESS_RULE_ID}
-        #: line -> suppression record covering that line.
-        self._suppressions: Dict[int, _Suppression] = {}
-        self._parse_suppressions()
         self.tree: Optional[ast.Module] = None
         try:
             self.tree = ast.parse(source, filename=rel)
@@ -147,76 +116,18 @@ class FileContext:
                                          "PL-SYNTAX",
                                          f"syntax error: {err.msg}"))
 
-    # -- suppressions ----------------------------------------------------------
-
-    def _parse_suppressions(self) -> None:
-        """Scan comments with ``tokenize`` (immune to '#' inside strings)."""
-        try:
-            tokens = list(tokenize.generate_tokens(
-                io.StringIO(self.source).readline))
-        except (tokenize.TokenError, IndentationError, SyntaxError):
-            return  # the ast parse will report the real problem
-        for tok in tokens:
-            if tok.type != tokenize.COMMENT:
-                continue
-            match = _DISABLE_RE.search(tok.string)
-            if match is None:
-                if "protolint:" in tok.string:
-                    self.findings.append(Finding(
-                        self.rel, tok.start[0], tok.start[1],
-                        SUPPRESS_RULE_ID,
-                        "malformed protolint comment (expected "
-                        "'protolint: disable=RULE-ID reason')"))
-                continue
-            line = tok.start[0]
-            rules = tuple(r for r in match.group(1).split(",") if r)
-            reason = match.group(2).strip()
-            standalone = self.source.splitlines()[line - 1] \
-                .lstrip().startswith("#")
-            if not reason:
-                self.findings.append(Finding(
-                    self.rel, line, tok.start[1], SUPPRESS_RULE_ID,
-                    f"suppression of {','.join(rules)} has no reason "
-                    f"(format: '# protolint: disable=RULE-ID reason')"))
-                continue
-            unknown = [r for r in rules if r not in self._known]
-            if unknown:
-                self.findings.append(Finding(
-                    self.rel, line, tok.start[1], SUPPRESS_RULE_ID,
-                    f"suppression names unknown rule "
-                    f"{', '.join(sorted(unknown))}"))
-                continue
-            self._suppressions[line] = _Suppression(
-                line, rules, reason, standalone)
-
-    def suppressed(self, rule_id: str, line: int) -> bool:
-        """A finding is suppressed by a disable comment on its own line,
-        or by a standalone disable comment on the line directly above."""
-        here = self._suppressions.get(line)
-        if here is not None and rule_id in here.rules:
-            return True
-        above = self._suppressions.get(line - 1)
-        return (above is not None and above.standalone
-                and rule_id in above.rules)
-
     # -- reporting -------------------------------------------------------------
 
-    def report(self, rule: Rule, node: ast.AST, message: str,
-               severity: Optional[str] = None) -> None:
-        """Record a finding at ``node`` unless a suppression covers it."""
+    def report(self, rule: Rule, node: ast.AST, message: str) -> None:
+        """Record a finding at ``node``."""
         self.report_at(rule, getattr(node, "lineno", 1),
-                       getattr(node, "col_offset", 0), message, severity)
+                       getattr(node, "col_offset", 0), message)
 
     def report_at(self, rule: Rule, line: int, col: int, message: str,
-                  severity: Optional[str] = None,
                   chain: Tuple[str, ...] = ()) -> None:
-        """Record a finding at ``line``/``col`` unless a suppression
-        covers it; ``severity`` defaults to the rule's own."""
-        if self.suppressed(rule.rule_id, line):
-            return
+        """Record a finding at ``line``/``col``."""
         self.findings.append(Finding(self.rel, line, col, rule.rule_id,
-                                     message, severity or rule.severity,
-                                     chain))
+                                     message, chain))
 
 
 class Engine:
@@ -231,18 +142,10 @@ class Engine:
                 raise ValueError(f"{type(rule).__name__} has no rule_id")
             if rule.rule_id in seen:
                 raise ValueError(f"duplicate rule id {rule.rule_id}")
-            if rule.severity not in SEVERITIES:
-                raise ValueError(f"{rule.rule_id}: bad severity "
-                                 f"{rule.severity!r}")
             seen[rule.rule_id] = rule
         self.rules: Tuple[Rule, ...] = tuple(
             seen[rid] for rid in sorted(seen))
         self.config = config or AnalysisConfig()
-        # A suppression may name any catalogued rule, whichever are
-        # selected.  The catalogue imports this module, hence the late
-        # import.
-        from repro.analysis.rules import all_rules
-        self._known = {rule.rule_id for rule in all_rules()} | set(seen)
         self._dispatch: Dict[type, List[Rule]] = {}
         for rule in self.rules:
             for node_type in rule.node_types:
@@ -260,7 +163,7 @@ class Engine:
         path used in findings and in rule scope decisions (e.g.
         ``bft/replica.py``)."""
         return self._check([FileContext(rel, source, self.config,
-                                        self._known, module_name(rel))])
+                                        module_name(rel))])
 
     def check_file(self, path: Path, rel: Optional[str] = None
                    ) -> List[Finding]:
@@ -277,7 +180,6 @@ class Engine:
                                      else root.rglob("*.py"))})
         return self._check([
             FileContext(rel, path.read_text(encoding="utf-8"), self.config,
-                        self._known,
                         module_name(rel, "repro" in path.resolve().parts))
             for rel, path in files])
 

@@ -16,8 +16,8 @@ from repro.analysis.engine import Finding
 
 #: A finding may carry the optional ``chain`` field (deep-pass
 #: source→sink paths, one "frame (file:line)" string per hop); every
-#: listed finding fails the run.
-SCHEMA_VERSION = 3
+#: listed finding fails the run, so a finding has no severity.
+SCHEMA_VERSION = 4
 
 
 def build(findings: Sequence[Finding], rule_ids: Sequence[str],
@@ -31,11 +31,6 @@ def build(findings: Sequence[Finding], rule_ids: Sequence[str],
         "roots": [str(r) for r in roots],
         "rules": sorted(rule_ids),
         "findings": [f.to_dict() for f in findings],
-        "counts": {
-            "errors": sum(1 for f in findings if f.severity == "error"),
-            "warnings": sum(1 for f in findings
-                            if f.severity == "warning"),
-        },
         "ok": not findings,
     }
 

@@ -19,5 +19,5 @@ systematic, seed-reproducible exploration engine:
   the ``faultlab-smoke`` CI job iterate;
 - :mod:`repro.faultlab.report` — the versioned JSON reports.
 
-CLI: ``python -m repro.faultlab {list,run,sweep,replay}``.
+CLI: ``python -m repro.faultlab {list,run,sweep}``.
 """

@@ -1,18 +1,17 @@
 """FaultLab command line.
 
     python -m repro.faultlab list
-    python -m repro.faultlab run    --scenario lossy_bursts --seed 7 [--json out.json]
-    python -m repro.faultlab sweep  [--quick] [--seeds N] [--base-seed K]
-                                    [--scenario NAME ...] [--out report.json]
-    python -m repro.faultlab replay --scenario lossy_bursts --seed 7
-                                    [--plan plan.json] [--json out.json]
+    python -m repro.faultlab run   --scenario lossy_bursts --seed 7
+                                   [--plan plan.json] [--json out.json]
+    python -m repro.faultlab sweep [--quick] [--seeds N] [--base-seed K]
+                                   [--scenario NAME ...] [--out report.json]
 
 ``sweep`` exits nonzero if any trial violated an invariant — that is the
 whole contract of the ``faultlab-smoke`` CI job.  It writes each failing
 trial's shrunk plan beside ``--out`` (or into the working directory) and
-prints the replay command that runs it.  ``replay`` re-runs a (scenario,
-seed) pair exactly as the sweep did; with ``--plan`` it runs a shrunk
-plan file instead of the seed-derived one.
+prints the replay command that runs it.  ``run`` runs a (scenario, seed)
+pair exactly as the sweep did; with ``--plan`` it runs a shrunk plan
+file instead of the seed-derived one.
 """
 
 from __future__ import annotations
@@ -60,13 +59,6 @@ def cmd_list(args) -> int:
 
 
 def cmd_run(args) -> int:
-    result = run_trial(args.scenario, args.seed)
-    _print_trial(result)
-    _write_json(reportlib.trial_report(result), args.json)
-    return 0 if result.ok else 1
-
-
-def cmd_replay(args) -> int:
     plan = None
     if args.plan:
         with open(args.plan, "r", encoding="utf-8") as fh:
@@ -122,18 +114,15 @@ def main(argv=None) -> int:
 
     sub.add_parser("list", help="list registered scenarios")
 
-    run_p = sub.add_parser("run", help="run one seeded trial")
-    replay_p = sub.add_parser("replay",
-                              help="re-run a failing trial bit for bit")
-    for p in (run_p, replay_p):
-        p.add_argument("--scenario", required=True,
-                       choices=scenario_names())
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--json", metavar="PATH",
+    run_p = sub.add_parser("run", help="run one seeded trial, bit for "
+                                       "bit as the sweep did")
+    run_p.add_argument("--scenario", required=True, choices=scenario_names())
+    run_p.add_argument("--seed", type=int, required=True)
+    run_p.add_argument("--plan", metavar="PATH",
+                       help="run this (e.g. shrunk) plan JSON instead of "
+                            "the seed-derived one")
+    run_p.add_argument("--json", metavar="PATH",
                        help="also write the JSON report")
-    replay_p.add_argument("--plan", metavar="PATH",
-                          help="replay this (e.g. shrunk) plan JSON instead "
-                               "of the seed-derived one")
 
     sweep_p = sub.add_parser("sweep",
                              help="run the scenario registry across seeds")
@@ -151,7 +140,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     return {"list": cmd_list, "run": cmd_run,
-            "replay": cmd_replay, "sweep": cmd_sweep}[args.command](args)
+            "sweep": cmd_sweep}[args.command](args)
 
 
 if __name__ == "__main__":

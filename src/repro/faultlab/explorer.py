@@ -7,7 +7,7 @@ plan, then quiesce, settle, and run the invariant suite.  Everything —
 plan, network jitter, workload contents — derives from the (scenario,
 seed) pair through string-seeded ``random.Random`` instances, so
 re-running the pair reproduces the trial bit for bit; that is what makes
-``replay`` and the shrinker trustworthy.
+``run --plan`` and the shrinker trustworthy.
 
 The **shrinker** takes a failing (plan, seed) and greedily drops one
 fault term at a time, re-running the trial after each drop and keeping
@@ -129,7 +129,7 @@ class TrialResult:
         return not self.violations
 
     def violation_keys(self) -> List:
-        """Replay-stable identity of the failure (what ``replay`` must
+        """Replay-stable identity of the failure (what ``run --plan`` must
         reproduce and the shrinker preserves the non-emptiness of)."""
         return sorted(v.key for v in self.violations)
 
@@ -156,7 +156,7 @@ class TrialResult:
 def replay_command(scenario: str, seed: int,
                    plan_file: Optional[str] = None) -> str:
     """The shell line that reproduces a failing trial bit for bit."""
-    cmd = (f"PYTHONPATH=src python -m repro.faultlab replay "
+    cmd = (f"PYTHONPATH=src python -m repro.faultlab run "
            f"--scenario {scenario} --seed {seed}")
     if plan_file:
         cmd += f" --plan {plan_file}"

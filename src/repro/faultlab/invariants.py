@@ -25,7 +25,7 @@ checkpoint a replica restored, and every reply a client accepted.
 
 Checkers return :class:`Violation` lists with deterministic detail
 strings, so a replay of the same (scenario, seed) yields bit-identical
-violations — the property the shrinker and ``replay`` rely on.
+violations — the property the shrinker and ``run --plan`` rely on.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 A :class:`FaultPlan` is an immutable composition of fault *terms*, each a
 frozen dataclass naming what goes wrong, where, and over which simulated
 time window.  Plans are data: they serialize to JSON (for reports and
-``replay --plan``), compare by value (so the shrinker can deduplicate
+``run --plan``), compare by value (so the shrinker can deduplicate
 candidates), and say which replicas they make Byzantine (so the invariant
 checkers know whose word still counts).
 
@@ -198,16 +198,10 @@ def _window(start: float, stop: Optional[float]) -> str:
     return f"@[{start:g},{end})s"
 
 
-FAULT_TYPES: Dict[str, Type] = {
-    "replica": ReplicaFault,
-    "partition": PartitionFault,
-    "loss": LossFault,
-    "delay_spike": DelaySpikeFault,
-    "crash": CrashFault,
-    "recovery": RecoveryFault,
-    "backend": BackendFault,
-    "edge_partition": EdgePartitionFault,
-}
+#: Each term's own ``kind`` default names it in a plan's JSON.
+FAULT_TYPES: Dict[str, Type] = {cls.kind: cls for cls in (
+    ReplicaFault, PartitionFault, LossFault, DelaySpikeFault, CrashFault,
+    RecoveryFault, BackendFault, EdgePartitionFault)}
 
 
 def fault_to_dict(fault) -> Dict[str, Any]:

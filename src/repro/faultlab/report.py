@@ -17,7 +17,7 @@ SCHEMA_VERSION = 3  # v3: trial documents report edge reads per mode
 
 
 def trial_report(result: TrialResult) -> Dict[str, Any]:
-    """The ``run``/``replay`` document for one trial."""
+    """The ``run`` document for one trial."""
     return {
         "kind": "faultlab_trial",
         "schema_version": SCHEMA_VERSION,

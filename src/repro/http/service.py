@@ -45,8 +45,7 @@ class HttpClient:
 
     def put(self, path: str, body: bytes, if_match: str = "") -> str:
         result = self._issue("PUT", path, body, if_match)
-        if result[0] not in (int(HttpStatus.CREATED),
-                             int(HttpStatus.NO_CONTENT)):
+        if result[0] not in (HttpStatus.CREATED, HttpStatus.NO_CONTENT):
             raise HttpError(HttpStatus(result[0]))
         return result[1]
 

@@ -117,11 +117,16 @@ class HttpConformanceWrapper(AbstractService):
         path = self._norm(path)
         if path not in self.versions:
             raise HttpError(HttpStatus.NOT_FOUND)
-        self._modify(self.resources.index_of(path))
+        # Depth infinity, as WebDAV's: members go before their collection.
+        doomed = sorted((p for p in self.versions
+                         if (p + "/").startswith(path + "/")), reverse=True)
+        for member in doomed:
+            self._modify(self.resources.index_of(member))
         self._modify(self.CATALOG_INDEX)
         self.server.delete(path)
-        self.resources.release(path)
-        del self.versions[path]
+        for member in doomed:
+            self.resources.release(member)
+            del self.versions[member]
         return (int(HttpStatus.NO_CONTENT),)
 
     @op()
@@ -139,11 +144,9 @@ class HttpConformanceWrapper(AbstractService):
 
     @op(read_only=True)
     def _op_propfind(self, path: str) -> tuple:
-        path = self._norm(path)
-        members = self.server.propfind(path)
+        members = self.server.propfind(self._norm(path))
         # Abstract spec: name order, regardless of vendor order.
-        members = tuple(sorted(members))
-        return (int(HttpStatus.OK), members)
+        return (int(HttpStatus.OK), tuple(sorted(members)))
 
     # -- state conversions -----------------------------------------------------------
 
@@ -190,12 +193,11 @@ class HttpConformanceWrapper(AbstractService):
                     pass
         for index in sorted(decoded):
             obj = decoded[index]
-            kind = obj[0]
             if index == self.CATALOG_INDEX:
                 continue
-            if kind == "free":
+            if obj[0] == "free":
                 self._put_free(index, obj[1])
-            elif kind == "col":
+            elif obj[0] == "col":
                 self._put_col(index, obj[1], obj[2])
             else:
                 self._put_res(index, obj)

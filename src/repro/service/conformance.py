@@ -349,6 +349,9 @@ def _http_workload(d: Driver) -> None:
     d.ok("PUT", "/b.txt", b"beta v2")
     d.ok("PUT", "/docs/c.txt", b"gamma")
     d.ok("DELETE", "/docs/a.html")
+    d.ok("MKCOL", "/old")
+    d.ok("PUT", "/old/d.txt", b"delta")
+    d.ok("DELETE", "/old")  # a non-empty collection: its members go too
     d.ok("GET", "/b.txt", "", read_only=True)
     d.ok("HEAD", "/b.txt", read_only=True)
     d.ok("PROPFIND", "/docs", read_only=True)

@@ -4,7 +4,7 @@ from repro.encoding.canonical import canonical
 
 
 def now_ts():
-    # protolint: disable=DET-CLOCK deliberate bad input for the deep taint pass
+    # Bad input for the deep taint pass; DET-CLOCK fires here too.
     return time.time()
 
 

@@ -9,7 +9,7 @@ class Batcher:
 
     def drain(self):
         out = []
-        # protolint: disable=RPL-SETITER deliberate bad input for the deep taint pass
+        # Bad input for the deep taint pass; RPL-SETITER fires here too.
         for item in self.pending:
             out.append(item)
         return out

@@ -7,5 +7,5 @@ def fingerprint(obj):
 
 
 def tag_message(obj):
-    # protolint: disable=RPL-IDKEY deliberate bad input for the deep taint pass
+    # Bad input for the deep taint pass; RPL-IDKEY fires here too.
     return Tagged((id(obj),))

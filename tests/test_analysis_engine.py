@@ -1,4 +1,4 @@
-"""Engine-level tests for ProtoLint: suppressions, reports,
+"""Engine-level tests for ProtoLint: one outcome per finding, reports,
 deterministic ordering, the ``python -m repro.analysis`` CLI, and the
 tier-1 gate over ``src/repro``."""
 
@@ -7,8 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.engine import (SUPPRESS_RULE_ID, Engine, Finding,
-                                   relativize)
+from repro.analysis.engine import Engine, Finding, relativize
 from repro.analysis.rules import all_rules, select_rules
 from repro.analysis import report as reportlib
 from repro.analysis.__main__ import main
@@ -22,83 +21,63 @@ def _findings(source, rules=("DET-RNG",), rel=REL):
     return Engine(select_rules(list(rules))).check_source(source, rel)
 
 
-# -- suppressions --------------------------------------------------------------
+# -- a finding has one outcome -------------------------------------------------
 
-def test_suppression_with_reason_silences_the_finding():
-    src = ("import random\n"
-           "value = random.choice(options)  "
-           "# protolint: disable=DET-RNG fixture exercises the rule\n")
-    assert _findings(src) == []
+#: Split so that the tree holds no such comment of its own.
+DISABLE = "# protolint: " "disable="
 
 
-def test_standalone_suppression_covers_the_next_line():
-    src = ("import random\n"
-           "# protolint: disable=DET-RNG covered from the line above\n"
-           + BAD_LINE)
-    assert _findings(src) == []
+def test_a_disable_comment_does_not_silence_a_finding():
+    """A disable comment, in any shape, is a plain comment: the finding
+    stands, and the comment adds none of its own."""
+    shapes = {
+        "with a reason": BAD_LINE[:-1] + f"  {DISABLE}DET-RNG fixture\n",
+        "standalone above": f"{DISABLE}DET-RNG the line below\n" + BAD_LINE,
+        "no reason": BAD_LINE[:-1] + f"  {DISABLE}DET-RNG\n",
+        "unknown rule": BAD_LINE[:-1] + f"  {DISABLE}NOT-A-RULE why\n",
+        "malformed": BAD_LINE[:-1] + f"  {DISABLE[:-1]} DET-RNG\n",
+    }
+    for shape, body in shapes.items():
+        findings = _findings("import random\n" + body)
+        assert [f.rule for f in findings] == ["DET-RNG"], shape
 
 
 def test_suppression_does_not_leak_past_the_next_line():
     src = ("import random\n"
-           "# protolint: disable=DET-RNG only reaches line 3\n"
+           f"{DISABLE}DET-RNG only reaches line 3\n"
            "x = 1\n"
            + BAD_LINE)
     findings = _findings(src)
     assert [f.rule for f in findings] == ["DET-RNG"]
 
 
-def test_suppression_without_reason_is_itself_a_finding():
-    src = ("import random\n"
-           "value = random.choice(options)  # protolint: disable=DET-RNG\n")
-    findings = _findings(src)
-    rules = [f.rule for f in findings]
-    # The reasonless disable is rejected AND the original finding stands.
-    assert SUPPRESS_RULE_ID in rules and "DET-RNG" in rules
-    assert any("no reason" in f.message for f in findings)
-
-
-def test_suppression_of_unknown_rule_is_rejected():
-    src = ("import random\n"
-           "value = random.choice(options)  "
-           "# protolint: disable=NOT-A-RULE because reasons\n")
-    findings = _findings(src)
-    rules = [f.rule for f in findings]
-    assert SUPPRESS_RULE_ID in rules and "DET-RNG" in rules
-    assert any("unknown rule" in f.message for f in findings)
-
-
 def test_suppression_only_covers_named_rules():
     src = ("import random, time\n"
-           "t = time.time()  # protolint: disable=DET-RNG wrong rule named\n")
+           f"t = time.time()  {DISABLE}DET-RNG wrong rule named\n")
     findings = _findings(src, rules=("DET-RNG", "DET-CLOCK"))
     assert [f.rule for f in findings] == ["DET-CLOCK"]
 
 
 def test_multi_rule_suppression():
+    """A disable comment naming two rules leaves both findings standing."""
     src = ("import random, time\n"
            "t = random.random() * time.time()  "
-           "# protolint: disable=DET-RNG,DET-CLOCK fixture needs both\n")
-    assert _findings(src, rules=("DET-RNG", "DET-CLOCK")) == []
+           f"{DISABLE}DET-RNG,DET-CLOCK fixture needs both\n")
+    findings = _findings(src, rules=("DET-RNG", "DET-CLOCK"))
+    assert [f.rule for f in findings] == ["DET-RNG", "DET-CLOCK"]
 
 
 def test_suppression_vocabulary_is_every_rule_whatever_is_selected():
-    """A valid suppression of a rule that is not selected is not a
-    finding: the vocabulary is the catalogue, not the ``--rules`` subset."""
+    """A disable comment naming a rule that is not selected adds no
+    finding: only the ``--rules`` subset reports."""
     src = ("import time\n"
-           "t = time.time()  # protolint: disable=DET-CLOCK display only\n")
+           f"t = time.time()  {DISABLE}DET-CLOCK display only\n")
     assert _findings(src, rules=("DET-RNG",)) == []
-
-
-def test_malformed_protolint_comment_is_flagged():
-    src = "x = 1  # protolint: disable DET-RNG forgot the equals\n"
-    findings = _findings(src)
-    assert [f.rule for f in findings] == [SUPPRESS_RULE_ID]
-    assert "malformed" in findings[0].message
 
 
 def test_hash_inside_string_is_not_a_suppression():
     src = ('import random\n'
-           'label = "# protolint: disable=DET-RNG not a comment"\n'
+           f'label = "{DISABLE}DET-RNG not a comment"\n'
            + BAD_LINE)
     findings = _findings(src)
     assert [f.rule for f in findings] == ["DET-RNG"]
@@ -118,7 +97,7 @@ def _report(findings=()):
 
 
 REPORT_KEYS = {"kind", "schema_version", "python", "roots", "rules",
-               "findings", "counts", "ok"}
+               "findings", "ok"}
 
 
 def test_report_builds_and_validates():
@@ -127,7 +106,7 @@ def test_report_builds_and_validates():
     assert set(doc) == REPORT_KEYS
     assert doc["kind"] == "protolint_report"
     assert doc["ok"] is False
-    assert doc["counts"] == {"errors": 1, "warnings": 0}
+    assert doc["schema_version"] == 4
     assert doc["findings"] == [finding.to_dict()]
     assert doc["findings"][0]["rule"] == "DET-RNG"
     # Round-trips through JSON.
@@ -213,15 +192,16 @@ def test_cli_exits_nonzero_on_findings(tmp_path, capsys):
 
 
 def test_cli_json_output_validates(tmp_path, capsys):
+    """Stdout is text; the JSON document is what ``--out`` writes."""
     root = _write_bad_tree(tmp_path)
     out_file = tmp_path / "report.json"
-    assert main([str(root), "--format", "json",
-                 "--out", str(out_file)]) == 1
-    stdout_doc = json.loads(capsys.readouterr().out)
-    assert set(stdout_doc) == REPORT_KEYS
+    assert main([str(root), "--out", str(out_file)]) == 1
+    lines = capsys.readouterr().out.splitlines()
     file_doc = json.loads(out_file.read_text())
     assert set(file_doc) == REPORT_KEYS
-    assert file_doc["findings"] == stdout_doc["findings"]
+    assert lines[:-1] == [Finding(**doc).render()
+                          for doc in file_doc["findings"]]
+    assert lines[-1].endswith(": 1 finding(s)")
 
 
 def test_cli_rule_subset(tmp_path):
@@ -246,8 +226,8 @@ def test_cli_list_rules(capsys):
 
 def test_src_tree_is_protolint_clean():
     """The whole point: src/repro stays clean under all fourteen rules,
-    per-file and whole-program, in one pass — every finding is fixed or
-    suppressed where it occurs."""
+    per-file and whole-program, in one pass — every finding is fixed, or
+    the rule's scope in ``analysis/config.py`` changes."""
     repo = Path(__file__).resolve().parent.parent
     engine = Engine(all_rules())
     findings = engine.run(repo / "src" / "repro")

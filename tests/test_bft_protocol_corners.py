@@ -90,6 +90,21 @@ def test_checkpoint_messages_garbage_collected():
         assert retained, "stable checkpoint must be retained"
 
 
+def test_checkpoint_history_keeps_the_newest_entries():
+    """Every stable checkpoint is noted, and the history keeps only the
+    newest ``_HISTORY_MAX`` of them."""
+    cluster = make_kv_cluster(checkpoint_interval=1)
+    client = cluster.add_client("client0")
+    for i in range(530):
+        client.call(put(i % 8, b"h%d" % i))
+    cluster.run(1.0)
+    for replica in cluster.replicas:
+        history = replica.checkpoint_history
+        assert len(history) == replica._HISTORY_MAX == 512
+        assert history[-1][0] == replica.last_stable == 530
+        assert [seq for seq, _ in history] == list(range(19, 531))
+
+
 def test_executed_log_bounded_by_watermarks():
     cluster = make_kv_cluster(checkpoint_interval=4)
     client = cluster.add_client("client0")

@@ -185,7 +185,7 @@ def test_cli_replay_with_a_failing_plan_exits_nonzero(tmp_path, capsys):
                       ReplicaFault(2, "wrong_reply")))
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(plan.to_json())
-    code = main(["replay", "--scenario", "beyond_f_wrong_reply",
+    code = main(["run", "--scenario", "beyond_f_wrong_reply",
                  "--seed", "0", "--plan", str(plan_file)])
     assert code == 1
     assert "violation" in capsys.readouterr().out

@@ -180,7 +180,7 @@ def test_complexity_report_covers_all_components():
 #: outgrows its ceiling needs the literal raised here, where a reviewer
 #: sees it; one that shrinks by a hundred lines gets it lowered.
 LINE_CEILINGS = {
-    "bft": 3600, "analysis": 3100, "benchmarks/ledger": 2900, "nfs": 2700,
+    "bft": 3600, "analysis": 3000, "benchmarks/ledger": 2900, "nfs": 2700,
     "faultlab": 2350, "service": 1700, "thor": 1300, "workloads": 1200,
     "sim": 1100, "base": 800, "sql": 700, "edge": 700, "harness": 700,
     "http": 600, "encoding": 400, "crypto": 300,
@@ -197,7 +197,7 @@ def test_every_package_fits_its_line_ceiling():
 #: Settable values under ``src/repro`` (see ``settable_values``), exactly:
 #: a new knob raises it here, where a reviewer sees it, and a change that
 #: removes knobs must lower it.
-SETTABLE_CEILING = 387
+SETTABLE_CEILING = 384
 
 
 def test_settable_values_fit_their_ceiling():
@@ -705,7 +705,8 @@ def test_deleted_catalogues_and_tables_stay_deleted():
                       r"|validate_trial_report|validate_sweep_report"
                       r"|finding_from_dict|LibraryHandle|charge_hook"
                       r"|wire_replica|ExecutionEntry|RollbackEntry"
-                      r"|AcceptedReply|ExecutionLog)\b")
+                      r"|AcceptedReply|ExecutionLog|SUPPRESS_RULE_ID"
+                      r"|SEVERITIES|_parse_suppressions|cmd_replay)\b")
     root = Path(__file__).resolve().parents[1]
     here = Path(__file__).resolve()
     assert [f"{path.relative_to(root)}:{match.group(1)}"

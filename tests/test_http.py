@@ -131,6 +131,30 @@ def test_conditional_get_not_modified():
     assert op("GET", "/page", etag, read_only=True)[0] == 304
 
 
+@pytest.mark.parametrize("cls", [ApacheLikeServer, NginxLikeServer],
+                         ids=lambda c: c.vendor)
+def test_delete_of_a_collection_drops_its_members(cls):
+    """Both servers drop a collection's whole subtree, as WebDAV's
+    Depth-infinity DELETE does; so does the abstract state: no member
+    keeps a version or a slot whose object the server can no longer
+    produce, and a re-created member starts over at version 1."""
+    wrapper, op = make_wrapped(cls)
+    assert op("MKCOL", "/a")[0] == 201
+    assert op("MKCOL", "/a/sub")[0] == 201
+    assert op("PUT", "/a/b", b"one", "")[0] == 201
+    assert op("PUT", "/a/sub/c", b"two", "")[0] == 201
+    assert op("PUT", "/ab", b"kept", "")[0] == 201
+    assert op("DELETE", "/a")[0] == 204
+    assert sorted(wrapper.versions) == ["/ab"]
+    catalog = decanonical(wrapper.get_obj(wrapper.CATALOG_INDEX))
+    assert catalog == ("catalog", (("/ab", False),))
+    for index in range(1, 64):
+        wrapper.get_obj(index)   # every slot is producible
+    assert op("GET", "/a/b", "", read_only=True) == (404,)
+    assert op("MKCOL", "/a")[0] == 201
+    assert op("PUT", "/a/b", b"again", "")[:2] == (201, '"v1"')
+
+
 def test_propfind_sorted_regardless_of_vendor():
     wrapper, op = make_wrapped(ApacheLikeServer)
     op("MKCOL", "/c")
