@@ -47,13 +47,12 @@ def _split(path: str) -> List[str]:
 
 
 class _Resource:
-    __slots__ = ("body", "children", "meta")
+    __slots__ = ("body", "children")
 
     def __init__(self, collection: bool):
         self.body: Optional[bytes] = None if collection else b""
         self.children: Optional[Dict[str, "_Resource"]] = \
             {} if collection else None
-        self.meta = {}
 
     @property
     def is_collection(self) -> bool:

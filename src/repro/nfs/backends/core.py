@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.nfs.protocol import (
     Fattr,
@@ -48,6 +48,17 @@ class CostProfile:
             if stable_writes:
                 total += self.sync_extra
         return total
+
+
+def data_bytes(proc: str, args: tuple, reply: Any) -> int:
+    """The bytes a procedure's cost is charged for: what a write stores
+    and what a read returns (``reply`` leads with the data; NFS-std's
+    server passes an empty one for a read that failed)."""
+    if proc == "write":
+        return len(args[2])
+    if proc == "read" and reply:
+        return len(reply[0])
+    return 0
 
 
 class Inode:
@@ -384,7 +395,7 @@ class MemoryFilesystem:
         self._bytes_stored -= 64
         del self._inodes[inode.ino]
 
-    def cost(self, proc: str, nbytes: int = 0) -> float:
+    def cost(self, proc: str, nbytes: int) -> float:
         return self.profile.cost(proc, nbytes, self.stable_writes)
 
     def server_restart(self) -> None:

@@ -21,7 +21,12 @@ from typing import Dict, Optional, Set
 
 from repro.errors import StateTransferError
 from repro.nfs.protocol import FileType, NfsError, Sattr
-from repro.nfs.spec import AbstractObject
+from repro.nfs.spec import AbstractMeta, AbstractObject
+
+
+def _sattr(meta: AbstractMeta, size: int) -> Sattr:
+    """What a transferred object's meta-data sets on its backend object."""
+    return Sattr(meta.mode, meta.uid, meta.gid, size)
 
 
 class InverseConversion:
@@ -73,8 +78,7 @@ class InverseConversion:
         dir_fh = entry.fh
 
         new_by_name = {name: (cidx, cgen) for name, cidx, cgen in obj.entries}
-        current = list(self.backend.readdir(dir_fh))
-        self.wrapper._charge_backend("readdir", 32 * len(current))
+        current = self.wrapper._backend_op("readdir", dir_fh)
         current_oid = {}
         for name, fileid in current:
             current_oid[name] = self.rep.fileid_to_index.get(fileid)
@@ -121,10 +125,7 @@ class InverseConversion:
                 self._create_child(index, dir_fh, name, cidx, cgen)
 
         # Apply the directory's own meta.
-        self.backend.setattr(dir_fh, Sattr(mode=obj.meta.mode,
-                                           uid=obj.meta.uid,
-                                           gid=obj.meta.gid))
-        self.wrapper._charge_backend("setattr")
+        self.wrapper._backend_op("setattr", dir_fh, _sattr(obj.meta, -1))
         self._apply_meta(index, obj)
 
     def _apply_meta(self, index: int, obj: AbstractObject) -> None:
@@ -151,8 +152,8 @@ class InverseConversion:
             temp = None
         else:
             temp = f".base-tmp-{old_name}"
-        self.backend.rename(dir_fh, old_name, dir_fh, temp or new_name)
-        self.wrapper._charge_backend("rename")
+        self.wrapper._backend_op("rename", dir_fh, old_name, dir_fh,
+                                 temp or new_name)
         return temp
 
     def _remove_recursive(self, dir_fh: bytes, name: str) -> None:
@@ -160,34 +161,21 @@ class InverseConversion:
         if fattr.ftype == FileType.NFDIR:
             for child_name, _ in list(self.backend.readdir(fh)):
                 self._remove_recursive(fh, child_name)
-            self.backend.rmdir(dir_fh, name)
-            self.wrapper._charge_backend("rmdir")
-        else:
-            self.backend.remove(dir_fh, name)
-            self.wrapper._charge_backend("remove")
+        self.wrapper._backend_op(
+            "rmdir" if fattr.ftype == FileType.NFDIR else "remove",
+            dir_fh, name)
         self.rep.forget_fileid(fattr.fileid)
 
     def _create_child(self, dir_index: int, dir_fh: bytes, name: str,
                       cidx: int, cgen: int) -> None:
         child_obj = self.objects.get(cidx)
-        if child_obj is None:
+        if child_obj is None or child_obj.is_free:
             raise StateTransferError(
                 f"directory {dir_index} references object {cidx} ({name!r}) "
-                f"absent from the transfer vector")
-        sattr = Sattr(mode=child_obj.meta.mode, uid=child_obj.meta.uid,
-                      gid=child_obj.meta.gid)
-        if child_obj.ftype == FileType.NFREG:
-            fh, fattr = self.backend.create(dir_fh, name, sattr)
-            self.wrapper._charge_backend("create")
-        elif child_obj.ftype == FileType.NFDIR:
-            fh, fattr = self.backend.mkdir(dir_fh, name, sattr)
-            self.wrapper._charge_backend("mkdir")
-        elif child_obj.ftype == FileType.NFLNK:
-            fh, fattr = self.backend.symlink(dir_fh, name, child_obj.target,
-                                             sattr)
-            self.wrapper._charge_backend("symlink")
-        else:
-            raise StateTransferError(f"cannot create type {child_obj.ftype}")
+                f"with no live object in the transfer vector")
+        fh, fattr = self.wrapper._make_object(
+            child_obj.ftype, dir_fh, name, child_obj.target,
+            _sattr(child_obj.meta, -1))
         self.rep.bind(cidx, child_obj.ftype, cgen, fh, fattr.fileid,
                       dir_index)
 
@@ -199,18 +187,8 @@ class InverseConversion:
             raise StateTransferError(
                 f"leaf {index} has no backend object after parent "
                 f"reconstruction")
-        if obj.ftype == FileType.NFREG:
-            self.backend.setattr(entry.fh, Sattr(mode=obj.meta.mode,
-                                                 uid=obj.meta.uid,
-                                                 gid=obj.meta.gid,
-                                                 size=len(obj.data)))
-            self.wrapper._charge_backend("setattr")
-            if obj.data:
-                self.backend.write(entry.fh, 0, obj.data)
-                self.wrapper._charge_backend("write", len(obj.data))
-        else:
-            self.backend.setattr(entry.fh, Sattr(mode=obj.meta.mode,
-                                                 uid=obj.meta.uid,
-                                                 gid=obj.meta.gid))
-            self.wrapper._charge_backend("setattr")
+        size = len(obj.data) if obj.ftype == FileType.NFREG else -1
+        self.wrapper._backend_op("setattr", entry.fh, _sattr(obj.meta, size))
+        if obj.data:
+            self.wrapper._backend_op("write", entry.fh, 0, obj.data)
         self._apply_meta(index, obj)

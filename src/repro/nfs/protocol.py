@@ -3,6 +3,8 @@
 Both the conformance wrapper (client-facing, abstract) and the backends
 (server-facing, concrete) speak in these terms.  Operations travel as
 canonical-encoded tuples; results as ``(status, payload...)`` tuples.
+Which procedures are read-only is not restated here: the wrapper's op
+table declares it (``NfsConformanceWrapper.read_only_ops()``).
 
 Hard links (LINK) are intentionally outside the common abstract
 specification: the abstract state keeps a single parent index per object
@@ -19,7 +21,9 @@ from repro.errors import ServiceError
 
 
 class NfsStatus(enum.IntEnum):
-    """NFSv2 status codes (RFC 1094 §2.2.6, the ones this service uses)."""
+    """NFSv2 status codes (RFC 1094 §2.2.6, the ones this service uses),
+    plus NFSv3's NFSERR_INVAL for a RENAME of a directory into its own
+    subtree."""
 
     NFS_OK = 0
     NFSERR_PERM = 1
@@ -28,6 +32,7 @@ class NfsStatus(enum.IntEnum):
     NFSERR_EXIST = 17
     NFSERR_NOTDIR = 20
     NFSERR_ISDIR = 21
+    NFSERR_INVAL = 22
     NFSERR_FBIG = 27
     NFSERR_NOSPC = 28
     NFSERR_ROFS = 30
@@ -82,13 +87,6 @@ class NfsProc(enum.Enum):
     RMDIR = "rmdir"
     READDIR = "readdir"
     STATFS = "statfs"
-
-
-#: Procedures that do not modify state (eligible for BFT's read-only path).
-READ_ONLY_PROCS = frozenset({
-    NfsProc.GETATTR, NfsProc.LOOKUP, NfsProc.READLINK, NfsProc.READ,
-    NfsProc.READDIR, NfsProc.STATFS,
-})
 
 
 class Fattr(NamedTuple):

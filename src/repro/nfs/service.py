@@ -13,6 +13,10 @@ Both are reached through :class:`BaseFsTransport` (the baseline's
 simulated NFS client and the Andrew benchmark are oblivious to which
 they are driving.  The service is declared once as :data:`NFS_SERVICE`;
 :mod:`repro.service.deploy` builds both deployments from it.
+
+The baseline shares BASEFS's error envelopes, its read-only set (the
+wrapper's op table) and its rule for the bytes a backend op is charged
+for (:func:`repro.nfs.backends.core.data_bytes`).
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.encoding.canonical import canonical, decanonical
-from repro.nfs.backends.core import CostProfile, MemoryFilesystem
+from repro.nfs.backends.core import CostProfile, MemoryFilesystem, data_bytes
 from repro.nfs.backends.vendors import LinuxExt2Backend
-from repro.nfs.protocol import NfsError, NfsProc, NfsStatus, READ_ONLY_PROCS
-from repro.nfs.wrapper import NfsConformanceWrapper
+from repro.nfs.protocol import (Fattr, NfsError, NfsProc, NfsStatus, Sattr,
+                                StatfsResult)
+from repro.nfs.wrapper import BAD_PROCEDURE, MALFORMED, NfsConformanceWrapper
 from repro.service.deploy import (
     Channel,
     DirectService,
@@ -35,6 +40,10 @@ from repro.service.deploy import (
 )
 
 
+#: Procedures eligible for BFT's read-only path: the wrapper's op table.
+READ_ONLY_OPS = NfsConformanceWrapper.read_only_ops()
+
+
 class BaseFsTransport:
     """Client side of BASEFS: each NFS procedure rides a service channel."""
 
@@ -44,7 +53,7 @@ class BaseFsTransport:
     def call(self, proc: NfsProc, *args, read_only: bool = False) -> tuple:
         op = canonical((proc.value,) + args)
         raw = self.channel.call(op, read_only=read_only
-                                and proc in READ_ONLY_PROCS)
+                                and proc.value in READ_ONLY_OPS)
         result = decanonical(raw)
         status = result[0]
         if status != 0:
@@ -87,48 +96,18 @@ class DirectTransport(BaseFsTransport):
 #: ``bad procedure`` reply instead of a ``getattr`` free-for-all.
 _DIRECT_PROCS = frozenset(proc.value for proc in NfsProc) | {"mount"}
 
-
-def _decode_args(proc_name: str, args: list):
-    from repro.nfs.protocol import Sattr
-    decoded = []
-    for arg in args:
-        if (isinstance(arg, tuple) and len(arg) == 6
-                and proc_name in ("setattr", "create", "mkdir",
-                                  "symlink")):
-            decoded.append(Sattr.decode(arg))
-        else:
-            decoded.append(arg)
-    return decoded
+#: Procedures whose last argument is a sattr.
+_SATTR_PROCS = frozenset(("setattr", "create", "mkdir", "symlink"))
 
 
-def _encode_payload(proc_name: str, payload) -> tuple:
-    if payload is None:
-        return ()
-    if proc_name in ("getattr", "setattr", "write"):
-        return (payload.encode(),)
-    if proc_name in ("lookup", "create", "mkdir", "symlink"):
-        fh, fattr = payload
-        return (fh, fattr.encode())
-    if proc_name == "read":
-        data, fattr = payload
-        return (data, fattr.encode())
-    if proc_name == "readdir":
-        return (tuple((name, fileid) for name, fileid in payload),)
-    if proc_name == "readlink":
-        return (payload,)
-    if proc_name == "statfs":
-        return (payload.encode(),)
-    if proc_name == "mount":
-        return (payload,)
-    return (payload,)
-
-
-def _data_bytes(proc_name: str, args: list, result: tuple) -> int:
-    if proc_name == "write" and len(args) >= 3:
-        return len(args[2])
-    if proc_name == "read" and len(result) > 1:
-        return len(result[1])
-    return 0
+def _wire(value):
+    """``value`` as it travels: an attribute record as its encoded tuple,
+    a tuple or list item by item, anything else as it is."""
+    if isinstance(value, (Fattr, StatfsResult)):
+        return value.encode()
+    if isinstance(value, (tuple, list)):
+        return tuple(_wire(item) for item in value)
+    return value
 
 
 def _payload_size(result: tuple) -> int:
@@ -144,21 +123,34 @@ def _payload_size(result: tuple) -> int:
 
 
 def _direct_handler(backend: MemoryFilesystem):
-    def handler(node: DirectServiceServer, src: str,
-                op: bytes) -> Tuple[bytes, int]:
+    def serve(node: DirectServiceServer, op: bytes) -> tuple:
         proc_name, *args = decanonical(op)
         backend_proc = getattr(backend, proc_name, None) \
             if proc_name in _DIRECT_PROCS else None
         if backend_proc is None:
-            result: tuple = (int(NfsStatus.NFSERR_IO), "bad procedure")
+            return BAD_PROCEDURE
+        if proc_name in _SATTR_PROCS and args:
+            args[-1] = Sattr.decode(args[-1])
+        try:
+            payload = backend_proc(*args)
+        except NfsError as err:
+            result: tuple = (int(err.status),)
         else:
-            try:
-                payload = backend_proc(*_decode_args(proc_name, args))
-                result = (0,) + _encode_payload(proc_name, payload)
-            except NfsError as err:
-                result = (int(err.status),)
-            nbytes = _data_bytes(proc_name, args, result)
-            node.charge(backend.cost(proc_name, nbytes))
+            # A pair replies as two items, nothing as none.
+            result = (0,) + _wire(payload if type(payload) is tuple
+                                  else () if payload is None else (payload,))
+        node.charge(backend.cost(proc_name,
+                                 data_bytes(proc_name, args, result[1:])))
+        return result
+
+    def handler(node: DirectServiceServer, src: str,
+                op: bytes) -> Tuple[bytes, int]:
+        try:
+            result = serve(node, op)
+        except NfsConformanceWrapper.MALFORMED_EXC:
+            # Wrong arity or argument types: BASEFS's reply, and the
+            # server keeps serving.
+            result = MALFORMED
         return canonical(result), 64 + _payload_size(result)
     return handler
 

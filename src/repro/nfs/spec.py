@@ -66,6 +66,15 @@ ROOT_OID = oid_bytes(0, 1)
 
 # -- abstract objects ---------------------------------------------------------------
 
+#: What every live object counts against the virtual capacity before its
+#: data, symlink target or directory entries.
+OBJECT_BYTES = 64
+
+
+def entry_bytes(name: str) -> int:
+    """What one directory entry named ``name`` counts."""
+    return len(name.encode("utf-8")) + 16
+
 
 class AbstractMeta(NamedTuple):
     """Meta-data of a non-null abstract object.
@@ -101,12 +110,12 @@ class AbstractObject(NamedTuple):
     def abstract_size(self) -> int:
         """Bytes this object contributes to the virtual capacity."""
         if self.ftype == FileType.NFREG:
-            return len(self.data) + 64
+            return OBJECT_BYTES + len(self.data)
         if self.ftype == FileType.NFDIR:
-            return 64 + sum(len(name.encode("utf-8")) + 16
-                            for name, _, _ in self.entries)
+            return OBJECT_BYTES + sum(entry_bytes(name)
+                                      for name, _, _ in self.entries)
         if self.ftype == FileType.NFLNK:
-            return len(self.target.encode("utf-8")) + 64
+            return OBJECT_BYTES + len(self.target.encode("utf-8"))
         return 0
 
 

@@ -24,28 +24,29 @@ deterministic ``bad procedure`` reply instead of reaching ``getattr``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.base.nondet import TimestampAgreement
 from repro.errors import EncodingError, StateTransferError
 from repro.service.kernel import AbstractService, op
-from repro.nfs.backends.core import MemoryFilesystem
+from repro.nfs.backends.core import MemoryFilesystem, data_bytes
 from repro.nfs.conformance import ConformanceRep
 from repro.nfs.protocol import (
     FileType,
     NfsError,
     NfsProc,
     NfsStatus,
-    READ_ONLY_PROCS,
     Sattr,
     StatfsResult,
 )
 from repro.nfs.spec import (
+    OBJECT_BYTES,
     AbstractMeta,
     AbstractObject,
     AbstractSpecConfig,
     decode_object,
     encode_object,
+    entry_bytes,
     oid_bytes,
     oid_parse,
 )
@@ -61,6 +62,14 @@ _OUT_OF_RANGE = "value outside its unsigned XDR field"
 # Seconds a proposed timestamp may sit from this replica's clock.
 CLOCK_DELTA = 2.0
 
+#: The error envelopes NFS-std's server answers with too.
+BAD_PROCEDURE = (int(NfsStatus.NFSERR_IO), "bad procedure")
+MALFORMED = (int(NfsStatus.NFSERR_IO), "malformed request")
+
+#: The backend procedure that makes an object of each type.
+_MAKERS = {FileType.NFREG: "create", FileType.NFDIR: "mkdir",
+           FileType.NFLNK: "symlink"}
+
 
 class NfsConformanceWrapper(AbstractService):
     """One replica's veneer over one backend NFS server."""
@@ -75,7 +84,7 @@ class NfsConformanceWrapper(AbstractService):
         self.rep = ConformanceRep(self.spec.array_size)
         root_fh = backend.mount()
         self.rep.assign(0, FileType.NFDIR, root_fh,
-                        backend.getattr(root_fh).fileid, 0, 0, 64)
+                        backend.getattr(root_fh).fileid, 0, 0, OBJECT_BYTES)
 
     # -- Upcalls: sizing --------------------------------------------------------
 
@@ -85,7 +94,13 @@ class NfsConformanceWrapper(AbstractService):
 
     # -- cost plumbing ----------------------------------------------------------------
 
-    def _charge_backend(self, proc: str, nbytes: int = 0) -> None:
+    def _backend_op(self, proc: str, *args) -> Any:
+        """Call the backend's ``proc``, then charge what it cost."""
+        reply = getattr(self.backend, proc)(*args)
+        self._charge_backend(proc, data_bytes(proc, args, reply))
+        return reply
+
+    def _charge_backend(self, proc: str, nbytes: int) -> None:
         if self.library is not None:
             self.library.charge(self.backend.cost(proc, nbytes))
 
@@ -95,17 +110,14 @@ class NfsConformanceWrapper(AbstractService):
         return (0,) + payload
 
     def unknown_op_reply(self, kind: Any) -> tuple:
-        return (int(NfsStatus.NFSERR_IO), "bad procedure")
+        return BAD_PROCEDURE
 
     def read_only_reply(self, kind: Any) -> tuple:
         return (int(NfsStatus.NFSERR_ROFS),
                 "mutating op on read-only path")
 
     def malformed_reply(self, kind: Any, exc: Optional[Exception]) -> tuple:
-        if kind is None or not isinstance(kind, str) \
-                or self.op_key(kind) not in self.OPS:
-            return self.unknown_op_reply(kind)
-        return (int(NfsStatus.NFSERR_IO), "malformed request")
+        return BAD_PROCEDURE if kind is None else MALFORMED
 
     def service_error_reply(self, exc: Exception) -> Optional[tuple]:
         if isinstance(exc, NfsError):
@@ -123,6 +135,22 @@ class NfsConformanceWrapper(AbstractService):
             raise NfsError(NfsStatus.NFSERR_STALE) from None
         return index, self.rep.lookup_oid(index, gen)
 
+    def _directory_for(self, fh: bytes):
+        index, entry = self._entry_for(fh)
+        if entry.ftype != FileType.NFDIR:
+            raise NfsError(NfsStatus.NFSERR_NOTDIR)
+        return index, entry
+
+    def _child_index(self, dir_fh: bytes, name: str) -> int:
+        """The abstract index of ``name`` in the backend directory
+        ``dir_fh``; STALE when its fileid maps to no entry."""
+        _, fattr = self._backend_op("lookup", dir_fh, name)
+        index = self.rep.fileid_to_index.get(fattr.fileid)
+        if index is None:
+            raise NfsError(NfsStatus.NFSERR_STALE,
+                           f"unmapped fileid {fattr.fileid}")
+        return index
+
     def _backend_fh(self, index: int) -> bytes:
         entry = self.rep.entry(index)
         if entry.fh is None:
@@ -137,8 +165,7 @@ class NfsConformanceWrapper(AbstractService):
         """The abstract attributes of ``index`` as they travel: the
         tuple ``Fattr.encode`` gives (fsid 0, fileid the index, rdev 0)."""
         entry = self.rep.entry(index)
-        concrete = self.backend.getattr(self._backend_fh(index))
-        self._charge_backend("getattr")
+        concrete = self._backend_op("getattr", self._backend_fh(index))
         return (int(entry.ftype), concrete.mode, concrete.nlink,
                 concrete.uid, concrete.gid, concrete.size, 0, index,
                 entry.atime, entry.mtime, entry.ctime, 0)
@@ -164,15 +191,14 @@ class NfsConformanceWrapper(AbstractService):
                 raise NfsError(NfsStatus.NFSERR_ISDIR)
             if sattr.size > self.spec.max_file_size:
                 raise NfsError(NfsStatus.NFSERR_FBIG)
-            self._check_virtual_capacity(sattr.size + 64 -
+            self._check_virtual_capacity(OBJECT_BYTES + sattr.size -
                                          entry.abstract_size)
         self._modify(index)
         # Strip client-supplied times; abstract times are the agreed ones.
         concrete = Sattr(sattr.mode, sattr.uid, sattr.gid, sattr.size, -1, -1)
-        self.backend.setattr(self._backend_fh(index), concrete)
-        self._charge_backend("setattr")
+        self._backend_op("setattr", self._backend_fh(index), concrete)
         if sattr.size != -1:
-            self.rep.update_size(index, sattr.size + 64)
+            self.rep.update_size(index, OBJECT_BYTES + sattr.size)
         entry.ctime = now
         if sattr.atime != -1:
             entry.atime = sattr.atime
@@ -184,15 +210,8 @@ class NfsConformanceWrapper(AbstractService):
 
     @op(read_only=True)
     def _op_lookup(self, now: int, dir_fh: bytes, name: str) -> tuple:
-        dir_index, dir_entry = self._entry_for(dir_fh)
-        if dir_entry.ftype != FileType.NFDIR:
-            raise NfsError(NfsStatus.NFSERR_NOTDIR)
-        _, fattr = self.backend.lookup(self._backend_fh(dir_index), name)
-        self._charge_backend("lookup")
-        child_index = self.rep.fileid_to_index.get(fattr.fileid)
-        if child_index is None:
-            raise NfsError(NfsStatus.NFSERR_STALE,
-                           f"unmapped fileid {fattr.fileid}")
+        dir_index, _ = self._directory_for(dir_fh)
+        child_index = self._child_index(self._backend_fh(dir_index), name)
         return (self._oid(child_index),
                 self._abstract_fattr(child_index))
 
@@ -201,17 +220,15 @@ class NfsConformanceWrapper(AbstractService):
         index, entry = self._entry_for(fh)
         if entry.ftype != FileType.NFLNK:
             raise NfsError(NfsStatus.NFSERR_PERM, "not a symlink")
-        target = self.backend.readlink(self._backend_fh(index))
-        self._charge_backend("readlink")
-        return (target,)
+        return (self._backend_op("readlink", self._backend_fh(index)),)
 
     @op(read_only=True)
     def _op_read(self, now: int, fh: bytes, offset: int, count: int) -> tuple:
         if offset < 0 or count < 0:
             raise ValueError(_OUT_OF_RANGE)
         index, entry = self._entry_for(fh)
-        data, _ = self.backend.read(self._backend_fh(index), offset, count)
-        self._charge_backend("read", len(data))
+        data, _ = self._backend_op("read", self._backend_fh(index), offset,
+                                   count)
         # Abstract spec: reads do not update atime (keeps reads read-only).
         return (data, self._abstract_fattr(index))
 
@@ -226,13 +243,12 @@ class NfsConformanceWrapper(AbstractService):
         end = offset + len(data)
         if end > self.spec.max_file_size:
             raise NfsError(NfsStatus.NFSERR_FBIG)
-        current_size = entry.abstract_size - 64
+        current_size = entry.abstract_size - OBJECT_BYTES
         growth = max(0, end - current_size)
         self._check_virtual_capacity(growth)
         self._modify(index)
-        self.backend.write(self._backend_fh(index), offset, data)
-        self._charge_backend("write", len(data))
-        self.rep.update_size(index, max(current_size, end) + 64)
+        self._backend_op("write", self._backend_fh(index), offset, data)
+        self.rep.update_size(index, OBJECT_BYTES + max(current_size, end))
         entry.mtime = entry.ctime = now
         return (self._abstract_fattr(index),)
 
@@ -240,26 +256,24 @@ class NfsConformanceWrapper(AbstractService):
     def _op_create(self, now: int, dir_fh: bytes, name: str,
                    sattr_fields: tuple) -> tuple:
         return self._create_common(now, dir_fh, name, sattr_fields,
-                                   FileType.NFREG)
+                                   FileType.NFREG, "")
 
     @op()
     def _op_mkdir(self, now: int, dir_fh: bytes, name: str,
                   sattr_fields: tuple) -> tuple:
         return self._create_common(now, dir_fh, name, sattr_fields,
-                                   FileType.NFDIR)
+                                   FileType.NFDIR, "")
 
     @op()
     def _op_symlink(self, now: int, dir_fh: bytes, name: str, target: str,
                     sattr_fields: tuple) -> tuple:
         return self._create_common(now, dir_fh, name, sattr_fields,
-                                   FileType.NFLNK, target=target)
+                                   FileType.NFLNK, target)
 
     def _create_common(self, now: int, dir_fh: bytes, name: str,
                        sattr_fields: tuple, ftype: FileType,
-                       target: str = "") -> tuple:
-        dir_index, dir_entry = self._entry_for(dir_fh)
-        if dir_entry.ftype != FileType.NFDIR:
-            raise NfsError(NfsStatus.NFSERR_NOTDIR)
+                       target: str) -> tuple:
+        dir_index, dir_entry = self._directory_for(dir_fh)
         if len(name.encode("utf-8")) > self.spec.max_name_len:
             raise NfsError(NfsStatus.NFSERR_NAMETOOLONG, name)
         sattr = Sattr.decode(sattr_fields)
@@ -268,69 +282,54 @@ class NfsConformanceWrapper(AbstractService):
         initial_size = max(0, sattr.size) if ftype == FileType.NFREG else 0
         if initial_size > self.spec.max_file_size:
             raise NfsError(NfsStatus.NFSERR_FBIG)
-        abstract_size = initial_size + 64 + len(target.encode("utf-8"))
-        self._check_virtual_capacity(abstract_size +
-                                     len(name.encode("utf-8")) + 16)
+        abstract_size = OBJECT_BYTES + initial_size + \
+            len(target.encode("utf-8"))
+        self._check_virtual_capacity(abstract_size + entry_bytes(name))
         # Claim the abstract entry first; modify() must see pre-mutation
         # values (free object, old generation) for copy-on-write to serve
         # earlier checkpoints correctly.
         with self.rep.claim() as index:
             self._modify(dir_index)
             self._modify(index)
-            backend_dir_fh = self._backend_fh(dir_index)
             concrete = Sattr(sattr.mode, sattr.uid, sattr.gid,
                              sattr.size if ftype == FileType.NFREG else -1,
                              -1, -1)
-            if ftype == FileType.NFREG:
-                fh, fattr = self.backend.create(backend_dir_fh, name,
-                                                concrete)
-                self._charge_backend("create")
-            elif ftype == FileType.NFDIR:
-                fh, fattr = self.backend.mkdir(backend_dir_fh, name,
-                                               concrete)
-                self._charge_backend("mkdir")
-            else:
-                fh, fattr = self.backend.symlink(backend_dir_fh, name,
-                                                 target, concrete)
-                self._charge_backend("symlink")
+            fh, fattr = self._make_object(ftype, self._backend_fh(dir_index),
+                                          name, target, concrete)
             self.rep.assign(index, ftype, fh, fattr.fileid, dir_index, now,
                             abstract_size)
         dir_entry.mtime = dir_entry.ctime = now
         self.rep.update_size(dir_index, dir_entry.abstract_size +
-                             len(name.encode("utf-8")) + 16)
+                             entry_bytes(name))
         return (self._oid(index), self._abstract_fattr(index))
+
+    def _make_object(self, ftype: FileType, dir_fh: bytes, name: str,
+                     target: str, sattr: Sattr) -> Tuple[bytes, Any]:
+        """Make ``name``, of type ``ftype``, in the backend directory
+        ``dir_fh``: for a client's request and for a state transfer."""
+        args = (target, sattr) if ftype == FileType.NFLNK else (sattr,)
+        return self._backend_op(_MAKERS[ftype], dir_fh, name, *args)
 
     @op()
     def _op_remove(self, now: int, dir_fh: bytes, name: str) -> tuple:
-        return self._remove_common(now, dir_fh, name, directory=False)
+        return self._remove_common(now, dir_fh, name, "remove")
 
     @op()
     def _op_rmdir(self, now: int, dir_fh: bytes, name: str) -> tuple:
-        return self._remove_common(now, dir_fh, name, directory=True)
+        return self._remove_common(now, dir_fh, name, "rmdir")
 
     def _remove_common(self, now: int, dir_fh: bytes, name: str,
-                       directory: bool) -> tuple:
-        dir_index, dir_entry = self._entry_for(dir_fh)
-        if dir_entry.ftype != FileType.NFDIR:
-            raise NfsError(NfsStatus.NFSERR_NOTDIR)
+                       proc: str) -> tuple:
+        dir_index, dir_entry = self._directory_for(dir_fh)
         backend_dir_fh = self._backend_fh(dir_index)
-        _, fattr = self.backend.lookup(backend_dir_fh, name)
-        self._charge_backend("lookup")
-        victim_index = self.rep.fileid_to_index.get(fattr.fileid)
-        if victim_index is None:
-            raise NfsError(NfsStatus.NFSERR_STALE)
+        victim_index = self._child_index(backend_dir_fh, name)
         self._modify(dir_index)
         self._modify(victim_index)
-        if directory:
-            self.backend.rmdir(backend_dir_fh, name)
-            self._charge_backend("rmdir")
-        else:
-            self.backend.remove(backend_dir_fh, name)
-            self._charge_backend("remove")
+        self._backend_op(proc, backend_dir_fh, name)
         self.rep.free(victim_index)
         dir_entry.mtime = dir_entry.ctime = now
         self.rep.update_size(dir_index, dir_entry.abstract_size -
-                             len(name.encode("utf-8")) - 16)
+                             entry_bytes(name))
         return ()
 
     @op()
@@ -345,17 +344,19 @@ class NfsConformanceWrapper(AbstractService):
             raise NfsError(NfsStatus.NFSERR_NAMETOOLONG, to_name)
         backend_from = self._backend_fh(from_index)
         backend_to = self._backend_fh(to_index)
-        _, moving_attr = self.backend.lookup(backend_from, from_name)
-        self._charge_backend("lookup")
-        moving_index = self.rep.fileid_to_index.get(moving_attr.fileid)
-        if moving_index is None:
-            raise NfsError(NfsStatus.NFSERR_STALE)
+        moving_index = self._child_index(backend_from, from_name)
+        # A directory moved into its own subtree would leave the tree: its
+        # parent chain would become a loop no state transfer can rebuild.
+        ancestor, seen = to_index, set()
+        while ancestor not in seen:
+            if ancestor == moving_index:
+                raise NfsError(NfsStatus.NFSERR_INVAL, "into its own subtree")
+            seen.add(ancestor)
+            ancestor = self.rep.entry(ancestor).parent
         # If the target name exists, its object is destroyed.
         replaced_index = None
         try:
-            _, replaced_attr = self.backend.lookup(backend_to, to_name)
-            self._charge_backend("lookup")
-            replaced_index = self.rep.fileid_to_index.get(replaced_attr.fileid)
+            replaced_index = self._child_index(backend_to, to_name)
         except NfsError:
             pass
         self._modify(from_index)
@@ -363,8 +364,8 @@ class NfsConformanceWrapper(AbstractService):
         self._modify(moving_index)
         if replaced_index is not None and replaced_index != moving_index:
             self._modify(replaced_index)
-        self.backend.rename(backend_from, from_name, backend_to, to_name)
-        self._charge_backend("rename")
+        self._backend_op("rename", backend_from, from_name, backend_to,
+                         to_name)
         if replaced_index is not None and replaced_index != moving_index:
             self.rep.free(replaced_index)
         moving = self.rep.entry(moving_index)
@@ -372,10 +373,10 @@ class NfsConformanceWrapper(AbstractService):
         moving.ctime = now
         from_entry.mtime = from_entry.ctime = now
         to_entry.mtime = to_entry.ctime = now
-        delta_from = -(len(from_name.encode("utf-8")) + 16)
-        delta_to = len(to_name.encode("utf-8")) + 16
-        self.rep.update_size(from_index, from_entry.abstract_size + delta_from)
-        self.rep.update_size(to_index, to_entry.abstract_size + delta_to)
+        self.rep.update_size(from_index, from_entry.abstract_size -
+                             entry_bytes(from_name))
+        self.rep.update_size(to_index, to_entry.abstract_size +
+                             entry_bytes(to_name))
         return ()
 
     @op()
@@ -385,11 +386,8 @@ class NfsConformanceWrapper(AbstractService):
 
     @op(read_only=True)
     def _op_readdir(self, now: int, dir_fh: bytes) -> tuple:
-        dir_index, dir_entry = self._entry_for(dir_fh)
-        if dir_entry.ftype != FileType.NFDIR:
-            raise NfsError(NfsStatus.NFSERR_NOTDIR)
-        raw = self.backend.readdir(self._backend_fh(dir_index))
-        self._charge_backend("readdir", 32 * len(raw))
+        dir_index, _ = self._directory_for(dir_fh)
+        raw = self._backend_op("readdir", self._backend_fh(dir_index))
         entries = []
         for name, fileid in raw:
             child = self.rep.fileid_to_index.get(fileid)
@@ -403,7 +401,7 @@ class NfsConformanceWrapper(AbstractService):
     @op(read_only=True)
     def _op_statfs(self, now: int, fh: bytes) -> tuple:
         self._entry_for(fh)
-        self._charge_backend("statfs")
+        self._charge_backend("statfs", 0)
         bsize = 4096
         total = self.spec.capacity_bytes // bsize
         used = self.rep.bytes_used // bsize
@@ -430,18 +428,15 @@ class NfsConformanceWrapper(AbstractService):
                 # match a real object's digest, so the check fetches it.
                 return b""
             raise
-        concrete = self.backend.getattr(fh)
-        self._charge_backend("getattr")
+        concrete = self._backend_op("getattr", fh)
         meta = AbstractMeta(concrete.mode, concrete.uid, concrete.gid,
                             entry.atime, entry.mtime, entry.ctime,
                             entry.parent)
         if entry.ftype == FileType.NFREG:
-            data, _ = self.backend.read(fh, 0, concrete.size)
-            self._charge_backend("read", len(data))
+            data, _ = self._backend_op("read", fh, 0, concrete.size)
             obj = AbstractObject(FileType.NFREG, gen, meta, data=data)
         elif entry.ftype == FileType.NFDIR:
-            raw = self.backend.readdir(fh)
-            self._charge_backend("readdir", 32 * len(raw))
+            raw = self._backend_op("readdir", fh)
             entries = []
             for name, fileid in raw:
                 child = self.rep.fileid_to_index.get(fileid)
@@ -454,8 +449,7 @@ class NfsConformanceWrapper(AbstractService):
             obj = AbstractObject(FileType.NFDIR, gen, meta,
                                  entries=tuple(entries))
         else:
-            target = self.backend.readlink(fh)
-            self._charge_backend("readlink")
+            target = self._backend_op("readlink", fh)
             obj = AbstractObject(FileType.NFLNK, gen, meta, target=target)
         return encode_object(obj)
 
@@ -512,19 +506,15 @@ class NfsConformanceWrapper(AbstractService):
         if parent_fh is None:
             return
         for name, fileid in self.backend.readdir(parent_fh):
-            self._charge_backend("readdir")
+            self._charge_backend("readdir", 0)
             sibling = self.rep.fileid_to_index.get(fileid)
             if sibling is None:
                 continue
             if self.rep.entry(sibling).fh is None:
-                fh, _ = self.backend.lookup(parent_fh, name)
-                self._charge_backend("lookup")
+                fh, _ = self._backend_op("lookup", parent_fh, name)
                 self.rep.set_fh(sibling, fh)
 
-# The declarative op table and the protocol's wire constants must agree:
-# every registered handler implements a spec procedure, and the table's
-# read-only set is exactly READ_ONLY_PROCS (the BFT read-only gate).
+# Every registered handler implements a procedure of the protocol; the
+# table's read-only flags are the BFT read-only gate, for the clients too.
 assert frozenset(NfsConformanceWrapper.OPS) <= \
     frozenset(proc.value for proc in NfsProc)
-assert NfsConformanceWrapper.read_only_ops() == \
-    frozenset(proc.value for proc in READ_ONLY_PROCS)

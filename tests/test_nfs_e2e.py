@@ -4,12 +4,15 @@ heterogeneous backends — plus the NFS-std baseline path."""
 import pytest
 
 from repro.base.library import BaseServiceConfig
+from repro.base.nondet import ClockValue
 from repro.bft.config import BftConfig
 from repro.nfs.backends.vendors import ALL_BACKENDS, LinuxExt2Backend
 from repro.nfs.client import NfsClient
 from repro.nfs.protocol import NfsError, NfsProc, NfsStatus
 from repro.nfs.service import NFS_SERVICE
-from repro.nfs.spec import AbstractSpecConfig
+from repro.encoding.canonical import canonical, decanonical
+from repro.nfs.spec import ROOT_OID, AbstractSpecConfig
+from repro.nfs.wrapper import NfsConformanceWrapper
 from repro.service.deploy import ReplicatedDeployment, UnreplicatedDeployment
 
 SPEC = AbstractSpecConfig(array_size=128)
@@ -208,6 +211,39 @@ def test_basefs_refuses_negative_unsigned_fields(heterogeneous):
 def test_nfs_std_refuses_negative_unsigned_fields(backend_cls):
     std = UnreplicatedDeployment.build(NFS_SERVICE, backend_cls)
     _hostile_calls(NfsClient(std.client))
+
+
+# -- regression: a malformed request to NFS-std ----------------------------------
+#
+# NFS-std's server caught only NfsError: a request of the wrong arity or
+# with ill-typed arguments raised TypeError or AttributeError out of
+# ``channel.call``, where BASEFS answers the same bytes with an envelope.
+
+
+def test_nfs_std_answers_a_malformed_request_as_basefs_does():
+    std = UnreplicatedDeployment.build(NFS_SERVICE)
+    wrapper = NfsConformanceWrapper(LinuxExt2Backend())
+    root = std.client.root_fh()
+    mount = object()   # each server's own mount handle
+
+    def replies(*shape):
+        """NFS-std's reply to ``shape``, then BASEFS's."""
+        def op(fh):
+            return canonical(tuple(fh if arg is mount else arg
+                                   for arg in shape))
+        return (decanonical(std.channel.call(op(root))),
+                decanonical(wrapper.execute(op(ROOT_OID), "client",
+                                            ClockValue.encode(1.0))))
+
+    malformed = (int(NfsStatus.NFSERR_IO), "malformed request")
+    assert replies("getattr") == (malformed, malformed)
+    assert replies("write", b"x") == (malformed, malformed)
+    assert replies("lookup", 5, "a") == (malformed, malformed)
+    assert replies("read", mount, "x", 3) == (malformed, malformed)
+    # Three sattr fields are mode, uid and gid, on both servers.
+    for status, fattr in replies("setattr", mount, (1, 2, 3)):
+        assert (status, fattr[1], fattr[3:5]) == (0, 1, (2, 3))
+    assert std.client.call(NfsProc.GETATTR, root)[0][1] == 1
 
 
 # -- file bytes: one value shared by the replicas, never a shared buffer -------

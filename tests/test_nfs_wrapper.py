@@ -299,6 +299,31 @@ def test_a_create_that_fails_after_allocating_hands_its_entry_back():
     assert h.ok("create", ROOT_OID, "g", SATTR_FILE)[0] == oid_bytes(2, 1)
 
 
+# -- regression: a directory renamed into its own subtree ------------------------
+#
+# Every vendor accepted ``rename(/, "a", /a/b, "c")``: the root lost ``a``,
+# and ``a`` and ``b`` became each other's parent.  No fresh replica could
+# install that state: ``put_objs`` rebuilds a directory from its parent
+# chain, which no longer reached the root.
+
+@pytest.mark.parametrize("backend_cls", ALL_BACKENDS, ids=lambda c: c.vendor)
+def test_a_directory_cannot_move_into_its_own_subtree(backend_cls):
+    h = WrapperHarness(backend_cls)
+    a, _ = h.ok("mkdir", ROOT_OID, "a", SATTR_DIR)
+    b, _ = h.ok("mkdir", a, "b", SATTR_DIR)
+    state, used = h.abstract_state(), h.wrapper.rep.bytes_used
+    modified = []
+    h.wrapper.library.modify = modified.append
+    for to_fh in (b, a):
+        assert h.op("rename", ROOT_OID, "a", to_fh, "c") == (
+            int(NfsStatus.NFSERR_INVAL),)
+    assert modified == []
+    assert (h.abstract_state(), h.wrapper.rep.bytes_used) == (state, used)
+    fresh = WrapperHarness(backend_cls)
+    fresh.wrapper.put_objs(dict(enumerate(state)))
+    assert fresh.abstract_state() == state
+
+
 # -- regression: values outside their unsigned fields ---------------------------
 #
 # offset, count and the sattr fields are unsigned on the wire of the
