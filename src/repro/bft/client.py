@@ -35,10 +35,9 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.bft.config import BftConfig
 from repro.bft.costs import CostModel, ZERO_COSTS
-from repro.bft.messages import Reply, Request, verify_auth
+from repro.bft.messages import Reply, Request, authenticate, verify_auth
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.mac import Authenticator
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.tracing import Tracer
@@ -178,12 +177,8 @@ class BftClient(Node):
     def _transmit(self, first: bool) -> None:
         call = self._pending
         request = call.request
-        # MAC-over-digest: hash the request once, MAC the digest per replica.
         replicas = self.config.replica_ids
-        request.auth = Authenticator.create(
-            self.registry, self.node_id, replicas,
-            request.sealed_digest or request.digest())
-        self.charge(self.costs.auth_create(len(replicas), request.body_size))
+        authenticate(self, replicas, request)
         if call.read_only or not first:
             self.multicast(replicas, request)
         else:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from repro.crypto.digest import digest as sha_digest
+from repro.crypto.mac import Authenticator
 from repro.crypto.signatures import SIGNATURE_SIZE
 from repro.encoding.canonical import (
     RECORD_ENCODERS, RECORD_FIELD_TYPES, canonical, register_record)
@@ -54,6 +55,19 @@ class Contract(NamedTuple):
     proof: str
     relayed: bool = False
     view: Optional[str] = None      # CURRENT or LATER
+
+
+def authenticate(node, receivers, msg: "Message") -> "Message":
+    """The one MAC seal, at replicas, clients and edge nodes: attach
+    ``node``'s authenticator for ``receivers`` to ``msg``, then charge it.
+
+    MACs cover the message *digest* (hashed once, cached), so the cost is
+    one body hash plus a constant-size MAC per receiver — independent of
+    how large the piggybacked batch is."""
+    msg.auth = Authenticator.create(node.registry, node.node_id, receivers,
+                                    msg.sealed_digest or msg.digest())
+    node.charge(node.costs.auth_create(len(receivers), msg.body_size))
+    return msg
 
 
 def verify_auth(node, principal: str, msg: "Message") -> bool:

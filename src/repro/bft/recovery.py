@@ -75,7 +75,7 @@ class RecoveryManager:
             # where every view's new primary is the next replica to reboot.
             index = config.n - 1 - config.replica_index(replica.node_id)
             first = config.recovery_interval + index * config.recovery_stagger
-            replica.after(first, self.start_recovery)
+            replica.scheduler.schedule(first, self.start_recovery)
 
     def charge_check(self, seconds: float) -> None:
         """CPU of the state check: overlapped with the fetch while
@@ -104,7 +104,8 @@ class RecoveryManager:
         shutdown_time = r.state.shutdown()
         self._current.shutdown = shutdown_time
         self._current.reboot = r.config.reboot_delay
-        r.after(shutdown_time + r.config.reboot_delay, self._after_reboot)
+        r.scheduler.schedule(shutdown_time + r.config.reboot_delay,
+                             self._after_reboot)
 
     def _after_reboot(self) -> None:
         r = self.replica
@@ -117,7 +118,7 @@ class RecoveryManager:
         restart_time = r.state.restart()
         self._current.restart = restart_time
         r.state.mark_all_dirty()
-        r.after(restart_time, self._begin_fetch_and_check)
+        r.scheduler.schedule(restart_time, self._begin_fetch_and_check)
 
     def _begin_fetch_and_check(self) -> None:
         r = self.replica
@@ -158,8 +159,8 @@ class RecoveryManager:
         elapsed = r.now - self._fetch_started_at
         remaining = max(0.0, self.background_cpu - elapsed)
         if remaining > 0:
-            r.after(remaining, self._finish,
-                    r.transfer.objects_fetched_total)
+            r.scheduler.schedule(remaining, self._finish,
+                                 r.transfer.objects_fetched_total)
         else:
             self._finish(r.transfer.objects_fetched_total)
 

@@ -45,6 +45,7 @@ from repro.bft.messages import (
     Prepare,
     Reply,
     Request,
+    authenticate,
     verify_auth,
 )
 from repro.bft.recovery import RecoveryManager
@@ -53,7 +54,6 @@ from repro.bft.statetransfer import StateTransferManager
 from repro.bft.viewchange import ViewChangeManager
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.mac import Authenticator
 from repro.crypto.signatures import sign, verify_signature
 from repro.encoding.canonical import canonical, decanonical
 from repro.sim.network import Network
@@ -146,7 +146,6 @@ class Replica(Node):
         # (signer, signed bytes, signature) this replica made or checked,
         # oldest first; emptied when proactive recovery restarts it.
         self.verified_sigs: Dict[Tuple[str, bytes, bytes], None] = {}
-        self.busy_until = 0.0
 
         self.view_changes = ViewChangeManager(self)
         self.transfer = StateTransferManager(self)
@@ -210,51 +209,9 @@ class Replica(Node):
         if value is not HONEST:
             value.bind(self)
         self._behavior = value
-
-    def send(self, dst, msg):
-        """Send with the Byzantine rewrite hook applied.  An honest
-        replica has nothing to rewrite and goes straight to the fabric
-        (:meth:`Node.send` without the extra frame)."""
-        if self._behavior is not HONEST:
-            msg = self._behavior.rewrite_outgoing(msg, dst)
-            if msg is None:
-                return
-        if self._crashed:
-            return
-        delay = self.busy_until - self.scheduler._now
-        self.network.send(self.node_id, dst, msg, None,
-                          delay if delay > 0 else 0.0)
-
-    def multicast(self, dsts, msg):
-        if self._behavior is not HONEST:
-            for dst in dsts:
-                self.send(dst, msg)
-        elif not self._crashed:
-            # True IP multicast, as :meth:`Node.multicast`.
-            delay = self.busy_until - self.scheduler._now
-            self.network.multicast(self.node_id, dsts, msg,
-                                   delay if delay > 0 else 0.0)
+        self.rewrite = None if value is HONEST else value.rewrite_outgoing
 
     # -- authentication helpers ------------------------------------------------------
-
-    def authenticate(self, msg: Message) -> Message:
-        """Attach a MAC authenticator for all other replicas.
-
-        MACs cover the message *digest* (hashed once, cached), so the
-        cost is one body hash plus a constant-size MAC per receiver —
-        independent of how large the piggybacked batch is.
-        """
-        others = self.other_replicas
-        msg.auth = Authenticator.create(self.registry, self.node_id, others,
-                                        msg.digest())
-        self.charge(self.costs.auth_create(len(others), msg.body_size))
-        return msg
-
-    def authenticate_for(self, msg: Message, dst: str) -> Message:
-        msg.auth = Authenticator.create(self.registry, self.node_id, (dst,),
-                                        msg.digest())
-        self.charge(self.costs.auth_create(1, msg.body_size))
-        return msg
 
     def sign_msg(self, msg: Message) -> Message:
         msg.sig = sign(self.registry, self.node_id, msg.body())
@@ -282,7 +239,7 @@ class Replica(Node):
             del memo[next(iter(memo))]      # the oldest goes first
 
     def trace(self, kind: str, *fields) -> None:
-        self.tracer.record(self.scheduler._now, self.node_id, kind, fields)
+        self.tracer.record(self.scheduler.now, self.node_id, kind, fields)
 
     # -- the gate: every delivery passes its kind's contract ---------------------
 
@@ -355,7 +312,7 @@ class Replica(Node):
                     self.multicast(self.other_replicas, slot.pre_prepare)
             elif key not in self.pending:
                 self.pending[key] = req
-                self._request_arrival.setdefault(key, self.scheduler._now)
+                self._request_arrival.setdefault(key, self.scheduler.now)
                 self._note_arrival()
                 self.try_send_pre_prepare()
         else:
@@ -376,7 +333,7 @@ class Replica(Node):
                      > self.committed_frontier)
         reply = Reply(self.view, request_id, client_id, self.node_id,
                       result, digest(result), tentative)
-        self.authenticate_for(reply, client_id)
+        authenticate(self, (client_id,), reply)
         self.send(client_id, reply)
 
     def _execute_read_only(self, req: Request) -> None:
@@ -413,7 +370,7 @@ class Replica(Node):
                               result, digest(result), seq, root,
                               stable_at_us, int(self.now * 1_000_000))
         self.charge(self.costs.digest(len(result)))
-        self.authenticate_for(reply, msg.edge_id)
+        authenticate(self, (msg.edge_id,), reply)
         self.send(msg.edge_id, reply)
         self.trace("edge_read_served", msg.edge_id, msg.nonce)
 
@@ -445,7 +402,8 @@ class Replica(Node):
             return True
         deficit = self._batch_target - len(self.pending)
         window = min(ewma * deficit, BATCH_WINDOW_MAX)
-        self._hold_event = self.after(window, self._on_batch_hold)
+        self._hold_event = self.scheduler.schedule(window,
+                                                   self._on_batch_hold)
         return True
 
     def _on_batch_hold(self) -> None:
@@ -500,7 +458,7 @@ class Replica(Node):
             nondet = self.state.propose_nondet(batch, seq)
             nondet = self.behavior.bad_nondet(nondet)
             pp = PrePrepare(self.view, seq, tuple(batch), nondet)
-            self.authenticate(pp)
+            authenticate(self, self.other_replicas, pp)
             self.trace("pre_prepare_sent", seq, len(batch))
             if self.behavior.equivocate_pre_prepare() and len(batch) == 1:
                 self._send_equivocating(pp, batch[0])
@@ -517,7 +475,7 @@ class Replica(Node):
     def _send_equivocating(self, pp: PrePrepare, req: Request) -> None:
         """Byzantine primary: half the backups get a conflicting ordering."""
         alt = PrePrepare(pp.view, pp.seq, (Request.null(),), pp.nondet)
-        self.authenticate(alt)
+        authenticate(self, self.other_replicas, alt)
         others = self.other_replicas
         for i, dst in enumerate(others):
             self.send(dst, pp if i % 2 == 0 else alt)
@@ -586,13 +544,13 @@ class Replica(Node):
             self.vc_timer.start()
             return
         slot.pre_prepare = pp
-        slot.phase_marks = {"pre_prepare": self.scheduler._now}
+        slot.phase_marks = {"pre_prepare": self.scheduler.now}
         for req in pp.requests:
             if not req.is_null:
                 self.waiting[(req.client_id, req.request_id)] = req
         self.vc_timer.start()
         prep = Prepare(pp.view, pp.seq, pp.batch_digest(), self.node_id)
-        self.authenticate(prep)
+        authenticate(self, self.other_replicas, prep)
         self.multicast(self.other_replicas, prep)
         slot.prepares[self.node_id] = prep
         self._check_prepared(slot)
@@ -619,7 +577,7 @@ class Replica(Node):
                     or slot.prepared_cert[0] < self.view):
                 slot.prepared_cert = (self.view, slot.pre_prepare)
             self.trace("prepared", slot.seq)
-            now = self.scheduler._now
+            now = self.scheduler.now
             mark = slot.phase_marks.get("pre_prepare")
             if mark is not None:
                 self.tracer.observe_phase("pre_prepare_to_prepared",
@@ -627,7 +585,7 @@ class Replica(Node):
             slot.phase_marks["prepared"] = now
             com = Commit(self.view, slot.seq,
                          slot.pre_prepare.batch_digest(), self.node_id)
-            self.authenticate(com)
+            authenticate(self, self.other_replicas, com)
             self.multicast(self.other_replicas, com)
             slot.commits[self.node_id] = com
             self._check_committed(slot)
@@ -651,7 +609,7 @@ class Replica(Node):
         if slot.matching_commits() >= self._quorum:
             slot.committed = True
             self.trace("committed", slot.seq)
-            now = self.scheduler._now
+            now = self.scheduler.now
             mark = slot.phase_marks.get("prepared")
             if mark is not None:
                 self.tracer.observe_phase("prepared_to_committed",
@@ -703,12 +661,12 @@ class Replica(Node):
                 mark = slot.phase_marks.get("prepared")
                 if mark is not None:
                     self.tracer.observe_phase("prepared_to_executed",
-                                              self.scheduler._now - mark)
+                                              self.scheduler.now - mark)
             else:
                 mark = slot.phase_marks.get("committed")
                 if mark is not None:
                     self.tracer.observe_phase("committed_to_executed",
-                                              self.scheduler._now - mark)
+                                              self.scheduler.now - mark)
             for req in pp.requests:
                 self._execute_request(req, slot.seq, pp.nondet, tentative)
             if not tentative and self.committed_frontier == slot.seq - 1:
@@ -777,7 +735,7 @@ class Replica(Node):
             # a re-ordering.
             self.client_table[client_id] = (request_id, result)
             self._reply_seq[client_id] = seq
-        self.authenticate_for(reply, client_id)
+        authenticate(self, (client_id,), reply)
         self.send(client_id, reply)
         return rdigest
 

@@ -22,6 +22,7 @@ from repro.bft.messages import (
     PreparedProof,
     Request,
     ViewChange,
+    authenticate,
 )
 
 
@@ -339,7 +340,7 @@ class ViewChangeManager:
             slot.tentative = slot.tentative and slot.executed
             if not r.is_primary:
                 prep = Prepare(view, pp.seq, pp.batch_digest(), r.node_id)
-                r.authenticate(prep)
+                authenticate(r, r.other_replicas, prep)
                 r.multicast(r.other_replicas, prep)
                 slot.prepares[r.node_id] = prep
         if r.is_primary:

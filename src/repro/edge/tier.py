@@ -38,10 +38,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.bft.client import BftClient
 from repro.bft.config import BftConfig
 from repro.bft.costs import CostModel, ZERO_COSTS
-from repro.bft.messages import EdgeRead, EdgeReadReply, verify_auth
+from repro.bft.messages import (EdgeRead, EdgeReadReply, authenticate,
+                                verify_auth)
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.mac import Authenticator
 from repro.edge.breaker import OPEN, CircuitBreaker
 from repro.edge.cache import EdgeCache
 from repro.edge.evidence import (BOUNDED_STALE, EVIDENCE_CERTIFICATE,
@@ -79,10 +79,8 @@ class _EdgeNode(Node):
         """Issue one EdgeRead to one replica; returns the nonce to poll."""
         self._next_nonce += 1
         nonce = self._next_nonce
-        msg = EdgeRead(self.node_id, nonce, op)
-        msg.auth = Authenticator.create(self.registry, self.node_id,
-                                        [replica_id], msg.digest())
-        self.charge(self.costs.auth_create(1, len(msg.body())))
+        msg = authenticate(self, (replica_id,),
+                           EdgeRead(self.node_id, nonce, op))
         self._boxes[nonce] = {}
         self.send(replica_id, msg)
         return nonce

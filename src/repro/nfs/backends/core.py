@@ -50,6 +50,13 @@ class CostProfile:
         return total
 
 
+def check_text(*values: Any) -> None:
+    """A name or a symlink target is a ``str``: any other value makes the
+    request malformed (``TypeError``), refused before anything changes."""
+    if not all(isinstance(value, str) for value in values):
+        raise TypeError("a name or a symlink target is not a string")
+
+
 def data_bytes(proc: str, args: tuple, reply: Any) -> int:
     """The bytes a procedure's cost is charged for: what a write stores
     and what a read returns (``reply`` leads with the data; NFS-std's
@@ -153,6 +160,7 @@ class MemoryFilesystem:
         return inode
 
     def _check_name(self, name: str) -> None:
+        check_text(name)
         if not name or name in (".", ".."):
             raise NfsError(NfsStatus.NFSERR_PERM, f"bad name {name!r}")
         if len(name.encode("utf-8")) > self.name_max:
@@ -280,6 +288,7 @@ class MemoryFilesystem:
 
     def symlink(self, dir_fh: bytes, name: str, target: str,
                 sattr: Sattr) -> Tuple[bytes, Fattr]:
+        check_text(target)
         fh, fattr = self._make(dir_fh, name, sattr, FileType.NFLNK)
         inode = self._inode(fh)
         inode.target = target
@@ -345,6 +354,7 @@ class MemoryFilesystem:
 
     def rename(self, from_dir_fh: bytes, from_name: str, to_dir_fh: bytes,
                to_name: str) -> None:
+        check_text(from_name, to_name)
         self.ops_served += 1
         src = self._dir(from_dir_fh)
         dst = self._dir(to_dir_fh)

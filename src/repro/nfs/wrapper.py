@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.base.nondet import TimestampAgreement
 from repro.errors import EncodingError, StateTransferError
 from repro.service.kernel import AbstractService, op
-from repro.nfs.backends.core import MemoryFilesystem, data_bytes
+from repro.nfs.backends.core import MemoryFilesystem, check_text, data_bytes
 from repro.nfs.conformance import ConformanceRep
 from repro.nfs.protocol import (
     FileType,
@@ -273,6 +273,7 @@ class NfsConformanceWrapper(AbstractService):
     def _create_common(self, now: int, dir_fh: bytes, name: str,
                        sattr_fields: tuple, ftype: FileType,
                        target: str) -> tuple:
+        check_text(name, target)
         dir_index, dir_entry = self._directory_for(dir_fh)
         if len(name.encode("utf-8")) > self.spec.max_name_len:
             raise NfsError(NfsStatus.NFSERR_NAMETOOLONG, name)
@@ -335,6 +336,7 @@ class NfsConformanceWrapper(AbstractService):
     @op()
     def _op_rename(self, now: int, from_fh: bytes, from_name: str,
                    to_fh: bytes, to_name: str) -> tuple:
+        check_text(from_name, to_name)
         from_index, from_entry = self._entry_for(from_fh)
         to_index, to_entry = self._entry_for(to_fh)
         if (from_entry.ftype != FileType.NFDIR
@@ -373,10 +375,12 @@ class NfsConformanceWrapper(AbstractService):
         moving.ctime = now
         from_entry.mtime = from_entry.ctime = now
         to_entry.mtime = to_entry.ctime = now
-        self.rep.update_size(from_index, from_entry.abstract_size -
-                             entry_bytes(from_name))
-        self.rep.update_size(to_index, to_entry.abstract_size +
-                             entry_bytes(to_name))
+        if replaced_index != moving_index:  # onto itself, no entry moves
+            self.rep.update_size(from_index, from_entry.abstract_size -
+                                 entry_bytes(from_name))
+        if replaced_index is None:  # else the target's entry was counted
+            self.rep.update_size(to_index, to_entry.abstract_size +
+                                 entry_bytes(to_name))
         return ()
 
     @op()

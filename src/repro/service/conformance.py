@@ -407,7 +407,14 @@ PROBES: Dict[str, ServiceProbe] = {probe.name: probe for probe in (
         read_only_op=("getattr", _nfs_root()),
         malformed_ops=[("getattr",), ("write", _nfs_root()),
                        ("setattr", _nfs_root()),
-                       ("getattr", b"ab")],  # a handle of the wrong size
+                       ("getattr", b"ab"),  # a handle of the wrong size
+                       # A name or a symlink target that is not a string.
+                       ("create", _nfs_root(), 5, _SATTR_FILE),
+                       ("mkdir", _nfs_root(), 5, _SATTR_DIR),
+                       ("symlink", _nfs_root(), 5, "t", _SATTR_FILE),
+                       ("symlink", _nfs_root(), "l", 5, _SATTR_FILE),
+                       ("rename", _nfs_root(), 5, _nfs_root(), "x"),
+                       ("rename", _nfs_root(), "docs", _nfs_root(), 5)],
     ),
     ServiceProbe(
         name="sql",

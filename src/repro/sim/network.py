@@ -76,9 +76,6 @@ class Network:
     def heal_all(self) -> None:
         self._partitioned.clear()
 
-    def is_partitioned(self, a: Any, b: Any) -> bool:
-        return frozenset((a, b)) in self._partitioned
-
     def add_filter(self, fn: Callable[[Any, Any, Any], bool]) -> None:
         """Install a delivery filter; returning False drops the message.
 

@@ -39,7 +39,7 @@ class Timer:
         (use :meth:`restart` to re-arm from now)."""
         if self.running:
             return
-        self._deadline = self.scheduler._now + self.period
+        self._deadline = self.scheduler.now + self.period
         self._event = self.scheduler.schedule(self.period, self._fire)
 
     def stop(self) -> None:
@@ -50,7 +50,7 @@ class Timer:
     def restart(self, period: Optional[float] = None) -> None:
         if period is not None:
             self.period = period
-        deadline = self.scheduler._now + self.period
+        deadline = self.scheduler.now + self.period
         if self.running and self._event.time <= deadline:
             # The queued event fires no later than the new deadline:
             # leave it and let _fire re-arm for the remainder.
@@ -60,12 +60,12 @@ class Timer:
         self.start()
 
     def _fire(self) -> None:
-        if self._deadline > self.scheduler._now:
+        if self._deadline > self.scheduler.now:
             # Deadline was lazily pushed out past this event: re-arm once
             # for the remainder instead of having churned the queue on
             # every restart in between.
             self._event = self.scheduler.schedule(
-                self._deadline - self.scheduler._now, self._fire)
+                self._deadline - self.scheduler.now, self._fire)
             return
         self._event = None
         self.callback()
@@ -81,6 +81,9 @@ class Node:
         network.register(node_id, self)
         self._crashed = False
         self.busy_until = 0.0
+        # ``rewrite(msg, dst)`` sees every outgoing copy and returns the
+        # message to send, or None to drop it (a Byzantine behaviour).
+        self.rewrite: Optional[Callable[[Any, Any], Any]] = None
         # kind -> bound handler (False caches a miss): message dispatch
         # is the hottest call in the simulator, so resolve the
         # ``handle_<kind>`` lookup once per kind instead of per message.
@@ -109,28 +112,41 @@ class Node:
         work has drained, modelling a single-threaded implementation.
         """
         if seconds > 0:
-            now = self.scheduler._now
+            now = self.scheduler.now
             busy = self.busy_until
             self.busy_until = (busy if busy > now else now) + seconds
 
     # -- messaging -----------------------------------------------------------
 
     def send(self, dst: Any, msg: Any, size: Optional[int] = None) -> None:
+        """The one departure rule: ``rewrite`` first, then the crashed
+        check, then a busy sender's CPU backlog shifts the departure.  The
+        network folds the backlog into the delivery delay rather than
+        running a trampoline event at busy_until (same timing, one event
+        fewer)."""
+        rewrite = self.rewrite
+        if rewrite is not None:
+            msg = rewrite(msg, dst)
+            if msg is None:
+                return
         if self._crashed:
             return
-        # A busy sender's CPU backlog shifts the departure; the network
-        # folds it into the delivery delay rather than running a
-        # trampoline event at busy_until (same timing, one event fewer).
-        delay = self.busy_until - self.scheduler._now
-        self.network.send(self.node_id, dst, msg, size=size,
-                          extra_delay=delay if delay > 0 else 0.0)
+        delay = self.busy_until - self.scheduler.now
+        self.network.send(self.node_id, dst, msg, size,
+                          delay if delay > 0 else 0.0)
 
     def multicast(self, dsts, msg: Any) -> None:
+        """True IP multicast, one serialization for every destination;
+        with a ``rewrite`` hook each copy is rewritten and sent alone."""
+        if self.rewrite is not None:
+            for dst in dsts:
+                self.send(dst, msg)
+            return
         if self._crashed:
             return
-        delay = self.busy_until - self.scheduler._now
+        delay = self.busy_until - self.scheduler.now
         self.network.multicast(self.node_id, dsts, msg,
-                               extra_delay=delay if delay > 0 else 0.0)
+                               delay if delay > 0 else 0.0)
 
     def on_message(self, src: Any, msg: Any) -> None:
         """Dispatch to ``handle_<type>`` by the message's ``kind`` attribute."""
@@ -143,21 +159,12 @@ class Node:
             self._handlers[kind] = handler if handler is not None else False
         if handler:
             handler(src, msg)
-        else:
-            self.on_unhandled(src, msg)
-
-    def on_unhandled(self, src: Any, msg: Any) -> None:
-        """Hook for messages without a dedicated handler; default drops."""
 
     # -- timers ---------------------------------------------------------------
 
     def make_timer(self, period: float, callback: Callable[[], None]) -> Timer:
         return Timer(self.scheduler, period, callback)
 
-    def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` after ``delay`` simulated seconds."""
-        return self.scheduler.schedule(delay, fn, *args)
-
     @property
     def now(self) -> float:
-        return self.scheduler._now
+        return self.scheduler.now

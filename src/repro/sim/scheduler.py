@@ -1,53 +1,48 @@
 """Event loop: timed callbacks over simulated time.
 
 :class:`Scheduler` is the one event queue: a binary heap (``heapq``) of
-``(time, seq, event)`` entries that always pops the strict global
-minimum of ``(time, seq)``, so a run's event order is a function of its
-inputs alone.
+:class:`Event` entries that always pops the strict global minimum of
+``(time, seq)``, so a run's event order is a function of its inputs
+alone.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
 
-class Event:
-    """A scheduled callback.  Cancellable; ordered by (time, seq)."""
+class Event(list):
+    """A scheduled callback, and its own heap entry:
+    ``[time, seq, fn, args, scheduler]``.
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "scheduler")
+    The unique, monotonically increasing ``seq`` breaks time ties, so
+    heap comparisons resolve in C on the first two items and never reach
+    ``fn``.  Cancelling clears ``fn``.  ``scheduler`` is set while the
+    event sits in a scheduler's queue; the scheduler clears it on pop, so
+    a late cancel of a fired event does not skew its live-event count.
+    """
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any],
-                 args: tuple, scheduler: Optional["Scheduler"] = None):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        # Back-reference while the event sits in a scheduler's queue; the
-        # scheduler clears it on pop so late cancels of already-fired
-        # events do not skew its live-event accounting.
-        self.scheduler = scheduler
+    __slots__ = ()
+
+    @property
+    def time(self) -> float:
+        return self[0]
+
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is None
 
     def cancel(self) -> None:
         """Prevent the callback from running when its time arrives."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self.scheduler is not None:
-                self.scheduler._note_cancel()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time:.6f}, seq={self.seq}, {state}, fn={self.fn!r})"
-
-
-#: Heap entries are (time, seq, event) tuples: the unique, monotonically
-#: increasing seq breaks time ties, so heap comparisons resolve in C on
-#: the first two fields and never call back into Python.
-_Entry = Tuple[float, int, Event]
+        if self[2] is not None:
+            self[2] = None
+            scheduler = self[4]
+            if scheduler is not None:
+                scheduler._note_cancel()
 
 
 class Scheduler:
@@ -66,16 +61,11 @@ class Scheduler:
     _COMPACT_MIN = 64
 
     def __init__(self) -> None:
-        self._now = 0.0
+        self.now = 0.0        # current simulated time in seconds
         self._seq = 0
-        self._queue: List[_Entry] = []
+        self._queue: List[Event] = []
         self._cancelled = 0   # cancelled events still sitting in the queue
         self.events_run = 0   # cumulative executed events
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Run ``fn(*args)`` after ``delay`` simulated seconds.
@@ -84,25 +74,25 @@ class Scheduler:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, fn, args, self)
-        _heappush(self._queue, (time, seq, event))
+        event = Event((self.now + delay, seq, fn, args, self))
+        _heappush(self._queue, event)
         return event
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none remain."""
         queue = self._queue
         while queue:
-            time, _seq, event = _heappop(queue)
-            event.scheduler = None
-            if event.cancelled:
+            event = _heappop(queue)
+            event[4] = None
+            fn = event[2]
+            if fn is None:
                 self._cancelled -= 1
                 continue
-            self._now = time
+            self.now = event[0]
             self.events_run += 1
-            event.fn(*event.args)
+            fn(*event[3])
             return True
         return False
 
@@ -124,18 +114,18 @@ class Scheduler:
             queue = self._queue
             if not queue:
                 break
-            head_time, _seq, head = queue[0]
-            if head.cancelled:
+            head = queue[0]
+            if head[2] is None:
                 _heappop(queue)
-                head.scheduler = None
+                head[4] = None
                 self._cancelled -= 1
                 continue
-            if head_time > time:
+            if head[0] > time:
                 break
             self.step()
             count += 1
-        if self._now < time:
-            self._now = time
+        if self.now < time:
+            self.now = time
         return count
 
     def run_until_idle_or(self, predicate: Callable[[], bool],
@@ -172,12 +162,11 @@ class Scheduler:
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify the survivors."""
         live = []
-        for entry in self._queue:
-            event = entry[2]
-            if event.cancelled:
-                event.scheduler = None
+        for event in self._queue:
+            if event[2] is None:
+                event[4] = None
             else:
-                live.append(entry)
+                live.append(event)
         heapq.heapify(live)
         self._queue = live
         self._cancelled = 0

@@ -3,7 +3,8 @@ and when a replica may ask for a view it missed."""
 
 import pytest
 
-from repro.bft.messages import Commit, PrePrepare, Prepare, Request
+from repro.bft.messages import (Commit, PrePrepare, Prepare, Request,
+                                authenticate)
 from repro.bft.statemachine import InMemoryStateManager
 from repro.bft.viewchange import ViewChangeManager
 from repro.crypto.mac import Authenticator
@@ -257,7 +258,8 @@ def _victim_and_fetches():
 
 
 def _prepare_from(peer, view, seq=1):
-    return peer.authenticate(Prepare(view, seq, b"d" * 32, peer.node_id))
+    return authenticate(peer, peer.other_replicas,
+                        Prepare(view, seq, b"d" * 32, peer.node_id))
 
 
 def test_one_peer_climbing_views_solicits_nothing():
@@ -325,7 +327,8 @@ def test_a_view_is_solicited_once_however_many_messages_show_it():
         for peer in cluster.replicas[1:]:
             victim.on_message(peer.node_id, _prepare_from(peer, 1, seq))
             com = Commit(1, seq, b"d" * 32, peer.node_id)
-            victim.on_message(peer.node_id, peer.authenticate(com))
+            victim.on_message(peer.node_id, authenticate(
+                peer, peer.other_replicas, com))
     cluster.run(1.0)
     assert victim.view == 0
     assert len(cluster.tracer.find("view_solicited")) == 1

@@ -46,7 +46,7 @@ def test_future_view_pre_prepare_buffered_not_lost():
     """A pre-prepare from a view we have not entered yet is stashed and
     replayed on view entry, not dropped (the race a new primary's first
     proposal loses against its own NEW-VIEW on a jittery network)."""
-    from repro.bft.messages import PrePrepare, Request
+    from repro.bft.messages import PrePrepare, Request, authenticate
     cluster = make_kv_cluster()
     client = cluster.add_client("client0")
     client.call(put(0, b"seed"))
@@ -55,7 +55,7 @@ def test_future_view_pre_prepare_buffered_not_lost():
 
     request = Request("client0", 77, put(1, b"from-the-future"))
     pp = PrePrepare(1, victim.last_executed + 1, (request,), b"")
-    future_primary.authenticate(pp)
+    authenticate(future_primary, future_primary.other_replicas, pp)
     victim.on_message(future_primary.node_id, pp)
 
     # Not processed (we are in view 0), but not lost either.

@@ -21,7 +21,11 @@ from repro.harness.complexity import (
     settable_values,
 )
 from repro.harness.report import format_table, overhead_pct
+from repro.bft.replica import Replica
 from repro.nfs.protocol import NfsProc
+from repro.sim.network import Network
+from repro.sim.node import Node
+from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import EVENT_FIELDS, parse_catalogue
 from repro.workloads.microbench import (
     build_kv_cluster,
@@ -177,13 +181,13 @@ def test_complexity_report_covers_all_components():
 
 
 #: Physical lines of ``*.py`` each package may hold: its size when the
-#: literal was last set, rounded up to the next 100.  A package that
+#: literal was last set, rounded up to the next 50 or 100.  A package that
 #: outgrows its ceiling needs the literal raised here, where a reviewer
-#: sees it; one that shrinks by a hundred lines gets it lowered.
+#: sees it; one that shrinks by fifty lines or more gets it lowered.
 LINE_CEILINGS = {
-    "bft": 3600, "analysis": 3000, "benchmarks/ledger": 2900, "nfs": 2600,
+    "bft": 3550, "analysis": 3000, "benchmarks/ledger": 2900, "nfs": 2700,
     "faultlab": 2350, "service": 1700, "thor": 1300, "workloads": 1200,
-    "sim": 1100, "base": 800, "sql": 700, "edge": 700, "harness": 700,
+    "sim": 1050, "base": 800, "sql": 700, "edge": 700, "harness": 700,
     "http": 600, "encoding": 400, "crypto": 300,
 }
 
@@ -198,7 +202,7 @@ def test_every_package_fits_its_line_ceiling():
 #: Settable values under ``src/repro`` (see ``settable_values``), exactly:
 #: a new knob raises it here, where a reviewer sees it, and a change that
 #: removes knobs must lower it.
-SETTABLE_CEILING = 381
+SETTABLE_CEILING = 380
 
 
 def test_settable_values_fit_their_ceiling():
@@ -601,6 +605,41 @@ def test_only_the_gate_authenticates_what_a_replica_receives():
             and _compares_src(node)] == []
 
 
+def test_every_node_sends_seals_and_keeps_time_one_way():
+    """One departure rule, one seal, one clock.  Under ``src/repro`` only
+    ``sim/node.py`` reads ``busy_until`` (``Node.charge`` and the send
+    path that turns the backlog into a departure); only
+    ``sim/scheduler.py`` assigns ``.now``; only ``bft/messages.py``'s
+    ``authenticate`` calls ``Authenticator.create``.  ``Scheduler.now``
+    is a plain attribute, so nothing reads a scheduler's ``_now``, and
+    the deleted second copies stay deleted."""
+    busy, clock, seal = set(), set(), set()
+    for where, fn in _functions(""):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and node.attr == "busy_until" \
+                    and isinstance(node.ctx, ast.Load):
+                busy.add(where.split(":")[0])
+            elif isinstance(node, ast.Attribute) and node.attr == "now" \
+                    and isinstance(node.ctx, ast.Store):
+                clock.add(where.split(":")[0])
+            elif isinstance(node, ast.Call) and ast.unparse(
+                    node.func).endswith("Authenticator.create"):
+                seal.add(where)
+    assert (busy, clock, seal) == ({"sim/node.py"}, {"sim/scheduler.py"},
+                                   {"bft/messages.py:authenticate"})
+    root = Path(__file__).resolve().parents[1]
+    assert [str(path.relative_to(root))
+            for top in ("src", "tests", "benchmarks", "examples")
+            for path in sorted((root / top).rglob("*.py"))
+            if "scheduler._now" in path.read_text(encoding="utf-8")
+            and path != Path(__file__).resolve()] == []
+    assert "now" not in vars(Scheduler) and "now" in vars(Scheduler())
+    assert not {"send", "multicast", "authenticate",
+                "authenticate_for"} & set(vars(Replica))
+    assert not {"after", "on_unhandled"} & set(vars(Node))
+    assert "is_partitioned" not in vars(Network)
+
+
 def test_the_ordering_handlers_take_their_window_from_low_water():
     """``handle_pre_prepare``, ``handle_prepare`` and ``handle_commit``
     get the base h of their (h, h + L] window only from
@@ -708,7 +747,12 @@ def test_deleted_catalogues_and_tables_stay_deleted():
                       r"|wire_replica|ExecutionEntry|RollbackEntry"
                       r"|AcceptedReply|ExecutionLog|SUPPRESS_RULE_ID"
                       r"|SEVERITIES|_parse_suppressions|cmd_replay"
-                      r"|READ_ONLY_PROCS|_encode_payload|_data_bytes)\b")
+                      r"|READ_ONLY_PROCS|_encode_payload|_data_bytes"
+                      r"|Replica\.send|Replica\.multicast"
+                      r"|Replica\.authenticate|Replica\.authenticate_for"
+                      r"|Node\.after|Node\.on_unhandled|on_unhandled"
+                      r"|Network\.is_partitioned|is_partitioned"
+                      r"|authenticate_for|_Entry)\b")
     root = Path(__file__).resolve().parents[1]
     here = Path(__file__).resolve()
     assert [f"{path.relative_to(root)}:{match.group(1)}"

@@ -246,6 +246,33 @@ def test_nfs_std_answers_a_malformed_request_as_basefs_does():
     assert std.client.call(NfsProc.GETATTR, root)[0][1] == 1
 
 
+# -- regression: a name or a symlink target that is not a string -----------------
+#
+# CREATE, MKDIR, SYMLINK and RENAME called ``.encode`` on the name, which
+# raised AttributeError, outside the malformed-request exceptions: a
+# replica answered ``b'__error__:AttributeError'``, NFS-std raised it out
+# of ``channel.call``, and its SYMLINK did so after making the inode.
+
+
+@pytest.mark.parametrize("backend_cls", ALL_BACKENDS, ids=lambda c: c.vendor)
+def test_a_name_that_is_not_a_string_is_malformed_everywhere(backend_cls):
+    from repro.nfs.wrapper import MALFORMED
+    from repro.service.conformance import get_probe
+    std = UnreplicatedDeployment.build(NFS_SERVICE, backend_cls)
+    wrapper = NfsConformanceWrapper(backend_cls())
+    root = std.client.root_fh()
+    shapes = [shape for shape in get_probe("nfs").malformed_ops
+              if shape[0] in ("create", "mkdir", "symlink", "rename")]
+    assert len(shapes) == 6
+    for shape in shapes:
+        std_op = tuple(root if part == ROOT_OID else part for part in shape)
+        assert decanonical(std.channel.call(canonical(std_op))) == MALFORMED
+        assert decanonical(wrapper.execute(
+            canonical(shape), "client", ClockValue.encode(1.0))) == MALFORMED
+    assert std.client.call(NfsProc.READDIR, root)[0] == ()
+    assert wrapper.rep.bytes_used == wrapper.rep.entry(0).abstract_size
+
+
 # -- file bytes: one value shared by the replicas, never a shared buffer -------
 
 

@@ -324,6 +324,27 @@ def test_a_directory_cannot_move_into_its_own_subtree(backend_cls):
     assert fresh.abstract_state() == state
 
 
+# -- regression: a rename onto an existing name --------------------------------
+#
+# RENAME added the target name's entry to the target directory's size
+# even when the name already existed, so ``bytes_used`` overcounted: a
+# replica that executed the rename and one given the state by transfer
+# disagreed on NFSERR_NOSPC and on STATFS.
+
+@pytest.mark.parametrize("backend_cls", ALL_BACKENDS, ids=lambda c: c.vendor)
+def test_a_rename_sizes_the_state_as_a_transfer_of_it_does(backend_cls):
+    h = WrapperHarness(backend_cls)
+    h.ok("create", ROOT_OID, "a", SATTR_FILE)
+    h.ok("create", ROOT_OID, "b", SATTR_FILE)
+    for from_name in ("a", "b"):      # onto an existing name, then itself
+        h.ok("rename", ROOT_OID, from_name, ROOT_OID, "b")
+        fresh = WrapperHarness(backend_cls)
+        fresh.wrapper.put_objs(dict(enumerate(h.abstract_state())))
+        assert fresh.abstract_state() == h.abstract_state()
+        assert [(w.rep.entry(0).abstract_size, w.rep.bytes_used)
+                for w in (h.wrapper, fresh.wrapper)] == [(81, 145)] * 2
+
+
 # -- regression: values outside their unsigned fields ---------------------------
 #
 # offset, count and the sattr fields are unsigned on the wire of the

@@ -107,6 +107,16 @@ def test_cancel_compacts_queue_and_pending_stays_exact(sched):
     assert sched.pending() == 0
 
 
+def test_the_heap_entries_are_the_events_schedule_returns(sched):
+    events = [sched.schedule(delay, lambda: None) for delay in (3.0, 1.0, 2.0)]
+    assert sched._queue[0] is events[1]
+    assert sorted(map(id, sched._queue)) == sorted(map(id, events))
+    assert [(e.time, e.cancelled) for e in events] == [
+        (3.0, False), (1.0, False), (2.0, False)]
+    events[0].cancel()
+    assert events[0].cancelled and sched.pending() == 2
+
+
 def test_late_and_double_cancels_do_not_skew_pending(sched):
     e1 = sched.schedule(1.0, lambda: None)
     e2 = sched.schedule(2.0, lambda: None)
